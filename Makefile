@@ -5,35 +5,13 @@
 #                  fabric, and two kernels (the packages with real
 #                  cross-goroutine traffic), plus the harness
 #                  failure-injection paths
-#   make bench   - the dispatch + kernel benchmarks recorded in BENCH_PR1.json
-#   make bench-render - the render hot-path benchmarks recorded in
-#                  BENCH_PR3.json (volren marcher, traced frame, BVH
-#                  build, cinema encode queue), with -benchmem
-#   make bench-advect - the advection hot-path benchmarks recorded in
-#                  BENCH_PR4.json (fused-sampler SoA integrator vs the
-#                  reference, fixed + adaptive, 32^3/64^3/128^3, plus
-#                  the scratch-leased clover sweep), with -benchmem
-#   make bench-advect-dist - the distributed parallelize-over-data
-#                  advection benchmarks recorded in BENCH_PR6.json
-#                  (reference/fast single-rank oracles vs dist.Advect at
-#                  1/2/4/8 ranks on a migration-heavy field), -benchmem
-#   make bench-serve - the daemon benchmarks recorded in BENCH_PR7.json
-#                  (cold vs warm frame latency through the derived-
-#                  structure cache; admitted request throughput with the
-#                  power-budget admission queue on vs off), -benchmem
-#   make bench-dpp - the data-parallel-primitive backend benchmarks
-#                  recorded in BENCH_PR8.json (traditional vs DPP
-#                  contour/threshold at 32^3/64^3/128^3, plus the scan
-#                  primitive's steady-state allocation check), -benchmem
-#   make bench-govern - the closed-loop governor benchmarks recorded in
-#                  BENCH_PR9.json (governed vs static phase plan vs
-#                  uniform cap per budget, with the equal-energy replay
-#                  columns), -benchmem
-#   make bench-obs - the metrics-plane benchmarks recorded in
-#                  BENCH_PR10.json (counter/sharded/histogram record
-#                  cost, full-registry scrape, attribution join, and
-#                  the instrumented-vs-bare par.For dispatch check),
-#                  -benchmem
+#   make bench   - the repo's benchmark: bench/run.sh, every workload
+#                  untraced then traced into bench/out/ (the one ledger;
+#                  bench/README.md maps the old BENCH_PRn.json headlines
+#                  onto its rows)
+#   make bench-go BENCH=<regexp> [PKG=<package>] - pass-through to the
+#                  root bench_*_test.go microbenchmarks while you work,
+#                  e.g. make bench-go BENCH='AdvectPaths|AdvectDist'
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)
 #   make profile - run the vizpower profile subcommand at demonstration
@@ -51,7 +29,7 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
-.PHONY: check vet build test race bench bench-render bench-advect bench-advect-dist bench-serve bench-dpp bench-govern bench-obs govern profile serve
+.PHONY: check vet build test race bench bench-go govern profile serve
 
 check: vet build test race
 
@@ -66,54 +44,16 @@ test: vet
 
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
-	$(GO) test -race -count=1 -timeout 120s ./internal/viz/advect -run 'Compact|Golden|Seed'
+	$(GO) test -race -count=1 -timeout 120s ./internal/viz/advect -run 'Compact|Golden|Seed|Burst'
 	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Partial|Advect'
 
 bench:
-	$(GO) test -timeout 120s ./internal/par -run xxx -bench 'ParFor|ReduceSum' -benchtime=2s
-	$(GO) test -timeout 120s . -run xxx -bench 'BenchmarkKernel(Contour|SphericalClip|Isovolume|Threshold|Slice)' -benchtime 5x
-	$(GO) test -timeout 120s . -run xxx -bench BenchmarkAblationWeld -benchtime 10x
+	bash bench/run.sh
 
-bench-render:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkVolrenFrame|BenchmarkRayTraceFrame|BenchmarkBVHBuildPaths|BenchmarkCinemaOrbitSink' \
-		-benchtime 5x
-
-bench-advect:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkAdvectPaths|BenchmarkCloverSweep' \
-		-benchtime 3x
-
-bench-advect-dist:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkAdvectDist' \
-		-benchtime 3x
-
-bench-serve:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkServe' \
-		-benchtime 5x
-
-bench-dpp:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkDPP(Contour|Threshold)' \
-		-benchtime 3x
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkDPPScan' \
-		-benchtime 100x
-
-bench-govern:
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkGovernCompare' \
-		-benchtime 3x
-
-bench-obs:
-	$(GO) test -timeout 600s ./internal/obs -run xxx -benchmem \
-		-bench 'BenchmarkObs' -benchtime=2s
-	$(GO) test -timeout 600s . -run xxx -benchmem \
-		-bench 'BenchmarkObs' -benchtime=2s
-	$(GO) test -timeout 600s ./internal/par -run xxx -benchmem \
-		-bench 'BenchmarkParForDispatch$$' -benchtime=2s
+BENCH ?= .
+PKG ?= .
+bench-go:
+	$(GO) test -timeout 600s -run xxx -bench '$(BENCH)' -benchmem $(PKG)
 
 # Run the closed-loop governor sweep at demonstration scale.
 govern:

@@ -63,7 +63,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dist"
 	"repro/internal/harness"
-	"repro/internal/mesh"
 	"repro/internal/msr"
 	"repro/internal/obs"
 	"repro/internal/perfctr"
@@ -368,7 +367,11 @@ func run(args []string) (retErr error) {
 	case "govern":
 		return governCmd(c, opt)
 	case "advect":
-		return advectCmd(c, opt)
+		// Falls through to reportFailures: a rank count that failed while
+		// others succeeded is skipped from the table, not hidden.
+		if err := advectCmd(c, opt); err != nil {
+			return err
+		}
 	case "trace":
 		return traceCmd(c, opt)
 	case "profile":
@@ -628,21 +631,15 @@ func governCmd(c *harness.Config, opt *options) error {
 // advection over the configured fabric sizes at the phase size, checks
 // every gathered streamline set against the single-rank run bit for
 // bit, and prints the Wang et al. (arXiv 2410.09710) migration
-// breakdown. The fixed-step sweep goes through the cached harness cells
-// (the same ones report.md renders); -adaptive exercises the BS23
-// integrator directly, since the study cells are fixed-step like the
-// paper's.
+// breakdown. Both modes go through the cached harness cells; the study
+// cells report.md renders are the fixed-step ones, like the paper's.
 func advectCmd(c *harness.Config, opt *options) error {
 	size := c.PhaseSize
 	mode := "fixed-step RK4"
-	var runs []*harness.AdvectDistRun
-	var err error
 	if opt.adaptive {
 		mode = "adaptive BS23"
-		runs, err = advectAdaptiveRuns(c, size)
-	} else {
-		runs, err = c.AdvectScaling(size)
 	}
+	runs, err := c.AdvectScalingMode(size, opt.adaptive)
 	if err != nil {
 		return err
 	}
@@ -679,87 +676,6 @@ func advectCmd(c *harness.Config, opt *options) error {
 		}
 	}
 	return nil
-}
-
-// advectAdaptiveRuns is the -adaptive variant of the rank sweep: it
-// bypasses the harness cell cache (which holds the paper's fixed-step
-// configuration) and compares dist.Advect in BS23 mode against the
-// matching single-rank run.
-func advectAdaptiveRuns(c *harness.Config, size int) ([]*harness.AdvectDistRun, error) {
-	g, err := c.Dataset(size)
-	if err != nil {
-		return nil, err
-	}
-	f := advect.New(advect.Options{
-		Vector:       "velocity",
-		NumParticles: c.Particles,
-		NumSteps:     c.ParticleSteps,
-		Adaptive:     true,
-	})
-	t0 := time.Now()
-	res, err := f.Run(g, viz.NewExec(c.Pool))
-	if err != nil {
-		return nil, err
-	}
-	oracleWall := time.Since(t0).Seconds()
-	var out []*harness.AdvectDistRun
-	for _, rk := range c.Ranks {
-		if rk < 1 || rk > size {
-			continue
-		}
-		t1 := time.Now()
-		dres, err := dist.Advect(g, f, rk, dist.AdvectOptions{
-			Fabric:   dist.Options{Tracer: c.Tracer},
-			Deadline: 5 * time.Minute,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("advect: ranks=%d: %w", rk, err)
-		}
-		run := &harness.AdvectDistRun{
-			Size: size, Ranks: rk,
-			Rounds: dres.Rounds, Ghost: dres.Ghost,
-			WallSec: time.Since(t1).Seconds(), OracleWallSec: oracleWall,
-			ParticleSteps: dres.Lines.TotalPoints(),
-			Identical:     linesMatch(res.Lines, dres.Lines),
-			Stats:         dres.Stats,
-		}
-		var total, max uint64
-		for _, s := range dres.Stats {
-			total += s.Steps
-			if s.Steps > max {
-				max = s.Steps
-			}
-			run.Migrated += s.MigratedOut
-			run.PingPong += s.PingPong
-			run.IdleNs += s.IdleNs
-		}
-		if max > 0 {
-			run.Participation = float64(total) / (float64(rk) * float64(max))
-		}
-		out = append(out, run)
-	}
-	return out, nil
-}
-
-// linesMatch reports bit-exact equality of two streamline sets.
-func linesMatch(a, b *mesh.LineSet) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Points) != len(b.Points) || len(a.Scalars) != len(b.Scalars) || len(a.Offsets) != len(b.Offsets) {
-		return false
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] || a.Scalars[i] != b.Scalars[i] {
-			return false
-		}
-	}
-	for i := range a.Offsets {
-		if a.Offsets[i] != b.Offsets[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // traceCmd runs the in situ pipeline under a cap and prints the sampled

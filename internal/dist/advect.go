@@ -2,16 +2,16 @@ package dist
 
 // Distributed parallelize-over-data particle advection on the rank
 // fabric: the grid is block-decomposed into z-slabs with a ghost halo
-// sized from the field's peak z-velocity, each rank advects its
-// resident particles with the same fused-sampler SoA loop as
-// advect.Run (the shared RK4/BS23 kernels over a
-// mesh.BlockVectorSampler whose arithmetic is bit-identical to the
-// whole-grid sampler), and particles whose cell layer leaves the
+// sized from the field's peak z-velocity, each rank drives its resident
+// particles through advect.Advance — the function advect.Run drives —
+// over a mesh.BlockVectorSampler whose arithmetic is bit-identical to
+// the whole-grid sampler, and particles whose cell layer leaves the
 // owned range migrate to the owning rank in batched, length-prefixed
 // SoA messages. Rank-local streamline segments carry (pid, seq) like
 // the shared-memory arenas, so the final gather assembles a LineSet
 // bit-identical to single-rank advect.Run regardless of rank count or
-// migration interleaving. See DESIGN.md §11.
+// migration interleaving. This file holds no step loop and no cost
+// constant. See DESIGN.md §11.
 
 import (
 	"fmt"
@@ -34,12 +34,6 @@ const (
 	advectTagTotal   = 3 << 20
 	advectTagSegs    = 4 << 20
 )
-
-// advectBurstSteps bounds one rank's per-round advance per particle,
-// mirroring the shared-memory path's round length. Trajectories are a
-// pure function of the migrating particle state, so burst boundaries
-// (and therefore round counts) never affect the output bits.
-const advectBurstSteps = 256
 
 // advectWireFields is the per-particle field count of a migration
 // message: px, py, pz, cell, pid, seq, steps, h, arc, prev.
@@ -106,49 +100,23 @@ type AdvectResult struct {
 	Profile ops.Profile
 }
 
-// rankSeg is one (particle, burst) streamline segment in a rank's
-// arena: the distributed analogue of the shared-memory path's
-// per-worker segment records.
-type rankSeg struct {
-	pid, seq int32
-	off, n   int32
-}
-
-// advectRankState is one rank's working state: SoA resident particle
-// arrays, the streamline arena, and operation counters. Batched
-// reuse keeps the steady-state loop free of per-particle allocation.
+// advectRankState is one rank's working state: the resident particles,
+// the streamline arena, and the cost tally. Batched reuse keeps the
+// steady-state loop free of per-particle allocation.
 type advectRankState struct {
-	px, py, pz []float64
-	cell       []int32 // last crossed cell id (fixed-step), -1 initially
-	pid, seq   []int32
-	steps      []int32 // accepted integration steps so far
-	h, arc     []float64
-	prev       []int32 // rank last migrated from, -1 initially
-	mig        []int32 // migration destination this round, -1 resident
-	dead       []bool
-	n          int
+	ps   []advect.Particle
+	prev []int32 // rank last migrated from, -1 initially
+	// next is this round's outcome per resident: advect.Resident,
+	// advect.Retired, or the destination rank.
+	next []int32
 
-	pts  []mesh.Vec3
-	spd  []float64
-	segs []rankSeg
-
-	samples, crossings, stepsTaken, rejects uint64
+	trail advect.Trail
+	tally advect.Tally
 }
 
-func (st *advectRankState) add(px, py, pz float64, cell, pid, seq, steps int32, h, arc float64, prev int32) {
-	st.px = append(st.px[:st.n], px)
-	st.py = append(st.py[:st.n], py)
-	st.pz = append(st.pz[:st.n], pz)
-	st.cell = append(st.cell[:st.n], cell)
-	st.pid = append(st.pid[:st.n], pid)
-	st.seq = append(st.seq[:st.n], seq)
-	st.steps = append(st.steps[:st.n], steps)
-	st.h = append(st.h[:st.n], h)
-	st.arc = append(st.arc[:st.n], arc)
-	st.prev = append(st.prev[:st.n], prev)
-	st.mig = append(st.mig[:st.n], -1)
-	st.dead = append(st.dead[:st.n], false)
-	st.n++
+func (st *advectRankState) add(p advect.Particle, prev int32) {
+	st.ps = append(st.ps, p)
+	st.prev = append(st.prev, prev)
 }
 
 // encodeInto appends the emigrants idx as one length-prefixed SoA
@@ -156,36 +124,17 @@ func (st *advectRankState) add(px, py, pz float64, cell, pid, seq, steps int32, 
 // cell×c, pid×c, seq×c, steps×c, h×c, arc×c, prev×c]. Integer fields
 // ride in float64 exactly (cell ids and counters stay far below 2^53).
 func (st *advectRankState) encodeInto(buf []float64, idx []int, rank int32) []float64 {
-	buf = append(buf[:0], float64(len(idx)))
-	for _, i := range idx {
-		buf = append(buf, st.px[i])
-	}
-	for _, i := range idx {
-		buf = append(buf, st.py[i])
-	}
-	for _, i := range idx {
-		buf = append(buf, st.pz[i])
-	}
-	for _, i := range idx {
-		buf = append(buf, float64(st.cell[i]))
-	}
-	for _, i := range idx {
-		buf = append(buf, float64(st.pid[i]))
-	}
-	for _, i := range idx {
-		buf = append(buf, float64(st.seq[i]))
-	}
-	for _, i := range idx {
-		buf = append(buf, float64(st.steps[i]))
-	}
-	for _, i := range idx {
-		buf = append(buf, st.h[i])
-	}
-	for _, i := range idx {
-		buf = append(buf, st.arc[i])
-	}
-	for range idx {
-		buf = append(buf, float64(rank))
+	c := len(idx)
+	buf = append(buf[:0], make([]float64, 1+advectWireFields*c)...)
+	buf[0] = float64(c)
+	for j, i := range idx {
+		p := &st.ps[i]
+		for k, v := range [advectWireFields]float64{
+			p.Pos[0], p.Pos[1], p.Pos[2], float64(p.Cell), float64(p.PID),
+			float64(p.Seq), float64(p.Steps), p.H, p.Arc, float64(rank),
+		} {
+			buf[1+k*c+j] = v
+		}
 	}
 	return buf
 }
@@ -200,13 +149,12 @@ func (st *advectRankState) ingest(data []float64, src int) (int, error) {
 		return 0, fmt.Errorf("dist: advect migration batch from rank %d has %d floats, want %d for %d particles",
 			src, len(data), 1+advectWireFields*c, c)
 	}
-	sec := func(k int) []float64 { return data[1+k*c : 1+(k+1)*c] }
-	px, py, pz := sec(0), sec(1), sec(2)
-	cell, pid, seq, steps := sec(3), sec(4), sec(5), sec(6)
-	h, arc, prev := sec(7), sec(8), sec(9)
 	for j := 0; j < c; j++ {
-		st.add(px[j], py[j], pz[j], int32(cell[j]), int32(pid[j]), int32(seq[j]),
-			int32(steps[j]), h[j], arc[j], int32(prev[j]))
+		f := func(k int) float64 { return data[1+k*c+j] }
+		st.add(advect.Particle{
+			Pos: mesh.Vec3{f(0), f(1), f(2)}, Cell: int32(f(3)), PID: int32(f(4)),
+			Seq: int32(f(5)), Steps: int32(f(6)), H: f(7), Arc: f(8),
+		}, int32(f(9)))
 	}
 	return c, nil
 }
@@ -215,16 +163,15 @@ func (st *advectRankState) ingest(data []float64, src int) (int, error) {
 // plus the per-rank output slots (each goroutine writes only its own
 // index; the root alone writes lines/rounds).
 type advectShared struct {
+	f       *advect.Filter
 	g       *mesh.UniformGrid
-	fo      advect.Options
 	blocks  []mesh.Block
 	owners  []int32
-	starts  []mesh.Vec3
-	perRank [][]int
-	// deadSeeds is the out-of-domain seed count; adaptive mode charges
-	// one crossing per dead seed on rank 0, as the oracle's arc-length
-	// estimate does.
-	deadSeeds int
+	nSeeds  int
+	perRank [][]advect.Particle
+	// seedTally is the charge for out-of-domain seeds; the root carries
+	// it into the merged profile.
+	seedTally advect.Tally
 	ghost     int
 	maxRounds int
 	tracer    *telemetry.Tracer
@@ -286,28 +233,18 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	if starts == nil {
 		starts = advect.SeedPoints(g.Bounds(), fo.NumParticles)
 	}
-	// The same out-of-domain predicate as Run and RunReference; live
-	// seeds are assigned to the rank owning their cell layer by the
+	// Live seeds (the same out-of-domain predicate as Run and
+	// RunReference) go to the rank owning their cell layer by the
 	// samplers' exact index arithmetic.
-	deadSeed := advect.RejectSeeds(g, starts, nil)
+	live, seedTally := f.Advancer(g).Seed(starts, nil)
 	gs, err := mesh.NewVectorSampler(g, fo.Vector)
 	if err != nil {
 		return nil, err
 	}
-	perRank := make([][]int, nRanks)
-	deadSeeds := 0
-	for i := range starts {
-		if deadSeed[i] {
-			deadSeeds++
-			continue
-		}
-		layer, ok := gs.CellLayer(starts[i])
-		if !ok {
-			deadSeeds++
-			continue
-		}
-		r := owners[layer]
-		perRank[r] = append(perRank[r], i)
+	perRank := make([][]advect.Particle, nRanks)
+	for _, p := range live {
+		layer, _ := gs.CellLayer(p.Pos)
+		perRank[owners[layer]] = append(perRank[owners[layer]], p)
 	}
 
 	maxRounds := opts.MaxRounds
@@ -327,8 +264,8 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	}
 
 	sh := &advectShared{
-		g: g, fo: fo, blocks: blocks, owners: owners, starts: starts,
-		perRank: perRank, deadSeeds: deadSeeds, ghost: ghost,
+		f: f, g: g, blocks: blocks, owners: owners, nSeeds: len(starts),
+		perRank: perRank, seedTally: seedTally, ghost: ghost,
 		maxRounds: maxRounds, tracer: opts.Fabric.Tracer,
 		stats: make([]AdvectRankStats, nRanks),
 		recs:  make([]ops.Recorder, nRanks),
@@ -359,27 +296,31 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 	stats := &sh.stats[rank]
 	stats.Rank = rank
 
-	s, err := mesh.NewBlockVectorSampler(sh.blocks[rank], sh.fo.Vector)
+	s, err := mesh.NewBlockVectorSampler(sh.blocks[rank], sh.f.Options().Vector)
 	if err != nil {
 		return err
 	}
+	// The region test: a particle whose cell layer another rank owns
+	// migrates there.
+	a := sh.f.Advancer(sh.g)
+	a.Leave = func(p mesh.Vec3) int32 {
+		if layer, ok := s.CellLayer(p); ok && sh.owners[layer] != rank32 {
+			return sh.owners[layer]
+		}
+		return advect.Resident
+	}
 
-	nP := len(sh.starts)
 	st := &advectRankState{
-		px: make([]float64, 0, nP), py: make([]float64, 0, nP), pz: make([]float64, 0, nP),
-		cell: make([]int32, 0, nP), pid: make([]int32, 0, nP), seq: make([]int32, 0, nP),
-		steps: make([]int32, 0, nP), h: make([]float64, 0, nP), arc: make([]float64, 0, nP),
-		prev: make([]int32, 0, nP), mig: make([]int32, 0, nP), dead: make([]bool, 0, nP),
+		ps:   make([]advect.Particle, 0, sh.nSeeds),
+		prev: make([]int32, 0, sh.nSeeds),
+		next: make([]int32, 0, sh.nSeeds),
 	}
-	for _, si := range sh.perRank[rank] {
-		p := sh.starts[si]
-		st.add(p[0], p[1], p[2], -1, int32(si), 0, 0, sh.fo.StepLength, 0, -1)
+	for _, p := range sh.perRank[rank] {
+		st.add(p, -1)
 	}
-	stats.Seeded = st.n
-	if rank == 0 && sh.fo.Adaptive {
-		// Dead seeds: the oracle's arc-length estimate charges one
-		// crossing each; the root carries them for the merged profile.
-		st.crossings += uint64(sh.deadSeeds)
+	stats.Seeded = len(st.ps)
+	if rank == 0 {
+		st.tally = sh.seedTally
 	}
 
 	sendBufs := make([][]float64, size)
@@ -395,14 +336,9 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 		}
 
 		t0 := sh.tracer.Begin()
-		if sh.fo.Adaptive {
-			for i := 0; i < st.n; i++ {
-				sh.burstAdaptive(st, s, i, rank32)
-			}
-		} else {
-			for i := 0; i < st.n; i++ {
-				sh.burstFixed(st, s, i, rank32)
-			}
+		st.next = st.next[:0]
+		for i := range st.ps {
+			st.next = append(st.next, advect.Advance(a, s, &st.ps[i], &st.trail, &st.tally))
 		}
 		if s.Escaped() {
 			return fmt.Errorf("dist: advect probe escaped rank %d block storage: ghost halo %d too thin for the step length", rank, sh.ghost)
@@ -415,12 +351,10 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 		for d := 0; d < size; d++ {
 			outIdx[d] = outIdx[d][:0]
 		}
-		for i := 0; i < st.n; i++ {
-			if st.dead[i] {
+		for i, dst := range st.next {
+			if dst == advect.Retired {
 				stats.Retired++
-				continue
-			}
-			if dst := st.mig[i]; dst >= 0 {
+			} else if dst >= 0 {
 				outIdx[dst] = append(outIdx[dst], i)
 				stats.MigratedOut++
 				if st.prev[i] == dst {
@@ -438,20 +372,13 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 			}
 		}
 		w := 0
-		for i := 0; i < st.n; i++ {
-			if st.dead[i] || st.mig[i] >= 0 {
-				continue
+		for i, dst := range st.next {
+			if dst == advect.Resident {
+				st.ps[w], st.prev[w] = st.ps[i], st.prev[i]
+				w++
 			}
-			if w != i {
-				st.px[w], st.py[w], st.pz[w] = st.px[i], st.py[i], st.pz[i]
-				st.cell[w], st.pid[w], st.seq[w] = st.cell[i], st.pid[i], st.seq[i]
-				st.steps[w], st.h[w], st.arc[w] = st.steps[i], st.h[i], st.arc[i]
-				st.prev[w] = st.prev[i]
-			}
-			st.dead[w], st.mig[w] = false, -1
-			w++
 		}
-		st.n = w
+		st.ps, st.prev = st.ps[:w], st.prev[:w]
 		for src := 0; src < size; src++ {
 			if src == rank {
 				continue
@@ -472,7 +399,7 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 		// Termination: allreduce of active counts as a Gather to the
 		// root plus a total broadcast, both tagged with the round.
 		tw := time.Now()
-		parts, err := ep.Gather(0, advectTagCount+round, []float64{float64(st.n)})
+		parts, err := ep.Gather(0, advectTagCount+round, []float64{float64(len(st.ps))})
 		if err != nil {
 			idle += time.Since(tw)
 			return err
@@ -504,34 +431,25 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 		}
 	}
 	if !terminated {
-		return fmt.Errorf("dist: advect did not terminate within %d rounds (rank %d still holds %d active particles)", sh.maxRounds, rank, st.n)
+		return fmt.Errorf("dist: advect did not terminate within %d rounds (rank %d still holds %d active particles)", sh.maxRounds, rank, len(st.ps))
 	}
 
-	stats.Steps = st.stepsTaken
+	stats.Steps = st.tally.Steps
 	stats.IdleNs = int64(idle)
-	rec := &sh.recs[rank]
-	rec.Flops(st.samples*90 + st.stepsTaken*30 + st.rejects*20)
-	rec.IntOps(st.samples * 24)
-	rec.Branches(st.samples * 6)
-	rec.Loads(st.samples*192, ops.Resident)
-	rec.LoadsN(st.crossings, 192, ops.Random)
-	rec.Stores(st.stepsTaken*32, ops.Stream)
-	pathBytes := st.crossings * 96
-	if blockBytes := uint64(sh.blocks[rank].Grid.NumPoints()) * 24; pathBytes > blockBytes {
-		pathBytes = blockBytes
-	}
-	rec.WorkingSet(pathBytes + st.stepsTaken*32)
+	st.tally.Record(&sh.recs[rank])
+	sh.recs[rank].WorkingSet(st.tally.WorkingSet(sh.blocks[rank].Grid.NumPoints(), st.tally.Steps))
 
 	// Final gather: every rank ships its arena as
 	// [nSegs, (pid, seq, n, n×(x, y, z, spd))...]; the root sorts by
 	// (pid, seq) and assembles with the oracle's qualifying rule.
-	segBuf := make([]float64, 0, 1+len(st.segs)*3+len(st.pts)*4)
-	segBuf = append(segBuf, float64(len(st.segs)))
-	for _, sg := range st.segs {
-		segBuf = append(segBuf, float64(sg.pid), float64(sg.seq), float64(sg.n))
-		for j := sg.off; j < sg.off+sg.n; j++ {
-			p := st.pts[j]
-			segBuf = append(segBuf, p[0], p[1], p[2], st.spd[j])
+	tr := &st.trail
+	segBuf := make([]float64, 0, 1+len(tr.Segs)*3+len(tr.Pts)*4)
+	segBuf = append(segBuf, float64(len(tr.Segs)))
+	for _, sg := range tr.Segs {
+		segBuf = append(segBuf, float64(sg.PID), float64(sg.Seq), float64(sg.N))
+		for j := sg.Off; j < sg.Off+sg.N; j++ {
+			p := tr.Pts[j]
+			segBuf = append(segBuf, p[0], p[1], p[2], tr.Spd[j])
 		}
 	}
 	parts, err := ep.Gather(0, advectTagSegs, segBuf)
@@ -541,148 +459,13 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 	if rank != 0 {
 		return nil
 	}
-	lines, err := assembleGather(parts, len(sh.starts))
+	lines, err := assembleGather(parts, sh.nSeeds)
 	if err != nil {
 		return err
 	}
 	sh.lines = lines
 	sh.rounds = rounds
 	return nil
-}
-
-// burstFixed advances particle i by up to advectBurstSteps fixed RK4
-// steps, stopping early on termination (domain exit or step budget)
-// or when the particle's cell layer leaves the owned range (marked
-// for migration). Arithmetic and accounting mirror the shared-memory
-// roundsFixed loop exactly.
-func (sh *advectShared) burstFixed(st *advectRankState, s *mesh.BlockVectorSampler, i int, rank int32) {
-	b := sh.g.Bounds()
-	h := sh.fo.StepLength
-	numSteps := int32(sh.fo.NumSteps)
-	p := mesh.Vec3{st.px[i], st.py[i], st.pz[i]}
-	lastCell := int(st.cell[i])
-	off := int32(len(st.pts))
-	if st.steps[i] == 0 {
-		// First-ever burst: record the seed point (migration requires
-		// an accepted step, so an arrival always has steps > 0).
-		v0, _ := s.Sample(p)
-		st.pts = append(st.pts, p)
-		st.spd = append(st.spd, v0.Norm())
-	}
-	for t := 0; t < advectBurstSteps && st.steps[i] < numSteps; t++ {
-		next, v0, ok := advect.RK4Step(s, p, h)
-		st.samples += 4
-		if !ok {
-			st.dead[i] = true // left the bounding box: terminate
-			break
-		}
-		p = next
-		if !b.Contains(p) {
-			st.dead[i] = true
-			break
-		}
-		st.steps[i]++
-		st.stepsTaken++
-		st.pts = append(st.pts, p)
-		st.spd = append(st.spd, v0.Norm())
-		if c, inGrid := s.Cell(p); inGrid && c != lastCell {
-			st.crossings++
-			lastCell = c
-		}
-		if layer, lok := s.CellLayer(p); lok {
-			if o := sh.owners[layer]; o != rank {
-				st.mig[i] = o
-				break
-			}
-		}
-	}
-	if !st.dead[i] && st.mig[i] < 0 && st.steps[i] >= numSteps {
-		st.dead[i] = true // step budget exhausted
-	}
-	if n := int32(len(st.pts)) - off; n > 0 {
-		st.segs = append(st.segs, rankSeg{pid: st.pid[i], seq: st.seq[i], off: off, n: n})
-		st.seq[i]++
-	}
-	st.px[i], st.py[i], st.pz[i] = p[0], p[1], p[2]
-	st.cell[i] = int32(lastCell)
-}
-
-// burstAdaptive advances particle i by up to advectBurstSteps accepted
-// Bogacki–Shampine steps with the per-particle step size and arc
-// length carried in (and migrated with) the SoA state. Trial order,
-// controller updates, and retirement accounting mirror the
-// shared-memory roundsAdaptive loop exactly.
-func (sh *advectShared) burstAdaptive(st *advectRankState, s *mesh.BlockVectorSampler, i int, rank int32) {
-	b := sh.g.Bounds()
-	h0 := sh.fo.StepLength
-	tol := sh.fo.Tolerance
-	hMin, hMax := advect.AdaptiveStepBounds(h0)
-	maxSteps := sh.fo.NumSteps
-	maxLen := float64(sh.fo.NumSteps) * h0
-	cellDiag := sh.g.Spacing.Norm()
-
-	p := mesh.Vec3{st.px[i], st.py[i], st.pz[i]}
-	hh := st.h[i]
-	arc := st.arc[i]
-	acc := int(st.steps[i])
-	off := int32(len(st.pts))
-	retired := false
-	if acc == 0 {
-		v, _ := s.Sample(p)
-		st.pts = append(st.pts, p)
-		st.spd = append(st.spd, v.Norm())
-		st.stepsTaken++
-	}
-steps:
-	for t := 0; t < advectBurstSteps; t++ {
-		if acc >= maxSteps || arc >= maxLen {
-			retired = true
-			break
-		}
-		for {
-			next, v0, errEst, ok := advect.BS23Step(s, p, hh)
-			st.samples += 4
-			if !ok {
-				retired = true // left the domain
-				break steps
-			}
-			if errEst <= tol || hh <= hMin {
-				d := next.Sub(p).Norm()
-				p = next
-				if !b.Contains(p) {
-					retired = true
-					break steps
-				}
-				arc += d
-				st.pts = append(st.pts, p)
-				st.spd = append(st.spd, v0.Norm())
-				st.stepsTaken++
-				acc++
-				hh = advect.StepController(hh, errEst, tol, hMin, hMax)
-				if layer, lok := s.CellLayer(p); lok {
-					if o := sh.owners[layer]; o != rank {
-						st.mig[i] = o
-						break steps
-					}
-				}
-				break
-			}
-			st.rejects++
-			hh = advect.StepController(hh, errEst, tol, hMin, hMax)
-		}
-	}
-	if retired {
-		st.crossings += uint64(arc/cellDiag) + 1
-		st.dead[i] = true
-	}
-	if n := int32(len(st.pts)) - off; n > 0 {
-		st.segs = append(st.segs, rankSeg{pid: st.pid[i], seq: st.seq[i], off: off, n: n})
-		st.seq[i]++
-	}
-	st.px[i], st.py[i], st.pz[i] = p[0], p[1], p[2]
-	st.h[i] = hh
-	st.arc[i] = arc
-	st.steps[i] = int32(acc)
 }
 
 // assembleGather stitches the per-rank segment messages into one

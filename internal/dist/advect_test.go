@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 	"repro/internal/viz/advect"
@@ -77,6 +78,19 @@ func assertLinesEqual(t *testing.T, want, got *mesh.LineSet, label string) {
 	}
 }
 
+// assertProfileMatchesRun: same Advance, same Tally — the merged
+// per-rank profile is the shared-memory run's, apart from the launch
+// count (one per BSP round) and the working set (per block, not
+// whole-field).
+func assertProfileMatchesRun(t *testing.T, run, merged ops.Profile, label string) {
+	t.Helper()
+	run.Launches, merged.Launches = 0, 0
+	run.WorkingSetBytes, merged.WorkingSetBytes = 0, 0
+	if merged != run {
+		t.Fatalf("%s: merged profile differs from advect.Run's:\ndist %+v\nrun  %+v", label, merged, run)
+	}
+}
+
 // testDeadline returns a watchdog deadline comfortably inside the test
 // binary's own deadline, so a wedged fabric aborts cleanly instead of
 // timing out the run.
@@ -114,6 +128,7 @@ func TestAdvectGoldenRanks(t *testing.T) {
 				t.Fatalf("%s ranks=%d: %v", mode, ranks, err)
 			}
 			assertLinesEqual(t, want.Lines, res.Lines, mode+" ranks="+string(rune('0'+ranks)))
+			assertProfileMatchesRun(t, want.Profile, res.Profile, mode+" ranks="+string(rune('0'+ranks)))
 
 			var seeded, out, in, retired int
 			var steps uint64
@@ -191,6 +206,7 @@ func TestAdvectSeedRejection(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertLinesEqual(t, want.Lines, res.Lines, "seed rejection")
+		assertProfileMatchesRun(t, want.Profile, res.Profile, "seed rejection")
 		seeded := 0
 		for _, s := range res.Stats {
 			seeded += s.Seeded

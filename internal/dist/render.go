@@ -46,13 +46,9 @@ func RayTrace(g *mesh.UniformGrid, field string, nRanks int, cam render.Camera, 
 func RayTraceWith(g *mesh.UniformGrid, field string, nRanks int, cam render.Camera, w, h int, pool *par.Pool, opts Options) (*render.Image, []RankResult, error) {
 	// Global color normalization: every rank must map scalars to colors
 	// identically, so the range comes from the whole field, not a slab.
-	pf := g.PointField(field)
-	if pf == nil {
-		var err error
-		pf, err = g.CellToPoint(field)
-		if err != nil {
-			return nil, nil, err
-		}
+	pf, err := g.EnsurePointField(field)
+	if err != nil {
+		return nil, nil, err
 	}
 	lo, hi := mesh.FieldRange(pf)
 	norm := render.Normalizer{Lo: lo, Hi: hi}
@@ -132,13 +128,9 @@ func VolumeRender(g *mesh.UniformGrid, field string, nRanks int, cam render.Came
 // rank failure cancels the whole composite and surfaces as an
 // *AbortError naming the rank.
 func VolumeRenderWith(g *mesh.UniformGrid, field string, nRanks int, cam render.Camera, w, h int, pool *par.Pool, opts Options) (*render.Image, []RankResult, error) {
-	pf := g.PointField(field)
-	if pf == nil {
-		var err error
-		pf, err = g.CellToPoint(field)
-		if err != nil {
-			return nil, nil, err
-		}
+	pf, err := g.EnsurePointField(field)
+	if err != nil {
+		return nil, nil, err
 	}
 	lo, hi := mesh.FieldRange(pf)
 	tf := render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.25}
@@ -156,13 +148,9 @@ func VolumeRenderWith(g *mesh.UniformGrid, field string, nRanks int, cam render.
 	var outMu sync.Mutex
 	err = comm.Run(func(ep *Endpoint) error {
 		slab := slabs[ep.Rank()]
-		slabField := slab.PointField(field)
-		if slabField == nil {
-			var err error
-			slabField, err = slab.CellToPoint(field)
-			if err != nil {
-				return err
-			}
+		slabField, err := slab.EnsurePointField(field)
+		if err != nil {
+			return err
 		}
 		ex := viz.NewExec(pool)
 		im := volren.RenderSegments(slab, slabField, tf, cam, w, h, ex)

@@ -31,11 +31,21 @@ type advectOracleRun struct {
 	WallSec float64
 }
 
+// advectKey identifies one cached advection cell: the distributed run at
+// a rank count, or (ranks 0) the single-rank oracle it is checked against.
+type advectKey struct {
+	size, ranks int
+	adaptive    bool
+}
+
 // AdvectDistRun is the outcome of one (size, ranks) distributed
 // advection cell.
 type AdvectDistRun struct {
 	Size  int
 	Ranks int
+	// Adaptive marks a BS23 cell; the study's cells are fixed-step RK4
+	// like the paper's.
+	Adaptive bool
 	// Rounds is the BSP round count to termination; Ghost the halo
 	// width in cell layers.
 	Rounds, Ghost int
@@ -61,13 +71,24 @@ type AdvectDistRun struct {
 }
 
 // advectDistFilter builds the advection filter the distributed cells
-// run — the same configuration as the sweep's shared-memory cell.
-func (c *Config) advectDistFilter() *advect.Filter {
+// run — the same configuration as the sweep's shared-memory cell, in
+// either integration mode.
+func (c *Config) advectDistFilter(adaptive bool) *advect.Filter {
 	return advect.New(advect.Options{
 		Vector:       "velocity",
 		NumParticles: c.Particles,
 		NumSteps:     c.ParticleSteps,
+		Adaptive:     adaptive,
 	})
+}
+
+// advectCellName names a distributed cell in failure records and for
+// Config.Inject.
+func advectCellName(ranks int, adaptive bool) string {
+	if adaptive {
+		return fmt.Sprintf("Particle Advection (adaptive) ranks=%d", ranks)
+	}
+	return fmt.Sprintf("Particle Advection ranks=%d", ranks)
 }
 
 // linesBitEqual reports whether two streamline sets match bit for bit.
@@ -91,45 +112,64 @@ func linesBitEqual(a, b *mesh.LineSet) bool {
 	return true
 }
 
-// advectOracle runs (and caches) the single-rank shared-memory
-// advection at one size.
-func (c *Config) advectOracleRun(size int) (*advectOracleRun, error) {
-	if or, ok := c.advectOracle[size]; ok {
+// advectOracleRun runs (and caches) the single-rank shared-memory
+// advection at one size and mode.
+func (c *Config) advectOracleRun(g *mesh.UniformGrid, f *advect.Filter, key advectKey) (*advectOracleRun, error) {
+	key.ranks = 0
+	if or, ok := c.advectOracle[key]; ok {
 		return or, nil
 	}
-	g, err := c.Dataset(size)
-	if err != nil {
-		return nil, err
-	}
-	f := c.advectDistFilter()
 	t0 := time.Now()
 	res, err := f.Run(g, viz.NewExec(c.Pool))
 	if err != nil {
-		return nil, fmt.Errorf("harness: advect oracle at %d^3: %w", size, err)
+		return nil, fmt.Errorf("harness: advect oracle at %d^3: %w", key.size, err)
 	}
 	or := &advectOracleRun{Lines: res.Lines, WallSec: time.Since(t0).Seconds()}
-	c.advectOracle[size] = or
+	c.advectOracle[key] = or
 	return or, nil
 }
 
-// AdvectDist executes (cached) one distributed advection cell at the
-// given size and rank count, checking the gathered streamlines
-// against the single-rank oracle.
+// AdvectDist executes (cached) one fixed-step distributed advection
+// cell at the given size and rank count, checking the gathered
+// streamlines against the single-rank oracle. A cell that fails is
+// recorded in Failures.
 func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
+	return c.advectDist(advectKey{size: size, ranks: ranks})
+}
+
+func (c *Config) advectDist(key advectKey) (*AdvectDistRun, error) {
 	c.Defaults()
-	key := fmt.Sprintf("%d/%d", size, ranks)
 	if r, ok := c.advectRuns[key]; ok {
 		return r, nil
+	}
+	run, err := c.advectDistAttempt(key)
+	if err != nil {
+		c.failures = append(c.failures, CellError{Name: advectCellName(key.ranks, key.adaptive), Size: key.size, Attempts: 1, Err: err})
+		c.heartbeat("cell (Particle Advection, %d^3, ranks=%d) FAILED: %v", key.size, key.ranks, err)
+		return nil, err
+	}
+	c.advectRuns[key] = run
+	c.heartbeat("cell (Particle Advection, %d^3, ranks=%d) done in %.2fs%s", key.size, key.ranks, run.WallSec, c.droppedNote())
+	return run, nil
+}
+
+// advectDistAttempt is one uncached execution of a distributed cell.
+func (c *Config) advectDistAttempt(key advectKey) (*AdvectDistRun, error) {
+	size, ranks := key.size, key.ranks
+	if c.Inject != nil {
+		if err := c.Inject(advectCellName(ranks, key.adaptive), size, 0); err != nil {
+			return nil, fmt.Errorf("harness: distributed advect at %d^3 on %d ranks: %w", size, ranks, err)
+		}
 	}
 	g, err := c.Dataset(size)
 	if err != nil {
 		return nil, err
 	}
-	or, err := c.advectOracleRun(size)
+	f := c.advectDistFilter(key.adaptive)
+	or, err := c.advectOracleRun(g, f, key)
 	if err != nil {
 		return nil, err
 	}
-	f := c.advectDistFilter()
 	t0 := time.Now()
 	res, err := dist.Advect(g, f, ranks, dist.AdvectOptions{
 		Fabric:   dist.Options{Tracer: c.Tracer},
@@ -137,11 +177,10 @@ func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
 	})
 	wall := time.Since(t0).Seconds()
 	if err != nil {
-		c.heartbeat("cell (Particle Advection, %d^3, ranks=%d) FAILED: %v", size, ranks, err)
 		return nil, fmt.Errorf("harness: distributed advect at %d^3 on %d ranks: %w", size, ranks, err)
 	}
 	run := &AdvectDistRun{
-		Size: size, Ranks: ranks,
+		Size: size, Ranks: ranks, Adaptive: key.adaptive,
 		Rounds: res.Rounds, Ghost: res.Ghost,
 		WallSec: wall, OracleWallSec: or.WallSec,
 		ParticleSteps: res.Lines.TotalPoints(),
@@ -161,15 +200,21 @@ func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
 	if max > 0 {
 		run.Participation = float64(total) / (float64(ranks) * float64(max))
 	}
-	c.advectRuns[key] = run
-	c.heartbeat("cell (Particle Advection, %d^3, ranks=%d) done in %.2fs%s", size, ranks, wall, c.droppedNote())
 	return run, nil
 }
 
-// AdvectScaling sweeps the distributed advection cell over every
-// configured rank count at one size (rank counts exceeding the cell
-// layers are skipped), returning the runs ascending by rank count.
+// AdvectScaling sweeps the fixed-step distributed advection cell (the
+// study's configuration) over every configured rank count at one size.
 func (c *Config) AdvectScaling(size int) ([]*AdvectDistRun, error) {
+	return c.AdvectScalingMode(size, false)
+}
+
+// AdvectScalingMode sweeps the distributed advection cell, fixed-step
+// or adaptive, over every configured rank count at one size (rank
+// counts exceeding the cell layers are skipped), returning the runs
+// ascending by rank count. A failed cell is recorded and skipped; the
+// error return is non-nil only when every cell failed.
+func (c *Config) AdvectScalingMode(size int, adaptive bool) ([]*AdvectDistRun, error) {
 	c.Defaults()
 	var out []*AdvectDistRun
 	var firstErr error
@@ -178,7 +223,7 @@ func (c *Config) AdvectScaling(size int) ([]*AdvectDistRun, error) {
 			c.log("skip advect-dist at %d^3: %d ranks exceed the cell layers", size, r)
 			continue
 		}
-		run, err := c.AdvectDist(size, r)
+		run, err := c.advectDist(advectKey{size: size, ranks: r, adaptive: adaptive})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -210,6 +255,9 @@ func (c *Config) writeAdvectDist(b *strings.Builder) {
 		if runs[i].Size != runs[j].Size {
 			return runs[i].Size < runs[j].Size
 		}
+		if runs[i].Adaptive != runs[j].Adaptive {
+			return runs[j].Adaptive
+		}
 		return runs[i].Ranks < runs[j].Ranks
 	})
 	b.WriteString("\n## Distributed advection (parallelize-over-data)\n\n")
@@ -231,8 +279,12 @@ func (c *Config) writeAdvectDist(b *strings.Builder) {
 		if !r.Identical {
 			ident = "NO"
 		}
-		fmt.Fprintf(b, "| %d^3 | %d | %d | %d | %.3f | %s | %.2f | %d | %d | %.1f | %s |\n",
-			r.Size, r.Ranks, r.Rounds, r.Ghost, r.WallSec, speed,
+		size := fmt.Sprintf("%d^3", r.Size)
+		if r.Adaptive {
+			size += " (adaptive)"
+		}
+		fmt.Fprintf(b, "| %s | %d | %d | %d | %.3f | %s | %.2f | %d | %d | %.1f | %s |\n",
+			size, r.Ranks, r.Rounds, r.Ghost, r.WallSec, speed,
 			r.Participation, r.Migrated, r.PingPong, float64(r.IdleNs)/1e6, ident)
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"regexp"
 	"strings"
 	"testing"
@@ -81,5 +82,80 @@ func TestAdvectScalingSkipsOversizedRanks(t *testing.T) {
 	}
 	if len(runs) != 1 || runs[0].Ranks != 2 {
 		t.Fatalf("got %d runs (first ranks=%d), want just ranks=2", len(runs), runs[0].Ranks)
+	}
+}
+
+// TestAdvectScalingRecordsFailedCell: a rank count that fails while the
+// others succeed is recorded as a failed cell — in Failures and in the
+// report — instead of silently missing from the table.
+func TestAdvectScalingRecordsFailedCell(t *testing.T) {
+	c := tinyConfig()
+	c.Ranks = []int{1, 2, 4}
+	c.Inject = func(name string, size, attempt int) error {
+		if strings.Contains(name, "ranks=2") {
+			return errors.New("injected rank loss")
+		}
+		return nil
+	}
+	runs, err := c.AdvectScaling(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 || runs[0].Ranks != 1 || runs[1].Ranks != 4 {
+		t.Fatalf("got %d runs, want ranks 1 and 4", len(runs))
+	}
+	fs := c.Failures()
+	if len(fs) != 1 || fs[0].Name != "Particle Advection ranks=2" || fs[0].Size != 8 {
+		t.Fatalf("Failures() = %v, want exactly the ranks=2 cell at 8^3", fs)
+	}
+	var buf strings.Builder
+	if err := c.WriteReport(&buf, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"## Failed configurations", "Particle Advection ranks=2", "injected rank loss",
+		"| 8^3 | 1 |", "| 8^3 | 4 |",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	if strings.Contains(out, "| 8^3 | 2 |") {
+		t.Error("report renders a row for the failed ranks=2 cell")
+	}
+}
+
+// TestAdvectScalingModeCachesPerMode: the adaptive sweep runs the same
+// cells in BS23 mode, checked against its own oracle and cached apart
+// from the fixed-step cells.
+func TestAdvectScalingModeCachesPerMode(t *testing.T) {
+	c := tinyConfig()
+	c.Ranks = []int{1, 2}
+	fixed, err := c.AdvectScaling(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := c.AdvectScalingMode(8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixed) != 2 || len(adaptive) != 2 {
+		t.Fatalf("got %d fixed and %d adaptive runs, want 2 and 2", len(fixed), len(adaptive))
+	}
+	for i := range adaptive {
+		if adaptive[i] == fixed[i] || !adaptive[i].Adaptive || fixed[i].Adaptive {
+			t.Fatalf("ranks=%d: adaptive and fixed cells share a cache slot", fixed[i].Ranks)
+		}
+		if !adaptive[i].Identical {
+			t.Fatalf("adaptive ranks=%d: streamlines differ from the adaptive oracle", adaptive[i].Ranks)
+		}
+	}
+	again, err := c.AdvectScalingMode(8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[1] != adaptive[1] {
+		t.Error("adaptive cell was not cached")
 	}
 }

@@ -106,8 +106,8 @@ type Config struct {
 
 	datasets     map[int]*mesh.UniformGrid
 	runs         map[string]*AlgoRun
-	advectRuns   map[string]*AdvectDistRun
-	advectOracle map[int]*advectOracleRun
+	advectRuns   map[advectKey]*AdvectDistRun
+	advectOracle map[advectKey]*advectOracleRun
 	governs      map[int]*GovernResult
 	failures     []CellError
 	cellsDone    int
@@ -173,10 +173,10 @@ func (c *Config) Defaults() *Config {
 		c.runs = make(map[string]*AlgoRun)
 	}
 	if c.advectRuns == nil {
-		c.advectRuns = make(map[string]*AdvectDistRun)
+		c.advectRuns = make(map[advectKey]*AdvectDistRun)
 	}
 	if c.advectOracle == nil {
-		c.advectOracle = make(map[int]*advectOracleRun)
+		c.advectOracle = make(map[advectKey]*advectOracleRun)
 	}
 	if c.governs == nil {
 		c.governs = make(map[int]*GovernResult)

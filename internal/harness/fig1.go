@@ -91,13 +91,9 @@ func (c *Config) renderOne(g *mesh.UniformGrid, f viz.Filter, name string, cam r
 		}
 		return scene.Render(cam, imgSize, imgSize, ex), nil
 	case "Volume Rendering":
-		field := g.PointField("energy")
-		if field == nil {
-			var err error
-			field, err = g.CellToPoint("energy")
-			if err != nil {
-				return nil, err
-			}
+		field, err := g.EnsurePointField("energy")
+		if err != nil {
+			return nil, err
 		}
 		lo, hi := mesh.FieldRange(field)
 		tf := render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.25}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/metrics"
@@ -42,26 +41,12 @@ func Table1(run *AlgoRun, caps []float64) string {
 	return b.String()
 }
 
-// firstFreqSlowdownCap mirrors FirstSlowdownCap for the frequency ratio:
-// caps (parallel to run.ByCap) are scanned highest-first regardless of
-// the order the caller configured, and the base cap itself never matches.
+// firstFreqSlowdownCap is the highlight rule on the frequency ratio;
+// caps is parallel to run.ByCap.
 func firstFreqSlowdownCap(run *AlgoRun, caps []float64) float64 {
-	base := run.Base
-	order := make([]int, len(caps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return caps[order[a]] > caps[order[b]] })
-	for _, i := range order {
-		if i >= len(run.ByCap) || caps[i] == base.CapWatts {
-			continue
-		}
-		r := run.ByCap[i]
-		if r.FreqGHz > 0 && base.FreqGHz/r.FreqGHz >= metrics.SlowdownThreshold {
-			return caps[i]
-		}
-	}
-	return 0
+	return metrics.FirstCapOver(caps, run.Base.CapWatts, func(i int) float64 {
+		return metrics.Compute(run.Base, run.ByCap[i]).Fratio
+	})
 }
 
 // SlowdownTable renders the paper's Table II/III format: for every

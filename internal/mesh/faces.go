@@ -137,13 +137,9 @@ func ExternalFaces(m *UnstructuredMesh) *TriMesh {
 // triangle mesh carrying the named point scalar field. This is the geometry
 // the ray-tracing workload renders when given the raw data set.
 func GridExternalFaces(g *UniformGrid, field string) (*TriMesh, error) {
-	f := g.PointField(field)
-	if f == nil {
-		var err error
-		f, err = g.CellToPoint(field)
-		if err != nil {
-			return nil, err
-		}
+	f, err := g.EnsurePointField(field)
+	if err != nil {
+		return nil, err
 	}
 	out := &TriMesh{}
 	remap := make(map[int]int32, 2*(g.Dims[0]*g.Dims[1]+g.Dims[1]*g.Dims[2]+g.Dims[0]*g.Dims[2]))

@@ -227,6 +227,15 @@ func FieldRange(f []float64) (lo, hi float64) {
 	return
 }
 
+// EnsurePointField returns the named point field, recentering a cell
+// field of the same name (CellToPoint) when there is none.
+func (g *UniformGrid) EnsurePointField(name string) ([]float64, error) {
+	if pf := g.pointFields[name]; pf != nil {
+		return pf, nil
+	}
+	return g.CellToPoint(name)
+}
+
 // CellToPoint recenters a cell field onto the points by averaging the cells
 // incident to each point (the standard VTK recenter operation; the paper's
 // contour/slice/isovolume consume point fields while CloverLeaf produces

@@ -43,22 +43,32 @@ func Compute(base, r cpu.CapResult) Ratios {
 // which execution time (or frequency) degrades by 10%.
 const SlowdownThreshold = 1.10
 
-// FirstSlowdownCap returns the highest cap whose Tratio meets the
-// threshold, or 0 if none does. base is the default-cap run; it never
-// matches, even when it appears in byCap. The scan orders the results
-// highest-cap-first internally, so callers may pass them in any order.
-func FirstSlowdownCap(base cpu.CapResult, byCap []cpu.CapResult) float64 {
-	sorted := append([]cpu.CapResult(nil), byCap...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].CapWatts > sorted[j].CapWatts })
-	for _, r := range sorted {
-		if r.CapWatts == base.CapWatts {
-			continue
-		}
-		if base.TimeSec > 0 && r.TimeSec/base.TimeSec >= SlowdownThreshold {
-			return r.CapWatts
+// FirstCapOver is the highlight rule itself: the highest of caps at
+// which ratio(i) meets the threshold, or 0 if none does. baseCap never
+// matches, even when it appears in caps. The scan orders the caps
+// highest-first internally, so callers may pass them in any order.
+func FirstCapOver(caps []float64, baseCap float64, ratio func(i int) float64) float64 {
+	order := make([]int, len(caps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return caps[order[a]] > caps[order[b]] })
+	for _, i := range order {
+		if caps[i] != baseCap && ratio(i) >= SlowdownThreshold {
+			return caps[i]
 		}
 	}
 	return 0
+}
+
+// FirstSlowdownCap returns the highest cap whose Tratio meets the
+// threshold, or 0 if none does. base is the default-cap run.
+func FirstSlowdownCap(base cpu.CapResult, byCap []cpu.CapResult) float64 {
+	caps := make([]float64, len(byCap))
+	for i, r := range byCap {
+		caps[i] = r.CapWatts
+	}
+	return FirstCapOver(caps, base.CapWatts, func(i int) float64 { return Compute(base, byCap[i]).Tratio })
 }
 
 // Rate is the Moreland–Oldfield throughput metric n / T(n,p): data-set

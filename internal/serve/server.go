@@ -346,11 +346,9 @@ func (s *Server) structure(rr *renderRequest) (any, bool, error) {
 		ex := viz.NewExec(s.pool)
 		switch rr.alg {
 		case "volren":
-			field := g.PointField("energy")
-			if field == nil {
-				if field, err = g.CellToPoint("energy"); err != nil {
-					return nil, err
-				}
+			field, err := g.EnsurePointField("energy")
+			if err != nil {
+				return nil, err
 			}
 			lo, hi := mesh.FieldRange(field)
 			tf := render.TransferFunction{

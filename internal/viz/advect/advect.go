@@ -11,15 +11,15 @@
 // The production integrator (this file) runs on the mesh sampling layer:
 // the vector field is resolved by name once per launch into a
 // mesh.VectorSampler (fused eight-corner gather, last-cell corner cache,
-// exact reciprocal spacing on the study's power-of-two grids), particle
-// state lives in SoA slices, and the step loop is split into rounds of a
-// few hundred steps with the active list compacted between rounds so
-// terminated particles stop costing iterations. Streamline points and
-// speeds accumulate in per-worker arenas (segments stitched into the
-// output LineSet at the end) instead of per-particle append slices, and
-// the whole working state is leased from the pool scratch store across
-// runs. RunReference (reference.go) retains the original per-name
-// integrator; golden tests hold the two bit-identical.
+// exact reciprocal spacing on the study's power-of-two grids), and the
+// active particle list is advanced in rounds of a few hundred steps —
+// each particle through Advance (advance.go) — and compacted between
+// rounds so terminated particles stop costing iterations. Streamline
+// points and speeds accumulate in per-worker arenas (segments stitched
+// into the output LineSet at the end) instead of per-particle append
+// slices, and the whole working state is leased from the pool scratch
+// store across runs. RunReference (reference.go) retains the original
+// per-name integrator; golden tests hold the two bit-identical.
 package advect
 
 import (
@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -114,49 +113,24 @@ func seeds(b mesh.Bounds, n int) []mesh.Vec3 {
 	return out
 }
 
-// stepsPerRound is the batch length of one compacted parallel pass: long
+// stepsPerRound is the burst length of one compacted parallel pass: long
 // enough that dispatch cost vanishes against the integration work, short
 // enough that early-terminating seed populations (a uniform flow exits
 // the box in a few hundred steps) shed their dead particles quickly.
 const stepsPerRound = 256
 
-// segment is one round's worth of one particle's streamline, recorded in
-// a worker arena. Final assembly sorts segments by (pid, seq) and copies
-// them into the output LineSet.
-type segment struct {
-	pid int32 // particle index
-	seq int32 // round number
-	wk  int32 // worker arena holding the points
-	off int32 // offset into that arena
-	n   int32 // point count
-}
-
-// arena is one worker's growing streamline storage: points and speeds
-// accumulate contiguously per (particle, round), replacing the
-// per-particle append slices of the reference integrator.
-type arena struct {
-	pts  []mesh.Vec3
-	spd  []float64
-	segs []segment
-}
-
-// advectScratch is the reusable working state of one advection run: SoA
-// particle arrays, per-worker arenas, and assembly buffers. It is leased
+// advectScratch is the reusable working state of one advection run: the
+// active particles, per-worker arenas, and assembly buffers. It is leased
 // from the pool scratch store so repeated runs (the study's sweeps run
 // the filter hundreds of times) allocate almost nothing.
 type advectScratch struct {
-	px, py, pz []float64
-	cell       []int32 // last crossed cell id, -1 initially (fixed-step)
-	pid        []int32
-	dead       []bool
-	// Adaptive-mode state.
-	h, arc   []float64
-	accepted []int32
+	ps   []Particle
+	dead []bool // retired this round; dropped by compact
 	// Per-worker streamline arenas and crossing totals.
-	arenas []arena
+	arenas []Trail
 	crossw []uint64
 	// Assembly buffers.
-	segs   []segment
+	segs   []Segment
 	counts []int32
 }
 
@@ -169,60 +143,36 @@ func leaseScratch(pool *par.Pool, n, workers int) *advectScratch {
 	if sc == nil {
 		sc = &advectScratch{}
 	}
-	if cap(sc.px) < n {
-		sc.px = make([]float64, n)
-		sc.py = make([]float64, n)
-		sc.pz = make([]float64, n)
-		sc.cell = make([]int32, n)
-		sc.pid = make([]int32, n)
+	if cap(sc.ps) < n {
+		sc.ps = make([]Particle, 0, n)
 		sc.dead = make([]bool, n)
-		sc.h = make([]float64, n)
-		sc.arc = make([]float64, n)
-		sc.accepted = make([]int32, n)
 		sc.counts = make([]int32, n)
 	}
-	sc.px, sc.py, sc.pz = sc.px[:n], sc.py[:n], sc.pz[:n]
-	sc.cell, sc.pid, sc.dead = sc.cell[:n], sc.pid[:n], sc.dead[:n]
-	sc.h, sc.arc, sc.accepted = sc.h[:n], sc.arc[:n], sc.accepted[:n]
-	sc.counts = sc.counts[:n]
+	sc.ps, sc.dead, sc.counts = sc.ps[:0], sc.dead[:n], sc.counts[:n]
 	if len(sc.arenas) < workers {
-		sc.arenas = make([]arena, workers)
+		sc.arenas = make([]Trail, workers)
 		sc.crossw = make([]uint64, workers)
 	}
 	sc.arenas = sc.arenas[:workers]
 	sc.crossw = sc.crossw[:workers]
 	for w := range sc.arenas {
-		sc.arenas[w].pts = sc.arenas[w].pts[:0]
-		sc.arenas[w].spd = sc.arenas[w].spd[:0]
-		sc.arenas[w].segs = sc.arenas[w].segs[:0]
+		sc.arenas[w].reset()
 		sc.crossw[w] = 0
 	}
 	sc.segs = sc.segs[:0]
 	return sc
 }
 
-// compact removes dead slots from the first n SoA entries, preserving
-// order, and returns the surviving count.
-func (sc *advectScratch) compact(n int, adaptive bool) int {
+// compact drops the particles marked dead, preserving order.
+func (sc *advectScratch) compact() {
 	w := 0
-	for i := 0; i < n; i++ {
-		if sc.dead[i] {
-			continue
+	for i, p := range sc.ps {
+		if !sc.dead[i] {
+			sc.ps[w] = p
+			w++
 		}
-		if w != i {
-			sc.px[w], sc.py[w], sc.pz[w] = sc.px[i], sc.py[i], sc.pz[i]
-			sc.cell[w] = sc.cell[i]
-			sc.pid[w] = sc.pid[i]
-			if adaptive {
-				sc.h[w] = sc.h[i]
-				sc.arc[w] = sc.arc[i]
-				sc.accepted[w] = sc.accepted[i]
-			}
-		}
-		sc.dead[w] = false
-		w++
 	}
-	return w
+	sc.ps = sc.ps[:w]
 }
 
 // Run implements viz.Filter.
@@ -243,225 +193,40 @@ func (f *Filter) run(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz
 		// empty result rather than a panic if it races away.
 		return &viz.Result{Profile: ex.Drain(), Elements: int64(g.NumCells()), Lines: mesh.NewLineSet()}
 	}
-	nP := len(starts)
-	workers := ex.Pool.Workers()
-	sc := leaseScratch(ex.Pool, nP, workers)
-	// Out-of-domain seeds are rejected up front by the validation
-	// predicate shared with RunReference and dist.Advect; round 0
-	// skips them and the first compaction drops them.
-	RejectSeeds(g, starts, sc.dead)
-	for i, p := range starts {
-		sc.px[i], sc.py[i], sc.pz[i] = p[0], p[1], p[2]
-		sc.cell[i] = -1
-		sc.pid[i] = int32(i)
-		sc.h[i] = f.opts.StepLength
-		sc.arc[i] = 0
-		sc.accepted[i] = 0
+	sc := leaseScratch(ex.Pool, len(starts), ex.Pool.Workers())
+	a := f.Advancer(g)
+	var total Tally
+	sc.ps, total = a.Seed(starts, sc.ps)
+	total.Record(ex.Rec(0))
+
+	// Rounds: every active particle advances one burst, then the
+	// retired ones are compacted away. Only the launch count differs
+	// from the reference's accounting (one per round).
+	for ; len(sc.ps) > 0; sc.compact() {
+		ex.Rec(0).Launch()
+		n := len(sc.ps)
+		ex.Pool.For(n, par.GrainFor(n, ex.Pool.Workers()), func(lo, hi, worker int) {
+			s := *proto
+			var t Tally
+			for i := lo; i < hi; i++ {
+				sc.dead[i] = Advance(a, &s, &sc.ps[i], &sc.arenas[worker], &t) != Resident
+			}
+			t.Record(ex.Rec(worker))
+			sc.crossw[worker] += t.Crossings
+		})
 	}
 
-	if f.opts.Adaptive {
-		f.roundsAdaptive(g, ex, proto, sc, nP)
-	} else {
-		f.roundsFixed(g, ex, proto, sc, nP)
-	}
-
-	out, totalSteps := assemble(sc, nP)
-	var totalCrossings uint64
+	out, linePoints := assemble(sc, len(starts))
 	for _, c := range sc.crossw {
-		totalCrossings += c
+		total.Crossings += c
 	}
-	// The footprint is the field data along the particle paths (capped at
-	// the full field: paths overlap) plus the streamline output. Because
-	// seed count, step length, and step count are size-independent, so is
-	// this working set — the paper's Fig. 6 flat-IPC mechanism.
-	pathBytes := totalCrossings * 96
-	if fieldBytes := uint64(g.NumPoints()) * 24; pathBytes > fieldBytes {
-		pathBytes = fieldBytes
-	}
-	ex.Rec(0).WorkingSet(pathBytes + uint64(totalSteps)*32)
+	ex.Rec(0).WorkingSet(total.WorkingSet(g.NumPoints(), uint64(linePoints)))
 	ex.Pool.PutScratch(advectScratchKey{}, sc)
 
 	return &viz.Result{
 		Profile:  ex.Drain(),
 		Elements: int64(g.NumCells()),
 		Lines:    out,
-	}
-}
-
-// roundsFixed advances the compacted active list through fixed-step RK4
-// rounds. Per-sample and per-step operation accounting matches
-// runReference exactly; only the launch count differs (one per round).
-func (f *Filter) roundsFixed(g *mesh.UniformGrid, ex *viz.Exec, proto *mesh.VectorSampler, sc *advectScratch, nP int) {
-	b := g.Bounds()
-	h := f.opts.StepLength
-	nAct := nP
-	stepsDone := 0
-	for round := int32(0); stepsDone < f.opts.NumSteps && nAct > 0; round++ {
-		k := stepsPerRound
-		if stepsDone+k > f.opts.NumSteps {
-			k = f.opts.NumSteps - stepsDone
-		}
-		first := round == 0
-		ex.Rec(0).Launch()
-		ex.Pool.For(nAct, par.GrainFor(nAct, ex.Pool.Workers()), func(lo, hi, worker int) {
-			rec := ex.Rec(worker)
-			ar := &sc.arenas[worker]
-			s := *proto
-			var samples, crossings, stepsTaken uint64
-			for si := lo; si < hi; si++ {
-				p := mesh.Vec3{sc.px[si], sc.py[si], sc.pz[si]}
-				lastCell := int(sc.cell[si])
-				off := int32(len(ar.pts))
-				if first {
-					if sc.dead[si] {
-						continue // out-of-domain seed (RejectSeeds)
-					}
-					v0, _ := s.Sample(p)
-					ar.pts = append(ar.pts, p)
-					ar.spd = append(ar.spd, v0.Norm())
-				}
-				for t := 0; t < k; t++ {
-					// RK4 with four field samples, in the reference's
-					// exact arithmetic order (the shared kernel).
-					next, v0, ok := RK4Step(&s, p, h)
-					samples += 4
-					if !ok {
-						sc.dead[si] = true
-						break // left the bounding box: terminate
-					}
-					p = next
-					if !b.Contains(p) {
-						sc.dead[si] = true
-						break
-					}
-					stepsTaken++
-					ar.pts = append(ar.pts, p)
-					ar.spd = append(ar.spd, v0.Norm())
-					if c, inGrid := s.Cell(p); inGrid && c != lastCell {
-						crossings++
-						lastCell = c
-					}
-				}
-				if n := int32(len(ar.pts)) - off; n > 0 {
-					ar.segs = append(ar.segs, segment{pid: sc.pid[si], seq: round, wk: int32(worker), off: off, n: n})
-				}
-				sc.px[si], sc.py[si], sc.pz[si] = p[0], p[1], p[2]
-				sc.cell[si] = int32(lastCell)
-			}
-			// Same per-sample demand as the reference integrator: three
-			// trilinear component reconstructions (~90 flops) per sample
-			// plus the step combination, cache-hot 8-corner gathers
-			// (resident), fresh lines per cell crossing.
-			rec.Flops(samples*90 + stepsTaken*30)
-			rec.IntOps(samples * 24)
-			rec.Branches(samples * 6)
-			rec.Loads(samples*192, ops.Resident)
-			rec.LoadsN(crossings, 192, ops.Random)
-			rec.Stores(stepsTaken*32, ops.Stream)
-			sc.crossw[worker] += crossings
-		})
-		stepsDone += k
-		nAct = sc.compact(nAct, false)
-	}
-}
-
-// roundsAdaptive advances the compacted active list through rounds of up
-// to stepsPerRound accepted Bogacki–Shampine steps, with per-particle
-// step size and arc length carried in the SoA state. Accounting matches
-// runReference's adaptive branch: samples at 90 flops, accepted points at
-// 30, rejected trials at 20 controller flops, and the arc-length crossing
-// estimate (crossings = arc/cellDiag + 1 per particle at retirement).
-func (f *Filter) roundsAdaptive(g *mesh.UniformGrid, ex *viz.Exec, proto *mesh.VectorSampler, sc *advectScratch, nP int) {
-	b := g.Bounds()
-	h0 := f.opts.StepLength
-	tol := f.opts.Tolerance
-	hMin, hMax := AdaptiveStepBounds(h0)
-	maxSteps := f.opts.NumSteps
-	maxLen := float64(f.opts.NumSteps) * h0
-	cellDiag := g.Spacing.Norm()
-	nAct := nP
-	for round := int32(0); nAct > 0; round++ {
-		first := round == 0
-		ex.Rec(0).Launch()
-		ex.Pool.For(nAct, par.GrainFor(nAct, ex.Pool.Workers()), func(lo, hi, worker int) {
-			rec := ex.Rec(worker)
-			ar := &sc.arenas[worker]
-			s := *proto
-			var samples, rejects, crossings, stepsTaken uint64
-			for si := lo; si < hi; si++ {
-				p := mesh.Vec3{sc.px[si], sc.py[si], sc.pz[si]}
-				hh := sc.h[si]
-				arc := sc.arc[si]
-				acc := int(sc.accepted[si])
-				off := int32(len(ar.pts))
-				retired := false
-				if first {
-					if sc.dead[si] {
-						// Out-of-domain seed (RejectSeeds): the arc-length
-						// estimate still charges one crossing, as the
-						// reference does.
-						crossings++
-						continue
-					}
-					v, _ := s.Sample(p)
-					ar.pts = append(ar.pts, p)
-					ar.spd = append(ar.spd, v.Norm())
-					stepsTaken++
-				}
-			steps:
-				for t := 0; t < stepsPerRound; t++ {
-					if acc >= maxSteps || arc >= maxLen {
-						retired = true
-						break
-					}
-					for {
-						next, v0, errEst, ok := BS23Step(&s, p, hh)
-						samples += 4
-						if !ok {
-							retired = true // left the domain
-							break steps
-						}
-						if errEst <= tol || hh <= hMin {
-							d := next.Sub(p).Norm()
-							p = next
-							if !b.Contains(p) {
-								retired = true
-								break steps
-							}
-							arc += d
-							ar.pts = append(ar.pts, p)
-							ar.spd = append(ar.spd, v0.Norm())
-							stepsTaken++
-							acc++
-							// Grow the step for the next round.
-							hh = controller(hh, errEst, tol, hMin, hMax)
-							break
-						}
-						rejects++
-						hh = controller(hh, errEst, tol, hMin, hMax)
-					}
-				}
-				if retired {
-					crossings += uint64(arc/cellDiag) + 1
-					sc.dead[si] = true
-				}
-				if n := int32(len(ar.pts)) - off; n > 0 {
-					ar.segs = append(ar.segs, segment{pid: sc.pid[si], seq: round, wk: int32(worker), off: off, n: n})
-				}
-				sc.px[si], sc.py[si], sc.pz[si] = p[0], p[1], p[2]
-				sc.h[si] = hh
-				sc.arc[si] = arc
-				sc.accepted[si] = int32(acc)
-			}
-			rec.Flops(samples*90 + stepsTaken*30 + rejects*20)
-			rec.IntOps(samples * 24)
-			rec.Branches(samples * 6)
-			rec.Loads(samples*192, ops.Resident)
-			rec.LoadsN(crossings, 192, ops.Random)
-			rec.Stores(stepsTaken*32, ops.Stream)
-			sc.crossw[worker] += crossings
-		})
-		nAct = sc.compact(nAct, true)
 	}
 }
 
@@ -473,13 +238,16 @@ func (f *Filter) roundsAdaptive(g *mesh.UniformGrid, ex *viz.Exec, proto *mesh.V
 func assemble(sc *advectScratch, nP int) (*mesh.LineSet, int) {
 	segs := sc.segs[:0]
 	for w := range sc.arenas {
-		segs = append(segs, sc.arenas[w].segs...)
+		for _, sg := range sc.arenas[w].Segs {
+			sg.Src = int32(w)
+			segs = append(segs, sg)
+		}
 	}
 	sort.Slice(segs, func(a, b int) bool {
-		if segs[a].pid != segs[b].pid {
-			return segs[a].pid < segs[b].pid
+		if segs[a].PID != segs[b].PID {
+			return segs[a].PID < segs[b].PID
 		}
-		return segs[a].seq < segs[b].seq
+		return segs[a].Seq < segs[b].Seq
 	})
 	sc.segs = segs
 	counts := sc.counts[:nP]
@@ -489,7 +257,7 @@ func assemble(sc *advectScratch, nP int) (*mesh.LineSet, int) {
 	nLines := 0
 	total := 0
 	for _, sg := range segs {
-		counts[sg.pid] += sg.n
+		counts[sg.PID] += sg.N
 	}
 	for _, c := range counts {
 		if c >= 2 {
@@ -504,15 +272,15 @@ func assemble(sc *advectScratch, nP int) (*mesh.LineSet, int) {
 	}
 	for i := 0; i < len(segs); {
 		j := i
-		pid := segs[i].pid
-		for j < len(segs) && segs[j].pid == pid {
+		pid := segs[i].PID
+		for j < len(segs) && segs[j].PID == pid {
 			j++
 		}
 		if counts[pid] >= 2 {
 			for _, sg := range segs[i:j] {
-				ar := &sc.arenas[sg.wk]
-				out.Points = append(out.Points, ar.pts[sg.off:sg.off+sg.n]...)
-				out.Scalars = append(out.Scalars, ar.spd[sg.off:sg.off+sg.n]...)
+				ar := &sc.arenas[sg.Src]
+				out.Points = append(out.Points, ar.Pts[sg.Off:sg.Off+sg.N]...)
+				out.Scalars = append(out.Scalars, ar.Spd[sg.Off:sg.Off+sg.N]...)
 			}
 			out.Offsets = append(out.Offsets, int32(len(out.Points)))
 		}

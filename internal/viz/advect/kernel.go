@@ -5,20 +5,19 @@ import (
 	"repro/internal/viz"
 )
 
-// The integration kernels shared by the shared-memory hot path (Run)
-// and the distributed path (dist.Advect): one fixed RK4 step and one
-// embedded Bogacki–Shampine 3(2) trial step, generic over the sampler
-// type so each instantiation dispatches statically (no interface call
-// in the stage loop) while keeping one definition of the arithmetic.
-// The golden tests hold Run bit-identical to RunReference, which pins
-// these kernels to the reference's exact operation order; dist.Advect's
-// bit-identity to Run then follows from sharing them.
+// The integration steps under Advance (advance.go): one fixed RK4 step
+// and one embedded Bogacki–Shampine 3(2) trial step, generic over the
+// sampler type so there is one definition of the arithmetic. The golden
+// tests hold Run bit-identical to RunReference, which pins these to the
+// reference's exact operation order; dist.Advect's bit-identity to Run
+// then follows from driving the same Advance.
 
-// Field is the sampling interface the kernels integrate over. Both
-// mesh.VectorSampler and mesh.BlockVectorSampler satisfy it; ok=false
-// means the probe left the sampling domain.
+// Field is what Advance integrates over. Both mesh.VectorSampler and
+// mesh.BlockVectorSampler satisfy it; ok=false means the probe left the
+// sampling domain. Cell is the linearized id of the containing cell.
 type Field interface {
 	Sample(p mesh.Vec3) (mesh.Vec3, bool)
+	Cell(p mesh.Vec3) (int, bool)
 }
 
 // RK4Step advances p by one fixed step h of classic fourth-order
@@ -42,7 +41,7 @@ func RK4Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, ok bool)
 // the third-order solution, the velocity at p, the embedded
 // second-order error estimate, and ok=false when any stage sample left
 // the domain (next is then p unchanged). The caller accepts or rejects
-// against its tolerance and reshapes h with StepController.
+// against its tolerance and reshapes h with controller.
 func BS23Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, errEst float64, ok bool) {
 	k1, ok1 := s.Sample(p)
 	k2, ok2 := s.Sample(p.Add(k1.Scale(h / 2)))
@@ -62,12 +61,6 @@ func BS23Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, errEst 
 	return next, k1, errEst, true
 }
 
-// StepController reshapes the adaptive step after a trial: the standard
-// I-controller for a third-order method, clamped to [hMin, hMax].
-func StepController(h, errEst, tol, hMin, hMax float64) float64 {
-	return controller(h, errEst, tol, hMin, hMax)
-}
-
 // AdaptiveStepBounds returns the [hMin, hMax] clamp range every
 // adaptive integration path derives from the initial step h0.
 func AdaptiveStepBounds(h0 float64) (hMin, hMax float64) {
@@ -82,11 +75,11 @@ func SeedPoints(b mesh.Bounds, n int) []mesh.Vec3 {
 }
 
 // RejectSeeds marks the seeds outside g's sampling domain, writing
-// into dead (grown as needed) and returning it. This is the one
-// out-of-domain predicate shared by Run, RunReference, and
-// dist.Advect: mesh.(*UniformGrid).InDomain, the exact bounds test of
-// every sampling path, so a seed on the domain boundary is kept or
-// rejected identically everywhere.
+// into dead (grown as needed) and returning it. It applies the one
+// out-of-domain predicate RunReference shares with Advancer.Seed (and
+// so with Run and dist.Advect): mesh.(*UniformGrid).InDomain, the
+// exact bounds test of every sampling path, so a seed on the domain
+// boundary is kept or rejected identically everywhere.
 func RejectSeeds(g *mesh.UniformGrid, starts []mesh.Vec3, dead []bool) []bool {
 	if cap(dead) < len(starts) {
 		dead = make([]bool, len(starts))
@@ -108,13 +101,4 @@ func (f *Filter) RunSeeds(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3)
 		return nil, missingVectorErr(f.opts.Vector)
 	}
 	return f.run(g, ex, starts), nil
-}
-
-// RunReferenceSeeds executes the reference integrator over an explicit
-// seed list.
-func (f *Filter) RunReferenceSeeds(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) (*viz.Result, error) {
-	if g.PointVector(f.opts.Vector) == nil {
-		return nil, missingVectorErr(f.opts.Vector)
-	}
-	return f.runReference(g, ex, starts), nil
 }

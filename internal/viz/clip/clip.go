@@ -44,13 +44,9 @@ func (f *Filter) Name() string { return "Spherical Clip" }
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	carry := g.PointField(f.opts.Field)
-	if carry == nil {
-		var err error
-		carry, err = g.CellToPoint(f.opts.Field)
-		if err != nil {
-			return nil, fmt.Errorf("clip: %w", err)
-		}
+	carry, err := g.EnsurePointField(f.opts.Field)
+	if err != nil {
+		return nil, fmt.Errorf("clip: %w", err)
 	}
 	center := f.opts.Center
 	if center == (mesh.Vec3{}) {

@@ -55,18 +55,6 @@ func (f *Filter) Name() string { return "Contour" }
 // Backend implements viz.BackendProvider.
 func (f *Filter) Backend() viz.Backend { return f.opts.Backend }
 
-// PointField returns the named point field of g, recentering a cell field
-// of the same name if necessary.
-func PointField(g *mesh.UniformGrid, name string) ([]float64, error) {
-	if pf := g.PointField(name); pf != nil {
-		return pf, nil
-	}
-	if g.CellField(name) != nil {
-		return g.CellToPoint(name)
-	}
-	return nil, fmt.Errorf("contour: grid has no field %q", name)
-}
-
 // SpreadIsovalues returns n isovalues uniformly spaced across the open
 // interior of [lo, hi].
 func SpreadIsovalues(lo, hi float64, n int) []float64 {
@@ -79,9 +67,9 @@ func SpreadIsovalues(lo, hi float64, n int) []float64 {
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	field, err := PointField(g, f.opts.Field)
+	field, err := g.EnsurePointField(f.opts.Field)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("contour: grid has no field %q", f.opts.Field)
 	}
 	isos := f.opts.Isovalues
 	if len(isos) == 0 {

@@ -44,13 +44,9 @@ func (f *Filter) Name() string { return "Gradient" }
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	field := g.PointField(f.opts.Field)
-	if field == nil {
-		var err error
-		field, err = g.CellToPoint(f.opts.Field)
-		if err != nil {
-			return nil, fmt.Errorf("gradient: %w", err)
-		}
+	field, err := g.EnsurePointField(f.opts.Field)
+	if err != nil {
+		return nil, fmt.Errorf("gradient: %w", err)
 	}
 	grad := g.AddPointVector(f.opts.Output)
 	mag := g.AddPointField(f.opts.Output + "_mag")

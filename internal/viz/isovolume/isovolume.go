@@ -42,13 +42,9 @@ func (f *Filter) Name() string { return "Isovolume" }
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	field := g.PointField(f.opts.Field)
-	if field == nil {
-		var err error
-		field, err = g.CellToPoint(f.opts.Field)
-		if err != nil {
-			return nil, fmt.Errorf("isovolume: %w", err)
-		}
+	field, err := g.EnsurePointField(f.opts.Field)
+	if err != nil {
+		return nil, fmt.Errorf("isovolume: %w", err)
 	}
 	lo, hi := f.opts.Lo, f.opts.Hi
 	if lo == 0 && hi == 0 {

@@ -59,13 +59,9 @@ func DefaultPlanes(b mesh.Bounds) []Plane {
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	carry := g.PointField(f.opts.Field)
-	if carry == nil {
-		var err error
-		carry, err = g.CellToPoint(f.opts.Field)
-		if err != nil {
-			return nil, fmt.Errorf("slice: %w", err)
-		}
+	carry, err := g.EnsurePointField(f.opts.Field)
+	if err != nil {
+		return nil, fmt.Errorf("slice: %w", err)
 	}
 	planes := f.opts.Planes
 	if len(planes) == 0 {

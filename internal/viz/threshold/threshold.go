@@ -59,12 +59,9 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		hi = fmax
 	}
 	// Point scalars for the output carry the recentered field.
-	pf, err := g.PointField(f.opts.Field), error(nil)
-	if pf == nil {
-		pf, err = g.CellToPoint(f.opts.Field)
-		if err != nil {
-			return nil, err
-		}
+	pf, err := g.EnsurePointField(f.opts.Field)
+	if err != nil {
+		return nil, err
 	}
 
 	if f.opts.Backend == viz.DPP {

@@ -146,13 +146,9 @@ func RenderImageInto(im *render.Image, g *mesh.UniformGrid, field []float64, tf 
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	field := g.PointField(f.opts.Field)
-	if field == nil {
-		var err error
-		field, err = g.CellToPoint(f.opts.Field)
-		if err != nil {
-			return nil, fmt.Errorf("volren: %w", err)
-		}
+	field, err := g.EnsurePointField(f.opts.Field)
+	if err != nil {
+		return nil, fmt.Errorf("volren: %w", err)
 	}
 	lo, hi := mesh.FieldRange(field)
 	tf := render.TransferFunction{
