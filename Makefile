@@ -3,8 +3,9 @@
 #   make check   - vet + build + full test suite + short race pass
 #   make race    - the short -race run on the runtime, mesh layer, rank
 #                  fabric, and two kernels (the packages with real
-#                  cross-goroutine traffic), plus the harness
-#                  failure-injection paths
+#                  cross-goroutine traffic), plus the harness cell path
+#                  (failure injection, retries, partial sweeps over all
+#                  three cell kinds) and the golden "same numbers" test
 #   make bench   - the repo's benchmark: bench/run.sh, every workload
 #                  untraced then traced into bench/out/ (the one ledger;
 #                  bench/README.md maps the old BENCH_PRn.json headlines
@@ -45,7 +46,7 @@ test: vet
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
 	$(GO) test -race -count=1 -timeout 120s ./internal/viz/advect -run 'Compact|Golden|Seed|Burst'
-	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Partial|Advect'
+	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Golden'
 
 bench:
 	bash bench/run.sh

@@ -2,44 +2,11 @@
 // Performance Tradeoffs for Visualization Algorithms" (Labasan et al.,
 // IPDPS 2019) on the simulated-Broadwell reproduction stack.
 //
-// Usage:
-//
 //	vizpower <command> [flags]
 //
-// Commands:
-//
-//	table1    Phase 1 — contour slowdown vs. power cap (Table I)
-//	table2    Phase 2 — all algorithms at the phase size (Table II)
-//	table3    Phase 3 — all algorithms at the largest size (Table III)
-//	fig1      render the eight algorithm images (Figure 1) into -out
-//	fig2a     effective frequency vs. cap, all algorithms (Figure 2a)
-//	fig2b     IPC vs. cap (Figure 2b)
-//	fig2c     LLC miss rate vs. cap (Figure 2c)
-//	fig3      elements/s vs. cap, cell-centered algorithms (Figure 3)
-//	fig4      IPC vs. cap by size — slice (Figure 4)
-//	fig5      IPC vs. cap by size — volume rendering (Figure 5)
-//	fig6      IPC vs. cap by size — particle advection (Figure 6)
-//	advect    distributed parallelize-over-data particle advection:
-//	          sweep -ranks fabric sizes, check bit-identity against the
-//	          single-rank run, and report the migration breakdown
-//	classify  demand power / IPC / miss rate / class per algorithm
-//	trace     in situ power timeline under a cap (simulate+visualize)
-//	profile   execution telemetry: run in situ cycles under a cap and
-//	          write a Perfetto-loadable trace.json plus a stage summary
-//	allocate  split a node power budget between simulation and viz
-//	serve     run the rendering daemon: an HTTP/JSON API for frames,
-//	          cinema orbit segments, and sweep cells, with a shared
-//	          derived-structure cache and a power-budgeted admission
-//	          queue (-addr, -budget; -budget 0 disables admission)
-//	all       regenerate everything into -out (tables, CSVs, images)
-//
-// Common flags: -quick shrinks the study for a fast demonstration;
-// -progress streams per-run log lines to stderr. Any command accepts
-// -trace FILE (write a Chrome trace-event JSON of the run's pipeline
-// and pool activity) and -cpuprofile FILE (write a pprof CPU profile).
-// -backend trad|dpp selects the contour/threshold kernel formulation
-// (traditional scratch-mesh vs data-parallel primitives); `all` runs
-// both and reports the per-backend classification.
+// Run vizpower without arguments for the command list: it is generated
+// from the verbs table below, whose table and figure commands come from
+// harness.Artifacts. `vizpower <command> -h` lists the flags.
 package main
 
 import (
@@ -61,7 +28,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dist"
 	"repro/internal/harness"
 	"repro/internal/msr"
 	"repro/internal/obs"
@@ -69,10 +35,8 @@ import (
 	"repro/internal/power"
 	"repro/internal/rapl"
 	"repro/internal/serve"
-	"repro/internal/sim/clover"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
-	"repro/internal/viz/advect"
 	"repro/internal/viz/raytrace"
 	"repro/internal/viz/volren"
 	"repro/internal/vtkio"
@@ -249,7 +213,7 @@ func run(args []string) (retErr error) {
 		// plus request-lane tracks when the daemon is what's traced.
 		var tr *telemetry.Tracer
 		if cmd == "serve" {
-			tr = telemetry.NewServing(c.Pool.Workers(), 8)
+			tr = telemetry.NewServing(c.Pool.Workers(), serve.Lanes)
 		} else {
 			tr = telemetry.New(c.Pool.Workers())
 		}
@@ -262,133 +226,137 @@ func run(args []string) (retErr error) {
 		}()
 	}
 
-	emitFig := func(title string, series []harness.Series) {
-		if opt.csv {
-			fmt.Print(harness.SeriesCSV("cap_watts", series))
-		} else {
-			fmt.Print(harness.FormatSeries(title, "cap (W)", series))
-		}
-	}
-
-	switch cmd {
-	case "table1":
-		run1, err := c.Phase1()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.Table1(run1, c.Caps))
-	case "table2":
-		runs, err := c.Phase2()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.Table2(runs, c.Caps))
-	case "table3":
-		sizes := c.SortedSizes()
-		runs, err := c.RunAll(sizes[len(sizes)-1])
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.Table3(runs, c.Caps))
-	case "fig1":
-		paths, err := c.RenderFig1(c.PhaseSize, opt.figSize, opt.out)
-		if err != nil {
-			return err
-		}
-		for _, p := range paths {
-			fmt.Println("wrote", p)
-		}
-	case "fig2a", "fig2b", "fig2c", "fig3":
-		runs, err := c.Phase2()
-		if err != nil {
-			return err
-		}
-		switch cmd {
-		case "fig2a":
-			emitFig("Figure 2a — effective frequency (GHz) vs. power cap", harness.Fig2a(runs, c.Caps))
-		case "fig2b":
-			emitFig("Figure 2b — IPC vs. power cap", harness.Fig2b(runs, c.Caps))
-		case "fig2c":
-			emitFig("Figure 2c — LLC miss rate vs. power cap", harness.Fig2c(runs, c.Caps))
-		case "fig3":
-			emitFig("Figure 3 — elements (M)/sec, cell-centered algorithms", harness.Fig3(runs, c.Caps))
-		}
-	case "fig4", "fig5", "fig6":
-		name := map[string]string{
-			"fig4": "Slice", "fig5": "Volume Rendering", "fig6": "Particle Advection",
-		}[cmd]
-		bySize, err := c.RunsBySize(name)
-		if err != nil {
-			return err
-		}
-		emitFig(fmt.Sprintf("Figure %s — %s IPC vs. power cap by data-set size", cmd[3:], name),
-			harness.FigIPCBySize(bySize, c.SortedSizes(), c.Caps))
-	case "classify", "demand":
-		var runs []*harness.AlgoRun
-		var err error
-		if opt.extended {
-			runs, err = c.RunAllExtended(c.PhaseSize)
-		} else {
-			runs, err = c.Phase2()
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.DemandTable(runs))
-	case "arch":
-		rows, err := c.CompareArchitectures(opt.alg, harness.Architectures())
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.ArchTable(opt.alg, rows))
-	case "export":
-		return exportCmd(c, opt)
-	case "cinema":
-		return cinemaCmd(c, opt)
-	case "energy":
-		runs, err := c.Phase2()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.EnergyTable(runs, c.Caps))
-	case "verify":
-		claims, err := c.CheckClaims()
-		if err != nil {
-			return err
-		}
-		fmt.Print(harness.FormatClaims(claims))
-		if !harness.ClaimsAllPass(claims) {
-			return fmt.Errorf("reproduction claims failed")
-		}
-	case "overprovision":
-		return overprovisionCmd(c, opt)
-	case "feedback":
-		return feedbackCmd(c, opt)
-	case "govern":
-		return governCmd(c, opt)
-	case "advect":
-		// Falls through to reportFailures: a rank count that failed while
-		// others succeeded is skipped from the table, not hidden.
-		if err := advectCmd(c, opt); err != nil {
-			return err
-		}
-	case "trace":
-		return traceCmd(c, opt)
-	case "profile":
-		return profileCmd(c, opt)
-	case "allocate":
-		return allocateCmd(c, opt)
-	case "serve":
-		return serveCmd(c, opt)
-	case "all":
-		if err := allCmd(c, opt); err != nil {
-			return err
-		}
-	default:
+	v := lookup(verbs, cmd)
+	if v == nil {
 		usage()
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+	if err := v.run(c, opt); err != nil {
+		return err
+	}
+	// A cell that failed while others succeeded is skipped from the
+	// output, not hidden.
 	reportFailures(c)
+	return nil
+}
+
+// verb is one vizpower command: dispatch and usage both read the verbs
+// table, so a command cannot be runnable but undocumented.
+type verb struct {
+	name, summary string
+	run           func(*harness.Config, *options) error
+}
+
+// verbs lists every command: one per harness artifact (printing it),
+// then the hand-written ones. A hand-written verb replaces the generated
+// one of the same name where the command takes flags of its own
+// (classify -extended, govern -cycles -decisions).
+var verbs = func() []verb {
+	commands := []verb{
+		{"classify", "demand power / IPC / miss rate / class per algorithm [-extended adds the extension filters]", classifyCmd},
+		{"demand", "alias of classify", classifyCmd},
+		{"govern", "closed-loop governor vs. static phase plan vs. uniform cap, with the energy attribution [-cycles N -decisions]", governCmd},
+		{"fig1", "render the eight algorithm images (Figure 1) into -out [-figres N]",
+			func(c *harness.Config, opt *options) error { return writeFig1(c, opt, opt.out) }},
+		{"verify", "check the paper's executable claims; exit status 1 when one fails", verifyCmd},
+		{"arch", "one algorithm across the modeled processor architectures [-alg NAME]", archCmd},
+		{"advect", "distributed particle advection: rank sweep checked bit for bit against the single-rank run, with the migration breakdown [-ranks LIST -adaptive]", advectCmd},
+		{"trace", "in situ power timeline under a cap (simulate+visualize) [-cap W -cycles N -csv]", traceCmd},
+		{"profile", "execution telemetry: in situ cycles under a cap as a Perfetto-loadable trace.json plus a stage summary [-cap W -cycles N -out DIR -ranks LIST]", profileCmd},
+		{"allocate", "split a node power budget between simulation and visualization [-budget W]", allocateCmd},
+		{"feedback", "single-loop feedback capping toward an average-power target [-cap W -cycles N]", feedbackCmd},
+		{"overprovision", "uniform vs. balanced per-node caps on an overprovisioned cluster [-alg NAME -budget W]", overprovisionCmd},
+		{"export", "write the data set and every filter's output as legacy VTK files into -out", exportCmd},
+		{"cinema", "render an orbit image database into -out [-alg \"Ray Tracing\"|\"Volume Rendering\"]", cinemaCmd},
+		{"serve", "rendering daemon: frames, cinema segments and sweep cells over HTTP/JSON behind a power-budgeted admission queue [-addr HOST:PORT -budget W -queue N -out DIR -govern]", serveCmd},
+		{"all", "regenerate every artifact, Figure 1 and report.md into -out [-govern adds the governor sweep]", allCmd},
+	}
+	var vs []verb
+	for _, a := range harness.Artifacts {
+		if lookup(commands, a.Name) == nil {
+			vs = append(vs, verb{a.Name, a.Desc, func(c *harness.Config, opt *options) error { return printArtifact(a, c, opt) }})
+		}
+	}
+	return append(vs, commands...)
+}()
+
+func lookup(vs []verb, name string) *verb {
+	for i := range vs {
+		if vs[i].name == name {
+			return &vs[i]
+		}
+	}
+	return nil
+}
+
+// printArtifact prints one harness artifact: a table as is, a figure as
+// an aligned text table or (-csv) as CSV.
+func printArtifact(a harness.Artifact, c *harness.Config, opt *options) error {
+	if a.Series == nil {
+		text, err := a.Text(c)
+		if err != nil {
+			return err
+		}
+		fmt.Print(text)
+		return nil
+	}
+	series, err := a.Series(c)
+	if err != nil {
+		return err
+	}
+	if opt.csv {
+		fmt.Print(harness.SeriesCSV("cap_watts", series))
+	} else {
+		fmt.Print(harness.FormatSeries(a.Title, "cap (W)", series))
+	}
+	return nil
+}
+
+func classifyCmd(c *harness.Config, opt *options) error {
+	var runs []*harness.AlgoRun
+	var err error
+	if opt.extended {
+		runs, err = c.RunAllExtended(c.PhaseSize)
+	} else {
+		runs, err = c.Phase2()
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Print(harness.DemandTable(runs))
+	return nil
+}
+
+// writeFig1 renders the Figure 1 images into dir.
+func writeFig1(c *harness.Config, opt *options, dir string) error {
+	paths, err := c.RenderFig1(c.PhaseSize, opt.figSize, dir)
+	if err != nil {
+		return err
+	}
+	for _, p := range paths {
+		fmt.Println("wrote", p)
+	}
+	return nil
+}
+
+func verifyCmd(c *harness.Config, opt *options) error {
+	claims, err := c.CheckClaims()
+	if err != nil {
+		return err
+	}
+	fmt.Print(harness.FormatClaims(claims))
+	if !harness.ClaimsAllPass(claims) {
+		return fmt.Errorf("reproduction claims failed")
+	}
+	return nil
+}
+
+func archCmd(c *harness.Config, opt *options) error {
+	rows, err := c.CompareArchitectures(opt.alg, harness.Architectures())
+	if err != nil {
+		return err
+	}
+	fmt.Print(harness.ArchTable(opt.alg, rows))
 	return nil
 }
 
@@ -560,11 +528,7 @@ func overprovisionCmd(c *harness.Config, opt *options) error {
 // feedbackCmd runs the closed-loop GEOPM-style controller over an in situ
 // cycle sequence and reports how it tracked the average-power target.
 func feedbackCmd(c *harness.Config, opt *options) error {
-	sim, err := clover.New(c.PhaseSize/2, clover.Options{})
-	if err != nil {
-		return err
-	}
-	pipe, err := core.NewPipeline(sim, c.Filters()[:2], 10, c.Pool, c.Spec)
+	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters()[:2])
 	if err != nil {
 		return err
 	}
@@ -595,21 +559,15 @@ func feedbackCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-// governBudgets is the default budget ladder of the closed-loop sweep:
-// below, at, and above the 70 W sensitivity boundary.
-var governBudgets = []float64{55, 65, 75}
-
 // governCmd sweeps the phase-aware closed-loop governor against the
 // static phase plan and the uniform cap on a live in situ pipeline at
-// the phase size.
+// the phase size, for -cycles cycles (at least harness.GovernCycles).
 func governCmd(c *harness.Config, opt *options) error {
-	// The closed loop needs a few feedback rounds to settle; below six
-	// cycles the comparison mostly measures its discovery transient.
 	cycles := opt.cycles
-	if cycles < 6 {
-		cycles = 6
+	if cycles < harness.GovernCycles {
+		cycles = harness.GovernCycles
 	}
-	res, err := c.GovernorCompare(c.PhaseSize, governBudgets, cycles)
+	res, err := c.GovernorCompare(c.PhaseSize, nil, cycles)
 	if err != nil {
 		return err
 	}
@@ -681,11 +639,7 @@ func advectCmd(c *harness.Config, opt *options) error {
 // traceCmd runs the in situ pipeline under a cap and prints the sampled
 // power timeline.
 func traceCmd(c *harness.Config, opt *options) error {
-	sim, err := clover.New(c.PhaseSize/2, clover.Options{})
-	if err != nil {
-		return err
-	}
-	pipe, err := core.NewPipeline(sim, c.Filters(), 10, c.Pool, c.Spec)
+	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
 	if err != nil {
 		return err
 	}
@@ -724,11 +678,7 @@ func traceCmd(c *harness.Config, opt *options) error {
 // then write a Perfetto-loadable trace.json and a plain-text stage
 // summary into -out.
 func profileCmd(c *harness.Config, opt *options) error {
-	sim, err := clover.New(c.PhaseSize/2, clover.Options{})
-	if err != nil {
-		return err
-	}
-	pipe, err := core.NewPipeline(sim, c.Filters(), 10, c.Pool, c.Spec)
+	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
 	if err != nil {
 		return err
 	}
@@ -743,6 +693,7 @@ func profileCmd(c *harness.Config, opt *options) error {
 		}
 		tr = telemetry.New(tracks)
 		c.Pool.Instrument(tr)
+		c.Tracer = tr
 	}
 	pipe.Tracer = tr
 	pkg := rapl.NewPackage(msr.NewFile(), c.Spec)
@@ -756,29 +707,16 @@ func profileCmd(c *harness.Config, opt *options) error {
 	}
 	wall := time.Since(t0)
 
-	// An explicit -ranks also profiles a distributed advection pass on
-	// the rank fabric, so the trace carries per-rank advance/exchange
-	// spans next to the pipeline stages.
+	// An explicit -ranks also profiles the harness's distributed
+	// advection cell on the rank fabric, so the trace carries per-rank
+	// advance/exchange spans next to the pipeline stages.
 	if r := opt.distRanks; r > 1 {
-		g, err := c.Dataset(c.PhaseSize)
-		if err != nil {
-			return err
-		}
-		f := advect.New(advect.Options{
-			Vector:       "velocity",
-			NumParticles: c.Particles,
-			NumSteps:     c.ParticleSteps,
-		})
-		t1 := time.Now()
-		dres, err := dist.Advect(g, f, r, dist.AdvectOptions{
-			Fabric:   dist.Options{Tracer: tr},
-			Deadline: 5 * time.Minute,
-		})
+		run, err := c.AdvectDist(c.PhaseSize, r)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("profiled distributed advection on %d ranks: %d rounds, ghost %d, %.3fs\n",
-			r, dres.Rounds, dres.Ghost, time.Since(t1).Seconds())
+			r, run.Rounds, run.Ghost, run.WallSec)
 	}
 
 	if err := os.MkdirAll(opt.out, 0o755); err != nil {
@@ -859,11 +797,7 @@ func writeTraceFile(path string, tr *telemetry.Tracer) error {
 // allocateCmd splits a node budget between the simulation and each
 // visualization algorithm, demonstrating the paper's proposed runtime.
 func allocateCmd(c *harness.Config, opt *options) error {
-	sim, err := clover.New(c.PhaseSize/2, clover.Options{})
-	if err != nil {
-		return err
-	}
-	pipe, err := core.NewPipeline(sim, []viz.Filter{c.Filters()[0]}, 10, c.Pool, c.Spec)
+	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters()[:1])
 	if err != nil {
 		return err
 	}
@@ -873,23 +807,17 @@ func allocateCmd(c *harness.Config, opt *options) error {
 	}
 	fmt.Printf("budget %.0f W split between the simulation and each visualization algorithm\n", opt.budget)
 	fmt.Printf("%-22s %10s %10s %12s %10s  %s\n", "Algorithm", "sim (W)", "viz (W)", "speedup", "class", "")
-	g, err := c.Dataset(c.PhaseSize)
+	runs, err := c.Phase2()
 	if err != nil {
 		return err
 	}
-	for _, f := range c.Filters() {
-		ex := viz.NewExec(c.Pool)
-		res, err := f.Run(g, ex)
-		if err != nil {
-			return err
-		}
-		vizExec := cpu.Analyze(c.Spec, res.Profile, 0)
-		a, err := core.AllocateBudget(cr.SimExec, vizExec, opt.budget)
+	for _, r := range runs {
+		a, err := core.AllocateBudget(cr.SimExec, r.Exec, opt.budget)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-22s %10.0f %10.0f %11.2fx %10s\n",
-			f.Name(), a.SimWatts, a.VizWatts, a.Speedup, a.VizClass)
+			r.Name, a.SimWatts, a.VizWatts, a.Speedup, a.VizClass)
 	}
 	return nil
 }
@@ -913,99 +841,28 @@ func allCmd(c *harness.Config, opt *options) error {
 	skip := func(artifact string, err error) {
 		fmt.Fprintf(os.Stderr, "vizpower: %s skipped: %v\n", artifact, err)
 	}
-	run1, err := c.Phase1()
-	if err != nil {
-		skip("table1", err)
-	} else if err := write("table1.txt", harness.Table1(run1, c.Caps)); err != nil {
-		return err
-	}
-	runs2, err := c.Phase2()
-	if err != nil {
-		return err
-	}
-	if err := write("table2.txt", harness.Table2(runs2, c.Caps)); err != nil {
-		return err
-	}
-	if err := write("classification.txt", harness.DemandTable(runs2)); err != nil {
-		return err
-	}
-	sizes := c.SortedSizes()
-	runs3, err := c.RunAll(sizes[len(sizes)-1])
-	if err != nil {
-		skip("table3", err)
-	} else if err := write("table3.txt", harness.Table3(runs3, c.Caps)); err != nil {
-		return err
-	}
-	type figure struct {
-		name, title, ylabel string
-		series              []harness.Series
-	}
-	figs := []figure{
-		{"fig2a", "Figure 2a — Effective Frequency", "Effective Frequency (GHz)", harness.Fig2a(runs2, c.Caps)},
-		{"fig2b", "Figure 2b — Instructions Per Cycle", "IPC", harness.Fig2b(runs2, c.Caps)},
-		{"fig2c", "Figure 2c — LLC Miss Rate", "Last Level Cache Miss Rate", harness.Fig2c(runs2, c.Caps)},
-		{"fig3", "Figure 3 — Cell-Centered Throughput", "Elements (M)/sec", harness.Fig3(runs2, c.Caps)},
-	}
-	for _, fig := range []struct{ name, alg string }{
-		{"fig4", "Slice"}, {"fig5", "Volume Rendering"}, {"fig6", "Particle Advection"},
-	} {
-		bySize, err := c.RunsBySize(fig.alg)
-		if err != nil {
-			skip(fig.name, err)
+	for _, a := range harness.Artifacts {
+		if a.OnRequest && !opt.govern {
 			continue
 		}
-		figs = append(figs, figure{
-			fig.name,
-			fmt.Sprintf("Figure %s — %s IPC by Data Set Size", strings.TrimPrefix(fig.name, "fig"), fig.alg),
-			"IPC",
-			harness.FigIPCBySize(bySize, sizes, c.Caps),
-		})
-	}
-	for _, fig := range figs {
-		if err := write(fig.name+".csv", harness.SeriesCSV("cap_watts", fig.series)); err != nil {
-			return err
+		outs, err := a.Render(c)
+		if err != nil {
+			skip(a.Name, err)
+			continue
 		}
-		var svg strings.Builder
-		if err := harness.WriteSVGFigure(&svg, fig.title, fig.ylabel, fig.series); err != nil {
-			return err
-		}
-		if err := write(fig.name+".svg", svg.String()); err != nil {
-			return err
+		for _, o := range outs {
+			if err := write(o.File, o.Content); err != nil {
+				return err
+			}
 		}
 	}
-	paths, err := c.RenderFig1(c.PhaseSize, opt.figSize, filepath.Join(opt.out, "fig1"))
-	if err != nil {
+	if err := writeFig1(c, opt, filepath.Join(opt.out, "fig1")); err != nil {
 		return err
-	}
-	for _, p := range paths {
-		fmt.Println("wrote", p)
 	}
 	// The distributed-advection rank sweep feeds its own report section;
 	// a wedged fabric degrades like any other phase.
 	if _, err := c.AdvectScaling(c.PhaseSize); err != nil {
 		skip("advect scaling", err)
-	}
-	// The backend comparison runs contour and threshold under both the
-	// traditional and DPP formulations, feeding the report's "DPP
-	// backend" section (per-backend classification).
-	if pairs, err := c.BackendCompare(c.PhaseSize); err != nil {
-		skip("backend compare", err)
-	} else if err := write("backends.txt", harness.BackendTable(pairs)); err != nil {
-		return err
-	}
-	// -govern adds the closed-loop capping sweep: governor vs static
-	// plan vs uniform cap at the phase size, cached into the report's
-	// "Closed-loop capping" section.
-	if opt.govern {
-		cycles := opt.cycles
-		if cycles < 6 {
-			cycles = 6
-		}
-		if res, err := c.GovernorCompare(c.PhaseSize, governBudgets, cycles); err != nil {
-			skip("govern sweep", err)
-		} else if err := write("govern.txt", harness.GovernTable(res)); err != nil {
-			return err
-		}
 	}
 	// The self-contained campaign report: tables, classification, and
 	// executable claim checks in one document. The claims need the full
@@ -1018,14 +875,16 @@ func allCmd(c *harness.Config, opt *options) error {
 		skip("claim checks", err)
 		claims = nil
 	}
+	// The report's tables come from the cells the loop above cached; what
+	// a degraded sweep is missing was reported there.
+	runs2, _ := c.Phase2()
+	sizes := c.SortedSizes()
+	runs3, _ := c.RunAll(sizes[len(sizes)-1])
 	var report strings.Builder
 	if err := c.WriteReport(&report, runs2, runs3, claims); err != nil {
 		return err
 	}
 	if err := write("report.md", report.String()); err != nil {
-		return err
-	}
-	if err := write("energy.txt", harness.EnergyTable(runs2, c.Caps)); err != nil {
 		return err
 	}
 	if fs := c.Failures(); len(fs) > 0 {
@@ -1097,18 +956,20 @@ func exportCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: vizpower <command> [flags]
-commands: table1 table2 table3 fig1 fig2a fig2b fig2c fig3 fig4 fig5 fig6
-          classify [-extended] arch [-alg NAME] export trace allocate
-          advect [-ranks LIST -adaptive] profile [-cap W -cycles N -out DIR -ranks LIST]
-          overprovision [-alg NAME -budget W] feedback [-cap W]
-          govern [-cycles N -decisions] serve [-addr HOST:PORT -budget W -queue N -out DIR -govern] all
-run "vizpower <command> -h" for flags; add -quick for a fast demonstration
+// usageText is the command list, generated from the verbs table.
+func usageText() string {
+	var b strings.Builder
+	b.WriteString("usage: vizpower <command> [flags]\ncommands:\n")
+	for _, v := range verbs {
+		fmt.Fprintf(&b, "  %-14s %s\n", v.name, v.summary)
+	}
+	b.WriteString(`run "vizpower <command> -h" for flags; add -quick for a fast demonstration
 global: -trace FILE writes a Perfetto-loadable execution trace of any
-command; -cpuprofile FILE writes a pprof CPU profile; -backend trad|dpp
-selects the contour/threshold formulation (verify, profile, classify,
-all; "all" additionally compares both backends in report.md); -govern
-adds the closed-loop governor sweep to "all" and calibrates "serve"
-admission from a governed run`)
+command; -cpuprofile FILE writes a pprof CPU profile; -progress streams
+per-run log lines to stderr; -backend trad|dpp selects the
+contour/threshold formulation ("all" and "backends" compare both)
+`)
+	return b.String()
 }
+
+func usage() { fmt.Fprint(os.Stderr, usageText()) }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/telemetry"
 )
 
@@ -50,6 +51,54 @@ func TestRunAdvectCommand(t *testing.T) {
 	}
 }
 
+// TestUsageListsEveryVerb: usage is generated from the verbs table, so
+// every dispatchable command — each harness artifact included — is
+// listed with its summary, and README.md carries that text verbatim.
+func TestUsageListsEveryVerb(t *testing.T) {
+	text := usageText()
+	if readme, err := os.ReadFile("../../README.md"); err != nil || !strings.Contains(string(readme), text) {
+		t.Errorf("README.md's command list is not the generated usage text (%v); regenerate it", err)
+	}
+	for _, v := range verbs {
+		if v.summary == "" || !strings.Contains(text, "\n  "+v.name+" ") || !strings.Contains(text, v.summary) {
+			t.Errorf("usage does not list %q with its summary", v.name)
+		}
+	}
+	for _, a := range harness.Artifacts {
+		if lookup(verbs, a.Name) == nil {
+			t.Errorf("artifact %q has no command", a.Name)
+		}
+	}
+}
+
+// TestAllWritesEveryDeclaredArtifact: `all` writes every file the
+// artifact table declares (the on-request ones under -govern), plus the
+// Figure 1 renderings and the report, and nothing fails at this scale.
+func TestAllWritesEveryDeclaredArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"all", "-quick", "-govern", "-figres", "64", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"report.md"}
+	for _, a := range harness.Artifacts {
+		want = append(want, a.Files()...)
+	}
+	for _, name := range want {
+		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
+			t.Errorf("%s missing or empty: %v", name, err)
+		}
+	}
+	if pngs, _ := filepath.Glob(filepath.Join(dir, "fig1", "*.png")); len(pngs) != len(harness.Fig1Names) {
+		t.Errorf("fig1 holds %d renderings, want %d", len(pngs), len(harness.Fig1Names))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "failures.txt")); err == nil {
+		t.Error("a clean campaign wrote failures.txt")
+	}
+}
+
 func TestRunQuickCommands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
@@ -57,6 +106,8 @@ func TestRunQuickCommands(t *testing.T) {
 	// Fast text commands at demonstration scale.
 	for _, args := range [][]string{
 		{"table1", "-quick"},
+		{"fig2a", "-quick", "-csv"},
+		{"classify", "-quick", "-extended"},
 		{"energy", "-quick"},
 		{"verify", "-quick"}, // class claims SKIP at this scale, others must pass
 		{"arch", "-quick", "-alg", "Threshold"},

@@ -46,11 +46,6 @@ type AdvectOptions struct {
 	// all-to-all migration exchange sends before receiving, which a
 	// rendezvous fabric cannot complete.
 	Fabric Options
-	// MaxRounds bounds the BSP round count as a liveness backstop.
-	// Zero derives NumSteps+8: every active particle accepts at least
-	// one step per round (the adaptive hMin clamp guarantees
-	// acceptance), so a clean run terminates well inside the bound.
-	MaxRounds int
 	// Deadline, when positive, arms a watchdog that cancels the fabric
 	// after the given wall time, converting any stall — e.g. a dropped
 	// migration message leaving a peer blocked — into a typed
@@ -247,10 +242,10 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 		perRank[owners[layer]] = append(perRank[owners[layer]], p)
 	}
 
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = fo.NumSteps + 8
-	}
+	// The liveness backstop on the BSP round count: every active particle
+	// accepts at least one step per round (the adaptive hMin clamp
+	// guarantees acceptance), so a clean run terminates well inside it.
+	maxRounds := fo.NumSteps + 8
 
 	comm, err := NewCommWith(nRanks, opts.Fabric)
 	if err != nil {

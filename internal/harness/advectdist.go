@@ -9,6 +9,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,11 +32,16 @@ type advectOracleRun struct {
 	WallSec float64
 }
 
-// advectKey identifies one cached advection cell: the distributed run at
-// a rank count, or (ranks 0) the single-rank oracle it is checked against.
+// advectKey identifies one distributed advection cell; oracleKey the
+// single-rank oracle a size and mode's cells are checked against.
 type advectKey struct {
 	size, ranks int
 	adaptive    bool
+}
+
+type oracleKey struct {
+	size     int
+	adaptive bool
 }
 
 // AdvectDistRun is the outcome of one (size, ranks) distributed
@@ -82,13 +88,13 @@ func (c *Config) advectDistFilter(adaptive bool) *advect.Filter {
 	})
 }
 
-// advectCellName names a distributed cell in failure records and for
-// Config.Inject.
-func advectCellName(ranks int, adaptive bool) string {
+// advectName names the advection cells in failure records and to
+// Config.Inject, "(adaptive)" marking a BS23 cell.
+func advectName(adaptive bool) string {
 	if adaptive {
-		return fmt.Sprintf("Particle Advection (adaptive) ranks=%d", ranks)
+		return "Particle Advection (adaptive)"
 	}
-	return fmt.Sprintf("Particle Advection ranks=%d", ranks)
+	return "Particle Advection"
 }
 
 // linesBitEqual reports whether two streamline sets match bit for bit.
@@ -96,37 +102,30 @@ func linesBitEqual(a, b *mesh.LineSet) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if len(a.Points) != len(b.Points) || len(a.Scalars) != len(b.Scalars) || len(a.Offsets) != len(b.Offsets) {
-		return false
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] || a.Scalars[i] != b.Scalars[i] {
-			return false
-		}
-	}
-	for i := range a.Offsets {
-		if a.Offsets[i] != b.Offsets[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Points, b.Points) && slices.Equal(a.Scalars, b.Scalars) && slices.Equal(a.Offsets, b.Offsets)
 }
 
-// advectOracleRun runs (and caches) the single-rank shared-memory
-// advection at one size and mode.
-func (c *Config) advectOracleRun(g *mesh.UniformGrid, f *advect.Filter, key advectKey) (*advectOracleRun, error) {
-	key.ranks = 0
-	if or, ok := c.advectOracle[key]; ok {
-		return or, nil
-	}
-	t0 := time.Now()
-	res, err := f.Run(g, viz.NewExec(c.Pool))
-	if err != nil {
-		return nil, fmt.Errorf("harness: advect oracle at %d^3: %w", key.size, err)
-	}
-	or := &advectOracleRun{Lines: res.Lines, WallSec: time.Since(t0).Seconds()}
-	c.advectOracle[key] = or
-	return or, nil
+// advectOracle runs (cached) the single-rank shared-memory advection at
+// key's size and mode.
+func (c *Config) advectOracle(key advectKey) (*advectOracleRun, error) {
+	alg := advectName(key.adaptive)
+	return runCell(c, cellID{
+		key:   oracleKey{key.size, key.adaptive},
+		name:  alg + " oracle",
+		size:  key.size,
+		label: fmt.Sprintf("%s oracle, %d^3, ranks=1", alg, key.size),
+	}, func() (*advectOracleRun, error) {
+		g, err := c.Dataset(key.size)
+		if err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		res, err := c.advectDistFilter(key.adaptive).Run(g, viz.NewExec(c.Pool))
+		if err != nil {
+			return nil, err
+		}
+		return &advectOracleRun{Lines: res.Lines, WallSec: time.Since(t0).Seconds()}, nil
+	})
 }
 
 // AdvectDist executes (cached) one fixed-step distributed advection
@@ -139,68 +138,53 @@ func (c *Config) AdvectDist(size, ranks int) (*AdvectDistRun, error) {
 
 func (c *Config) advectDist(key advectKey) (*AdvectDistRun, error) {
 	c.Defaults()
-	if r, ok := c.advectRuns[key]; ok {
-		return r, nil
-	}
-	run, err := c.advectDistAttempt(key)
+	or, err := c.advectOracle(key)
 	if err != nil {
-		c.failures = append(c.failures, CellError{Name: advectCellName(key.ranks, key.adaptive), Size: key.size, Attempts: 1, Err: err})
-		c.heartbeat("cell (Particle Advection, %d^3, ranks=%d) FAILED: %v", key.size, key.ranks, err)
 		return nil, err
 	}
-	c.advectRuns[key] = run
-	c.heartbeat("cell (Particle Advection, %d^3, ranks=%d) done in %.2fs%s", key.size, key.ranks, run.WallSec, c.droppedNote())
-	return run, nil
-}
-
-// advectDistAttempt is one uncached execution of a distributed cell.
-func (c *Config) advectDistAttempt(key advectKey) (*AdvectDistRun, error) {
-	size, ranks := key.size, key.ranks
-	if c.Inject != nil {
-		if err := c.Inject(advectCellName(ranks, key.adaptive), size, 0); err != nil {
-			return nil, fmt.Errorf("harness: distributed advect at %d^3 on %d ranks: %w", size, ranks, err)
+	alg := advectName(key.adaptive)
+	return runCell(c, cellID{
+		key:   key,
+		name:  fmt.Sprintf("%s ranks=%d", alg, key.ranks),
+		size:  key.size,
+		label: fmt.Sprintf("%s, %d^3, ranks=%d", alg, key.size, key.ranks),
+	}, func() (*AdvectDistRun, error) {
+		g, err := c.Dataset(key.size)
+		if err != nil {
+			return nil, err
 		}
-	}
-	g, err := c.Dataset(size)
-	if err != nil {
-		return nil, err
-	}
-	f := c.advectDistFilter(key.adaptive)
-	or, err := c.advectOracleRun(g, f, key)
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	res, err := dist.Advect(g, f, ranks, dist.AdvectOptions{
-		Fabric:   dist.Options{Tracer: c.Tracer},
-		Deadline: advectDistDeadline,
+		t0 := time.Now()
+		res, err := dist.Advect(g, c.advectDistFilter(key.adaptive), key.ranks, dist.AdvectOptions{
+			Fabric:   dist.Options{Tracer: c.Tracer},
+			Deadline: advectDistDeadline,
+		})
+		wall := time.Since(t0).Seconds()
+		if err != nil {
+			return nil, err
+		}
+		run := &AdvectDistRun{
+			Size: key.size, Ranks: key.ranks, Adaptive: key.adaptive,
+			Rounds: res.Rounds, Ghost: res.Ghost,
+			WallSec: wall, OracleWallSec: or.WallSec,
+			ParticleSteps: res.Lines.TotalPoints(),
+			Identical:     linesBitEqual(or.Lines, res.Lines),
+			Stats:         res.Stats,
+		}
+		var total, max uint64
+		for _, s := range res.Stats {
+			total += s.Steps
+			if s.Steps > max {
+				max = s.Steps
+			}
+			run.Migrated += s.MigratedOut
+			run.PingPong += s.PingPong
+			run.IdleNs += s.IdleNs
+		}
+		if max > 0 {
+			run.Participation = float64(total) / (float64(key.ranks) * float64(max))
+		}
+		return run, nil
 	})
-	wall := time.Since(t0).Seconds()
-	if err != nil {
-		return nil, fmt.Errorf("harness: distributed advect at %d^3 on %d ranks: %w", size, ranks, err)
-	}
-	run := &AdvectDistRun{
-		Size: size, Ranks: ranks, Adaptive: key.adaptive,
-		Rounds: res.Rounds, Ghost: res.Ghost,
-		WallSec: wall, OracleWallSec: or.WallSec,
-		ParticleSteps: res.Lines.TotalPoints(),
-		Identical:     linesBitEqual(or.Lines, res.Lines),
-		Stats:         res.Stats,
-	}
-	var total, max uint64
-	for _, s := range res.Stats {
-		total += s.Steps
-		if s.Steps > max {
-			max = s.Steps
-		}
-		run.Migrated += s.MigratedOut
-		run.PingPong += s.PingPong
-		run.IdleNs += s.IdleNs
-	}
-	if max > 0 {
-		run.Participation = float64(total) / (float64(ranks) * float64(max))
-	}
-	return run, nil
 }
 
 // AdvectScaling sweeps the fixed-step distributed advection cell (the
@@ -216,26 +200,17 @@ func (c *Config) AdvectScaling(size int) ([]*AdvectDistRun, error) {
 // error return is non-nil only when every cell failed.
 func (c *Config) AdvectScalingMode(size int, adaptive bool) ([]*AdvectDistRun, error) {
 	c.Defaults()
-	var out []*AdvectDistRun
-	var firstErr error
+	var fit []int
 	for _, r := range c.Ranks {
 		if r < 1 || r > size {
 			c.log("skip advect-dist at %d^3: %d ranks exceed the cell layers", size, r)
 			continue
 		}
-		run, err := c.advectDist(advectKey{size: size, ranks: r, adaptive: adaptive})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out = append(out, run)
+		fit = append(fit, r)
 	}
-	if len(out) == 0 && firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return partial(len(fit), func(i int) (*AdvectDistRun, error) {
+		return c.advectDist(advectKey{size: size, ranks: fit[i], adaptive: adaptive})
+	})
 }
 
 // writeAdvectDist appends the distributed-advection scaling section to
@@ -244,10 +219,7 @@ func (c *Config) AdvectScalingMode(size int, adaptive bool) ([]*AdvectDistRun, e
 // Wang et al., "Maximum Livelihood: Understanding the Execution
 // Behaviors of Parallel Particle Advection" (arXiv 2410.09710).
 func (c *Config) writeAdvectDist(b *strings.Builder) {
-	runs := make([]*AdvectDistRun, 0, len(c.advectRuns))
-	for _, r := range c.advectRuns {
-		runs = append(runs, r)
-	}
+	runs := cached[*AdvectDistRun](c)
 	if len(runs) == 0 {
 		return
 	}

@@ -43,7 +43,7 @@ func TestAdvectScaling(t *testing.T) {
 		}
 	}
 
-	re := regexp.MustCompile(`cell \(Particle Advection, 8\^3, ranks=2\) done in \d+\.\d+s`)
+	re := regexp.MustCompile(`cell \d+/\d+ \(Particle Advection, 8\^3, ranks=2\) done in \d+\.\d+s`)
 	if !re.MatchString(hb.String()) {
 		t.Errorf("heartbeat %q missing rank-tagged advect cell line", hb.String())
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
@@ -52,48 +53,34 @@ func (p BackendPair) ClassChanged() bool {
 
 // BackendCompare executes the backend-capable algorithms at one size
 // under both formulations (cached per backend like every sweep cell)
-// and returns one pair per algorithm. A cell that fails is skipped,
-// like RunAll; the error return is non-nil only when nothing ran.
+// and returns one pair per algorithm. An algorithm with a failed cell is
+// skipped; the error return is non-nil only when nothing ran.
 func (c *Config) BackendCompare(size int) ([]BackendPair, error) {
 	c.Defaults()
-	trad := c.BackendFilters(viz.Traditional)
-	dpp := c.BackendFilters(viz.DPP)
-	var out []BackendPair
-	var firstErr error
-	for i := range trad {
-		tr, err := c.Run(trad[i], size)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	trad, dpp := c.BackendFilters(viz.Traditional), c.BackendFilters(viz.DPP)
+	return partial(len(trad), func(i int) (BackendPair, error) {
+		p := BackendPair{Name: trad[i].Name()}
+		var err error
+		if p.Trad, err = c.Run(trad[i], size); err == nil {
+			p.DPP, err = c.Run(dpp[i], size)
 		}
-		dr, err := c.Run(dpp[i], size)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		out = append(out, BackendPair{Name: trad[i].Name(), Trad: tr, DPP: dr})
-	}
-	if len(out) == 0 && firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+		return p, err
+	})
 }
 
 // cachedBackendPairs collects every (trad, dpp) run pair already in the
-// run cache, ordered by name then size — what the report renders
+// cell store, ordered by name then size — what the report renders
 // without re-executing anything.
 func (c *Config) cachedBackendPairs() []BackendPair {
 	var out []BackendPair
-	for key, dr := range c.runs {
-		if !strings.HasSuffix(key, "/dpp") {
+	for key, v := range c.cells {
+		k, ok := key.(runKey)
+		if !ok || k.backend != viz.DPP {
 			continue
 		}
-		if tr, ok := c.runs[strings.TrimSuffix(key, "/dpp")]; ok {
-			out = append(out, BackendPair{Name: dr.Name, Trad: tr, DPP: dr})
+		k.backend = viz.Traditional
+		if tr, ok := c.cells[k]; ok {
+			out = append(out, BackendPair{Name: k.name, Trad: tr.(*AlgoRun), DPP: v.(*AlgoRun)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -133,14 +120,10 @@ func BackendTable(pairs []BackendPair) string {
 	return b.String()
 }
 
-// Classify returns the paper's Section VI-B class for a run: "power
-// sensitive" when a >=10% slowdown appears at 70 W or above, "power
-// opportunity" otherwise.
+// Classify returns the paper's Section VI-B class of a run, as
+// core.Classify names it.
 func Classify(run *AlgoRun) string {
-	if metrics.FirstSlowdownCap(run.Base, run.ByCap) >= 70 {
-		return "power sensitive"
-	}
-	return "power opportunity"
+	return core.Classify(run.Base, run.ByCap).String()
 }
 
 // FirstSlowdownString formats the first >=10%-slowdown cap, "none" when

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/cpu"
-	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/ops"
 	"repro/internal/par"
@@ -79,9 +78,10 @@ type Config struct {
 	// Progress, if non-nil, receives one line per completed run.
 	Progress func(string)
 
-	// Heartbeat, if non-nil, receives one "cell i/N (alg, size) ...
-	// done in Xs" line per executed sweep cell, so long campaigns are
-	// observable. Tests leave it nil (quiet); the CLI wires stderr.
+	// Heartbeat, if non-nil, receives one "cell i/N (alg, size, ...)
+	// done in Xs" (or "... FAILED after n attempt(s)") line per executed
+	// sweep cell of any kind, so long campaigns are observable. Tests
+	// leave it nil (quiet); the CLI wires stderr.
 	Heartbeat io.Writer
 
 	// Tracer, if non-nil, records one span per executed sweep cell on
@@ -91,26 +91,26 @@ type Config struct {
 	// the cell spans.
 	Tracer *telemetry.Tracer
 
-	// MaxRetries bounds re-executions of a failed (algorithm, size) cell
-	// when the error is transient (dist.IsTransient). Default 2; set -1
-	// to disable retries.
+	// MaxRetries bounds re-executions of a failed sweep cell when the
+	// error is transient (a dist.TransientError in its chain). Default 2;
+	// set -1 to disable retries.
 	MaxRetries int
 	// RetryBackoff is the sleep before the first retry, doubling on each
 	// further attempt. Default 10 ms.
 	RetryBackoff time.Duration
 	// Inject, when non-nil, is consulted before every execution attempt
-	// of an (algorithm, size) cell; a non-nil return fails that attempt.
-	// It is the deterministic failure-injection hook the resilience
-	// tests use.
+	// of a sweep cell, under the name its CellError would carry (the
+	// algorithm, "Particle Advection ranks=N", "Closed-loop governor");
+	// a non-nil return fails that attempt. It is the deterministic
+	// failure-injection hook the resilience tests use.
 	Inject func(name string, size int, attempt int) error
 
-	datasets     map[int]*mesh.UniformGrid
-	runs         map[string]*AlgoRun
-	advectRuns   map[advectKey]*AdvectDistRun
-	advectOracle map[advectKey]*advectOracleRun
-	governs      map[int]*GovernResult
-	failures     []CellError
-	cellsDone    int
+	datasets map[int]*mesh.UniformGrid
+	// cells is the one store of executed sweep cells, keyed by each
+	// kind's typed key (see runCell).
+	cells     map[any]any
+	failures  []CellError
+	cellsDone int
 }
 
 // Defaults fills unset fields with the paper's configuration and returns
@@ -169,17 +169,8 @@ func (c *Config) Defaults() *Config {
 	if c.datasets == nil {
 		c.datasets = make(map[int]*mesh.UniformGrid)
 	}
-	if c.runs == nil {
-		c.runs = make(map[string]*AlgoRun)
-	}
-	if c.advectRuns == nil {
-		c.advectRuns = make(map[advectKey]*AdvectDistRun)
-	}
-	if c.advectOracle == nil {
-		c.advectOracle = make(map[advectKey]*advectOracleRun)
-	}
-	if c.governs == nil {
-		c.governs = make(map[int]*GovernResult)
+	if c.cells == nil {
+		c.cells = make(map[any]any)
 	}
 	return c
 }
@@ -282,8 +273,8 @@ func (c *Config) FilterByName(name string) (viz.Filter, error) {
 	return nil, fmt.Errorf("harness: unknown algorithm %q", name)
 }
 
-// RunAllExtended executes the extended filter set at one size with the
-// same partial-on-failure semantics as RunAll.
+// RunAllExtended executes the extended filter set at one size, partial
+// on failure.
 func (c *Config) RunAllExtended(size int) ([]*AlgoRun, error) {
 	return c.runSet(c.ExtendedFilters(), size)
 }
@@ -312,94 +303,31 @@ type AlgoRun struct {
 	Stages []telemetry.StageStat
 }
 
+// runKey identifies an (algorithm, size) cell. Backend-capable filters
+// are keyed per formulation, so one config can hold both a traditional
+// and a DPP run of the same cell.
+type runKey struct {
+	name    string
+	size    int
+	backend viz.Backend
+}
+
 // Run executes one algorithm at one size (cached) and models it under
-// every cap. Attempts that fail with a transient error (dist.IsTransient)
-// are retried up to MaxRetries times with doubling backoff; a cell that
-// still fails is recorded in Failures and the error returned.
+// every cap. Like every sweep cell it retries transient failures and is
+// recorded in Failures when it still fails (see runCell).
 func (c *Config) Run(f viz.Filter, size int) (*AlgoRun, error) {
 	c.Defaults()
-	key := fmt.Sprintf("%s/%d", f.Name(), size)
-	if filterBackend(f) == viz.DPP {
-		// Backend-capable filters cache per formulation, so one config
-		// can hold both a traditional and a DPP run of the same cell.
-		key += "/dpp"
-	}
-	if r, ok := c.runs[key]; ok {
-		return r, nil
-	}
-	var run *AlgoRun
-	var err error
-	attempts := 0
-	for {
-		run, err = c.runAttempt(f, size, attempts)
-		attempts++
-		if err == nil {
-			break
-		}
-		if attempts > c.MaxRetries || !dist.IsTransient(err) {
-			break
-		}
-		dist.NoteRetry(0)
-		c.log("retry %s at %d^3 after transient failure (attempt %d): %v", f.Name(), size, attempts, err)
-		time.Sleep(c.RetryBackoff << (attempts - 1))
-	}
-	c.cellsDone++
-	if err != nil {
-		c.failures = append(c.failures, CellError{Name: f.Name(), Size: size, Attempts: attempts, Err: err})
-		c.heartbeat("cell %d/%d (%s, %d^3, ranks=1) FAILED after %d attempt(s): %v",
-			c.cellsDone, c.totalCells(), f.Name(), size, attempts, err)
-		return nil, err
-	}
-	c.runs[key] = run
-	// Shared-memory cells run on one fabric rank; the distributed
-	// advection sweep (AdvectDist) emits the same line shape with its
-	// real rank count.
-	c.heartbeat("cell %d/%d (%s, %d^3, ranks=1, %d caps) done in %.2fs%s",
-		c.cellsDone, c.totalCells(), run.Name, size, len(c.Caps), run.WallSec, c.droppedNote())
-	c.log("run %s at %d^3: T(base)=%.3fs P(demand)=%.1fW IPC=%.2f",
-		run.Name, size, run.Base.TimeSec, run.Exec.Demand().PowerWatts, run.Base.IPC)
-	return run, nil
-}
-
-// totalCells is the executed-cell denominator of the heartbeat: one
-// cell per (algorithm, size) pair, each modeling every cap. Extra
-// cells beyond the base matrix (the DPP backend comparison) keep the
-// counter monotone instead of overflowing the denominator.
-func (c *Config) totalCells() int {
-	n := len(c.Filters()) * len(c.Sizes)
-	if c.cellsDone > n {
-		n = c.cellsDone
-	}
-	return n
-}
-
-// heartbeat writes one sweep progress line to the injectable Heartbeat
-// writer; quiet when none is configured.
-func (c *Config) heartbeat(format string, args ...any) {
-	if c.Heartbeat == nil {
-		return
-	}
-	fmt.Fprintf(c.Heartbeat, format+"\n", args...)
-}
-
-// droppedNote annotates a heartbeat line once the tracer's bounded
-// tracks have overflowed — span loss should be visible where the
-// progress is, not only in the final trace export. Empty when no
-// tracer is attached or nothing was dropped.
-func (c *Config) droppedNote() string {
-	if d := c.Tracer.Dropped(); d > 0 {
-		return fmt.Sprintf(" [%d spans dropped]", d)
-	}
-	return ""
+	return runCell(c, cellID{
+		key:  runKey{f.Name(), size, filterBackend(f)},
+		name: f.Name(),
+		size: size,
+		// Shared-memory cells run on one fabric rank.
+		label: fmt.Sprintf("%s, %d^3, ranks=1, %d caps", f.Name(), size, len(c.Caps)),
+	}, func() (*AlgoRun, error) { return c.runAttempt(f, size) })
 }
 
 // runAttempt is one uncached execution of an (algorithm, size) cell.
-func (c *Config) runAttempt(f viz.Filter, size, attempt int) (*AlgoRun, error) {
-	if c.Inject != nil {
-		if err := c.Inject(f.Name(), size, attempt); err != nil {
-			return nil, fmt.Errorf("harness: %s at %d^3: %w", f.Name(), size, err)
-		}
-	}
+func (c *Config) runAttempt(f viz.Filter, size int) (*AlgoRun, error) {
 	dsStart := c.Tracer.Begin()
 	g, err := c.Dataset(size)
 	c.Tracer.End(telemetry.PipelineTrack, "dataset", dsStart)
@@ -416,7 +344,7 @@ func (c *Config) runAttempt(f viz.Filter, size, attempt int) (*AlgoRun, error) {
 	c.Tracer.End(telemetry.PipelineTrack, cellName, cellStart)
 	wallSec := time.Since(t0).Seconds()
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s at %d^3: %w", f.Name(), size, err)
+		return nil, err
 	}
 	run := &AlgoRun{
 		Name:     f.Name(),
@@ -441,38 +369,27 @@ func (c *Config) runAttempt(f viz.Filter, size, attempt int) (*AlgoRun, error) {
 		run.ByCap[i] = run.Exec.UnderCap(capW)
 	}
 	run.Base = run.ByCap[0]
+	c.log("run %s at %d^3: T(base)=%.3fs P(demand)=%.1fW IPC=%.2f",
+		run.Name, size, run.Base.TimeSec, run.Exec.Demand().PowerWatts, run.Base.IPC)
 	return run, nil
 }
 
 // RunAll executes all eight algorithms at one size. A cell that still
 // fails after its transient retries is recorded (see Failures) and
-// skipped, so the sweep degrades to a partial result set instead of
-// aborting; the error return is non-nil only when every cell failed.
+// skipped; the error return is non-nil only when every cell failed.
 func (c *Config) RunAll(size int) ([]*AlgoRun, error) {
 	return c.runSet(c.Filters(), size)
 }
 
-// runSet sweeps one filter list at one size with per-cell failure
-// recording.
+// runSet sweeps one filter list at one size, partial on failure.
 func (c *Config) runSet(filters []viz.Filter, size int) ([]*AlgoRun, error) {
-	c.Defaults()
-	var out []*AlgoRun
-	var firstErr error
-	for _, f := range filters {
-		r, err := c.Run(f, size)
+	return partial(len(filters), func(i int) (*AlgoRun, error) {
+		r, err := c.Run(filters[i], size)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			c.log("skip %s at %d^3: %v", f.Name(), size, err)
-			continue
+			c.log("skip %s at %d^3: %v", filters[i].Name(), size, err)
 		}
-		out = append(out, r)
-	}
-	if len(out) == 0 && firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+		return r, err
+	})
 }
 
 // SortedSizes returns the configured sizes ascending.

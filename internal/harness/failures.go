@@ -5,23 +5,37 @@ import (
 	"strings"
 )
 
-// CellError records one (algorithm, size) configuration that failed
-// after its transient retries were exhausted. The sweep keeps going past
-// such cells, so a campaign ends with a partial result set plus this
-// per-cell error report instead of losing the whole matrix.
+// CellError records one sweep cell that failed after its transient
+// retries were exhausted. The sweep keeps going past such cells, so a
+// campaign ends with a partial result set plus this per-cell error report
+// instead of losing the whole matrix.
 type CellError struct {
 	Name     string
 	Size     int
 	Attempts int
 	Err      error
+
+	key any // the cell's slot in Config.cells
 }
 
 func (e CellError) String() string {
 	return fmt.Sprintf("%s at %d^3 (%d attempt(s)): %v", e.Name, e.Size, e.Attempts, e.Err)
 }
 
+// recordFailure keeps one record per cell: a cell that fails again when a
+// later artifact asks for it replaces its earlier record in place.
+func (c *Config) recordFailure(e CellError) {
+	for i := range c.failures {
+		if c.failures[i].key == e.key {
+			c.failures[i] = e
+			return
+		}
+	}
+	c.failures = append(c.failures, e)
+}
+
 // Failures returns the per-configuration failures recorded so far, in
-// the order they occurred.
+// the order they first occurred.
 func (c *Config) Failures() []CellError {
 	return append([]CellError(nil), c.failures...)
 }

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -60,96 +62,149 @@ func TestPhase3PartialOnInjectedFailure(t *testing.T) {
 	}
 }
 
-// TestRunRetriesTransientFailures: a cell failing with a transient error
-// (dist.IsTransient) is retried with backoff and succeeds without being
-// recorded as a failure.
+// cellKinds drives one cell of each kind through the shared cell policy
+// (runCell): inject is the name Config.Inject is asked about and a
+// CellError carries.
+var cellKinds = []struct {
+	kind   string
+	inject string
+	cfg    func() *Config
+	run    func(c *Config) (any, error)
+}{
+	{"algorithm cell", "Threshold", tinyConfig, func(c *Config) (any, error) {
+		f, err := c.FilterByName("Threshold")
+		if err != nil {
+			return nil, err
+		}
+		return c.Run(f, 8)
+	}},
+	{"distributed-advection cell", "Particle Advection ranks=2", tinyConfig, func(c *Config) (any, error) {
+		return c.AdvectDist(8, 2)
+	}},
+	{"governor sweep", "Closed-loop governor", governConfig, func(c *Config) (any, error) {
+		return c.GovernorCompare(16, []float64{65}, 2)
+	}},
+}
+
+// forEachCellKind runs body once per cell kind on a fresh config whose
+// Inject fails the kind's cell with fail(attempt) and counts the
+// consultations; the heartbeat is captured.
+func forEachCellKind(t *testing.T, fail func(attempt int) error, body func(t *testing.T, c *Config, run func() (any, error), consulted *[]int, hb *bytes.Buffer)) {
+	for _, k := range cellKinds {
+		t.Run(k.kind, func(t *testing.T) {
+			c := k.cfg()
+			c.RetryBackoff = time.Millisecond
+			var consulted []int
+			var hb bytes.Buffer
+			c.Heartbeat = &hb
+			c.Inject = func(name string, size, attempt int) error {
+				if name != k.inject {
+					return nil
+				}
+				consulted = append(consulted, attempt)
+				return fail(attempt)
+			}
+			body(t, c, func() (any, error) { return k.run(c) }, &consulted, &hb)
+			// One heartbeat line per executed cell, whatever its kind or
+			// outcome (the advection cell also executes its oracle).
+			if lines := strings.Count(hb.String(), "\n"); lines != c.cellsDone {
+				t.Errorf("%d heartbeat lines for %d executed cells:\n%s", lines, c.cellsDone, hb.String())
+			}
+			for _, f := range c.Failures() {
+				if f.Name != k.inject {
+					t.Errorf("failure recorded under %q, want %q", f.Name, k.inject)
+				}
+			}
+		})
+	}
+}
+
+// TestRunRetriesTransientFailures: a cell of any kind failing with a
+// transient error (dist.IsTransient) is retried with backoff — Inject
+// consulted before every attempt — and succeeds without being recorded
+// as a failure; asked for again, it is served from the store.
 func TestRunRetriesTransientFailures(t *testing.T) {
-	c := tinyConfig()
-	c.RetryBackoff = time.Millisecond
-	attempts := 0
-	c.Inject = func(name string, size, attempt int) error {
-		if name == "Threshold" && size == 8 && attempt < 2 {
-			attempts++
+	flaky := func(attempt int) error {
+		if attempt < 2 {
 			return &dist.TransientError{Err: errors.New("flaky interconnect")}
 		}
 		return nil
 	}
-	f, err := c.FilterByName("Threshold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.Run(f, 8)
-	if err != nil {
-		t.Fatalf("transient failure not retried to success: %v", err)
-	}
-	if r == nil || r.Name != "Threshold" {
-		t.Fatalf("bad run: %+v", r)
-	}
-	if attempts != 2 {
-		t.Errorf("injected %d transient failures, want 2", attempts)
-	}
-	if fs := c.Failures(); len(fs) != 0 {
-		t.Errorf("recovered cell still recorded as failed: %v", fs)
-	}
+	forEachCellKind(t, flaky, func(t *testing.T, c *Config, run func() (any, error), consulted *[]int, hb *bytes.Buffer) {
+		r, err := run()
+		if err != nil {
+			t.Fatalf("transient failure not retried to success: %v", err)
+		}
+		if got := fmt.Sprint(*consulted); got != "[0 1 2]" {
+			t.Errorf("Inject consulted for attempts %s, want [0 1 2]", got)
+		}
+		if fs := c.Failures(); len(fs) != 0 {
+			t.Errorf("recovered cell still recorded as failed: %v", fs)
+		}
+		if !strings.Contains(hb.String(), " done in ") || strings.Contains(hb.String(), "FAILED") {
+			t.Errorf("heartbeat of a recovered cell:\n%s", hb.String())
+		}
+		done := c.cellsDone
+		again, err := run()
+		if err != nil || again != r {
+			t.Errorf("cached cell not returned as is: %v, %v", again, err)
+		}
+		if len(*consulted) != 3 || c.cellsDone != done {
+			t.Errorf("cached cell re-executed: Inject consulted %d times, %d -> %d cells", len(*consulted), done, c.cellsDone)
+		}
+	})
 }
 
 // TestRunDoesNotRetryPermanentFailures: non-transient errors fail the
-// cell on the first attempt.
+// cell on the first attempt, whatever its kind.
 func TestRunDoesNotRetryPermanentFailures(t *testing.T) {
-	c := tinyConfig()
-	c.RetryBackoff = time.Millisecond
-	calls := 0
-	c.Inject = func(name string, size, attempt int) error {
-		if name == "Contour" && size == 8 {
-			calls++
-			return errors.New("bad dataset")
+	broken := func(int) error { return errors.New("bad dataset") }
+	forEachCellKind(t, broken, func(t *testing.T, c *Config, run func() (any, error), consulted *[]int, hb *bytes.Buffer) {
+		if _, err := run(); err == nil {
+			t.Fatal("permanent failure reported success")
 		}
-		return nil
-	}
-	f, err := c.FilterByName("Contour")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(f, 8); err == nil {
-		t.Fatal("permanent failure reported success")
-	}
-	if calls != 1 {
-		t.Errorf("permanent failure attempted %d times, want 1", calls)
-	}
-	fs := c.Failures()
-	if len(fs) != 1 || fs[0].Attempts != 1 {
-		t.Errorf("failure record wrong: %v", fs)
-	}
-	c.ClearFailures()
-	if len(c.Failures()) != 0 {
-		t.Error("ClearFailures left records behind")
-	}
+		if len(*consulted) != 1 {
+			t.Errorf("permanent failure attempted %d times, want 1", len(*consulted))
+		}
+		fs := c.Failures()
+		if len(fs) != 1 || fs[0].Attempts != 1 {
+			t.Errorf("failure record wrong: %v", fs)
+		}
+		if !strings.Contains(hb.String(), "FAILED after 1 attempt(s)") {
+			t.Errorf("heartbeat missing the FAILED line:\n%s", hb.String())
+		}
+		c.ClearFailures()
+		if len(c.Failures()) != 0 {
+			t.Error("ClearFailures left records behind")
+		}
+	})
 }
 
 // TestExhaustedTransientRetriesRecorded: a cell that stays transiently
 // broken is retried MaxRetries times, then recorded with its attempt
-// count.
+// count; failing again later replaces that record instead of adding one.
 func TestExhaustedTransientRetriesRecorded(t *testing.T) {
-	c := tinyConfig()
-	c.RetryBackoff = time.Millisecond
-	c.Inject = func(name string, size, attempt int) error {
-		if name == "Threshold" && size == 8 {
-			return &dist.TransientError{Err: errors.New("always flaky")}
+	flaky := func(int) error { return &dist.TransientError{Err: errors.New("always flaky")} }
+	forEachCellKind(t, flaky, func(t *testing.T, c *Config, run func() (any, error), consulted *[]int, hb *bytes.Buffer) {
+		_, err := run()
+		if !dist.IsTransient(err) {
+			t.Fatalf("final error lost its transient marking: %v", err)
 		}
-		return nil
-	}
-	f, err := c.FilterByName("Threshold")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Run(f, 8)
-	if !dist.IsTransient(err) {
-		t.Fatalf("final error lost its transient marking: %v", err)
-	}
-	fs := c.Failures()
-	if len(fs) != 1 || fs[0].Attempts != 3 {
-		t.Errorf("want 1 failure after 3 attempts (1 + MaxRetries), got %v", fs)
-	}
+		if got := fmt.Sprint(*consulted); got != "[0 1 2]" {
+			t.Errorf("Inject consulted for attempts %s, want [0 1 2]", got)
+		}
+		fs := c.Failures()
+		if len(fs) != 1 || fs[0].Attempts != 3 {
+			t.Errorf("want 1 failure after 3 attempts (1 + MaxRetries), got %v", fs)
+		}
+		c.MaxRetries = -1
+		if _, err := run(); err == nil {
+			t.Fatal("failed cell was cached as a success")
+		}
+		if fs := c.Failures(); len(fs) != 1 || fs[0].Attempts != 1 {
+			t.Errorf("want the cell's one record replaced by the 1-attempt failure, got %v", fs)
+		}
+	})
 }
 
 // TestClaimsRefusePartialPhase2: the cross-algorithm claims cannot be

@@ -93,19 +93,26 @@ type GovernResult struct {
 	Attribution []obs.StageJoules
 }
 
+// InSitu builds the in situ rig the pipeline commands and the governor
+// share: the hydro proxy at size coupled every 10 steps with filters, on
+// c's pool and processor model.
+func (c *Config) InSitu(size int, filters []viz.Filter) (*core.Pipeline, error) {
+	c.Defaults()
+	sim, err := clover.New(size, clover.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return core.NewPipeline(sim, filters, 10, c.Pool, c.Spec)
+}
+
 // governPipeline builds the in situ workload the governed runs use: the
 // hydro proxy at the full size coupled with a volume-rendering phase —
 // a power-sensitive simulation against the renderer the paper classes
 // by, kept light enough that its phase is data-bound on this stack.
 func (c *Config) governPipeline(size int) (*core.Pipeline, error) {
-	sim, err := clover.New(size, clover.Options{})
-	if err != nil {
-		return nil, err
-	}
-	filters := []viz.Filter{
+	pipe, err := c.InSitu(size, []viz.Filter{
 		volren.New(volren.Options{Field: "energy", Images: 10, Width: 64, Height: 64}),
-	}
-	pipe, err := core.NewPipeline(sim, filters, 10, c.Pool, c.Spec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -118,45 +125,57 @@ func (c *Config) governPipeline(size int) (*core.Pipeline, error) {
 	return pipe, nil
 }
 
+// governKey identifies one governor sweep; budgets is the printed budget
+// list, so the key stays comparable.
+type governKey struct {
+	size, cycles int
+	budgets      string
+}
+
 // GovernorCompare sweeps the closed-loop governor against the static
 // phase plan and the uniform cap at one size across the given budgets
-// (cached per size). cycles is the number of simulate+visualize cycles
-// each live run governs; at least 2, so the governor has one cycle of
-// phase memory to act on.
+// (default 55, 65, 75 W). cycles is the number of simulate+visualize
+// cycles each live run governs; at least 2, so the governor has one cycle
+// of phase memory to act on. The sweep is one cell, cached per (size,
+// budgets, cycles) and recorded in Failures as "Closed-loop governor"
+// when it fails.
 func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*GovernResult, error) {
 	c.Defaults()
-	if r, ok := c.governs[size]; ok {
-		return r, nil
-	}
 	if len(budgets) == 0 {
 		budgets = []float64{55, 65, 75}
 	}
 	if cycles < 2 {
 		cycles = 2
 	}
-	res := &GovernResult{Size: size, Cycles: cycles, ClassDemand: map[core.Class]float64{}}
-	pipe, err := c.governPipeline(size)
-	if err != nil {
-		return nil, err
-	}
-	for _, budget := range budgets {
-		row, demand, att, err := c.governBudget(pipe, budget, cycles)
+	return runCell(c, cellID{
+		key:   governKey{size, cycles, fmt.Sprint(budgets)},
+		name:  "Closed-loop governor",
+		size:  size,
+		label: fmt.Sprintf("Closed-loop governor, %d^3, %d budgets x %d cycles", size, len(budgets), cycles),
+	}, func() (*GovernResult, error) {
+		res := &GovernResult{Size: size, Cycles: cycles, ClassDemand: map[core.Class]float64{}}
+		pipe, err := c.governPipeline(size)
 		if err != nil {
-			return nil, fmt.Errorf("harness: govern %d^3 at %.0f W: %w", size, budget, err)
+			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
-		res.Attribution = obs.MergeAttribution(res.Attribution, att)
-		for class, w := range demand {
-			// Keep the highest measured demand per class across budgets
-			// — deeper targets under-observe the unthrottled draw.
-			if w > res.ClassDemand[class] {
-				res.ClassDemand[class] = w
+		for _, budget := range budgets {
+			row, demand, att, err := c.governBudget(pipe, budget, cycles)
+			if err != nil {
+				return nil, fmt.Errorf("at %.0f W: %w", budget, err)
+			}
+			res.Rows = append(res.Rows, row)
+			res.Attribution = obs.MergeAttribution(res.Attribution, att)
+			for class, w := range demand {
+				// Keep the highest measured demand per class across budgets
+				// — deeper targets under-observe the unthrottled draw.
+				if w > res.ClassDemand[class] {
+					res.ClassDemand[class] = w
+				}
 			}
 		}
-	}
-	c.governs[size] = res
-	c.log("govern %d^3: %d budgets x %d cycles compared", size, len(res.Rows), cycles)
-	return res, nil
+		c.log("govern %d^3: %d budgets x %d cycles compared", size, len(res.Rows), cycles)
+		return res, nil
+	})
 }
 
 // governBudget runs the three policies for one budget on one live
@@ -244,14 +263,20 @@ func (c *Config) governBudget(pipe *core.Pipeline, budget float64, cycles int) (
 	return row, live.ClassDemand(), att, nil
 }
 
-// cachedGoverns returns the per-size govern sweeps already run, sizes
-// ascending.
+// cachedGoverns returns the govern sweeps already run, ascending by size,
+// then cycles, then budget count.
 func (c *Config) cachedGoverns() []*GovernResult {
-	var out []*GovernResult
-	for _, r := range c.governs {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Size < out[j].Size })
+	out := cached[*GovernResult](c)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Size != b.Size {
+			return a.Size < b.Size
+		}
+		if a.Cycles != b.Cycles {
+			return a.Cycles < b.Cycles
+		}
+		return len(a.Rows) < len(b.Rows)
+	})
 	return out
 }
 

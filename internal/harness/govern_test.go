@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -64,13 +65,61 @@ func TestGovernorCompare(t *testing.T) {
 		t.Errorf("nonpositive sensitive demand %.1f", w)
 	}
 
-	// The sweep is cached per size.
-	again, err := c.GovernorCompare(16, nil, 5)
+	// The sweep is cached per (size, budgets, cycles): the same request is
+	// served from the store, a different cycle count is its own sweep.
+	again, err := c.GovernorCompare(16, []float64{55, 65}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != res {
-		t.Error("GovernorCompare did not cache per size")
+		t.Error("GovernorCompare re-ran an identical request")
+	}
+	longer, err := c.GovernorCompare(16, []float64{55, 65}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if longer == res || longer.Cycles != 3 {
+		t.Errorf("a 3-cycle request got the cached %d-cycle sweep", longer.Cycles)
+	}
+}
+
+// TestGovernorFailureRecorded: a failing governor sweep is a failed cell
+// like any other — Inject is consulted under its name, Failures and the
+// report list it — and costs only its own artifact.
+func TestGovernorFailureRecorded(t *testing.T) {
+	c := governConfig()
+	c.Particles, c.ParticleSteps, c.SimTime = 27, 60, 0.02
+	c.Inject = func(name string, size, attempt int) error {
+		if name == "Closed-loop governor" {
+			return errors.New("injected RAPL loss")
+		}
+		return nil
+	}
+	for _, a := range Artifacts {
+		_, err := a.Render(c)
+		if (err != nil) != (a.Name == "govern") {
+			t.Errorf("artifact %s: err = %v", a.Name, err)
+		}
+	}
+	fs := c.Failures()
+	if len(fs) != 1 || fs[0].Name != "Closed-loop governor" || fs[0].Size != c.PhaseSize {
+		t.Fatalf("Failures() = %v, want exactly the governor sweep at %d^3", fs, c.PhaseSize)
+	}
+	runs, err := c.Phase2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := c.WriteReport(&b, runs, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"## Failed configurations", "Closed-loop governor", "injected RAPL loss", "## Table II"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+	if strings.Contains(b.String(), "## Closed-loop capping") {
+		t.Error("report renders a section for the failed sweep")
 	}
 }
 

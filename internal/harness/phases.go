@@ -27,20 +27,17 @@ func (c *Config) Phase2() ([]*AlgoRun, error) {
 // when nothing at all ran.
 func (c *Config) Phase3() (map[int][]*AlgoRun, error) {
 	c.Defaults()
-	out := make(map[int][]*AlgoRun, len(c.Sizes))
-	var firstErr error
-	for _, size := range c.SortedSizes() {
-		runs, err := c.RunAll(size)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	sizes := c.SortedSizes()
+	out := make(map[int][]*AlgoRun, len(sizes))
+	_, err := partial(len(sizes), func(i int) ([]*AlgoRun, error) {
+		runs, err := c.RunAll(sizes[i])
+		if err == nil {
+			out[sizes[i]] = runs
 		}
-		out[size] = runs
-	}
-	if len(out) == 0 && firstErr != nil {
-		return nil, firstErr
+		return runs, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

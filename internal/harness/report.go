@@ -71,22 +71,11 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 
 	b.WriteString("## Figures\n\n")
 	b.WriteString("| figure | content | files |\n|---|---|---|\n")
-	figRows := []struct{ id, desc string }{
-		{"fig1", "renderings of the eight algorithms"},
-		{"fig2a", "effective frequency vs. cap"},
-		{"fig2b", "IPC vs. cap"},
-		{"fig2c", "LLC miss rate vs. cap"},
-		{"fig3", "elements/s, cell-centered algorithms"},
-		{"fig4", "slice IPC by data-set size"},
-		{"fig5", "volume rendering IPC by data-set size"},
-		{"fig6", "particle advection IPC by data-set size"},
-	}
-	for _, fr := range figRows {
-		files := fr.id + ".csv, " + fr.id + ".svg"
-		if fr.id == "fig1" {
-			files = "fig1/*.png"
+	b.WriteString("| fig1 | renderings of the eight algorithms | fig1/*.png |\n")
+	for _, a := range Artifacts {
+		if a.Series != nil {
+			fmt.Fprintf(&b, "| %s | %s | %s |\n", a.Name, a.Desc, strings.Join(a.Files(), ", "))
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s |\n", fr.id, fr.desc, files)
 	}
 	b.WriteString("\n## Per-algorithm summary (phase size)\n\n")
 	b.WriteString("| algorithm | demand (W) | IPC | LLC miss | first 10% slowdown | Tratio @ 40 W | energy @ 40 W |\n")
@@ -140,9 +129,9 @@ func (c *Config) writeBackends(b *strings.Builder) {
 // seconds (as opposed to the modeled time under a cap), with per-stage
 // self-time attribution when the campaign ran under a tracer.
 func (c *Config) writeCellCost(b *strings.Builder) {
-	cells := make([]*AlgoRun, 0, len(c.runs))
+	var cells []*AlgoRun
 	var total float64
-	for _, r := range c.runs {
+	for _, r := range cached[*AlgoRun](c) {
 		if r.WallSec > 0 {
 			cells = append(cells, r)
 			total += r.WallSec

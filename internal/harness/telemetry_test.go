@@ -67,7 +67,7 @@ func TestHeartbeatFailedCell(t *testing.T) {
 		t.Fatal("injected failure did not propagate")
 	}
 	got := strings.TrimSpace(hb.String())
-	re := regexp.MustCompile(`^cell 1/16 \(Slice, 8\^3, ranks=1\) FAILED after 1 attempt\(s\): .*boom`)
+	re := regexp.MustCompile(`^cell 1/16 \(Slice, 8\^3, ranks=1, 9 caps\) FAILED after 1 attempt\(s\): .*boom`)
 	if !re.MatchString(got) {
 		t.Errorf("failure heartbeat = %q, want match for %s", got, re)
 	}

@@ -30,8 +30,6 @@ type Options struct {
 	// read 120 W on the left in tables; its figures ascend — default
 	// ascending).
 	XDescending bool
-	// YMin/YMax fix the y range; both zero auto-scales with headroom.
-	YMin, YMax float64
 }
 
 // palette is a color-blind-friendly categorical palette.
@@ -117,12 +115,8 @@ func WriteSVG(w io.Writer, opt Options, series []Series) error {
 
 	xs := dataSpan(series, func(s Series) []float64 { return s.X })
 	ys := dataSpan(series, func(s Series) []float64 { return s.Y })
-	if opt.YMin != 0 || opt.YMax != 0 {
-		ys = span{opt.YMin, opt.YMax}
-	} else {
-		pad := ys.size() * 0.08
-		ys = span{ys.lo - pad, ys.hi + pad}
-	}
+	pad := ys.size() * 0.08
+	ys = span{ys.lo - pad, ys.hi + pad}
 
 	px := func(x float64) float64 {
 		t := (x - xs.lo) / xs.size()

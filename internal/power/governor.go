@@ -29,13 +29,6 @@ type Options struct {
 	// IntervalSec is the intra-phase control tick (default
 	// perfctr.DefaultInterval, the study's 100 ms).
 	IntervalSec float64
-	// GainWPerW is the integral-trim gain in watts of correction per
-	// watt of average error (default 0.5).
-	GainWPerW float64
-	// HysteresisWatts is the dead band an intra-phase cap change must
-	// exceed before the MSR is reprogrammed (default 1 W). Phase
-	// boundaries reprogram unconditionally.
-	HysteresisWatts float64
 	// MaxSamples bounds the retained sample timeline (default
 	// DefaultMaxSamples); older samples are dropped, not the run.
 	MaxSamples int
@@ -49,15 +42,19 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+const (
+	// trimGainWPerW is the integral-trim gain in watts of correction per
+	// watt of average error.
+	trimGainWPerW = 0.5
+	// hysteresisWatts is the dead band an intra-phase cap change must
+	// exceed before the MSR is reprogrammed. Phase boundaries reprogram
+	// unconditionally.
+	hysteresisWatts = 1
+)
+
 func (o *Options) defaults() {
 	if o.IntervalSec <= 0 {
 		o.IntervalSec = perfctr.DefaultInterval
-	}
-	if o.GainWPerW <= 0 {
-		o.GainWPerW = 0.5
-	}
-	if o.HysteresisWatts <= 0 {
-		o.HysteresisWatts = 1
 	}
 	if o.MaxSamples <= 0 {
 		o.MaxSamples = DefaultMaxSamples
@@ -191,7 +188,7 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 		spec:   spec,
 		opt:    opt,
 		m:      m,
-		ctrl:   controller{spec: spec, targetW: opt.TargetWatts, gain: opt.GainWPerW},
+		ctrl:   controller{spec: spec, targetW: opt.TargetWatts, gain: trimGainWPerW},
 		ring:   newSampleRing(opt.MaxSamples),
 		flight: obs.NewFlightRecorder(opt.DecisionLog),
 		gauges: newGovGauges(opt.Metrics),
@@ -477,7 +474,7 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 
 		// Intra-phase retune behind the hysteresis band.
 		want := g.desiredCap(st)
-		if abs(want-capW) >= g.opt.HysteresisWatts {
+		if abs(want-capW) >= hysteresisWatts {
 			if err := g.decide(st, want, "retune", false); err != nil {
 				return rep, err
 			}

@@ -36,9 +36,6 @@ type Options struct {
 	BudgetWatts float64
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int
-	// Lanes is the number of request telemetry lanes (default 8). Only
-	// meaningful with a Tracer.
-	Lanes int
 	// Tracer, when non-nil, receives per-request spans
 	// (admit/wait/build|hit/render/encode) on the request lanes; build
 	// one with telemetry.NewServing(pool.Workers(), Lanes).
@@ -46,11 +43,16 @@ type Options struct {
 	// CinemaDir is where /cinema orbit databases accumulate. Default
 	// "out/serve-cinema".
 	CinemaDir string
-	// MaxSize bounds the dataset edge length a request may ask for
-	// (default 256) — the guard against a stray request scheduling an
-	// arbitrarily large hydro run.
-	MaxSize int
 }
+
+const (
+	// Lanes is the number of request telemetry lanes.
+	Lanes = 8
+	// maxSize bounds the dataset edge length a request may ask for — the
+	// guard against a stray request scheduling an arbitrarily large hydro
+	// run.
+	maxSize = 256
+)
 
 // Server is the power-budgeted rendering daemon: HTTP handlers over the
 // derived-structure cache and the admission queue.
@@ -104,14 +106,8 @@ func New(opts Options) *Server {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.Lanes <= 0 {
-		opts.Lanes = 8
-	}
 	if opts.CinemaDir == "" {
 		opts.CinemaDir = "out/serve-cinema"
-	}
-	if opts.MaxSize <= 0 {
-		opts.MaxSize = 256
 	}
 	s := &Server{
 		opts:  opts,
@@ -127,8 +123,8 @@ func New(opts Options) *Server {
 		t0:   time.Now(),
 		cine: make(map[string]*cinemaDB),
 	}
-	s.lanes = make(chan int, opts.Lanes)
-	for l := 0; l < opts.Lanes; l++ {
+	s.lanes = make(chan int, Lanes)
+	for l := 0; l < Lanes; l++ {
 		s.lanes <- l
 	}
 	s.initMetrics()
@@ -238,7 +234,7 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 	}
 	rr.name = map[string]string{"volren": "Volume Rendering", "raytrace": "Ray Tracing"}[rr.alg]
 	var err error
-	if rr.size, err = intParam(q.Get("size"), rr.size, 8, s.opts.MaxSize); err != nil {
+	if rr.size, err = intParam(q.Get("size"), rr.size, 8, maxSize); err != nil {
 		return nil, fmt.Errorf("size: %w", err)
 	}
 	if rr.images, err = intParam(q.Get("images"), rr.images, 1, 4096); err != nil {
@@ -584,7 +580,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	size, err := intParam(q.Get("size"), s.opts.Config.PhaseSize, 8, s.opts.MaxSize)
+	size, err := intParam(q.Get("size"), s.opts.Config.PhaseSize, 8, maxSize)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("size: %v", err), http.StatusBadRequest)
 		return

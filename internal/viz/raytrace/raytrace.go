@@ -31,13 +31,6 @@ type Options struct {
 	// its orbit azimuth — the hook the image-database (Cinema-style)
 	// writer uses. Images are otherwise discarded after accounting.
 	Sink func(index int, azimuthRad float64, im *render.Image)
-	// Scene, when non-nil, is a prebuilt scene (external faces + SAH
-	// BVH) injected by a caller that shares one across many runs — the
-	// serving daemon's derived-structure cache. Run then skips the
-	// gather and build stages entirely; the injected Scene must have
-	// been built (GatherScene/NewScene) over the same grid and field
-	// this filter is configured with.
-	Scene *Scene
 }
 
 // Filter is the ray-tracing workload.
@@ -209,16 +202,12 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 	return im
 }
 
-// Run implements viz.Filter: gather + build once (or reuse an injected
-// cached scene), then trace the orbit image database.
+// Run implements viz.Filter: gather + build once, then trace the orbit
+// image database.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
-	scene := f.opts.Scene
-	if scene == nil {
-		var err error
-		scene, err = GatherScene(g, f.opts.Field, ex)
-		if err != nil {
-			return nil, err
-		}
+	scene, err := GatherScene(g, f.opts.Field, ex)
+	if err != nil {
+		return nil, err
 	}
 	b := g.Bounds()
 	// One reusable framebuffer for the whole orbit unless a sink may

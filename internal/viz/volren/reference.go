@@ -33,7 +33,7 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
 			orig, dir := cam.Ray(px, py, w, h)
-			t0, t1, ok := rayBox(orig, dir, b)
+			t0, t1, ok := mesh.RayBox(orig, dir, b)
 			if !ok {
 				continue
 			}

@@ -33,30 +33,14 @@ type Options struct {
 	Images int
 	// Width and Height are the image resolution. Default 128×128.
 	Width, Height int
-	// OpacityScale tunes the transfer function. Default 0.25.
-	OpacityScale float64
-	// Transparent is the transfer function's normalized transparency
-	// threshold (render.TransferFunction.Transparent). Zero — the
-	// default, and what the paper-faithful harness sweeps use — keeps
-	// every sample visible; a positive threshold creates the empty space
-	// the macrocell marcher skips.
-	Transparent float64
-	// Reference forces the retained straightforward sampler instead of
-	// the macrocell marcher (for A/B runs and the ablation benchmarks).
-	Reference bool
 	// Sink, when non-nil, receives every rendered image together with
 	// its orbit azimuth — the hook the image-database (Cinema-style)
 	// writer uses. Images are otherwise discarded after accounting.
 	Sink func(index int, azimuthRad float64, im *render.Image)
-	// Renderer, when non-nil, is a prebuilt acceleration state (macrocell
-	// grid + opacity bounds + LUT) injected by a caller that shares one
-	// across many runs — the serving daemon's derived-structure cache.
-	// Run then skips the per-call build entirely; the injected Renderer
-	// must have been built (NewRenderer + Prepare) over the same grid,
-	// field, and transfer-function parameters this filter is configured
-	// with. Ignored when Reference is set.
-	Renderer *Renderer
 }
+
+// opacityScale tunes the filter's transfer function.
+const opacityScale = 0.25
 
 // Filter is the volume-rendering workload.
 type Filter struct{ opts Options }
@@ -75,21 +59,11 @@ func New(opts Options) *Filter {
 	if opts.Height <= 0 {
 		opts.Height = 128
 	}
-	if opts.OpacityScale <= 0 {
-		opts.OpacityScale = 0.25
-	}
 	return &Filter{opts: opts}
 }
 
 // Name implements viz.Filter.
 func (f *Filter) Name() string { return "Volume Rendering" }
-
-// rayBox returns the parametric overlap of a ray with bounds. It is the
-// shared mesh.RayBox slab test; the wrapper survives for the package's
-// historical tests and callers.
-func rayBox(orig, dir mesh.Vec3, b mesh.Bounds) (t0, t1 float64, ok bool) {
-	return mesh.RayBox(orig, dir, b)
-}
 
 // Background is the canvas color behind the volume.
 var Background = render.Color{0.06, 0.06, 0.08, 1}
@@ -153,27 +127,12 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	lo, hi := mesh.FieldRange(field)
 	tf := render.TransferFunction{
 		Norm:         render.Normalizer{Lo: lo, Hi: hi},
-		OpacityScale: f.opts.OpacityScale,
-		Transparent:  f.opts.Transparent,
+		OpacityScale: opacityScale,
 	}
 	b := g.Bounds()
 	// The acceleration state (macrocell grid + LUT) is built once and
-	// amortized over the whole 50-image orbit — or skipped entirely when
-	// a cached Renderer is injected (Options.Renderer).
-	var r *Renderer
-	if !f.opts.Reference {
-		if f.opts.Renderer != nil {
-			r = f.opts.Renderer
-		} else {
-			r = NewRenderer(g, field, tf, ex)
-		}
-	}
-	renderInto := func(im *render.Image, cam render.Camera) *render.Image {
-		if r != nil {
-			return r.RenderImageInto(im, cam, f.opts.Width, f.opts.Height, ex)
-		}
-		return RenderImageReferenceInto(im, g, field, tf, cam, f.opts.Width, f.opts.Height, ex)
-	}
+	// amortized over the whole 50-image orbit.
+	r := NewRenderer(g, field, tf, ex)
 	// With no sink retaining frames, the whole orbit reuses one
 	// framebuffer; a sink may hold the image past the frame, so it gets a
 	// fresh one each time.
@@ -182,9 +141,9 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		az := 2 * math.Pi * float64(i) / float64(f.opts.Images)
 		cam := render.OrbitCamera(b, az, 0.35, 2.0)
 		if f.opts.Sink != nil {
-			f.opts.Sink(i, az, renderInto(nil, cam))
+			f.opts.Sink(i, az, r.RenderImageInto(nil, cam, f.opts.Width, f.opts.Height, ex))
 		} else {
-			reuse = renderInto(reuse, cam)
+			reuse = r.RenderImageInto(reuse, cam, f.opts.Width, f.opts.Height, ex)
 		}
 	}
 	// Rays resample the whole volume every image: the working set is the

@@ -27,20 +27,20 @@ func blobGrid(t testing.TB, n int) *mesh.UniformGrid {
 
 func TestRayBoxOverlap(t *testing.T) {
 	b := mesh.Bounds{Lo: mesh.Vec3{0, 0, 0}, Hi: mesh.Vec3{1, 1, 1}}
-	t0, t1, ok := rayBox(mesh.Vec3{0.5, 0.5, -1}, mesh.Vec3{0, 0, 1}, b)
+	t0, t1, ok := mesh.RayBox(mesh.Vec3{0.5, 0.5, -1}, mesh.Vec3{0, 0, 1}, b)
 	if !ok || math.Abs(t0-1) > 1e-12 || math.Abs(t1-2) > 1e-12 {
-		t.Errorf("rayBox = %v %v %v", t0, t1, ok)
+		t.Errorf("RayBox = %v %v %v", t0, t1, ok)
 	}
 	// Miss.
-	if _, _, ok := rayBox(mesh.Vec3{2, 2, -1}, mesh.Vec3{0, 0, 1}, b); ok {
+	if _, _, ok := mesh.RayBox(mesh.Vec3{2, 2, -1}, mesh.Vec3{0, 0, 1}, b); ok {
 		t.Error("missing ray reported overlap")
 	}
 	// Axis-parallel ray inside slab.
-	if _, _, ok := rayBox(mesh.Vec3{0.5, 0.5, -1}, mesh.Vec3{0, 1, 0}, b); ok {
+	if _, _, ok := mesh.RayBox(mesh.Vec3{0.5, 0.5, -1}, mesh.Vec3{0, 1, 0}, b); ok {
 		t.Error("parallel outside ray reported overlap")
 	}
 	// Ray starting inside.
-	t0, _, ok = rayBox(mesh.Vec3{0.5, 0.5, 0.5}, mesh.Vec3{0, 0, 1}, b)
+	t0, _, ok = mesh.RayBox(mesh.Vec3{0.5, 0.5, 0.5}, mesh.Vec3{0, 0, 1}, b)
 	if !ok || t0 != 0 {
 		t.Errorf("inside ray t0 = %v, ok=%v", t0, ok)
 	}
