@@ -5,7 +5,9 @@
 #                  fabric, and two kernels (the packages with real
 #                  cross-goroutine traffic), plus the harness cell path
 #                  (failure injection, retries, partial sweeps over all
-#                  three cell kinds) and the golden "same numbers" test
+#                  three cell kinds) and the golden "same numbers" tests
+#                  (harness TestGoldenArtifacts; power's TestGoldenEngine
+#                  runs with ./internal/power in RACE_PKGS)
 #   make bench   - the repo's benchmark: bench/run.sh, every workload
 #                  untraced then traced into bench/out/ (the one ledger;
 #                  bench/README.md maps the old BENCH_PRn.json headlines

@@ -35,14 +35,14 @@ func benchGovernCompare(b *testing.B, n int, budget float64) {
 		if r.StaticErr != nil {
 			b.Fatalf("no feasible static plan at %.0f W: %v", budget, r.StaticErr)
 		}
-		b.ReportMetric(r.EqTimeSec, "eq-s")
-		b.ReportMetric(r.EqAvgW, "eq-W")
-		b.ReportMetric(r.StaticTimeSec, "static-s")
-		b.ReportMetric(r.StaticAvgW, "static-W")
-		b.ReportMetric(r.UniformTimeSec, "uniform-s")
+		b.ReportMetric(r.Eq.TimeSec, "eq-s")
+		b.ReportMetric(r.Eq.AvgPowerWatts, "eq-W")
+		b.ReportMetric(r.Static.TimeSec, "static-s")
+		b.ReportMetric(r.Static.AvgPowerWatts, "static-W")
+		b.ReportMetric(r.Uniform.TimeSec, "uniform-s")
 		b.ReportMetric(r.EqSpeedupVsStatic(), "x-static")
 		b.ReportMetric(r.GovSpeedupVsUniform(), "x-uniform")
-		b.ReportMetric(float64(r.Reprograms), "reprograms")
+		b.ReportMetric(float64(r.Live.Reprograms), "reprograms")
 	}
 }
 

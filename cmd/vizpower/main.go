@@ -27,7 +27,6 @@ import (
 	"repro/internal/cinema"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/harness"
 	"repro/internal/msr"
 	"repro/internal/obs"
@@ -391,8 +390,8 @@ func serveCmd(c *harness.Config, opt *options) error {
 		var dec []obs.Decision
 		var dropped int64
 		for _, row := range res.Rows {
-			dec = append(dec, row.Decisions...)
-			dropped += row.DecisionsDropped
+			dec = append(dec, row.Live.Decisions...)
+			dropped += row.Live.DecisionsDropped
 		}
 		srv.SetGovernorLog(dec, dropped)
 		fmt.Fprintf(os.Stderr, "vizpower serve: admission calibrated from a governed %d^3 run:", size)
@@ -525,36 +524,37 @@ func overprovisionCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-// feedbackCmd runs the closed-loop GEOPM-style controller over an in situ
-// cycle sequence and reports how it tracked the average-power target.
+// feedbackCmd governs an in situ cycle sequence under the GEOPM-style
+// integral policy and reports how it tracked the average-power target,
+// against the uniform cap at that target replaying the same segments.
 func feedbackCmd(c *harness.Config, opt *options) error {
 	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters()[:2])
 	if err != nil {
 		return err
 	}
-	var segs []cpu.Execution
-	for i := 0; i < opt.cycles; i++ {
-		cr, err := pipe.RunCycle()
-		if err != nil {
-			return err
-		}
-		segs = append(segs, cr.SimExec, cr.VizExec)
+	popt := power.Options{TargetWatts: opt.capW}
+	g, err := power.NewIntegral(rapl.NewPackage(msr.NewFile(), c.Spec), popt)
+	if err != nil {
+		return err
 	}
-	pkg := rapl.NewPackage(msr.NewFile(), c.Spec)
-	res, err := power.RunFeedback(pkg, segs, opt.capW, 0, 0.1)
+	res, err := g.Run(pipe, opt.cycles)
 	if err != nil {
 		return err
 	}
 	if opt.csv {
 		return perfctr.WriteCSV(os.Stdout, res.Samples)
 	}
-	static := 0.0
-	for _, e := range segs {
-		static += e.UnderCap(opt.capW).TimeSec
+	u, err := power.NewTable(rapl.NewPackage(msr.NewFile(), c.Spec), popt, nil)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("feedback capping: %d segments, target average %.0f W\n", len(segs), opt.capW)
+	static, err := u.RunSegments(res.Segments)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("feedback capping: %d segments, target average %.0f W\n", len(res.Segments), res.TargetWatts)
 	fmt.Printf("achieved average %.2f W in %.4fs (static %.0f W cap: %.4fs, %.2fx slower)\n",
-		res.AvgPowerWatts, res.TimeSec, opt.capW, static, static/res.TimeSec)
+		res.AvgPowerWatts, res.TimeSec, res.TargetWatts, static.TimeSec, static.TimeSec/res.TimeSec)
 	fmt.Printf("controller settled at a %.1f W limit\n", res.FinalCapWatts)
 	return nil
 }
@@ -579,7 +579,7 @@ func governCmd(c *harness.Config, opt *options) error {
 	if opt.decisions {
 		for _, row := range res.Rows {
 			fmt.Printf("\ncap decisions at the %.0f W budget:\n", row.BudgetWatts)
-			obs.WriteDecisionTable(os.Stdout, row.Decisions, row.DecisionsDropped)
+			obs.WriteDecisionTable(os.Stdout, row.Live.Decisions, row.Live.DecisionsDropped)
 		}
 	}
 	return nil

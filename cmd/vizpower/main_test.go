@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,5 +197,36 @@ func TestRunCinemaWritesDatabase(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
 		t.Errorf("missing index.json: %v", err)
+	}
+}
+
+// TestFeedbackClampsTargetAboveTDP: the feedback verb runs the integral
+// policy under the engine's target rules, so a target no package can be
+// programmed to is reported as the TDP it was clamped to (it used to
+// print "settled at a 200.0 W limit" on a 120 W part).
+func TestFeedbackClampsTargetAboveTDP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run([]string{"feedback", "-quick", "-cap", "200"})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	for _, want := range []string{"target average 120 W", "controller settled at a 120.0 W limit"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("feedback -cap 200 output lacks %q:\n%s", want, out)
+		}
+	}
+	if err := run([]string{"feedback", "-quick", "-cap", "20"}); err == nil {
+		t.Error("feedback accepted a target below the cap floor")
 	}
 }

@@ -17,65 +17,59 @@ import (
 )
 
 // This file runs the closed-loop capping dimension: the telemetry-driven
-// Governor (internal/power) against the study's static alternatives on
-// the same recorded work. Three policies per budget:
+// closed loop against the study's static alternatives on the same
+// recorded work, all as policies of one engine (internal/power) and so
+// all measured by the same meter. Three policies per budget:
 //
 //   - closed loop: a real governed pipeline run at target = budget; the
 //     governor sees only live counters.
 //   - static plan: core.PlanPhaseCaps calibrated from the run's FIRST
-//     cycle (the offline planner's model input), its two caps applied
-//     to every recorded phase.
-//   - uniform: the budget applied as one cap to every recorded phase.
+//     cycle (the offline planner's model input), its two caps held for
+//     every recorded phase.
+//   - uniform: the budget held as one cap for every recorded phase.
 //
 // The headline comparison is time at equal energy: the governor replays
 // the recorded segments at a target no higher than the static plan's
 // achieved average, so its time advantage cannot come from spending
 // more power.
 
-// GovernRow is one budget's three-policy comparison.
+// GovernRow is one budget's comparison: what each policy's run through
+// the power engine reported.
 type GovernRow struct {
 	BudgetWatts float64
 
-	// Closed loop, live run at target = budget.
-	GovTimeSec, GovAvgW float64
-	Reprograms          int
-
-	// Closed loop replayed at equal-or-lower energy than the static
-	// plan (target = min(budget, static average)).
-	EqTimeSec, EqAvgW float64
-
-	// Static per-phase plan realized on the recorded segments.
-	StaticTimeSec, StaticAvgW float64
-	SimCapW, VizCapW          float64
-	// StaticErr is set when no feasible plan exists at this budget; the
-	// static columns are then zero.
-	StaticErr error
-
-	// Uniform cap at the budget on the recorded segments.
-	UniformTimeSec, UniformAvgW float64
-
-	// Decisions is the live run's flight recording: every cap decision
-	// the governor took, oldest first; DecisionsDropped counts ring
-	// overwrites and SamplesDropped power-meter ring evictions.
-	Decisions        []obs.Decision
-	DecisionsDropped int64
-	SamplesDropped   int
+	// Live is the closed loop governing the real pipeline at target =
+	// budget; its Decisions are the flight recording of every cap
+	// decision the governor took.
+	Live power.Result
+	// Eq is the closed loop replaying the recorded segments at
+	// equal-or-lower energy than the static plan (target = min(budget,
+	// static average)).
+	Eq power.Result
+	// Static is the per-phase plan (SimCapW/VizCapW) held over the
+	// recorded segments. StaticErr is set when no feasible plan exists at
+	// this budget; Static is then zero.
+	Static           power.Result
+	SimCapW, VizCapW float64
+	StaticErr        error
+	// Uniform is the budget held as one cap over the recorded segments.
+	Uniform power.Result
 }
 
 // EqSpeedupVsStatic is static time over equal-energy governed time.
 func (r GovernRow) EqSpeedupVsStatic() float64 {
-	if r.EqTimeSec <= 0 || r.StaticErr != nil {
+	if r.Eq.TimeSec <= 0 || r.StaticErr != nil {
 		return 0
 	}
-	return r.StaticTimeSec / r.EqTimeSec
+	return r.Static.TimeSec / r.Eq.TimeSec
 }
 
 // GovSpeedupVsUniform is uniform time over the live governed time.
 func (r GovernRow) GovSpeedupVsUniform() float64 {
-	if r.GovTimeSec <= 0 {
+	if r.Live.TimeSec <= 0 {
 		return 0
 	}
-	return r.UniformTimeSec / r.GovTimeSec
+	return r.Uniform.TimeSec / r.Live.TimeSec
 }
 
 // GovernResult is the closed-loop sweep at one size.
@@ -159,13 +153,14 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 			return nil, err
 		}
 		for _, budget := range budgets {
-			row, demand, att, err := c.governBudget(pipe, budget, cycles)
+			row, err := c.governBudget(pipe, budget, cycles)
 			if err != nil {
 				return nil, fmt.Errorf("at %.0f W: %w", budget, err)
 			}
 			res.Rows = append(res.Rows, row)
-			res.Attribution = obs.MergeAttribution(res.Attribution, att)
-			for class, w := range demand {
+			// The live run's per-stage energy join, exact per phase window.
+			res.Attribution = obs.MergeAttribution(res.Attribution, row.Live.Attribute(pipe.Tracer.Spans()))
+			for class, w := range row.Live.ClassDemand() {
 				// Keep the highest measured demand per class across budgets
 				// — deeper targets under-observe the unthrottled draw.
 				if w > res.ClassDemand[class] {
@@ -178,89 +173,67 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 	})
 }
 
-// governBudget runs the three policies for one budget on one live
-// governed workload. The returned attribution is the live run's
-// per-stage energy join (exact per phase window).
-func (c *Config) governBudget(pipe *core.Pipeline, budget float64, cycles int) (GovernRow, map[core.Class]float64, []obs.StageJoules, error) {
+// governBudget runs the policies for one budget on one live governed
+// workload, every one of them through the same power engine: the closed
+// loop live, then the static plan, the uniform cap and the warmed
+// equal-energy closed loop replaying the live run's recorded segments.
+func (c *Config) governBudget(pipe *core.Pipeline, budget float64, cycles int) (GovernRow, error) {
 	row := GovernRow{BudgetWatts: budget}
+	pkg := func() *rapl.Package { return rapl.NewPackage(msr.NewFile(), c.Spec) }
+	opt := power.Options{TargetWatts: budget}
 
-	g, err := power.New(rapl.NewPackage(msr.NewFile(), c.Spec), power.Options{TargetWatts: budget})
+	g, err := power.New(pkg(), opt)
 	if err != nil {
-		return row, nil, nil, err
+		return row, err
 	}
-	live, err := g.Run(pipe, cycles)
-	if err != nil {
-		return row, nil, nil, err
+	if row.Live, err = g.Run(pipe, cycles); err != nil {
+		return row, err
 	}
-	row.GovTimeSec = live.TimeSec
-	row.GovAvgW = live.AvgPowerWatts
-	row.Reprograms = live.Reprograms
-	row.Decisions = live.Decisions
-	row.DecisionsDropped = live.DecisionsDropped
-	row.SamplesDropped = live.SamplesDropped
-	att := live.Attribute(pipe.Tracer.Spans())
+	segs := row.Live.Segments
+	replay := func(g *power.Governor, err error) (power.Result, error) {
+		if err != nil {
+			return power.Result{}, err
+		}
+		return g.RunSegments(segs)
+	}
 
 	// Static plan calibrated, as the offline planner would be, from the
 	// first recorded cycle only; realized over every recorded phase.
-	if len(live.Segments) < 2 {
-		return row, nil, nil, fmt.Errorf("governed run recorded %d segments", len(live.Segments))
+	if len(segs) < 2 {
+		return row, fmt.Errorf("governed run recorded %d segments", len(segs))
 	}
-	plan, err := core.PlanPhaseCaps(live.Segments[0].Exec, live.Segments[1].Exec, budget)
+	plan, err := core.PlanPhaseCaps(segs[0].Exec, segs[1].Exec, budget)
 	if err != nil {
 		row.StaticErr = err
 	} else {
-		row.SimCapW = plan.SimCapWatts
-		row.VizCapW = plan.VizCapWatts
-		var tS, eS float64
-		for _, seg := range live.Segments {
-			capW := plan.VizCapWatts
-			if seg.Label == "simulate" {
-				capW = plan.SimCapWatts
-			}
-			r := seg.Exec.UnderCap(capW)
-			tS += r.TimeSec
-			eS += r.EnergyJ
-		}
-		row.StaticTimeSec = tS
-		if tS > 0 {
-			row.StaticAvgW = eS / tS
+		row.SimCapW, row.VizCapW = plan.SimCapWatts, plan.VizCapWatts
+		caps := map[string]float64{"simulate": plan.SimCapWatts, "visualize": plan.VizCapWatts}
+		if row.Static, err = replay(power.NewTable(pkg(), opt, caps)); err != nil {
+			return row, err
 		}
 	}
-
-	var tU, eU float64
-	for _, seg := range live.Segments {
-		r := seg.Exec.UnderCap(budget)
-		tU += r.TimeSec
-		eU += r.EnergyJ
-	}
-	row.UniformTimeSec = tU
-	if tU > 0 {
-		row.UniformAvgW = eU / tU
+	if row.Uniform, err = replay(power.NewTable(pkg(), opt, nil)); err != nil {
+		return row, err
 	}
 
 	// Equal-energy replay: re-govern the same recorded work at a target
 	// no higher than what the static plan actually spent.
 	eqTarget := budget
-	if row.StaticErr == nil && row.StaticAvgW < eqTarget {
-		eqTarget = row.StaticAvgW
+	if row.StaticErr == nil && row.Static.AvgPowerWatts < eqTarget {
+		eqTarget = row.Static.AvgPowerWatts
 	}
 	if eqTarget < c.Spec.MinCapWatts {
 		eqTarget = c.Spec.MinCapWatts
 	}
-	g2, err := power.New(rapl.NewPackage(msr.NewFile(), c.Spec), power.Options{TargetWatts: eqTarget})
+	g2, err := power.New(pkg(), power.Options{TargetWatts: eqTarget})
 	if err != nil {
-		return row, nil, nil, err
+		return row, err
 	}
 	// The static plan profiles from recorded segments; the closed loop
 	// gets the equivalent head start — its own learned phase memory.
-	g2.Warm(&live)
-	replay, err := g2.RunSegments(live.Segments)
-	if err != nil {
-		return row, nil, nil, err
-	}
-	row.EqTimeSec = replay.TimeSec
-	row.EqAvgW = replay.AvgPowerWatts
-	return row, live.ClassDemand(), att, nil
+	g2.Warm(&row.Live)
+	row.Eq, err = g2.RunSegments(segs)
+	return row, err
 }
 
 // cachedGoverns returns the govern sweeps already run, ascending by size,
@@ -291,17 +264,17 @@ func GovernTable(res *GovernResult) string {
 		static := "infeasible"
 		staticAvg := "-"
 		if r.StaticErr == nil {
-			static = fmt.Sprintf("%.4fs (%.0f/%.0f)", r.StaticTimeSec, r.SimCapW, r.VizCapW)
-			staticAvg = fmt.Sprintf("%.1f", r.StaticAvgW)
+			static = fmt.Sprintf("%.4fs (%.0f/%.0f)", r.Static.TimeSec, r.SimCapW, r.VizCapW)
+			staticAvg = fmt.Sprintf("%.1f", r.Static.AvgPowerWatts)
 		}
 		fmt.Fprintf(&b, "%-8s %13.4fs %8.1f %13.4fs %8.1f %16s %8s %11.4fs %8.1f\n",
-			fmt.Sprintf("%.0f W", r.BudgetWatts), r.GovTimeSec, r.GovAvgW,
-			r.EqTimeSec, r.EqAvgW, static, staticAvg, r.UniformTimeSec, r.UniformAvgW)
+			fmt.Sprintf("%.0f W", r.BudgetWatts), r.Live.TimeSec, r.Live.AvgPowerWatts,
+			r.Eq.TimeSec, r.Eq.AvgPowerWatts, static, staticAvg, r.Uniform.TimeSec, r.Uniform.AvgPowerWatts)
 	}
 	for _, r := range res.Rows {
 		if r.StaticErr != nil {
 			fmt.Fprintf(&b, "%.0f W: no feasible static plan (%v); closed loop ran %.4fs at %.1f W\n",
-				r.BudgetWatts, r.StaticErr, r.GovTimeSec, r.GovAvgW)
+				r.BudgetWatts, r.StaticErr, r.Live.TimeSec, r.Live.AvgPowerWatts)
 			continue
 		}
 		fmt.Fprintf(&b, "%.0f W: at equal energy the closed loop is %.3fx vs the static plan, %.3fx vs uniform\n",
@@ -323,9 +296,9 @@ func GovernTable(res *GovernResult) string {
 	var decDropped int64
 	var sampDropped int
 	for _, r := range res.Rows {
-		decisions += len(r.Decisions)
-		decDropped += r.DecisionsDropped
-		sampDropped += r.SamplesDropped
+		decisions += len(r.Live.Decisions)
+		decDropped += r.Live.DecisionsDropped
+		sampDropped += r.Live.SamplesDropped
 	}
 	fmt.Fprintf(&b, "flight recorder: %d cap decisions retained across the sweep", decisions)
 	if decDropped > 0 {

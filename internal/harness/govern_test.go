@@ -31,31 +31,31 @@ func TestGovernorCompare(t *testing.T) {
 		t.Fatalf("got %d rows, want 2", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r.GovTimeSec <= 0 || r.UniformTimeSec <= 0 || r.EqTimeSec <= 0 {
+		if r.Live.TimeSec <= 0 || r.Uniform.TimeSec <= 0 || r.Eq.TimeSec <= 0 {
 			t.Fatalf("degenerate row: %+v", r)
 		}
 		// The budget is a hard ceiling for every policy.
-		if r.GovAvgW > r.BudgetWatts*1.02 {
-			t.Errorf("%.0f W: live governed average %.2f W busts the budget", r.BudgetWatts, r.GovAvgW)
+		if r.Live.AvgPowerWatts > r.BudgetWatts*1.02 {
+			t.Errorf("%.0f W: live governed average %.2f W busts the budget", r.BudgetWatts, r.Live.AvgPowerWatts)
 		}
 		if r.StaticErr != nil {
 			continue
 		}
-		if r.StaticAvgW > r.BudgetWatts+1e-6 {
-			t.Errorf("%.0f W: static plan average %.2f W over budget", r.BudgetWatts, r.StaticAvgW)
+		if r.Static.AvgPowerWatts > r.BudgetWatts+1e-6 {
+			t.Errorf("%.0f W: static plan average %.2f W over budget", r.BudgetWatts, r.Static.AvgPowerWatts)
 		}
 		// Equal energy means equal-or-lower: the replay target is
 		// capped at the static plan's achieved average.
-		if r.EqAvgW > r.StaticAvgW*1.02 {
-			t.Errorf("%.0f W: equal-energy replay spent %.2f W vs static %.2f W", r.BudgetWatts, r.EqAvgW, r.StaticAvgW)
+		if r.Eq.AvgPowerWatts > r.Static.AvgPowerWatts*1.02 {
+			t.Errorf("%.0f W: equal-energy replay spent %.2f W vs static %.2f W", r.BudgetWatts, r.Eq.AvgPowerWatts, r.Static.AvgPowerWatts)
 		}
 		// The governor must never lose badly to the policies it knows
 		// how to mimic (uniform is its own transient behavior).
-		if r.EqTimeSec > r.StaticTimeSec*1.05 {
-			t.Errorf("%.0f W: equal-energy time %.4fs far worse than static %.4fs", r.BudgetWatts, r.EqTimeSec, r.StaticTimeSec)
+		if r.Eq.TimeSec > r.Static.TimeSec*1.05 {
+			t.Errorf("%.0f W: equal-energy time %.4fs far worse than static %.4fs", r.BudgetWatts, r.Eq.TimeSec, r.Static.TimeSec)
 		}
-		if r.GovTimeSec > r.UniformTimeSec*1.05 {
-			t.Errorf("%.0f W: governed time %.4fs far worse than uniform %.4fs", r.BudgetWatts, r.GovTimeSec, r.UniformTimeSec)
+		if r.Live.TimeSec > r.Uniform.TimeSec*1.05 {
+			t.Errorf("%.0f W: governed time %.4fs far worse than uniform %.4fs", r.BudgetWatts, r.Live.TimeSec, r.Uniform.TimeSec)
 		}
 	}
 	if len(res.ClassDemand) == 0 {
@@ -134,16 +134,16 @@ func TestGovernorCompareObservability(t *testing.T) {
 	}
 	var liveJ float64
 	for _, r := range res.Rows {
-		if len(r.Decisions) == 0 {
+		if len(r.Live.Decisions) == 0 {
 			t.Errorf("%.0f W: no cap decisions recorded", r.BudgetWatts)
 		}
-		if r.DecisionsDropped != 0 {
-			t.Errorf("%.0f W: short run overwrote %d decisions", r.BudgetWatts, r.DecisionsDropped)
+		if r.Live.DecisionsDropped != 0 {
+			t.Errorf("%.0f W: short run overwrote %d decisions", r.BudgetWatts, r.Live.DecisionsDropped)
 		}
-		if r.SamplesDropped != 0 {
-			t.Errorf("%.0f W: short run dropped %d meter samples", r.BudgetWatts, r.SamplesDropped)
+		if r.Live.SamplesDropped != 0 {
+			t.Errorf("%.0f W: short run dropped %d meter samples", r.BudgetWatts, r.Live.SamplesDropped)
 		}
-		liveJ += r.GovAvgW * r.GovTimeSec
+		liveJ += r.Live.AvgPowerWatts * r.Live.TimeSec
 	}
 	if len(res.Attribution) == 0 {
 		t.Fatal("sweep produced no energy attribution")

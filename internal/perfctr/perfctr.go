@@ -189,6 +189,39 @@ func (s *Sampler) Sample(nowSec float64) (Sample, error) {
 	return out, nil
 }
 
+// Monitor is the counter substrate of a measurement loop on one package:
+// the hardware counters that advance as modeled execution progresses and
+// the gated sampler that reads them back. Loops differ only in how they
+// slice time (Trace's global grid, the power governor's per-phase ticks).
+type Monitor struct {
+	pkg  *rapl.Package
+	ctrs *Counters
+	*Sampler
+}
+
+// NewMonitor wraps pkg's register file the way the paper's harness does:
+// the sampler behind the study allowlist, the two programmable counters on
+// LLC references and misses, primed at time zero.
+func NewMonitor(pkg *rapl.Package) (*Monitor, error) {
+	file, spec := pkg.File(), pkg.Spec()
+	m := &Monitor{pkg: pkg, ctrs: NewCounters(file, spec), Sampler: NewSampler(msr.Open(file, msr.StudyAllowlist()), spec)}
+	if err := m.ProgramLLCEvents(); err != nil {
+		return nil, err
+	}
+	if err := m.Prime(0); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Advance runs dt seconds at the governed operating point r (see
+// Counters.Advance): the RAPL energy counter and the performance counters
+// move together.
+func (m *Monitor) Advance(dt float64, r cpu.CapResult, instr, llcRefs, llcMisses float64) {
+	m.pkg.AccumulateEnergy(r.PowerWatts * dt)
+	m.ctrs.Advance(dt, r.FreqGHz, instr, llcRefs, llcMisses)
+}
+
 // DefaultInterval is the paper's 100 ms energy-sampling cadence.
 const DefaultInterval = 0.1
 
@@ -203,13 +236,8 @@ func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample,
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
-	file := pkg.File()
-	ctrs := NewCounters(file, pkg.Spec())
-	sampler := NewSampler(msr.Open(file, msr.StudyAllowlist()), pkg.Spec())
-	if err := sampler.ProgramLLCEvents(); err != nil {
-		return nil, nil, err
-	}
-	if err := sampler.Prime(0); err != nil {
+	mon, err := NewMonitor(pkg)
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -230,12 +258,11 @@ func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample,
 		missRate := float64(e.LLCMisses) / r.TimeSec
 		for remaining > 1e-12 {
 			step := math.Min(remaining, nextSample-now)
-			pkg.AccumulateEnergy(r.PowerWatts * step)
-			ctrs.Advance(step, r.FreqGHz, instrRate*step, refRate*step, missRate*step)
+			mon.Advance(step, r, instrRate*step, refRate*step, missRate*step)
 			now += step
 			remaining -= step
 			if now >= nextSample-1e-12 {
-				s, err := sampler.Sample(now)
+				s, err := mon.Sample(now)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -246,7 +273,7 @@ func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample,
 	}
 	// Final partial-interval sample, if any time elapsed since the last.
 	if now > s0(samples) {
-		s, err := sampler.Sample(now)
+		s, err := mon.Sample(now)
 		if err != nil {
 			return nil, nil, err
 		}

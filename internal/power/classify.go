@@ -125,9 +125,6 @@ type phaseState struct {
 	// powerW is the EWMA of the label's per-visit average power — the
 	// spend estimate the feed-forward split is computed from.
 	powerW float64
-
-	// timeSec / energyJ accumulate the label's governed totals.
-	timeSec, energyJ float64
 }
 
 // observe folds one live sample into the label's class score and knee

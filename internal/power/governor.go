@@ -7,6 +7,11 @@
 // intra-phase tick so the job-average power lands on a target while the
 // power-sensitive phases keep every watt the opportunity phases can
 // donate.
+//
+// The package is one engine and four policies: the Governor in this file
+// is everything a governed run is apart from the control law, and a
+// policy (policy.go, closedloop.go) only answers "what cap now?" from
+// what the engine has already measured.
 package power
 
 import (
@@ -52,15 +57,6 @@ const (
 	hysteresisWatts = 1
 )
 
-func (o *Options) defaults() {
-	if o.IntervalSec <= 0 {
-		o.IntervalSec = perfctr.DefaultInterval
-	}
-	if o.MaxSamples <= 0 {
-		o.MaxSamples = DefaultMaxSamples
-	}
-}
-
 // Segment is one labeled phase execution: what the governor recorded
 // from a live run, and what RunSegments replays. Labels identify the
 // recurring phase ("simulate", "visualize") — the governor's memory is
@@ -72,10 +68,12 @@ type Segment struct {
 
 // PhaseReport is the governed outcome of one phase instance.
 type PhaseReport struct {
-	// Cycle is this label's visit number (1-based).
-	Cycle int
 	Label string
-	// Class and Score are the online classification at phase end.
+	// Cycle (this label's 1-based visit number), Class and Score (the
+	// online classification at phase end) and the demand fields below
+	// come from the closed-loop law's per-label memory; the table and
+	// integral policies keep none and leave them zero.
+	Cycle int
 	Class core.Class
 	Score float64
 	// CapStartWatts is the boundary decision, CapEndWatts the effective
@@ -146,31 +144,60 @@ func (r *Result) ClassDemand() map[core.Class]float64 {
 	return out
 }
 
-// Governor is the closed-loop power controller. One Governor governs
-// one job: its bank, trim, and per-label memory carry across phases.
+// Governor is one governed run: the engine that drives labeled phase
+// executions through the meter on one RAPL package while its policy
+// decides the cap. One Governor governs one job — the policy's memory
+// (bank, trim, per-label state, integrator) carries across phases.
 type Governor struct {
 	pkg  *rapl.Package
 	spec cpu.Spec
 	opt  Options
+	law  policy
 
-	m      *meter
-	ctrl   controller
+	// The meter: the counter substrate, the run's virtual clock, and the
+	// energy-status counter mirrored without its 32-bit wrap.
+	mon    *perfctr.Monitor
+	nowSec float64
+	spentJ float64
+
 	ring   *sampleRing
 	flight *obs.FlightRecorder
 	gauges *govGauges
-
-	states map[string]*phaseState
-	order  []string
 
 	reprograms int
 	phases     []PhaseReport
 	segments   []Segment
 }
 
-// New builds a Governor targeting opt.TargetWatts job-average power on
-// pkg and programs the initial limit (the target — indistinguishable
-// from the uniform-cap policy until the first classifications land).
+// New builds a Governor under the closed-loop law (closedloop.go)
+// targeting opt.TargetWatts job-average power on pkg and programs the
+// initial limit (the target — indistinguishable from the uniform-cap
+// policy until the first classifications land).
 func New(pkg *rapl.Package, opt Options) (*Governor, error) {
+	return newGovernor(pkg, opt, newClosedLoop)
+}
+
+// NewIntegral builds a Governor under the GEOPM-style integral
+// controller: one knob, nudged every tick so the job-average power
+// tracks opt.TargetWatts, with no notion of phases.
+func NewIntegral(pkg *rapl.Package, opt Options) (*Governor, error) {
+	return newGovernor(pkg, opt, newIntegral)
+}
+
+// NewTable builds a Governor under a static policy: every phase runs
+// under the cap caps holds for its label, or under opt.TargetWatts when
+// caps does not name it. With core.PlanPhaseCaps's two caps this is the
+// static phase plan; with a nil table it is the uniform cap.
+func NewTable(pkg *rapl.Package, opt Options, caps map[string]float64) (*Governor, error) {
+	return newGovernor(pkg, opt, func(_ cpu.Spec, opt Options) policy {
+		return table{caps: caps, targetW: opt.TargetWatts}
+	})
+}
+
+// newGovernor checks the target (below the cap floor is an error, above
+// TDP is clamped), assembles the engine around the policy law builds from
+// the checked options, and programs the opening limit.
+func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) policy) (*Governor, error) {
 	spec := pkg.Spec()
 	if opt.TargetWatts < spec.MinCapWatts {
 		return nil, fmt.Errorf("power: target %.0f W below the %.0f W cap floor", opt.TargetWatts, spec.MinCapWatts)
@@ -178,8 +205,10 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 	if opt.TargetWatts > spec.TDPWatts {
 		opt.TargetWatts = spec.TDPWatts
 	}
-	opt.defaults()
-	m, err := newMeter(pkg)
+	if opt.IntervalSec <= 0 {
+		opt.IntervalSec = perfctr.DefaultInterval
+	}
+	mon, err := perfctr.NewMonitor(pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -187,12 +216,11 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 		pkg:    pkg,
 		spec:   spec,
 		opt:    opt,
-		m:      m,
-		ctrl:   controller{spec: spec, targetW: opt.TargetWatts, gain: trimGainWPerW},
+		law:    law(spec, opt),
+		mon:    mon,
 		ring:   newSampleRing(opt.MaxSamples),
 		flight: obs.NewFlightRecorder(opt.DecisionLog),
 		gauges: newGovGauges(opt.Metrics),
-		states: make(map[string]*phaseState),
 	}
 	before := g.pkg.EffectiveCapWatts()
 	if err := g.pkg.SetLimitWatts(opt.TargetWatts); err != nil {
@@ -205,183 +233,28 @@ func New(pkg *rapl.Package, opt Options) (*Governor, error) {
 		OldWatts:     before,
 		NewWatts:     g.pkg.EffectiveCapWatts(),
 		Reason:       "init: program target as opening cap",
-	}, core.PowerSensitive, false)
+	}, false)
 	return g, nil
 }
 
 // record logs one cap decision to the flight recorder and mirrors it
 // into the live gauges.
-func (g *Governor) record(d obs.Decision, class core.Class, boundary bool) {
-	d.TimeSec = g.m.nowSec
+func (g *Governor) record(d obs.Decision, boundary bool) {
+	d.TimeSec = g.nowSec
 	g.flight.Record(d)
-	g.gauges.onDecision(d, class, boundary)
+	g.gauges.onDecision(d, boundary)
 }
 
-// decide programs a new cap and flight-records the transition with the
-// control-law components that produced it.
-func (g *Governor) decide(st *phaseState, want float64, reason string, boundary bool) error {
-	old := g.pkg.EffectiveCapWatts()
-	if err := g.program(want); err != nil {
+// decide programs the cap a policy asked for (d.NewWatts) and
+// flight-records the transition with the control-law terms d carries.
+func (g *Governor) decide(d obs.Decision, label, reason string, boundary bool) error {
+	d.OldWatts = g.pkg.EffectiveCapWatts()
+	if err := g.program(d.NewWatts); err != nil {
 		return err
 	}
-	g.record(obs.Decision{
-		Cycle:        st.visits + 1,
-		Phase:        st.label,
-		Class:        st.class.String(),
-		Score:        st.score,
-		FeedforwardW: g.horizons().ffW,
-		BankJ:        g.ctrl.bankJ,
-		TrimW:        g.ctrl.trimW,
-		OldWatts:     old,
-		NewWatts:     g.pkg.EffectiveCapWatts(),
-		Reason:       reason,
-	}, st.class, boundary)
+	d.Phase, d.Reason, d.NewWatts = label, reason, g.pkg.EffectiveCapWatts()
+	g.record(d, boundary)
 	return nil
-}
-
-// Warm seeds the governor's per-label memory — class, score, duration,
-// knee, demand — from a prior run's phase reports, so a re-run of the
-// same job (or a budget change mid-job) starts from the learned state
-// instead of re-paying the discovery transient. The static planner gets
-// its profile from recorded segments; Warm is the closed loop's
-// equivalent. Control state (bank, trim) is not carried: it is specific
-// to the old target.
-func (g *Governor) Warm(prior *Result) {
-	if prior == nil {
-		return
-	}
-	for i := range prior.Phases {
-		p := &prior.Phases[i]
-		st := g.state(p.Label)
-		st.class = p.Class
-		st.score = p.Score
-		if p.TimeSec > 0 {
-			st.durSec = p.TimeSec
-			st.powerW = p.AvgPowerWatts
-		}
-		if p.DemandIsFree {
-			// The unthrottled peak is the demand itself; a cap one watt
-			// above it is known not to bind.
-			st.demandW = p.DemandWatts
-			st.kneeW = clamp(p.DemandWatts+1, g.spec.MinCapWatts, g.opt.TargetWatts)
-		} else if p.DemandWatts > st.throttledW {
-			st.throttledW = p.DemandWatts
-		}
-	}
-}
-
-// state returns the per-label memory, creating it on first sight. An
-// unseen phase defaults to power sensitive: it is governed like the
-// uniform-cap baseline (cap ≈ target) until the counters say otherwise,
-// so a misprediction costs nothing worse than the naive policy.
-func (g *Governor) state(label string) *phaseState {
-	if st, ok := g.states[label]; ok {
-		return st
-	}
-	st := &phaseState{
-		label: label,
-		class: core.PowerSensitive,
-		kneeW: g.opt.TargetWatts,
-	}
-	g.states[label] = st
-	g.order = append(g.order, label)
-	return st
-}
-
-// horizons aggregates the per-label memory into the controller's
-// working quantities, all scaled to one representative cycle of phases.
-// Labels are weighted by visit count so orderings that visit one class
-// more often than another (hhcc blocks, skewed mixes) are accounted at
-// their true duty ratio, not as if the mix were one-to-one.
-type horizons struct {
-	// ffW is the feed-forward sensitive cap — the online re-derivation
-	// of the static planner's split: the cap at which the sensitive
-	// phases spend exactly the per-cycle energy the opportunity phases
-	// leave unused,
-	//
-	//	ff = (target·Σ_all sec − Σ_opp power·sec) / Σ_sens sec.
-	//
-	// Until every known label has completed a visit it stays at the
-	// target — the uniform-cap opening book. The bank and trim then
-	// only carry residuals (ladder quantization, estimate error)
-	// instead of having to integrate their way to the whole split.
-	ffW float64
-	// hiJ bounds the bank above by what one cycle of sensitive phases
-	// can physically spend over the target: per label, measured demand
-	// minus target (optimistically TDP headroom until the label has
-	// drawn any power at all) times its per-cycle seconds. The throttled
-	// peak serves as the demand lower bound — the conservative side for
-	// a spend clamp, since credit beyond it would fund power no phase
-	// has shown it can draw. loJ bounds the deficit at what two full
-	// cycles run at the floor could repay.
-	hiJ, loJ float64
-	// repaySec is the opportunity seconds per cycle (the
-	// donation-repayment horizon); cycleSec the total seconds per cycle
-	// (the bank burn-down horizon).
-	repaySec, cycleSec float64
-}
-
-func (g *Governor) horizons() horizons {
-	h := horizons{ffW: g.opt.TargetWatts}
-	maxV := 1
-	for _, label := range g.order {
-		if st := g.states[label]; st.visits > maxV {
-			maxV = st.visits
-		}
-	}
-	var budgetJ, sensSec float64
-	complete := len(g.order) > 0
-	for _, label := range g.order {
-		st := g.states[label]
-		if st.durSec <= 0 {
-			complete = false
-			continue
-		}
-		sec := st.durSec * float64(st.visits) / float64(maxV)
-		h.cycleSec += sec
-		if st.class == core.PowerSensitive {
-			sensSec += sec
-			head := g.spec.TDPWatts - g.opt.TargetWatts
-			if d := st.measuredDemandW(); d > 0 {
-				head = d - g.opt.TargetWatts
-			}
-			if head > 0 {
-				h.hiJ += head * sec
-			}
-		} else {
-			h.repaySec += sec
-			budgetJ -= st.powerW * sec
-		}
-	}
-	if complete && sensSec > 0 {
-		budgetJ += g.opt.TargetWatts * h.cycleSec
-		h.ffW = clamp(budgetJ/sensSec, g.spec.MinCapWatts, g.spec.TDPWatts)
-	}
-	// Before any duration estimate exists, one-second horizons keep the
-	// clamps meaningful from the first tick.
-	if h.hiJ <= 0 && len(g.phases) == 0 {
-		h.hiJ = g.spec.TDPWatts - g.opt.TargetWatts
-	}
-	if h.repaySec <= 0 {
-		h.repaySec = 1
-	}
-	if h.cycleSec <= 0 {
-		h.cycleSec = 1
-	}
-	h.loJ = -(g.opt.TargetWatts - g.spec.MinCapWatts) * 2 * h.cycleSec
-	return h
-}
-
-// desiredCap is the control law: a sensitive phase gets the
-// feed-forward split plus the bank spread over one cycle of phases plus
-// the trim; an opportunity phase donates down to its learned knee
-// (deeper while in deficit, not at all once the bank is full).
-func (g *Governor) desiredCap(st *phaseState) float64 {
-	h := g.horizons()
-	if st.class == core.PowerSensitive {
-		return g.ctrl.sensitiveCap(h.ffW, maxf(h.cycleSec, g.opt.IntervalSec))
-	}
-	return g.ctrl.opportunityCap(st.kneeW, maxf(h.repaySec, g.opt.IntervalSec), h.hiJ)
 }
 
 // program writes the limit register, counting only writes that changed
@@ -398,38 +271,23 @@ func (g *Governor) program(w float64) error {
 	return nil
 }
 
-// maxTicks guards against a stuck phase (mirrors the legacy feedback
-// loop's guard).
+// maxTicks guards against a stuck phase.
 const maxTicks = 1_000_000
 
 // governPhase advances one labeled execution through the governed tick
-// engine: at each interval the package limit governs the operating
-// point, the counters advance, the sampler reads them back, the
-// classifier and controller update, and the cap is retuned behind the
-// hysteresis band.
-func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (PhaseReport, error) {
-	st := g.state(label)
-
-	// Boundary decision: reprogram unconditionally from the label's
-	// remembered class and the current bank.
-	capW := g.desiredCap(st)
-	if err := g.decide(st, capW, "boundary", true); err != nil {
-		return PhaseReport{}, err
+// engine: the policy's boundary decision is programmed unconditionally,
+// then at each interval the package limit governs the operating point,
+// the counters advance, the sampler reads them back, the policy sees the
+// tick, and the cap moves if it says so. rep arrives holding whatever
+// capturePhase measured around the live phase (nothing on a replay).
+func (g *Governor) governPhase(label string, e cpu.Execution, rep PhaseReport) error {
+	if err := g.decide(g.law.boundary(label), label, "boundary", true); err != nil {
+		return err
 	}
-
-	rep := PhaseReport{
-		Label:         label,
-		CapStartWatts: g.pkg.EffectiveCapWatts(),
-		PoolIdleFrac:  ls.idleFrac,
-		StealFrac:     ls.stealFrac,
-		SelfTimeSec:   ls.selfSec,
-		WallSec:       ls.wallSec,
-		TraceLo:       ls.traceLo,
-		TraceHi:       ls.traceHi,
-	}
+	rep.Label = label
+	rep.CapStartWatts = g.pkg.EffectiveCapWatts()
 
 	var last perfctr.Sample
-	var sawThrottle, sawTDP, sawFloor bool
 	progress := 0.0
 	for progress < 1-1e-12 {
 		r := g.pkg.Govern(e)
@@ -441,9 +299,12 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 			dt = g.opt.IntervalSec
 		}
 		frac := dt / r.TimeSec
-		s, err := g.m.tick(e, r, dt, frac)
+		g.mon.Advance(dt, r, float64(e.Instructions)*frac, float64(e.LLCRefs)*frac, float64(e.LLCMisses)*frac)
+		g.spentJ += r.PowerWatts * dt
+		g.nowSec += dt
+		s, err := g.mon.Sample(g.nowSec)
 		if err != nil {
-			return rep, fmt.Errorf("power: %s: %w", label, err)
+			return fmt.Errorf("power: %s: %w", label, err)
 		}
 		g.ring.push(s)
 		progress += frac
@@ -451,78 +312,37 @@ func (g *Governor) governPhase(label string, e cpu.Execution, ls liveStats) (Pha
 		rep.EnergyJ += r.PowerWatts * dt
 		rep.Ticks++
 		last = s
-		g.gauges.onTick(r.PowerWatts, g.m.avgWatts(), r.PowerWatts*dt)
-
-		effCap := g.pkg.EffectiveCapWatts()
-		g.ctrl.credit(dt, r.PowerWatts)
-		hb := g.horizons()
-		g.ctrl.clampBank(hb.hiJ, hb.loJ)
-		st.observe(s, g.spec, effCap, ls.idleFrac)
-		if r.Throttled {
-			sawThrottle = true
-		}
-		if effCap >= g.spec.TDPWatts-0.5 {
-			sawTDP = true
-		}
-		if effCap <= g.spec.MinCapWatts+0.5 {
-			sawFloor = true
-		}
-
+		avgW := g.avgWatts()
+		g.gauges.onTick(r.PowerWatts, avgW, r.PowerWatts*dt)
 		if rep.Ticks >= maxTicks {
-			return rep, fmt.Errorf("power: %s: phase did not finish within %d ticks", label, maxTicks)
+			return fmt.Errorf("power: %s: phase did not finish within %d ticks", label, maxTicks)
 		}
 
-		// Intra-phase retune behind the hysteresis band.
-		want := g.desiredCap(st)
-		if abs(want-capW) >= hysteresisWatts {
-			if err := g.decide(st, want, "retune", false); err != nil {
-				return rep, err
+		d, retune := g.law.observe(tick{sample: s, dt: dt, powerW: r.PowerWatts, throttled: r.Throttled,
+			capW: g.pkg.EffectiveCapWatts(), avgW: avgW, idleFrac: rep.PoolIdleFrac})
+		if retune {
+			if err := g.decide(d, label, "retune", false); err != nil {
+				return err
 			}
-			capW = want
 		}
 	}
 
 	if rep.TimeSec > 0 {
 		rep.AvgPowerWatts = rep.EnergyJ / rep.TimeSec
 	}
-	st.noteDuration(rep.TimeSec, rep.AvgPowerWatts)
-	st.timeSec += rep.TimeSec
-	st.energyJ += rep.EnergyJ
-	if st.class == core.PowerSensitive {
-		// Trim on the job-average residual the bank could not remove —
-		// conditional integration keeps it frozen while the cap is not
-		// binding or is pinned at a rail.
-		g.ctrl.trimUpdate(g.m.avgWatts(), sawThrottle, sawTDP, sawFloor)
-	}
-
-	rep.Cycle = st.visits
-	rep.Class = st.class
-	rep.Score = st.score
+	g.law.endPhase(&rep, g.avgWatts())
 	rep.CapEndWatts = g.pkg.EffectiveCapWatts()
 	rep.EffFreqGHz = last.EffFreqGHz
 	rep.IPC = last.IPC
 	rep.LLCMissRate = last.LLCMissRate
-	rep.DemandWatts = st.measuredDemandW()
-	rep.DemandIsFree = st.demandW > 0
 	g.phases = append(g.phases, rep)
 	g.segments = append(g.segments, Segment{Label: label, Exec: e})
-	return rep, nil
-}
-
-// liveStats are the signals captured around a real pipeline phase.
-type liveStats struct {
-	idleFrac  float64
-	stealFrac float64
-	selfSec   float64
-	wallSec   float64
-	// traceLo/traceHi bound the phase's spans on the tracer clock
-	// (both zero when untraced).
-	traceLo, traceHi int64
+	return nil
 }
 
 // capturePhase runs one pipeline phase and snapshots the pool counters
-// and trace window around it.
-func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (core.PhaseResult, liveStats, error) {
+// and trace window around it into the live half of its report.
+func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (core.PhaseResult, PhaseReport, error) {
 	pre := pipe.Pool.Stats().Totals()
 	tr := pipe.Tracer
 	var lo int64
@@ -531,26 +351,26 @@ func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (co
 	}
 	t0 := time.Now()
 	res, err := run()
-	ls := liveStats{wallSec: time.Since(t0).Seconds()}
+	rep := PhaseReport{WallSec: time.Since(t0).Seconds()}
 	if err != nil {
-		return res, ls, err
+		return res, rep, err
 	}
 	post := pipe.Pool.Stats().Totals()
-	if n := pipe.Pool.Workers(); n > 0 && ls.wallSec > 0 {
+	if n := pipe.Pool.Workers(); n > 0 && rep.WallSec > 0 {
 		idle := float64(post.IdleNs-pre.IdleNs) / 1e9
-		ls.idleFrac = clamp(idle/(ls.wallSec*float64(n)), 0, 1)
+		rep.PoolIdleFrac = clamp(idle/(rep.WallSec*float64(n)), 0, 1)
 	}
 	if dTasks := post.Tasks - pre.Tasks; dTasks > 0 {
-		ls.stealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
+		rep.StealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
 	}
 	if tr != nil {
-		ls.traceLo, ls.traceHi = lo, tr.Now()
-		spans := telemetry.Window(tr.Spans(), ls.traceLo, ls.traceHi)
+		rep.TraceLo, rep.TraceHi = lo, tr.Now()
+		spans := telemetry.Window(tr.Spans(), rep.TraceLo, rep.TraceHi)
 		for _, st := range telemetry.Summarize(spans) {
-			ls.selfSec += st.SelfSec()
+			rep.SelfTimeSec += st.SelfSec()
 		}
 	}
-	return res, ls, nil
+	return res, rep, nil
 }
 
 // Run governs cycles simulate→visualize cycles of a real pipeline: each
@@ -567,18 +387,18 @@ func (g *Governor) Run(pipe *core.Pipeline, cycles int) (Result, error) {
 		cycles = 1
 	}
 	for i := 0; i < cycles; i++ {
-		res, ls, err := capturePhase(pipe, pipe.Simulate)
+		res, rep, err := capturePhase(pipe, pipe.Simulate)
 		if err != nil {
 			return g.finish(), err
 		}
-		if _, err := g.governPhase("simulate", res.Exec, ls); err != nil {
+		if err := g.governPhase("simulate", res.Exec, rep); err != nil {
 			return g.finish(), err
 		}
-		res, ls, err = capturePhase(pipe, pipe.Visualize)
+		res, rep, err = capturePhase(pipe, pipe.Visualize)
 		if err != nil {
 			return g.finish(), err
 		}
-		if _, err := g.governPhase("visualize", res.Exec, ls); err != nil {
+		if err := g.governPhase("visualize", res.Exec, rep); err != nil {
 			return g.finish(), err
 		}
 	}
@@ -586,14 +406,14 @@ func (g *Governor) Run(pipe *core.Pipeline, cycles int) (Result, error) {
 }
 
 // RunSegments replays recorded labeled executions through the same
-// governed engine — the equal-energy comparison harness uses this to
-// re-govern one recorded workload under different targets.
+// governed engine — the comparison harness uses this to re-govern one
+// recorded workload under different policies and targets.
 func (g *Governor) RunSegments(segs []Segment) (Result, error) {
 	if len(segs) == 0 {
 		return g.finish(), fmt.Errorf("power: no segments")
 	}
 	for _, seg := range segs {
-		if _, err := g.governPhase(seg.Label, seg.Exec, liveStats{}); err != nil {
+		if err := g.governPhase(seg.Label, seg.Exec, PhaseReport{}); err != nil {
 			return g.finish(), err
 		}
 	}
@@ -603,9 +423,9 @@ func (g *Governor) RunSegments(segs []Segment) (Result, error) {
 func (g *Governor) finish() Result {
 	return Result{
 		TargetWatts:      g.opt.TargetWatts,
-		TimeSec:          g.m.nowSec,
-		EnergyJ:          g.m.spentJ,
-		AvgPowerWatts:    g.m.avgWatts(),
+		TimeSec:          g.nowSec,
+		EnergyJ:          g.spentJ,
+		AvgPowerWatts:    g.avgWatts(),
 		FinalCapWatts:    g.pkg.EffectiveCapWatts(),
 		Reprograms:       g.reprograms,
 		Samples:          g.ring.samples(),
@@ -617,9 +437,10 @@ func (g *Governor) finish() Result {
 	}
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// avgWatts is the job-average power so far.
+func (g *Governor) avgWatts() float64 {
+	if g.nowSec <= 0 {
+		return 0
 	}
-	return x
+	return g.spentJ / g.nowSec
 }

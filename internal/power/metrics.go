@@ -17,7 +17,7 @@ type govGauges struct {
 	meterW    *obs.Gauge
 	energyJ   *obs.FloatCounter
 	decisions *obs.Counter
-	votes     map[core.Class]*obs.Counter
+	votes     map[string]*obs.Counter
 }
 
 // newGovGauges registers the governor family on r. Register at most
@@ -36,17 +36,18 @@ func newGovGauges(r *obs.Registry) *govGauges {
 		meterW:    r.Gauge("vizpower_governor_meter_watts", "Package power over the last control interval."),
 		energyJ:   r.FloatCounter("vizpower_governor_energy_joules_total", "Energy metered across governed phases."),
 		decisions: r.Counter("vizpower_governor_decisions_total", "Cap decisions recorded by the flight recorder."),
-		votes: map[core.Class]*obs.Counter{
-			core.PowerOpportunity: r.Counter("vizpower_governor_class_votes_total",
+		votes: map[string]*obs.Counter{
+			core.PowerOpportunity.String(): r.Counter("vizpower_governor_class_votes_total",
 				"Boundary classification votes by class.", obs.L("class", core.PowerOpportunity.String())),
-			core.PowerSensitive: r.Counter("vizpower_governor_class_votes_total",
+			core.PowerSensitive.String(): r.Counter("vizpower_governor_class_votes_total",
 				"Boundary classification votes by class.", obs.L("class", core.PowerSensitive.String())),
 		},
 	}
 }
 
 // onDecision mirrors one flight-recorder decision into the live series.
-func (gg *govGauges) onDecision(d obs.Decision, class core.Class, boundary bool) {
+// Only the closed-loop law classifies, so only its boundaries vote.
+func (gg *govGauges) onDecision(d obs.Decision, boundary bool) {
 	if gg == nil {
 		return
 	}
@@ -55,7 +56,7 @@ func (gg *govGauges) onDecision(d obs.Decision, class core.Class, boundary bool)
 	gg.trimW.Set(d.TrimW)
 	gg.decisions.Inc()
 	if boundary {
-		gg.votes[class].Inc()
+		gg.votes[d.Class].Inc()
 	}
 }
 

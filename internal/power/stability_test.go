@@ -87,19 +87,6 @@ func TestGovernorClampsToEnforceableRange(t *testing.T) {
 	}
 }
 
-func TestGovernorGenerousTargetRunsFree(t *testing.T) {
-	spec := cpu.BroadwellEP()
-	segs := mixedSegments(4)
-	res := govern(t, segs, spec.TDPWatts)
-	free := 0.0
-	for _, s := range segs {
-		free += s.Exec.UnderCap(spec.TDPWatts).TimeSec
-	}
-	if math.Abs(res.TimeSec-free) > 0.01*free {
-		t.Errorf("TDP target took %.4fs, unconstrained is %.4fs", res.TimeSec, free)
-	}
-}
-
 func TestGovernorUnreachablyHighTargetSaturatesCleanly(t *testing.T) {
 	// All-cold workload under a target above its demand: the controller
 	// must not wind up chasing power the phase cannot draw, and must not
