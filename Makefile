@@ -2,8 +2,9 @@
 #
 #   make check   - vet + build + full test suite + short race pass
 #   make race    - the short -race run on the runtime, mesh layer, rank
-#                  fabric, and two kernels (the packages with real
-#                  cross-goroutine traffic), plus the harness cell path
+#                  fabric, hydro proxy (its sweeps are pool.For bodies
+#                  writing shared arrays), and two kernels (the packages
+#                  with real cross-goroutine traffic), plus the harness cell path
 #                  (failure injection, retries, partial sweeps over all
 #                  three cell kinds) and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
@@ -30,7 +31,7 @@
 GO ?= go
 
 # Packages whose tests exercise multi-worker pools and shared buffers.
-RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
+RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
 .PHONY: check vet build test race bench bench-go govern profile serve
 

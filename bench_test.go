@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -234,18 +235,27 @@ func BenchmarkKernelRayTracing(b *testing.B)        { benchFilter(b, "Ray Tracin
 func BenchmarkKernelParticleAdvection(b *testing.B) { benchFilter(b, "Particle Advection") }
 func BenchmarkKernelVolumeRendering(b *testing.B)   { benchFilter(b, "Volume Rendering") }
 
-// BenchmarkCloverStep measures the hydro proxy's per-step cost.
+// BenchmarkCloverStep measures the hydro proxy's per-step cost, by edge
+// length and worker count (the scaling column).
 func BenchmarkCloverStep(b *testing.B) {
-	s, err := clover.New(benchSize(), clover.Options{})
-	if err != nil {
-		b.Fatal(err)
+	for _, n := range []int{32, 64} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				s, err := clover.New(n, clover.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pool := par.NewPool(workers)
+				defer pool.Close()
+				s.Run(5, pool, nil) // past the flat initial deck
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step(pool, nil)
+				}
+				b.ReportMetric(float64(s.NumCells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+			})
+		}
 	}
-	pool := par.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step(pool, nil)
-	}
-	b.ReportMetric(float64(s.NumCells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
 // BenchmarkBVHBuild measures acceleration-structure construction over the

@@ -19,6 +19,7 @@ import (
 // inputs the serial sweep saw.
 type DistSim struct {
 	n     int
+	opts  clover.Options
 	ranks []*clover.Sim
 	comm  *Comm
 	time  float64
@@ -50,7 +51,10 @@ func NewDistSimWith(n, nRanks int, opts clover.Options, comms Options) (*DistSim
 	if err != nil {
 		return nil, err
 	}
-	d := &DistSim{n: n, comm: comm, ranks: make([]*clover.Sim, nRanks)}
+	if opts.Gamma == 0 {
+		opts.Gamma = 1.4 // clover's default, resolved here because Grid needs it
+	}
+	d := &DistSim{n: n, opts: opts, comm: comm, ranks: make([]*clover.Sim, nRanks)}
 	for r := 0; r < nRanks; r++ {
 		k0 := r * n / nRanks
 		k1 := (r + 1) * n / nRanks
@@ -208,12 +212,12 @@ func (d *DistSim) TotalEnergy() float64 {
 	return sum
 }
 
-// Grid assembles the global data set from the rank slabs, producing the
-// same fields as the single-domain export.
+// Grid assembles the global data set from the rank slabs: the scalar fields
+// of the single-domain export (cell "energy", "density", "pressure" and the
+// recentered point "energy"), cell for cell the same values. The "velocity"
+// point vector is not assembled; nothing downstream of a distributed run
+// advects.
 func (d *DistSim) Grid() (*mesh.UniformGrid, error) {
-	// Reassemble through a scratch single-domain simulation is not
-	// possible (state is private), so build the grid directly from the
-	// per-rank cells.
 	g, err := mesh.NewCubeGrid(d.n)
 	if err != nil {
 		return nil, err
@@ -221,7 +225,7 @@ func (d *DistSim) Grid() (*mesh.UniformGrid, error) {
 	energy := g.AddCellField("energy")
 	density := g.AddCellField("density")
 	pressure := g.AddCellField("pressure")
-	const gamma = 1.4
+	g1 := d.opts.Gamma - 1
 	for _, sim := range d.ranks {
 		for k := 0; k < sim.LocalNZ(); k++ {
 			gk := k + sim.ZOffset()
@@ -233,7 +237,7 @@ func (d *DistSim) Grid() (*mesh.UniformGrid, error) {
 					c := g.CellID(i, j, gk)
 					energy[c] = (etot - ke) * inv
 					density[c] = rho
-					pressure[c] = (gamma - 1) * (etot - ke)
+					pressure[c] = g1 * (etot - ke)
 				}
 			}
 		}

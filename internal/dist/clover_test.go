@@ -10,7 +10,14 @@ import (
 )
 
 func TestDistSimMatchesSerialBitExact(t *testing.T) {
-	const n, steps = 12, 30
+	// 12 layers over 1-4 ranks, then 16 over up to 16: slabs thinner than
+	// the pool, down to the one-layer slab whose two halo faces share a cell.
+	testDistSimMatchesSerialBitExact(t, 12, []int{1, 2, 3, 4})
+	testDistSimMatchesSerialBitExact(t, 16, []int{1, 2, 3, 4, 8, 16})
+}
+
+func testDistSimMatchesSerialBitExact(t *testing.T, n int, rankCounts []int) {
+	const steps = 30
 	pool := par.NewPool(2)
 	serial, err := clover.New(n, clover.Options{})
 	if err != nil {
@@ -18,7 +25,7 @@ func TestDistSimMatchesSerialBitExact(t *testing.T) {
 	}
 	serial.Run(steps, pool, nil)
 
-	for _, ranks := range []int{1, 2, 3, 4} {
+	for _, ranks := range rankCounts {
 		d, err := NewDistSim(n, ranks, clover.Options{})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
@@ -75,31 +82,34 @@ func TestDistSimConservation(t *testing.T) {
 func TestDistSimGridAssembly(t *testing.T) {
 	const n = 8
 	pool := par.NewPool(2)
-	serial, err := clover.New(n, clover.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.Run(10, pool, nil)
-	sg, err := serial.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDistSim(n, 2, clover.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Run(10, pool, nil); err != nil {
-		t.Fatal(err)
-	}
-	dg, err := d.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := sg.CellField("energy")
-	de := dg.CellField("energy")
-	for c := range se {
-		if se[c] != de[c] {
-			t.Fatalf("assembled energy[%d] = %v, serial %v", c, de[c], se[c])
+	for _, opts := range []clover.Options{{}, {Gamma: 5.0 / 3}} {
+		serial, err := clover.New(n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Run(10, pool, nil)
+		sg, err := serial.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDistSim(n, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(10, pool, nil); err != nil {
+			t.Fatal(err)
+		}
+		dg, err := d.Grid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{"energy", "density", "pressure"} {
+			want, got := sg.CellField(field), dg.CellField(field)
+			for c := range want {
+				if want[c] != got[c] {
+					t.Fatalf("gamma=%v: assembled %s[%d] = %v, serial %v", opts.Gamma, field, c, got[c], want[c])
+				}
+			}
 		}
 	}
 }

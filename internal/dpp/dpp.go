@@ -263,13 +263,13 @@ func Compact(pool *par.Pool, flags []int32, out []int32) int {
 // reduceState is the leased working state of ReduceByKey for one
 // key/value type pair.
 type reduceState[K comparable, T Number] struct {
-	keys    []K
-	vals    []T
-	outKeys []K
-	outVals []T
-	heads   []int32
-	starts  []int32
-	n, segs int
+	keys     []K
+	vals     []T
+	outKeys  []K
+	outVals  []T
+	heads    []int32
+	starts   []int32
+	n, segs  int
 	headPass func(lo, hi, w int)
 	foldPass func(lo, hi, w int)
 }

@@ -211,239 +211,6 @@ func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
 	return maxSpeed
 }
 
-// flux5 is the Euler flux vector through a face for the five conserved
-// quantities, given left/right states, in the sweep direction.
-type state5 struct{ rho, mn, mt1, mt2, e float64 }
-
-// rusanov computes the Rusanov (local Lax–Friedrichs) flux between two
-// states. mn is momentum normal to the face; mt1/mt2 are transverse.
-func rusanov(l, r state5, pl, pr, cl, cr float64) state5 {
-	ul := l.mn / l.rho
-	ur := r.mn / r.rho
-	fl := state5{
-		rho: l.mn,
-		mn:  l.mn*ul + pl,
-		mt1: l.mt1 * ul,
-		mt2: l.mt2 * ul,
-		e:   (l.e + pl) * ul,
-	}
-	fr := state5{
-		rho: r.mn,
-		mn:  r.mn*ur + pr,
-		mt1: r.mt1 * ur,
-		mt2: r.mt2 * ur,
-		e:   (r.e + pr) * ur,
-	}
-	sl := math.Abs(ul) + cl
-	sr := math.Abs(ur) + cr
-	smax := math.Max(sl, sr)
-	return state5{
-		rho: 0.5*(fl.rho+fr.rho) - 0.5*smax*(r.rho-l.rho),
-		mn:  0.5*(fl.mn+fr.mn) - 0.5*smax*(r.mn-l.mn),
-		mt1: 0.5*(fl.mt1+fr.mt1) - 0.5*smax*(r.mt1-l.mt1),
-		mt2: 0.5*(fl.mt2+fr.mt2) - 0.5*smax*(r.mt2-l.mt2),
-		e:   0.5*(fl.e+fr.e) - 0.5*smax*(r.e-l.e),
-	}
-}
-
-// sweep performs one dimensionally-split update along axis dir (0,1,2)
-// with timestep dt. Pencils along the sweep axis are independent, so the
-// loop over pencils is the parallel dimension.
-func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
-	lambda := dt / s.h
-	var n, nPencils int
-	switch dir {
-	case 0:
-		n, nPencils = s.nx, s.ny*s.nz
-	case 1:
-		n, nPencils = s.ny, s.nx*s.nz
-	default:
-		n, nPencils = s.nz, s.nx*s.ny
-	}
-
-	// Map pencil index and position along the axis to a cell index.
-	cellAt := func(pencil, q int) int {
-		switch dir {
-		case 0:
-			return s.idx(q, pencil%s.ny, pencil/s.ny)
-		case 1:
-			return s.idx(pencil%s.nx, q, pencil/s.nx)
-		default:
-			return s.idx(pencil%s.nx, pencil/s.nx, q)
-		}
-	}
-	// Select normal/transverse momentum components for the sweep axis.
-	var mn, mt1, mt2 []float64
-	switch dir {
-	case 0:
-		mn, mt1, mt2 = s.mx, s.my, s.mz
-	case 1:
-		mn, mt1, mt2 = s.my, s.mx, s.mz
-	default:
-		mn, mt1, mt2 = s.mz, s.mx, s.my
-	}
-
-	pattern := ops.Stream
-	if dir != 0 {
-		pattern = ops.Strided
-	}
-
-	pool.For(nPencils, 0, func(lo, hi, worker int) {
-		// Face-flux and slope buffers for one pencil (n+1 faces), leased
-		// from the pool's scratch store so the three sweeps of every step
-		// reuse warm allocations instead of reallocating per chunk.
-		// Capacity is checked because nx/ny/nz can differ across axes.
-		ss, _ := pool.GetScratch(sweepScratchKey{}).(*sweepScratch)
-		if ss == nil {
-			ss = &sweepScratch{}
-		}
-		if cap(ss.fluxes) < n+1 {
-			ss.fluxes = make([]state5, n+1)
-		}
-		fluxes := ss.fluxes[:n+1]
-		var slopes []state5
-		if s.opts.SecondOrder {
-			if cap(ss.slopes) < n {
-				ss.slopes = make([]state5, n)
-			}
-			slopes = ss.slopes[:n]
-		}
-		for pencil := lo; pencil < hi; pencil++ {
-			if s.opts.SecondOrder {
-				s.pencilSlopes(pencil, n, cellAt, mn, mt1, mt2, slopes)
-			}
-			// Interior faces.
-			for q := 1; q < n; q++ {
-				cl := cellAt(pencil, q-1)
-				cr := cellAt(pencil, q)
-				l := state5{s.rho[cl], mn[cl], mt1[cl], mt2[cl], s.etot[cl]}
-				r := state5{s.rho[cr], mn[cr], mt1[cr], mt2[cr], s.etot[cr]}
-				if s.opts.SecondOrder {
-					l = addHalf(l, slopes[q-1], +1)
-					r = addHalf(r, slopes[q], -1)
-					if l.rho < 1e-10 {
-						l.rho = 1e-10
-					}
-					if r.rho < 1e-10 {
-						r.rho = 1e-10
-					}
-				}
-				fluxes[q] = rusanov(l, r, s.prs[cl], s.prs[cr], s.snd[cl], s.snd[cr])
-			}
-			// Domain ends: reflective walls (mirror the state with
-			// reversed normal momentum — mass/energy flux vanish) or,
-			// on the z axis of a slab subdomain, halo-exchanged ghost
-			// cells from the neighboring rank.
-			{
-				c0 := cellAt(pencil, 0)
-				in := state5{s.rho[c0], mn[c0], mt1[c0], mt2[c0], s.etot[c0]}
-				if dir == 2 && ghostLo != nil {
-					gc := ghostLo[pencil]
-					g := state5{gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E}
-					fluxes[0] = rusanov(g, in, gc.P, s.prs[c0], gc.C, s.snd[c0])
-				} else {
-					ghost := in
-					ghost.mn = -in.mn
-					fluxes[0] = rusanov(ghost, in, s.prs[c0], s.prs[c0], s.snd[c0], s.snd[c0])
-				}
-				cn := cellAt(pencil, n-1)
-				in = state5{s.rho[cn], mn[cn], mt1[cn], mt2[cn], s.etot[cn]}
-				if dir == 2 && ghostHi != nil {
-					gc := ghostHi[pencil]
-					g := state5{gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E}
-					fluxes[n] = rusanov(in, g, s.prs[cn], gc.P, s.snd[cn], gc.C)
-				} else {
-					ghost := in
-					ghost.mn = -in.mn
-					fluxes[n] = rusanov(in, ghost, s.prs[cn], s.prs[cn], s.snd[cn], s.snd[cn])
-				}
-			}
-			// Conservative update.
-			for q := 0; q < n; q++ {
-				c := cellAt(pencil, q)
-				s.rho[c] -= lambda * (fluxes[q+1].rho - fluxes[q].rho)
-				mn[c] -= lambda * (fluxes[q+1].mn - fluxes[q].mn)
-				mt1[c] -= lambda * (fluxes[q+1].mt1 - fluxes[q].mt1)
-				mt2[c] -= lambda * (fluxes[q+1].mt2 - fluxes[q].mt2)
-				s.etot[c] -= lambda * (fluxes[q+1].e - fluxes[q].e)
-				if s.rho[c] < 1e-10 {
-					s.rho[c] = 1e-10
-				}
-			}
-			if recs != nil {
-				rec := &recs[worker]
-				nc := uint64(n)
-				// Per cell: 7 field loads for flux, 5 stores on update,
-				// ~55 flops in rusanov + update, a few branches.
-				rec.Loads(nc*7*8, pattern)
-				rec.Stores(nc*5*8, pattern)
-				rec.Flops(nc * 55)
-				rec.Branches(nc * 2)
-			}
-		}
-		pool.PutScratch(sweepScratchKey{}, ss)
-	})
-}
-
-// sweepScratch holds the per-chunk pencil buffers of sweep, leased from
-// the worker pool's scratch store across sweeps and steps.
-type sweepScratch struct {
-	fluxes []state5
-	slopes []state5
-}
-
-// sweepScratchKey keys sweepScratch leases in the pool scratch store.
-type sweepScratchKey struct{}
-
-// minmod is the classic slope limiter: the smaller-magnitude of the two
-// one-sided differences when they agree in sign, zero at extrema.
-func minmod(a, b float64) float64 {
-	if a*b <= 0 {
-		return 0
-	}
-	if math.Abs(a) < math.Abs(b) {
-		return a
-	}
-	return b
-}
-
-// addHalf shifts a cell state by ±half its limited slope, producing the
-// MUSCL interface state.
-func addHalf(u, slope state5, sign float64) state5 {
-	h := 0.5 * sign
-	return state5{
-		rho: u.rho + h*slope.rho,
-		mn:  u.mn + h*slope.mn,
-		mt1: u.mt1 + h*slope.mt1,
-		mt2: u.mt2 + h*slope.mt2,
-		e:   u.e + h*slope.e,
-	}
-}
-
-// pencilSlopes fills the minmod-limited slopes of the conserved variables
-// along one pencil (zero slope at the walls).
-func (s *Sim) pencilSlopes(pencil, n int, cellAt func(int, int) int, mn, mt1, mt2 []float64, slopes []state5) {
-	get := func(q int) state5 {
-		c := cellAt(pencil, q)
-		return state5{s.rho[c], mn[c], mt1[c], mt2[c], s.etot[c]}
-	}
-	slopes[0] = state5{}
-	slopes[n-1] = state5{}
-	prev := get(0)
-	cur := get(1)
-	for q := 1; q < n-1; q++ {
-		next := get(q + 1)
-		slopes[q] = state5{
-			rho: minmod(cur.rho-prev.rho, next.rho-cur.rho),
-			mn:  minmod(cur.mn-prev.mn, next.mn-cur.mn),
-			mt1: minmod(cur.mt1-prev.mt1, next.mt1-cur.mt1),
-			mt2: minmod(cur.mt2-prev.mt2, next.mt2-cur.mt2),
-			e:   minmod(cur.e-prev.e, next.e-cur.e),
-		}
-		prev, cur = cur, next
-	}
-}
-
 // refreshEOS recomputes pressure and sound speed (used between split
 // sweeps so each sweep sees consistent primitives).
 func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
@@ -656,18 +423,4 @@ func (s *Sim) Grid() (*mesh.UniformGrid, error) {
 		}
 	}
 	return g, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
