@@ -1,6 +1,7 @@
 # Build/test/benchmark wiring for the vizpower reproduction.
 #
-#   make check   - vet + build + full test suite + short race pass
+#   make check   - gofmt gate + vet + build + full test suite + short race pass
+#   make fmt     - fail when gofmt -l . lists any file
 #   make race    - the short -race run on the runtime, mesh layer, rank
 #                  fabric, hydro proxy (its sweeps are pool.For bodies
 #                  writing shared arrays), and two kernels (the packages
@@ -33,9 +34,12 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
-.PHONY: check vet build test race bench bench-go govern profile serve
+.PHONY: check fmt vet build test race bench bench-go govern profile serve
 
-check: vet build test race
+check: fmt vet build test race
+
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

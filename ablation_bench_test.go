@@ -84,7 +84,7 @@ func BenchmarkAblationBVH(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bvh := raytrace.BuildBVH(tris)
+	bvh := raytrace.BuildBVHWith(tris, nil)
 	rng := rand.New(rand.NewSource(1))
 	rays := make([][2]mesh.Vec3, 256)
 	for i := range rays {

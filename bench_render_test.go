@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cinema"
+	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/render"
@@ -146,8 +147,9 @@ func BenchmarkBVHBuildPaths(b *testing.B) {
 }
 
 // BenchmarkCinemaOrbitSink writes an 8-frame volume-rendered orbit
-// database, with the synchronous writer and with the pipelined encode
-// queue.
+// database with the cinema verb's loop, on the synchronous writer and on
+// the pipelined encode queue. (The name is the ledger's: the frames once
+// reached the database through a filter sink.)
 func BenchmarkCinemaOrbitSink(b *testing.B) {
 	for _, mode := range []string{"sync", "async"} {
 		b.Run(mode, func(b *testing.B) {
@@ -160,11 +162,16 @@ func BenchmarkCinemaOrbitSink(b *testing.B) {
 				if mode == "async" {
 					db.StartAsync(0, 0)
 				}
-				f := volren.New(volren.Options{
-					Field: "energy", Images: 8, Width: 128, Height: 128, Sink: db.Sink(),
-				})
-				if _, err := f.Run(g, viz.NewExec(par.Default())); err != nil {
+				ex := viz.NewExec(par.Default())
+				frame, err := harness.Frames(g, "Volume Rendering", 0, ex)
+				if err != nil {
 					b.Fatal(err)
+				}
+				for f := 0; f < 8; f++ {
+					cam, az := render.OrbitView(g.Bounds(), f, 8)
+					if err := db.Add(f, az, frame(nil, cam, 128, 128, ex)); err != nil {
+						b.Fatal(err)
+					}
 				}
 				if err := db.Finalize(); err != nil {
 					b.Fatal(err)

@@ -268,7 +268,7 @@ func BenchmarkBVHBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if raytrace.BuildBVH(tris) == nil {
+		if raytrace.BuildBVHWith(tris, nil) == nil {
 			b.Fatal("nil BVH")
 		}
 	}

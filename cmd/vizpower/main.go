@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,11 +34,10 @@ import (
 	"repro/internal/perfctr"
 	"repro/internal/power"
 	"repro/internal/rapl"
+	"repro/internal/render"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
-	"repro/internal/viz/raytrace"
-	"repro/internal/viz/volren"
 	"repro/internal/vtkio"
 )
 
@@ -448,29 +448,25 @@ func cinemaCmd(c *harness.Config, opt *options) error {
 	if err != nil {
 		return err
 	}
+	// Prepare the frames before anything lands on disk or starts: a bad
+	// -alg fails here with no directory created and no encode worker running.
+	ex := viz.NewExec(c.Pool)
+	frame, err := harness.Frames(g, opt.alg, 0, ex)
+	if err != nil {
+		return fmt.Errorf("cinema: -alg: %w", err)
+	}
 	db, err := cinema.New(opt.out, "vizpower orbit database", opt.alg)
 	if err != nil {
 		return err
 	}
-	// Pipeline PNG encoding off the render loop; Finalize drains the queue.
+	// Pipeline PNG encoding off the render loop; Finalize drains the queue,
+	// which owns each image until it is written — so a fresh one per frame.
 	db.StartAsync(0, 0)
-	var f viz.Filter
-	switch opt.alg {
-	case "Volume Rendering":
-		f = volren.New(volren.Options{
-			Field: "energy", Images: c.Images,
-			Width: c.ImageSize, Height: c.ImageSize, Sink: db.Sink(),
-		})
-	case "Ray Tracing":
-		f = raytrace.New(raytrace.Options{
-			Field: "energy", Images: c.Images,
-			Width: c.ImageSize, Height: c.ImageSize, Sink: db.Sink(),
-		})
-	default:
-		return fmt.Errorf("cinema: -alg must be %q or %q", "Ray Tracing", "Volume Rendering")
-	}
-	if _, err := f.Run(g, viz.NewExec(c.Pool)); err != nil {
-		return err
+	for i := 0; i < c.Images; i++ {
+		cam, az := render.OrbitView(g.Bounds(), i, c.Images)
+		if err := db.Add(i, az, frame(nil, cam, c.ImageSize, c.ImageSize, ex)); err != nil {
+			return errors.Join(err, db.Finalize())
+		}
 	}
 	if err := db.Finalize(); err != nil {
 		return err

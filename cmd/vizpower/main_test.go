@@ -24,8 +24,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"arch", "-quick", "-alg", "Nope"}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run([]string{"cinema", "-quick", "-alg", "Contour"}); err == nil {
-		t.Error("cinema with a non-rendering algorithm accepted")
+	// A non-image -alg fails naming both accepted algorithms, before the
+	// database directory exists or an encode worker is running.
+	db := filepath.Join(t.TempDir(), "db")
+	err := run([]string{"cinema", "-quick", "-alg", "Contour", "-out", db})
+	if err == nil || !strings.Contains(err.Error(), `"Ray Tracing"`) || !strings.Contains(err.Error(), `"Volume Rendering"`) {
+		t.Errorf("cinema -alg Contour: error %v, want one naming both image algorithms", err)
+	}
+	if _, statErr := os.Stat(db); !os.IsNotExist(statErr) {
+		t.Errorf("rejected cinema -alg left %s behind (stat: %v)", db, statErr)
 	}
 	if err := run([]string{"advect", "-quick", "-ranks", "2,zero"}); err == nil {
 		t.Error("bad -ranks accepted")

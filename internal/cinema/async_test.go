@@ -1,16 +1,12 @@
 package cinema
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
-	"repro/internal/par"
 	"repro/internal/render"
-	"repro/internal/viz"
-	"repro/internal/viz/volren"
 )
 
 func frameImage(i int, w, h int) *render.Image {
@@ -150,38 +146,17 @@ func TestAsyncErrorSurfacesAtFinalize(t *testing.T) {
 	}
 }
 
-// The volren orbit drives the pipelined sink end to end.
-func TestAsyncSinkCollectsOrbit(t *testing.T) {
+// The volren orbit drives the pipelined encode queue end to end.
+func TestAsyncOrbitLoopCollects(t *testing.T) {
 	dir := t.TempDir()
 	db, err := New(dir, "orbit", "Volume Rendering")
 	if err != nil {
 		t.Fatal(err)
 	}
 	db.StartAsync(0, 0)
-	f := volren.New(volren.Options{
-		Field: "energy", Images: 6, Width: 12, Height: 12, Sink: db.Sink(),
-	})
-	if _, err := f.Run(testGrid(t), viz.NewExec(par.NewPool(2))); err != nil {
-		t.Fatal(err)
-	}
+	collectOrbit(t, db, "Volume Rendering", 6)
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Entries) != 6 {
-		t.Fatalf("entries = %d, want 6", len(idx.Entries))
-	}
-	for i := 1; i < len(idx.Entries); i++ {
-		if idx.Entries[i].AzimuthRad <= idx.Entries[i-1].AzimuthRad {
-			t.Errorf("azimuths not ascending after drain: %v", idx.Entries)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("c000_i%03d.png", i))); err != nil {
-			t.Errorf("missing frame %d: %v", i, err)
-		}
-	}
+	checkOrbit(t, dir, 6)
 }

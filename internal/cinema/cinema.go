@@ -95,7 +95,7 @@ func New(dir, name, algorithm string) (*Database, error) {
 // StartAsync switches the database to pipelined encoding: Add enqueues
 // onto a bounded channel (depth frames of backpressure) and workers
 // encode and write concurrently with the render loop. Images handed to
-// Add/Sink after this call are owned by the database until written —
+// Add after this call are owned by the database until written —
 // callers must not reuse them. workers <= 0 picks a small default from
 // the machine size; depth <= 0 defaults to twice the workers. A second
 // call before Finalize is a no-op.
@@ -130,15 +130,6 @@ func (d *Database) StartAsync(workers, depth int) {
 				d.store(j)
 			}
 		}()
-	}
-}
-
-// Sink returns a function with the signature the render filters accept
-// (raytrace.Options.Sink / volren.Options.Sink). Write errors surface at
-// Finalize.
-func (d *Database) Sink() func(index int, azimuthRad float64, im *render.Image) {
-	return func(index int, azimuthRad float64, im *render.Image) {
-		_ = d.Add(index, azimuthRad, im)
 	}
 }
 

@@ -6,12 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/viz"
-	"repro/internal/viz/raytrace"
-	"repro/internal/viz/volren"
 )
 
 func TestDatabaseRoundTrip(t *testing.T) {
@@ -75,54 +74,86 @@ func testGrid(t testing.TB) *mesh.UniformGrid {
 	return g
 }
 
-func TestSinkCollectsVolrenOrbit(t *testing.T) {
+// collectOrbit runs the loop the cinema verb runs: harness.Frames prepares
+// the workload, render.OrbitView places each camera, and every frame goes
+// to db.Add in a fresh image (an async database owns it until written).
+func collectOrbit(t *testing.T, db *Database, name string, images int) {
+	t.Helper()
+	g := testGrid(t)
+	ex := viz.NewExec(par.NewPool(2))
+	frame, err := harness.Frames(g, name, 0, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < images; i++ {
+		cam, az := render.OrbitView(g.Bounds(), i, images)
+		if err := db.Add(i, az, frame(nil, cam, 12, 12, ex)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkOrbit asserts a finalized orbit database: the frame count, azimuths
+// ascending within the cycle, every frame on disk under its canonical name,
+// and no two frames byte-equal (a reused framebuffer would alias them).
+func checkOrbit(t *testing.T, dir string, images int) {
+	t.Helper()
+	idx, err := Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Entries) != images {
+		t.Fatalf("entries = %d, want %d", len(idx.Entries), images)
+	}
+	seen := map[string]string{}
+	for i, e := range idx.Entries {
+		if i > 0 && e.AzimuthRad <= idx.Entries[i-1].AzimuthRad {
+			t.Errorf("azimuths not ascending: %v", idx.Entries)
+		}
+		if e.File != FrameName(0, i) {
+			t.Errorf("entry %d is %s, want %s", i, e.File, FrameName(0, i))
+		}
+		pix, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatalf("missing frame %d: %v", i, err)
+		}
+		if prev, dup := seen[string(pix)]; dup {
+			t.Errorf("%s and %s are the same image", prev, e.File)
+		}
+		seen[string(pix)] = e.File
+	}
+}
+
+func TestOrbitLoopCollectsVolren(t *testing.T) {
 	dir := t.TempDir()
 	db, err := New(dir, "orbit", "Volume Rendering")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := volren.New(volren.Options{
-		Field: "energy", Images: 5, Width: 12, Height: 12, Sink: db.Sink(),
-	})
-	if _, err := f.Run(testGrid(t), viz.NewExec(par.NewPool(2))); err != nil {
-		t.Fatal(err)
-	}
+	collectOrbit(t, db, "Volume Rendering", 5)
 	if db.Len() != 5 {
 		t.Fatalf("collected %d images, want 5", db.Len())
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Azimuths are the orbit positions, ascending within the cycle.
-	for i := 1; i < len(idx.Entries); i++ {
-		if idx.Entries[i].AzimuthRad <= idx.Entries[i-1].AzimuthRad {
-			t.Errorf("azimuths not ascending: %v", idx.Entries)
-		}
-	}
+	checkOrbit(t, dir, 5)
 }
 
-func TestSinkCollectsRaytraceOrbit(t *testing.T) {
+func TestOrbitLoopCollectsRaytrace(t *testing.T) {
 	dir := t.TempDir()
 	db, err := New(dir, "orbit", "Ray Tracing")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := raytrace.New(raytrace.Options{
-		Field: "energy", Images: 4, Width: 12, Height: 12, Sink: db.Sink(),
-	})
-	if _, err := f.Run(testGrid(t), viz.NewExec(par.NewPool(2))); err != nil {
-		t.Fatal(err)
-	}
+	collectOrbit(t, db, "Ray Tracing", 4)
 	if db.Len() != 4 {
 		t.Fatalf("collected %d images, want 4", db.Len())
 	}
 	if err := db.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+	checkOrbit(t, dir, 4)
 }
 
 func TestLoadMissing(t *testing.T) {
@@ -145,25 +176,9 @@ func TestAddFailsOnUnwritableDir(t *testing.T) {
 	if err := db.Add(0, 0, im); err == nil {
 		t.Error("Add into a removed directory succeeded")
 	}
-	// The sink swallows the error, but Finalize must surface it.
+	// A caller may drop Add's error; Finalize must still surface it.
 	if err := db.Finalize(); err == nil {
 		t.Error("Finalize hid the failed image write")
-	}
-}
-
-func TestSinkErrorSurfacesAtFinalize(t *testing.T) {
-	dir := t.TempDir()
-	db, err := New(dir, "x", "Ray Tracing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := db.Sink()
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	sink(0, 0, render.NewImage(4, 4))
-	if err := db.Finalize(); err == nil {
-		t.Error("Finalize passed despite a failed sink write")
 	}
 }
 

@@ -160,7 +160,7 @@ func TestDistributedRayTraceMatchesSerial(t *testing.T) {
 	// use the same normalization for the serial reference.
 	lo, hi := mesh.FieldRange(g.PointField("energy"))
 	scene.Norm = render.Normalizer{Lo: lo, Hi: hi}
-	serial := scene.Render(cam, w, h, exSerial)
+	serial := scene.RenderInto(nil, cam, w, h, exSerial)
 
 	for _, ranks := range []int{1, 2, 4} {
 		got, results, err := RayTrace(energyGrid(t), "energy", ranks, cam, w, h, pool)
@@ -191,7 +191,8 @@ func TestDistributedVolumeRenderMatchesSerial(t *testing.T) {
 	pf := g.PointField("energy")
 	lo, hi := mesh.FieldRange(pf)
 	tf := render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.25}
-	serial := volren.RenderImage(g, pf, tf, cam, w, h, viz.NewExec(pool))
+	exSerial := viz.NewExec(pool)
+	serial := volren.NewRenderer(g, pf, tf, exSerial).RenderImageInto(nil, cam, w, h, exSerial)
 
 	for _, ranks := range []int{1, 2, 4} {
 		got, results, err := VolumeRender(energyGrid(t), "energy", ranks, cam, w, h, pool)

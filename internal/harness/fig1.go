@@ -9,7 +9,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/viz"
 	"repro/internal/viz/raytrace"
-	"repro/internal/viz/volren"
 )
 
 // Fig1Names lists the renderings of Figure 1 in the paper's order.
@@ -84,20 +83,12 @@ func fileSlug(name string) string {
 // workloads render themselves.
 func (c *Config) renderOne(g *mesh.UniformGrid, f viz.Filter, name string, cam render.Camera, imgSize int, ex *viz.Exec) (*render.Image, error) {
 	switch name {
-	case "Ray Tracing":
-		scene, err := raytrace.GatherScene(g, "energy", ex)
+	case "Ray Tracing", "Volume Rendering":
+		frame, err := Frames(g, name, 0, ex)
 		if err != nil {
 			return nil, err
 		}
-		return scene.Render(cam, imgSize, imgSize, ex), nil
-	case "Volume Rendering":
-		field, err := g.EnsurePointField("energy")
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := mesh.FieldRange(field)
-		tf := render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.25}
-		return volren.RenderImage(g, field, tf, cam, imgSize, imgSize, ex), nil
+		return frame(nil, cam, imgSize, imgSize, ex), nil
 	}
 
 	res, err := f.Run(g, ex)
@@ -106,13 +97,13 @@ func (c *Config) renderOne(g *mesh.UniformGrid, f viz.Filter, name string, cam r
 	}
 	switch {
 	case res.Tris != nil:
-		return raytrace.NewScene(res.Tris).Render(cam, imgSize, imgSize, ex), nil
+		return raytrace.NewSceneWith(res.Tris, ex.Pool).RenderInto(nil, cam, imgSize, imgSize, ex), nil
 	case res.Cells != nil:
 		surf := mesh.ExternalFaces(mesh.WeldPointsPool(res.Cells, 1e-9, ex.Pool))
-		return raytrace.NewScene(surf).Render(cam, imgSize, imgSize, ex), nil
+		return raytrace.NewSceneWith(surf, ex.Pool).RenderInto(nil, cam, imgSize, imgSize, ex), nil
 	case res.Lines != nil:
 		im := render.NewImage(imgSize, imgSize)
-		im.Fill(render.Color{0.08, 0.08, 0.10, 1})
+		im.Fill(raytrace.Background)
 		lo, hi := mesh.FieldRange(res.Lines.Scalars)
 		norm := render.Normalizer{Lo: lo, Hi: hi}
 		for li := 0; li < res.Lines.NumLines(); li++ {

@@ -13,17 +13,17 @@ import (
 // zero components (BankJ, TrimW) are meaningful — a boundary decision
 // with an empty bank is different from a retune that spent it.
 type Decision struct {
-	TimeSec      float64 // virtual-clock timestamp
-	Cycle        int
-	Phase        string  // phase label ("simulate", "contour", ...)
-	Class        string  // classification vote ("opportunity"/"sensitive")
-	Score        float64 // classification score behind the vote
-	FeedforwardW float64 // demand-model feedforward component
-	BankJ        float64 // energy bank balance at decision time
-	TrimW        float64 // integral trim component
-	OldWatts     float64
-	NewWatts     float64
-	Reason       string // "boundary", "retune", "init", ...
+	TimeSec      float64 `json:"time_sec"` // virtual-clock timestamp
+	Cycle        int     `json:"cycle"`
+	Phase        string  `json:"phase"`             // phase label ("simulate", "contour", ...)
+	Class        string  `json:"class"`             // classification vote ("opportunity"/"sensitive")
+	Score        float64 `json:"score"`             // classification score behind the vote
+	FeedforwardW float64 `json:"feedforward_watts"` // demand-model feedforward component
+	BankJ        float64 `json:"bank_joules"`       // energy bank balance at decision time
+	TrimW        float64 `json:"trim_watts"`        // integral trim component
+	OldWatts     float64 `json:"old_watts"`
+	NewWatts     float64 `json:"new_watts"`
+	Reason       string  `json:"reason"` // "boundary", "retune", "init", ...
 }
 
 // DefaultFlightRecorderSize bounds the decision ring. A governed sweep

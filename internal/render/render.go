@@ -171,6 +171,16 @@ func OrbitCamera(b mesh.Bounds, azimuth, elevation, distFactor float64) Camera {
 	return Camera{Eye: eye, Look: center, Up: mesh.Vec3{0, 0, 1}, FOVDeg: 45}
 }
 
+// OrbitView is the study orbit: the camera of frame i of an images-long
+// image database around b, with its azimuth in radians. Every producer of
+// an orbit frame — the two image filters, the cinema verb, the daemon's
+// /render and /cinema — takes its view from here, so they agree by
+// construction.
+func OrbitView(b mesh.Bounds, frame, images int) (Camera, float64) {
+	az := 2 * math.Pi * float64(frame) / float64(images)
+	return OrbitCamera(b, az, 0.35, 2.0), az
+}
+
 // basis returns the orthonormal camera frame.
 func (c Camera) basis() (forward, right, up mesh.Vec3) {
 	forward = c.Look.Sub(c.Eye).Normalize()

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cinema"
 )
@@ -57,14 +55,7 @@ type cinemaResponse struct {
 // interleave without colliding on frame names; PNG encoding rides the
 // database's async queue. The manifest lands at Finalize (daemon
 // shutdown) — the response lists the frame files the segment produced.
-func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request) {
-	s.met.requests["cinema"].Inc()
-	defer s.met.observeRequest("cinema", time.Now())
-	track, done := s.lane()
-	defer done()
-	reqStart := s.tr.Begin()
-	defer s.span(track, "serve./cinema", reqStart)
-
+func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track int) {
 	rr, err := s.parseRender(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -85,23 +76,12 @@ func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request) {
 		count = rr.images - from
 	}
 
-	g := s.admit(w, r, track, rr.name, rr.size)
+	g, v, _ := s.admitBuild(w, r, track, rr.name, rr.size, rr.structureKey(), s.buildFrames(rr))
 	if g == nil {
 		return
 	}
 	defer g.Release()
-
-	buildStart := s.tr.Begin()
-	st, hit, err := s.structure(rr)
-	if hit {
-		s.span(track, "serve.hit", buildStart)
-	} else {
-		s.span(track, "serve.build", buildStart)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
+	e := v.(*frameEntry)
 	cdb, err := s.cinemaFor(rr)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -118,23 +98,16 @@ func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request) {
 	}
 	renderStart := s.tr.Begin()
 	var segmentJ float64
-	for i := 0; i < count; i++ {
-		frame := *rr
-		frame.frame = from + i
-		im, exec := s.renderFrame(st, &frame)
-		s.noteDemand(rr.name, rr.size, exec)
-		frameJ := exec.UnderCap(s.spec.TDPWatts).EnergyJ
+	for i := from; i < from+count; i++ {
+		im, az, frameJ := s.renderFrame(e, rr, i)
 		segmentJ += frameJ
-		s.met.energyJ.Add(frameJ)
-		s.met.frames.Inc()
-		az := 2 * math.Pi * float64(frame.frame) / float64(frame.images)
 		encodeStart := s.tr.Begin()
-		if err := cdb.db.AddAt(cycle, frame.frame, az, im); err != nil {
+		if err := cdb.db.AddAt(cycle, i, az, im); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		s.span(track, "serve.encode", encodeStart)
-		resp.Frames = append(resp.Frames, cinema.FrameName(cycle, frame.frame))
+		resp.Frames = append(resp.Frames, cinema.FrameName(cycle, i))
 	}
 	s.span(track, "serve.render", renderStart)
 	w.Header().Set("X-Energy-Joules", fmt.Sprintf("%.3f", segmentJ))

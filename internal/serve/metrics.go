@@ -195,37 +195,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // governorDebugResponse is the JSON body of /debug/governor.
 type governorDebugResponse struct {
-	Decisions []decisionJSON `json:"decisions"`
+	Decisions []obs.Decision `json:"decisions"`
 	Dropped   int64          `json:"dropped"`
-}
-
-// decisionJSON is obs.Decision with stable lower-case JSON names.
-type decisionJSON struct {
-	TimeSec      float64 `json:"time_sec"`
-	Cycle        int     `json:"cycle"`
-	Phase        string  `json:"phase"`
-	Class        string  `json:"class"`
-	Score        float64 `json:"score"`
-	FeedforwardW float64 `json:"feedforward_watts"`
-	BankJ        float64 `json:"bank_joules"`
-	TrimW        float64 `json:"trim_watts"`
-	OldWatts     float64 `json:"old_watts"`
-	NewWatts     float64 `json:"new_watts"`
-	Reason       string  `json:"reason"`
 }
 
 // handleDebugGovernor serves GET /debug/governor: the seeded flight
 // recorder as JSON (empty until SetGovernorLog, e.g. serve -govern).
 func (s *Server) handleDebugGovernor(w http.ResponseWriter, _ *http.Request) {
 	s.govMu.Lock()
-	resp := governorDebugResponse{Dropped: s.govDropped, Decisions: make([]decisionJSON, len(s.govDecisions))}
-	for i, d := range s.govDecisions {
-		resp.Decisions[i] = decisionJSON{
-			TimeSec: d.TimeSec, Cycle: d.Cycle, Phase: d.Phase, Class: d.Class, Score: d.Score,
-			FeedforwardW: d.FeedforwardW, BankJ: d.BankJ, TrimW: d.TrimW,
-			OldWatts: d.OldWatts, NewWatts: d.NewWatts, Reason: d.Reason,
-		}
-	}
+	// Copied under the lock, and non-nil so an empty log encodes as [].
+	resp := governorDebugResponse{Dropped: s.govDropped, Decisions: append([]obs.Decision{}, s.govDecisions...)}
 	s.govMu.Unlock()
 	writeJSON(w, resp)
 }

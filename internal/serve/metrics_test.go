@@ -113,6 +113,9 @@ func TestDebugGovernorEndpoint(t *testing.T) {
 	if len(dump.Decisions) != 0 {
 		t.Fatalf("unseeded dump has %d decisions", len(dump.Decisions))
 	}
+	if !strings.Contains(string(body), `"decisions": []`) {
+		t.Errorf("an empty log must encode as [], not null:\n%s", body)
+	}
 
 	s.SetGovernorLog([]obs.Decision{
 		{TimeSec: 0.5, Cycle: 1, Phase: "simulate", Class: "power sensitive",

@@ -16,10 +16,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/mesh"
 	"repro/internal/render"
 	"repro/internal/viz"
-	"repro/internal/viz/volren"
 )
 
 // testConfig is a small, fast study configuration.
@@ -103,61 +101,119 @@ func TestRenderSingleFlightBuild(t *testing.T) {
 	}
 }
 
-// TestRenderWarmBitIdentical renders one frame cold, again warm, and a
-// third time through the per-call build path outside the daemon, and
-// requires all three PNGs byte-identical — the cache must change cost,
-// never pixels.
+// TestRenderWarmBitIdentical takes one orbit frame of each algorithm by
+// every route to it — /render cold, /render warm, the PNG a /cinema
+// segment wrote for that frame, and harness.Frames + render.OrbitView
+// called directly outside the daemon — and requires all four
+// byte-identical: the cache and the route may change cost, never pixels.
 func TestRenderWarmBitIdentical(t *testing.T) {
-	cfg := testConfig()
-	s := testServer(t, Options{Config: cfg})
+	for _, tc := range []struct {
+		alg, name string
+		frame     int
+	}{
+		{"volren", "Volume Rendering", 3},
+		{"raytrace", "Ray Tracing", 5},
+	} {
+		t.Run(tc.alg, func(t *testing.T) {
+			cfg := testConfig()
+			s := testServer(t, Options{Config: cfg})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			path := fmt.Sprintf("/render?alg=%s&frame=%d", tc.alg, tc.frame)
+			respCold, cold := get(t, ts, path)
+			if respCold.StatusCode != http.StatusOK {
+				t.Fatalf("cold: status %d: %s", respCold.StatusCode, cold)
+			}
+			if v := respCold.Header.Get("X-Serve-Cache"); v != "miss" {
+				t.Errorf("cold X-Serve-Cache = %q, want miss", v)
+			}
+			respWarm, warm := get(t, ts, path)
+			if respWarm.StatusCode != http.StatusOK {
+				t.Fatalf("warm: status %d", respWarm.StatusCode)
+			}
+			if v := respWarm.Header.Get("X-Serve-Cache"); v != "hit" {
+				t.Errorf("warm X-Serve-Cache = %q, want hit", v)
+			}
+			if !bytes.Equal(cold, warm) {
+				t.Fatal("warm frame differs from cold frame")
+			}
+
+			// The segment [frame-1, frame+1); its second file is the frame.
+			resp, body := get(t, ts, fmt.Sprintf("/cinema?alg=%s&from=%d&count=2", tc.alg, tc.frame-1))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("cinema: status %d: %s", resp.StatusCode, body)
+			}
+			var seg cinemaResponse
+			if err := json.Unmarshal(body, &seg); err != nil {
+				t.Fatalf("cinema response: %v", err)
+			}
+			// Frames encode on the database's queue; Close drains it.
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			stored, err := os.ReadFile(filepath.Join(seg.Dir, seg.Frames[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cold, stored) {
+				t.Fatalf("cinema frame %s differs from the served frame", seg.Frames[1])
+			}
+
+			g, err := cfg.Dataset(cfg.PhaseSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := viz.NewExec(cfg.Pool)
+			frame, err := harness.Frames(g, tc.name, 0, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cam, _ := render.OrbitView(g.Bounds(), tc.frame, cfg.Images)
+			var direct bytes.Buffer
+			if err := frame(nil, cam, cfg.ImageSize, cfg.ImageSize, ex).WritePNG(&direct); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cold, direct.Bytes()) {
+				t.Fatal("served frame differs from harness.Frames + render.OrbitView")
+			}
+		})
+	}
+}
+
+// TestTransparentQuantized pins the structure cache's bound under a client
+// that sweeps the raw transparent float: the value is rounded to the
+// nearest 1/256 where it is parsed, so near-equal values share one
+// renderer and a size holds at most 257 of them.
+func TestTransparentQuantized(t *testing.T) {
+	s := testServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const path = "/render?alg=volren&frame=3"
-	respCold, cold := get(t, ts, path)
-	if respCold.StatusCode != http.StatusOK {
-		t.Fatalf("cold: status %d: %s", respCold.StatusCode, cold)
+	respA, a := get(t, ts, "/render?alg=volren&transparent=0.25")
+	if respA.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", respA.StatusCode, a)
 	}
-	if v := respCold.Header.Get("X-Serve-Cache"); v != "miss" {
-		t.Errorf("cold X-Serve-Cache = %q, want miss", v)
+	respB, b := get(t, ts, "/render?alg=volren&transparent=0.2501")
+	if v := respB.Header.Get("X-Serve-Cache"); v != "hit" {
+		t.Errorf("transparent=0.2501 after 0.25: X-Serve-Cache = %q, want hit (one key)", v)
 	}
-	respWarm, warm := get(t, ts, path)
-	if respWarm.StatusCode != http.StatusOK {
-		t.Fatalf("warm: status %d", respWarm.StatusCode)
-	}
-	if v := respWarm.Header.Get("X-Serve-Cache"); v != "hit" {
-		t.Errorf("warm X-Serve-Cache = %q, want hit", v)
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("warm frame differs from cold frame")
+	if !bytes.Equal(a, b) {
+		t.Error("transparent=0.2501 rendered differently from 0.25")
 	}
 
-	// Per-call build path (what a filter run would do), same parameters.
-	g, err := cfg.Dataset(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	field := g.PointField("energy")
-	if field == nil {
-		if field, err = g.CellToPoint("energy"); err != nil {
-			t.Fatal(err)
+	h := s.Handler()
+	for i := 0; i < 1000; i++ {
+		url := fmt.Sprintf("/render?alg=volren&width=8&height=8&transparent=%.6f", float64(i)/999)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", url, rec.Code, rec.Body)
 		}
 	}
-	lo, hi := mesh.FieldRange(field)
-	tf := render.TransferFunction{
-		Norm:         render.Normalizer{Lo: lo, Hi: hi},
-		OpacityScale: 0.25,
-	}
-	az := 2 * 3.14159265358979323846 * 3 / 8
-	cam := render.OrbitCamera(g.Bounds(), az, 0.35, 2.0)
-	ex := viz.NewExec(cfg.Pool)
-	im := volren.RenderImageInto(nil, g, field, tf, cam, cfg.ImageSize, cfg.ImageSize, ex)
-	var buf bytes.Buffer
-	if err := im.WritePNG(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cold, buf.Bytes()) {
-		t.Fatal("served frame differs from per-call build")
+	// dataset/16 plus at most one volren/16/tr<k/256> per k in [0, 256].
+	if st := s.Cache().Stats(); st.Entries > 1+257 {
+		t.Errorf("1000 distinct transparent values left %d cache entries, want <= 258: %+v", st.Entries, st)
 	}
 }
 

@@ -21,8 +21,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
-	"repro/internal/viz/raytrace"
-	"repro/internal/viz/volren"
 )
 
 // Options configures a Server.
@@ -142,9 +140,9 @@ func New(opts Options) *Server {
 //	GET /healthz        — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/render", s.handleRender)
-	mux.HandleFunc("/cinema", s.handleCinema)
-	mux.HandleFunc("/sweep", s.handleSweep)
+	mux.HandleFunc("/render", s.metered("render", s.handleRender))
+	mux.HandleFunc("/cinema", s.metered("cinema", s.handleCinema))
+	mux.HandleFunc("/sweep", s.metered("sweep", s.handleSweep))
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/governor", s.handleDebugGovernor)
@@ -192,6 +190,23 @@ func (s *Server) lane() (track int, done func()) {
 func (s *Server) span(track int, name string, start int64) {
 	if track >= 0 {
 		s.tr.End(track, name, start)
+	}
+}
+
+// metered wraps one of the metered handlers in the request prologue they
+// share: count the request, observe its wall time, lease a telemetry lane
+// and record the whole-request span on it. h gets the lane's track for
+// its stage spans.
+func (s *Server) metered(name string, h func(w http.ResponseWriter, r *http.Request, track int)) http.HandlerFunc {
+	requests := s.met.requests[name]
+	spanName := "serve./" + name
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		defer s.met.observeRequest(name, time.Now())
+		track, done := s.lane()
+		defer done()
+		defer s.span(track, spanName, s.tr.Begin())
+		h(w, r, track)
 	}
 }
 
@@ -254,7 +269,10 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 		if err != nil || t < 0 || t > 1 || math.IsNaN(t) {
 			return nil, fmt.Errorf("transparent must be in [0,1], got %q", v)
 		}
-		rr.transparent = t
+		// Quantized to 1/256 here, before the cache key and the transfer
+		// function read it: a client sweeping the raw float cannot mint
+		// more than 257 renderers per size.
+		rr.transparent = math.Round(t*256) / 256
 	}
 	return rr, nil
 }
@@ -302,21 +320,12 @@ func (s *Server) dataset(size int) (*mesh.UniformGrid, error) {
 	return v.(*mesh.UniformGrid), nil
 }
 
-// volrenEntry is the cached derived structure behind volren requests:
-// the grid, its resolved point field, the transfer function, and the
-// prepared (immutable) Renderer — macrocell grid, opacity bounds, LUT.
-type volrenEntry struct {
-	g     *mesh.UniformGrid
-	field []float64
-	tf    render.TransferFunction
-	r     *volren.Renderer
-}
-
-// raytraceEntry is the cached derived structure behind raytrace
-// requests: external faces plus the SAH BVH scene.
-type raytraceEntry struct {
-	g     *mesh.UniformGrid
-	scene *raytrace.Scene
+// frameEntry is the cached derived structure behind /render and /cinema,
+// for either algorithm: the prepared (immutable) frame renderer
+// harness.Frames built, and the bounds its orbit circles.
+type frameEntry struct {
+	bounds mesh.Bounds
+	frame  harness.FrameFunc
 }
 
 // structureKey is the cache key for a request's derived structure:
@@ -330,57 +339,35 @@ func (rr *renderRequest) structureKey() string {
 	return fmt.Sprintf("raytrace/%d", rr.size)
 }
 
-// structure returns (building on first use) the derived structure for a
-// render request. hit reports whether this request found it already
-// built (or joined an in-flight build).
-func (s *Server) structure(rr *renderRequest) (any, bool, error) {
-	return s.cache.GetOrBuild(rr.structureKey(), func() (any, error) {
+// buildFrames is the cache build behind structureKey.
+func (s *Server) buildFrames(rr *renderRequest) func() (any, error) {
+	return func() (any, error) {
 		g, err := s.dataset(rr.size)
 		if err != nil {
 			return nil, err
 		}
-		ex := viz.NewExec(s.pool)
-		switch rr.alg {
-		case "volren":
-			field, err := g.EnsurePointField("energy")
-			if err != nil {
-				return nil, err
-			}
-			lo, hi := mesh.FieldRange(field)
-			tf := render.TransferFunction{
-				Norm:         render.Normalizer{Lo: lo, Hi: hi},
-				OpacityScale: 0.25,
-				Transparent:  rr.transparent,
-			}
-			r := volren.NewRenderer(g, field, tf, ex).Prepare()
-			return &volrenEntry{g: g, field: field, tf: tf, r: r}, nil
-		case "raytrace":
-			scene, err := raytrace.GatherScene(g, "energy", ex)
-			if err != nil {
-				return nil, err
-			}
-			return &raytraceEntry{g: g, scene: scene}, nil
+		frame, err := harness.Frames(g, rr.name, rr.transparent, viz.NewExec(s.pool))
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("unknown algorithm %q", rr.alg)
-	})
+		return &frameEntry{bounds: g.Bounds(), frame: frame}, nil
+	}
 }
 
-// renderFrame renders one orbit frame through a cached structure,
-// returning the image and the run's operation profile (for the demand
-// feedback).
-func (s *Server) renderFrame(st any, rr *renderRequest) (*render.Image, cpu.Execution) {
-	az := 2 * math.Pi * float64(rr.frame) / float64(rr.images)
+// renderFrame renders orbit frame i of rr through a cached entry and
+// settles its accounts: the run's modeled demand feeds back into the
+// admission estimate, and its modeled energy at TDP is added to the
+// daemon's counters and returned beside the image and the orbit azimuth.
+func (s *Server) renderFrame(e *frameEntry, rr *renderRequest, i int) (im *render.Image, azimuthRad, joules float64) {
+	cam, az := render.OrbitView(e.bounds, i, rr.images)
 	ex := viz.NewExec(s.pool)
-	var im *render.Image
-	switch e := st.(type) {
-	case *volrenEntry:
-		cam := render.OrbitCamera(e.g.Bounds(), az, 0.35, 2.0)
-		im = e.r.RenderImageInto(nil, cam, rr.w, rr.h, ex)
-	case *raytraceEntry:
-		cam := render.OrbitCamera(e.g.Bounds(), az, 0.35, 2.0)
-		im = e.scene.RenderInto(nil, cam, rr.w, rr.h, ex)
-	}
-	return im, cpu.Analyze(s.spec, ex.Drain(), 0)
+	im = e.frame(nil, cam, rr.w, rr.h, ex)
+	exec := cpu.Analyze(s.spec, ex.Drain(), 0)
+	s.noteDemand(rr.name, rr.size, exec)
+	joules = exec.UnderCap(s.spec.TDPWatts).EnergyJ
+	s.met.energyJ.Add(joules)
+	s.met.frames.Inc()
+	return im, az, joules
 }
 
 // estimateKey identifies an (algorithm, size) workload for the demand
@@ -440,6 +427,31 @@ func (s *Server) noteDemand(name string, size int, exec cpu.Execution) {
 	s.estimates.Store(estimateKey(name, size), exec.Demand().PowerWatts)
 }
 
+// admitBuild is the front half every metered request shares: admit it
+// under the power budget, then fetch key from the structure cache or
+// build it, recording the stage as a serve.hit or serve.build span. On
+// failure the response is already written, the grant released, and g is
+// nil; otherwise the caller releases g when the request is done.
+func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track int, name string, size int,
+	key string, build func() (any, error)) (g *Grant, v any, hit bool) {
+	if g = s.admit(w, r, track, name, size); g == nil {
+		return nil, nil, false
+	}
+	buildStart := s.tr.Begin()
+	v, hit, err := s.cache.GetOrBuild(key, build)
+	stage := "serve.build"
+	if hit {
+		stage = "serve.hit"
+	}
+	s.span(track, stage, buildStart)
+	if err != nil {
+		g.Release()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, nil, false
+	}
+	return g, v, hit
+}
+
 // admit runs the admission policy for one request, recording the admit
 // and queue-wait spans. On overload it writes 429 + Retry-After and
 // returns nil.
@@ -474,44 +486,21 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, track int, name s
 // handleRender serves GET /render: admit under the power budget, fetch
 // or build the derived structure, render one orbit frame, encode it as
 // PNG. Every stage lands as a span on the request's telemetry lane.
-func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
-	s.met.requests["render"].Inc()
-	defer s.met.observeRequest("render", time.Now())
-	track, done := s.lane()
-	defer done()
-	reqStart := s.tr.Begin()
-	defer s.span(track, "serve./render", reqStart)
-
+func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track int) {
 	rr, err := s.parseRender(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	g := s.admit(w, r, track, rr.name, rr.size)
+	g, v, hit := s.admitBuild(w, r, track, rr.name, rr.size, rr.structureKey(), s.buildFrames(rr))
 	if g == nil {
 		return
 	}
 	defer g.Release()
 
-	buildStart := s.tr.Begin()
-	st, hit, err := s.structure(rr)
-	if hit {
-		s.span(track, "serve.hit", buildStart)
-	} else {
-		s.span(track, "serve.build", buildStart)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-
 	renderStart := s.tr.Begin()
-	im, exec := s.renderFrame(st, rr)
+	im, _, frameJ := s.renderFrame(v.(*frameEntry), rr, rr.frame)
 	s.span(track, "serve.render", renderStart)
-	s.noteDemand(rr.name, rr.size, exec)
-	frameJ := exec.UnderCap(s.spec.TDPWatts).EnergyJ
-	s.met.energyJ.Add(frameJ)
-	s.met.frames.Inc()
 
 	encodeStart := s.tr.Begin()
 	var buf bytes.Buffer
@@ -557,14 +546,7 @@ type sweepCapRow struct {
 // any of the paper's algorithms at any size — and return its cap table.
 // The cell is built single-flight and cached, so a sweep served to
 // thousands of clients costs one instrumented execution.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.requests["sweep"].Inc()
-	defer s.met.observeRequest("sweep", time.Now())
-	track, done := s.lane()
-	defer done()
-	reqStart := s.tr.Begin()
-	defer s.span(track, "serve./sweep", reqStart)
-
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track int) {
 	q := r.URL.Query()
 	name := q.Get("alg")
 	if name == "" {
@@ -586,14 +568,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	g := s.admit(w, r, track, name, size)
-	if g == nil {
-		return
-	}
-	defer g.Release()
-
-	buildStart := s.tr.Begin()
-	v, hit, err := s.cache.GetOrBuild(fmt.Sprintf("sweep/%s/%d", name, size), func() (any, error) {
+	g, v, _ := s.admitBuild(w, r, track, name, size, fmt.Sprintf("sweep/%s/%d", name, size), func() (any, error) {
 		// Warm the dataset through the single-flight cache first, so a
 		// concurrent /render of the same size shares the build.
 		if _, err := s.dataset(size); err != nil {
@@ -603,18 +578,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer s.cfgMu.Unlock()
 		return s.opts.Config.Run(f, size)
 	})
-	if hit {
-		s.span(track, "serve.hit", buildStart)
-	} else {
-		s.span(track, "serve.build", buildStart)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if g == nil {
 		return
 	}
+	defer g.Release()
 	run := v.(*harness.AlgoRun)
 	// Feed the measured demand and classification back into admission.
-	s.estimates.Store(estimateKey(name, size), run.Exec.Demand().PowerWatts)
+	s.noteDemand(name, size, run.Exec)
 	cls := core.Classify(run.Base, run.ByCap)
 	s.classes.Store(estimateKey(name, size), cls)
 

@@ -9,7 +9,7 @@ import (
 
 // BVH is a bounding-volume hierarchy over the triangles of a TriMesh —
 // the "spatial acceleration structure" the paper's ray tracer builds each
-// cycle before tracing. The production build (BuildBVH) is an
+// cycle before tracing. The production build (BuildBVHWith) is an
 // allocation-light binned-SAH construction parallelized over subtrees;
 // the original sort-median build survives as BuildBVHReference for the
 // golden tests and the build benchmarks.
@@ -37,17 +37,12 @@ const maxLeafTris = 4
 // few percent of a full SAH sweep.
 const sahBins = 16
 
-// BuildBVH constructs the hierarchy on the default worker pool. It
-// returns nil for an empty mesh.
-func BuildBVH(m *mesh.TriMesh) *BVH {
-	return BuildBVHWith(m, par.Default())
-}
-
 // BuildBVHWith constructs the hierarchy: centroids and triangle boxes are
 // computed in parallel, the top of the tree is split serially until
 // enough independent subtrees exist, and the subtrees build concurrently
-// on pool, each into preallocated node storage (no per-node sorting, no
-// per-level allocation).
+// on pool (nil selects the default pool), each into preallocated node
+// storage (no per-node sorting, no per-level allocation). It returns nil
+// for an empty mesh.
 func BuildBVHWith(m *mesh.TriMesh, pool *par.Pool) *BVH {
 	n := m.NumTris()
 	if n == 0 {

@@ -57,8 +57,8 @@ func TestGoldenRenderMatchesReferenceTree(t *testing.T) {
 	}
 	refScene := &Scene{Tris: scene.Tris, BVH: BuildBVHReference(scene.Tris), Norm: scene.Norm}
 	cam := render.OrbitCamera(g.Bounds(), 0.6, 0.4, 2.0)
-	imFast := scene.Render(cam, 48, 48, ex)
-	imRef := refScene.Render(cam, 48, 48, ex)
+	imFast := scene.RenderInto(nil, cam, 48, 48, ex)
+	imRef := refScene.RenderInto(nil, cam, 48, 48, ex)
 	for i := range imFast.Pix {
 		if imFast.Pix[i] != imRef.Pix[i] {
 			t.Fatalf("pixel %d differs: %v vs %v", i, imFast.Pix[i], imRef.Pix[i])

@@ -27,10 +27,6 @@ type Options struct {
 	Images int
 	// Width and Height are the image resolution. Default 128×128.
 	Width, Height int
-	// Sink, when non-nil, receives every rendered image together with
-	// its orbit azimuth — the hook the image-database (Cinema-style)
-	// writer uses. Images are otherwise discarded after accounting.
-	Sink func(index int, azimuthRad float64, im *render.Image)
 }
 
 // Filter is the ray-tracing workload.
@@ -64,14 +60,8 @@ type Scene struct {
 	Norm render.Normalizer
 }
 
-// NewScene builds a scene (BVH included) from a triangle mesh on the
-// default worker pool.
-func NewScene(tris *mesh.TriMesh) *Scene {
-	return NewSceneWith(tris, nil)
-}
-
-// NewSceneWith builds a scene with the BVH construction parallelized on
-// pool (nil selects the default pool).
+// NewSceneWith builds a scene (BVH included) from a triangle mesh, with
+// the BVH construction parallelized on pool (nil selects the default pool).
 func NewSceneWith(tris *mesh.TriMesh, pool *par.Pool) *Scene {
 	lo, hi := mesh.FieldRange(tris.Scalars)
 	return &Scene{Tris: tris, BVH: BuildBVHWith(tris, pool), Norm: render.Normalizer{Lo: lo, Hi: hi}}
@@ -144,21 +134,19 @@ func GatherScene(g *mesh.UniformGrid, field string, ex *viz.Exec) (*Scene, error
 	return scene, nil
 }
 
-// Render traces one image from cam, recording the traversal work into ex.
-func (s *Scene) Render(cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
-	return s.RenderInto(nil, cam, w, h, ex)
-}
+// Background is the canvas color behind the traced surface.
+var Background = render.Color{0.08, 0.08, 0.10, 1}
 
-// RenderInto is Render into a caller-provided framebuffer (reset here),
-// allocating one only when im is nil. The orbit loop reuses one image
-// across all 50 frames when no sink retains them.
+// RenderInto traces one image from cam into a caller-provided framebuffer
+// (reset here), allocating one only when im is nil or the wrong size, and
+// records the traversal work into ex. The orbit loop reuses one image
+// across all 50 frames.
 func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	if im == nil || im.W != w || im.H != h {
 		im = render.NewImage(w, h)
 	} else {
 		im.Reset()
 	}
-	background := render.Color{0.08, 0.08, 0.10, 1}
 	light := cam.Eye.Sub(cam.Look).Normalize()
 	// One camera frame for the whole image; per-pixel ray setup is then
 	// a handful of multiply-adds.
@@ -174,7 +162,7 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 			orig, dir := fr.Ray(px, py)
 			hit, ok := s.BVH.Intersect(s.Tris, orig, dir, &stats)
 			if !ok {
-				im.Pix[pix] = background
+				im.Pix[pix] = Background
 				continue
 			}
 			hits++
@@ -209,18 +197,10 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := g.Bounds()
-	// One reusable framebuffer for the whole orbit unless a sink may
-	// retain frames.
-	var reuse *render.Image
+	var im *render.Image
 	for i := 0; i < f.opts.Images; i++ {
-		az := 2 * math.Pi * float64(i) / float64(f.opts.Images)
-		cam := render.OrbitCamera(b, az, 0.35, 2.0)
-		if f.opts.Sink != nil {
-			f.opts.Sink(i, az, scene.Render(cam, f.opts.Width, f.opts.Height, ex))
-		} else {
-			reuse = scene.RenderInto(reuse, cam, f.opts.Width, f.opts.Height, ex)
-		}
+		cam, _ := render.OrbitView(g.Bounds(), i, f.opts.Images)
+		im = scene.RenderInto(im, cam, f.opts.Width, f.opts.Height, ex)
 	}
 	return &viz.Result{
 		Profile:  ex.Drain(),

@@ -32,7 +32,7 @@ func TestBVHAgreesWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		m := randomTris(rng, 50+trial*30)
-		bvh := BuildBVH(m)
+		bvh := BuildBVHWith(m, nil)
 		for r := 0; r < 200; r++ {
 			orig := mesh.Vec3{rng.Float64()*3 - 1, rng.Float64()*3 - 1, rng.Float64()*3 - 1}
 			dir := mesh.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Normalize()
@@ -52,7 +52,7 @@ func TestBVHAgreesWithBruteForce(t *testing.T) {
 }
 
 func TestBVHEmptyMesh(t *testing.T) {
-	if BuildBVH(&mesh.TriMesh{}) != nil {
+	if BuildBVHWith(&mesh.TriMesh{}, nil) != nil {
 		t.Error("BVH of empty mesh should be nil")
 	}
 	var nilBVH *BVH
@@ -64,7 +64,7 @@ func TestBVHEmptyMesh(t *testing.T) {
 func TestBVHStatsAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomTris(rng, 100)
-	bvh := BuildBVH(m)
+	bvh := BuildBVHWith(m, nil)
 	var stats TraverseStats
 	bvh.Intersect(m, mesh.Vec3{0.5, 0.5, -2}, mesh.Vec3{0, 0, 1}, &stats)
 	if stats.NodesVisited == 0 {
@@ -147,7 +147,7 @@ func TestRenderHitsTheCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	cam := render.OrbitCamera(g.Bounds(), 0.6, 0.4, 2.0)
-	im := scene.Render(cam, 32, 32, ex)
+	im := scene.RenderInto(nil, cam, 32, 32, ex)
 	// The center pixel looks at the cube.
 	c := im.At(16, 16)
 	bg := render.Color{0.08, 0.08, 0.10, 1}
@@ -199,8 +199,8 @@ func TestRayTraceMissingField(t *testing.T) {
 func TestNewSceneFromArbitraryTris(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomTris(rng, 20)
-	s := NewScene(m)
+	s := NewSceneWith(m, nil)
 	if s.BVH == nil || s.Tris != m {
-		t.Error("NewScene incomplete")
+		t.Error("NewSceneWith incomplete")
 	}
 }

@@ -53,7 +53,7 @@ func TestVolumeRenderingProducesImage(t *testing.T) {
 	lo, hi := mesh.FieldRange(field)
 	tf := render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.5}
 	cam := render.OrbitCamera(g.Bounds(), 0.5, 0.35, 2.0)
-	im := RenderImage(g, field, tf, cam, 32, 32, ex)
+	im := NewRenderer(g, field, tf, ex).RenderImageInto(nil, cam, 32, 32, ex)
 	// Center pixel sees the blob: more opaque/colored than the corner.
 	center := im.At(16, 16)
 	corner := im.At(0, 0)
@@ -142,8 +142,8 @@ func TestOpacityScaleAffectsImage(t *testing.T) {
 	lo, hi := mesh.FieldRange(field)
 	cam := render.OrbitCamera(g.Bounds(), 0.5, 0.35, 2.0)
 	ex := viz.NewExec(par.NewPool(2))
-	thin := RenderImage(g, field, render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.05}, cam, 16, 16, ex)
-	thick := RenderImage(g, field, render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.9}, cam, 16, 16, ex)
+	thin := NewRenderer(g, field, render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.05}, ex).RenderImageInto(nil, cam, 16, 16, ex)
+	thick := NewRenderer(g, field, render.TransferFunction{Norm: render.Normalizer{Lo: lo, Hi: hi}, OpacityScale: 0.9}, ex).RenderImageInto(nil, cam, 16, 16, ex)
 	if thin.MeanLuminance() == thick.MeanLuminance() {
 		t.Error("opacity scale had no effect")
 	}
