@@ -75,9 +75,10 @@ func BenchmarkAblationGrain(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBVH compares accelerated and brute-force nearest-hit
-// queries on the grid surface — the reason the ray tracer builds its
-// spatial structure every cycle.
+// BenchmarkAblationBVH times accelerated nearest-hit queries on the grid
+// surface — the structure the ray tracer builds every cycle. (Its
+// brute-force counterpart is the test oracle in raytrace's
+// reference_test.go.)
 func BenchmarkAblationBVH(b *testing.B) {
 	g := benchGrid(b, benchSize())
 	tris, err := mesh.GridExternalFaces(g, "energy")
@@ -99,13 +100,6 @@ func BenchmarkAblationBVH(b *testing.B) {
 			}
 		}
 	})
-	b.Run("brute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range rays {
-				raytrace.BruteForceIntersect(tris, r[0], r[1])
-			}
-		}
-	})
 }
 
 // BenchmarkAblationWeld measures the cost of the point-welding pass that
@@ -119,7 +113,7 @@ func BenchmarkAblationWeld(b *testing.B) {
 	um := res.Cells
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := mesh.WeldPoints(um, 1e-9)
+		w := mesh.WeldPointsPool(um, 1e-9, nil)
 		if w.NumCells() != um.NumCells() {
 			b.Fatal("weld changed cell count")
 		}

@@ -1,7 +1,7 @@
 // Benchmarks for the PR 6 distributed advection path: dist.Advect
 // (parallelize-over-data on the rank fabric) against the single-rank
-// reference and fast integrators on a migration-heavy field. Results
-// are recorded in BENCH_PR6.json.
+// integrator on a migration-heavy field. Results are recorded in
+// BENCH_PR6.json.
 package repro_test
 
 import (
@@ -46,29 +46,26 @@ func helixBenchGrid(b *testing.B, n int) *mesh.UniformGrid {
 }
 
 // BenchmarkAdvectDist advects 1024 particles for up to 1000 steps,
-// fixed-step RK4 and adaptive BS23: the single-rank reference (ref) and
-// fused-sampler (fast) integrators, then dist.Advect on 1/2/4/8 fabric
-// ranks. Each rank advances its residents serially (this is a 1-CPU
-// container), so the dist numbers measure what the decomposition,
-// migration, and termination machinery cost on top of — and recover
-// through rank concurrency against — the oracle. particle-steps/s
-// counts emitted streamline vertices.
+// fixed-step RK4 and adaptive BS23: the single-rank integrator (fast),
+// then dist.Advect on 1/2/4/8 fabric ranks. Each rank advances its
+// residents serially, so the dist numbers measure what the
+// decomposition, migration, and termination machinery cost on top of —
+// and recover through rank concurrency against — advect.Run.
+// particle-steps/s counts emitted streamline vertices.
 func BenchmarkAdvectDist(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		g := helixBenchGrid(b, n)
 		for _, cfg := range []struct {
 			name     string
-			ranks    int // 0: single-rank reference, -1: single-rank fast
+			ranks    int // 0: single-rank advect.Run
 			adaptive bool
 		}{
-			{"ref", 0, false},
-			{"fast", -1, false},
+			{"fast", 0, false},
 			{"dist-1", 1, false},
 			{"dist-2", 2, false},
 			{"dist-4", 4, false},
 			{"dist-8", 8, false},
-			{"ref-adaptive", 0, true},
-			{"fast-adaptive", -1, true},
+			{"fast-adaptive", 0, true},
 			{"dist-1-adaptive", 1, true},
 			{"dist-2-adaptive", 2, true},
 			{"dist-4-adaptive", 4, true},
@@ -85,20 +82,13 @@ func BenchmarkAdvectDist(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var lines *mesh.LineSet
-					switch cfg.ranks {
-					case 0:
-						res, err := f.RunReference(g, ex)
-						if err != nil {
-							b.Fatal(err)
-						}
-						lines = res.Lines
-					case -1:
+					if cfg.ranks == 0 {
 						res, err := f.Run(g, ex)
 						if err != nil {
 							b.Fatal(err)
 						}
 						lines = res.Lines
-					default:
+					} else {
 						res, err := dist.Advect(g, f, cfg.ranks, dist.AdvectOptions{
 							Deadline: 2 * time.Minute,
 						})

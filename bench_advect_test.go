@@ -1,7 +1,7 @@
 // Benchmarks for the PR 4 advection hot path: the fused-sampler SoA
-// integrator (Run) against the retained by-name reference integrator
-// (RunReference), fixed-step and adaptive, at 32^3/64^3/128^3. Results
-// are recorded in BENCH_PR4.json.
+// integrator (Run), fixed-step and adaptive, at 32^3/64^3/128^3.
+// BENCH_PR4.json records it against the reference integrator that has
+// since become the test oracle (internal/viz/advect/reference_test.go).
 package repro_test
 
 import (
@@ -43,21 +43,17 @@ func swirlBenchGrid(b *testing.B, n int) *mesh.UniformGrid {
 	return g
 }
 
-// BenchmarkAdvectPaths advects 1024 particles for up to 1000 RK4 steps
-// through the reference and fast integrators. particle-steps/s counts
-// emitted streamline vertices per second, the paper's throughput unit
-// for this algorithm.
+// BenchmarkAdvectPaths advects 1024 particles for up to 1000 RK4 steps.
+// particle-steps/s counts emitted streamline vertices per second, the
+// paper's throughput unit for this algorithm.
 func BenchmarkAdvectPaths(b *testing.B) {
 	for _, n := range []int{32, 64, 128} {
 		for _, cfg := range []struct {
-			name      string
-			adaptive  bool
-			reference bool
+			name     string
+			adaptive bool
 		}{
-			{"ref", false, true},
-			{"fast", false, false},
-			{"ref-adaptive", true, true},
-			{"fast-adaptive", true, false},
+			{"fast", false},
+			{"fast-adaptive", true},
 		} {
 			b.Run(fmt.Sprintf("%s-%d", cfg.name, n), func(b *testing.B) {
 				g := swirlBenchGrid(b, n)
@@ -70,13 +66,7 @@ func BenchmarkAdvectPaths(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					var res *viz.Result
-					var err error
-					if cfg.reference {
-						res, err = f.RunReference(g, ex)
-					} else {
-						res, err = f.Run(g, ex)
-					}
+					res, err := f.Run(g, ex)
 					if err != nil {
 						b.Fatal(err)
 					}

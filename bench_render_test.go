@@ -1,8 +1,8 @@
-// Benchmarks for the PR 3 render hot path: the macrocell ray marcher
-// against the retained reference sampler, the binned-SAH BVH build
-// against the sort-median reference build, the traced frame, and the
-// pipelined cinema sink against the synchronous one. Results are recorded
-// in BENCH_PR3.json.
+// Benchmarks for the PR 3 render hot path: the macrocell ray marcher,
+// the binned-SAH BVH build, the traced frame, and the pipelined cinema
+// sink against the synchronous one. BENCH_PR3.json records the first two
+// against the reference sampler and sort-median build that are now the
+// golden tests' oracles (reference_test.go in volren and raytrace).
 package repro_test
 
 import (
@@ -53,19 +53,17 @@ func volrenTF(g *mesh.UniformGrid, transparent float64) render.TransferFunction 
 }
 
 // BenchmarkVolrenFrame renders one 128x128 orbit frame with the macrocell
-// marcher (amortized acceleration state) and with the reference
-// world-space sampler, at 32^3 and 64^3, with and without a transparency
-// threshold. cells/s counts grid cells per rendered frame.
+// marcher (amortized acceleration state) at 32^3 and 64^3, with and
+// without a transparency threshold. cells/s counts grid cells per
+// rendered frame.
 func BenchmarkVolrenFrame(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		for _, cfg := range []struct {
 			name        string
 			transparent float64
-			reference   bool
 		}{
-			{"ref", 0, true},
-			{"fast", 0, false},
-			{"fast-skip", 0.35, false},
+			{"fast", 0},
+			{"fast-skip", 0.35},
 		} {
 			b.Run(fmt.Sprintf("%s-%d", cfg.name, n), func(b *testing.B) {
 				g := blobBenchGrid(b, n)
@@ -73,18 +71,11 @@ func BenchmarkVolrenFrame(b *testing.B) {
 				tf := volrenTF(g, cfg.transparent)
 				cam := render.OrbitCamera(g.Bounds(), 0.7, 0.35, 2.0)
 				ex := viz.NewExec(par.Default())
-				var r *volren.Renderer
-				if !cfg.reference {
-					r = volren.NewRenderer(g, field, tf, ex)
-				}
+				r := volren.NewRenderer(g, field, tf, ex)
 				var im *render.Image
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if cfg.reference {
-						im = volren.RenderImageReferenceInto(im, g, field, tf, cam, 128, 128, ex)
-					} else {
-						im = r.RenderImageInto(im, cam, 128, 128, ex)
-					}
+					im = r.RenderImageInto(im, cam, 128, 128, ex)
 				}
 				b.ReportMetric(float64(g.NumCells())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 			})
@@ -114,9 +105,8 @@ func BenchmarkRayTraceFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkBVHBuildPaths compares the parallel binned-SAH construction
-// against the retained sort-median reference build over the external
-// faces at 32^3 and 64^3.
+// BenchmarkBVHBuildPaths times the parallel binned-SAH construction over
+// the external faces at 32^3 and 64^3.
 func BenchmarkBVHBuildPaths(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		g := benchGrid(b, n)
@@ -124,15 +114,6 @@ func BenchmarkBVHBuildPaths(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("ref-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if raytrace.BuildBVHReference(tris) == nil {
-					b.Fatal("nil BVH")
-				}
-			}
-			b.ReportMetric(float64(tris.NumTris()), "tris")
-		})
 		b.Run(fmt.Sprintf("sah-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			pool := par.Default()

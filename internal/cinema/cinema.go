@@ -223,15 +223,6 @@ func (d *Database) writePNG(j encodeJob) error {
 	return f.Close()
 }
 
-// NextCycle advances the visualization-cycle tag for subsequent images.
-// Safe for concurrent use; producers that need to know which cycle they
-// own should use NewCycle instead.
-func (d *Database) NextCycle() {
-	d.mu.Lock()
-	d.cycle++
-	d.mu.Unlock()
-}
-
 // NewCycle atomically claims a fresh cycle tag and returns it: the
 // current cycle is advanced past the returned value, so each concurrent
 // producer gets a private cycle to AddAt into.

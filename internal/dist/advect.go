@@ -4,19 +4,20 @@ package dist
 // fabric: the grid is block-decomposed into z-slabs with a ghost halo
 // sized from the field's peak z-velocity, each rank drives its resident
 // particles through advect.Advance — the function advect.Run drives —
-// over a mesh.BlockVectorSampler whose arithmetic is bit-identical to
-// the whole-grid sampler, and particles whose cell layer leaves the
-// owned range migrate to the owning rank in batched, length-prefixed
-// SoA messages. Rank-local streamline segments carry (pid, seq) like
-// the shared-memory arenas, so the final gather assembles a LineSet
-// bit-identical to single-rank advect.Run regardless of rank count or
-// migration interleaving. This file holds no step loop and no cost
-// constant. See DESIGN.md §11.
+// over a mesh.VectorSampler built on its block, whose arithmetic is
+// bit-identical to the whole-grid sampler, and particles whose cell
+// layer leaves the owned range migrate to the owning rank in batched,
+// length-prefixed SoA messages. Rank-local streamline segments carry
+// (pid, seq) like the shared-memory arenas, so the root decodes the
+// gathered arenas and hands them to advect.Assemble — the assembly
+// advect.Run uses — for a LineSet bit-identical to single-rank
+// advect.Run regardless of rank count or migration interleaving. This
+// file holds no step loop, no cost constant and no assembly rule. See
+// DESIGN.md §11.
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/mesh"
@@ -140,7 +141,7 @@ func (st *advectRankState) ingest(data []float64, src int) (int, error) {
 		return 0, fmt.Errorf("dist: advect migration batch from rank %d is empty", src)
 	}
 	c := int(data[0])
-	if len(data) != 1+advectWireFields*c {
+	if c < 0 || c > len(data) || len(data) != 1+advectWireFields*c {
 		return 0, fmt.Errorf("dist: advect migration batch from rank %d has %d floats, want %d for %d particles",
 			src, len(data), 1+advectWireFields*c, c)
 	}
@@ -228,9 +229,9 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	if starts == nil {
 		starts = advect.SeedPoints(g.Bounds(), fo.NumParticles)
 	}
-	// Live seeds (the same out-of-domain predicate as Run and
-	// RunReference) go to the rank owning their cell layer by the
-	// samplers' exact index arithmetic.
+	// Live seeds (the same out-of-domain predicate as Run and its test
+	// oracle, advect's reference_test.go) go to the rank owning their
+	// cell layer by the samplers' exact index arithmetic.
 	live, seedTally := f.Advancer(g).Seed(starts, nil)
 	gs, err := mesh.NewVectorSampler(g, fo.Vector)
 	if err != nil {
@@ -435,8 +436,8 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 	sh.recs[rank].WorkingSet(st.tally.WorkingSet(sh.blocks[rank].Grid.NumPoints(), st.tally.Steps))
 
 	// Final gather: every rank ships its arena as
-	// [nSegs, (pid, seq, n, n×(x, y, z, spd))...]; the root sorts by
-	// (pid, seq) and assembles with the oracle's qualifying rule.
+	// [nSegs, (pid, seq, n, n×(x, y, z, spd))...]; the root decodes the
+	// messages back into arenas and assembles them as advect.Run does.
 	tr := &st.trail
 	segBuf := make([]float64, 0, 1+len(tr.Segs)*3+len(tr.Pts)*4)
 	segBuf = append(segBuf, float64(len(tr.Segs)))
@@ -454,85 +455,46 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 	if rank != 0 {
 		return nil
 	}
-	lines, err := assembleGather(parts, sh.nSeeds)
+	trails, err := decodeTrails(parts, sh.nSeeds)
 	if err != nil {
 		return err
 	}
-	sh.lines = lines
+	sh.lines, _ = advect.Assemble(trails, nil)
 	sh.rounds = rounds
 	return nil
 }
 
-// assembleGather stitches the per-rank segment messages into one
-// LineSet exactly as the shared-memory assemble does: segments sorted
-// by (pid, seq), particles with fewer than two points dropped, output
-// slices sized exactly.
-func assembleGather(parts [][]float64, nP int) (*mesh.LineSet, error) {
-	type rootSeg struct {
-		pid, seq, n int32
-		rank, off   int
-	}
-	var all []rootSeg
+// decodeTrails turns the gathered per-rank segment messages back into
+// the arenas they were encoded from, one Trail per rank. The messages
+// crossed the fabric, so every count is checked against the buffer
+// before it is used as an index: a malformed message is an error
+// naming the rank, never a panic.
+func decodeTrails(parts [][]float64, nSeeds int) ([]advect.Trail, error) {
+	trails := make([]advect.Trail, len(parts))
 	for r, data := range parts {
 		if len(data) < 1 {
 			return nil, fmt.Errorf("dist: advect segment gather from rank %d is empty", r)
 		}
-		ns := int(data[0])
+		tr := &trails[r]
+		tr.Pts = make([]mesh.Vec3, 0, len(data)/4)
+		tr.Spd = make([]float64, 0, len(data)/4)
+		nSegs := int(data[0])
 		pos := 1
-		for k := 0; k < ns; k++ {
+		for k := 0; k < nSegs; k++ {
 			if pos+3 > len(data) {
 				return nil, fmt.Errorf("dist: advect segment gather from rank %d truncated", r)
 			}
-			sg := rootSeg{pid: int32(data[pos]), seq: int32(data[pos+1]), n: int32(data[pos+2]), rank: r}
+			pid, seq, n := int32(data[pos]), int32(data[pos+1]), int(data[pos+2])
 			pos += 3
-			sg.off = pos
-			pos += 4 * int(sg.n)
-			if pos > len(data) || sg.pid < 0 || int(sg.pid) >= nP {
+			if n < 0 || n > (len(data)-pos)/4 || pid < 0 || int(pid) >= nSeeds {
 				return nil, fmt.Errorf("dist: advect segment gather from rank %d malformed", r)
 			}
-			all = append(all, sg)
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].pid != all[b].pid {
-			return all[a].pid < all[b].pid
-		}
-		return all[a].seq < all[b].seq
-	})
-	counts := make([]int32, nP)
-	for _, sg := range all {
-		counts[sg.pid] += sg.n
-	}
-	nLines, total := 0, 0
-	for _, c := range counts {
-		if c >= 2 {
-			total += int(c)
-			nLines++
-		}
-	}
-	out := &mesh.LineSet{
-		Points:  make([]mesh.Vec3, 0, total),
-		Scalars: make([]float64, 0, total),
-		Offsets: make([]int32, 1, nLines+1),
-	}
-	for i := 0; i < len(all); {
-		j := i
-		pid := all[i].pid
-		for j < len(all) && all[j].pid == pid {
-			j++
-		}
-		if counts[pid] >= 2 {
-			for _, sg := range all[i:j] {
-				data := parts[sg.rank]
-				for q := 0; q < int(sg.n); q++ {
-					o := sg.off + 4*q
-					out.Points = append(out.Points, mesh.Vec3{data[o], data[o+1], data[o+2]})
-					out.Scalars = append(out.Scalars, data[o+3])
-				}
+			tr.Segs = append(tr.Segs, advect.Segment{PID: pid, Seq: seq, Off: int32(len(tr.Pts)), N: int32(n)})
+			for end := pos + 4*n; pos < end; pos += 4 {
+				tr.Pts = append(tr.Pts, mesh.Vec3{data[pos], data[pos+1], data[pos+2]})
+				tr.Spd = append(tr.Spd, data[pos+3])
 			}
-			out.Offsets = append(out.Offsets, int32(len(out.Points)))
 		}
-		i = j
 	}
-	return out, nil
+	return trails, nil
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,5 +288,80 @@ func TestAdvectValidation(t *testing.T) {
 	missing := advect.New(advect.Options{Vector: "nope"})
 	if _, err := Advect(g, missing, 2, AdvectOptions{}); err == nil {
 		t.Fatal("missing vector field accepted")
+	}
+}
+
+// TestAdvectDecodersRejectMalformed: the two decoders of messages that
+// crossed the fabric — the root's decodeTrails and a rank's migration
+// ingest — answer every malformed message with an error naming the
+// sending rank: never a panic, never an index past the buffer. (The
+// cases are the seed corpus a fuzz target would start from.)
+func TestAdvectDecodersRejectMalformed(t *testing.T) {
+	const nSeeds = 4
+	// One well-formed rank message: two segments of particle 1, a
+	// one-point segment of particle 3.
+	good := []float64{3,
+		1, 0, 2, 0.1, 0.2, 0.3, 1.5, 0.4, 0.5, 0.6, 2.5,
+		3, 0, 1, 0.7, 0.8, 0.9, 3.5,
+		1, 1, 1, 0.9, 0.9, 0.9, 4.5,
+	}
+	trails, err := decodeTrails([][]float64{{0}, good}, nSeeds)
+	if err != nil {
+		t.Fatalf("well-formed gather rejected: %v", err)
+	}
+	if len(trails) != 2 || len(trails[0].Segs) != 0 || len(trails[1].Segs) != 3 || len(trails[1].Pts) != 4 {
+		t.Fatalf("well-formed gather decoded to %+v", trails)
+	}
+	if sg := trails[1].Segs[2]; sg.PID != 1 || sg.Seq != 1 || sg.Off != 3 || sg.N != 1 || trails[1].Spd[3] != 4.5 {
+		t.Fatalf("third segment decoded to %+v (speed %v)", sg, trails[1].Spd[3])
+	}
+	lines, _ := advect.Assemble(trails, nil)
+	if lines.NumLines() != 1 || lines.TotalPoints() != 3 {
+		t.Fatalf("assembled %d lines / %d points, want particle 1's three points only", lines.NumLines(), lines.TotalPoints())
+	}
+
+	for _, tc := range []struct {
+		name string
+		msg  []float64
+	}{
+		{"empty message", nil},
+		{"truncated header", []float64{1, 0, 0}},
+		{"second header missing", []float64{2, 0, 0, 0}},
+		{"point count overruns the buffer", []float64{1, 0, 0, 2, 0.1, 0.2, 0.3, 1}},
+		{"huge point count", []float64{1, 0, 0, 1e18}},
+		{"negative point count", []float64{2, 0, 0, -1, 1, 0, 1, 0.1, 0.2, 0.3, 1}},
+		{"negative pid", []float64{1, -1, 0, 1, 0.1, 0.2, 0.3, 1}},
+		{"pid >= nSeeds", []float64{1, nSeeds, 0, 1, 0.1, 0.2, 0.3, 1}},
+	} {
+		trails, err := decodeTrails([][]float64{{0}, {0}, tc.msg}, nSeeds)
+		if err == nil || trails != nil || !strings.Contains(err.Error(), "rank 2") {
+			t.Errorf("decodeTrails, %s: got (%v, %v), want an error naming rank 2", tc.name, trails, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		msg  []float64
+	}{
+		{"empty message", nil},
+		{"count without particles", []float64{1}},
+		{"one float short", append([]float64{1}, make([]float64, advectWireFields-1)...)},
+		{"one float over", append([]float64{1}, make([]float64, advectWireFields+1)...)},
+		{"negative count", []float64{-1}},
+		{"count far past the buffer", []float64{1e18, 0, 0}},
+	} {
+		var st advectRankState
+		n, err := st.ingest(tc.msg, 3)
+		if err == nil || n != 0 || len(st.ps) != 0 || !strings.Contains(err.Error(), "rank 3") {
+			t.Errorf("ingest, %s: got (%d, %v) with %d residents, want an error naming rank 3", tc.name, n, err, len(st.ps))
+		}
+	}
+	var st advectRankState
+	if n, err := st.ingest([]float64{0}, 1); n != 0 || err != nil {
+		t.Errorf("ingest of an empty batch: (%d, %v)", n, err)
+	}
+	one := append([]float64{1}, 0.1, 0.2, 0.3, 7, 2, 1, 5, 0.004, 0.02, 1)
+	if n, err := st.ingest(one, 1); n != 1 || err != nil || st.ps[0].PID != 2 || st.ps[0].Steps != 5 || st.prev[0] != 1 {
+		t.Errorf("ingest of one particle: (%d, %v), state %+v prev %v", n, err, st.ps, st.prev)
 	}
 }

@@ -40,10 +40,6 @@ func (c *Config) Failures() []CellError {
 	return append([]CellError(nil), c.failures...)
 }
 
-// ClearFailures resets the failure record, e.g. between campaigns on a
-// reused Config.
-func (c *Config) ClearFailures() { c.failures = nil }
-
 // FailureReport renders the failures as the campaign error report; it is
 // empty when nothing failed.
 func FailureReport(failures []CellError) string {

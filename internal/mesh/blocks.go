@@ -37,9 +37,6 @@ type Block struct {
 	GlobalCells   [3]int
 }
 
-// OwnsLayer reports whether global cell layer k belongs to this block.
-func (b *Block) OwnsLayer(k int) bool { return k >= b.K0 && k < b.K1 }
-
 // StoredLayers returns the global cell-layer range present in local
 // storage (owned plus ghost), as [lo, hi).
 func (b *Block) StoredLayers() (lo, hi int) { return b.K0 - b.GhostLo, b.K1 + b.GhostHi }
@@ -80,156 +77,14 @@ func BlockDecompose(g *UniformGrid, n, ghost int) ([]Block, error) {
 	return out, nil
 }
 
-// ownerOfPointLayer finds the block authoritative for global point layer
-// k: the owner of cell layer k, except the top point layer, which the
-// last block owns.
-func ownerOfPointLayer(blocks []Block, k int) int {
-	for i := range blocks {
-		if k >= blocks[i].K0 && k < blocks[i].K1 {
-			return i
-		}
-	}
-	return len(blocks) - 1
-}
-
-// ExchangeGhostLayers refreshes every block's halo planes of the named
-// point field (scalar or vector) from the block that owns them, the
-// update a time-varying field needs after each step. BlockDecompose
-// fills halos from the source grid at extraction time, so a freshly
-// decomposed static field does not need an exchange; the helper exists
-// for fields mutated in place per-block.
-func ExchangeGhostLayers(blocks []Block, name string) error {
-	for di := range blocks {
-		dst := &blocks[di]
-		lo, hi := dst.StoredLayers()
-		dims := dst.Grid.Dims
-		// Stored point layers run lo..hi inclusive.
-		for gk := lo; gk <= hi; gk++ {
-			if gk >= dst.K0 && (gk < dst.K1 || (di == len(blocks)-1 && gk == dst.K1)) {
-				continue // authoritative here
-			}
-			si := ownerOfPointLayer(blocks, gk)
-			if si == di {
-				continue
-			}
-			src := &blocks[si]
-			sLo, _ := src.StoredLayers()
-			if v := dst.Grid.PointVector(name); v != nil {
-				sv := src.Grid.PointVector(name)
-				if sv == nil {
-					return fmt.Errorf("mesh: block %d lacks point vector %q", si, name)
-				}
-				for j := 0; j < dims[1]; j++ {
-					d := dst.Grid.PointID(0, j, gk-lo)
-					s := src.Grid.PointID(0, j, gk-sLo)
-					copy(v[d:d+dims[0]], sv[s:s+dims[0]])
-				}
-				continue
-			}
-			f := dst.Grid.PointField(name)
-			if f == nil {
-				return fmt.Errorf("mesh: block %d has no point field or vector %q", di, name)
-			}
-			sf := src.Grid.PointField(name)
-			if sf == nil {
-				return fmt.Errorf("mesh: block %d lacks point field %q", si, name)
-			}
-			for j := 0; j < dims[1]; j++ {
-				d := dst.Grid.PointID(0, j, gk-lo)
-				s := src.Grid.PointID(0, j, gk-sLo)
-				copy(f[d:d+dims[0]], sf[s:s+dims[0]])
-			}
-		}
-	}
-	return nil
-}
-
-// BlockVectorSampler samples a point vector field stored on one Block
-// with arithmetic bit-identical to a VectorSampler over the whole grid:
-// the world→index transform, bounds test, upper-face clamp, and
-// trilinear lerp all run in global grid coordinates — a sample near a
-// block boundary computes exactly the same bits on whichever rank
-// evaluates it — and only the final eight-corner gather is offset into
-// the block's slab storage.
-//
-// A probe inside the global domain but outside the block's stored
-// layers (owned + ghost) cannot be answered locally: Sample returns
-// ok=false and latches Escaped, so callers can distinguish "left the
-// domain: terminate the particle" (ok=false, not escaped — exactly when
-// the whole-grid sampler would fail) from "left the block: the ghost
-// halo is too thin for this step length", which is a setup error, never
-// a silently wrong value.
-//
-// Not safe for concurrent use: copy the value per worker.
-type BlockVectorSampler struct {
-	samplerGeom
-	f        []Vec3
-	kLo, kHi int // stored global cell layers [kLo, kHi)
-	escaped  bool
-	lastCi   int
-	lastCj   int
-	lastCk   int
-	corners  [8]Vec3
-}
-
 // NewBlockVectorSampler builds a sampler over one block's copy of the
-// named point vector field.
-func NewBlockVectorSampler(b Block, name string) (*BlockVectorSampler, error) {
+// named point vector field: a VectorSampler with the undecomposed grid's
+// geometry whose stored window is the block's owned plus ghost layers.
+func NewBlockVectorSampler(b Block, name string) (*VectorSampler, error) {
 	f := b.Grid.PointVector(name)
 	if f == nil {
 		return nil, fmt.Errorf("mesh: block has no point vector field %q", name)
 	}
 	lo, hi := b.StoredLayers()
-	s := &BlockVectorSampler{
-		samplerGeom: newSamplerGeomFrom(b.GlobalOrigin, b.GlobalSpacing, b.GlobalCells),
-		f:           f,
-		kLo:         lo,
-		kHi:         hi,
-	}
-	s.lastCi, s.lastCj, s.lastCk = -1, -1, -1
-	return s, nil
-}
-
-// Escaped reports whether any Sample probe fell inside the global
-// domain but outside the block's stored layers.
-func (s *BlockVectorSampler) Escaped() bool { return s.escaped }
-
-// Sample evaluates the field at p. Bit-identical to a whole-grid
-// VectorSampler for every probe within the stored layers.
-func (s *BlockVectorSampler) Sample(p Vec3) (Vec3, bool) {
-	fx, fy, fz, ok := s.index(p)
-	if !ok {
-		return Vec3{}, false // outside the global domain
-	}
-	ci, cj, ck := s.clamp(fx, fy, fz)
-	if ck < s.kLo || ck >= s.kHi {
-		s.escaped = true
-		return Vec3{}, false
-	}
-	if ci != s.lastCi || cj != s.lastCj || ck != s.lastCk {
-		base := ci + s.nx*cj + s.nxy*(ck-s.kLo)
-		f := s.f
-		s.corners[0] = f[base]
-		s.corners[1] = f[base+1]
-		s.corners[2] = f[base+1+s.nx]
-		s.corners[3] = f[base+s.nx]
-		s.corners[4] = f[base+s.nxy]
-		s.corners[5] = f[base+1+s.nxy]
-		s.corners[6] = f[base+1+s.nx+s.nxy]
-		s.corners[7] = f[base+s.nx+s.nxy]
-		s.lastCi, s.lastCj, s.lastCk = ci, cj, ck
-	}
-	u, v, w := fx-float64(ci), fy-float64(cj), fz-float64(ck)
-	var out Vec3
-	for c := 0; c < 3; c++ {
-		// Component lerp order matches SampleVector exactly.
-		c00 := s.corners[0][c] + u*(s.corners[1][c]-s.corners[0][c])
-		c10 := s.corners[3][c] + u*(s.corners[2][c]-s.corners[3][c])
-		c01 := s.corners[4][c] + u*(s.corners[5][c]-s.corners[4][c])
-		c11 := s.corners[7][c] + u*(s.corners[6][c]-s.corners[7][c])
-		c0 := c00 + v*(c10-c00)
-		c1 := c01 + v*(c11-c01)
-		out[c] = c0 + w*(c1-c0)
-	}
-	return out, true
+	return newVectorSampler(newSamplerGeomFrom(b.GlobalOrigin, b.GlobalSpacing, b.GlobalCells), f, lo, hi), nil
 }

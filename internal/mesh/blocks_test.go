@@ -101,7 +101,7 @@ func TestBlockSamplerBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samplers := make([]*BlockVectorSampler, len(blocks))
+	samplers := make([]*VectorSampler, len(blocks))
 	for i := range blocks {
 		if samplers[i], err = NewBlockVectorSampler(blocks[i], "velocity"); err != nil {
 			t.Fatal(err)
@@ -186,60 +186,42 @@ func TestBlockSamplerGhostReach(t *testing.T) {
 	}
 }
 
-// TestExchangeGhostLayers: mutating each block's owned planes and
-// exchanging reproduces a globally mutated field on every stored plane.
-func TestExchangeGhostLayers(t *testing.T) {
-	g := blockTestGrid(t, 12)
-	blocks, err := BlockDecompose(g, 3, 2)
+// TestWholeGridSamplerNeverEscapes: a whole-grid sampler's window is
+// every layer, so no probe — inside, on a face, or outside — latches
+// Escaped.
+func TestWholeGridSamplerNeverEscapes(t *testing.T) {
+	for _, n := range []int{8, 6} {
+		s, err := NewVectorSampler(samplerTestGrid(t, n), "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range samplerProbePoints(2000) {
+			s.Sample(p)
+			if s.Escaped() {
+				t.Fatalf("n=%d: whole-grid sampler escaped at %v", n, p)
+			}
+		}
+	}
+}
+
+// TestSamplerCopyOwnsItsLatch: parallel kernels give each worker a value
+// copy of a prototype; an escape on one copy must show on neither the
+// prototype nor a sibling.
+func TestSamplerCopyOwnsItsLatch(t *testing.T) {
+	blocks, err := BlockDecompose(blockTestGrid(t, 16), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate authoritative planes per block: value += 10*(global layer).
-	for bi := range blocks {
-		b := &blocks[bi]
-		lo, hi := b.StoredLayers()
-		v := b.Grid.PointVector("velocity")
-		f := b.Grid.PointField("energy")
-		for k := lo; k <= hi; k++ {
-			if ownerOfPointLayer(blocks, k) != bi {
-				continue
-			}
-			for j := 0; j < g.Dims[1]; j++ {
-				for x := 0; x < g.Dims[0]; x++ {
-					id := b.Grid.PointID(x, j, k-lo)
-					v[id] = v[id].Add(Vec3{float64(10 * k), 0, 0})
-					f[id] += float64(10 * k)
-				}
-			}
-		}
-	}
-	if err := ExchangeGhostLayers(blocks, "velocity"); err != nil {
+	proto, err := NewBlockVectorSampler(blocks[0], "velocity")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ExchangeGhostLayers(blocks, "energy"); err != nil {
-		t.Fatal(err)
+	a, b := *proto, *proto
+	if _, ok := a.Sample(Vec3{0.5, 0.5, 0.9}); ok || !a.Escaped() {
+		t.Fatalf("copy did not latch an out-of-block probe (ok=%v)", ok)
 	}
-	gv := g.PointVector("velocity")
-	gf := g.PointField("energy")
-	for bi := range blocks {
-		b := &blocks[bi]
-		lo, hi := b.StoredLayers()
-		v := b.Grid.PointVector("velocity")
-		f := b.Grid.PointField("energy")
-		for k := lo; k <= hi; k++ {
-			for j := 0; j < g.Dims[1]; j++ {
-				for x := 0; x < g.Dims[0]; x++ {
-					id := b.Grid.PointID(x, j, k-lo)
-					gid := g.PointID(x, j, k)
-					wantV := gv[gid].Add(Vec3{float64(10 * k), 0, 0})
-					wantF := gf[gid] + float64(10*k)
-					if v[id] != wantV || f[id] != wantF {
-						t.Fatalf("block %d plane %d not refreshed at (%d,%d): v=%v want %v, f=%v want %v",
-							bi, k, x, j, v[id], wantV, f[id], wantF)
-					}
-				}
-			}
-		}
+	if proto.Escaped() || b.Escaped() {
+		t.Fatalf("latch shared: prototype %v, sibling %v", proto.Escaped(), b.Escaped())
 	}
 }
 

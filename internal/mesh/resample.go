@@ -28,7 +28,7 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	}
 	// Resolve each source field into a sampler once; destination points
 	// walk the grid in order, so the sampler's cached cell covers most
-	// probes (bit-identical to the per-probe SampleScalarField path).
+	// probes.
 	samplePts := func(s *ScalarSampler, dst []float64) {
 		for id := range dst {
 			v, ok := s.Sample(out.PointPosition(id))

@@ -12,15 +12,17 @@ import (
 // eight-corner gather per sample instead of re-resolving the field by name
 // and rebuilding the corner index list on every call.
 //
-// Bit-identity contract: Sample reproduces mesh.SampleScalarField /
-// (*UniformGrid).SampleVector bit for bit. The trilinear lerp runs in the
-// exact order of those functions, and the world→index conversion divides
-// by the spacing exactly as locate does — except when a spacing component
-// is a power of two, where multiplying by the precomputed reciprocal is
-// provably exact and therefore produces the same bits as the division.
-// Every grid the study sweeps (NewCubeGrid with 32…256 cells) has
-// power-of-two spacing, so the hot path pays three multiplies, not three
-// divisions, without giving up the golden-test guarantee on any grid.
+// Bit-identity contract: Sample reproduces, bit for bit, the plain
+// definition of trilinear sampling kept as the test oracle in
+// sample_oracle_test.go (locate the cell with three divisions, list its
+// eight corners, lerp x then y then z). The lerp runs in exactly that
+// order, and the world→index conversion divides by the spacing exactly
+// as the oracle does — except when a spacing component is a power of
+// two, where multiplying by the precomputed reciprocal is provably exact
+// and therefore produces the same bits as the division. Every grid the
+// study sweeps (NewCubeGrid with 32…256 cells) has power-of-two spacing,
+// so the hot path pays three multiplies, not three divisions, without
+// giving up the golden-test guarantee on any grid.
 //
 // Samplers carry a mutable last-cell cache and therefore must not be
 // shared between goroutines; they are small values, so parallel kernels
@@ -64,8 +66,9 @@ func newSamplerGeomFrom(origin, spacing Vec3, cd [3]int) samplerGeom {
 	return sg
 }
 
-// index converts a world position to continuous cell coordinates, with the
-// same bounds test as (*UniformGrid).locate.
+// index converts a world position to continuous cell coordinates and
+// applies the domain bounds test — the one world→index transform every
+// sampling path shares.
 func (sg *samplerGeom) index(p Vec3) (fx, fy, fz float64, ok bool) {
 	if sg.exact {
 		fx = (p[0] - sg.org[0]) * sg.inv[0]
@@ -83,8 +86,8 @@ func (sg *samplerGeom) index(p Vec3) (fx, fy, fz float64, ok bool) {
 	return fx, fy, fz, true
 }
 
-// clamp truncates continuous cell coordinates to the containing cell,
-// mirroring locate's upper-face clamp.
+// clamp truncates continuous cell coordinates to the containing cell; a
+// position on an upper face belongs to the last cell.
 func (sg *samplerGeom) clamp(fx, fy, fz float64) (ci, cj, ck int) {
 	ci, cj, ck = int(fx), int(fy), int(fz)
 	if ci >= sg.cd[0] {
@@ -125,33 +128,18 @@ func (sg *samplerGeom) CellLayer(p Vec3) (int, bool) {
 }
 
 // InDomain reports whether p is inside the grid's sampling domain —
-// the exact bounds test every interpolation path applies (locate's
-// check on the continuous cell coordinates, which the samplers
-// reproduce bit for bit). This is the shared seed-validation predicate:
-// a position InDomain rejects is one SampleVector, the fast samplers,
-// and the distributed block samplers would all reject identically.
+// the exact bounds test every sampler applies to the continuous cell
+// coordinates. This is the shared seed-validation predicate: a position
+// InDomain rejects is one a whole-grid sampler and every block's
+// sampler reject identically.
 func (g *UniformGrid) InDomain(p Vec3) bool {
 	sg := newSamplerGeom(g)
 	_, _, _, ok := sg.index(p)
 	return ok
 }
 
-// CellIndex returns the linearized id of the cell containing p, or
-// ok=false when p is outside the grid. It matches the cell that
-// SampleScalar/SampleVector would interpolate in, including the
-// upper-boundary clamp.
-func (g *UniformGrid) CellIndex(p Vec3) (int, bool) {
-	ci, cj, ck, _, _, _, ok := g.locate(p)
-	if !ok {
-		return -1, false
-	}
-	cd := g.CellDims()
-	return ci + cd[0]*(cj+cd[1]*ck), true
-}
-
 // ScalarSampler samples one point scalar field with trilinear
-// interpolation, bit-identical to mesh.SampleScalarField. Not safe for
-// concurrent use: copy the value per worker.
+// interpolation. Not safe for concurrent use: copy the value per worker.
 type ScalarSampler struct {
 	samplerGeom
 	f       []float64
@@ -178,8 +166,7 @@ func NewScalarSampler(g *UniformGrid, name string) (*ScalarSampler, error) {
 	return ScalarSamplerFor(g, f), nil
 }
 
-// Sample evaluates the field at p. Bit-identical to
-// SampleScalarField(g, f, p).
+// Sample evaluates the field at p; ok is false outside the grid.
 func (s *ScalarSampler) Sample(p Vec3) (float64, bool) {
 	fx, fy, fz, ok := s.index(p)
 	if !ok {
@@ -200,7 +187,7 @@ func (s *ScalarSampler) Sample(p Vec3) (float64, bool) {
 		s.lastCi, s.lastCj, s.lastCk = ci, cj, ck
 	}
 	u, v, w := fx-float64(ci), fy-float64(cj), fz-float64(ck)
-	// Lerp order matches SampleScalarField exactly.
+	// Lerp order is the contract: x, then y, then z.
 	c00 := s.corners[0] + u*(s.corners[1]-s.corners[0])
 	c10 := s.corners[3] + u*(s.corners[2]-s.corners[3])
 	c01 := s.corners[4] + u*(s.corners[5]-s.corners[4])
@@ -211,29 +198,50 @@ func (s *ScalarSampler) Sample(p Vec3) (float64, bool) {
 }
 
 // VectorSampler samples one point vector field with trilinear
-// interpolation, bit-identical to (*UniformGrid).SampleVector. The eight
-// corner vectors are gathered once per cell and all three components are
-// interpolated from the cached corners, instead of re-walking the corner
-// list per component per call. Not safe for concurrent use: copy the
-// value per worker.
+// interpolation. The eight corner vectors are gathered once per cell and
+// all three components are interpolated from the cached corners.
+//
+// The sampler answers probes whose cell layer lies in its stored window
+// [kLo, kHi): every layer for a whole-grid sampler, the owned plus ghost
+// layers for one built over a Block (NewBlockVectorSampler). Either way
+// the world→index transform, bounds test, upper-face clamp, and lerp run
+// in global grid coordinates — a sample near a block boundary computes
+// exactly the same bits on whichever rank evaluates it — and only the
+// corner gather is offset into the slab.
+//
+// A probe inside the domain but outside the window cannot be answered
+// from this storage: Sample returns ok=false and latches Escaped, so
+// callers can tell "left the domain: terminate the particle" (ok=false,
+// not escaped) from "left the block: the ghost halo is too thin for
+// this step length", which is a setup error, never a silently wrong
+// value. A whole-grid sampler never escapes.
+//
+// Not safe for concurrent use: copy the value per worker (the copy gets
+// its own cache and its own latch).
 type VectorSampler struct {
 	samplerGeom
-	f       []Vec3
-	lastCi  int
-	lastCj  int
-	lastCk  int
-	corners [8]Vec3
+	f        []Vec3
+	kLo, kHi int // stored global cell layers [kLo, kHi)
+	escaped  bool
+	lastCi   int
+	lastCj   int
+	lastCk   int
+	corners  [8]Vec3
 }
 
-// VectorSamplerFor builds a sampler over an explicit point-vector slice.
+func newVectorSampler(sg samplerGeom, f []Vec3, kLo, kHi int) *VectorSampler {
+	return &VectorSampler{samplerGeom: sg, f: f, kLo: kLo, kHi: kHi, lastCi: -1, lastCj: -1, lastCk: -1}
+}
+
+// VectorSamplerFor builds a whole-grid sampler over an explicit
+// point-vector slice.
 func VectorSamplerFor(g *UniformGrid, f []Vec3) *VectorSampler {
-	s := &VectorSampler{samplerGeom: newSamplerGeom(g), f: f}
-	s.lastCi, s.lastCj, s.lastCk = -1, -1, -1
-	return s
+	sg := newSamplerGeom(g)
+	return newVectorSampler(sg, f, 0, sg.cd[2])
 }
 
 // NewVectorSampler resolves a named point vector field once and builds a
-// sampler over it.
+// whole-grid sampler over it.
 func NewVectorSampler(g *UniformGrid, name string) (*VectorSampler, error) {
 	f := g.PointVector(name)
 	if f == nil {
@@ -242,16 +250,24 @@ func NewVectorSampler(g *UniformGrid, name string) (*VectorSampler, error) {
 	return VectorSamplerFor(g, f), nil
 }
 
-// Sample evaluates the field at p. Bit-identical to
-// g.SampleVector(name, p) on the field the sampler was built over.
+// Escaped reports whether any Sample probe fell inside the domain but
+// outside the sampler's stored layers.
+func (s *VectorSampler) Escaped() bool { return s.escaped }
+
+// Sample evaluates the field at p; ok is false outside the grid or the
+// stored layers.
 func (s *VectorSampler) Sample(p Vec3) (Vec3, bool) {
 	fx, fy, fz, ok := s.index(p)
 	if !ok {
-		return Vec3{}, false
+		return Vec3{}, false // outside the domain
 	}
 	ci, cj, ck := s.clamp(fx, fy, fz)
+	if ck < s.kLo || ck >= s.kHi {
+		s.escaped = true
+		return Vec3{}, false
+	}
 	if ci != s.lastCi || cj != s.lastCj || ck != s.lastCk {
-		base := ci + s.nx*cj + s.nxy*ck
+		base := ci + s.nx*cj + s.nxy*(ck-s.kLo)
 		f := s.f
 		s.corners[0] = f[base]
 		s.corners[1] = f[base+1]
@@ -266,7 +282,7 @@ func (s *VectorSampler) Sample(p Vec3) (Vec3, bool) {
 	u, v, w := fx-float64(ci), fy-float64(cj), fz-float64(ck)
 	var out Vec3
 	for c := 0; c < 3; c++ {
-		// Component lerp order matches SampleVector exactly.
+		// Per component, the scalar sampler's lerp order exactly.
 		c00 := s.corners[0][c] + u*(s.corners[1][c]-s.corners[0][c])
 		c10 := s.corners[3][c] + u*(s.corners[2][c]-s.corners[3][c])
 		c01 := s.corners[4][c] + u*(s.corners[5][c]-s.corners[4][c])

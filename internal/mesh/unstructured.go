@@ -16,16 +16,6 @@ func (m *TriMesh) NumTris() int { return len(m.Tris) }
 // NumPoints returns the point count.
 func (m *TriMesh) NumPoints() int { return len(m.Points) }
 
-// Append concatenates other into m, renumbering its connectivity.
-func (m *TriMesh) Append(other *TriMesh) {
-	base := int32(len(m.Points))
-	m.Points = append(m.Points, other.Points...)
-	m.Scalars = append(m.Scalars, other.Scalars...)
-	for _, t := range other.Tris {
-		m.Tris = append(m.Tris, [3]int32{t[0] + base, t[1] + base, t[2] + base})
-	}
-}
-
 // Bounds returns the bounding box of the mesh points.
 func (m *TriMesh) Bounds() Bounds {
 	b := EmptyBounds()
@@ -199,22 +189,6 @@ func (m *UnstructuredMesh) AddCell(t CellType, conn ...int32) {
 // aliases the mesh storage.
 func (m *UnstructuredMesh) Cell(i int) (CellType, []int32) {
 	return m.Types[i], m.Conn[m.Offsets[i]:m.Offsets[i+1]]
-}
-
-// Append concatenates other into m, renumbering its connectivity. It is
-// used to merge per-worker partial outputs.
-func (m *UnstructuredMesh) Append(other *UnstructuredMesh) {
-	base := int32(len(m.Points))
-	m.Points = append(m.Points, other.Points...)
-	m.Scalars = append(m.Scalars, other.Scalars...)
-	for i := 0; i < other.NumCells(); i++ {
-		t, conn := other.Cell(i)
-		m.Types = append(m.Types, t)
-		for _, c := range conn {
-			m.Conn = append(m.Conn, c+base)
-		}
-		m.Offsets = append(m.Offsets, int32(len(m.Conn)))
-	}
 }
 
 // Bounds returns the bounding box of the mesh points.

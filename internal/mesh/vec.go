@@ -20,9 +20,6 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v[0] - w[0], v[1] - w[1], v[2] - w[
 // Scale returns s·v.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v[0], s * v[1], s * v[2]} }
 
-// Mul returns the component-wise product v∘w.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v[0] * w[0], v[1] * w[1], v[2] * w[2]} }
-
 // Dot returns v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v[0]*w[0] + v[1]*w[1] + v[2]*w[2] }
 
@@ -37,9 +34,6 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 
 // Norm returns |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Norm2 returns |v|².
-func (v Vec3) Norm2() float64 { return v.Dot(v) }
 
 // Normalize returns v/|v|, or the zero vector if |v| is zero.
 func (v Vec3) Normalize() Vec3 {
@@ -106,9 +100,4 @@ func (b Bounds) Contains(p Vec3) bool {
 	return p[0] >= b.Lo[0] && p[0] <= b.Hi[0] &&
 		p[1] >= b.Lo[1] && p[1] <= b.Hi[1] &&
 		p[2] >= b.Lo[2] && p[2] <= b.Hi[2]
-}
-
-// Valid reports whether the box has non-negative extent on every axis.
-func (b Bounds) Valid() bool {
-	return b.Lo[0] <= b.Hi[0] && b.Lo[1] <= b.Hi[1] && b.Lo[2] <= b.Hi[2]
 }

@@ -5,16 +5,6 @@ import (
 	"repro/internal/par"
 )
 
-// WeldPoints merges coincident points of an unstructured mesh (within tol)
-// and rewrites the connectivity, returning the welded mesh. Filters that
-// assemble cells from independently-clipped tetrahedra produce duplicated
-// vertices along shared faces; welding restores shared connectivity so
-// interior faces pair up in ExternalFaces. This serial entry point is kept
-// for callers without a pool; the hot paths use WeldPointsPool.
-func WeldPoints(m *UnstructuredMesh, tol float64) *UnstructuredMesh {
-	return WeldPointsPool(m, tol, nil)
-}
-
 // weldShards caps the dedup shard count: enough for the worker counts the
 // study sweeps (1–32 in the paper's Fig. 2) without paying a 1/32 map-load
 // penalty on small pools.
@@ -40,12 +30,17 @@ func weldHash(k [3]int64) uint64 {
 	return h * 0xBF58476D1CE4E5B9
 }
 
-// WeldPointsPool is WeldPoints on a worker pool: points are quantized in
-// parallel, deduplicated in hash shards scanned concurrently (each shard
-// scans all points in index order, so the representative of every key is
-// its first occurrence — the output is identical to the serial weld),
-// compacted with a blocked parallel prefix sum, and the connectivity is
-// remapped in parallel. A nil pool runs the same passes serially.
+// WeldPointsPool merges coincident points of an unstructured mesh (within
+// tol) and rewrites the connectivity, returning the welded mesh. Filters
+// that assemble cells from independently-clipped tetrahedra produce
+// duplicated vertices along shared faces; welding restores shared
+// connectivity so interior faces pair up in ExternalFaces. Points are
+// quantized in parallel, deduplicated in hash shards scanned concurrently
+// (each shard scans all points in index order, so the representative of
+// every key is its first occurrence — the output is identical to a serial
+// weld), compacted with a blocked parallel prefix sum, and the
+// connectivity is remapped in parallel. A nil pool runs the same passes
+// serially.
 func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *UnstructuredMesh {
 	if tol <= 0 {
 		tol = 1e-9
@@ -154,6 +149,6 @@ func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *Unstructu
 	return out
 }
 
-// serialWeldPool services WeldPoints callers that have no pool; a
-// one-worker pool runs every pass inline on the caller.
+// serialWeldPool services callers that pass no pool; a one-worker pool
+// runs every pass inline on the caller.
 var serialWeldPool = par.NewPool(1)

@@ -16,7 +16,7 @@ func TestWeldPointsMergesDuplicates(t *testing.T) {
 	b3 := m.AddPoint(Vec3{0, 0, -1}, 5)
 	m.AddCell(Tet, b0, b2, b1, b3)
 
-	w := WeldPoints(m, 1e-9)
+	w := WeldPointsPool(m, 1e-9, nil)
 	if len(w.Points) != 5 {
 		t.Fatalf("welded points = %d, want 5", len(w.Points))
 	}
@@ -40,12 +40,12 @@ func TestWeldPointsTolerance(t *testing.T) {
 	p2 := m.AddPoint(Vec3{0.5, 0, 0}, 0)   // distinct
 	p3 := m.AddPoint(Vec3{0, 1, 0}, 0)
 	m.AddCell(Tet, p0, p1, p2, p3)
-	w := WeldPoints(m, 1e-9)
+	w := WeldPointsPool(m, 1e-9, nil)
 	if len(w.Points) != 3 {
 		t.Errorf("welded points = %d, want 3", len(w.Points))
 	}
 	// Default tolerance on non-positive input.
-	w2 := WeldPoints(m, 0)
+	w2 := WeldPointsPool(m, 0, nil)
 	if len(w2.Points) != 3 {
 		t.Errorf("default-tolerance welded points = %d, want 3", len(w2.Points))
 	}
@@ -58,7 +58,7 @@ func TestWeldPreservesScalars(t *testing.T) {
 	p2 := m.AddPoint(Vec3{0, 1, 0}, 8)
 	p3 := m.AddPoint(Vec3{0, 0, 1}, 9)
 	m.AddCell(Tet, p0, p1, p2, p3)
-	w := WeldPoints(m, 1e-9)
+	w := WeldPointsPool(m, 1e-9, nil)
 	if w.Scalars[0] != 42 {
 		t.Errorf("scalar lost in weld: %v", w.Scalars)
 	}

@@ -80,11 +80,3 @@ func Rate(elements int64, timeSec float64) float64 {
 	}
 	return float64(elements) / timeSec
 }
-
-// EnergyToSolution returns the joules consumed by a governed run.
-func EnergyToSolution(r cpu.CapResult) float64 { return r.EnergyJ }
-
-// EDP returns the energy-delay product, a common power/performance
-// tradeoff figure (not in the paper's tables but used by the ablation
-// benches).
-func EDP(r cpu.CapResult) float64 { return r.EnergyJ * r.TimeSec }

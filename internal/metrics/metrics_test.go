@@ -83,16 +83,6 @@ func TestRate(t *testing.T) {
 	}
 }
 
-func TestEnergyAndEDP(t *testing.T) {
-	r := res(100, 5, 2.5)
-	if EnergyToSolution(r) != r.EnergyJ {
-		t.Error("EnergyToSolution mismatch")
-	}
-	if EDP(r) != r.EnergyJ*5 {
-		t.Error("EDP mismatch")
-	}
-}
-
 // Property: the Section V-A identity — for any positive inputs,
 // Compute(base, base) is all ones.
 func TestSelfRatiosAreUnity(t *testing.T) {

@@ -82,10 +82,7 @@ func MergeAttribution(acc, more []StageJoules) []StageJoules {
 			acc = append(acc, r)
 		}
 	}
-	var totalJ float64
-	for _, r := range acc {
-		totalJ += r.Joules
-	}
+	totalJ := TotalJoules(acc)
 	for i := range acc {
 		if totalJ > 0 {
 			acc[i].Share = acc[i].Joules / totalJ

@@ -73,14 +73,6 @@ func (p *Pool) Instrument(tr *telemetry.Tracer) {
 	p.ensure().instr.Store(in)
 }
 
-// Telemetry returns the tracer attached by Instrument, or nil.
-func (p *Pool) Telemetry() *telemetry.Tracer {
-	if in := p.instr.Load(); in != nil {
-		return in.tracer
-	}
-	return nil
-}
-
 // WorkerStats is one worker slot's counter snapshot. Tasks, Stolen, and
 // Latency are indexed by loop-participant slot (the worker argument a
 // body receives); IdleNs is indexed by pool worker goroutine. Both

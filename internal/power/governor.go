@@ -41,10 +41,6 @@ type Options struct {
 	// (default obs.DefaultFlightRecorderSize); oldest decisions are
 	// overwritten and counted, never the run blocked.
 	DecisionLog int
-	// Metrics, when non-nil, publishes the governor's live series (cap,
-	// bank, trim, meter watts, class votes) to the registry. Register at
-	// most one governor per registry: the series names are fixed.
-	Metrics *obs.Registry
 }
 
 const (
@@ -162,7 +158,6 @@ type Governor struct {
 
 	ring   *sampleRing
 	flight *obs.FlightRecorder
-	gauges *govGauges
 
 	reprograms int
 	phases     []PhaseReport
@@ -220,7 +215,6 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 		mon:    mon,
 		ring:   newSampleRing(opt.MaxSamples),
 		flight: obs.NewFlightRecorder(opt.DecisionLog),
-		gauges: newGovGauges(opt.Metrics),
 	}
 	before := g.pkg.EffectiveCapWatts()
 	if err := g.pkg.SetLimitWatts(opt.TargetWatts); err != nil {
@@ -233,27 +227,25 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 		OldWatts:     before,
 		NewWatts:     g.pkg.EffectiveCapWatts(),
 		Reason:       "init: program target as opening cap",
-	}, false)
+	})
 	return g, nil
 }
 
-// record logs one cap decision to the flight recorder and mirrors it
-// into the live gauges.
-func (g *Governor) record(d obs.Decision, boundary bool) {
+// record logs one cap decision to the flight recorder.
+func (g *Governor) record(d obs.Decision) {
 	d.TimeSec = g.nowSec
 	g.flight.Record(d)
-	g.gauges.onDecision(d, boundary)
 }
 
 // decide programs the cap a policy asked for (d.NewWatts) and
 // flight-records the transition with the control-law terms d carries.
-func (g *Governor) decide(d obs.Decision, label, reason string, boundary bool) error {
+func (g *Governor) decide(d obs.Decision, label, reason string) error {
 	d.OldWatts = g.pkg.EffectiveCapWatts()
 	if err := g.program(d.NewWatts); err != nil {
 		return err
 	}
 	d.Phase, d.Reason, d.NewWatts = label, reason, g.pkg.EffectiveCapWatts()
-	g.record(d, boundary)
+	g.record(d)
 	return nil
 }
 
@@ -281,7 +273,7 @@ const maxTicks = 1_000_000
 // tick, and the cap moves if it says so. rep arrives holding whatever
 // capturePhase measured around the live phase (nothing on a replay).
 func (g *Governor) governPhase(label string, e cpu.Execution, rep PhaseReport) error {
-	if err := g.decide(g.law.boundary(label), label, "boundary", true); err != nil {
+	if err := g.decide(g.law.boundary(label), label, "boundary"); err != nil {
 		return err
 	}
 	rep.Label = label
@@ -313,7 +305,6 @@ func (g *Governor) governPhase(label string, e cpu.Execution, rep PhaseReport) e
 		rep.Ticks++
 		last = s
 		avgW := g.avgWatts()
-		g.gauges.onTick(r.PowerWatts, avgW, r.PowerWatts*dt)
 		if rep.Ticks >= maxTicks {
 			return fmt.Errorf("power: %s: phase did not finish within %d ticks", label, maxTicks)
 		}
@@ -321,7 +312,7 @@ func (g *Governor) governPhase(label string, e cpu.Execution, rep PhaseReport) e
 		d, retune := g.law.observe(tick{sample: s, dt: dt, powerW: r.PowerWatts, throttled: r.Throttled,
 			capW: g.pkg.EffectiveCapWatts(), avgW: avgW, idleFrac: rep.PoolIdleFrac})
 		if retune {
-			if err := g.decide(d, label, "retune", false); err != nil {
+			if err := g.decide(d, label, "retune"); err != nil {
 				return err
 			}
 		}

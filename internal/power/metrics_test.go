@@ -1,7 +1,6 @@
 package power
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -110,43 +109,5 @@ func TestGovernorSegmentAttributionUntraced(t *testing.T) {
 	}
 	if math.Abs(rows[0].Joules-res.EnergyJ) > 1e-9 {
 		t.Errorf("untraced row %.2f J != measured %.2f J", rows[0].Joules, res.EnergyJ)
-	}
-}
-
-func TestGovernorPublishesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	g, err := New(newRAPL(), Options{TargetWatts: 65, IntervalSec: 0.01, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.RunSegments(mixedSegments(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidatePrometheus(buf.Bytes()); err != nil {
-		t.Fatalf("governor metrics invalid: %v\n%s", err, buf.Bytes())
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"vizpower_governor_cap_watts",
-		"vizpower_governor_bank_joules",
-		"vizpower_governor_trim_watts",
-		"vizpower_governor_avg_watts",
-		"vizpower_governor_meter_watts",
-		"vizpower_governor_energy_joules_total",
-		"vizpower_governor_decisions_total",
-		`vizpower_governor_class_votes_total{class="power sensitive"}`,
-		`vizpower_governor_class_votes_total{class="power opportunity"}`,
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-	if len(res.Decisions) == 0 {
-		t.Error("no decisions on metered run")
 	}
 }

@@ -118,12 +118,6 @@ func (p *Package) AccumulateEnergy(joules float64) {
 // EnergyUnitJoules returns the joules represented by one counter unit.
 func EnergyUnitJoules() float64 { return math.Exp2(-energyUnitExp) }
 
-// EnergyCounter reads the raw 32-bit energy status value.
-func (p *Package) EnergyCounter() uint64 {
-	v, _ := p.file.Load(msr.MSR_PKG_ENERGY_STATUS)
-	return v & 0xFFFFFFFF
-}
-
 // EnergyDeltaJoules converts a pair of raw counter readings (after, then
 // before) into joules, handling 32-bit wraparound — the arithmetic every
 // RAPL sampler must get right.

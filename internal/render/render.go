@@ -1,13 +1,12 @@
 // Package render provides the image-generation substrate shared by the
 // ray-tracing and volume-rendering workloads and by the Fig. 1 rendering
-// harness: float RGBA images with PNG/PPM export, orbiting perspective
+// harness: float RGBA images with PNG export, orbiting perspective
 // cameras (the paper renders 50 images per cycle from camera positions
 // around the data set), a cool-to-warm scalar color map, and a simple
 // depth-buffered line rasterizer used to draw streamlines.
 package render
 
 import (
-	"fmt"
 	"image"
 	"image/color"
 	"image/png"
@@ -115,20 +114,6 @@ func (im *Image) WritePNG(w io.Writer) error {
 		}
 	}
 	return png.Encode(w, out)
-}
-
-// WritePPM encodes the image as a binary PPM (P6), handy when no PNG
-// viewer is around.
-func (im *Image) WritePPM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, im.W*im.H*3)
-	for _, c := range im.Pix {
-		buf = append(buf, to8(c[0]), to8(c[1]), to8(c[2]))
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 // MeanLuminance returns the average luminance of the image — used by the

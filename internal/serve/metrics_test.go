@@ -8,12 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
-	"repro/internal/msr"
 	"repro/internal/obs"
-	"repro/internal/ops"
-	"repro/internal/power"
-	"repro/internal/rapl"
 )
 
 // TestMetricsEndpoint is the acceptance-criterion parse-back: GET
@@ -58,8 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// cache
 		"vizpower_cache_hits_total",
 		"vizpower_cache_misses_total",
-		// governor (flight-recorder log series; live governor gauges
-		// join via power.Options.Metrics on the same registry)
+		// governor (flight-recorder log series)
 		"vizpower_governor_log_decisions",
 		// request plane
 		`vizpower_serve_requests_total{handler="render"} 1`,
@@ -153,48 +147,5 @@ func TestStatsSurfacesDropsAndFabric(t *testing.T) {
 	}
 	if st.Fabric == nil {
 		t.Error("/stats missing fabric")
-	}
-}
-
-// TestGovernorMetricsOnServeRegistry checks the composition the -govern
-// flag uses: a calibration governor publishing to the daemon's registry
-// puts its live series on the same /metrics page.
-func TestGovernorMetricsOnServeRegistry(t *testing.T) {
-	s := testServer(t, Options{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	pkg := rapl.NewPackage(msr.NewFile(), cpu.BroadwellEP())
-	g, err := power.New(pkg, power.Options{TargetWatts: 65, IntervalSec: 0.01, Metrics: s.Metrics()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hot, cold ops.Profile
-	hot.Flops = 8e9
-	hot.LoadBytes[ops.Resident] = 16e9
-	hot.WorkingSetBytes = 16 << 20
-	hot.Launches = 2
-	cold.Flops = 4e8
-	cold.LoadBytes[ops.Stream] = 24e9
-	cold.WorkingSetBytes = 140 << 20
-	cold.Launches = 2
-	model := cpu.BroadwellEP()
-	res, err := g.RunSegments([]power.Segment{
-		{Label: "hot", Exec: cpu.Analyze(model, hot, 0)},
-		{Label: "cold", Exec: cpu.Analyze(model, cold, 0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetGovernorLog(res.Decisions, res.DecisionsDropped)
-
-	_, body := get(t, ts, "/metrics")
-	if _, err := obs.ValidatePrometheus(body); err != nil {
-		t.Fatalf("combined exposition invalid: %v", err)
-	}
-	for _, want := range []string{"vizpower_governor_cap_watts", "vizpower_governor_decisions_total"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("combined scrape missing %q", want)
-		}
 	}
 }

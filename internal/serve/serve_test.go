@@ -447,3 +447,54 @@ func TestSeedClassDemandLadder(t *testing.T) {
 		t.Errorf("stats classDemand = %v, want the seeded 80/58 W", st.ClassDemand)
 	}
 }
+
+// TestSweepGradientDoesNotRaceRender: a Gradient sweep cell and cold
+// volume-renderer builds run over the same cached data set at the same
+// time (the sweep build holds cfgMu, a frame build does not). The
+// gradient filter used to add its output fields to that shared grid — a
+// map write racing harness.Frames' EnsurePointField read, which the Go
+// runtime aborts on as "concurrent map read and map write". Under -race
+// (make race runs this package) the detector is the oracle; without it
+// the requests must still all succeed.
+func TestSweepGradientDoesNotRaceRender(t *testing.T) {
+	// The window is narrow: 25 fresh daemons caught it on every -race run
+	// at the commit that had the bug.
+	for d := 0; d < 25; d++ {
+		s := New(Options{Config: testConfig(), CinemaDir: t.TempDir()})
+		ts := httptest.NewServer(s.Handler())
+		// Warm the data set so every request below starts from the
+		// cached grid.
+		if resp, body := get(t, ts, "/render?alg=raytrace&size=16"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("daemon %d warm-up: status %d: %s", d, resp.StatusCode, body)
+		}
+		paths := []string{"/sweep?alg=Gradient&size=16"}
+		for k := 1; k <= 6; k++ {
+			paths = append(paths, fmt.Sprintf("/render?alg=volren&size=16&transparent=%g", float64(k)/256))
+		}
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, p := range paths {
+			wg.Add(1)
+			go func(p string) {
+				defer wg.Done()
+				<-release
+				resp, err := ts.Client().Get(ts.URL + p)
+				if err != nil {
+					t.Errorf("daemon %d GET %s: %v", d, p, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("daemon %d GET %s: status %d", d, p, resp.StatusCode)
+				}
+			}(p)
+		}
+		close(release)
+		wg.Wait()
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Errorf("daemon %d Close: %v", d, err)
+		}
+	}
+}

@@ -354,17 +354,6 @@ func (s *Sim) TotalEnergy() float64 {
 	return sum * vol
 }
 
-// MinDensity returns the minimum cell density (positivity check).
-func (s *Sim) MinDensity() float64 {
-	m := math.Inf(1)
-	for _, r := range s.rho {
-		if r < m {
-			m = r
-		}
-	}
-	return m
-}
-
 // Grid exports the current state as a mesh.UniformGrid over the unit cube
 // with the fields the paper's filters consume:
 //

@@ -21,13 +21,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return writeChromeTrace(w, t.Spans(), t.trackNames())
 }
 
-// WriteChromeSpans is WriteChromeTrace over an explicit span set (a
-// filtered window, or a synthetic trace in tests). names maps track
-// index to display name; missing entries fall back to "track N".
-func WriteChromeSpans(w io.Writer, spans []Span, names map[int]string) error {
-	return writeChromeTrace(w, spans, names)
-}
-
 func (t *Tracer) trackNames() map[int]string {
 	if t == nil {
 		return nil
@@ -39,6 +32,8 @@ func (t *Tracer) trackNames() map[int]string {
 	return names
 }
 
+// writeChromeTrace writes an explicit span set. names maps track index
+// to display name; missing entries fall back to "track N".
 func writeChromeTrace(w io.Writer, spans []Span, names map[int]string) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[\n")

@@ -20,9 +20,6 @@ type StageStat struct {
 	MaxNs   int64 // longest single span
 }
 
-// TotalSec returns the inclusive time in seconds.
-func (s StageStat) TotalSec() float64 { return float64(s.TotalNs) / 1e9 }
-
 // SelfSec returns the self time in seconds.
 func (s StageStat) SelfSec() float64 { return float64(s.SelfNs) / 1e9 }
 

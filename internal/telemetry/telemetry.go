@@ -130,28 +130,12 @@ func NewServing(workers, lanes int) *Tracer {
 	return t
 }
 
-// Tracks returns the number of tracks (pipeline + workers).
-func (t *Tracer) Tracks() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.tracks)
-}
-
 // SetTrackName renames a track for the exporters (e.g. "rank 3").
 func (t *Tracer) SetTrackName(track int, name string) {
 	if t == nil || track < 0 || track >= len(t.tracks) {
 		return
 	}
 	t.tracks[track].name = name
-}
-
-// TrackName returns the display name of a track.
-func (t *Tracer) TrackName(track int) string {
-	if t == nil || track < 0 || track >= len(t.tracks) {
-		return ""
-	}
-	return t.tracks[track].name
 }
 
 // Now returns the current offset in nanoseconds since the tracer epoch,

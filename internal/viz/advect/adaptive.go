@@ -1,88 +1,15 @@
 package advect
 
-import (
-	"math"
-
-	"repro/internal/mesh"
-)
+import "math"
 
 // Adaptive integration uses the embedded Bogacki–Shampine 3(2) pair: a
 // third-order step with a second-order error estimate, growing the step
 // through smooth flow and shrinking it where the field bends. The paper's
 // study uses fixed-step RK4 (and so does this package by default); the
 // adaptive mode is an extension for users who care about trajectory
-// accuracy per sample rather than a fixed cost per particle.
-
-// The fast paths (shared-memory and distributed) take the same trial
-// step through the generic BS23Step kernel (kernel.go) instantiated
-// with the fused-gather samplers; bit-identity to the by-name bs23
-// below follows from the samplers' contract.
-
-// bs23 advances p by one adaptive step of size at most h, returning the
-// new position, the velocity at p, the error estimate, and whether every
-// field sample stayed inside the domain.
-func bs23(g *mesh.UniformGrid, field string, p mesh.Vec3, h float64) (next mesh.Vec3, v0 mesh.Vec3, errEst float64, ok bool) {
-	k1, ok1 := g.SampleVector(field, p)
-	k2, ok2 := g.SampleVector(field, p.Add(k1.Scale(h/2)))
-	k3, ok3 := g.SampleVector(field, p.Add(k2.Scale(3*h/4)))
-	if !(ok1 && ok2 && ok3) {
-		return p, k1, 0, false
-	}
-	// Third-order solution.
-	next = p.Add(k1.Scale(2 * h / 9)).Add(k2.Scale(h / 3)).Add(k3.Scale(4 * h / 9))
-	k4, ok4 := g.SampleVector(field, next)
-	if !ok4 {
-		return p, k1, 0, false
-	}
-	// Embedded second-order solution.
-	low := p.Add(k1.Scale(7 * h / 24)).Add(k2.Scale(h / 4)).Add(k3.Scale(h / 3)).Add(k4.Scale(h / 8))
-	errEst = next.Sub(low).Norm()
-	return next, k1, errEst, true
-}
-
-// integrateAdaptive traces one streamline with error control: steps are
-// accepted when the embedded error estimate is at or below tol, and the
-// step size adapts by the standard third-order controller. The particle
-// terminates on leaving the bounds, on exceeding maxLen of arc length, or
-// after maxSteps accepted steps.
-func integrateAdaptive(g *mesh.UniformGrid, field string, start mesh.Vec3,
-	tol, h0, maxLen float64, maxSteps int) (pts []mesh.Vec3, spd []float64, samples, rejects uint64) {
-	b := g.Bounds()
-	hMin, hMax := AdaptiveStepBounds(h0)
-	h := h0
-	p := start
-	v, ok := g.SampleVector(field, p)
-	if !ok {
-		return nil, nil, 0, 0
-	}
-	pts = append(pts, p)
-	spd = append(spd, v.Norm())
-	arc := 0.0
-	for step := 0; step < maxSteps && arc < maxLen; step++ {
-		for {
-			next, v0, errEst, ok := bs23(g, field, p, h)
-			samples += 4
-			if !ok {
-				return pts, spd, samples, rejects // left the domain
-			}
-			if errEst <= tol || h <= hMin {
-				arc += next.Sub(p).Norm()
-				p = next
-				if !b.Contains(p) {
-					return pts, spd, samples, rejects
-				}
-				pts = append(pts, p)
-				spd = append(spd, v0.Norm())
-				// Grow the step for the next round.
-				h = controller(h, errEst, tol, hMin, hMax)
-				break
-			}
-			rejects++
-			h = controller(h, errEst, tol, hMin, hMax)
-		}
-	}
-	return pts, spd, samples, rejects
-}
+// accuracy per sample rather than a fixed cost per particle. The trial
+// step is BS23Step (kernel.go) under advanceAdaptive (advance.go); this
+// file keeps the step-size controller.
 
 // controller is the standard I-controller for a third-order method.
 func controller(h, errEst, tol, hMin, hMax float64) float64 {

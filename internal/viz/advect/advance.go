@@ -7,8 +7,9 @@ import (
 
 // The one definition of "advance one particle" and of what that costs.
 // Run (rounds over a compacted active list) and dist.Advect (bursts
-// between migration exchanges) are two drivers of Advance; RunReference
-// is the independent oracle the goldens hold them to.
+// between migration exchanges) are two drivers of Advance; the
+// independent oracle the goldens hold them to is the test-only
+// runReference (reference_test.go).
 
 // Particle is the complete migrating state of one particle: its
 // trajectory from here on is a pure function of these fields, so where
@@ -32,10 +33,10 @@ const (
 )
 
 // Segment is one burst's worth of one particle's streamline inside a
-// Trail. Assembly orders segments by (PID, Seq).
+// Trail. Assemble orders segments by (PID, Seq).
 type Segment struct {
 	PID, Seq int32
-	Src      int32 // trail holding the points; set at assembly
+	Src      int32 // trail holding the points; set by Assemble
 	Off, N   int32
 }
 
@@ -141,8 +142,9 @@ func (f *Filter) Advancer(g *mesh.UniformGrid) *Advancer {
 // Seed appends the initial state of every in-domain seed to ps (PID is
 // the index into starts) and returns the charge for the rest: the
 // adaptive arc-length crossing estimate counts one crossing per
-// particle even when it dies at the seed. The predicate is the one
-// RejectSeeds applies for the oracle.
+// particle even when it dies at the seed. The predicate is
+// mesh.InDomain, the exact bounds test of every sampler, so a seed on
+// the domain boundary is kept or rejected identically everywhere.
 func (a *Advancer) Seed(starts []mesh.Vec3, ps []Particle) ([]Particle, Tally) {
 	var t Tally
 	for i, p := range starts {
@@ -161,7 +163,7 @@ func (a *Advancer) Seed(starts []mesh.Vec3, ps []Particle) ([]Particle, Tally) {
 // Bogacki–Shampine, as the filter was configured — appending the points
 // to tr as one segment and the cost to t. It returns Retired, Resident,
 // or the destination Leave named.
-func Advance[F Field](a *Advancer, s F, p *Particle, tr *Trail, t *Tally) int32 {
+func Advance(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t *Tally) int32 {
 	if a.adaptive {
 		return advanceAdaptive(a, s, p, tr, t)
 	}
@@ -171,7 +173,7 @@ func Advance[F Field](a *Advancer, s F, p *Particle, tr *Trail, t *Tally) int32 
 // advanceFixed takes up to a.burst RK4 steps in the reference's exact
 // arithmetic order, counting a crossing whenever the true cell id
 // changes.
-func advanceFixed[F Field](a *Advancer, s F, p *Particle, tr *Trail, t *Tally) int32 {
+func advanceFixed(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t *Tally) int32 {
 	pos, steps, lastCell := p.Pos, p.Steps, int(p.Cell)
 	pts, spd := tr.Pts, tr.Spd
 	off := len(pts)
@@ -221,7 +223,7 @@ func advanceFixed[F Field](a *Advancer, s F, p *Particle, tr *Trail, t *Tally) i
 // accepted-step count and the arc length; the seed point is charged as
 // output and crossings are the reference's arc-length estimate
 // (arc/cellDiag + 1) at retirement.
-func advanceAdaptive[F Field](a *Advancer, s F, p *Particle, tr *Trail, t *Tally) int32 {
+func advanceAdaptive(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t *Tally) int32 {
 	pos, steps, h, arc := p.Pos, p.Steps, p.H, p.Arc
 	pts, spd := tr.Pts, tr.Spd
 	off := len(pts)

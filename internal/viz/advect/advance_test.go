@@ -2,6 +2,7 @@ package advect
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/mesh"
@@ -11,7 +12,8 @@ import (
 )
 
 // driveSerial is the smallest possible driver of Advance: every live
-// seed is advanced burst after burst into one trail until it retires.
+// seed is advanced burst after burst into one trail until it retires,
+// and the trail goes through Assemble like both production drivers'.
 // prepare may set a.burst or a.Leave; a "destination" is simply resumed.
 func driveSerial(t *testing.T, f *Filter, g *mesh.UniformGrid, starts []mesh.Vec3, prepare func(*Advancer, *mesh.VectorSampler)) (*mesh.LineSet, Tally) {
 	t.Helper()
@@ -22,13 +24,71 @@ func driveSerial(t *testing.T, f *Filter, g *mesh.UniformGrid, starts []mesh.Vec
 	a := f.Advancer(g)
 	prepare(a, s)
 	ps, tally := a.Seed(starts, nil)
-	sc := &advectScratch{arenas: make([]Trail, 1), counts: make([]int32, len(starts))}
+	trails := make([]Trail, 1)
 	for i := range ps {
-		for Advance(a, s, &ps[i], &sc.arenas[0], &tally) != Retired {
+		for Advance(a, s, &ps[i], &trails[0], &tally) != Retired {
 		}
 	}
-	lines, _ := assemble(sc, len(starts))
+	lines, _ := Assemble(trails, nil)
 	return lines, tally
+}
+
+// TestAssembleTrailInvariance: which trail holds a segment — one arena,
+// two, five, in any order — never changes the assembled LineSet. That
+// is what lets Run's per-worker arenas and dist.Advect's per-rank
+// arenas share one assembly rule.
+func TestAssembleTrailInvariance(t *testing.T) {
+	g := shearFlow(t, 12)
+	// Two dead seeds, and a corner seed that leaves on its first step: a
+	// one-point particle the qualifying rule must drop.
+	starts := append(seeds(g.Bounds(), 27), mesh.Vec3{2, 2, 2}, mesh.Vec3{1, 1, 1}, mesh.Vec3{-1, 0.5, 0.5})
+	f := New(Options{NumParticles: len(starts), NumSteps: 90, StepLength: 0.004})
+	s, err := mesh.NewVectorSampler(g, f.opts.Vector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := uint64(99)
+	next := func(n int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(n))
+	}
+	var want *mesh.LineSet
+	for _, nTrails := range []int{1, 2, 5} {
+		a := f.Advancer(g)
+		a.burst = 7 // many segments per particle
+		ps, _ := a.Seed(starts, nil)
+		trails := make([]Trail, nTrails)
+		var tally Tally
+		// Round-robin over the particles, each burst into a trail drawn
+		// at random: a particle's segments scatter over all of them.
+		retired := make([]bool, len(ps))
+		for live := len(ps); live > 0; {
+			for i := range ps {
+				if !retired[i] && Advance(a, s, &ps[i], &trails[next(nTrails)], &tally) == Retired {
+					retired[i] = true
+					live--
+				}
+			}
+		}
+		for i := len(trails) - 1; i > 0; i-- { // shuffled trail order
+			j := next(i + 1)
+			trails[i], trails[j] = trails[j], trails[i]
+		}
+		got, _ := Assemble(trails, nil)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%d trails: %v", nTrails, err)
+		}
+		if want == nil {
+			want = got
+			if want.NumLines() != 27 {
+				t.Fatalf("%d lines, want the 27 lattice seeds' (corner seed dropped)", want.NumLines())
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d trails: assembled LineSet differs from the one-trail assembly", nTrails)
+		}
+	}
 }
 
 // TestBurstInvariance: a trajectory is a pure function of the particle

@@ -16,10 +16,11 @@
 // each particle through Advance (advance.go) — and compacted between
 // rounds so terminated particles stop costing iterations. Streamline
 // points and speeds accumulate in per-worker arenas (segments stitched
-// into the output LineSet at the end) instead of per-particle append
+// into the output LineSet by Assemble) instead of per-particle append
 // slices, and the whole working state is leased from the pool scratch
-// store across runs. RunReference (reference.go) retains the original
-// per-name integrator; golden tests hold the two bit-identical.
+// store across runs. The straightforward per-particle integrator this
+// replaced is the test oracle (runReference in reference_test.go);
+// golden tests hold the two bit-identical.
 package advect
 
 import (
@@ -120,18 +121,16 @@ func seeds(b mesh.Bounds, n int) []mesh.Vec3 {
 const stepsPerRound = 256
 
 // advectScratch is the reusable working state of one advection run: the
-// active particles, per-worker arenas, and assembly buffers. It is leased
-// from the pool scratch store so repeated runs (the study's sweeps run
-// the filter hundreds of times) allocate almost nothing.
+// active particles, per-worker arenas, and the assembly buffer. It is
+// leased from the pool scratch store so repeated runs (the study's sweeps
+// run the filter hundreds of times) allocate almost nothing.
 type advectScratch struct {
 	ps   []Particle
 	dead []bool // retired this round; dropped by compact
 	// Per-worker streamline arenas and crossing totals.
 	arenas []Trail
 	crossw []uint64
-	// Assembly buffers.
-	segs   []Segment
-	counts []int32
+	segs   []Segment // Assemble's sort buffer
 }
 
 type advectScratchKey struct{}
@@ -146,9 +145,8 @@ func leaseScratch(pool *par.Pool, n, workers int) *advectScratch {
 	if cap(sc.ps) < n {
 		sc.ps = make([]Particle, 0, n)
 		sc.dead = make([]bool, n)
-		sc.counts = make([]int32, n)
 	}
-	sc.ps, sc.dead, sc.counts = sc.ps[:0], sc.dead[:n], sc.counts[:n]
+	sc.ps, sc.dead = sc.ps[:0], sc.dead[:n]
 	if len(sc.arenas) < workers {
 		sc.arenas = make([]Trail, workers)
 		sc.crossw = make([]uint64, workers)
@@ -159,7 +157,6 @@ func leaseScratch(pool *par.Pool, n, workers int) *advectScratch {
 		sc.arenas[w].reset()
 		sc.crossw[w] = 0
 	}
-	sc.segs = sc.segs[:0]
 	return sc
 }
 
@@ -177,10 +174,16 @@ func (sc *advectScratch) compact() {
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
+	return f.RunSeeds(g, ex, seeds(g.Bounds(), f.opts.NumParticles))
+}
+
+// RunSeeds is Run over an explicit seed list instead of the filter's
+// own seed stream (the distributed golden tests inject crafted seeds
+// through this).
+func (f *Filter) RunSeeds(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) (*viz.Result, error) {
 	if g.PointVector(f.opts.Vector) == nil {
 		return nil, missingVectorErr(f.opts.Vector)
 	}
-	starts := seeds(g.Bounds(), f.opts.NumParticles)
 	return f.run(g, ex, starts), nil
 }
 
@@ -216,11 +219,12 @@ func (f *Filter) run(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz
 		})
 	}
 
-	out, linePoints := assemble(sc, len(starts))
+	var out *mesh.LineSet
+	out, sc.segs = Assemble(sc.arenas, sc.segs)
 	for _, c := range sc.crossw {
 		total.Crossings += c
 	}
-	ex.Rec(0).WorkingSet(total.WorkingSet(g.NumPoints(), uint64(linePoints)))
+	ex.Rec(0).WorkingSet(total.WorkingSet(g.NumPoints(), uint64(len(out.Points))))
 	ex.Pool.PutScratch(advectScratchKey{}, sc)
 
 	return &viz.Result{
@@ -230,16 +234,19 @@ func (f *Filter) run(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz
 	}
 }
 
-// assemble stitches the per-worker arena segments into one LineSet in
-// particle order, skipping particles with fewer than two points (the
-// reference's qualifying rule), and returns the total qualifying point
-// count. The output slices are sized exactly, so assembly allocates only
-// the LineSet itself.
-func assemble(sc *advectScratch, nP int) (*mesh.LineSet, int) {
-	segs := sc.segs[:0]
-	for w := range sc.arenas {
-		for _, sg := range sc.arenas[w].Segs {
-			sg.Src = int32(w)
+// Assemble stitches the segments of every trail — per-worker arenas in
+// Run, per-rank arenas gathered by dist.Advect — into one LineSet: the
+// segments ordered by (PID, Seq), so a line is its particle's bursts in
+// the order they were advanced wherever each one ran; particles with
+// fewer than two points dropped (the oracle's qualifying rule); the
+// output slices sized exactly. Which trail holds a segment never
+// changes the result. segs is sort scratch: pass the returned slice to
+// the next call to reuse it, or nil.
+func Assemble(trails []Trail, segs []Segment) (*mesh.LineSet, []Segment) {
+	segs = segs[:0]
+	for src := range trails {
+		for _, sg := range trails[src].Segs {
+			sg.Src = int32(src)
 			segs = append(segs, sg)
 		}
 	}
@@ -249,21 +256,14 @@ func assemble(sc *advectScratch, nP int) (*mesh.LineSet, int) {
 		}
 		return segs[a].Seq < segs[b].Seq
 	})
-	sc.segs = segs
-	counts := sc.counts[:nP]
-	for i := range counts {
-		counts[i] = 0
-	}
-	nLines := 0
-	total := 0
-	for _, sg := range segs {
-		counts[sg.PID] += sg.N
-	}
-	for _, c := range counts {
-		if c >= 2 {
-			total += int(c)
+	nLines, total := 0, 0
+	for i := 0; i < len(segs); {
+		j, n := particleRun(segs, i)
+		if n >= 2 {
+			total += n
 			nLines++
 		}
+		i = j
 	}
 	out := &mesh.LineSet{
 		Points:  make([]mesh.Vec3, 0, total),
@@ -271,20 +271,25 @@ func assemble(sc *advectScratch, nP int) (*mesh.LineSet, int) {
 		Offsets: make([]int32, 1, nLines+1),
 	}
 	for i := 0; i < len(segs); {
-		j := i
-		pid := segs[i].PID
-		for j < len(segs) && segs[j].PID == pid {
-			j++
-		}
-		if counts[pid] >= 2 {
+		j, n := particleRun(segs, i)
+		if n >= 2 {
 			for _, sg := range segs[i:j] {
-				ar := &sc.arenas[sg.Src]
-				out.Points = append(out.Points, ar.Pts[sg.Off:sg.Off+sg.N]...)
-				out.Scalars = append(out.Scalars, ar.Spd[sg.Off:sg.Off+sg.N]...)
+				tr := &trails[sg.Src]
+				out.Points = append(out.Points, tr.Pts[sg.Off:sg.Off+sg.N]...)
+				out.Scalars = append(out.Scalars, tr.Spd[sg.Off:sg.Off+sg.N]...)
 			}
 			out.Offsets = append(out.Offsets, int32(len(out.Points)))
 		}
 		i = j
 	}
-	return out, total
+	return out, segs
+}
+
+// particleRun returns the end of the run of sorted segments that belong
+// to segs[i]'s particle, and the points they hold together.
+func particleRun(segs []Segment, i int) (j, n int) {
+	for j = i; j < len(segs) && segs[j].PID == segs[i].PID; j++ {
+		n += int(segs[j].N)
+	}
+	return j, n
 }

@@ -1,31 +1,21 @@
 package advect
 
-import (
-	"repro/internal/mesh"
-	"repro/internal/viz"
-)
+import "repro/internal/mesh"
 
 // The integration steps under Advance (advance.go): one fixed RK4 step
-// and one embedded Bogacki–Shampine 3(2) trial step, generic over the
-// sampler type so there is one definition of the arithmetic. The golden
-// tests hold Run bit-identical to RunReference, which pins these to the
-// reference's exact operation order; dist.Advect's bit-identity to Run
+// and one embedded Bogacki–Shampine 3(2) trial step over a
+// mesh.VectorSampler — whole-grid for Run, one block's for dist.Advect.
+// The golden tests hold Run bit-identical to the test oracle
+// (runReference in reference_test.go), which pins RK4Step to the
+// oracle's exact operation order; dist.Advect's bit-identity to Run
 // then follows from driving the same Advance.
-
-// Field is what Advance integrates over. Both mesh.VectorSampler and
-// mesh.BlockVectorSampler satisfy it; ok=false means the probe left the
-// sampling domain. Cell is the linearized id of the containing cell.
-type Field interface {
-	Sample(p mesh.Vec3) (mesh.Vec3, bool)
-	Cell(p mesh.Vec3) (int, bool)
-}
 
 // RK4Step advances p by one fixed step h of classic fourth-order
 // Runge–Kutta. It returns the next position, the velocity at p (the
 // speed scalar recorded on streamlines), and ok=false when any of the
 // four stage samples left the domain — in which case next is p
 // unchanged, exactly as the reference integrator behaves.
-func RK4Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, ok bool) {
+func RK4Step(s *mesh.VectorSampler, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, ok bool) {
 	k1, ok1 := s.Sample(p)
 	k2, ok2 := s.Sample(p.Add(k1.Scale(h / 2)))
 	k3, ok3 := s.Sample(p.Add(k2.Scale(h / 2)))
@@ -42,7 +32,7 @@ func RK4Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, ok bool)
 // second-order error estimate, and ok=false when any stage sample left
 // the domain (next is then p unchanged). The caller accepts or rejects
 // against its tolerance and reshapes h with controller.
-func BS23Step[F Field](s F, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, errEst float64, ok bool) {
+func BS23Step(s *mesh.VectorSampler, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, errEst float64, ok bool) {
 	k1, ok1 := s.Sample(p)
 	k2, ok2 := s.Sample(p.Add(k1.Scale(h / 2)))
 	k3, ok3 := s.Sample(p.Add(k2.Scale(3 * h / 4)))
@@ -74,31 +64,5 @@ func SeedPoints(b mesh.Bounds, n int) []mesh.Vec3 {
 	return seeds(b, n)
 }
 
-// RejectSeeds marks the seeds outside g's sampling domain, writing
-// into dead (grown as needed) and returning it. It applies the one
-// out-of-domain predicate RunReference shares with Advancer.Seed (and
-// so with Run and dist.Advect): mesh.(*UniformGrid).InDomain, the
-// exact bounds test of every sampling path, so a seed on the domain
-// boundary is kept or rejected identically everywhere.
-func RejectSeeds(g *mesh.UniformGrid, starts []mesh.Vec3, dead []bool) []bool {
-	if cap(dead) < len(starts) {
-		dead = make([]bool, len(starts))
-	}
-	dead = dead[:len(starts)]
-	for i, p := range starts {
-		dead[i] = !g.InDomain(p)
-	}
-	return dead
-}
-
 // Options returns the filter's normalized configuration.
 func (f *Filter) Options() Options { return f.opts }
-
-// RunSeeds executes the fast integrator over an explicit seed list
-// (the distributed golden tests inject crafted seeds through this).
-func (f *Filter) RunSeeds(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) (*viz.Result, error) {
-	if g.PointVector(f.opts.Vector) == nil {
-		return nil, missingVectorErr(f.opts.Vector)
-	}
-	return f.run(g, ex, starts), nil
-}

@@ -6,22 +6,24 @@ import (
 	"repro/internal/viz"
 )
 
-// RunReference is the straightforward integrator retained as the
-// correctness oracle for the compacted sampler-based hot path and as the
-// baseline of the advection benchmarks (the same pattern as volren's
-// RenderSegmentsReference and raytrace's BuildBVHReference): every RK4
-// stage resolves the vector field by name through g.SampleVector, paying
-// the per-sample map lookup, world-space locate, and per-component corner
-// walk, and every particle grows its own pts/spd slices with append. The
-// golden tests hold Run bit-identical to this path — streamline points,
-// speeds, and the full operation profile (modulo launch count).
+// RunReference is the straightforward integrator kept as the
+// correctness oracle for the compacted hot path (the same pattern as
+// volren's and raytrace's reference_test.go): one pass over the seeds,
+// each particle integrated start to finish by its own loop — no bursts,
+// no compaction, no Advance — growing its own pts/spd slices with
+// append, with its own spelling of the accounting formula. The golden
+// tests hold Run bit-identical to this path — streamline points,
+// speeds, and the full operation profile (modulo launch count). It
+// probes through a mesh.VectorSampler, which the mesh tests hold bit
+// for bit to the by-name definition of trilinear sampling
+// (mesh/sample_oracle_test.go, mesh/sampler_walk_test.go), so the chain
+// "by-name == sampler, Run == reference over the sampler" is what the
+// original by-name integrator proved in one step.
 //
-// The one deliberate change from the original integrator is the
-// cell-crossing metric: it uses the true linearized cell id
-// (mesh.(*UniformGrid).CellIndex) instead of the old
-// distance-from-origin bucket, which collided distinct cells at equal
-// radius and undercounted crossings. Both paths share the fix so their
-// profiles stay comparable.
+// Cell crossings are counted by the true linearized cell id, not the
+// original integrator's distance-from-origin bucket, which collided
+// distinct cells at equal radius and undercounted crossings. Both paths
+// share the fix so their profiles stay comparable.
 func (f *Filter) RunReference(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	if g.PointVector(f.opts.Vector) == nil {
 		return nil, missingVectorErr(f.opts.Vector)
@@ -35,6 +37,10 @@ func (f *Filter) RunReference(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, e
 func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz.Result {
 	b := g.Bounds()
 	h := f.opts.StepLength
+	proto, err := mesh.NewVectorSampler(g, f.opts.Vector)
+	if err != nil {
+		panic(err) // callers check the field
+	}
 
 	type line struct {
 		pts []mesh.Vec3
@@ -49,6 +55,7 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 	ex.Rec(0).Launch()
 	ex.Pool.For(len(starts), 0, func(lo, hi, worker int) {
 		rec := ex.Rec(worker)
+		sv := *proto
 		var samples, crossings, stepsTaken uint64
 		for pi := lo; pi < hi; pi++ {
 			p := starts[pi]
@@ -60,7 +67,7 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 					continue
 				}
 				apts, aspd, aSamples, aRejects := integrateAdaptive(
-					g, f.opts.Vector, p, f.opts.Tolerance, h,
+					&sv, b, p, f.opts.Tolerance, h,
 					float64(f.opts.NumSteps)*h, f.opts.NumSteps)
 				samples += aSamples
 				arc := 0.0
@@ -80,15 +87,15 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 			pts := make([]mesh.Vec3, 0, f.opts.NumSteps/4)
 			spd := make([]float64, 0, f.opts.NumSteps/4)
 			lastCell := -1
-			v0, _ := g.SampleVector(f.opts.Vector, p)
+			v0, _ := sv.Sample(p)
 			pts = append(pts, p)
 			spd = append(spd, v0.Norm())
 			for s := 0; s < f.opts.NumSteps; s++ {
 				// RK4 with four field samples.
-				k1, ok1 := g.SampleVector(f.opts.Vector, p)
-				k2, ok2 := g.SampleVector(f.opts.Vector, p.Add(k1.Scale(h/2)))
-				k3, ok3 := g.SampleVector(f.opts.Vector, p.Add(k2.Scale(h/2)))
-				k4, ok4 := g.SampleVector(f.opts.Vector, p.Add(k3.Scale(h)))
+				k1, ok1 := sv.Sample(p)
+				k2, ok2 := sv.Sample(p.Add(k1.Scale(h / 2)))
+				k3, ok3 := sv.Sample(p.Add(k2.Scale(h / 2)))
+				k4, ok4 := sv.Sample(p.Add(k3.Scale(h)))
 				samples += 4
 				if !(ok1 && ok2 && ok3 && ok4) {
 					break // left the bounding box: terminate
@@ -103,7 +110,7 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 				spd = append(spd, k1.Norm())
 				// Track cell crossings for the memory model by the true
 				// linearized cell id.
-				if cell, inGrid := g.CellIndex(p); inGrid && cell != lastCell {
+				if cell, inGrid := sv.Cell(p); inGrid && cell != lastCell {
 					crossings++
 					lastCell = cell
 				}
@@ -150,4 +157,62 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 		Elements: int64(g.NumCells()),
 		Lines:    out,
 	}
+}
+
+// RejectSeeds marks the seeds outside g's sampling domain, writing
+// into dead (grown as needed) and returning it. It applies the one
+// out-of-domain predicate the oracle shares with Advancer.Seed (and so
+// with Run and dist.Advect): mesh.(*UniformGrid).InDomain.
+func RejectSeeds(g *mesh.UniformGrid, starts []mesh.Vec3, dead []bool) []bool {
+	if cap(dead) < len(starts) {
+		dead = make([]bool, len(starts))
+	}
+	dead = dead[:len(starts)]
+	for i, p := range starts {
+		dead[i] = !g.InDomain(p)
+	}
+	return dead
+}
+
+// integrateAdaptive traces one streamline with error control: steps are
+// accepted when the embedded error estimate is at or below tol, and the
+// step size adapts by the standard third-order controller. The particle
+// terminates on leaving the bounds, on exceeding maxLen of arc length, or
+// after maxSteps accepted steps.
+func integrateAdaptive(s *mesh.VectorSampler, b mesh.Bounds, start mesh.Vec3,
+	tol, h0, maxLen float64, maxSteps int) (pts []mesh.Vec3, spd []float64, samples, rejects uint64) {
+	hMin, hMax := AdaptiveStepBounds(h0)
+	h := h0
+	p := start
+	v, ok := s.Sample(p)
+	if !ok {
+		return nil, nil, 0, 0
+	}
+	pts = append(pts, p)
+	spd = append(spd, v.Norm())
+	arc := 0.0
+	for step := 0; step < maxSteps && arc < maxLen; step++ {
+		for {
+			next, v0, errEst, ok := BS23Step(s, p, h)
+			samples += 4
+			if !ok {
+				return pts, spd, samples, rejects // left the domain
+			}
+			if errEst <= tol || h <= hMin {
+				arc += next.Sub(p).Norm()
+				p = next
+				if !b.Contains(p) {
+					return pts, spd, samples, rejects
+				}
+				pts = append(pts, p)
+				spd = append(spd, v0.Norm())
+				// Grow the step for the next round.
+				h = controller(h, errEst, tol, hMin, hMax)
+				break
+			}
+			rejects++
+			h = controller(h, errEst, tol, hMin, hMax)
+		}
+	}
+	return pts, spd, samples, rejects
 }

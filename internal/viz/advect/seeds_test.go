@@ -28,9 +28,13 @@ func TestSeedRejectionShared(t *testing.T) {
 		{math.Nextafter(0, -1), 0.5, 0.5}, // one ulp before the face
 		{0.25, 0.75, 0.125},
 	}
+	sampler, err := mesh.NewVectorSampler(g, "velocity")
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantDead := make([]bool, len(seeds))
 	for i, p := range seeds {
-		_, ok := g.SampleVector("velocity", p)
+		_, ok := sampler.Sample(p)
 		wantDead[i] = !ok
 	}
 	dead := RejectSeeds(g, seeds, nil)

@@ -21,7 +21,7 @@ type Options struct {
 	// recentered). Default "energy".
 	Field string
 	// Output names the produced vector field. Default "gradient"; the
-	// magnitude is stored as Output+"_mag".
+	// magnitude is stored as Output+"_mag". Both live on Result.Grid.
 	Output string
 }
 
@@ -42,14 +42,21 @@ func New(opts Options) *Filter {
 // Name implements viz.Filter.
 func (f *Filter) Name() string { return "Gradient" }
 
-// Run implements viz.Filter.
+// Run implements viz.Filter. The output fields go on a grid of the
+// input's shape that the result owns: the input may be shared (the
+// daemon runs sweep cells and frame builds over one cached data set),
+// so the filter adds nothing to it.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	field, err := g.EnsurePointField(f.opts.Field)
 	if err != nil {
 		return nil, fmt.Errorf("gradient: %w", err)
 	}
-	grad := g.AddPointVector(f.opts.Output)
-	mag := g.AddPointField(f.opts.Output + "_mag")
+	out, err := mesh.NewUniformGrid(g.Dims, g.Origin, g.Spacing)
+	if err != nil {
+		return nil, fmt.Errorf("gradient: %w", err)
+	}
+	grad := out.AddPointVector(f.opts.Output)
+	mag := out.AddPointField(f.opts.Output + "_mag")
 	nx, ny, nz := g.Dims[0], g.Dims[1], g.Dims[2]
 	inv2 := mesh.Vec3{0.5 / g.Spacing[0], 0.5 / g.Spacing[1], 0.5 / g.Spacing[2]}
 
@@ -79,7 +86,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	return &viz.Result{
 		Profile:  ex.Drain(),
 		Elements: int64(g.NumCells()),
-		Grid:     g,
+		Grid:     out,
 	}, nil
 }
 

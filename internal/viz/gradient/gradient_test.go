@@ -2,6 +2,8 @@ package gradient
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/mesh"
@@ -106,5 +108,33 @@ func TestGradientCustomOutputName(t *testing.T) {
 	}
 	if res.Grid.PointVector("vort") == nil || res.Grid.PointField("vort_mag") == nil {
 		t.Error("custom output names not honored")
+	}
+}
+
+// TestGradientLeavesInputAlone: the data set may be shared (the daemon
+// sweeps and renders one cached grid concurrently), so Run adds no field
+// to it — the outputs are on the result's own grid of the same shape.
+func TestGradientLeavesInputAlone(t *testing.T) {
+	g := linGrid(t, 4)
+	before := g.PointFieldNames()
+	res, err := New(Options{}).Run(g, viz.NewExec(par.NewPool(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := g.PointFieldNames()
+	sort.Strings(before)
+	sort.Strings(after)
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("Run changed the input's point fields: %v -> %v", before, after)
+	}
+	if g.PointVector("gradient") != nil {
+		t.Error("Run added the gradient vector to its input")
+	}
+	if res.Grid == g {
+		t.Fatal("Result.Grid is the input grid")
+	}
+	if res.Grid.Dims != g.Dims || res.Grid.Origin != g.Origin || res.Grid.Spacing != g.Spacing {
+		t.Errorf("Result.Grid is %v/%v/%v, input %v/%v/%v",
+			res.Grid.Dims, res.Grid.Origin, res.Grid.Spacing, g.Dims, g.Origin, g.Spacing)
 	}
 }

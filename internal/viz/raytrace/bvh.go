@@ -11,8 +11,8 @@ import (
 // the "spatial acceleration structure" the paper's ray tracer builds each
 // cycle before tracing. The production build (BuildBVHWith) is an
 // allocation-light binned-SAH construction parallelized over subtrees;
-// the original sort-median build survives as BuildBVHReference for the
-// golden tests and the build benchmarks.
+// the original sort-median build is the golden tests' oracle
+// (BuildBVHReference in reference_test.go).
 type BVH struct {
 	nodes []bvhNode
 	// order holds triangle indices grouped by leaf.
@@ -417,20 +417,6 @@ func (b *BVH) Intersect(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *TraverseSta
 	if stats != nil {
 		stats.NodesVisited += nodes
 		stats.TriTests += tris
-	}
-	return best, best.Tri >= 0
-}
-
-// BruteForceIntersect finds the nearest hit by testing every triangle,
-// with no acceleration structure. It exists as the correctness oracle for
-// the BVH and as the baseline of the acceleration ablation benchmark.
-func BruteForceIntersect(m *mesh.TriMesh, orig, dir mesh.Vec3) (Hit, bool) {
-	best := Hit{T: math.Inf(1), Tri: -1}
-	for ti, tr := range m.Tris {
-		t, u, v, ok := triIntersect(orig, dir, m.Points[tr[0]], m.Points[tr[1]], m.Points[tr[2]])
-		if ok && closer(t, int32(ti), best) {
-			best = Hit{T: t, Tri: int32(ti), U: u, V: v}
-		}
 	}
 	return best, best.Tri >= 0
 }

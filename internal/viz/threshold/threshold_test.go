@@ -135,7 +135,7 @@ func TestThresholdExternalFacesRenderable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	welded := mesh.WeldPoints(res.Cells, 1e-9)
+	welded := mesh.WeldPointsPool(res.Cells, 1e-9, nil)
 	surf := mesh.ExternalFaces(welded)
 	// The kept slab is 2x6x6 cells: surface = 2*(2*6 + 2*6 + 6*6) quads
 	// = 120 quads = 240 triangles.

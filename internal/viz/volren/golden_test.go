@@ -120,6 +120,7 @@ func TestMacroGridRangesCoverSamples(t *testing.T) {
 	// both owners — checking the containing brick suffices for the
 	// skipping proof).
 	cd := g.CellDims()
+	sampler := mesh.ScalarSamplerFor(g, field)
 	for trial := 0; trial < 4000; trial++ {
 		fi := float64(trial)
 		p := mesh.Vec3{
@@ -127,7 +128,7 @@ func TestMacroGridRangesCoverSamples(t *testing.T) {
 			0.5 + 0.5*math.Sin(fi*1.31),
 			0.5 + 0.5*math.Sin(fi*2.17),
 		}
-		v, ok := mesh.SampleScalarField(g, field, p)
+		v, ok := sampler.Sample(p)
 		if !ok {
 			continue
 		}

@@ -15,9 +15,10 @@ import (
 // orbit loop builds one Renderer and renders 50 frames through it; the
 // per-frame work is then pure marching.
 //
-// Against the straightforward sampler (RenderSegmentsReference) the
-// marcher makes three changes, none of which alter the sampled image
-// beyond floating-point rounding:
+// Against the straightforward sampler (the test oracle,
+// RenderSegmentsReference in reference_test.go) the marcher makes three
+// changes, none of which alter the sampled image beyond floating-point
+// rounding:
 //
 //   - rays march in index space: the per-sample world-space locate (three
 //     divisions, a bounds check, and the eight-corner index build) becomes
@@ -102,8 +103,7 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
 			orig, dir := fr.Ray(px, py)
-			inv := mesh.SafeInvDir(dir)
-			t0, t1, ok := mesh.RayBoxInv(orig, inv, b, 0, math.Inf(1))
+			t0, t1, ok := mesh.RayBox(orig, dir, b)
 			if !ok {
 				continue
 			}
@@ -203,7 +203,7 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 					c101 := field[base+nxy+1]
 					c011 := field[base+nxy+nx]
 					c111 := field[base+nxy+nx+1]
-					// Lerp order matches mesh.SampleScalarField exactly.
+					// Lerp order matches mesh.ScalarSampler exactly.
 					c00 := c000 + uu*(c100-c000)
 					c10 := c010 + uu*(c110-c010)
 					c01 := c001 + uu*(c101-c001)

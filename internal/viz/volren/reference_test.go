@@ -9,13 +9,15 @@ import (
 	"repro/internal/viz"
 )
 
-// RenderSegmentsReference is the straightforward sampler retained as the
-// correctness oracle for the macrocell marcher and as the baseline of the
-// render benchmarks: one world-space mesh.SampleScalarField lookup per
-// sample (per-sample cell locate with its three divisions) and the
-// branchy transfer-function evaluation, exactly as the workload was first
-// written. The golden tests hold Renderer within 1e-6 per channel of
-// this path.
+// RenderSegmentsReference is the straightforward sampler kept as the
+// correctness oracle for the macrocell marcher: one world-space
+// mesh.ScalarSampler probe per sample — no macrocells, no skipping, no
+// index-space stepping — and the branchy transfer-function evaluation,
+// exactly as the workload was first written. The golden tests hold
+// Renderer within 1e-6 per channel of this path; the mesh tests hold
+// the sampler bit for bit to the by-name definition of trilinear
+// sampling (mesh/sample_oracle_test.go), which this oracle called
+// directly when it shipped in the production tree.
 func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
 	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	if im == nil || im.W != w || im.H != h {
@@ -24,11 +26,13 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		im.Reset()
 	}
 	b := g.Bounds()
+	proto := mesh.ScalarSamplerFor(g, field)
 	step := math.Min(g.Spacing[0], math.Min(g.Spacing[1], g.Spacing[2])) * 0.75
 
 	ex.Rec(0).Launch()
 	ex.Pool.For(w*h, 0, func(lo, hi, worker int) {
 		rec := ex.Rec(worker)
+		sampler := *proto
 		var samples uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
@@ -40,7 +44,7 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 			var cr, cg, cb, alpha float64
 			for t := t0 + step*0.5; t < t1; t += step {
 				p := orig.Add(dir.Scale(t))
-				v, ok := mesh.SampleScalarField(g, field, p)
+				v, ok := sampler.Sample(p)
 				if !ok {
 					continue
 				}
@@ -69,14 +73,5 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		rec.Loads(samples*64, ops.Resident)
 		rec.Stores(n*4, ops.Stream)
 	})
-	return im
-}
-
-// RenderImageReferenceInto is the reference sampler flattened over the
-// background, with a reusable framebuffer.
-func RenderImageReferenceInto(im *render.Image, g *mesh.UniformGrid, field []float64, tf render.TransferFunction,
-	cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
-	im = RenderSegmentsReference(im, g, field, tf, cam, w, h, ex)
-	BlendBackground(im)
 	return im
 }
