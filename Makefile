@@ -16,7 +16,10 @@
 #                  onto its rows)
 #   make bench-go BENCH=<regexp> [PKG=<package>] - pass-through to the
 #                  root bench_*_test.go microbenchmarks while you work,
-#                  e.g. make bench-go BENCH='AdvectPaths|AdvectDist'
+#                  e.g. make bench-go BENCH='AdvectPaths|AdvectDist';
+#                  make bench-go BENCH=CellCold is the cold, one-shot cost
+#                  of clip and isovolume at 64^3 and 128^3 (fresh pool per
+#                  iteration, -benchmem, live-MB left behind; 128 needs ~2 GB)
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)
 #   make profile - run the vizpower profile subcommand at demonstration

@@ -13,6 +13,7 @@ package repro_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -234,6 +235,41 @@ func BenchmarkKernelSlice(b *testing.B)             { benchFilter(b, "Slice") }
 func BenchmarkKernelRayTracing(b *testing.B)        { benchFilter(b, "Ray Tracing") }
 func BenchmarkKernelParticleAdvection(b *testing.B) { benchFilter(b, "Particle Advection") }
 func BenchmarkKernelVolumeRendering(b *testing.B)   { benchFilter(b, "Volume Rendering") }
+
+// BenchmarkCellCold measures a cell-emitting kernel the way the campaign
+// pays for it: once, cold, on a pool of its own. Every iteration takes a
+// fresh pool, runs the filter and closes the pool, so growing the scratch
+// is inside the timing and -benchmem counts it. live-MB is the heap still
+// reachable after the loop and a collection — the data set plus whatever
+// the runs left behind. 128 needs about 2 GB.
+func BenchmarkCellCold(b *testing.B) {
+	for _, alg := range []struct{ key, name string }{{"clip", "Spherical Clip"}, {"isovolume", "Isovolume"}} {
+		for _, n := range []int{64, 128} {
+			b.Run(fmt.Sprintf("%s-%d", alg.key, n), func(b *testing.B) {
+				g := benchGrid(b, n)
+				f, err := benchConfig(b, n).FilterByName(alg.name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pool := par.NewPool(0)
+					if _, err := f.Run(g, viz.NewExec(pool)); err != nil {
+						b.Fatal(err)
+					}
+					pool.Close()
+				}
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC() // the last pool's workers exit after Close returns
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MB")
+			})
+		}
+	}
+}
 
 // BenchmarkCloverStep measures the hydro proxy's per-step cost, by edge
 // length and worker count (the scaling column).

@@ -17,10 +17,14 @@ import (
 // merge: it computes each segment's extent and destination offset (sorted
 // by loop position, so output ordering matches the old serial
 // out.Append(part) loops exactly), grows the destination once to the final
-// size, then copies and renumbers all segments in parallel. The scratch
-// meshes are reset — not freed — and the collector returns to the pool, so
-// a steady-state sweep (the paper's 288-configuration experiment)
-// re-runs the whole pipeline without per-chunk heap allocation.
+// size, then copies and renumbers all segments in parallel. The filters
+// that weld their output (clip, isovolume) call ReleaseWelded instead,
+// which hands the laid-out segments to the weld (weld.go) and so never
+// builds the merged copy. The scratch meshes are reset — not freed — and
+// the collector returns to the pool's store without its pool reference, so
+// a steady-state sweep (the paper's 288-configuration experiment) re-runs
+// the whole pipeline without per-chunk heap allocation, and a pool that is
+// closed or dropped gives the scratch back.
 
 type triCollectorKey struct{}
 type cellCollectorKey struct{}
@@ -47,7 +51,7 @@ type triWorker struct {
 // launch with AcquireTriCollector; it is not safe to share across
 // concurrent launches (each launch leases its own).
 type TriCollector struct {
-	pool *par.Pool
+	pool *par.Pool // held from Acquire to Release only
 	ws   []triWorker
 	segs []triSeg // merge staging, reused across launches
 }
@@ -133,16 +137,55 @@ func (c *TriCollector) Release(out *TriMesh) (points, tris int) {
 		w.segs = w.segs[:0]
 	}
 	c.segs = c.segs[:0]
-	c.pool.PutScratch(triCollectorKey{}, c)
+	// A parked value must not reference the pool (par.NewPool).
+	pool := c.pool
+	c.pool = nil
+	pool.PutScratch(triCollectorKey{}, c)
 	return totP, totT
 }
 
-// cellSeg records one chunk's slice of a worker scratch UnstructuredMesh.
+// span is a run of one array of a segment's mesh: elements [lo, hi) there
+// are elements dst, dst+1, … of the merged order.
+type span struct{ lo, hi, dst int }
+
+func (s span) len() int { return s.hi - s.lo }
+
+// The three arrays a cell segment spans. Scalars run with the points and
+// cell offsets with the types.
+const (
+	ptSpan = iota
+	cellSpan
+	connSpan
+	numSpans
+)
+
+// cellSeg records one chunk's slice of an UnstructuredMesh: a worker's
+// scratch for the collector's segments, the whole of a finished mesh when
+// WeldPointsPool welds one. The connectivity inside a segment references
+// only the segment's own points, by their index in m.
 type cellSeg struct {
-	lo, w            int
-	p0, c0, n0       int // start offsets: points, cells, connectivity
-	p1, c1, n1       int
-	dstP, dstC, dstN int
+	lo int               // loop start index of the chunk: the merge-order key
+	m  *UnstructuredMesh // mesh that holds the segment
+	at [numSpans]span
+}
+
+// runs calls f with each piece [a, b) of the segments' spans of one array
+// that holds merged elements [lo, hi), in merged order. segs must be laid
+// out (sorted, dst assigned), so their spans abut.
+func runs(segs []cellSeg, array, lo, hi int, f func(s *cellSeg, a, b int)) {
+	i, _ := slices.BinarySearchFunc(segs, lo, func(s cellSeg, lo int) int {
+		if sp := s.at[array]; sp.dst+sp.len() <= lo {
+			return -1
+		}
+		return 1
+	})
+	for ; i < len(segs) && segs[i].at[array].dst < hi; i++ {
+		sp := segs[i].at[array]
+		a, b := sp.lo+max(lo-sp.dst, 0), min(sp.hi, sp.lo+hi-sp.dst)
+		if a < b {
+			f(&segs[i], a, b)
+		}
+	}
 }
 
 type cellWorker struct {
@@ -155,7 +198,7 @@ type cellWorker struct {
 // CellCollector is the UnstructuredMesh counterpart of TriCollector, used
 // by the clip, isovolume, and threshold filters.
 type CellCollector struct {
-	pool *par.Pool
+	pool *par.Pool // held from Acquire to the release only
 	ws   []cellWorker
 	segs []cellSeg
 }
@@ -185,10 +228,9 @@ func (c *CellCollector) Seg(lo, worker int) *UnstructuredMesh {
 	if len(w.local) > 0 {
 		clear(w.local)
 	}
-	w.segs = append(w.segs, cellSeg{
-		lo: lo, w: worker,
-		p0: len(w.m.Points), c0: len(w.m.Types), n0: len(w.m.Conn),
-	})
+	w.segs = append(w.segs, cellSeg{lo: lo, m: w.m, at: [numSpans]span{
+		ptSpan: {lo: len(w.m.Points)}, cellSpan: {lo: len(w.m.Types)}, connSpan: {lo: len(w.m.Conn)},
+	}})
 	return w.m
 }
 
@@ -205,59 +247,41 @@ func (c *CellCollector) Local(worker int) map[int]int32 {
 	return w.local
 }
 
-// Release merges all segments into out in ascending loop order, resets the
-// scratch for reuse, and returns the collector to the pool. It reports how
-// many points and cells were appended to out.
-func (c *CellCollector) Release(out *UnstructuredMesh) (points, cells int) {
-	segs := c.segs[:0]
+// layout closes every segment, sorts them into ascending loop order and
+// assigns each span its place in the merged order. It returns the staged
+// segments and the merged totals per array.
+func (c *CellCollector) layout() (segs []cellSeg, tot [numSpans]int) {
+	segs = c.segs[:0]
 	for wi := range c.ws {
 		w := &c.ws[wi]
+		// Segments were appended in execution order, so each one ends where
+		// the next began, and the last where the scratch does.
 		for si := range w.segs {
-			s := &w.segs[si]
-			if si+1 < len(w.segs) {
-				nx := &w.segs[si+1]
-				s.p1, s.c1, s.n1 = nx.p0, nx.c0, nx.n0
-			} else {
-				s.p1, s.c1, s.n1 = len(w.m.Points), len(w.m.Types), len(w.m.Conn)
+			end := [numSpans]int{ptSpan: len(w.m.Points), cellSpan: len(w.m.Types), connSpan: len(w.m.Conn)}
+			for a := range end {
+				if si+1 < len(w.segs) {
+					end[a] = w.segs[si+1].at[a].lo
+				}
+				w.segs[si].at[a].hi = end[a]
 			}
 		}
 		segs = append(segs, w.segs...)
 	}
 	slices.SortFunc(segs, func(a, b cellSeg) int { return a.lo - b.lo })
-	if len(out.Offsets) == 0 {
-		out.Offsets = append(out.Offsets, 0)
-	}
-	pBase, cBase, nBase := len(out.Points), len(out.Types), len(out.Conn)
-	totP, totC, totN := 0, 0, 0
 	for i := range segs {
-		s := &segs[i]
-		s.dstP, s.dstC, s.dstN = pBase+totP, cBase+totC, nBase+totN
-		totP += s.p1 - s.p0
-		totC += s.c1 - s.c0
-		totN += s.n1 - s.n0
+		for a := range tot {
+			segs[i].at[a].dst = tot[a]
+			tot[a] += segs[i].at[a].len()
+		}
 	}
-	out.Points = slices.Grow(out.Points, totP)[:pBase+totP]
-	out.Scalars = slices.Grow(out.Scalars, totP)[:pBase+totP]
-	out.Types = slices.Grow(out.Types, totC)[:cBase+totC]
-	out.Conn = slices.Grow(out.Conn, totN)[:nBase+totN]
-	out.Offsets = slices.Grow(out.Offsets, totC)[:cBase+1+totC]
 	c.segs = segs
-	c.pool.ForEach(len(segs), func(i, _ int) {
-		s := &c.segs[i]
-		src := c.ws[s.w].m
-		copy(out.Points[s.dstP:], src.Points[s.p0:s.p1])
-		copy(out.Scalars[s.dstP:], src.Scalars[s.p0:s.p1])
-		copy(out.Types[s.dstC:], src.Types[s.c0:s.c1])
-		d := int32(s.dstP - s.p0)
-		dstConn := out.Conn[s.dstN : s.dstN+(s.n1-s.n0)]
-		for j, v := range src.Conn[s.n0:s.n1] {
-			dstConn[j] = v + d
-		}
-		conn0 := src.Offsets[s.c0]
-		for j := 0; j < s.c1-s.c0; j++ {
-			out.Offsets[s.dstC+1+j] = int32(s.dstN) + (src.Offsets[s.c0+1+j] - conn0)
-		}
-	})
+	return segs, tot
+}
+
+// park resets the scratch for reuse and returns the collector to the
+// pool's store, without the pool: a parked value must not reference it
+// (par.NewPool).
+func (c *CellCollector) park() {
 	for wi := range c.ws {
 		w := &c.ws[wi]
 		if w.m != nil {
@@ -270,30 +294,63 @@ func (c *CellCollector) Release(out *UnstructuredMesh) (points, cells int) {
 		w.segs = w.segs[:0]
 	}
 	c.segs = c.segs[:0]
-	c.pool.PutScratch(cellCollectorKey{}, c)
-	return totP, totC
+	pool := c.pool
+	c.pool = nil
+	pool.PutScratch(cellCollectorKey{}, c)
 }
 
-// AcquireUnstructured leases a reusable empty UnstructuredMesh from the
-// pool's scratch store, for transient intermediates (e.g. the pre-weld
-// merged mesh of clip and isovolume).
-func AcquireUnstructured(pool *par.Pool) *UnstructuredMesh {
-	m, _ := pool.GetScratch(unstructuredScratchKey{}).(*UnstructuredMesh)
-	if m == nil {
-		return NewUnstructuredMesh()
+// Release merges all segments into out in ascending loop order, resets the
+// scratch for reuse, and returns the collector to the pool (the caller
+// must not use it afterwards). It reports how many points and cells were
+// appended to out.
+func (c *CellCollector) Release(out *UnstructuredMesh) (points, cells int) {
+	segs, tot := c.layout()
+	if len(out.Offsets) == 0 {
+		out.Offsets = append(out.Offsets, 0)
 	}
-	m.Points = m.Points[:0]
-	m.Scalars = m.Scalars[:0]
-	m.Types = m.Types[:0]
-	m.Conn = m.Conn[:0]
-	m.Offsets = m.Offsets[:1]
-	return m
+	pBase, cBase, nBase := len(out.Points), len(out.Types), len(out.Conn)
+	out.Points = slices.Grow(out.Points, tot[ptSpan])[:pBase+tot[ptSpan]]
+	out.Scalars = slices.Grow(out.Scalars, tot[ptSpan])[:pBase+tot[ptSpan]]
+	out.Types = slices.Grow(out.Types, tot[cellSpan])[:cBase+tot[cellSpan]]
+	out.Conn = slices.Grow(out.Conn, tot[connSpan])[:nBase+tot[connSpan]]
+	out.Offsets = slices.Grow(out.Offsets, tot[cellSpan])[:cBase+1+tot[cellSpan]]
+	c.pool.ForEach(len(segs), func(i, _ int) {
+		s := &segs[i]
+		pts, cells, conn := s.at[ptSpan], s.at[cellSpan], s.at[connSpan]
+		copy(out.Points[pBase+pts.dst:], s.m.Points[pts.lo:pts.hi])
+		copy(out.Scalars[pBase+pts.dst:], s.m.Scalars[pts.lo:pts.hi])
+		copy(out.Types[cBase+cells.dst:], s.m.Types[cells.lo:cells.hi])
+		d := int32(pBase + pts.dst - pts.lo)
+		dstConn := out.Conn[nBase+conn.dst:]
+		for j, v := range s.m.Conn[conn.lo:conn.hi] {
+			dstConn[j] = v + d
+		}
+		s.copyOffsets(out.Offsets[cBase+1+cells.dst:], int32(nBase))
+	})
+	c.park()
+	return tot[ptSpan], tot[cellSpan]
 }
 
-// ReleaseUnstructured returns a mesh leased with AcquireUnstructured to
-// the pool. The caller must not retain it.
-func ReleaseUnstructured(pool *par.Pool, m *UnstructuredMesh) {
-	pool.PutScratch(unstructuredScratchKey{}, m)
+// copyOffsets writes the end offset of each of the segment's cells to dst,
+// rebased from the segment's mesh to the merged connectivity that starts
+// at base.
+func (s *cellSeg) copyOffsets(dst []int32, base int32) {
+	cells, conn := s.at[cellSpan], s.at[connSpan]
+	d := base + int32(conn.dst-conn.lo)
+	for j := 0; j < cells.len(); j++ {
+		dst[j] = s.m.Offsets[cells.lo+1+j] + d
+	}
 }
 
-type unstructuredScratchKey struct{}
+// ReleaseWelded merges all segments in ascending loop order and welds the
+// points that coincide within tol, writing the welded mesh directly: it is
+// WeldPointsPool of what Release would have produced, without producing
+// it. It resets the scratch, returns the collector to the pool, and
+// reports the point count before welding, which is what the filters charge
+// the weld by.
+func (c *CellCollector) ReleaseWelded(tol float64) (out *UnstructuredMesh, preWeld int) {
+	segs, tot := c.layout()
+	out = weldSegs(segs, tot, tol, c.pool)
+	c.park()
+	return out, tot[ptSpan]
+}

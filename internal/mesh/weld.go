@@ -6,24 +6,32 @@ import (
 )
 
 // weldShards caps the dedup shard count: enough for the worker counts the
-// study sweeps (1–32 in the paper's Fig. 2) without paying a 1/32 map-load
+// study sweeps (1–32 in the paper's Fig. 2) without paying a 1/32 table-load
 // penalty on small pools.
 const weldShards = 16
 
-// weldScratch holds the per-call working arrays, leased from the pool so a
-// steady-state sweep welds without reallocating them.
+// weldScratch holds the per-call working arrays, 12 bytes per input point,
+// leased from the pool so a steady-state sweep welds without reallocating
+// them.
 type weldScratch struct {
-	keys  [][3]int64 // quantized coordinates per input point
-	shard []uint8    // dedup shard per input point
-	rep   []int32    // index of the first point with the same key
-	newID []int32    // output index, defined for representatives only
-	maps  []map[[3]int64]int32
+	rep []int32 // merged index of the first point with the same key
+	// table is the shards' open-addressed tables end to end, each twice its
+	// shard's point count: a slot holds a merged point index + 1, zero when
+	// free. Once every point has its representative the tables are dead and
+	// the first half of the memory holds the output indices.
+	table []int32
 }
 
 type weldScratchKey struct{}
 
-// weldHash mixes a quantized key into a shard id; it must be deterministic
-// across runs (shard assignment affects nothing but load balance, still).
+// weldKey quantizes a point to the tolerance grid (inv = 1/tol).
+func weldKey(p Vec3, inv float64) [3]int64 {
+	return [3]int64{int64(p[0]*inv + 0.5), int64(p[1]*inv + 0.5), int64(p[2]*inv + 0.5)}
+}
+
+// weldHash mixes a quantized key; its residue picks the dedup shard and its
+// high half the home slot in the shard's table. It must be deterministic
+// across runs (it affects nothing but load balance, still).
 func weldHash(k [3]int64) uint64 {
 	h := uint64(k[0])*0x9E3779B97F4A7C15 ^ uint64(k[1])*0xC2B2AE3D27D4EB4F ^ uint64(k[2])*0x165667B19E3779F9
 	h ^= h >> 29
@@ -34,82 +42,115 @@ func weldHash(k [3]int64) uint64 {
 // tol) and rewrites the connectivity, returning the welded mesh. Filters
 // that assemble cells from independently-clipped tetrahedra produce
 // duplicated vertices along shared faces; welding restores shared
-// connectivity so interior faces pair up in ExternalFaces. Points are
-// quantized in parallel, deduplicated in hash shards scanned concurrently
-// (each shard scans all points in index order, so the representative of
-// every key is its first occurrence — the output is identical to a serial
-// weld), compacted with a blocked parallel prefix sum, and the
-// connectivity is remapped in parallel. A nil pool runs the same passes
-// serially.
+// connectivity so interior faces pair up in ExternalFaces. A nil pool runs
+// the same passes inline on the caller and retains nothing.
 func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *UnstructuredMesh {
+	if pool == nil {
+		// A one-worker pool runs every loop on its caller; it, and the
+		// scratch parked in it, are garbage when this call returns.
+		pool = par.NewPool(1)
+	}
+	tot := [numSpans]int{ptSpan: len(m.Points), cellSpan: m.NumCells(), connSpan: len(m.Conn)}
+	whole := cellSeg{m: m}
+	for a, n := range tot {
+		whole.at[a].hi = n
+	}
+	return weldSegs([]cellSeg{whole}, tot, tol, pool)
+}
+
+// weldSegs welds the mesh whose points, cells and connectivity are the
+// laid-out segments in merged order (tot elements of each array), without
+// building that mesh: a collector's sorted segments
+// (CellCollector.ReleaseWelded), or a finished mesh as one segment. Every
+// point is quantized and deduplicated in hash shards scanned concurrently —
+// each shard walks all points in merged order, so the representative of
+// every key is its first occurrence and the output is identical to a serial
+// weld — the representatives are compacted with a blocked parallel prefix
+// sum, and points, scalars, cell structure and remapped connectivity are
+// written once, into exactly-sized arrays.
+func weldSegs(segs []cellSeg, tot [numSpans]int, tol float64, pool *par.Pool) *UnstructuredMesh {
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	if pool == nil {
-		pool = serialWeldPool
-	}
 	inv := 1 / tol
-	n := len(m.Points)
+	n, nCells, nConn := tot[ptSpan], tot[cellSpan], tot[connSpan]
 	out := NewUnstructuredMesh()
 	if n == 0 {
 		return out
 	}
 
-	nShards := pool.Workers()
-	if nShards > weldShards {
-		nShards = weldShards
-	}
+	nShards := uint64(min(pool.Workers(), weldShards))
 	ws, _ := pool.GetScratch(weldScratchKey{}).(*weldScratch)
 	if ws == nil {
 		ws = &weldScratch{}
 	}
-	if cap(ws.keys) < n {
-		ws.keys = make([][3]int64, n)
-		ws.shard = make([]uint8, n)
+	if cap(ws.rep) < n {
 		ws.rep = make([]int32, n)
-		ws.newID = make([]int32, n)
+		ws.table = make([]int32, 2*n)
 	}
-	keys, shard, rep, newID := ws.keys[:n], ws.shard[:n], ws.rep[:n], ws.newID[:n]
-	for len(ws.maps) < nShards {
-		ws.maps = append(ws.maps, make(map[[3]int64]int32))
+	rep, table := ws.rep[:n], ws.table[:2*n]
+
+	// Pass 1: count each shard's points, which sizes its table.
+	counts := par.Reduce(pool, n, 0,
+		func() (c [weldShards]int) { return },
+		func(lo, hi int, c [weldShards]int) [weldShards]int {
+			runs(segs, ptSpan, lo, hi, func(s *cellSeg, a, b int) {
+				for _, p := range s.m.Points[a:b] {
+					c[weldHash(weldKey(p, inv))%nShards]++
+				}
+			})
+			return c
+		},
+		func(a, b [weldShards]int) [weldShards]int {
+			for s := range a {
+				a[s] += b[s]
+			}
+			return a
+		})
+	var start [weldShards + 1]int
+	for s, c := range counts {
+		start[s+1] = start[s] + 2*c
 	}
 
-	// Pass 1: quantize every point and assign its dedup shard.
-	pool.For(n, 0, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			p := m.Points[i]
-			k := [3]int64{int64(p[0]*inv + 0.5), int64(p[1]*inv + 0.5), int64(p[2]*inv + 0.5)}
-			keys[i] = k
-			shard[i] = uint8(weldHash(k) % uint64(nShards))
-		}
-	})
-
-	// Pass 2: each shard scans all points in index order and records the
-	// first occurrence of each key. Shards partition the key space, so the
-	// scans are independent.
-	pool.ForEach(nShards, func(s, _ int) {
-		mp := ws.maps[s]
-		if len(mp) > 0 {
-			clear(mp)
-		}
-		sh := uint8(s)
-		for i := 0; i < n; i++ {
-			if shard[i] != sh {
-				continue
+	// Pass 2: each shard walks all points in merged order and records the
+	// first occurrence of each of its keys in a linear-probed table at most
+	// half full. A slot holds only the point's index: the key it stands for
+	// is requantized from the point on a compare. Shards partition the key
+	// space, so the walks are independent.
+	pool.ForEach(int(nShards), func(shard, _ int) {
+		tab := table[start[shard]:start[shard+1]]
+		clear(tab)
+		size := uint64(len(tab))
+		runs(segs, ptSpan, 0, n, func(s *cellSeg, a, b int) {
+			d := s.at[ptSpan].dst - s.at[ptSpan].lo
+			for j, p := range s.m.Points[a:b] {
+				k := weldKey(p, inv)
+				h := weldHash(k)
+				if h%nShards != uint64(shard) {
+					continue
+				}
+				i := int32(a + j + d)
+				for slot := (h >> 32) * size >> 32; ; {
+					first := tab[slot] - 1
+					if first < 0 {
+						tab[slot], first = i+1, i
+					}
+					if first == i || weldKey(mergedPoint(segs, int(first)), inv) == k {
+						rep[i] = first
+						break
+					}
+					if slot++; slot == size {
+						slot = 0
+					}
+				}
 			}
-			if first, ok := mp[keys[i]]; ok {
-				rep[i] = first
-			} else {
-				mp[keys[i]] = int32(i)
-				rep[i] = int32(i)
-			}
-		}
+		})
 	})
 
 	// Pass 3: flag representatives, exclusive-scan the flags to assign
-	// compact output indices (dpp.ScanExclusive is the generalization of
-	// the blocked prefix sum this pass used to hand-roll), then scatter
-	// points and scalars in parallel through the scanned indices.
+	// compact output indices, then scatter points and scalars in parallel
+	// through the scanned indices.
+	newID := table[:n]
 	pool.For(n, 0, func(lo, hi, _ int) {
 		for i := lo; i < hi; i++ {
 			if rep[i] == int32(i) {
@@ -123,32 +164,55 @@ func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *Unstructu
 	out.Points = make([]Vec3, unique)
 	out.Scalars = make([]float64, unique)
 	pool.For(n, 0, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if rep[i] == int32(i) {
-				id := newID[i]
-				out.Points[id] = m.Points[i]
-				out.Scalars[id] = m.Scalars[i]
+		runs(segs, ptSpan, lo, hi, func(s *cellSeg, a, b int) {
+			d := s.at[ptSpan].dst - s.at[ptSpan].lo
+			for j := a; j < b; j++ {
+				if i := j + d; rep[i] == int32(i) {
+					out.Points[newID[i]] = s.m.Points[j]
+					out.Scalars[newID[i]] = s.m.Scalars[j]
+				}
 			}
-		}
+		})
 	})
 
 	// Pass 4: the cell structure is unchanged by welding — copy types and
-	// offsets, remap connectivity through the representative's new index.
-	out.Types = append(out.Types, m.Types...)
-	if len(m.Offsets) != 0 {
-		out.Offsets = append(out.Offsets[:0], m.Offsets...)
+	// rebase offsets per segment, remap connectivity through the
+	// representative's new index.
+	if nCells > 0 {
+		out.Types = make([]CellType, nCells)
 	}
-	out.Conn = make([]int32, len(m.Conn))
-	pool.For(len(m.Conn), 0, func(lo, hi, _ int) {
-		for j := lo; j < hi; j++ {
-			out.Conn[j] = newID[rep[m.Conn[j]]]
-		}
+	out.Offsets = make([]int32, nCells+1)
+	out.Conn = make([]int32, nConn)
+	pool.ForEach(len(segs), func(i, _ int) {
+		s := &segs[i]
+		cells := s.at[cellSpan]
+		copy(out.Types[cells.dst:], s.m.Types[cells.lo:cells.hi])
+		s.copyOffsets(out.Offsets[1+cells.dst:], 0)
+	})
+	pool.For(nConn, 0, func(lo, hi, _ int) {
+		runs(segs, connSpan, lo, hi, func(s *cellSeg, a, b int) {
+			d := int32(s.at[ptSpan].dst - s.at[ptSpan].lo)
+			dst := out.Conn[s.at[connSpan].dst+a-s.at[connSpan].lo:]
+			for j, v := range s.m.Conn[a:b] {
+				dst[j] = newID[rep[v+d]]
+			}
+		})
 	})
 
 	pool.PutScratch(weldScratchKey{}, ws)
 	return out
 }
 
-// serialWeldPool services callers that pass no pool; a one-worker pool
-// runs every pass inline on the caller.
-var serialWeldPool = par.NewPool(1)
+// mergedPoint returns the point at merged index i of laid-out segments.
+func mergedPoint(segs []cellSeg, i int) Vec3 {
+	lo, hi := 0, len(segs) // the point is in segs[lo:hi]
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; segs[mid].at[ptSpan].dst <= i {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	pts := segs[lo].at[ptSpan]
+	return segs[lo].m.Points[pts.lo+i-pts.dst]
+}

@@ -22,7 +22,8 @@
 // use per-worker scratch space and per-worker ops.Recorders without any
 // synchronization on the hot path. The pool also owns a scratch store
 // (GetScratch/PutScratch) from which the geometry pipeline leases reusable
-// output buffers across launches.
+// working buffers across launches; Close, or the garbage collector once
+// the pool is unreachable, gives them back.
 package par
 
 import (
@@ -47,13 +48,18 @@ type Pool struct {
 	// means uninstrumented: the dispatch path pays one atomic load.
 	instr atomic.Pointer[instrumentation]
 
-	scratchMu sync.Mutex
-	scratch   map[any][]any
+	scratchMu     sync.Mutex
+	scratch       map[any][]any
+	scratchClosed bool // set by Close: PutScratch drops what it is handed
 }
 
 // NewPool returns a pool with n workers. n <= 0 selects GOMAXPROCS. The
-// worker goroutines are started lazily on the first parallel dispatch and
-// are reclaimed when the pool is garbage collected or explicitly Closed.
+// worker goroutines are started lazily on the first parallel dispatch;
+// Close stops them and empties the scratch store. A pool that is dropped
+// without Close is reclaimed by a finalizer, which Go runs only for an
+// object no reference cycle passes through: nothing the pool holds — a
+// value parked in its scratch store above all — may point back at the
+// pool, or the workers and the scratch leak for the life of the process.
 func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -182,12 +188,17 @@ func (p *Pool) ensure() *poolState {
 	return p.state
 }
 
-// Close releases the pool's parked workers. It is optional (an unreachable
-// pool is reclaimed by a finalizer) and idempotent. Loops dispatched after
-// Close still complete — they run on the calling goroutine.
+// Close releases the pool's parked workers and everything parked in its
+// scratch store. It is optional (an unreachable pool is reclaimed by a
+// finalizer, see NewPool) and idempotent. Loops dispatched after Close
+// still complete — they run on the calling goroutine — and the store stays
+// empty: GetScratch returns nil and PutScratch drops its argument.
 func (p *Pool) Close() {
 	s := p.ensure()
 	s.shutdown()
+	p.scratchMu.Lock()
+	p.scratch, p.scratchClosed = nil, true
+	p.scratchMu.Unlock()
 }
 
 func (s *poolState) shutdown() {
@@ -588,9 +599,9 @@ func Reduce[T any](p *Pool, n, grain int, zero func() T, fold func(lo, hi int, a
 
 // GetScratch leases a value previously released with PutScratch under the
 // same key, or returns nil when none is cached. The store is how the
-// geometry pipeline keeps per-worker output buffers warm across launches:
-// buffers live as long as the pool, are reset rather than reallocated,
-// and concurrent loops lease disjoint instances.
+// geometry pipeline keeps per-worker working buffers warm across launches:
+// buffers live until the pool is closed or collected, are reset rather
+// than reallocated, and concurrent loops lease disjoint instances.
 func (p *Pool) GetScratch(key any) any {
 	p.scratchMu.Lock()
 	defer p.scratchMu.Unlock()
@@ -604,10 +615,16 @@ func (p *Pool) GetScratch(key any) any {
 	return v
 }
 
-// PutScratch returns a leased value to the pool's scratch store.
+// PutScratch returns a leased value to the pool's scratch store. v must
+// not reference the pool (see NewPool): a value that needs the pool while
+// it is leased takes it when it is acquired and drops it here. After Close
+// the value is dropped instead of parked.
 func (p *Pool) PutScratch(key any, v any) {
 	p.scratchMu.Lock()
 	defer p.scratchMu.Unlock()
+	if p.scratchClosed {
+		return
+	}
 	if p.scratch == nil {
 		p.scratch = make(map[any][]any)
 	}

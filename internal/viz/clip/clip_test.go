@@ -1,10 +1,13 @@
 package clip
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -165,5 +168,67 @@ func TestClipProfileRecordsBothPhases(t *testing.T) {
 	}
 	if p.Flops == 0 || p.TotalStoreBytes() == 0 || p.WorkingSetBytes == 0 {
 		t.Errorf("profile incomplete: %+v", p)
+	}
+}
+
+// cellsDigest hashes every array of the mesh, bit for bit.
+func cellsDigest(m *mesh.UnstructuredMesh) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i, p := range m.Points {
+		word(math.Float64bits(p[0]))
+		word(math.Float64bits(p[1]))
+		word(math.Float64bits(p[2]))
+		word(math.Float64bits(m.Scalars[i]))
+	}
+	for _, t := range m.Types {
+		word(uint64(t))
+	}
+	for _, o := range m.Offsets {
+		word(uint64(o))
+	}
+	for _, c := range m.Conn {
+		word(uint64(c))
+	}
+	return h.Sum64()
+}
+
+// The output and the operation profile of an off-centre clip, recorded at
+// the parent of the PR that welds straight from the collector segments
+// (commit 6b4107e, identical at 1, 2 and 4 workers there): removing the
+// merged copy and the map-based dedup changed neither.
+func TestClipMatchesParentRecording(t *testing.T) {
+	for _, rec := range []struct {
+		n                   int
+		points, cells, conn int
+		digest              uint64
+		profile             ops.Profile
+	}{
+		{n: 16, points: 5714, cells: 8494, conn: 47592, digest: 0x5a43682f1a0c4d1f, profile: ops.Profile{Flops: 0x4f4d6, IntOps: 0x5ad7e, Branches: 0x8ec0, LoadBytes: [4]uint64{0x0, 0x12f000, 0xe9100, 0x0}, StoreBytes: [4]uint64{0x1abe28, 0x0, 0x0, 0x0}, RandomAccesses: 0x7488, Launches: 0x2, WorkingSetBytes: 0x4afe0}},
+		{n: 32, points: 37409, cells: 48330, conn: 305968, digest: 0x50000caaaf59e72d, profile: ops.Profile{Flops: 0x1d8046, IntOps: 0x1dca4a, Branches: 0x34220, LoadBytes: [4]uint64{0x0, 0x94b800, 0x464580, 0x0}, StoreBytes: [4]uint64{0xac75c8, 0x0, 0x0, 0x0}, RandomAccesses: 0x2322c, Launches: 0x2, WorkingSetBytes: 0x1f9b38}},
+	} {
+		for _, nw := range []int{1, 2, 4} {
+			pool := par.NewPool(nw)
+			res, err := New(Options{Field: "energy", Center: mesh.Vec3{0.45, 0.5, 0.55}, Radius: 0.3}).Run(energyGrid(t, rec.n), viz.NewExec(pool))
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Cells
+			if len(m.Points) != rec.points || m.NumCells() != rec.cells || len(m.Conn) != rec.conn {
+				t.Errorf("n=%d nw=%d: %d points, %d cells, %d connectivity entries; recorded %d, %d, %d",
+					rec.n, nw, len(m.Points), m.NumCells(), len(m.Conn), rec.points, rec.cells, rec.conn)
+			}
+			if got := cellsDigest(m); got != rec.digest {
+				t.Errorf("n=%d nw=%d: output digest %#x, recorded %#x", rec.n, nw, got, rec.digest)
+			}
+			if res.Profile != rec.profile {
+				t.Errorf("n=%d nw=%d: profile\n got %+v\nwant %+v", rec.n, nw, res.Profile, rec.profile)
+			}
+		}
 	}
 }

@@ -134,14 +134,11 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		rec.Stores(pieces*4*36, ops.Stream)
 	})
 
-	merged := mesh.AcquireUnstructured(ex.Pool)
-	col.Release(merged)
-	out := mesh.WeldPointsPool(merged, 1e-9, ex.Pool)
+	out, preWeld := col.ReleaseWelded(1e-9)
 	rec := ex.Rec(0)
-	rec.IntOps(uint64(len(merged.Points)) * 8)
-	rec.LoadsN(uint64(len(merged.Points)), 32, ops.Random)
+	rec.IntOps(uint64(preWeld) * 8) // weld hashing
+	rec.LoadsN(uint64(preWeld), 32, ops.Random)
 	rec.WorkingSet(uint64(len(field))*8 + uint64(len(out.Points))*40)
-	mesh.ReleaseUnstructured(ex.Pool, merged)
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

@@ -1,10 +1,13 @@
 package isovolume
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -153,5 +156,84 @@ func TestIsovolumeProfileStridedHeavy(t *testing.T) {
 	// (ops.Strided == 1, ops.Stream == 0).
 	if p.LoadBytes[1] <= p.LoadBytes[0] {
 		t.Errorf("expected strided-dominated loads: %v", p.LoadBytes)
+	}
+}
+
+// radialGrid has the squared distance from an off-centre point as its
+// field, so the default [40%, 90%] range is a curved shell.
+func radialGrid(t testing.TB, n int) *mesh.UniformGrid {
+	t.Helper()
+	g, err := mesh.NewCubeGrid(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := g.AddPointField("energy")
+	for id := 0; id < g.NumPoints(); id++ {
+		p := g.PointPosition(id)
+		x, y, z := p[0]-0.4, p[1]-0.5, p[2]-0.6
+		f[id] = x*x + y*y + z*z
+	}
+	return g
+}
+
+// cellsDigest hashes every array of the mesh, bit for bit.
+func cellsDigest(m *mesh.UnstructuredMesh) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i, p := range m.Points {
+		word(math.Float64bits(p[0]))
+		word(math.Float64bits(p[1]))
+		word(math.Float64bits(p[2]))
+		word(math.Float64bits(m.Scalars[i]))
+	}
+	for _, t := range m.Types {
+		word(uint64(t))
+	}
+	for _, o := range m.Offsets {
+		word(uint64(o))
+	}
+	for _, c := range m.Conn {
+		word(uint64(c))
+	}
+	return h.Sum64()
+}
+
+// The output and the operation profile of a curved-shell isovolume,
+// recorded at the parent of the PR that welds straight from the collector
+// segments (commit 6b4107e, identical at 1, 2 and 4 workers there):
+// removing the merged copy and the map-based dedup changed neither.
+func TestIsovolumeMatchesParentRecording(t *testing.T) {
+	for _, rec := range []struct {
+		n                   int
+		points, cells, conn int
+		digest              uint64
+		profile             ops.Profile
+	}{
+		{n: 16, points: 3879, cells: 9114, conn: 38448, digest: 0x9fcf51b5deb07540, profile: ops.Profile{Flops: 0x9dae0, IntOps: 0x97c30, Branches: 0x17e40, LoadBytes: [4]uint64{0x0, 0xc3e00, 0x11bb00, 0x0}, StoreBytes: [4]uint64{0x151ec0, 0x0, 0x0, 0x0}, RandomAccesses: 0x8dd8, Launches: 0x1, WorkingSetBytes: 0x2f7a0}},
+		{n: 32, points: 18740, cells: 40642, conn: 184568, digest: 0x38cc1a22ac40b85e, profile: ops.Profile{Flops: 0x2bc580, IntOps: 0x29dc00, Branches: 0x74500, LoadBytes: [4]uint64{0x0, 0x4eec00, 0x4be500, 0x0}, StoreBytes: [4]uint64{0x6562e0, 0x0, 0x0, 0x0}, RandomAccesses: 0x25f28, Launches: 0x1, WorkingSetBytes: 0xfd328}},
+	} {
+		for _, nw := range []int{1, 2, 4} {
+			pool := par.NewPool(nw)
+			res, err := New(Options{Field: "energy"}).Run(radialGrid(t, rec.n), viz.NewExec(pool))
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Cells
+			if len(m.Points) != rec.points || m.NumCells() != rec.cells || len(m.Conn) != rec.conn {
+				t.Errorf("n=%d nw=%d: %d points, %d cells, %d connectivity entries; recorded %d, %d, %d",
+					rec.n, nw, len(m.Points), m.NumCells(), len(m.Conn), rec.points, rec.cells, rec.conn)
+			}
+			if got := cellsDigest(m); got != rec.digest {
+				t.Errorf("n=%d nw=%d: output digest %#x, recorded %#x", rec.n, nw, got, rec.digest)
+			}
+			if res.Profile != rec.profile {
+				t.Errorf("n=%d nw=%d: profile\n got %+v\nwant %+v", rec.n, nw, res.Profile, rec.profile)
+			}
+		}
 	}
 }
