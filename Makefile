@@ -7,19 +7,24 @@
 #                  writing shared arrays), and two kernels (the packages
 #                  with real cross-goroutine traffic), plus the harness cell path
 #                  (failure injection, retries, partial sweeps over all
-#                  three cell kinds) and the golden "same numbers" tests
+#                  three cell kinds), its declaration-only core from four
+#                  goroutines, and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
 #                  runs with ./internal/power in RACE_PKGS)
+#   make fuzz    - every Fuzz* target for 10 s each (plain `go test` only
+#                  replays the committed corpora under testdata/fuzz)
 #   make bench   - the repo's benchmark: bench/run.sh, every workload
 #                  untraced then traced into bench/out/ (the one ledger;
-#                  bench/README.md maps the old BENCH_PRn.json headlines
-#                  onto its rows)
-#   make bench-go BENCH=<regexp> [PKG=<package>] - pass-through to the
-#                  root bench_*_test.go microbenchmarks while you work,
-#                  e.g. make bench-go BENCH='AdvectPaths|AdvectDist';
+#                  bench/README.md maps the old per-PR headlines, now
+#                  BENCH_HISTORY.json, onto its rows)
+#   make bench-go BENCH=<regexp> [PKG=<package>] - pass-through to
+#                  `go test -bench`: the few root arms no ledger row can
+#                  hold, e.g. make bench-go BENCH='DPP(Contour|Threshold)'
+#                  (trad vs dpp at 128^3) or BENCH='Ablation|DistHydroStep';
 #                  make bench-go BENCH=CellCold is the cold, one-shot cost
 #                  of clip and isovolume at 64^3 and 128^3 (fresh pool per
-#                  iteration, -benchmem, live-MB left behind; 128 needs ~2 GB)
+#                  iteration, -benchmem, live-MB left behind; 128 needs ~2 GB);
+#                  a package's own, e.g. make bench-go BENCH=Obs PKG=./internal/obs
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)
 #   make profile - run the vizpower profile subcommand at demonstration
@@ -37,7 +42,7 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
 
-.PHONY: check fmt vet build test race bench bench-go govern profile serve
+.PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve
 
 check: fmt vet build test race
 
@@ -56,7 +61,18 @@ test: vet
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
 	$(GO) test -race -count=1 -timeout 120s ./internal/viz/advect -run 'Compact|Golden|Seed|Burst'
-	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Golden'
+	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Golden|DeclarationCore'
+
+# One 10 s run per Fuzz* target (go test -fuzz takes one target and one
+# package at a time). A failing input lands in that package's
+# testdata/fuzz/<target>/ and fails plain `go test` from then on.
+fuzz:
+	@set -e; for d in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for f in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$d/*_test.go | cut -c6-); do \
+			echo "== $$d $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$d; \
+		done; \
+	done
 
 bench:
 	bash bench/run.sh

@@ -1,29 +1,22 @@
-// Ablation benchmarks for the design choices the implementation makes:
-// dynamic-chunk grain size in the parallel runtime, BVH acceleration
-// versus brute-force intersection, point welding of clipped outputs,
-// worker-count scaling of a representative kernel, governor ladder
-// granularity, and the virtual-time sampling interval. Each quantifies
-// what the chosen default buys.
+// Ablation benchmarks for design choices no ledger row sweeps:
+// dynamic-chunk grain size in the parallel runtime, governor ladder
+// granularity, the virtual-time sampling interval, and the rank count of
+// the halo-exchanged hydro step. Each quantifies what the chosen default
+// buys.
 package repro_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
-	"repro/internal/mesh"
 	"repro/internal/msr"
 	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/perfctr"
 	"repro/internal/rapl"
 	"repro/internal/sim/clover"
-	"repro/internal/viz"
-	"repro/internal/viz/clip"
-	"repro/internal/viz/contour"
-	"repro/internal/viz/raytrace"
 )
 
 // BenchmarkAblationGrain sweeps the parallel-for chunk size over the
@@ -69,67 +62,6 @@ func BenchmarkAblationGrain(b *testing.B) {
 				total += got
 				if total == 0 {
 					b.Fatal("degenerate field")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBVH times accelerated nearest-hit queries on the grid
-// surface — the structure the ray tracer builds every cycle. (Its
-// brute-force counterpart is the test oracle in raytrace's
-// reference_test.go.)
-func BenchmarkAblationBVH(b *testing.B) {
-	g := benchGrid(b, benchSize())
-	tris, err := mesh.GridExternalFaces(g, "energy")
-	if err != nil {
-		b.Fatal(err)
-	}
-	bvh := raytrace.BuildBVHWith(tris, nil)
-	rng := rand.New(rand.NewSource(1))
-	rays := make([][2]mesh.Vec3, 256)
-	for i := range rays {
-		orig := mesh.Vec3{rng.Float64()*3 - 1, rng.Float64()*3 - 1, rng.Float64()*3 - 1}
-		dir := mesh.Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Normalize()
-		rays[i] = [2]mesh.Vec3{orig, dir}
-	}
-	b.Run("bvh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range rays {
-				bvh.Intersect(tris, r[0], r[1], nil)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationWeld measures the cost of the point-welding pass that
-// restores shared connectivity in clipped outputs.
-func BenchmarkAblationWeld(b *testing.B) {
-	g := benchGrid(b, benchSize())
-	res, err := clip.New(clip.Options{Field: "energy"}).Run(g, viz.NewExec(par.Default()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	um := res.Cells
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := mesh.WeldPointsPool(um, 1e-9, nil)
-		if w.NumCells() != um.NumCells() {
-			b.Fatal("weld changed cell count")
-		}
-	}
-}
-
-// BenchmarkAblationWorkers scales the contour kernel across pool sizes.
-func BenchmarkAblationWorkers(b *testing.B) {
-	g := benchGrid(b, benchSize())
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			pool := par.NewPool(w)
-			f := contour.New(contour.Options{Field: "energy", NumIsovalues: 3})
-			for i := 0; i < b.N; i++ {
-				if _, err := f.Run(g, viz.NewExec(pool)); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})
@@ -202,18 +134,5 @@ func BenchmarkDistHydroStep(b *testing.B) {
 			}
 			b.ReportMetric(float64(benchSize()*benchSize()*benchSize())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 		})
-	}
-}
-
-// BenchmarkDistComposite measures sort-last volume compositing end to end.
-func BenchmarkDistComposite(b *testing.B) {
-	g := benchGrid(b, benchSize())
-	pool := par.Default()
-	cam := renderOrbit(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := dist.VolumeRender(g, "energy", 4, cam, 64, 64, pool); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -1,15 +1,15 @@
-// Benchmarks for the PR 8 data-parallel-primitive backend: the contour
-// and threshold kernels under the traditional scratch-mesh formulation
-// versus the DPP count/flag -> scan -> emit formulation, at
-// 32^3/64^3/128^3, plus the scan primitive itself (steady-state
-// allocation evidence). Results are recorded in BENCH_PR8.json.
+// The 128^3 arms of the PR 8 backend comparison: the contour and
+// threshold kernels under the traditional scratch-mesh formulation versus
+// the DPP count/flag -> scan -> emit formulation. The ledger carries the
+// pair at 64^3 (viz.contour-dpp.ms vs viz.contour.ms, and threshold's);
+// 128^3 is the size ROADMAP item 2(a) has to beat and does not fit a
+// ledger run. BENCH_HISTORY.json has PR 8's numbers at all three sizes.
 package repro_test
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/dpp"
 	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/viz"
@@ -20,19 +20,19 @@ import (
 // benchBackends enumerates the two formulations under test.
 var benchBackends = []viz.Backend{viz.Traditional, viz.DPP}
 
-// dppBenchGrids caches analytic data sets per size: a radius point field
-// (10 default isovalues contour to nested spheres) and the matching cell
-// field (threshold's default range keeps the outer shell, about half the
-// cells). Analytic so the 128^3 set builds in milliseconds, unlike the
+// dppGrid is the analytic 128^3 data set, built on first use: a radius
+// point field (10 default isovalues contour to nested spheres) and the
+// matching cell field (threshold's default range keeps the outer shell,
+// about half the cells). Analytic so it builds in milliseconds, unlike the
 // simulated hydro set.
-var dppBenchGrids = map[int]*mesh.UniformGrid{}
+var dppGrid *mesh.UniformGrid
 
-func dppBenchGrid(b *testing.B, n int) *mesh.UniformGrid {
+func dppBenchGrid(b *testing.B) *mesh.UniformGrid {
 	b.Helper()
-	if g, ok := dppBenchGrids[n]; ok {
-		return g
+	if dppGrid != nil {
+		return dppGrid
 	}
-	g, err := mesh.NewCubeGrid(n)
+	g, err := mesh.NewCubeGrid(128)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,82 +50,54 @@ func dppBenchGrid(b *testing.B, n int) *mesh.UniformGrid {
 		}
 		cf[c] = s / 8
 	}
-	dppBenchGrids[n] = g
+	dppGrid = g
 	return g
 }
 
 // BenchmarkDPPContour runs the full 10-isovalue contour cycle on the
-// shared hydro data set under each backend. cells/s counts input cells
+// analytic data set under each backend. cells/s counts input cells
 // classified per second (the paper's throughput unit for cell-centered
 // algorithms), aggregated over the 10 isovalues of a cycle.
 func BenchmarkDPPContour(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		for _, bk := range benchBackends {
-			b.Run(fmt.Sprintf("%s-%d", bk, n), func(b *testing.B) {
-				g := dppBenchGrid(b, n)
-				f := contour.New(contour.Options{Backend: bk})
-				ex := viz.NewExec(par.Default())
-				var cells int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := f.Run(g, ex)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cells += res.Elements * 10 // Elements is cells per isovalue pass
+	for _, bk := range benchBackends {
+		b.Run(fmt.Sprintf("%s-128", bk), func(b *testing.B) {
+			g := dppBenchGrid(b)
+			f := contour.New(contour.Options{Backend: bk})
+			ex := viz.NewExec(par.Default())
+			var cells int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := f.Run(g, ex)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
-			})
-		}
+				cells += res.Elements * 10 // Elements is cells per isovalue pass
+			}
+			b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+		})
 	}
 }
 
 // BenchmarkDPPThreshold runs the threshold kernel (upper half of the
 // field range kept) under each backend.
 func BenchmarkDPPThreshold(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		for _, bk := range benchBackends {
-			b.Run(fmt.Sprintf("%s-%d", bk, n), func(b *testing.B) {
-				g := dppBenchGrid(b, n)
-				f := threshold.New(threshold.Options{Backend: bk})
-				ex := viz.NewExec(par.Default())
-				var cells int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := f.Run(g, ex)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cells += res.Elements
-				}
-				b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
-			})
-		}
-	}
-}
-
-// BenchmarkDPPScan measures the scan primitive alone at kernel-relevant
-// lengths (one int32 offset per cell of a 64^3 / 128^3 grid). The
-// interesting number is allocs/op: the leased-scratch design must stay
-// at zero in steady state.
-func BenchmarkDPPScan(b *testing.B) {
-	pool := par.Default()
-	for _, n := range []int{63 * 63 * 63, 127 * 127 * 127} {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			in := make([]int32, n)
-			for i := range in {
-				in[i] = int32(i % 5)
-			}
-			out := make([]int32, n)
-			dpp.ScanExclusive(pool, in, out) // warm the scratch store
+	for _, bk := range benchBackends {
+		b.Run(fmt.Sprintf("%s-128", bk), func(b *testing.B) {
+			g := dppBenchGrid(b)
+			f := threshold.New(threshold.Options{Backend: bk})
+			ex := viz.NewExec(par.Default())
+			var cells int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dpp.ScanExclusive(pool, in, out)
+				res, err := f.Run(g, ex)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += res.Elements
 			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
+			b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
 		})
 	}
 }

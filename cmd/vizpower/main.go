@@ -20,6 +20,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -68,18 +69,63 @@ type options struct {
 	decisions  bool
 }
 
+// count is a numeric flag laid over a Config knob: a non-negative
+// integer, where 0 (like the field's zero value) asks for the default.
+type count int
+
+func (c *count) String() string { return strconv.Itoa(int(*c)) }
+
+func (c *count) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return err
+	}
+	if n < 0 {
+		return errors.New("must not be negative")
+	}
+	*c = count(n)
+	return nil
+}
+
+// intList is a comma-separated list of positive integers laid over a
+// Config slice (-sizes, -ranks); unset leaves the slice nil, the default.
+type intList []int
+
+func (l *intList) String() string { return fmt.Sprint([]int(*l)) }
+
+func (l *intList) Set(s string) error {
+	*l = nil
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			return fmt.Errorf("bad entry %q", f)
+		}
+		*l = append(*l, n)
+	}
+	return nil
+}
+
+// fill sets a knob the flags left unset, the way Config.Defaults does.
+func fill(p *int, v int) {
+	if *p == 0 {
+		*p = v
+	}
+}
+
 func parseFlags(cmd string, args []string) (*options, error) {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	cfg := &harness.Config{}
+	fs.Var((*intList)(&cfg.Sizes), "sizes", "comma-separated data-set sizes (default 32,64,128,256; quick: 16,32)")
+	fs.Var((*count)(&cfg.PhaseSize), "phase-size", "data-set size for phases 1-2 (default 128; quick: 32)")
+	fs.Var((*count)(&cfg.Images), "images", "ray tracing / volume rendering image count (default 50)")
+	fs.Var((*count)(&cfg.ImageSize), "imgsize", "rendered image width/height (default 128)")
+	fs.Var((*count)(&cfg.Particles), "particles", "particle advection seed count (default 1024)")
+	fs.Var((*count)(&cfg.ParticleSteps), "steps", "particle advection step count (default 1000)")
+	fs.Var((*count)(&cfg.Isovalues), "isovalues", "contour isovalues per cycle (default 10)")
+	fs.Var((*intList)(&cfg.Ranks), "ranks", "comma-separated fabric sizes for distributed advection (advect, profile; default 1,2,4,8)")
 	var (
 		quick     = fs.Bool("quick", false, "shrink the study for a fast demonstration (small sizes and image counts)")
 		progress  = fs.Bool("progress", false, "stream per-run progress to stderr")
-		sizes     = fs.String("sizes", "", "comma-separated data-set sizes (default 32,64,128,256; quick: 16,32)")
-		phaseSize = fs.Int("phase-size", 0, "data-set size for phases 1-2 (default 128; quick: 32)")
-		images    = fs.Int("images", 0, "ray tracing / volume rendering image count (default 50)")
-		imgSize   = fs.Int("imgsize", 0, "rendered image width/height (default 128)")
-		particles = fs.Int("particles", 0, "particle advection seed count (default 1024)")
-		steps     = fs.Int("steps", 0, "particle advection step count (default 1000)")
-		iso       = fs.Int("isovalues", 0, "contour isovalues per cycle (default 10)")
 		csv       = fs.Bool("csv", false, "emit figures as CSV instead of aligned text")
 		out       = fs.String("out", "out", "output directory (fig1, all)")
 		capW      = fs.Float64("cap", 65, "power cap in watts (trace)")
@@ -90,7 +136,6 @@ func parseFlags(cmd string, args []string) (*options, error) {
 		figRes    = fs.Int("figres", 256, "figure-1 rendering resolution")
 		alg       = fs.String("alg", "Contour", "algorithm name (arch)")
 		extended  = fs.Bool("extended", false, "include the extension filters (classify)")
-		ranks     = fs.String("ranks", "", "comma-separated fabric sizes for distributed advection (advect, profile; default 1,2,4,8)")
 		adaptive  = fs.Bool("adaptive", false, "advect with the adaptive BS23 integrator instead of fixed-step RK4 (advect)")
 		backend   = fs.String("backend", "trad", "geometry kernel formulation for contour/threshold: trad or dpp")
 		traceF    = fs.String("trace", "", "write a Chrome trace-event JSON of this run to FILE (load in Perfetto)")
@@ -101,44 +146,17 @@ func parseFlags(cmd string, args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	cfg := &harness.Config{}
 	if *quick {
-		cfg.Sizes = []int{16, 32}
-		cfg.PhaseSize = 32
-		cfg.Images = 10
-		cfg.ImageSize = 64
-		cfg.Particles = 256
-		cfg.ParticleSteps = 300
+		if cfg.Sizes == nil {
+			cfg.Sizes = []int{16, 32}
+		}
+		fill(&cfg.PhaseSize, 32)
+		fill(&cfg.Images, 10)
+		fill(&cfg.ImageSize, 64)
+		fill(&cfg.Particles, 256)
+		fill(&cfg.ParticleSteps, 300)
 		cfg.SimTime = 0.05
 		cfg.MaxSimSize = 32
-	}
-	if *sizes != "" {
-		cfg.Sizes = nil
-		for _, s := range strings.Split(*sizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return nil, fmt.Errorf("bad -sizes entry %q: %w", s, err)
-			}
-			cfg.Sizes = append(cfg.Sizes, n)
-		}
-	}
-	if *phaseSize > 0 {
-		cfg.PhaseSize = *phaseSize
-	}
-	if *images > 0 {
-		cfg.Images = *images
-	}
-	if *imgSize > 0 {
-		cfg.ImageSize = *imgSize
-	}
-	if *particles > 0 {
-		cfg.Particles = *particles
-	}
-	if *steps > 0 {
-		cfg.ParticleSteps = *steps
-	}
-	if *iso > 0 {
-		cfg.Isovalues = *iso
 	}
 	b, err := viz.ParseBackend(*backend)
 	if err != nil {
@@ -148,18 +166,8 @@ func parseFlags(cmd string, args []string) (*options, error) {
 	// distRanks marks an explicit -ranks request: profile then also runs
 	// a distributed advection pass under the tracer at the largest size.
 	distRanks := 0
-	if *ranks != "" {
-		cfg.Ranks = nil
-		for _, s := range strings.Split(*ranks, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad -ranks entry %q", s)
-			}
-			cfg.Ranks = append(cfg.Ranks, n)
-			if n > distRanks {
-				distRanks = n
-			}
-		}
+	if cfg.Ranks != nil {
+		distRanks = slices.Max(cfg.Ranks)
 	}
 	if *progress {
 		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  [progress]", line) }

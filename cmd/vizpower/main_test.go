@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +40,43 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"advect", "-quick", "-ranks", "0"}); err == nil {
 		t.Error("-ranks 0 accepted")
+	}
+}
+
+// TestParseFlags: the numeric and list flags write the Config knobs
+// directly; -quick fills only what they left unset, wherever it stands on
+// the command line; a negative or non-positive entry is a flag error, not
+// a silent default.
+func TestParseFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-quick", "-images", "7", "-sizes", "8, 12", "-ranks", "2,4"},
+		{"-ranks", "2,4", "-sizes", "8, 12", "-images", "7", "-quick"},
+	} {
+		opt, err := parseFlags("all", args)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		c := opt.cfg
+		if c.Images != 7 || !slices.Equal(c.Sizes, []int{8, 12}) || !slices.Equal(c.Ranks, []int{2, 4}) || opt.distRanks != 4 {
+			t.Errorf("%v: explicit flags lost: images %d sizes %v ranks %v distRanks %d", args, c.Images, c.Sizes, c.Ranks, opt.distRanks)
+		}
+		if c.PhaseSize != 32 || c.ImageSize != 64 || c.Particles != 256 || c.ParticleSteps != 300 || c.MaxSimSize != 32 {
+			t.Errorf("%v: quick preset not applied: %+v", args, c)
+		}
+	}
+	opt, err := parseFlags("all", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := opt.cfg; c.Images != 50 || c.PhaseSize != 128 || len(c.Sizes) != 4 || len(c.Ranks) != 4 || opt.distRanks != 0 {
+		t.Errorf("no flags: not the paper defaults: %+v (distRanks %d)", c, opt.distRanks)
+	}
+	for _, args := range [][]string{
+		{"-images", "-1"}, {"-phase-size", "-32"}, {"-steps", "x"}, {"-sizes", "16,0"}, {"-sizes", ""}, {"-ranks", "-2"},
+	} {
+		if _, err := parseFlags("all", args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

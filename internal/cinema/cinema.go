@@ -286,16 +286,3 @@ func (d *Database) Finalize() error {
 	}
 	return errors.Join(d.errs...)
 }
-
-// Load reads a database manifest back (for viewers and tests).
-func Load(dir string) (*Index, error) {
-	data, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		return nil, err
-	}
-	var idx Index
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return nil, err
-	}
-	return &idx, nil
-}

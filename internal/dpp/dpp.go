@@ -1,5 +1,5 @@
-// Package dpp is a small library of data-parallel primitives — scan,
-// gather, scatter, stream compaction, and segmented reduction — built on
+// Package dpp is a small library of data-parallel primitives — exclusive
+// scan, stream compaction, and segmented reduction — built on
 // the par worker pool. It is the reproduction's counterpart of the
 // primitive layer that VTK-m (and Thrust/TBB before it) builds its
 // filters on: Bethel et al. (arXiv 2010.02361) compare traditional
@@ -14,9 +14,8 @@
 // width (Block) that does not depend on the pool — each block is folded
 // serially in index order, the block sums are combined serially, and a
 // second parallel pass rewrites each block — so even floating-point
-// scans reproduce exactly. Scatter requires unique destination indices
-// (every DPP use here scatters through the offsets of a preceding scan,
-// which are unique by construction), making it race-free and
+// scans reproduce exactly. Compact scatters through the offsets of its
+// own scan, which are unique by construction, so it is race-free and
 // order-independent.
 //
 // Primitives lease their working state — including the loop-body
@@ -53,7 +52,6 @@ type scanState[T Number] struct {
 	in, out   []T
 	sums      []T
 	n         int
-	inclusive bool
 	sumPass   func(lo, hi, w int)
 	writePass func(lo, hi, w int)
 }
@@ -80,19 +78,12 @@ func leaseScan[T Number](pool *par.Pool) *scanState[T] {
 		for b := lo; b < hi; b++ {
 			blo, bhi := b*Block, min((b+1)*Block, st.n)
 			run := st.sums[b]
-			if st.inclusive {
-				for i := blo; i < bhi; i++ {
-					run += st.in[i]
-					st.out[i] = run
-				}
-			} else {
-				// Reading in[i] before writing out[i] keeps the in-place
-				// (aliased) case correct.
-				for i := blo; i < bhi; i++ {
-					v := st.in[i]
-					st.out[i] = run
-					run += v
-				}
+			// Reading in[i] before writing out[i] keeps the in-place
+			// (aliased) case correct.
+			for i := blo; i < bhi; i++ {
+				v := st.in[i]
+				st.out[i] = run
+				run += v
 			}
 		}
 	}
@@ -108,17 +99,6 @@ func leaseScan[T Number](pool *par.Pool) *scanState[T] {
 // generalization of the prefix sum the mesh welder always used, now
 // shared by every DPP kernel.
 func ScanExclusive[T Number](pool *par.Pool, in, out []T) T {
-	return scan(pool, in, out, false)
-}
-
-// ScanInclusive writes the inclusive prefix sum of in to out
-// (out[i] = in[0] + … + in[i]) and returns the total sum. in and out
-// must have equal length and may alias.
-func ScanInclusive[T Number](pool *par.Pool, in, out []T) T {
-	return scan(pool, in, out, true)
-}
-
-func scan[T Number](pool *par.Pool, in, out []T, inclusive bool) T {
 	if len(in) != len(out) {
 		panic("dpp: scan input and output lengths differ")
 	}
@@ -133,7 +113,7 @@ func scan[T Number](pool *par.Pool, in, out []T, inclusive bool) T {
 		st.sums = make([]T, nb)
 	}
 	st.in, st.out, st.sums = in, out, st.sums[:nb]
-	st.n, st.inclusive = n, inclusive
+	st.n = n
 	// Pass 1: fold each block serially in index order.
 	pool.For(nb, 1, st.sumPass)
 	// Serial exclusive scan of the block sums.
@@ -148,69 +128,6 @@ func scan[T Number](pool *par.Pool, in, out []T, inclusive bool) T {
 	st.in, st.out = nil, nil // don't pin caller arrays in the store
 	pool.PutScratch(scanKey[T]{}, st)
 	return total
-}
-
-// moveState is the leased state shared by Gather and Scatter for one
-// element type.
-type moveState[T any] struct {
-	dst, src []T
-	idx      []int32
-	gather   func(lo, hi, w int)
-	scatter  func(lo, hi, w int)
-}
-
-type moveKey[T any] struct{}
-
-func leaseMove[T any](pool *par.Pool) *moveState[T] {
-	st, _ := pool.GetScratch(moveKey[T]{}).(*moveState[T])
-	if st != nil {
-		return st
-	}
-	st = &moveState[T]{}
-	st.gather = func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			st.dst[i] = st.src[st.idx[i]]
-		}
-	}
-	st.scatter = func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			st.dst[st.idx[i]] = st.src[i]
-		}
-	}
-	return st
-}
-
-func (st *moveState[T]) release(pool *par.Pool) {
-	st.dst, st.src, st.idx = nil, nil, nil
-	pool.PutScratch(moveKey[T]{}, st)
-}
-
-// Gather writes dst[i] = src[idx[i]] for every i. dst and idx must have
-// equal length; dst must not alias src.
-func Gather[T any](pool *par.Pool, dst, src []T, idx []int32) {
-	if len(dst) != len(idx) {
-		panic("dpp: gather destination and index lengths differ")
-	}
-	st := leaseMove[T](pool)
-	st.dst, st.src, st.idx = dst, src, idx
-	pool.For(len(idx), 0, st.gather)
-	st.release(pool)
-}
-
-// Scatter writes dst[idx[i]] = src[i] for every i. src and idx must have
-// equal length, dst must not alias src, and the indices must be unique —
-// the caller's side of the contract that keeps the primitive
-// deterministic and race-free. Scatters through the offsets of a
-// preceding exclusive scan (the stream-compaction pattern) satisfy it by
-// construction.
-func Scatter[T any](pool *par.Pool, dst, src []T, idx []int32) {
-	if len(src) != len(idx) {
-		panic("dpp: scatter source and index lengths differ")
-	}
-	st := leaseMove[T](pool)
-	st.dst, st.src, st.idx = dst, src, idx
-	pool.For(len(idx), 0, st.scatter)
-	st.release(pool)
 }
 
 // compactState is the leased working state of Compact: the scanned

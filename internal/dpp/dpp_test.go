@@ -22,17 +22,12 @@ func randInts(n int, seed int64) []int32 {
 	return out
 }
 
-func serialScan(in []int32, inclusive bool) ([]int32, int32) {
+func serialScan(in []int32) ([]int32, int32) {
 	out := make([]int32, len(in))
 	var run int32
 	for i, v := range in {
-		if inclusive {
-			run += v
-			out[i] = run
-		} else {
-			out[i] = run
-			run += v
-		}
+		out[i] = run
+		run += v
 	}
 	return out, run
 }
@@ -42,22 +37,14 @@ func TestScanMatchesSerial(t *testing.T) {
 		pool := par.NewPool(workers)
 		for _, n := range lengths {
 			in := randInts(n, int64(n))
-			for _, inclusive := range []bool{false, true} {
-				want, wantTotal := serialScan(in, inclusive)
-				out := make([]int32, n)
-				var total int32
-				if inclusive {
-					total = ScanInclusive(pool, in, out)
-				} else {
-					total = ScanExclusive(pool, in, out)
-				}
-				if total != wantTotal {
-					t.Fatalf("workers=%d n=%d inclusive=%v: total = %d, want %d", workers, n, inclusive, total, wantTotal)
-				}
-				for i := range out {
-					if out[i] != want[i] {
-						t.Fatalf("workers=%d n=%d inclusive=%v: out[%d] = %d, want %d", workers, n, inclusive, i, out[i], want[i])
-					}
+			want, wantTotal := serialScan(in)
+			out := make([]int32, n)
+			if total := ScanExclusive(pool, in, out); total != wantTotal {
+				t.Fatalf("workers=%d n=%d: total = %d, want %d", workers, n, total, wantTotal)
+			}
+			for i := range out {
+				if out[i] != want[i] {
+					t.Fatalf("workers=%d n=%d: out[%d] = %d, want %d", workers, n, i, out[i], want[i])
 				}
 			}
 		}
@@ -70,7 +57,7 @@ func TestScanInPlace(t *testing.T) {
 	defer pool.Close()
 	for _, n := range lengths {
 		in := randInts(n, 17+int64(n))
-		want, _ := serialScan(in, false)
+		want, _ := serialScan(in)
 		buf := append([]int32(nil), in...)
 		ScanExclusive(pool, buf, buf)
 		for i := range buf {
@@ -95,7 +82,7 @@ func TestScanFloatDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		pool := par.NewPool(workers)
 		out := make([]float64, n)
-		total := ScanInclusive(pool, in, out)
+		total := ScanExclusive(pool, in, out)
 		if ref == nil {
 			ref, refTotal = out, total
 		} else {
@@ -109,36 +96,6 @@ func TestScanFloatDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		pool.Close()
-	}
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	for _, n := range lengths {
-		src := make([]float64, n)
-		idx := make([]int32, n)
-		perm := rand.New(rand.NewSource(int64(n))).Perm(n)
-		for i := range src {
-			src[i] = float64(i) * 1.5
-			idx[i] = int32(perm[i])
-		}
-		gathered := make([]float64, n)
-		Gather(pool, gathered, src, idx)
-		for i := range gathered {
-			if gathered[i] != src[idx[i]] {
-				t.Fatalf("n=%d: gather[%d] = %v, want %v", n, i, gathered[i], src[idx[i]])
-			}
-		}
-		// Scattering the gathered values back through the same (unique)
-		// indices restores the source.
-		restored := make([]float64, n)
-		Scatter(pool, restored, gathered, idx)
-		for i := range restored {
-			if restored[i] != src[i] {
-				t.Fatalf("n=%d: scatter round trip [%d] = %v, want %v", n, i, restored[i], src[i])
-			}
-		}
 	}
 }
 
@@ -259,7 +216,7 @@ func TestConcurrentScansOnOnePool(t *testing.T) {
 			defer wg.Done()
 			n := 9000 + 13*g
 			in := randInts(n, int64(g))
-			want, wantTotal := serialScan(in, false)
+			want, wantTotal := serialScan(in)
 			out := make([]int32, n)
 			for r := 0; r < rounds; r++ {
 				if total := ScanExclusive(pool, in, out); total != wantTotal {
@@ -297,15 +254,4 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("steady-state scan allocates %.1f objects/op, want 0", allocs)
 	}
-}
-
-func TestScatterPanicsOnLengthMismatch(t *testing.T) {
-	pool := par.NewPool(1)
-	defer pool.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched scatter lengths accepted")
-		}
-	}()
-	Scatter(pool, make([]int32, 4), make([]int32, 3), make([]int32, 2))
 }

@@ -73,13 +73,13 @@ func (c *Config) BackendCompare(size int) ([]BackendPair, error) {
 // without re-executing anything.
 func (c *Config) cachedBackendPairs() []BackendPair {
 	var out []BackendPair
-	for key, v := range c.cells {
+	for key, v := range c.run.cells {
 		k, ok := key.(runKey)
 		if !ok || k.backend != viz.DPP {
 			continue
 		}
 		k.backend = viz.Traditional
-		if tr, ok := c.cells[k]; ok {
+		if tr, ok := c.run.cells[k]; ok {
 			out = append(out, BackendPair{Name: k.name, Trad: tr.(*AlgoRun), DPP: v.(*AlgoRun)})
 		}
 	}

@@ -9,12 +9,13 @@ import (
 
 // Every sweep cell — an (algorithm, size) run, a distributed-advection
 // rank count and its single-rank oracle, a governor sweep — goes through
-// runCell over the one keyed store Config.cells. The kinds differ only in
-// what they hand it: a typed key, the names below and a build function.
+// runCell over the one keyed store, the run state's cells. The kinds
+// differ only in what they hand it: a typed key, the names below and a
+// build function.
 
 // cellID names one sweep cell to the cell policy.
 type cellID struct {
-	key   any    // comparable and typed per kind: the slot in Config.cells
+	key   any    // comparable and typed per kind: the slot in the cell store
 	name  string // what Config.Inject is asked about and CellError reports
 	size  int
 	label string // the heartbeat's "(...)" description
@@ -27,7 +28,7 @@ type cellID struct {
 // one heartbeat line, and either the stored result or a CellError in
 // Failures and the error, wrapped with the cell's name and size.
 func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
-	if v, ok := c.cells[id.key]; ok {
+	if v, ok := c.run.cells[id.key]; ok {
 		return v.(T), nil
 	}
 	var (
@@ -53,12 +54,12 @@ func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
 		c.log("retry %s at %d^3 after transient failure (attempt %d): %v", id.name, id.size, attempts, err)
 		time.Sleep(c.RetryBackoff << (attempts - 1))
 	}
-	c.cellsDone++
+	c.run.cellsDone++
 	if err != nil {
 		err = fmt.Errorf("harness: %s at %d^3: %w", id.name, id.size, err)
 		c.recordFailure(CellError{Name: id.name, Size: id.size, Attempts: attempts, Err: err, key: id.key})
 	} else {
-		c.cells[id.key] = v
+		c.run.cells[id.key] = v
 	}
 	if c.Heartbeat != nil {
 		outcome := fmt.Sprintf("done in %.2fs", time.Since(start).Seconds())
@@ -73,8 +74,8 @@ func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
 		// The denominator is the study matrix, one cell per (algorithm,
 		// size); cells beyond it (the rank sweep, the DPP comparison, a
 		// governor sweep) keep the counter monotone instead of overflowing.
-		total := max(len(c.Filters())*len(c.Sizes), c.cellsDone)
-		fmt.Fprintf(c.Heartbeat, "cell %d/%d (%s) %s\n", c.cellsDone, total, id.label, outcome)
+		total := max(len(c.Filters())*len(c.Sizes), c.run.cellsDone)
+		fmt.Fprintf(c.Heartbeat, "cell %d/%d (%s) %s\n", c.run.cellsDone, total, id.label, outcome)
 	}
 	return v, err
 }
@@ -83,7 +84,7 @@ func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
 // order: what the report sections render without re-executing anything.
 func cached[T any](c *Config) []T {
 	var out []T
-	for _, v := range c.cells {
+	for _, v := range c.run.cells {
 		if t, ok := v.(T); ok {
 			out = append(out, t)
 		}

@@ -105,6 +105,19 @@ type Config struct {
 	// failure-injection hook the resilience tests use.
 	Inject func(name string, size int, attempt int) error
 
+	// run is everything executing the study accumulates. The exported
+	// fields above are the declaration; see runState for the split.
+	run *runState
+}
+
+// runState is what the caching shell — Dataset, Run and the sweeps built
+// on them — accumulates on a Config. The shell is single-goroutine, as the
+// paper's campaign is. The declaration-only entry points BuildDataset and
+// Execute read datasets and write none of it, so a caller that keeps its
+// own store (the serving daemon) builds through them from any number of
+// goroutines and is the only owner of what it builds.
+type runState struct {
+	// datasets holds the Preloaded grids and the ones Dataset built.
 	datasets map[int]*mesh.UniformGrid
 	// cells is the one store of executed sweep cells, keyed by each
 	// kind's typed key (see runCell).
@@ -166,11 +179,8 @@ func (c *Config) Defaults() *Config {
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 10 * time.Millisecond
 	}
-	if c.datasets == nil {
-		c.datasets = make(map[int]*mesh.UniformGrid)
-	}
-	if c.cells == nil {
-		c.cells = make(map[any]any)
+	if c.run == nil {
+		c.run = &runState{datasets: make(map[int]*mesh.UniformGrid), cells: make(map[any]any)}
 	}
 	return c
 }
@@ -187,49 +197,59 @@ func (c *Config) log(format string, args ...any) {
 // grid with size cells per axis carrying the study fields.
 func (c *Config) Preload(size int, g *mesh.UniformGrid) {
 	c.Defaults()
-	c.datasets[size] = g
+	c.run.datasets[size] = g
 }
 
 // Dataset returns (building and caching on first use) the CloverLeaf-like
 // data set at the given size.
 func (c *Config) Dataset(size int) (*mesh.UniformGrid, error) {
 	c.Defaults()
-	if g, ok := c.datasets[size]; ok {
+	if g, ok := c.run.datasets[size]; ok {
 		return g, nil
 	}
-	simSize := size
-	if simSize > c.MaxSimSize {
-		simSize = c.MaxSimSize
-	}
-	// The direct hydro run may itself be cacheable under its own size.
-	base, ok := c.datasets[simSize]
-	if !ok {
-		s, err := clover.New(simSize, clover.Options{})
-		if err != nil {
-			return nil, err
-		}
-		steps := 0
-		for s.Time() < c.SimTime && steps < c.MaxSimSteps {
-			s.Step(c.Pool, nil)
-			steps++
-		}
-		c.log("dataset %d^3: hydro ran %d steps to t=%.4f", simSize, steps, s.Time())
-		base, err = s.Grid()
-		if err != nil {
-			return nil, err
-		}
-		c.datasets[simSize] = base
-	}
-	if simSize == size {
-		return base, nil
-	}
-	up, err := mesh.ResampleCube(base, size)
+	// The direct hydro run under a resample is cached under its own size.
+	g, err := c.BuildDataset(size, c.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	c.log("dataset %d^3: resampled from %d^3", size, simSize)
-	c.datasets[size] = up
-	return up, nil
+	c.run.datasets[size] = g
+	return g, nil
+}
+
+// BuildDataset is the declaration-only half of Dataset: the data set at
+// size, uncached. A size this Config already holds (Preload, or an earlier
+// Dataset) is returned as is; one up to MaxSimSize is a fresh hydro run;
+// a larger one is a trilinear resampling of the MaxSimSize data set, which
+// is asked of base — the caller's store. c must have had Defaults applied.
+// It writes nothing to c, so any number of goroutines may call it at once
+// (none of them concurrently with the shell).
+func (c *Config) BuildDataset(size int, base func(size int) (*mesh.UniformGrid, error)) (*mesh.UniformGrid, error) {
+	if g, ok := c.run.datasets[size]; ok {
+		return g, nil
+	}
+	if size > c.MaxSimSize {
+		g, err := base(c.MaxSimSize)
+		if err != nil {
+			return nil, err
+		}
+		up, err := mesh.ResampleCube(g, size)
+		if err != nil {
+			return nil, err
+		}
+		c.log("dataset %d^3: resampled from %d^3", size, c.MaxSimSize)
+		return up, nil
+	}
+	s, err := clover.New(size, clover.Options{})
+	if err != nil {
+		return nil, err
+	}
+	steps := 0
+	for s.Time() < c.SimTime && steps < c.MaxSimSteps {
+		s.Step(c.Pool, nil)
+		steps++
+	}
+	c.log("dataset %d^3: hydro ran %d steps to t=%.4f", size, steps, s.Time())
+	return s.Grid()
 }
 
 // Filters returns the paper's eight algorithms, configured per c, in the
@@ -323,17 +343,23 @@ func (c *Config) Run(f viz.Filter, size int) (*AlgoRun, error) {
 		size: size,
 		// Shared-memory cells run on one fabric rank.
 		label: fmt.Sprintf("%s, %d^3, ranks=1, %d caps", f.Name(), size, len(c.Caps)),
-	}, func() (*AlgoRun, error) { return c.runAttempt(f, size) })
+	}, func() (*AlgoRun, error) {
+		dsStart := c.Tracer.Begin()
+		g, err := c.Dataset(size)
+		c.Tracer.End(telemetry.PipelineTrack, "dataset", dsStart)
+		if err != nil {
+			return nil, err
+		}
+		return c.Execute(f, g)
+	})
 }
 
-// runAttempt is one uncached execution of an (algorithm, size) cell.
-func (c *Config) runAttempt(f viz.Filter, size int) (*AlgoRun, error) {
-	dsStart := c.Tracer.Begin()
-	g, err := c.Dataset(size)
-	c.Tracer.End(telemetry.PipelineTrack, "dataset", dsStart)
-	if err != nil {
-		return nil, err
-	}
+// Execute is the declaration-only half of Run: one uncached, unretried
+// execution of f over the cube data set g, modeled under every cap. Like
+// BuildDataset it needs Defaults applied, writes nothing to c and is safe
+// from any number of goroutines.
+func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
+	size := g.CellDims()[0]
 	ex := viz.NewExec(c.Pool)
 	// The cell span plus the wall clock attribute what this cell cost
 	// the machine; the span window is summarized into Stages below.

@@ -5,4 +5,4 @@ package harness
 
 // ClearFailures resets the failure record, e.g. between campaigns on a
 // reused Config.
-func (c *Config) ClearFailures() { c.failures = nil }
+func (c *Config) ClearFailures() { c.run.failures = nil }

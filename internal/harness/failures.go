@@ -15,7 +15,7 @@ type CellError struct {
 	Attempts int
 	Err      error
 
-	key any // the cell's slot in Config.cells
+	key any // the cell's slot in the cell store
 }
 
 func (e CellError) String() string {
@@ -25,19 +25,22 @@ func (e CellError) String() string {
 // recordFailure keeps one record per cell: a cell that fails again when a
 // later artifact asks for it replaces its earlier record in place.
 func (c *Config) recordFailure(e CellError) {
-	for i := range c.failures {
-		if c.failures[i].key == e.key {
-			c.failures[i] = e
+	for i := range c.run.failures {
+		if c.run.failures[i].key == e.key {
+			c.run.failures[i] = e
 			return
 		}
 	}
-	c.failures = append(c.failures, e)
+	c.run.failures = append(c.run.failures, e)
 }
 
 // Failures returns the per-configuration failures recorded so far, in
 // the order they first occurred.
 func (c *Config) Failures() []CellError {
-	return append([]CellError(nil), c.failures...)
+	if c.run == nil {
+		return nil
+	}
+	return append([]CellError(nil), c.run.failures...)
 }
 
 // FailureReport renders the failures as the campaign error report; it is

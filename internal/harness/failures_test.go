@@ -107,8 +107,8 @@ func forEachCellKind(t *testing.T, fail func(attempt int) error, body func(t *te
 			body(t, c, func() (any, error) { return k.run(c) }, &consulted, &hb)
 			// One heartbeat line per executed cell, whatever its kind or
 			// outcome (the advection cell also executes its oracle).
-			if lines := strings.Count(hb.String(), "\n"); lines != c.cellsDone {
-				t.Errorf("%d heartbeat lines for %d executed cells:\n%s", lines, c.cellsDone, hb.String())
+			if lines := strings.Count(hb.String(), "\n"); lines != c.run.cellsDone {
+				t.Errorf("%d heartbeat lines for %d executed cells:\n%s", lines, c.run.cellsDone, hb.String())
 			}
 			for _, f := range c.Failures() {
 				if f.Name != k.inject {
@@ -144,13 +144,13 @@ func TestRunRetriesTransientFailures(t *testing.T) {
 		if !strings.Contains(hb.String(), " done in ") || strings.Contains(hb.String(), "FAILED") {
 			t.Errorf("heartbeat of a recovered cell:\n%s", hb.String())
 		}
-		done := c.cellsDone
+		done := c.run.cellsDone
 		again, err := run()
 		if err != nil || again != r {
 			t.Errorf("cached cell not returned as is: %v, %v", again, err)
 		}
-		if len(*consulted) != 3 || c.cellsDone != done {
-			t.Errorf("cached cell re-executed: Inject consulted %d times, %d -> %d cells", len(*consulted), done, c.cellsDone)
+		if len(*consulted) != 3 || c.run.cellsDone != done {
+			t.Errorf("cached cell re-executed: Inject consulted %d times, %d -> %d cells", len(*consulted), done, c.run.cellsDone)
 		}
 	})
 }

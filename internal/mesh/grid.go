@@ -226,6 +226,15 @@ func (g *UniformGrid) CellToPoint(name string) ([]float64, error) {
 	if cf == nil {
 		return nil, fmt.Errorf("mesh: no cell field %q", name)
 	}
+	pf := g.recenter(cf)
+	g.pointFields[name] = pf
+	return pf, nil
+}
+
+// recenter is CellToPoint's arithmetic without the store: it reads g's
+// geometry and cf and writes nothing but the slice it returns, so it is
+// safe on a grid other goroutines are reading.
+func (g *UniformGrid) recenter(cf []float64) []float64 {
 	pf := make([]float64, g.NumPoints())
 	cd := g.CellDims()
 	for k := 0; k < g.Dims[2]; k++ {
@@ -265,6 +274,5 @@ func (g *UniformGrid) CellToPoint(name string) ([]float64, error) {
 			}
 		}
 	}
-	g.pointFields[name] = pf
-	return pf, nil
+	return pf
 }

@@ -4,11 +4,11 @@ import "fmt"
 
 // ResampleCube produces an n-cell cube grid whose fields are trilinear
 // resamplings of g's fields: every cell field (via its recentered point
-// version), every point field, and every point vector field. The study
-// harness uses it to synthesize data-set sizes larger than the largest
-// hydro run that is practical here (a documented substitution; the
-// visualization workloads only care about field smoothness and feature
-// scale, which resampling preserves).
+// version), every point field, and every point vector field. g is only
+// read. The study harness uses it to synthesize data-set sizes larger
+// than the largest hydro run that is practical here (a documented
+// substitution; the visualization workloads only care about field
+// smoothness and feature scale, which resampling preserves).
 func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	out, err := NewCubeGrid(n)
 	if err != nil {
@@ -18,14 +18,6 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 		return nil, fmt.Errorf("mesh: ResampleCube requires a unit-cube source, got bounds %+v", g.Bounds())
 	}
 
-	// Make sure every cell field has a point version to sample.
-	for name := range g.cellFields {
-		if g.pointFields[name] == nil {
-			if _, err := g.CellToPoint(name); err != nil {
-				return nil, err
-			}
-		}
-	}
 	// Resolve each source field into a sampler once; destination points
 	// walk the grid in order, so the sampler's cached cell covers most
 	// probes.
@@ -38,8 +30,15 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 			dst[id] = v
 		}
 	}
-	for name := range g.cellFields {
-		s := ScalarSamplerFor(g, g.pointFields[name])
+	for name, src := range g.cellFields {
+		// A cell field is sampled through its point version; one that has
+		// none is recentered into a private slice, never into g, which
+		// other goroutines may be reading.
+		pf := g.pointFields[name]
+		if pf == nil {
+			pf = g.recenter(src)
+		}
+		s := ScalarSamplerFor(g, pf)
 		cf := out.AddCellField(name)
 		for c := range cf {
 			v, ok := s.Sample(out.CellCenter(c))

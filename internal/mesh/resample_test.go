@@ -67,6 +67,43 @@ func TestResampleCubeCellFields(t *testing.T) {
 	}
 }
 
+// TestResampleCubeLeavesSourceAlone: a cached grid is shared read-only
+// between goroutines, so resampling one must not store the recentered
+// point versions of its cell fields into it — and must still produce what
+// a source that already carried them produces.
+func TestResampleCubeLeavesSourceAlone(t *testing.T) {
+	g := mustCube(t, 4)
+	cf := g.AddCellField("e")
+	for i := range cf {
+		cf[i] = float64(i % 7)
+	}
+	g.AddPointField("p")
+	up, err := ResampleCube(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := g.PointFieldNames(); len(names) != 1 || names[0] != "p" {
+		t.Fatalf("source point fields after ResampleCube = %v, want [p]", names)
+	}
+	if _, err := g.CellToPoint("e"); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := ResampleCube(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range [][2][]float64{
+		{up.PointField("e"), stored.PointField("e")},
+		{up.CellField("e"), stored.CellField("e")},
+	} {
+		for i := range f[0] {
+			if f[0][i] != f[1][i] {
+				t.Fatalf("element %d: %v from the bare source, %v from the recentered one", i, f[0][i], f[1][i])
+			}
+		}
+	}
+}
+
 func TestResampleCubeDownsamples(t *testing.T) {
 	g := mustCube(t, 16)
 	pf := g.AddPointField("lin")

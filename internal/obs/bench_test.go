@@ -10,7 +10,7 @@ import (
 
 // The record-path benchmarks pin the hot-path cost model the package
 // doc promises: one atomic add per Inc/Observe, zero allocations, and
-// a nil handle that costs a branch. Recorded in BENCH_PR10.json.
+// a nil handle that costs a branch. Recorded in BENCH_HISTORY.json (pr 10).
 
 func BenchmarkObsCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_total", "bench")

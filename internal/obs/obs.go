@@ -17,7 +17,7 @@
 //     and every method on a nil handle (Counter.Add, Gauge.Set,
 //     Histogram.Observe, ...) is a no-op — instrumented code carries
 //     one nil check and no allocation, so the uninstrumented dispatch
-//     path stays at the BENCH_PR1/PR5 baseline.
+//     path stays at the PR 1/PR 5 baseline (BENCH_HISTORY.json).
 //
 //   - Recording is lock-free and allocation-free. A Counter.Add is one
 //     atomic add; a Histogram.Observe is a bounds scan plus two atomic
@@ -65,7 +65,6 @@ type series struct {
 	fc *FloatCounter
 	g  *Gauge
 	h  *Histogram
-	sc *ShardedCounter
 
 	// fn backs scrape-time counters/gauges (values read from an
 	// existing subsystem snapshot, e.g. par.PoolStats or CacheStats).
@@ -183,22 +182,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	h := &Histogram{bounds: bounds, buckets: make([]padCounter, len(bounds)+1)}
 	r.register(name, help, kindHistogram, bounds, labels).h = h
 	return h
-}
-
-// ShardedCounter registers a counter whose increments land on
-// cache-line-padded per-shard slots (one per pool worker or fabric
-// rank) and are folded into a single series at scrape time — the
-// contention-free shape for counters bumped from many goroutines.
-func (r *Registry) ShardedCounter(name, help string, shards int, labels ...Label) *ShardedCounter {
-	if r == nil {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	sc := &ShardedCounter{shards: make([]padCounter, shards)}
-	r.register(name, help, kindCounter, nil, labels).sc = sc
-	return sc
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape

@@ -63,8 +63,6 @@ func seriesValue(s *series) float64 {
 		return s.fc.Value()
 	case s.g != nil:
 		return s.g.Value()
-	case s.sc != nil:
-		return float64(s.sc.Value())
 	case s.fn != nil:
 		return s.fn()
 	}

@@ -20,7 +20,7 @@ func buildRegistry() *Registry {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.ShardedCounter("msgs_total", "messages", 4).Add(2, 9)
+	sharded(r, "msgs_total", 4).Add(2, 9)
 	r.GaugeFunc("live_gauge", "func-backed", func() float64 { return 3.25 })
 	r.CounterFunc("live_total", "func-backed", func() float64 { return 11 })
 	r.HistogramFunc("live_hist", "func-backed buckets", []float64{1, 2},
@@ -134,7 +134,7 @@ func TestConcurrentScrape(t *testing.T) {
 	fc := r.FloatCounter("joules_total", "joules")
 	g := r.Gauge("watts", "watts")
 	h := r.Histogram("lat", "lat", []float64{0.001, 0.1, 1})
-	sc := r.ShardedCounter("sharded_total", "sharded", 4)
+	sc := sharded(r, "sharded_total", 4)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

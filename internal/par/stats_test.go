@@ -189,7 +189,7 @@ func TestStatsConcurrent(t *testing.T) {
 
 // TestDisabledPathAllocs pins the telemetry acceptance numbers: the
 // single-chunk fast path allocates nothing, and the parallel dispatch
-// allocates no more than the BENCH_PR1 baseline (3 allocs: task, spans,
+// allocates no more than the BENCH_HISTORY.json pr 1 baseline (3 allocs: task, spans,
 // done channel) whether instrumentation is attached or not — recording
 // itself is allocation-free.
 func TestDisabledPathAllocs(t *testing.T) {
@@ -203,7 +203,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 	}
 	base := testing.AllocsPerRun(100, func() { disabled.For(4096, 1024, body) })
 	if base > 3 {
-		t.Errorf("disabled parallel For: %.0f allocs/op, want <= 3 (BENCH_PR1 baseline)", base)
+		t.Errorf("disabled parallel For: %.0f allocs/op, want <= 3 (BENCH_HISTORY.json pr 1 baseline)", base)
 	}
 
 	enabled := NewPool(4)
@@ -236,7 +236,7 @@ func TestLatencyBucketMapping(t *testing.T) {
 // BenchmarkParForDispatchTelemetry measures the instrumented dispatch
 // with telemetry ENABLED (counters + spans); compare against
 // BenchmarkParForDispatch, which is the disabled path and must match
-// the BENCH_PR1 numbers.
+// the BENCH_HISTORY.json pr 1 numbers.
 func BenchmarkParForDispatchTelemetry(b *testing.B) {
 	p := NewPool(4)
 	defer benchClosePool(p)

@@ -48,6 +48,22 @@ type cinemaResponse struct {
 	Frames []string `json:"frames"`
 }
 
+// parseCinema is parseRender plus /cinema's own parameters: the orbit
+// segment [from, from+count), clipped to the orbit's end.
+func (s *Server) parseCinema(r *http.Request) (rr *renderRequest, from, count int, err error) {
+	if rr, err = s.parseRender(r); err != nil {
+		return nil, 0, 0, err
+	}
+	q := r.URL.Query()
+	if from, err = intParam(q.Get("from"), 0, 0, rr.images-1); err != nil {
+		return nil, 0, 0, fmt.Errorf("from: %w", err)
+	}
+	if count, err = intParam(q.Get("count"), 8, 1, rr.images); err != nil {
+		return nil, 0, 0, fmt.Errorf("count: %w", err)
+	}
+	return rr, from, min(count, rr.images-from), nil
+}
+
 // handleCinema serves GET /cinema: render the orbit segment
 // [from, from+count) through the cached derived structure into the
 // shared cinema database for that (algorithm, size, resolution). Each
@@ -56,24 +72,10 @@ type cinemaResponse struct {
 // database's async queue. The manifest lands at Finalize (daemon
 // shutdown) — the response lists the frame files the segment produced.
 func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track int) {
-	rr, err := s.parseRender(r)
+	rr, from, count, err := s.parseCinema(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	q := r.URL.Query()
-	from, err := intParam(q.Get("from"), 0, 0, rr.images-1)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("from: %v", err), http.StatusBadRequest)
-		return
-	}
-	count, err := intParam(q.Get("count"), 8, 1, rr.images)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("count: %v", err), http.StatusBadRequest)
-		return
-	}
-	if from+count > rr.images {
-		count = rr.images - from
 	}
 
 	g, v, _ := s.admitBuild(w, r, track, rr.name, rr.size, rr.structureKey(), s.buildFrames(rr))

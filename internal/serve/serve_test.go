@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,6 +365,50 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestPreloadedGridServedWithoutHydro: the daemon reads the declaration,
+// so a Preloaded data set is served as is — by /render, by /sweep, and as
+// the base a larger size is resampled from — with no hydro run, and the
+// daemon's cache is the only place the resampled grid lands.
+func TestPreloadedGridServedWithoutHydro(t *testing.T) {
+	pre, err := testConfig().Dataset(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	cfg := testConfig()
+	cfg.Progress = func(l string) {
+		mu.Lock()
+		lines = append(lines, l)
+		mu.Unlock()
+	}
+	cfg.Preload(16, pre)
+	s := testServer(t, Options{Config: cfg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, p := range []string{"/render?size=16", "/sweep?alg=Slice&size=16", "/render?alg=raytrace&size=24"} {
+		if resp, body := get(t, ts, p); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", p, resp.StatusCode, body)
+		}
+	}
+	if g, ok := s.Cache().Peek("dataset/16"); !ok || g != pre {
+		t.Error("dataset/16 is not the Preloaded grid")
+	}
+	if _, ok := s.Cache().Peek("dataset/24"); !ok {
+		t.Error("the resampled 24^3 data set is not in the daemon's cache")
+	}
+	if g, err := cfg.BuildDataset(16, nil); err != nil || g != pre {
+		t.Errorf("the declaration's 16^3 changed: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.Contains(l, "hydro ran") {
+			t.Errorf("hydro run behind a Preloaded grid: %q", l)
+		}
+	}
+}
+
 // TestStatsEndpoint checks the counters surface.
 func TestStatsEndpoint(t *testing.T) {
 	s := testServer(t, Options{BudgetWatts: 120})
@@ -448,26 +493,20 @@ func TestSeedClassDemandLadder(t *testing.T) {
 	}
 }
 
-// TestSweepGradientDoesNotRaceRender: a Gradient sweep cell and cold
-// volume-renderer builds run over the same cached data set at the same
-// time (the sweep build holds cfgMu, a frame build does not). The
-// gradient filter used to add its output fields to that shared grid — a
-// map write racing harness.Frames' EnsurePointField read, which the Go
-// runtime aborts on as "concurrent map read and map write". Under -race
-// (make race runs this package) the detector is the oracle; without it
-// the requests must still all succeed.
-func TestSweepGradientDoesNotRaceRender(t *testing.T) {
-	// The window is narrow: 25 fresh daemons caught it on every -race run
-	// at the commit that had the bug.
-	for d := 0; d < 25; d++ {
+// raceColdRenders brings up n fresh daemons one after another, warms each
+// one's 16^3 data set, and releases path together with six cold
+// volume-renderer builds over that cached grid (harness.Frames'
+// EnsurePointField reads its field map). Under -race (make race runs this
+// package) the detector is the oracle; without it the requests must still
+// all succeed.
+func raceColdRenders(t *testing.T, n int, path string) {
+	for d := 0; d < n; d++ {
 		s := New(Options{Config: testConfig(), CinemaDir: t.TempDir()})
 		ts := httptest.NewServer(s.Handler())
-		// Warm the data set so every request below starts from the
-		// cached grid.
 		if resp, body := get(t, ts, "/render?alg=raytrace&size=16"); resp.StatusCode != http.StatusOK {
 			t.Fatalf("daemon %d warm-up: status %d: %s", d, resp.StatusCode, body)
 		}
-		paths := []string{"/sweep?alg=Gradient&size=16"}
+		paths := []string{path}
 		for k := 1; k <= 6; k++ {
 			paths = append(paths, fmt.Sprintf("/render?alg=volren&size=16&transparent=%g", float64(k)/256))
 		}
@@ -497,4 +536,22 @@ func TestSweepGradientDoesNotRaceRender(t *testing.T) {
 			t.Errorf("daemon %d Close: %v", d, err)
 		}
 	}
+}
+
+// TestSweepGradientDoesNotRaceRender: the gradient filter used to add its
+// output fields to the shared cached grid — a map write racing the cold
+// builds' read, which the Go runtime aborts on as "concurrent map read
+// and map write". The window is narrow: 25 fresh daemons caught it on
+// every -race run at the commit that had the bug.
+func TestSweepGradientDoesNotRaceRender(t *testing.T) {
+	raceColdRenders(t, 25, "/sweep?alg=Gradient&size=16")
+}
+
+// TestResampleDoesNotRaceRender: 24^3 is above the test daemon's
+// MaxSimSize, so it is resampled from the cached 16^3 grid, and
+// mesh.ResampleCube used to store the recentered point version of every
+// cell field into that source. Same race, same class; 40 daemons caught
+// it on every -race run at the commit that had the bug.
+func TestResampleDoesNotRaceRender(t *testing.T) {
+	raceColdRenders(t, 40, "/render?size=24")
 }

@@ -25,9 +25,11 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Config is the study configuration the daemon serves from: its
-	// datasets, workload defaults (image size, orbit length), processor
-	// spec, and worker pool. nil gets a Defaults() Config.
+	// Config is the study declaration the daemon serves from: its
+	// Preloaded data sets, workload defaults (image size, orbit length),
+	// processor spec, and worker pool. The daemon only reads it, through
+	// the declaration-only entry points (BuildDataset, Execute), and owns
+	// everything it builds in its own cache. nil gets a Defaults() Config.
 	Config *harness.Config
 	// BudgetWatts is the node power budget the admission queue enforces.
 	// <= 0 disables admission control.
@@ -62,12 +64,6 @@ type Server struct {
 	adm   *Admission
 	tr    *telemetry.Tracer
 	t0    time.Time
-
-	// cfgMu serializes access to the harness.Config, whose internal
-	// caches (datasets, sweep cells) are not concurrency-safe. All
-	// config access funnels through cache builds, so contention is one
-	// lock hold per cold key, not per request.
-	cfgMu sync.Mutex
 
 	lanes chan int
 
@@ -307,12 +303,11 @@ func intParam(v string, def, lo, hi int) (int, error) {
 	return n, nil
 }
 
-// dataset returns the (cached, single-flight) dataset at size.
+// dataset returns the (cached, single-flight) dataset at size. The base
+// of a resampled size comes back through here, under its own key.
 func (s *Server) dataset(size int) (*mesh.UniformGrid, error) {
 	v, _, err := s.cache.GetOrBuild(fmt.Sprintf("dataset/%d", size), func() (any, error) {
-		s.cfgMu.Lock()
-		defer s.cfgMu.Unlock()
-		return s.opts.Config.Dataset(size)
+		return s.opts.Config.BuildDataset(size, s.dataset)
 	})
 	if err != nil {
 		return nil, err
@@ -555,9 +550,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track int) 
 	if n, ok := algNames[normalize(name)]; ok {
 		name = n[1]
 	}
-	s.cfgMu.Lock()
 	f, err := s.opts.Config.FilterByName(name)
-	s.cfgMu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -569,14 +562,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track int) 
 	}
 
 	g, v, _ := s.admitBuild(w, r, track, name, size, fmt.Sprintf("sweep/%s/%d", name, size), func() (any, error) {
-		// Warm the dataset through the single-flight cache first, so a
+		// The dataset comes through the single-flight cache, so a
 		// concurrent /render of the same size shares the build.
-		if _, err := s.dataset(size); err != nil {
+		ds, err := s.dataset(size)
+		if err != nil {
 			return nil, err
 		}
-		s.cfgMu.Lock()
-		defer s.cfgMu.Unlock()
-		return s.opts.Config.Run(f, size)
+		return s.opts.Config.Execute(f, ds)
 	})
 	if g == nil {
 		return
