@@ -80,12 +80,6 @@ func (b *Bounds) Extend(p Vec3) {
 	b.Hi = b.Hi.Max(p)
 }
 
-// Union grows b to include bounds o.
-func (b *Bounds) Union(o Bounds) {
-	b.Lo = b.Lo.Min(o.Lo)
-	b.Hi = b.Hi.Max(o.Hi)
-}
-
 // Center returns the midpoint of the box.
 func (b Bounds) Center() Vec3 { return b.Lo.Add(b.Hi).Scale(0.5) }
 

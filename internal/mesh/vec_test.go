@@ -92,12 +92,13 @@ func TestBoundsExtend(t *testing.T) {
 	}
 }
 
-func TestBoundsUnion(t *testing.T) {
-	a := Bounds{Lo: Vec3{0, 0, 0}, Hi: Vec3{1, 1, 1}}
-	b := Bounds{Lo: Vec3{-1, 0.5, 0}, Hi: Vec3{0.5, 2, 1}}
-	a.Union(b)
-	if a.Lo != (Vec3{-1, 0, 0}) || a.Hi != (Vec3{1, 2, 1}) {
-		t.Errorf("Union = %v", a)
+func TestVec3MinMax(t *testing.T) {
+	a, b := Vec3{0, 0, 0}, Vec3{-1, 0.5, 2}
+	if got := a.Min(b); got != (Vec3{-1, 0, 0}) {
+		t.Errorf("Min = %v", got)
+	}
+	if got := a.Max(b); got != (Vec3{0, 0.5, 2}) {
+		t.Errorf("Max = %v", got)
 	}
 }
 

@@ -28,13 +28,22 @@ func floor(x float64) int64 {
 	return i
 }
 
-// weldHash mixes a quantized key; its residue picks the dedup shard and its
-// high half the home slot in the shard's table. It must be deterministic
-// across runs (it affects nothing but load balance, still).
+// weldHash mixes a quantized key. The weld keeps its high half per point
+// (shardSlot splits that into a shard and a home slot). It must be
+// deterministic across runs (it affects nothing but load balance, still).
 func weldHash(k [3]int64) uint64 {
 	h := uint64(k[0])*0x9E3779B97F4A7C15 ^ uint64(k[1])*0xC2B2AE3D27D4EB4F ^ uint64(k[2])*0x165667B19E3779F9
 	h ^= h >> 29
 	return h * 0xBF58476D1CE4E5B9
+}
+
+// shardSlot splits a point's 32-bit hash h into its shard, of nShards,
+// and its home slot in a table of size slots: h·nShards/2³² is the shard
+// and the fraction left over, scaled by size, the slot. Multiplies, not a
+// division by nShards, which is not a constant.
+func shardSlot(h uint32, nShards, size uint64) (shard, slot uint64) {
+	x := uint64(h) * nShards
+	return x >> 32, uint64(uint32(x)) * size >> 32
 }
 
 // WeldPointsPool merges coincident points of an unstructured mesh (within
@@ -44,13 +53,15 @@ func weldHash(k [3]int64) uint64 {
 // connectivity so interior faces pair up in ExternalFaces. A nil pool runs
 // the same passes inline on the caller.
 //
-// Every point is quantized and deduplicated in hash shards scanned
-// concurrently — each shard walks all points in index order, so the
-// representative of every key is its first occurrence and the output is
-// identical to a serial weld — the representatives are compacted with a
-// blocked parallel prefix sum, and points, scalars, cell structure and
+// Every point is quantized and hashed once, then deduplicated in hash
+// shards scanned concurrently — each shard streams the hashes in index
+// order and quantizes only its own points, so the representative of
+// every key is its first occurrence and the output is identical to a
+// serial weld whatever the hash — the representatives are compacted with
+// a blocked parallel prefix sum, and points, scalars, cell structure and
 // remapped connectivity are written once, into exactly-sized arrays. The
-// working arrays, 12 bytes per input point, live for the call only.
+// working arrays, 16 bytes per input point (a 4-byte hash, a 4-byte
+// representative and 8 bytes of table), live for the call only.
 func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *UnstructuredMesh {
 	if pool == nil {
 		// A one-worker pool runs every loop on its caller.
@@ -67,20 +78,26 @@ func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *Unstructu
 	}
 
 	nShards := uint64(min(pool.Workers(), weldShards))
-	// rep is the index of the first point with the same key. table is the
-	// shards' open-addressed tables end to end, each twice its shard's
-	// point count: a slot holds a point index + 1, zero when free. Once
-	// every point has its representative the tables are dead and the first
-	// half of the memory holds the output indices.
+	// hash is each point's key hash. rep is the index of the first point
+	// with the same key. table is the shards' open-addressed tables end to
+	// end, each twice its shard's point count: a slot holds a point index +
+	// 1, zero when free. Once every point has its representative the
+	// tables are dead and the first half of the memory holds the output
+	// indices.
+	hash := make([]uint32, n)
 	rep := make([]int32, n)
 	table := make([]int32, 2*n)
 
-	// Pass 1: count each shard's points, which sizes its table.
+	// Pass 1: hash every point and count each shard's points, which sizes
+	// its table.
 	counts := par.Reduce(pool, n, 0,
 		func() (c [weldShards]int) { return },
 		func(lo, hi int, c [weldShards]int) [weldShards]int {
-			for _, p := range m.Points[lo:hi] {
-				c[weldHash(weldKey(p, inv))%nShards]++
+			for i := lo; i < hi; i++ {
+				h := uint32(weldHash(weldKey(m.Points[i], inv)) >> 32)
+				hash[i] = h
+				shard, _ := shardSlot(h, nShards, 0)
+				c[shard]++
 			}
 			return c
 		},
@@ -95,26 +112,26 @@ func WeldPointsPool(m *UnstructuredMesh, tol float64, pool *par.Pool) *Unstructu
 		start[s+1] = start[s] + 2*c
 	}
 
-	// Pass 2: each shard walks all points in index order and records the
+	// Pass 2: each shard streams the hashes in index order and records the
 	// first occurrence of each of its keys in a linear-probed table at most
-	// half full. A slot holds only the point's index: the key it stands for
-	// is requantized from the point on a compare. Shards partition the key
-	// space, so the walks are independent.
+	// half full. A slot holds only the point's index: the keys are compared
+	// only when the hashes match, and quantized only when the points differ.
+	// Shards partition the key space, so the walks are independent.
 	pool.ForEach(int(nShards), func(shard, _ int) {
 		tab := table[start[shard]:start[shard+1]]
 		size := uint64(len(tab))
-		for i, p := range m.Points {
-			k := weldKey(p, inv)
-			h := weldHash(k)
-			if h%nShards != uint64(shard) {
+		for i, h := range hash {
+			s, slot := shardSlot(h, nShards, size)
+			if s != uint64(shard) {
 				continue
 			}
-			for slot := (h >> 32) * size >> 32; ; {
+			p := m.Points[i]
+			for {
 				first := tab[slot] - 1
 				if first < 0 {
 					tab[slot], first = int32(i)+1, int32(i)
 				}
-				if first == int32(i) || weldKey(m.Points[first], inv) == k {
+				if first == int32(i) || hash[first] == h && (m.Points[first] == p || weldKey(m.Points[first], inv) == weldKey(p, inv)) {
 					rep[i] = first
 					break
 				}

@@ -76,12 +76,14 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		lo, hi := mesh.FieldRange(field)
 		isos = SpreadIsovalues(lo, hi, f.opts.NumIsovalues)
 	}
+	// Every isovalue of the cycle classifies against one row index.
+	rows := indexRows(g, field, ex.Pool)
 	out := &mesh.TriMesh{}
 	for _, iso := range isos {
 		if f.opts.Backend == viz.DPP {
-			ContourFieldDPP(g, field, field, iso, ex, out)
+			ContourFieldDPP(g, field, field, rows, iso, ex, out)
 		} else {
-			ContourField(g, field, field, iso, ex, out)
+			ContourField(g, field, field, rows, iso, ex, out)
 		}
 	}
 	res := &viz.Result{
@@ -94,20 +96,21 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 
 // ContourField extracts the iso-surface of a point-field slice and appends
 // the triangles to out. carry supplies the scalar carried onto the surface
-// for coloring (pass field itself to color by the contoured value). This
-// entry point is shared with the slice filter, which contours a signed
-// distance field while carrying the data field.
+// for coloring (pass field itself to color by the contoured value); rows
+// is field's row index. This entry point is shared with the slice filter,
+// which contours a signed distance field while carrying the data field.
 //
 // The surface is written once, at its exact size: a count pass classifies
-// every cell from its corner scalars alone (crossing) and sizes each
-// chunk, and the fill writes every chunk at its scanned offsets, visiting
-// only the cells the count found crossed. The count pass is this host's
-// sizing, not the paper's kernel, so it records no operations.
-func ContourField(g *mesh.UniformGrid, field, carry []float64, iso float64, ex *viz.Exec, out *mesh.TriMesh) {
+// the cells of every row whose range holds iso from their corner scalars
+// alone (crossing) and sizes each chunk, and the fill writes every chunk
+// at its scanned offsets, visiting only the cells the count found crossed.
+// The count pass is this host's sizing, not the paper's kernel, so it
+// records no operations.
+func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, ex *viz.Exec, out *mesh.TriMesh) {
 	nCells := g.NumCells()
 	cross := make([]uint8, nCells)
 	em := mesh.Count(ex.Pool, nCells, par.GrainFor(nCells, ex.Pool.Workers()), func(lo, hi, _ int) mesh.Sizes {
-		tris := crossing(g, field, iso, lo, hi, cross)
+		tris := crossing(g, field, rows, iso, lo, hi, cross)
 		return mesh.Sizes{Points: 3 * tris, Cells: tris}
 	})
 	em.GrowTris(out)
@@ -146,14 +149,21 @@ func ContourField(g *mesh.UniformGrid, field, carry []float64, iso float64, ex *
 // crossing classifies the cells [lo, hi) against iso from their corner
 // values and returns their triangle count. It records each cell's class
 // in cross: 0 where iso lies outside the corner range (the quick
-// rejection), 1 + the cell's triangle count where it lies inside.
-func crossing(g *mesh.UniformGrid, field []float64, iso float64, lo, hi int, cross []uint8) (tris int) {
-	cell := g.WalkCells(lo)
-	for ; cell.Cell < hi; cell.Next() {
-		if above, below := cell.Masks(field, iso, iso); above != 0 && below != 0 {
-			n := triCounts[above]
-			cross[cell.Cell] = 1 + n
-			tris += int(n)
+// rejection), 1 + the cell's triangle count where it lies inside. Cells
+// of rows whose range does not hold iso keep their 0 unvisited.
+func crossing(g *mesh.UniformGrid, field []float64, rows Rows, iso float64, lo, hi int, cross []uint8) (tris int) {
+	nx := g.Dims[0] - 1
+	for r := lo / nx; r*nx < hi; r++ {
+		if !rows[r].holds(iso) {
+			continue
+		}
+		cell := g.WalkCells(max(lo, r*nx))
+		for end := min(hi, (r+1)*nx); cell.Cell < end; cell.Next() {
+			if above, below := cell.Masks(field, iso, iso); above != 0 && below != 0 {
+				n := triCounts[above]
+				cross[cell.Cell] = 1 + n
+				tris += int(n)
+			}
 		}
 	}
 	return tris

@@ -64,7 +64,7 @@ func cellTriCount(dv *[8]float64, iso float64) int32 {
 // count pass → exclusive scan → emit pass. Output is bit-identical to
 // ContourField (same points, scalars, and triangle ordering) at every
 // worker count.
-func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, iso float64, ex *viz.Exec, out *mesh.TriMesh) {
+func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, ex *viz.Exec, out *mesh.TriMesh) {
 	nCells := g.NumCells()
 	grain := par.GrainFor(nCells, ex.Pool.Workers())
 	offs := make([]int32, nCells)
@@ -75,7 +75,7 @@ func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, iso float64, e
 	ex.Rec(0).Launch()
 	ex.Pool.For(nCells, grain, func(lo, hi, worker int) {
 		rec := ex.Rec(worker)
-		crossing(g, field, iso, lo, hi, cross)
+		crossing(g, field, rows, iso, lo, hi, cross)
 		for cell, k := range cross[lo:hi] {
 			if k > 1 {
 				offs[lo+cell] = int32(k - 1)

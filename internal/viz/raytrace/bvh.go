@@ -78,46 +78,47 @@ func BuildBVHWith(m *mesh.TriMesh, pool *par.Pool) *BVH {
 	if grain < 2048 {
 		grain = 2048
 	}
+	root := bd.rangeBounds(0, n)
 	if n <= grain {
 		b.nodes = make([]bvhNode, 0, 2*n)
-		b.nodes, _ = bd.build(b.nodes, 0, n)
+		b.nodes, _ = bd.build(b.nodes, 0, n, root)
 		return b
 	}
 
 	type subtree struct {
 		lo, hi int
+		ext    extent
 		slot   int32 // placeholder node index in b.nodes
 	}
 	var jobs []subtree
 	b.nodes = make([]bvhNode, 0, 2*n)
-	var expand func(lo, hi int) int32
-	expand = func(lo, hi int) int32 {
+	var expand func(lo, hi int, ext extent) int32
+	expand = func(lo, hi int, ext extent) int32 {
 		if hi-lo <= grain {
-			// Placeholder: bounds filled by the job's subtree root.
+			// Placeholder: filled by the job's subtree root.
 			idx := int32(len(b.nodes))
 			b.nodes = append(b.nodes, bvhNode{})
-			jobs = append(jobs, subtree{lo: lo, hi: hi, slot: idx})
+			jobs = append(jobs, subtree{lo: lo, hi: hi, ext: ext, slot: idx})
 			return idx
 		}
 		idx := int32(len(b.nodes))
-		bb, cb := bd.rangeBounds(lo, hi)
-		b.nodes = append(b.nodes, bvhNode{bounds: bb})
-		mid, axis := bd.split(lo, hi, cb)
+		b.nodes = append(b.nodes, bvhNode{bounds: ext.geom})
+		mid, axis, l, r := bd.split(lo, hi, ext.cents)
 		b.nodes[idx].axis = axis
-		left := expand(lo, mid)
-		right := expand(mid, hi)
+		left := expand(lo, mid, l)
+		right := expand(mid, hi, r)
 		b.nodes[idx].left = left
 		b.nodes[idx].right = right
 		return idx
 	}
-	expand(0, n)
+	expand(0, n, root)
 
 	// Build every subtree concurrently into its own preallocated storage.
 	local := make([][]bvhNode, len(jobs))
 	pool.ForEach(len(jobs), func(i, _ int) {
 		j := jobs[i]
 		nodes := make([]bvhNode, 0, 2*(j.hi-j.lo))
-		nodes, _ = bd.build(nodes, j.lo, j.hi)
+		nodes, _ = bd.build(nodes, j.lo, j.hi, j.ext)
 		local[i] = nodes
 	})
 
@@ -149,170 +150,208 @@ func BuildBVHWith(m *mesh.TriMesh, pool *par.Pool) *BVH {
 	return b
 }
 
-// bvhBuilder carries the shared immutable centroid/box arrays, the
-// triangle ordering being permuted in place, and the per-triangle bin
-// scratch. Disjoint [lo, hi) ranges touch disjoint slices of every
-// per-triangle array, so subtree jobs need no locking.
+// bvhBuilder carries the triangle ordering being permuted in place and,
+// position by position beside it, each triangle's centroid, box and bin
+// scratch: entry p of cents, boxes and bins belongs to triangle order[p],
+// and the partition moves all four together, so every pass over a node's
+// range streams. Disjoint [lo, hi) ranges touch disjoint slices of every
+// array, so subtree jobs need no locking.
 type bvhBuilder struct {
 	order []int32
 	cents []mesh.Vec3
 	boxes []mesh.Bounds
-	// bins[ti] is the SAH bin of triangle ti at the node currently being
-	// split (written by the binning pass, read by the partition pass).
+	// bins[p] is the SAH bin of the triangle at position p at the node
+	// currently being split (written by the binning pass, read by the
+	// partition pass).
 	bins []uint8
 }
 
-// rangeBounds computes the geometry bounds and the centroid bounds of
-// order[lo:hi] in one fused pass. The comparisons are explicit rather
-// than Bounds.Union/Extend: this is the single hottest loop of the build
-// (it runs once per node over the node's whole range) and the math.Min
-// calls inside the Vec3 helpers do not inline.
-func (bd *bvhBuilder) rangeBounds(lo, hi int) (bb, cb mesh.Bounds) {
-	bb = mesh.EmptyBounds()
-	cb = mesh.EmptyBounds()
-	for _, ti := range bd.order[lo:hi] {
-		bx := &bd.boxes[ti]
-		c := &bd.cents[ti]
-		for a := 0; a < 3; a++ {
-			if bx.Lo[a] < bb.Lo[a] {
-				bb.Lo[a] = bx.Lo[a]
-			}
-			if bx.Hi[a] > bb.Hi[a] {
-				bb.Hi[a] = bx.Hi[a]
-			}
-			if c[a] < cb.Lo[a] {
-				cb.Lo[a] = c[a]
-			}
-			if c[a] > cb.Hi[a] {
-				cb.Hi[a] = c[a]
-			}
-		}
-	}
-	return bb, cb
+// swap exchanges the triangles at positions i and j.
+func (bd *bvhBuilder) swap(i, j int) {
+	bd.order[i], bd.order[j] = bd.order[j], bd.order[i]
+	bd.cents[i], bd.cents[j] = bd.cents[j], bd.cents[i]
+	bd.boxes[i], bd.boxes[j] = bd.boxes[j], bd.boxes[i]
+	bd.bins[i], bd.bins[j] = bd.bins[j], bd.bins[i]
 }
 
-// build recursively constructs the subtree over order[lo:hi] into nodes,
-// returning the extended slice and the subtree root's index.
-func (bd *bvhBuilder) build(nodes []bvhNode, lo, hi int) ([]bvhNode, int32) {
+// extent is what a node needs to know of its triangles: the bounds of
+// their geometry (the node's box) and of their centroids (where split
+// bins them).
+type extent struct{ geom, cents mesh.Bounds }
+
+var emptyExtent = extent{mesh.EmptyBounds(), mesh.EmptyBounds()}
+
+// grow widens b to hold o. Every bounds pass of the build compares
+// explicitly (a NaN coordinate never wins), so a box is the same value
+// whichever pass derived it and in whatever order.
+func grow(b, o *mesh.Bounds) {
+	for a := 0; a < 3; a++ {
+		if o.Lo[a] < b.Lo[a] {
+			b.Lo[a] = o.Lo[a]
+		}
+		if o.Hi[a] > b.Hi[a] {
+			b.Hi[a] = o.Hi[a]
+		}
+	}
+}
+
+// growPoint widens b to hold p.
+func growPoint(b *mesh.Bounds, p *mesh.Vec3) {
+	for a := 0; a < 3; a++ {
+		if p[a] < b.Lo[a] {
+			b.Lo[a] = p[a]
+		}
+		if p[a] > b.Hi[a] {
+			b.Hi[a] = p[a]
+		}
+	}
+}
+
+// rangeBounds derives the extent of the triangles at positions [lo, hi)
+// in one pass over them. Only the root and the two sides of an even split
+// need it: a binned split hands each side its extent from its bins.
+func (bd *bvhBuilder) rangeBounds(lo, hi int) extent {
+	e := emptyExtent
+	for p := lo; p < hi; p++ {
+		grow(&e.geom, &bd.boxes[p])
+		growPoint(&e.cents, &bd.cents[p])
+	}
+	return e
+}
+
+// build recursively constructs the subtree over order[lo:hi], whose
+// extent is ext, into nodes, returning the extended slice and the subtree
+// root's index.
+func (bd *bvhBuilder) build(nodes []bvhNode, lo, hi int, ext extent) ([]bvhNode, int32) {
 	idx := int32(len(nodes))
-	bb, cb := bd.rangeBounds(lo, hi)
-	nodes = append(nodes, bvhNode{bounds: bb})
+	nodes = append(nodes, bvhNode{bounds: ext.geom})
 	if hi-lo <= maxLeafTris {
 		nodes[idx].start = int32(lo)
 		nodes[idx].num = int32(hi - lo)
 		return nodes, idx
 	}
-	mid, axis := bd.split(lo, hi, cb)
+	mid, axis, l, r := bd.split(lo, hi, ext.cents)
 	nodes[idx].axis = axis
 	var left, right int32
-	nodes, left = bd.build(nodes, lo, mid)
-	nodes, right = bd.build(nodes, mid, hi)
+	nodes, left = bd.build(nodes, lo, mid, l)
+	nodes, right = bd.build(nodes, mid, hi, r)
 	nodes[idx].left = left
 	nodes[idx].right = right
 	return nodes, idx
 }
 
-func surfaceArea(b mesh.Bounds) float64 {
+func surfaceArea(b *mesh.Bounds) float64 {
 	s := b.Size()
 	return 2 * (s[0]*s[1] + s[1]*s[2] + s[2]*s[0])
 }
 
 // split partitions order[lo:hi] about a binned-SAH split on the longest
-// centroid-bounds axis (cb, computed by the caller's bounds pass) and
-// returns the partition point and axis. The whole pass is O(hi-lo) with
-// fixed stack state: one binning sweep, one 16-entry cost sweep, one
-// in-place two-pointer partition over the cached per-triangle bins.
-// Degenerate spreads (all centroids in one bin) fall back to an even
-// split so progress is guaranteed.
-func (bd *bvhBuilder) split(lo, hi int, cb mesh.Bounds) (int, uint8) {
+// axis of the centroid bounds cb and returns the partition point, the
+// axis and each side's extent. The whole pass is O(hi-lo) with fixed
+// stack state: one binning sweep that also gathers every bin's extent,
+// two 16-entry cost sweeps, one in-place two-pointer partition over the
+// cached per-triangle bins. A side's extent is then the union of its
+// bins'. Degenerate spreads (all centroids in one bin) fall back to an
+// even split so progress is guaranteed; its sides' extents are derived
+// from their triangles.
+func (bd *bvhBuilder) split(lo, hi int, cb mesh.Bounds) (mid int, axis uint8, left, right extent) {
+	even := func() (int, uint8, extent, extent) {
+		mid := lo + (hi-lo)/2
+		return mid, axis, bd.rangeBounds(lo, mid), bd.rangeBounds(mid, hi)
+	}
 	size := cb.Size()
-	axis := 0
 	if size[1] > size[axis] {
 		axis = 1
 	}
 	if size[2] > size[axis] {
 		axis = 2
 	}
-	extent := size[axis]
-	if !(extent > 0) {
-		return lo + (hi-lo)/2, uint8(axis)
+	spread := size[axis]
+	if !(spread > 0) {
+		return even()
 	}
-	scale := sahBins / extent
+	scale := sahBins / spread
 	origin := cb.Lo[axis]
 	var cnt [sahBins]int
-	var bb [sahBins]mesh.Bounds
-	for i := range bb {
-		bb[i] = mesh.EmptyBounds()
+	var bins [sahBins]extent
+	for i := range bins {
+		bins[i] = emptyExtent
 	}
-	for _, ti := range bd.order[lo:hi] {
-		bin := int((bd.cents[ti][axis] - origin) * scale)
+	for p := lo; p < hi; p++ {
+		bin := int((bd.cents[p][axis] - origin) * scale)
 		if bin >= sahBins {
 			bin = sahBins - 1
 		}
-		bd.bins[ti] = uint8(bin)
+		bd.bins[p] = uint8(bin)
 		cnt[bin]++
-		bx := &bd.boxes[ti]
-		nb := &bb[bin]
-		for a := 0; a < 3; a++ {
-			if bx.Lo[a] < nb.Lo[a] {
-				nb.Lo[a] = bx.Lo[a]
-			}
-			if bx.Hi[a] > nb.Hi[a] {
-				nb.Hi[a] = bx.Hi[a]
-			}
-		}
+		grow(&bins[bin].geom, &bd.boxes[p])
+		growPoint(&bins[bin].cents, &bd.cents[p])
 	}
 	// Right-to-left suffix areas, then a left-to-right sweep of the SAH
-	// cost at each bin boundary.
+	// cost at each bin boundary. An empty bin leaves the running union, and
+	// so its area, as it was: small nodes leave most bins empty.
 	var sufArea [sahBins]float64
 	var sufCnt [sahBins]int
 	acc := mesh.EmptyBounds()
-	c := 0
+	area, c := 0.0, 0
 	for i := sahBins - 1; i >= 1; i-- {
-		acc.Union(bb[i])
-		c += cnt[i]
-		sufArea[i] = surfaceArea(acc)
+		if cnt[i] > 0 {
+			grow(&acc, &bins[i].geom)
+			c += cnt[i]
+			area = surfaceArea(&acc)
+		}
+		sufArea[i] = area
 		sufCnt[i] = c
 	}
 	bestCost := math.Inf(1)
 	bestSplit := -1
-	accL := mesh.EmptyBounds()
+	acc = mesh.EmptyBounds()
 	cl := 0
 	for s := 1; s < sahBins; s++ {
-		accL.Union(bb[s-1])
-		cl += cnt[s-1]
+		if cnt[s-1] > 0 {
+			grow(&acc, &bins[s-1].geom)
+			cl += cnt[s-1]
+			area = surfaceArea(&acc)
+		}
 		if cl == 0 || sufCnt[s] == 0 {
 			continue
 		}
-		cost := float64(cl)*surfaceArea(accL) + float64(sufCnt[s])*sufArea[s]
+		cost := float64(cl)*area + float64(sufCnt[s])*sufArea[s]
 		if cost < bestCost {
 			bestCost = cost
 			bestSplit = s
 		}
 	}
 	if bestSplit < 0 {
-		return lo + (hi-lo)/2, uint8(axis)
+		return even()
 	}
-	seg := bd.order
 	bs := uint8(bestSplit)
 	i, j := lo, hi-1
 	for i <= j {
-		for i <= j && bd.bins[seg[i]] < bs {
+		for i <= j && bd.bins[i] < bs {
 			i++
 		}
-		for i <= j && bd.bins[seg[j]] >= bs {
+		for i <= j && bd.bins[j] >= bs {
 			j--
 		}
 		if i < j {
-			seg[i], seg[j] = seg[j], seg[i]
+			bd.swap(i, j)
 			i++
 			j--
 		}
 	}
-	if i <= lo || i >= hi {
-		return lo + (hi-lo)/2, uint8(axis)
+	// Both sides are non-empty: the chosen boundary has triangles on
+	// either side of it.
+	left, right = emptyExtent, emptyExtent
+	for b := range bins {
+		side := &left
+		if b >= bestSplit {
+			side = &right
+		}
+		grow(&side.geom, &bins[b].geom)
+		grow(&side.cents, &bins[b].cents)
 	}
-	return i, uint8(axis)
+	return i, axis, left, right
 }
 
 // NumNodes returns the node count (for size accounting).
@@ -380,14 +419,15 @@ func (b *BVH) Intersect(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *TraverseSta
 	}
 	invDir := mesh.SafeInvDir(dir)
 	best := Hit{T: math.Inf(1), Tri: -1}
-	var stack [64]int32
-	sp := 0
-	stack[sp] = 0
-	sp++
+	// A tree deeper than the fixed stack (a chain of geometrically spaced
+	// triangles) spills it to the heap; nothing is ever skipped.
+	var fixed [64]int32
+	stack := append(fixed[:0], 0)
 	nodes, tris := 0, 0
-	for sp > 0 {
-		sp--
-		node := &b.nodes[stack[sp]]
+	for len(stack) > 0 {
+		top := len(stack) - 1
+		node := &b.nodes[stack[top]]
+		stack = stack[:top]
 		nodes++
 		if _, _, ok := mesh.RayBoxInv(orig, invDir, node.bounds, 0, best.T); !ok {
 			continue
@@ -407,12 +447,7 @@ func (b *BVH) Intersect(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *TraverseSta
 		if dir[node.axis] < 0 {
 			near, far = far, near
 		}
-		if sp+2 <= len(stack) {
-			stack[sp] = far
-			sp++
-			stack[sp] = near // popped first
-			sp++
-		}
+		stack = append(stack, far, near) // near is popped first
 	}
 	if stats != nil {
 		stats.NodesVisited += nodes

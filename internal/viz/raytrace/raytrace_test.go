@@ -49,6 +49,57 @@ func TestBVHAgreesWithBruteForce(t *testing.T) {
 			}
 		}
 	}
+	// Chains deeper than Intersect's fixed 64-entry stack: every axis ray
+	// aimed at a triangle, from either side, must find the brute-force hit.
+	for _, factor := range []float64{3, 20} {
+		m := chainTris(200, factor)
+		bvh := BuildBVHWith(m, nil)
+		if d := treeDepth(bvh, 0); d <= 64 {
+			t.Fatalf("factor %v: tree depth %d, want a chain deeper than 64", factor, d)
+		}
+		far := 2 * m.Points[len(m.Points)-1][0]
+		for i := range m.Tris {
+			for _, o := range []float64{-1, far} {
+				orig, dir := mesh.Vec3{o, 3 * float64(i), -0.25}, mesh.Vec3{1, 0, 0}
+				if o > 0 {
+					dir[0] = -1
+				}
+				hb, okB := BruteForceIntersect(m, orig, dir)
+				hv, okV := bvh.Intersect(m, orig, dir, nil)
+				if !okB || okV != okB || hv != hb {
+					t.Fatalf("factor %v triangle %d from x=%v: bvh %+v (%v), brute force %+v (%v)", factor, i, o, hv, okV, hb, okB)
+				}
+			}
+		}
+	}
+}
+
+// chainTris lays n triangles in the planes x = factor^i, each at its own
+// y: their centroids are spaced geometrically along x, so every binned
+// split peels off the few farthest and the tree is a chain about as deep
+// as n is long.
+func chainTris(n int, factor float64) *mesh.TriMesh {
+	m := &mesh.TriMesh{}
+	x := 1.0
+	for i := 0; i < n; i++ {
+		y := 3 * float64(i)
+		b := int32(len(m.Points))
+		m.Points = append(m.Points, mesh.Vec3{x, y - 1, -1}, mesh.Vec3{x, y + 1, -1}, mesh.Vec3{x, y, 1})
+		m.Scalars = append(m.Scalars, 1, 1, 1)
+		m.Tris = append(m.Tris, [3]int32{b, b + 1, b + 2})
+		x *= factor
+	}
+	return m
+}
+
+// treeDepth is the number of nodes on the longest root-to-leaf path below
+// node.
+func treeDepth(b *BVH, node int32) int {
+	nd := b.nodes[node]
+	if nd.num > 0 {
+		return 1
+	}
+	return 1 + max(treeDepth(b, nd.left), treeDepth(b, nd.right))
 }
 
 func TestBVHEmptyMesh(t *testing.T) {

@@ -39,7 +39,8 @@ func (b *BVH) buildReference(lo, hi int, cents []mesh.Vec3, boxes []mesh.Bounds)
 	bb := mesh.EmptyBounds()
 	cb := mesh.EmptyBounds()
 	for _, ti := range b.order[lo:hi] {
-		bb.Union(boxes[ti])
+		bb.Extend(boxes[ti].Lo)
+		bb.Extend(boxes[ti].Hi)
 		cb.Extend(cents[ti])
 	}
 	idx := int32(len(b.nodes))

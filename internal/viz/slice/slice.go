@@ -68,28 +68,38 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		planes = DefaultPlanes(g.Bounds())
 	}
 
-	nPts := g.NumPoints()
+	nPts, nx := g.NumPoints(), g.Dims[0]
 	dist := make([]float64, nPts)
+	pointRows := make([]contour.RowRange, nPts/nx)
 	out := &mesh.TriMesh{}
 	for _, pl := range planes {
 		n := pl.Normal.Normalize()
 		if n == (mesh.Vec3{}) {
 			return nil, fmt.Errorf("slice: zero plane normal")
 		}
-		// Signed-distance field for this plane on every mesh point.
+		// Signed-distance field for this plane on every mesh point, a row
+		// of points at a time, with each row's range for the contour's row
+		// index: an x-y or x-z plane crosses one layer of rows.
 		ex.Rec(0).Launch()
-		ex.Pool.For(nPts, 0, func(lo, hi, worker int) {
+		ex.Pool.For(len(pointRows), 0, func(lo, hi, worker int) {
 			rec := ex.Rec(worker)
-			for id := lo; id < hi; id++ {
-				dist[id] = g.PointPosition(id).Sub(pl.Point).Dot(n)
+			for r := lo; r < hi; r++ {
+				// The row's y and z hold along it; x is PointPosition's.
+				p := g.PointPosition(r * nx)
+				row := dist[r*nx : (r+1)*nx]
+				for i := range row {
+					p[0] = g.Origin[0] + float64(i)*g.Spacing[0]
+					row[i] = p.Sub(pl.Point).Dot(n)
+				}
+				pointRows[r] = contour.RangeOf(row)
 			}
-			cnt := uint64(hi - lo)
+			cnt := uint64((hi - lo) * nx)
 			rec.Flops(cnt * 9)
 			rec.IntOps(cnt * 6)
 			rec.Stores(cnt*8, ops.Stream)
 		})
 		// Contour the distance field at zero, carrying the data field.
-		contour.ContourField(g, dist, carry, 0, ex, out)
+		contour.ContourField(g, dist, carry, contour.CellRows(g, pointRows), 0, ex, out)
 	}
 
 	ex.Rec(0).WorkingSet(uint64(nPts)*16 + uint64(len(out.Points))*32)
