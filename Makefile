@@ -8,7 +8,9 @@
 #                  with real cross-goroutine traffic), plus the harness cell path
 #                  (failure injection, retries, partial sweeps over all
 #                  three cell kinds), its declaration-only core from four
-#                  goroutines, and the golden "same numbers" tests
+#                  goroutines, the governor sweep (one recording that
+#                  every budget and policy governs), and the golden
+#                  "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
 #                  runs with ./internal/power in RACE_PKGS)
 #   make fuzz    - every Fuzz* target for 10 s each (plain `go test` only
@@ -61,7 +63,7 @@ test: vet
 
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
-	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Golden|DeclarationCore'
+	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore'
 
 # One 10 s run per Fuzz* target (go test -fuzz takes one target and one
 # package at a time). A failing input lands in that package's

@@ -393,15 +393,9 @@ func serveCmd(c *harness.Config, opt *options) error {
 		srv.SeedClassDemand(res.ClassDemand)
 		// The calibration runs' flight recordings seed /debug/governor,
 		// so the daemon exposes why the admission ladder looks the way
-		// it does. Budgets ran in sequence; their decisions concatenate
-		// in time order.
-		var dec []obs.Decision
-		var dropped int64
-		for _, row := range res.Rows {
-			dec = append(dec, row.Live.Decisions...)
-			dropped += row.Live.DecisionsDropped
-		}
-		srv.SetGovernorLog(dec, dropped)
+		// it does: one run per budget, each on its own clock from 0, its
+		// decisions marked with its target.
+		srv.SetGovernorLog(res.Decisions())
 		fmt.Fprintf(os.Stderr, "vizpower serve: admission calibrated from a governed %d^3 run:", size)
 		for _, class := range []core.Class{core.PowerOpportunity, core.PowerSensitive} {
 			if w, ok := res.ClassDemand[class]; ok {

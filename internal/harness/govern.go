@@ -19,17 +19,23 @@ import (
 // This file runs the closed-loop capping dimension: the telemetry-driven
 // closed loop against the study's static alternatives on the same
 // recorded work, all as policies of one engine (internal/power) and so
-// all measured by the same meter. Three policies per budget:
+// all measured by the same meter. The sweep records the real pipeline
+// once (power.Record) and every budget governs that one recording. That
+// is equivalent to a live governed run per budget: the RAPL package is
+// modeled and each phase's profile is analyzed uncapped, so no cap can
+// change the work, and the closed loop's one live input — the pool-idle
+// fraction — is captured before the phase is governed. Three policies
+// per budget:
 //
-//   - closed loop: a real governed pipeline run at target = budget; the
-//     governor sees only live counters.
-//   - static plan: core.PlanPhaseCaps calibrated from the run's FIRST
-//     cycle (the offline planner's model input), its two caps held for
-//     every recorded phase.
+//   - closed loop: the recording governed at target = budget; the
+//     governor sees only the live counters each phase captured.
+//   - static plan: core.PlanPhaseCaps calibrated from the recording's
+//     FIRST cycle (the offline planner's model input), its two caps held
+//     for every recorded phase.
 //   - uniform: the budget held as one cap for every recorded phase.
 //
-// The headline comparison is time at equal energy: the governor replays
-// the recorded segments at a target no higher than the static plan's
+// The headline comparison is time at equal energy: the governor
+// re-governs the recording at a target no higher than the static plan's
 // achieved average, so its time advantage cannot come from spending
 // more power.
 
@@ -38,13 +44,12 @@ import (
 type GovernRow struct {
 	BudgetWatts float64
 
-	// Live is the closed loop governing the real pipeline at target =
-	// budget; its Decisions are the flight recording of every cap
+	// Live is the closed loop governing the sweep's recording at target
+	// = budget; its Decisions are the flight recording of every cap
 	// decision the governor took.
 	Live power.Result
-	// Eq is the closed loop replaying the recorded segments at
-	// equal-or-lower energy than the static plan (target = min(budget,
-	// static average)).
+	// Eq is the closed loop re-governing the recording at equal-or-lower
+	// energy than the static plan (target = min(budget, static average)).
 	Eq power.Result
 	// Static is the per-phase plan (SimCapW/VizCapW) held over the
 	// recorded segments. StaticErr is set when no feasible plan exists at
@@ -83,8 +88,23 @@ type GovernResult struct {
 	// Attribution is the merged "where the joules went" table across
 	// the sweep's live governed runs: each run's per-phase trace window
 	// joined with its measured energy (power.Result.Attribute), folded
-	// by stage name.
+	// by stage name. Joules sum over the runs; span counts and self time
+	// are the one recording's.
 	Attribution []obs.StageJoules
+}
+
+// Decisions returns every budget's live flight recording, in budget
+// order, and the total the bounded rings overwrote. Each run's virtual
+// clock starts at 0; obs.Decision.TargetWatts says which run a decision
+// belongs to.
+func (r *GovernResult) Decisions() ([]obs.Decision, int64) {
+	var dec []obs.Decision
+	var dropped int64
+	for _, row := range r.Rows {
+		dec = append(dec, row.Live.Decisions...)
+		dropped += row.Live.DecisionsDropped
+	}
+	return dec, dropped
 }
 
 // InSitu builds the in situ rig the pipeline commands and the governor
@@ -129,10 +149,10 @@ type governKey struct {
 // GovernorCompare sweeps the closed-loop governor against the static
 // phase plan and the uniform cap at one size across the given budgets
 // (default 55, 65, 75 W). cycles is the number of simulate+visualize
-// cycles each live run governs; at least 2, so the governor has one cycle
-// of phase memory to act on. The sweep is one cell, cached per (size,
-// budgets, cycles) and recorded in Failures as "Closed-loop governor"
-// when it fails.
+// cycles the sweep records once and every budget governs; at least 2, so
+// the governor has one cycle of phase memory to act on. The sweep is one
+// cell, cached per (size, budgets, cycles) and recorded in Failures as
+// "Closed-loop governor" when it fails.
 func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*GovernResult, error) {
 	c.Defaults()
 	if len(budgets) == 0 {
@@ -152,14 +172,26 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 		if err != nil {
 			return nil, err
 		}
-		for _, budget := range budgets {
-			row, err := c.governBudget(pipe, budget, cycles)
+		segs, err := power.Record(pipe, cycles)
+		if err != nil {
+			return nil, err
+		}
+		spans := pipe.Tracer.Spans()
+		for i, budget := range budgets {
+			row, err := c.governBudget(segs, budget)
 			if err != nil {
 				return nil, fmt.Errorf("at %.0f W: %w", budget, err)
 			}
 			res.Rows = append(res.Rows, row)
 			// The live run's per-stage energy join, exact per phase window.
-			res.Attribution = obs.MergeAttribution(res.Attribution, row.Live.Attribute(pipe.Tracer.Spans()))
+			att := row.Live.Attribute(spans)
+			if i > 0 {
+				// Every budget governed the same recorded spans: count them once.
+				for j := range att {
+					att[j].Count, att[j].SelfSec = 0, 0
+				}
+			}
+			res.Attribution = obs.MergeAttribution(res.Attribution, att)
 			for class, w := range row.Live.ClassDemand() {
 				// Keep the highest measured demand per class across budgets
 				// — deeper targets under-observe the unthrottled draw.
@@ -173,23 +205,14 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 	})
 }
 
-// governBudget runs the policies for one budget on one live governed
-// workload, every one of them through the same power engine: the closed
-// loop live, then the static plan, the uniform cap and the warmed
-// equal-energy closed loop replaying the live run's recorded segments.
-func (c *Config) governBudget(pipe *core.Pipeline, budget float64, cycles int) (GovernRow, error) {
+// governBudget runs the policies for one budget over the sweep's one
+// recording, every one of them through the same power engine: the closed
+// loop at target = budget, then the static plan, the uniform cap and the
+// warmed equal-energy closed loop.
+func (c *Config) governBudget(segs []power.Segment, budget float64) (GovernRow, error) {
 	row := GovernRow{BudgetWatts: budget}
 	pkg := func() *rapl.Package { return rapl.NewPackage(msr.NewFile(), c.Spec) }
 	opt := power.Options{TargetWatts: budget}
-
-	g, err := power.New(pkg(), opt)
-	if err != nil {
-		return row, err
-	}
-	if row.Live, err = g.Run(pipe, cycles); err != nil {
-		return row, err
-	}
-	segs := row.Live.Segments
 	replay := func(g *power.Governor, err error) (power.Result, error) {
 		if err != nil {
 			return power.Result{}, err
@@ -197,11 +220,13 @@ func (c *Config) governBudget(pipe *core.Pipeline, budget float64, cycles int) (
 		return g.RunSegments(segs)
 	}
 
+	var err error
+	if row.Live, err = replay(power.New(pkg(), opt)); err != nil {
+		return row, err
+	}
+
 	// Static plan calibrated, as the offline planner would be, from the
 	// first recorded cycle only; realized over every recorded phase.
-	if len(segs) < 2 {
-		return row, fmt.Errorf("governed run recorded %d segments", len(segs))
-	}
 	plan, err := core.PlanPhaseCaps(segs[0].Exec, segs[1].Exec, budget)
 	if err != nil {
 		row.StaticErr = err

@@ -3,12 +3,14 @@ package harness
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/telemetry"
 )
 
 func governConfig() *Config {
@@ -148,10 +150,19 @@ func TestGovernorCompareObservability(t *testing.T) {
 	if len(res.Attribution) == 0 {
 		t.Fatal("sweep produced no energy attribution")
 	}
+	var steps int64 = -1
 	for _, row := range res.Attribution {
 		if row.Stage == "(untraced)" {
 			t.Errorf("traced governed pipeline attributed %.2f J to (untraced)", row.Joules)
 		}
+		if row.Stage == "sim.step" {
+			steps = row.Count
+		}
+	}
+	// Span counts come from the one recording, not once per budget: the
+	// pipeline couples every 10 hydro steps.
+	if want := int64(10 * res.Cycles); steps != want {
+		t.Errorf("sim.step count %d, want %d (10 per recorded cycle)", steps, want)
 	}
 	// Merged across budgets, the attributed joules must still equal the
 	// measured live-run total (each phase join is exact).
@@ -167,6 +178,39 @@ func TestGovernorCompareObservability(t *testing.T) {
 	c.writeGovern(&b)
 	if !strings.Contains(b.String(), "Where the joules went") {
 		t.Errorf("report missing attribution table:\n%s", b.String())
+	}
+}
+
+// TestGovernorCompareRecordsOnce: the sweep runs the real pipeline once
+// and every budget governs that one recording.
+func TestGovernorCompareRecordsOnce(t *testing.T) {
+	c := governConfig()
+	c.Tracer = telemetry.New(0)
+	const cycles = 2
+	res, err := c.GovernorCompare(16, []float64{55, 65, 75}, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(res.Rows))
+	}
+	first := res.Rows[0].Live.Segments
+	if len(first) != 2*cycles {
+		t.Fatalf("live run governed %d segments, want %d", len(first), 2*cycles)
+	}
+	for _, r := range res.Rows[1:] {
+		if !reflect.DeepEqual(r.Live.Segments, first) {
+			t.Errorf("%.0f W governed different segments than %.0f W", r.BudgetWatts, res.Rows[0].BudgetWatts)
+		}
+	}
+	var simulates int
+	for _, s := range c.Tracer.Spans() {
+		if s.Name == "simulate" {
+			simulates++
+		}
+	}
+	if simulates != cycles {
+		t.Errorf("the sweep ran %d simulate phases, want %d (one recording)", simulates, cycles)
 	}
 }
 

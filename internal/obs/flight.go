@@ -8,12 +8,15 @@ import (
 )
 
 // Decision is one governor cap decision: when it happened (virtual
-// clock), what phase and classification drove it, the control-law
-// components that produced the new cap, and the watt transition. The
-// zero components (BankJ, TrimW) are meaningful — a boundary decision
-// with an empty bank is different from a retune that spent it.
+// clock), under which job-average target, what phase and classification
+// drove it, the control-law components that produced the new cap, and
+// the watt transition. The zero components (BankJ, TrimW) are meaningful
+// — a boundary decision with an empty bank is different from a retune
+// that spent it. Each governed run's clock starts at 0, so decisions
+// pooled from several runs are told apart by TargetWatts.
 type Decision struct {
-	TimeSec      float64 `json:"time_sec"` // virtual-clock timestamp
+	TimeSec      float64 `json:"time_sec"`     // virtual-clock timestamp
+	TargetWatts  float64 `json:"target_watts"` // the deciding run's job-average target
 	Cycle        int     `json:"cycle"`
 	Phase        string  `json:"phase"`             // phase label ("simulate", "contour", ...)
 	Class        string  `json:"class"`             // classification vote ("opportunity"/"sensitive")

@@ -53,13 +53,30 @@ const (
 	hysteresisWatts = 1
 )
 
-// Segment is one labeled phase execution: what the governor recorded
-// from a live run, and what RunSegments replays. Labels identify the
+// Segment is one labeled phase execution: what Record captured from a
+// live pipeline, and what RunSegments governs. Labels identify the
 // recurring phase ("simulate", "visualize") — the governor's memory is
 // per label.
 type Segment struct {
 	Label string
 	Exec  cpu.Execution
+	// Capture is what was measured around the live phase; zero for
+	// synthetic segments.
+	Capture
+}
+
+// Capture is the live half of a phase report: the pool counters and
+// trace window capturePhase snapshots around a real pipeline phase. No
+// cap can change it — the package is modeled and the phase's Go work ran
+// before any policy saw it — so a governor shown a recorded phase with
+// its Capture sees exactly what it would have seen live.
+type Capture struct {
+	PoolIdleFrac, StealFrac, SelfTimeSec, WallSec float64
+	// TraceLo and TraceHi bound the tracer window captured around the
+	// live phase (tracer clock, see telemetry.Window); both zero when
+	// the phase ran untraced. Result.Attribute joins this window's span
+	// self time with the phase's EnergyJ.
+	TraceLo, TraceHi int64
 }
 
 // PhaseReport is the governed outcome of one phase instance.
@@ -80,19 +97,14 @@ type PhaseReport struct {
 	AvgPowerWatts              float64
 	// Last-sample counter readings.
 	EffFreqGHz, IPC, LLCMissRate float64
-	// Live pipeline signals (zero on segment replays).
-	PoolIdleFrac, StealFrac, SelfTimeSec, WallSec float64
+	// Capture is the governed segment's live half, passed through.
+	Capture
 	// DemandWatts is the label's measured demand estimate so far:
 	// the unthrottled peak when DemandIsFree, else the throttled peak
 	// (a lower bound).
 	DemandWatts  float64
 	DemandIsFree bool
 	Ticks        int
-	// TraceLo and TraceHi bound the tracer window captured around the
-	// live phase (tracer clock, see telemetry.Window); both zero when
-	// the phase ran untraced (segment replays). Result.Attribute joins
-	// this window's span self time with EnergyJ.
-	TraceLo, TraceHi int64
 }
 
 // Result is a governed run.
@@ -113,8 +125,9 @@ type Result struct {
 	Decisions        []obs.Decision
 	DecisionsDropped int64
 	Phases           []PhaseReport
-	// Segments are the labeled executions the run governed, replayable
-	// with RunSegments.
+	// Segments are the labeled executions the run governed, with their
+	// captures; RunSegments over them under the same policy and target
+	// reproduces the run bit for bit.
 	Segments []Segment
 }
 
@@ -231,9 +244,10 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 	return g, nil
 }
 
-// record logs one cap decision to the flight recorder.
+// record logs one cap decision to the flight recorder, stamped with the
+// run's virtual clock and target.
 func (g *Governor) record(d obs.Decision) {
-	d.TimeSec = g.nowSec
+	d.TimeSec, d.TargetWatts = g.nowSec, g.opt.TargetWatts
 	g.flight.Record(d)
 }
 
@@ -270,13 +284,14 @@ const maxTicks = 1_000_000
 // engine: the policy's boundary decision is programmed unconditionally,
 // then at each interval the package limit governs the operating point,
 // the counters advance, the sampler reads them back, the policy sees the
-// tick, and the cap moves if it says so. rep arrives holding whatever
-// capturePhase measured around the live phase (nothing on a replay).
-func (g *Governor) governPhase(label string, e cpu.Execution, rep PhaseReport) error {
+// tick (with the segment's captured pool-idle fraction), and the cap
+// moves if it says so.
+func (g *Governor) governPhase(seg Segment) error {
+	label, e := seg.Label, seg.Exec
 	if err := g.decide(g.law.boundary(label), label, "boundary"); err != nil {
 		return err
 	}
-	rep.Label = label
+	rep := PhaseReport{Label: label, Capture: seg.Capture}
 	rep.CapStartWatts = g.pkg.EffectiveCapWatts()
 
 	var last perfctr.Sample
@@ -327,13 +342,14 @@ func (g *Governor) governPhase(label string, e cpu.Execution, rep PhaseReport) e
 	rep.IPC = last.IPC
 	rep.LLCMissRate = last.LLCMissRate
 	g.phases = append(g.phases, rep)
-	g.segments = append(g.segments, Segment{Label: label, Exec: e})
+	g.segments = append(g.segments, seg)
 	return nil
 }
 
-// capturePhase runs one pipeline phase and snapshots the pool counters
-// and trace window around it into the live half of its report.
-func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (core.PhaseResult, PhaseReport, error) {
+// capturePhase runs one pipeline phase and returns it as a segment: its
+// execution, plus the pool counters and trace window snapshotted around
+// it.
+func capturePhase(pipe *core.Pipeline, label string, run func() (core.PhaseResult, error)) (Segment, error) {
 	pre := pipe.Pool.Stats().Totals()
 	tr := pipe.Tracer
 	var lo int64
@@ -342,69 +358,87 @@ func capturePhase(pipe *core.Pipeline, run func() (core.PhaseResult, error)) (co
 	}
 	t0 := time.Now()
 	res, err := run()
-	rep := PhaseReport{WallSec: time.Since(t0).Seconds()}
 	if err != nil {
-		return res, rep, err
+		return Segment{}, err
 	}
+	seg := Segment{Label: label, Exec: res.Exec, Capture: Capture{WallSec: time.Since(t0).Seconds()}}
+	c := &seg.Capture
 	post := pipe.Pool.Stats().Totals()
-	if n := pipe.Pool.Workers(); n > 0 && rep.WallSec > 0 {
+	if n := pipe.Pool.Workers(); n > 0 && c.WallSec > 0 {
 		idle := float64(post.IdleNs-pre.IdleNs) / 1e9
-		rep.PoolIdleFrac = clamp(idle/(rep.WallSec*float64(n)), 0, 1)
+		c.PoolIdleFrac = clamp(idle/(c.WallSec*float64(n)), 0, 1)
 	}
 	if dTasks := post.Tasks - pre.Tasks; dTasks > 0 {
-		rep.StealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
+		c.StealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
 	}
 	if tr != nil {
-		rep.TraceLo, rep.TraceHi = lo, tr.Now()
-		spans := telemetry.Window(tr.Spans(), rep.TraceLo, rep.TraceHi)
+		c.TraceLo, c.TraceHi = lo, tr.Now()
+		spans := telemetry.Window(tr.Spans(), c.TraceLo, c.TraceHi)
 		for _, st := range telemetry.Summarize(spans) {
-			rep.SelfTimeSec += st.SelfSec()
+			c.SelfTimeSec += st.SelfSec()
 		}
 	}
-	return res, rep, nil
+	return seg, nil
 }
 
-// Run governs cycles simulate→visualize cycles of a real pipeline: each
-// phase's Go work executes for real (producing its operation profile,
-// pool counters, and trace spans), then advances through the governed
-// tick engine where every cap decision sees only already-collected
-// measurements. The recorded segments in the result allow bit-exact
-// policy replays over the same work.
-func (g *Governor) Run(pipe *core.Pipeline, cycles int) (Result, error) {
+// Record runs cycles simulate→visualize cycles of a real pipeline (at
+// least one) and returns them as segments: each phase's Go work executes
+// for real, producing its operation profile, pool counters and trace
+// spans, and capturePhase snapshots what a governor may see of it. No
+// cap is in force while it runs — the package is modeled, so no cap
+// could change the work — which is why one recording can be governed
+// under any number of policies and targets. On a pipeline error it
+// returns the phases that completed together with the error.
+func Record(pipe *core.Pipeline, cycles int) ([]Segment, error) {
 	if pipe == nil {
-		return g.finish(), fmt.Errorf("power: nil pipeline")
+		return nil, fmt.Errorf("power: nil pipeline")
 	}
 	if cycles <= 0 {
 		cycles = 1
 	}
+	segs := make([]Segment, 0, 2*cycles)
 	for i := 0; i < cycles; i++ {
-		res, rep, err := capturePhase(pipe, pipe.Simulate)
+		seg, err := capturePhase(pipe, "simulate", pipe.Simulate)
 		if err != nil {
-			return g.finish(), err
+			return segs, err
 		}
-		if err := g.governPhase("simulate", res.Exec, rep); err != nil {
-			return g.finish(), err
+		segs = append(segs, seg)
+		if seg, err = capturePhase(pipe, "visualize", pipe.Visualize); err != nil {
+			return segs, err
 		}
-		res, rep, err = capturePhase(pipe, pipe.Visualize)
-		if err != nil {
-			return g.finish(), err
-		}
-		if err := g.governPhase("visualize", res.Exec, rep); err != nil {
-			return g.finish(), err
-		}
+		segs = append(segs, seg)
 	}
-	return g.finish(), nil
+	return segs, nil
 }
 
-// RunSegments replays recorded labeled executions through the same
-// governed engine — the comparison harness uses this to re-govern one
-// recorded workload under different policies and targets.
+// Run governs cycles simulate→visualize cycles of a real pipeline: it
+// Records them, then governs the recording with RunSegments, every cap
+// decision seeing only what was measured before it. On a pipeline error
+// mid-run it governs the phases that completed and returns that partial
+// result with the error.
+func (g *Governor) Run(pipe *core.Pipeline, cycles int) (Result, error) {
+	segs, err := Record(pipe, cycles)
+	if len(segs) == 0 {
+		return g.finish(), err
+	}
+	res, gerr := g.RunSegments(segs)
+	if gerr != nil {
+		return res, gerr
+	}
+	return res, err
+}
+
+// RunSegments governs labeled executions — a Record-ed workload or
+// synthetic segments — through the engine, handing each phase's policy
+// the segment's Capture as its live signals. The comparison harness uses
+// it to govern one recorded workload under different policies and
+// targets.
 func (g *Governor) RunSegments(segs []Segment) (Result, error) {
 	if len(segs) == 0 {
 		return g.finish(), fmt.Errorf("power: no segments")
 	}
 	for _, seg := range segs {
-		if err := g.governPhase(seg.Label, seg.Exec, PhaseReport{}); err != nil {
+		if err := g.governPhase(seg); err != nil {
 			return g.finish(), err
 		}
 	}

@@ -1,11 +1,15 @@
 package power
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
 	"repro/internal/telemetry"
@@ -144,11 +148,48 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 	}
 }
 
+// failOnRun is a filter whose nth Run fails.
+type failOnRun struct{ n, runs int }
+
+func (f *failOnRun) Name() string { return "failing" }
+
+func (f *failOnRun) Run(*mesh.UniformGrid, *viz.Exec) (*viz.Result, error) {
+	if f.runs++; f.runs == f.n {
+		return nil, errors.New("injected filter failure")
+	}
+	return &viz.Result{}, nil
+}
+
+// TestGovernorRunPartialOnPipelineError: a pipeline error mid-run still
+// leaves the phases that completed governed, returned with the error.
+func TestGovernorRunPartialOnPipelineError(t *testing.T) {
+	pipe := newGovernedPipeline(t, 1)
+	pipe.Filters = append(pipe.Filters, &failOnRun{n: 2})
+	g, err := New(newRAPL(), Options{TargetWatts: 65})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.Run(pipe, 3)
+	if err == nil || !strings.Contains(err.Error(), "injected filter failure") {
+		t.Fatalf("err = %v, want the filter's failure", err)
+	}
+	want := []string{"simulate", "visualize", "simulate"}
+	if len(res.Phases) != len(want) || len(res.Segments) != len(want) {
+		t.Fatalf("governed %d phases, %d segments; want %d", len(res.Phases), len(res.Segments), len(want))
+	}
+	for i, p := range res.Phases {
+		if p.Label != want[i] || p.TimeSec <= 0 {
+			t.Errorf("phase %d: %q %.6fs, want a governed %q", i, p.Label, p.TimeSec, want[i])
+		}
+	}
+}
+
 func TestGovernorSegmentsReplayMatchesRun(t *testing.T) {
-	// Replaying the recorded segments at the same target through a
-	// fresh governor must land where the live run did — the property
-	// the equal-energy comparison harness is built on. (Not bit-exact:
-	// the replay lacks the live pool-idle vote.)
+	// Governing a live run's segments again at the same target through a
+	// fresh governor must reproduce the live run bit for bit — every
+	// total, PhaseReport, Decision and Sample — because each segment
+	// carries the live signals captured around its phase. The sweep
+	// harness governs one recording under every budget on this property.
 	pipe := newGovernedPipeline(t, 2)
 	g, err := New(newRAPL(), Options{TargetWatts: 65})
 	if err != nil {
@@ -166,9 +207,22 @@ func TestGovernorSegmentsReplayMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(replay.TimeSec-live.TimeSec) > 0.02*live.TimeSec ||
-		math.Abs(replay.EnergyJ-live.EnergyJ) > 0.02*live.EnergyJ {
-		t.Errorf("replay diverged: %.6fs/%.2fJ vs live %.6fs/%.2fJ",
-			replay.TimeSec, replay.EnergyJ, live.TimeSec, live.EnergyJ)
+	var want, got strings.Builder
+	dumpResult(&want, "live", live)
+	dumpResult(&got, "live", replay)
+	wantLines, gotLines := strings.Split(want.String(), "\n"), strings.Split(got.String(), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("replay dump has %d lines, live %d", len(gotLines), len(wantLines))
+	}
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("replay diverged at line %d:\n got  %s\n want %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	if !reflect.DeepEqual(replay.Segments, live.Segments) {
+		t.Error("replay's segments differ from the live run's")
+	}
+	if live.Phases[0].WallSec <= 0 || live.Phases[0].TraceHi <= live.Phases[0].TraceLo {
+		t.Errorf("live phase carries no capture: %+v", live.Phases[0].Capture)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // and the trace window [TraceLo, TraceHi) captured around the live
 // phase, so the join distributes each phase's joules over that phase's
 // span self time and merges the per-phase rows. Joules from phases
-// without a trace window (segment replays, untraced pipelines) land in
+// without a trace window (synthetic segments, untraced pipelines) land in
 // an "(untraced)" row rather than silently vanishing — the rows always
 // sum to the run's measured total.
 func (r *Result) Attribute(spans []telemetry.Span) []obs.StageJoules {

@@ -98,8 +98,8 @@ func TestGovernedAttributionSumsToTotal(t *testing.T) {
 	}
 }
 
-// TestGovernorSegmentAttributionUntraced pins the fallback: segment
-// replays carry no trace windows, so all joules land in "(untraced)"
+// TestGovernorSegmentAttributionUntraced pins the fallback: synthetic
+// segments carry no trace windows, so all joules land in "(untraced)"
 // instead of vanishing.
 func TestGovernorSegmentAttributionUntraced(t *testing.T) {
 	res := govern(t, mixedSegments(2), 65)

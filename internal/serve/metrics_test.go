@@ -127,6 +127,53 @@ func TestDebugGovernorEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugGovernorSeededFromSweep seeds the log the way serve -govern
+// does, from a three-budget calibration sweep. Each budget's run keeps
+// its own clock from 0, so the dump must say which run each decision
+// came from: one "(startup)" per budget, each carrying its own target,
+// and times that never decrease within a target.
+func TestDebugGovernorSeededFromSweep(t *testing.T) {
+	c := testConfig()
+	s := testServer(t, Options{Config: c})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	res, err := c.GovernorCompare(16, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetGovernorLog(res.Decisions())
+	_, body := get(t, ts, "/debug/governor")
+	var dump struct {
+		Decisions []obs.Decision `json:"decisions"`
+	}
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
+	}
+	if !strings.Contains(string(body), `"target_watts"`) {
+		t.Errorf("decisions carry no target_watts:\n%.300s", body)
+	}
+	startups := map[float64]int{}
+	last := map[float64]float64{}
+	for i, d := range dump.Decisions {
+		if d.Phase == "(startup)" {
+			startups[d.TargetWatts]++
+		}
+		if prev, ok := last[d.TargetWatts]; ok && d.TimeSec < prev {
+			t.Errorf("decision %d at %.0f W: t=%.4f after t=%.4f", i, d.TargetWatts, d.TimeSec, prev)
+		}
+		last[d.TargetWatts] = d.TimeSec
+	}
+	for _, row := range res.Rows {
+		if n := startups[row.BudgetWatts]; n != 1 {
+			t.Errorf("%.0f W: %d (startup) decisions, want 1", row.BudgetWatts, n)
+		}
+	}
+	if len(startups) != len(res.Rows) {
+		t.Errorf("(startup) targets %v, want one per budget of %d", startups, len(res.Rows))
+	}
+}
+
 func TestStatsSurfacesDropsAndFabric(t *testing.T) {
 	s := testServer(t, Options{})
 	ts := httptest.NewServer(s.Handler())
