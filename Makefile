@@ -9,8 +9,9 @@
 #                  (failure injection, retries, partial sweeps over all
 #                  three cell kinds), its declaration-only core from four
 #                  goroutines, the governor sweep (one recording that
-#                  every budget and policy governs), and the golden
-#                  "same numbers" tests
+#                  every budget and policy governs), Figure 1 (eight
+#                  panels rendering at once on one pool from one shared,
+#                  read-only grid), and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
 #                  runs with ./internal/power in RACE_PKGS)
 #   make fuzz    - every Fuzz* target for 10 s each (plain `go test` only
@@ -63,7 +64,7 @@ test: vet
 
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
-	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore'
+	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore|Fig1'
 
 # One 10 s run per Fuzz* target (go test -fuzz takes one target and one
 # package at a time). A failing input lands in that package's

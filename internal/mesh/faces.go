@@ -67,13 +67,6 @@ func canonicalFace(n int, a, b, c, d int32) faceKey {
 	return faceKey{a, min(b, c), max(b, c), d}
 }
 
-// faceCount is one slot of ExternalFaces' open-addressed table: a face and
-// the number of cells it belongs to (zero marks a free slot).
-type faceCount struct {
-	key faceKey
-	n   int32
-}
-
 // ExternalFaces extracts the boundary surface of an unstructured mesh: all
 // faces that belong to exactly one cell, triangulated (quads split along
 // the 0-2 diagonal), in cell order. The output references a compacted copy
@@ -81,58 +74,89 @@ type faceCount struct {
 //
 // This is the "gather triangles and find external faces" stage the paper
 // identifies as the data-intensive part of its ray-tracing workload.
+//
+// Two faces can only be equal if they share their smallest point, so the
+// faces are filed under it (count, scan, fill: 4 bytes per face, point
+// and cell, and a flag per face) and each point's handful of faces is
+// compared among itself. Every array is exactly sized, the output
+// included.
 func ExternalFaces(m *UnstructuredMesh) *TriMesh {
-	nFaces := 0
-	for _, t := range m.Types {
-		nFaces += len(cellFaces(t))
-	}
-	// Pass 1 counts every face in a linear-probed table at most half full
-	// and remembers each face's slot, so pass 2 does not look it up again.
-	// A face's home slot is its smallest point id scaled to the table: point
-	// ids follow cell order in the meshes the filters emit, so the walk
-	// streams through the table instead of missing cache on every face (a
-	// hashed home slot cost 3x at 64k cells). The faces that share a
-	// smallest point probe past each other, a handful per point.
-	size := 2
-	for size < 2*nFaces {
-		size <<= 1
-	}
-	table := make([]faceCount, size)
-	mask := uint32(size - 1)
-	scale := uint64(size) << 31 / uint64(max(len(m.Points), 1))
-	slots := make([]uint32, 0, nFaces)
-	for c := 0; c < m.NumCells(); c++ {
+	nCells := m.NumCells()
+	// Pass 1: number the faces in cell order (faceStart) and count each
+	// point's faces in group[p+1].
+	faceStart := make([]int32, nCells+1)
+	group := make([]int32, len(m.Points)+1)
+	for c := 0; c < nCells; c++ {
 		t, conn := m.Cell(c)
-		for _, f := range cellFaces(t) {
-			key := canonicalFace(f.n, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], conn[f.v[3]])
-			h := uint32(uint64(key[0])*scale>>31) & mask
-			for table[h].n != 0 && table[h].key != key {
-				h = (h + 1) & mask
-			}
-			table[h].key = key
-			table[h].n++
-			slots = append(slots, h)
+		fs := cellFaces(t)
+		faceStart[c+1] = faceStart[c] + int32(len(fs))
+		for _, f := range fs {
+			group[faceMin(f, conn)+1]++
 		}
 	}
+	for p := 1; p < len(group); p++ {
+		group[p] += group[p-1]
+	}
+	// Pass 2: file each face, as cell<<3 | face, under its smallest point,
+	// in cell order. Filling advances group[p] to the end of p's faces.
+	member := make([]uint32, faceStart[nCells])
+	for c := 0; c < nCells; c++ {
+		t, conn := m.Cell(c)
+		for k, f := range cellFaces(t) {
+			p := faceMin(f, conn)
+			member[group[p]] = uint32(c)<<3 | uint32(k)
+			group[p]++
+		}
+	}
+	// Pass 3: a face is external when no other face under its point has
+	// its key.
+	external := make([]bool, len(member))
+	nTris := 0
+	var keys []faceKey
+	lo := int32(0)
+	for p := range m.Points {
+		hi := group[p]
+		keys = keys[:0]
+		for _, mb := range member[lo:hi] {
+			t, conn := m.Cell(int(mb >> 3))
+			f := cellFaces(t)[mb&7]
+			keys = append(keys, canonicalFace(f.n, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], conn[f.v[3]]))
+		}
+	next:
+		for i, key := range keys {
+			for j, other := range keys {
+				if j != i && other == key {
+					continue next
+				}
+			}
+			mb := member[lo+int32(i)]
+			c := mb >> 3
+			external[faceStart[c]+int32(mb&7)] = true
+			nTris += cellFaces(m.Types[c])[mb&7].n - 2
+		}
+		lo = hi
+	}
 
+	// Pass 4 walks the cells again, so the output order is theirs; a point
+	// is numbered on first use and copied once all are known.
 	out := &TriMesh{}
-	remap := make([]int32, len(m.Points)) // output id + 1; 0 = not yet used
+	if nTris == 0 {
+		return out
+	}
+	out.Tris = make([][3]int32, 0, nTris)
+	remap := make([]int32, len(m.Points)) // output id + 1; 0 = not used
+	used := int32(0)
 	mapPt := func(id int32) int32 {
 		if remap[id] == 0 {
-			out.Points = append(out.Points, m.Points[id])
-			out.Scalars = append(out.Scalars, m.Scalars[id])
-			remap[id] = int32(len(out.Points))
+			used++
+			remap[id] = used
 		}
 		return remap[id] - 1
 	}
-	// Pass 2 walks the cells again, so the output order is theirs.
-	slot := 0
-	for c := 0; c < m.NumCells(); c++ {
+	for c := 0; c < nCells; c++ {
 		t, conn := m.Cell(c)
-		for _, f := range cellFaces(t) {
-			external := table[slots[slot]].n == 1
-			slot++
-			if !external {
+		for k, f := range cellFaces(t) {
+			if !external[faceStart[c]+int32(k)] {
 				continue
 			}
 			a, b, cc := mapPt(conn[f.v[0]]), mapPt(conn[f.v[1]]), mapPt(conn[f.v[2]])
@@ -143,7 +167,25 @@ func ExternalFaces(m *UnstructuredMesh) *TriMesh {
 			}
 		}
 	}
+	out.Points = make([]Vec3, used)
+	out.Scalars = make([]float64, used)
+	for id, r := range remap {
+		if r != 0 {
+			out.Points[r-1] = m.Points[id]
+			out.Scalars[r-1] = m.Scalars[id]
+		}
+	}
 	return out
+}
+
+// faceMin returns the smallest point id of face f of a cell with
+// connectivity conn.
+func faceMin(f faceDef, conn []int32) int32 {
+	p := min(conn[f.v[0]], conn[f.v[1]], conn[f.v[2]])
+	if f.n == 4 {
+		p = min(p, conn[f.v[3]])
+	}
+	return p
 }
 
 // GridExternalFaces extracts the six boundary faces of a uniform grid as a

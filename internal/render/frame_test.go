@@ -151,18 +151,26 @@ func TestMaxOpacityBoundsEval(t *testing.T) {
 	}
 }
 
-func TestDrawLineFrameMatchesDrawLine(t *testing.T) {
+// One frame shared by every segment of an image draws what a frame built
+// per segment does, pixel for pixel and depth for depth.
+func TestDrawLineFrameSharedFrameMatchesPerSegment(t *testing.T) {
 	cam := testCam()
-	a, b := mesh.Vec3{0.1, 0.2, 0.3}, mesh.Vec3{0.9, 0.7, 0.8}
-	ca, cb := Color{1, 0, 0, 1}, Color{0, 0, 1, 1}
-	im1 := NewImage(48, 48)
-	im1.DrawLine(cam, a, b, ca, cb)
-	im2 := NewImage(48, 48)
-	fr := cam.Frame(48, 48)
-	im2.DrawLineFrame(&fr, a, b, ca, cb)
-	for i := range im1.Pix {
-		if im1.Pix[i] != im2.Pix[i] || im1.Depth[i] != im2.Depth[i] {
-			t.Fatalf("pixel %d differs: %v/%v vs %v/%v", i, im1.Pix[i], im1.Depth[i], im2.Pix[i], im2.Depth[i])
+	pts := []mesh.Vec3{{0.1, 0.2, 0.3}, {0.9, 0.7, 0.8}, {0.4, 0.9, 0.1}, {0.5, 0.5, 0.5}, {0.1, 0.2, 0.3}}
+	cols := []Color{{1, 0, 0, 1}, {0, 0, 1, 1}, {0, 1, 0, 1}, {1, 1, 1, 1}, {1, 0, 1, 1}}
+	shared := NewImage(48, 40)
+	perSeg := NewImage(48, 40)
+	fr := cam.Frame(48, 40)
+	for i := 0; i+1 < len(pts); i++ {
+		shared.DrawLineFrame(&fr, pts[i], pts[i+1], cols[i], cols[i+1])
+		own := cam.Frame(48, 40)
+		perSeg.DrawLineFrame(&own, pts[i], pts[i+1], cols[i], cols[i+1])
+	}
+	if shared.MeanLuminance() == 0 {
+		t.Fatal("DrawLineFrame drew nothing")
+	}
+	for i := range shared.Pix {
+		if shared.Pix[i] != perSeg.Pix[i] || shared.Depth[i] != perSeg.Depth[i] {
+			t.Fatalf("pixel %d differs: %v/%v vs %v/%v", i, shared.Pix[i], shared.Depth[i], perSeg.Pix[i], perSeg.Depth[i])
 		}
 	}
 }

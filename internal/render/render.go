@@ -195,16 +195,10 @@ func (c Camera) Project(p mesh.Vec3, w, h int) (sx, sy, depth float64, ok bool) 
 	return f.Project(p)
 }
 
-// DrawLine rasterizes a depth-tested line between world points a and b
-// with colors ca and cb interpolated along it. Both endpoints project
-// through one cached camera frame.
-func (im *Image) DrawLine(cam Camera, a, b mesh.Vec3, ca, cb Color) {
-	fr := cam.Frame(im.W, im.H)
-	im.DrawLineFrame(&fr, a, b, ca, cb)
-}
-
-// DrawLineFrame is DrawLine through a prebuilt camera frame, for callers
-// rasterizing many segments of the same view (the streamline renderer).
+// DrawLineFrame rasterizes a depth-tested line between world points a and
+// b with colors ca and cb interpolated along it. Both endpoints project
+// through fr, which callers build once per image and share across every
+// segment of it (the streamline renderer).
 func (im *Image) DrawLineFrame(fr *Frame, a, b mesh.Vec3, ca, cb Color) {
 	ax, ay, az, okA := fr.Project(a)
 	bx, by, bz, okB := fr.Project(b)

@@ -161,10 +161,11 @@ func TestDrawLineWritesPixels(t *testing.T) {
 	b := mesh.Bounds{Lo: mesh.Vec3{0, 0, 0}, Hi: mesh.Vec3{1, 1, 1}}
 	cam := OrbitCamera(b, 0.5, 0.3, 2)
 	im := NewImage(64, 64)
-	im.DrawLine(cam, mesh.Vec3{0.2, 0.2, 0.5}, mesh.Vec3{0.8, 0.8, 0.5},
+	fr := cam.Frame(64, 64)
+	im.DrawLineFrame(&fr, mesh.Vec3{0.2, 0.2, 0.5}, mesh.Vec3{0.8, 0.8, 0.5},
 		Color{1, 0, 0, 1}, Color{0, 0, 1, 1})
 	if im.MeanLuminance() == 0 {
-		t.Error("DrawLine drew nothing")
+		t.Error("DrawLineFrame drew nothing")
 	}
 }
 
