@@ -1,8 +1,7 @@
 // Ablation benchmarks for design choices no ledger row sweeps:
 // dynamic-chunk grain size in the parallel runtime, governor ladder
-// granularity, the virtual-time sampling interval, and the rank count of
-// the halo-exchanged hydro step. Each quantifies what the chosen default
-// buys.
+// granularity and the virtual-time sampling interval. Each quantifies what
+// the chosen default buys.
 package repro_test
 
 import (
@@ -10,13 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/dist"
 	"repro/internal/msr"
 	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/perfctr"
 	"repro/internal/rapl"
-	"repro/internal/sim/clover"
 )
 
 // BenchmarkAblationGrain sweeps the parallel-for chunk size over the
@@ -111,28 +108,6 @@ func BenchmarkAblationSampleInterval(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkDistHydroStep measures the halo-exchanged distributed hydro
-// step across rank counts (same global problem size, so it exposes the
-// exchange and lockstep overhead on one machine).
-func BenchmarkDistHydroStep(b *testing.B) {
-	for _, ranks := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("ranks%d", ranks), func(b *testing.B) {
-			d, err := dist.NewDistSim(benchSize(), ranks, clover.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := par.Default()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Step(pool, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(benchSize()*benchSize()*benchSize())*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 		})
 	}
 }

@@ -67,6 +67,7 @@ type options struct {
 	queueDepth int
 	govern     bool
 	decisions  bool
+	set        map[string]bool // the flags the command line set
 }
 
 // count is a numeric flag laid over a Config knob: a non-negative
@@ -129,12 +130,12 @@ func parseFlags(cmd string, args []string) (*options, error) {
 		csv       = fs.Bool("csv", false, "emit figures as CSV instead of aligned text")
 		out       = fs.String("out", "out", "output directory (fig1, all)")
 		capW      = fs.Float64("cap", 65, "power cap in watts (trace)")
-		budget    = fs.Float64("budget", 130, "node power budget in watts (allocate, serve; serve: 0 disables admission control)")
+		budget    = fs.Float64("budget", 130, "node power budget in watts (allocate, serve; serve: 0 disables admission control; overprovision: the machine-room budget, default 55 W per node)")
 		addr      = fs.String("addr", "localhost:8080", "listen address (serve)")
 		queue     = fs.Int("queue", 64, "admission queue depth before 429s (serve)")
 		cycles    = fs.Int("cycles", 3, "in situ cycles (trace)")
 		figRes    = fs.Int("figres", 256, "figure-1 rendering resolution")
-		alg       = fs.String("alg", "Contour", "algorithm name (arch)")
+		alg       = fs.String("alg", "Contour", "algorithm name (arch, overprovision; cinema: default \"Volume Rendering\")")
 		extended  = fs.Bool("extended", false, "include the extension filters (classify)")
 		adaptive  = fs.Bool("adaptive", false, "advect with the adaptive BS23 integrator instead of fixed-step RK4 (advect)")
 		backend   = fs.String("backend", "trad", "geometry kernel formulation for contour/threshold: trad or dpp")
@@ -146,6 +147,8 @@ func parseFlags(cmd string, args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *quick {
 		if cfg.Sizes == nil {
 			cfg.Sizes = []int{16, 32}
@@ -183,6 +186,7 @@ func parseFlags(cmd string, args []string) (*options, error) {
 		alg: *alg, extended: *extended, adaptive: *adaptive, distRanks: distRanks,
 		traceFile: *traceF, cpuprofile: *cpuprof,
 		addr: *addr, queueDepth: *queue, govern: *governF, decisions: *decisions,
+		set: set,
 	}, nil
 }
 
@@ -444,8 +448,13 @@ func reportFailures(c *harness.Config) {
 }
 
 // cinemaCmd renders an orbit image database (the paper's 50-image-per-
-// cycle product) for a rendering algorithm into -out.
+// cycle product) for a rendering algorithm into -out: volume rendering,
+// the daemon's default too, unless -alg names another.
 func cinemaCmd(c *harness.Config, opt *options) error {
+	alg := opt.alg
+	if !opt.set["alg"] {
+		alg = "Volume Rendering"
+	}
 	g, err := c.Dataset(c.PhaseSize)
 	if err != nil {
 		return err
@@ -453,11 +462,11 @@ func cinemaCmd(c *harness.Config, opt *options) error {
 	// Prepare the frames before anything lands on disk or starts: a bad
 	// -alg fails here with no directory created and no encode worker running.
 	ex := viz.NewExec(c.Pool)
-	frame, err := harness.Frames(g, opt.alg, 0, ex)
+	frame, err := harness.Frames(g, alg, 0, ex)
 	if err != nil {
 		return fmt.Errorf("cinema: -alg: %w", err)
 	}
-	db, err := cinema.New(opt.out, "vizpower orbit database", opt.alg)
+	db, err := cinema.New(opt.out, "vizpower orbit database", alg)
 	if err != nil {
 		return err
 	}
@@ -496,19 +505,20 @@ func overprovisionCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	budget := opt.budget
-	if budget < nNodes*c.Spec.MinCapWatts {
+	if !opt.set["budget"] {
 		budget = nNodes * 55
 	}
-	fmt.Printf("overprovisioned cluster: %d nodes, %s on z-slabs, +-8%% silicon variation,\n"+
-		"machine-room budget %.0f W (%.0f W/node if uniform)\n\n", nNodes, f.Name(), budget, budget/nNodes)
-	uni, err := cluster.UniformCaps(nodes, budget)
-	if err != nil {
-		return err
-	}
+	// Balanced first: a budget below the node floors fails naming them.
 	bal, err := cluster.BalancedCaps(nodes, budget)
 	if err != nil {
 		return err
 	}
+	uni, err := cluster.UniformCaps(nodes, budget)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("overprovisioned cluster: %d nodes, %s on z-slabs, +-8%% silicon variation,\n"+
+		"machine-room budget %.0f W (%.0f W/node if uniform)\n\n", nNodes, f.Name(), budget, budget/nNodes)
 	fmt.Printf("%-6s %12s %12s %12s %12s\n", "node", "uniform cap", "uniform T", "balanced cap", "balanced T")
 	for i := range nodes {
 		fmt.Printf("%-6d %11.0fW %11.4fs %11.0fW %11.4fs\n",

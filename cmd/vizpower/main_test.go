@@ -243,6 +243,59 @@ func TestRunCinemaWritesDatabase(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
 		t.Errorf("missing index.json: %v", err)
 	}
+	// -alg is optional: cinema then renders volume rendering, not the
+	// shared flag's Contour default (which it used to reject).
+	dir = t.TempDir()
+	if err := run([]string{"cinema", "-quick", "-out", dir}); err != nil {
+		t.Fatalf("cinema without -alg: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
+		t.Errorf("cinema without -alg: missing index.json: %v", err)
+	}
+}
+
+// TestOverprovisionBudget: only an unset -budget gets the 55 W/node
+// default; an explicit budget below the node floors fails with
+// cluster.BalancedCaps' error instead of being replaced (it used to print
+// "machine-room budget 440 W" for -budget 200).
+func TestOverprovisionBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	out, err := runCaptured(t, "overprovision", "-quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "machine-room budget 440 W") {
+		t.Errorf("overprovision without -budget: want the 440 W default:\n%s", out)
+	}
+	out, err = runCaptured(t, "overprovision", "-quick", "-budget", "200")
+	if err == nil || !strings.Contains(err.Error(), "below the") || !strings.Contains(err.Error(), "sum of node floors") {
+		t.Errorf("overprovision -budget 200: error %v, want the node-floor error", err)
+	}
+	if strings.Contains(out, "machine-room budget") {
+		t.Errorf("overprovision -budget 200 printed a budget:\n%s", out)
+	}
+}
+
+// runCaptured runs a command and returns what it printed to stdout.
+func runCaptured(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	return string(<-printed), runErr
 }
 
 // TestFeedbackClampsTargetAboveTDP: the feedback verb runs the integral
@@ -253,21 +306,12 @@ func TestFeedbackClampsTargetAboveTDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
 	}
-	r, w, err := os.Pipe()
+	out, err := runCaptured(t, "feedback", "-quick", "-cap", "200")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stdout := os.Stdout
-	os.Stdout = w
-	runErr := run([]string{"feedback", "-quick", "-cap", "200"})
-	os.Stdout = stdout
-	w.Close()
-	out, _ := io.ReadAll(r)
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
 	for _, want := range []string{"target average 120 W", "controller settled at a 120.0 W limit"} {
-		if !strings.Contains(string(out), want) {
+		if !strings.Contains(out, want) {
 			t.Errorf("feedback -cap 200 output lacks %q:\n%s", want, out)
 		}
 	}

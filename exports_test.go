@@ -38,14 +38,17 @@ var implicitMethods = map[string]bool{"Is": true, "Unwrap": true}
 // TestExportedSymbolsHaveProductionCallers is the tripwire that keeps
 // test-only capability out of the production tree: every exported
 // function, method and type declared in a non-test file under internal/
-// must be named somewhere in non-test Go under internal/, cmd/, bench/
-// or examples/ other than at its own declaration. It matches names, not
-// types — enough to catch an oracle, a benchmark baseline or an unwired
-// feature that ships only because a test calls it. A function or type is
-// named by an unqualified identifier in its own package or by a pkg.Name
-// selector through an import of it, so a method or a type that merely
-// shares its name (Endpoint.Gather for dpp.Gather) does not keep it; a
-// method is named by any other identifier spelled like it.
+// must be named somewhere in non-test Go under internal/, cmd/ or bench/
+// other than at its own declaration, and every package under internal/
+// must be imported by such Go outside itself (a package's own code names
+// its identifiers, so the first check alone cannot see a package nothing
+// uses). It matches names, not types — enough to catch an oracle, a
+// benchmark baseline or an unwired feature that ships only because a test
+// calls it. A function or type is named by an unqualified identifier in
+// its own package or by a pkg.Name selector through an import of it, so a
+// method or a type that merely shares its name (Endpoint.Gather for
+// dpp.Gather) does not keep it; a method is named by any other identifier
+// spelled like it.
 func TestExportedSymbolsHaveProductionCallers(t *testing.T) {
 	type decl struct {
 		key, name, pos string
@@ -54,8 +57,10 @@ func TestExportedSymbolsHaveProductionCallers(t *testing.T) {
 	var decls []decl
 	uses := map[string]int{}      // identifier occurrences by bare name, declarations included
 	qualified := map[string]int{} // "package.Name" occurrences as defined above, declarations included
+	packages := map[string]bool{} // package directories under internal/
+	imported := map[string]bool{} // package directories imported from outside themselves
 	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "bench", "examples"} {
+	for _, root := range []string{"internal", "cmd", "bench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -65,11 +70,18 @@ func TestExportedSymbolsHaveProductionCallers(t *testing.T) {
 				return err
 			}
 			pkg := file.Name.Name
+			dir := filepath.ToSlash(filepath.Dir(path))
+			if root == "internal" {
+				packages[dir] = true
+			}
 			// Local import name -> package name (the last path element:
 			// every package under internal/ is named after its directory).
 			imports := map[string]string{}
 			for _, im := range file.Imports {
 				p := strings.Trim(im.Path.Value, `"`)
+				if rel, ok := strings.CutPrefix(p, "repro/"); ok && rel != dir {
+					imported[rel] = true
+				}
 				name := p[strings.LastIndex(p, "/")+1:]
 				if im.Name != nil {
 					imports[im.Name.Name] = name
@@ -157,6 +169,11 @@ func TestExportedSymbolsHaveProductionCallers(t *testing.T) {
 	for key := range exportedWithoutCallers {
 		if !seen[key] {
 			t.Errorf("allowlist names %s, which is not declared under internal/", key)
+		}
+	}
+	for dir := range packages {
+		if !imported[dir] {
+			t.Errorf("package %s is imported by no non-test code outside itself", dir)
 		}
 	}
 }

@@ -112,8 +112,14 @@ func TestRunCycleProducesBothProfiles(t *testing.T) {
 	if cr2.Cycle != 2 {
 		t.Errorf("second cycle = %d", cr2.Cycle)
 	}
-	if p.Sim.StepCount() != 10 {
-		t.Errorf("sim steps = %d, want 10", p.Sim.StepCount())
+	// Two cycles of 5 steps: the clock of a reference run of 10 steps.
+	ref, err := clover.New(12, clover.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Run(10, par.NewPool(1), nil)
+	if p.Sim.Time() != ref.Time() {
+		t.Errorf("sim time = %v, want %v (10 steps)", p.Sim.Time(), ref.Time())
 	}
 }
 

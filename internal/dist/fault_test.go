@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/render"
-	"repro/internal/sim/clover"
 )
 
 // guarded runs fn on its own goroutine and fails the test if it has not
@@ -294,25 +293,6 @@ func TestVolumeRenderUnderMessageDelays(t *testing.T) {
 	}
 	if im != nil {
 		t.Error("aborted composite still returned an image")
-	}
-}
-
-// TestDistSimAbortsOnHaloFault: an injected halo-exchange failure stops
-// the lockstep hydro step cleanly on every rank.
-func TestDistSimAbortsOnHaloFault(t *testing.T) {
-	fault := &FaultPlan{Fail: &FailSpec{Rank: 1, Op: 1}}
-	d, err := NewDistSimWith(8, 3, clover.Options{}, Options{Fault: fault})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := par.NewPool(2)
-	stepErr := guarded(t, 30*time.Second, func() error {
-		_, err := d.Step(pool, nil)
-		return err
-	})
-	wantAbortFrom(t, stepErr, 1)
-	if !errors.Is(stepErr, ErrInjected) {
-		t.Errorf("injected cause lost: %v", stepErr)
 	}
 }
 

@@ -71,8 +71,7 @@ func (o Options) withDefaults() Options {
 // Sim is the proxy-application state: conserved variables on an n³ uniform
 // grid of cells spanning the unit cube.
 type Sim struct {
-	nx, ny, nz int     // cells per axis of this (sub)domain
-	zOff       int     // global k offset of the first local layer
+	nx, ny, nz int     // cells per axis
 	h          float64 // cell spacing
 	opts       Options
 
@@ -93,30 +92,12 @@ type Sim struct {
 
 // New creates a proxy simulation with n cells per axis.
 func New(n int, opts Options) (*Sim, error) {
-	return NewSlab(n, 0, n, opts)
-}
-
-// NewSlab creates the z-slab subdomain [k0, k1) of an n-cell global cube:
-// the building block of the distributed (halo-exchanged) runs in
-// internal/dist. The initial deck is evaluated in global coordinates so
-// the union of the rank slabs reproduces New(n)'s state exactly.
-// The distributed path is first-order only (MUSCL slopes would need a
-// two-layer halo).
-func NewSlab(n, k0, k1 int, opts Options) (*Sim, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("clover: need at least 2 cells per axis, got %d", n)
 	}
-	if k0 < 0 || k1 > n || k1-k0 < 1 {
-		return nil, fmt.Errorf("clover: slab [%d,%d) outside 0..%d", k0, k1, n)
-	}
-	o := opts.withDefaults()
-	if o.SecondOrder && (k0 != 0 || k1 != n) {
-		return nil, fmt.Errorf("clover: second-order sweeps need the full domain (one-layer halo)")
-	}
-	nz := k1 - k0
-	nc := n * n * nz
+	nc := n * n * n
 	s := &Sim{
-		nx: n, ny: n, nz: nz, zOff: k0, h: 1.0 / float64(n), opts: o,
+		nx: n, ny: n, nz: n, h: 1.0 / float64(n), opts: opts.withDefaults(),
 		rho: make([]float64, nc), mx: make([]float64, nc), my: make([]float64, nc),
 		mz: make([]float64, nc), etot: make([]float64, nc),
 		prs: make([]float64, nc), snd: make([]float64, nc),
@@ -130,7 +111,7 @@ func (s *Sim) initDeck() {
 	o := s.opts
 	ext := o.SourceExtent
 	for k := 0; k < s.nz; k++ {
-		z := (float64(k+s.zOff) + 0.5) * s.h
+		z := (float64(k) + 0.5) * s.h
 		for j := 0; j < s.ny; j++ {
 			y := (float64(j) + 0.5) * s.h
 			for i := 0; i < s.nx; i++ {
@@ -149,29 +130,14 @@ func (s *Sim) initDeck() {
 
 func (s *Sim) idx(i, j, k int) int { return i + s.nx*(j+s.ny*k) }
 
-// N returns the cell count per axis in x and y (the global edge length).
+// N returns the cell count per axis.
 func (s *Sim) N() int { return s.nx }
 
-// LocalNZ returns the local z-layer count (equal to N for a full cube).
-func (s *Sim) LocalNZ() int { return s.nz }
-
-// ZOffset returns the global index of the first local z layer.
-func (s *Sim) ZOffset() int { return s.zOff }
-
-// NumCells returns the total local cell count.
+// NumCells returns the total cell count.
 func (s *Sim) NumCells() int { return s.nx * s.ny * s.nz }
-
-// Cell returns the conserved state of local cell (i, j, k).
-func (s *Sim) Cell(i, j, k int) (rho, mx, my, mz, etot float64) {
-	c := s.idx(i, j, k)
-	return s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c]
-}
 
 // Time returns the simulated physical time.
 func (s *Sim) Time() float64 { return s.time }
-
-// StepCount returns the number of steps taken.
-func (s *Sim) StepCount() int { return s.step }
 
 // eosAndSpeeds fills pressure and sound speed and returns the maximum
 // signal speed |u|+c over the domain (for the CFL condition).
@@ -239,71 +205,14 @@ func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
 	})
 }
 
-// GhostCell is one halo cell's state as exchanged between z-slab ranks:
-// the five conserved quantities plus the derived pressure and sound speed
-// so the receiving rank's boundary fluxes match the serial computation
-// bit for bit.
-type GhostCell struct {
-	Rho, Mx, My, Mz, E float64
-	P, C               float64
-}
-
-// MaxSignalSpeed recomputes pressure/sound speed and returns the local
-// maximum |u|+c for the CFL condition. Distributed steppers min-reduce
-// the per-rank results into a global dt.
-func (s *Sim) MaxSignalSpeed(pool *par.Pool, recs []ops.Recorder) float64 {
-	if pool == nil {
-		pool = par.NewPool(1)
+// timestep refreshes pressure and sound speed and returns the CFL
+// timestep of the current state.
+func (s *Sim) timestep(pool *par.Pool, recs []ops.Recorder) float64 {
+	maxSpeed := s.eosAndSpeeds(pool, recs)
+	if maxSpeed <= 0 || math.IsNaN(maxSpeed) {
+		maxSpeed = 1
 	}
-	v := s.eosAndSpeeds(pool, recs)
-	if v <= 0 || math.IsNaN(v) {
-		return 1
-	}
-	return v
-}
-
-// DT converts a (global) maximum signal speed into the CFL timestep.
-func (s *Sim) DT(maxSpeed float64) float64 {
 	return s.opts.CFL * s.h / maxSpeed
-}
-
-// SweepXY runs the x and y sweeps (which never cross z-slab boundaries)
-// with EOS refreshes, leaving the primitives consistent for the z sweep.
-func (s *Sim) SweepXY(dt float64, pool *par.Pool, recs []ops.Recorder) {
-	s.sweep(0, dt, pool, recs, nil, nil)
-	s.refreshEOS(pool, recs)
-	s.sweep(1, dt, pool, recs, nil, nil)
-	s.refreshEOS(pool, recs)
-}
-
-// ZBoundary copies the subdomain's first and last z layers (after the x/y
-// sweeps and EOS refresh) into halo payloads for the neighboring ranks.
-func (s *Sim) ZBoundary() (lo, hi []GhostCell) {
-	lo = make([]GhostCell, s.nx*s.ny)
-	hi = make([]GhostCell, s.nx*s.ny)
-	for j := 0; j < s.ny; j++ {
-		for i := 0; i < s.nx; i++ {
-			p := i + s.nx*j
-			c := s.idx(i, j, 0)
-			lo[p] = GhostCell{s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c], s.prs[c], s.snd[c]}
-			c = s.idx(i, j, s.nz-1)
-			hi[p] = GhostCell{s.rho[c], s.mx[c], s.my[c], s.mz[c], s.etot[c], s.prs[c], s.snd[c]}
-		}
-	}
-	return lo, hi
-}
-
-// SweepZ runs the z sweep. ghostLo/ghostHi, when non-nil, supply the
-// neighboring rank's boundary layers (one GhostCell per (i,j) pencil, in
-// i-fastest order); a nil side is a reflective physical wall.
-func (s *Sim) SweepZ(dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
-	s.sweep(2, dt, pool, recs, ghostLo, ghostHi)
-}
-
-// FinishStep advances the clock after the sweeps.
-func (s *Sim) FinishStep(dt float64) {
-	s.time += dt
-	s.step++
 }
 
 // Step advances the simulation by one explicit timestep and returns dt.
@@ -312,16 +221,16 @@ func (s *Sim) Step(pool *par.Pool, recs []ops.Recorder) float64 {
 	if pool == nil {
 		pool = par.NewPool(1)
 	}
-	maxSpeed := s.eosAndSpeeds(pool, recs)
-	if maxSpeed <= 0 || math.IsNaN(maxSpeed) {
-		maxSpeed = 1
-	}
-	dt := s.DT(maxSpeed)
+	dt := s.timestep(pool, recs)
 	// Dimensionally-split sweeps, refreshing primitives between passes.
-	s.SweepXY(dt, pool, recs)
-	s.SweepZ(dt, pool, recs, nil, nil)
-	s.FinishStep(dt)
-	if recs != nil && len(recs) > 0 {
+	s.sweep(0, dt, pool, recs)
+	s.refreshEOS(pool, recs)
+	s.sweep(1, dt, pool, recs)
+	s.refreshEOS(pool, recs)
+	s.sweep(2, dt, pool, recs)
+	s.time += dt
+	s.step++
+	if len(recs) > 0 {
 		recs[0].WorkingSet(uint64(s.NumCells()) * 7 * 8)
 	}
 	return dt
@@ -334,26 +243,6 @@ func (s *Sim) Run(steps int, pool *par.Pool, recs []ops.Recorder) {
 	}
 }
 
-// TotalMass returns the integral of density over the domain.
-func (s *Sim) TotalMass() float64 {
-	vol := s.h * s.h * s.h
-	sum := 0.0
-	for _, r := range s.rho {
-		sum += r
-	}
-	return sum * vol
-}
-
-// TotalEnergy returns the integral of total energy over the domain.
-func (s *Sim) TotalEnergy() float64 {
-	vol := s.h * s.h * s.h
-	sum := 0.0
-	for _, e := range s.etot {
-		sum += e
-	}
-	return sum * vol
-}
-
 // Grid exports the current state as a mesh.UniformGrid over the unit cube
 // with the fields the paper's filters consume:
 //
@@ -361,9 +250,6 @@ func (s *Sim) TotalEnergy() float64 {
 //	point fields: "energy" (recentered)
 //	point vector: "velocity"
 func (s *Sim) Grid() (*mesh.UniformGrid, error) {
-	if s.nz != s.nx || s.zOff != 0 {
-		return nil, fmt.Errorf("clover: Grid requires the full cube; assemble slab ranks with dist.DistSim")
-	}
 	g, err := mesh.NewCubeGrid(s.nx)
 	if err != nil {
 		return nil, err

@@ -272,16 +272,20 @@ func TestSweepScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		pool := par.NewPool(1) // serial pool: no worker-goroutine noise
-		dt := s.DT(s.MaxSignalSpeed(pool, nil))
-		s.SweepXY(dt, pool, nil) // warm the scratch lease
-		allocs := testing.AllocsPerRun(5, func() {
-			s.SweepXY(dt, pool, nil)
-		})
+		dt := s.timestep(pool, nil)
+		sweepXY := func() {
+			s.sweep(0, dt, pool, nil)
+			s.refreshEOS(pool, nil)
+			s.sweep(1, dt, pool, nil)
+			s.refreshEOS(pool, nil)
+		}
+		sweepXY() // warm the scratch lease
+		allocs := testing.AllocsPerRun(5, sweepXY)
 		// refreshEOS reductions may allocate a few accumulator cells;
 		// the per-chunk []state5 buffers (16 chunks x 2 sweeps) must not
 		// show up.
 		if allocs > 8 {
-			t.Errorf("secondOrder=%v: SweepXY allocates %v objects/run, want scratch reuse (<= 8)", secondOrder, allocs)
+			t.Errorf("secondOrder=%v: the x and y sweeps allocate %v objects/run, want scratch reuse (<= 8)", secondOrder, allocs)
 		}
 	}
 }

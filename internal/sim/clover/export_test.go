@@ -15,3 +15,26 @@ func (s *Sim) MinDensity() float64 {
 	}
 	return m
 }
+
+// StepCount returns the number of steps taken.
+func (s *Sim) StepCount() int { return s.step }
+
+// TotalMass returns the integral of density over the domain.
+func (s *Sim) TotalMass() float64 {
+	vol := s.h * s.h * s.h
+	sum := 0.0
+	for _, r := range s.rho {
+		sum += r
+	}
+	return sum * vol
+}
+
+// TotalEnergy returns the integral of total energy over the domain.
+func (s *Sim) TotalEnergy() float64 {
+	vol := s.h * s.h * s.h
+	sum := 0.0
+	for _, e := range s.etot {
+		sum += e
+	}
+	return sum * vol
+}

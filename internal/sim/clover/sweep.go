@@ -82,18 +82,10 @@ func (k *sweepKernel) centred(dst []side, c int) {
 	}
 }
 
-// ghost fills dst with what lies beyond a domain end whose boundary cells
-// start at c: the neighboring rank's halo cells g (z axis of a slab
-// subdomain), or for a nil g a reflective wall — the boundary cell itself
-// with reversed normal momentum, so mass and energy flux vanish.
-func (k *sweepKernel) ghost(dst []side, g []GhostCell, c int) {
-	if g != nil {
-		for i := range dst {
-			gc := &g[i]
-			dst[i].set(gc.Rho, gc.Mz, gc.Mx, gc.My, gc.E, gc.P, gc.C)
-		}
-		return
-	}
+// wall fills dst with what lies beyond a domain end whose boundary cells
+// start at c: a reflective wall, the boundary cell itself with reversed
+// normal momentum, so mass and energy flux vanish.
+func (k *sweepKernel) wall(dst []side, c int) {
 	for i := range dst {
 		j := c + i
 		dst[i].set(k.rho[j], -k.mn[j], k.mt1[j], k.mt2[j], k.e[j], k.prs[j], k.snd[j])
@@ -192,10 +184,10 @@ func (k *sweepKernel) pencil(ss *sweepScratch, base, n int) {
 	} else {
 		k.centred(minus, base)
 	}
-	k.ghost(g, nil, base)
+	k.wall(g, base)
 	faces(f[:1], g, lo)
 	faces(f[1:n], plus, minus[1:])
-	k.ghost(g, nil, base+n-1)
+	k.wall(g, base+n-1)
 	faces(f[n:], hi, g)
 	k.update(base, f[:n], f[1:])
 }
@@ -204,15 +196,14 @@ func (k *sweepKernel) pencil(ss *sweepScratch, base, n int) {
 // at position q along the axis are the contiguous run from base+q*stride,
 // so the block streams along the axis a row at a time: the sides of row q,
 // the faces between rows q-1 and q, then the update of row q-1, whose old
-// state nothing reads any more. gLo and gHi are the block's halo cells, nil
-// at a wall.
-func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int, gLo, gHi []GhostCell) {
+// state nothing reads any more.
+func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int) {
 	fLo, fHi := ss.flux[0][:w], ss.flux[1][:w]
 	// carry holds the sides row q-1 shows row q; cur is built for row q.
 	carry, cur := ss.side[0][:w], ss.side[1][:w]
 	var minus []side
 	k.centred(carry, base)
-	k.ghost(cur, gLo, base)
+	k.wall(cur, base)
 	faces(fLo, cur, carry)
 	if k.second {
 		minus = ss.side[2][:w]
@@ -235,7 +226,7 @@ func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int, gLo, gHi []
 	if k.second {
 		k.centred(carry, last) // the wall reflects the cell-centred state
 	}
-	k.ghost(cur, gHi, last)
+	k.wall(cur, last)
 	faces(fHi, carry, cur)
 	k.update(last, fLo, fHi)
 }
@@ -245,9 +236,8 @@ func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int, gLo, gHi []
 // loop over pencils is the parallel dimension; a chunk of x pencils is
 // walked pencil by pencil, a chunk of y or z pencils in row blocks (a y
 // chunk may begin and end mid-plane; its blocks also end with their x row,
-// where the next pencil's cells stop being adjacent). ghostLo/ghostHi are
-// the z-sweep halo layers of a slab subdomain.
-func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, ghostLo, ghostHi []GhostCell) {
+// where the next pencil's cells stop being adjacent).
+func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
 	k := sweepKernel{
 		rho: s.rho, e: s.etot, prs: s.prs, snd: s.snd,
 		lambda: dt / s.h, second: s.opts.SecondOrder,
@@ -291,19 +281,12 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder, gh
 			for p, w := lo, 0; p < hi; p += w {
 				i := p % nx
 				w = min(rowBlock, nx-i, hi-p)
-				k.rows(ss, p/nx*plane+i, w, nx, n, nil, nil)
+				k.rows(ss, p/nx*plane+i, w, nx, n)
 			}
 		default:
 			for p, w := lo, 0; p < hi; p += w {
 				w = min(rowBlock, hi-p)
-				var gLo, gHi []GhostCell
-				if ghostLo != nil {
-					gLo = ghostLo[p : p+w]
-				}
-				if ghostHi != nil {
-					gHi = ghostHi[p : p+w]
-				}
-				k.rows(ss, p, w, plane, n, gLo, gHi)
+				k.rows(ss, p, w, plane, n)
 			}
 		}
 		pool.PutScratch(sweepScratchKey{}, ss)
