@@ -10,6 +10,8 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -67,7 +69,6 @@ type options struct {
 	queueDepth int
 	govern     bool
 	decisions  bool
-	set        map[string]bool // the flags the command line set
 }
 
 // count is a numeric flag laid over a Config knob: a non-negative
@@ -106,16 +107,13 @@ func (l *intList) Set(s string) error {
 	return nil
 }
 
-// fill sets a knob the flags left unset, the way Config.Defaults does.
-func fill(p *int, v int) {
-	if *p == 0 {
-		*p = v
-	}
-}
-
-func parseFlags(cmd string, args []string) (*options, error) {
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	cfg := &harness.Config{}
+// flagSet declares the verb's flags on opt: the ones every verb shares
+// (the eight Config knobs, -quick, -progress, -backend, -trace and
+// -cpuprofile), then the verb's own. finish applies -quick and -progress
+// once the set is parsed.
+func (v *verb) flagSet(opt *options) (fs *flag.FlagSet, finish func()) {
+	fs = flag.NewFlagSet(v.name, flag.ContinueOnError)
+	cfg := opt.cfg
 	fs.Var((*intList)(&cfg.Sizes), "sizes", "comma-separated data-set sizes (default 32,64,128,256; quick: 16,32)")
 	fs.Var((*count)(&cfg.PhaseSize), "phase-size", "data-set size for phases 1-2 (default 128; quick: 32)")
 	fs.Var((*count)(&cfg.Images), "images", "ray tracing / volume rendering image count (default 50)")
@@ -123,80 +121,80 @@ func parseFlags(cmd string, args []string) (*options, error) {
 	fs.Var((*count)(&cfg.Particles), "particles", "particle advection seed count (default 1024)")
 	fs.Var((*count)(&cfg.ParticleSteps), "steps", "particle advection step count (default 1000)")
 	fs.Var((*count)(&cfg.Isovalues), "isovalues", "contour isovalues per cycle (default 10)")
-	fs.Var((*intList)(&cfg.Ranks), "ranks", "comma-separated fabric sizes for distributed advection (advect, profile; default 1,2,4,8)")
-	var (
-		quick     = fs.Bool("quick", false, "shrink the study for a fast demonstration (small sizes and image counts)")
-		progress  = fs.Bool("progress", false, "stream per-run progress to stderr")
-		csv       = fs.Bool("csv", false, "emit figures as CSV instead of aligned text")
-		out       = fs.String("out", "out", "output directory (fig1, all)")
-		capW      = fs.Float64("cap", 65, "power cap in watts (trace)")
-		budget    = fs.Float64("budget", 130, "node power budget in watts (allocate, serve; serve: 0 disables admission control; overprovision: the machine-room budget, default 55 W per node)")
-		addr      = fs.String("addr", "localhost:8080", "listen address (serve)")
-		queue     = fs.Int("queue", 64, "admission queue depth before 429s (serve)")
-		cycles    = fs.Int("cycles", 3, "in situ cycles (trace)")
-		figRes    = fs.Int("figres", 256, "figure-1 rendering resolution")
-		alg       = fs.String("alg", "Contour", "algorithm name (arch, overprovision; cinema: default \"Volume Rendering\")")
-		extended  = fs.Bool("extended", false, "include the extension filters (classify)")
-		adaptive  = fs.Bool("adaptive", false, "advect with the adaptive BS23 integrator instead of fixed-step RK4 (advect)")
-		backend   = fs.String("backend", "trad", "geometry kernel formulation for contour/threshold: trad or dpp")
-		traceF    = fs.String("trace", "", "write a Chrome trace-event JSON of this run to FILE (load in Perfetto)")
-		cpuprof   = fs.String("cpuprofile", "", "write a pprof CPU profile of this run to FILE")
-		governF   = fs.Bool("govern", false, "all: add the closed-loop governor sweep; serve: calibrate admission from a governed run")
-		decisions = fs.Bool("decisions", false, "govern: dump each budget's cap-decision flight recording")
-	)
+	fs.Var((*intList)(&cfg.Ranks), "ranks", "comma-separated fabric sizes for distributed advection (default 1,2,4,8)")
+	quick := fs.Bool("quick", false, "shrink the study for a fast demonstration (small sizes and image counts)")
+	progress := fs.Bool("progress", false, "stream per-run progress to stderr")
+	fs.Func("backend", "geometry kernel formulation for contour/threshold: trad (default) or dpp", func(s string) (err error) {
+		cfg.Backend, err = viz.ParseBackend(s)
+		return err
+	})
+	fs.StringVar(&opt.traceFile, "trace", "", "write a Chrome trace-event JSON of this run to FILE (load in Perfetto)")
+	fs.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of this run to FILE")
+	if v.flags != nil {
+		v.flags(fs, opt)
+	}
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: vizpower %s [flags]\n%s\nflags:\n", v.name, v.summary)
+		fs.PrintDefaults()
+	}
+	return fs, func() {
+		if *quick {
+			if cfg.Sizes == nil {
+				cfg.Sizes = []int{16, 32}
+			}
+			// Fill only the knobs the flags left unset.
+			cfg.PhaseSize = cmp.Or(cfg.PhaseSize, 32)
+			cfg.Images = cmp.Or(cfg.Images, 10)
+			cfg.ImageSize = cmp.Or(cfg.ImageSize, 64)
+			cfg.Particles = cmp.Or(cfg.Particles, 256)
+			cfg.ParticleSteps = cmp.Or(cfg.ParticleSteps, 300)
+			cfg.SimTime = 0.05
+			cfg.MaxSimSize = 32
+		}
+		// distRanks marks an explicit -ranks request: profile then also
+		// runs a distributed advection pass under the tracer at the
+		// largest size.
+		if cfg.Ranks != nil {
+			opt.distRanks = slices.Max(cfg.Ranks)
+		}
+		if *progress {
+			cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  [progress]", line) }
+		}
+		// Sweep heartbeat: one line per executed (algorithm, size) cell so
+		// a long campaign is observably alive. Tests construct Config
+		// directly and stay quiet.
+		cfg.Heartbeat = os.Stderr
+		cfg.Defaults()
+	}
+}
+
+// parse reads the verb's command line; -h prints the verb's flags and
+// returns flag.ErrHelp.
+func (v *verb) parse(args []string) (*options, error) {
+	opt := &options{cfg: &harness.Config{}}
+	fs, finish := v.flagSet(opt)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *quick {
-		if cfg.Sizes == nil {
-			cfg.Sizes = []int{16, 32}
-		}
-		fill(&cfg.PhaseSize, 32)
-		fill(&cfg.Images, 10)
-		fill(&cfg.ImageSize, 64)
-		fill(&cfg.Particles, 256)
-		fill(&cfg.ParticleSteps, 300)
-		cfg.SimTime = 0.05
-		cfg.MaxSimSize = 32
-	}
-	b, err := viz.ParseBackend(*backend)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Backend = b
-	// distRanks marks an explicit -ranks request: profile then also runs
-	// a distributed advection pass under the tracer at the largest size.
-	distRanks := 0
-	if cfg.Ranks != nil {
-		distRanks = slices.Max(cfg.Ranks)
-	}
-	if *progress {
-		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  [progress]", line) }
-	}
-	// Sweep heartbeat: one line per executed (algorithm, size) cell so a
-	// long campaign is observably alive. Tests construct Config directly
-	// and stay quiet.
-	cfg.Heartbeat = os.Stderr
-	cfg.Defaults()
-	return &options{
-		cfg: cfg, csv: *csv, out: *out,
-		capW: *capW, budget: *budget, cycles: *cycles, figSize: *figRes,
-		alg: *alg, extended: *extended, adaptive: *adaptive, distRanks: distRanks,
-		traceFile: *traceF, cpuprofile: *cpuprof,
-		addr: *addr, queueDepth: *queue, govern: *governF, decisions: *decisions,
-		set: set,
-	}, nil
+	finish()
+	return opt, nil
 }
 
 func run(args []string) (retErr error) {
 	if len(args) == 0 {
-		usage()
+		fmt.Fprint(os.Stderr, usageText())
 		return fmt.Errorf("missing command")
 	}
 	cmd := args[0]
-	opt, err := parseFlags(cmd, args[1:])
+	v := lookup(verbs, cmd)
+	if v == nil {
+		fmt.Fprint(os.Stderr, usageText())
+		return fmt.Errorf("unknown command %q", cmd)
+	}
+	opt, err := v.parse(args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return nil // asking for the flags is not a failure
+	}
 	if err != nil {
 		return err
 	}
@@ -237,55 +235,96 @@ func run(args []string) (retErr error) {
 		}()
 	}
 
-	v := lookup(verbs, cmd)
-	if v == nil {
-		usage()
-		return fmt.Errorf("unknown command %q", cmd)
-	}
 	if err := v.run(c, opt); err != nil {
 		return err
 	}
 	// A cell that failed while others succeeded is skipped from the
-	// output, not hidden.
-	reportFailures(c)
+	// output, not hidden: the partial-sweep report goes to stderr.
+	if fs := c.Failures(); len(fs) > 0 {
+		fmt.Fprint(os.Stderr, "vizpower: sweep degraded — ", harness.FailureReport(fs))
+	}
 	return nil
 }
 
-// verb is one vizpower command: dispatch and usage both read the verbs
-// table, so a command cannot be runnable but undocumented.
+// verb is one vizpower command: dispatch, the usage text and the verb's
+// flag set all read the verbs table, so a command can neither run
+// undocumented nor accept a flag it does not read.
 type verb struct {
 	name, summary string
 	run           func(*harness.Config, *options) error
+	flags         func(*flag.FlagSet, *options) // the verb's own flags; nil: none
 }
 
 // verbs lists every command: one per harness artifact (printing it),
 // then the hand-written ones. A hand-written verb replaces the generated
-// one of the same name where the command takes flags of its own
-// (classify -extended, govern -cycles -decisions).
+// one of the same name (classify, govern).
 var verbs = func() []verb {
 	commands := []verb{
-		{"classify", "demand power / IPC / miss rate / class per algorithm [-extended adds the extension filters]", classifyCmd},
-		{"demand", "alias of classify", classifyCmd},
-		{"govern", "closed-loop governor vs. static phase plan vs. uniform cap, with the energy attribution [-cycles N -decisions]", governCmd},
-		{"fig1", "render the eight algorithm images (Figure 1) into -out [-figres N]",
-			func(c *harness.Config, opt *options) error { return writeFig1(c, opt, opt.out) }},
-		{"verify", "check the paper's executable claims; exit status 1 when one fails", verifyCmd},
-		{"arch", "one algorithm across the modeled processor architectures [-alg NAME]", archCmd},
-		{"advect", "distributed particle advection: rank sweep checked bit for bit against the single-rank run, with the migration breakdown [-ranks LIST -adaptive]", advectCmd},
-		{"trace", "in situ power timeline under a cap (simulate+visualize) [-cap W -cycles N -csv]", traceCmd},
-		{"profile", "execution telemetry: in situ cycles under a cap as a Perfetto-loadable trace.json plus a stage summary [-cap W -cycles N -out DIR -ranks LIST]", profileCmd},
-		{"allocate", "split a node power budget between simulation and visualization [-budget W]", allocateCmd},
-		{"feedback", "single-loop feedback capping toward an average-power target [-cap W -cycles N]", feedbackCmd},
-		{"overprovision", "uniform vs. balanced per-node caps on an overprovisioned cluster [-alg NAME -budget W]", overprovisionCmd},
-		{"export", "write the data set and every filter's output as legacy VTK files into -out", exportCmd},
-		{"cinema", "render an orbit image database into -out [-alg \"Ray Tracing\"|\"Volume Rendering\"]", cinemaCmd},
-		{"serve", "rendering daemon: frames, cinema segments and sweep cells over HTTP/JSON behind a power-budgeted admission queue [-addr HOST:PORT -budget W -queue N -out DIR -govern]", serveCmd},
-		{"all", "regenerate every artifact, Figure 1 and report.md into -out [-govern adds the governor sweep]", allCmd},
+		{"classify", "demand power / IPC / miss rate / class per algorithm", classifyCmd, func(fs *flag.FlagSet, o *options) {
+			fs.BoolVar(&o.extended, "extended", false, "add the extension filters (gradient, histogram)")
+		}},
+		{"govern", "closed-loop governor vs. static phase plan vs. uniform cap, with the energy attribution", governCmd, func(fs *flag.FlagSet, o *options) {
+			fs.IntVar(&o.cycles, "cycles", harness.GovernCycles, "in situ cycles, recorded once and governed at every budget (at least 2)")
+			fs.BoolVar(&o.decisions, "decisions", false, "print each budget's cap-decision flight recording")
+		}},
+		{"fig1", "render the eight algorithm images (Figure 1) into -out",
+			func(c *harness.Config, opt *options) error { return writeFig1(c, opt, opt.out) }, func(fs *flag.FlagSet, o *options) {
+				fs.StringVar(&o.out, "out", "out", "output directory")
+				fs.IntVar(&o.figSize, "figres", 256, "Figure 1 image width/height")
+			}},
+		{"verify", "check the paper's executable claims; exit status 1 when one fails", verifyCmd, nil},
+		{"arch", "one algorithm across the modeled processor architectures", archCmd, func(fs *flag.FlagSet, o *options) { fs.StringVar(&o.alg, "alg", "Contour", "algorithm name") }},
+		{"advect", "distributed particle advection: rank sweep checked bit for bit against the single-rank run, with the migration breakdown", advectCmd, func(fs *flag.FlagSet, o *options) {
+			fs.BoolVar(&o.adaptive, "adaptive", false, "integrate with adaptive BS23 instead of fixed-step RK4")
+		}},
+		{"trace", "in situ power timeline under a cap (simulate+visualize)", traceCmd, func(fs *flag.FlagSet, o *options) {
+			fs.Float64Var(&o.capW, "cap", 65, "power cap in watts")
+			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles")
+			fs.BoolVar(&o.csv, "csv", false, "print the samples as CSV")
+		}},
+		{"profile", "execution telemetry: in situ cycles under a cap as a Perfetto-loadable trace.json plus a stage summary", profileCmd, func(fs *flag.FlagSet, o *options) {
+			fs.Float64Var(&o.capW, "cap", 65, "power cap in watts")
+			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles")
+			fs.StringVar(&o.out, "out", "out", "output directory")
+		}},
+		{"allocate", "split a node power budget between simulation and visualization", allocateCmd, func(fs *flag.FlagSet, o *options) {
+			fs.Float64Var(&o.budget, "budget", 130, "node power budget in watts")
+		}},
+		{"feedback", "single-loop feedback capping toward an average-power target", feedbackCmd, func(fs *flag.FlagSet, o *options) {
+			fs.Float64Var(&o.capW, "cap", 65, "average-power target in watts")
+			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles")
+			fs.BoolVar(&o.csv, "csv", false, "print the samples as CSV")
+		}},
+		{"overprovision", "uniform vs. balanced per-node caps on an overprovisioned cluster", overprovisionCmd, func(fs *flag.FlagSet, o *options) {
+			fs.StringVar(&o.alg, "alg", "Contour", "algorithm name")
+			fs.Float64Var(&o.budget, "budget", 440, "machine-room power budget in watts (55 W per node)")
+		}},
+		{"export", "write the data set and every filter's output as legacy VTK files into -out", exportCmd, func(fs *flag.FlagSet, o *options) { fs.StringVar(&o.out, "out", "out", "output directory") }},
+		{"cinema", "render an orbit image database into -out", cinemaCmd, func(fs *flag.FlagSet, o *options) {
+			fs.StringVar(&o.alg, "alg", "Volume Rendering", `"Volume Rendering" or "Ray Tracing"`)
+			fs.StringVar(&o.out, "out", "out", "output directory")
+		}},
+		{"serve", "rendering daemon: frames, cinema segments and sweep cells over HTTP/JSON behind a power-budgeted admission queue", serveCmd, func(fs *flag.FlagSet, o *options) {
+			fs.StringVar(&o.addr, "addr", "localhost:8080", "listen address")
+			fs.Float64Var(&o.budget, "budget", 130, "node power budget in watts; 0 disables admission control")
+			fs.IntVar(&o.queueDepth, "queue", 64, "admission queue depth before 429s")
+			fs.StringVar(&o.out, "out", "out", "output directory")
+			fs.BoolVar(&o.govern, "govern", false, "calibrate admission from a governed run")
+		}},
+		{"all", "regenerate every artifact, Figure 1 and report.md into -out", allCmd, func(fs *flag.FlagSet, o *options) {
+			fs.StringVar(&o.out, "out", "out", "output directory")
+			fs.IntVar(&o.figSize, "figres", 256, "Figure 1 image width/height")
+			fs.BoolVar(&o.govern, "govern", false, "add the closed-loop governor sweep")
+		}},
 	}
 	var vs []verb
 	for _, a := range harness.Artifacts {
 		if lookup(commands, a.Name) == nil {
-			vs = append(vs, verb{a.Name, a.Desc, func(c *harness.Config, opt *options) error { return printArtifact(a, c, opt) }})
+			v := verb{a.Name, a.Desc, func(c *harness.Config, opt *options) error { return printArtifact(a, c, opt) }, nil}
+			if a.Series != nil {
+				v.flags = func(fs *flag.FlagSet, o *options) { fs.BoolVar(&o.csv, "csv", false, "print CSV") }
+			}
+			vs = append(vs, v)
 		}
 	}
 	return append(vs, commands...)
@@ -386,10 +425,7 @@ func serveCmd(c *harness.Config, opt *options) error {
 		// measured demand replaces the spec-TDP first-request guess.
 		// A small pipeline suffices — the class demand, not the per-size
 		// cost, is what seeds the estimate ladder.
-		size := c.PhaseSize
-		if size > 32 {
-			size = 32
-		}
+		size := min(c.PhaseSize, 32)
 		res, err := c.GovernorCompare(size, nil, 2)
 		if err != nil {
 			return fmt.Errorf("govern calibration: %w", err)
@@ -439,22 +475,10 @@ func serveCmd(c *harness.Config, opt *options) error {
 	return srv.Close()
 }
 
-// reportFailures prints the partial-sweep error report to stderr: failed
-// cells are skipped, every other configuration's results still stand.
-func reportFailures(c *harness.Config) {
-	if fs := c.Failures(); len(fs) > 0 {
-		fmt.Fprint(os.Stderr, "vizpower: sweep degraded — ", harness.FailureReport(fs))
-	}
-}
-
 // cinemaCmd renders an orbit image database (the paper's 50-image-per-
 // cycle product) for a rendering algorithm into -out: volume rendering,
 // the daemon's default too, unless -alg names another.
 func cinemaCmd(c *harness.Config, opt *options) error {
-	alg := opt.alg
-	if !opt.set["alg"] {
-		alg = "Volume Rendering"
-	}
 	g, err := c.Dataset(c.PhaseSize)
 	if err != nil {
 		return err
@@ -462,11 +486,11 @@ func cinemaCmd(c *harness.Config, opt *options) error {
 	// Prepare the frames before anything lands on disk or starts: a bad
 	// -alg fails here with no directory created and no encode worker running.
 	ex := viz.NewExec(c.Pool)
-	frame, err := harness.Frames(g, alg, 0, ex)
+	frame, err := harness.Frames(g, opt.alg, 0, ex)
 	if err != nil {
 		return fmt.Errorf("cinema: -alg: %w", err)
 	}
-	db, err := cinema.New(opt.out, "vizpower orbit database", alg)
+	db, err := cinema.New(opt.out, "vizpower orbit database", opt.alg)
 	if err != nil {
 		return err
 	}
@@ -505,9 +529,6 @@ func overprovisionCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	budget := opt.budget
-	if !opt.set["budget"] {
-		budget = nNodes * 55
-	}
 	// Balanced first: a budget below the node floors fails naming them.
 	bal, err := cluster.BalancedCaps(nodes, budget)
 	if err != nil {
@@ -569,13 +590,10 @@ func feedbackCmd(c *harness.Config, opt *options) error {
 
 // governCmd sweeps the phase-aware closed-loop governor against the
 // static phase plan and the uniform cap on a live in situ pipeline at
-// the phase size, for -cycles cycles (at least harness.GovernCycles).
+// the phase size, for -cycles cycles (default harness.GovernCycles; fewer
+// than 2 is an error).
 func governCmd(c *harness.Config, opt *options) error {
-	cycles := opt.cycles
-	if cycles < harness.GovernCycles {
-		cycles = harness.GovernCycles
-	}
-	res, err := c.GovernorCompare(c.PhaseSize, nil, cycles)
+	res, err := c.GovernorCompare(c.PhaseSize, nil, opt.cycles)
 	if err != nil {
 		return err
 	}
@@ -695,11 +713,7 @@ func profileCmd(c *harness.Config, opt *options) error {
 		// With -ranks the distributed advection pass below puts its
 		// advance/exchange spans on WorkerTrack(rank), so the tracer
 		// needs tracks for whichever of (workers, ranks) is larger.
-		tracks := c.Pool.Workers()
-		if opt.distRanks > tracks {
-			tracks = opt.distRanks
-		}
-		tr = telemetry.New(tracks)
+		tr = telemetry.New(max(c.Pool.Workers(), opt.distRanks))
 		c.Pool.Instrument(tr)
 		c.Tracer = tr
 	}
@@ -730,8 +744,7 @@ func profileCmd(c *harness.Config, opt *options) error {
 	if err := os.MkdirAll(opt.out, 0o755); err != nil {
 		return err
 	}
-	tracePath := filepath.Join(opt.out, "trace.json")
-	if err := writeTraceFile(tracePath, tr); err != nil {
+	if err := writeTraceFile(filepath.Join(opt.out, "trace.json"), tr); err != nil {
 		return err
 	}
 	spans := tr.Spans()
@@ -740,28 +753,23 @@ func profileCmd(c *harness.Config, opt *options) error {
 	// advection pass above (unmetered) shows up as extra self time, not
 	// extra joules.
 	joules := obs.Attribute(telemetry.Summarize(spans), samples)
-	summaryPath := filepath.Join(opt.out, "summary.txt")
-	sf, err := os.Create(summaryPath)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteSummary(sf, spans, 10, wall.Nanoseconds()); err != nil {
-		sf.Close()
-		return err
-	}
-	if len(joules) > 0 {
-		fmt.Fprintf(sf, "\nwhere the joules went (%.0f W cap, %d meter samples):\n", opt.capW, len(samples))
-		obs.WriteJoulesTable(sf, joules)
-	}
-	// Footer: span loss must be visible in the artifact, not only on
-	// stderr — a truncated summary otherwise reads as a complete one.
-	fmt.Fprintf(sf, "\nspans: %d recorded, %d dropped (bounded tracks)\n", len(spans), tr.Dropped())
-	if err := sf.Close(); err != nil {
-		return err
-	}
 	fmt.Printf("profiled %d in situ cycles (%d governed segments) under a %.0f W cap in %.3fs\n",
 		opt.cycles, len(results), opt.capW, wall.Seconds())
-	fmt.Println("wrote", summaryPath)
+	if err := writeFile(filepath.Join(opt.out, "summary.txt"), func(w io.Writer) error {
+		if err := telemetry.WriteSummary(w, spans, 10, wall.Nanoseconds()); err != nil {
+			return err
+		}
+		if len(joules) > 0 {
+			fmt.Fprintf(w, "\nwhere the joules went (%.0f W cap, %d meter samples):\n", opt.capW, len(samples))
+			obs.WriteJoulesTable(w, joules)
+		}
+		// Footer: span loss must be visible in the artifact, not only on
+		// stderr — a truncated summary otherwise reads as a complete one.
+		_, err := fmt.Fprintf(w, "\nspans: %d recorded, %d dropped (bounded tracks)\n", len(spans), tr.Dropped())
+		return err
+	}); err != nil {
+		return err
+	}
 	if err := telemetry.WriteSummary(os.Stdout, spans, 5, wall.Nanoseconds()); err != nil {
 		return err
 	}
@@ -773,32 +781,39 @@ func profileCmd(c *harness.Config, opt *options) error {
 }
 
 // writeTraceFile exports the tracer's spans as Chrome trace-event JSON
-// and re-validates the written bytes, so a corrupt export fails the
-// command instead of failing later inside Perfetto.
+// and validates the bytes before writing them, so a corrupt export fails
+// the command instead of failing later inside Perfetto.
 func writeTraceFile(path string, tr *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var data bytes.Buffer
+	if err := tr.WriteChromeTrace(&data); err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	n, err := telemetry.ValidateChromeTrace(data)
+	n, err := telemetry.ValidateChromeTrace(data.Bytes())
 	if err != nil {
 		return fmt.Errorf("trace export invalid: %w", err)
 	}
 	if d := tr.Dropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "vizpower: trace buffers overflowed, %d spans dropped\n", d)
 	}
-	fmt.Printf("wrote %s (%d trace events, valid JSON; load at https://ui.perfetto.dev)\n", path, n)
+	return writeFile(path, func(w io.Writer) error { _, err := data.WriteTo(w); return err },
+		fmt.Sprintf("(%d trace events, valid JSON; load at https://ui.perfetto.dev)", n))
+}
+
+// writeFile creates path, has fill write its content and reports it on
+// stdout as "wrote path", followed by the note if there is one.
+func writeFile(path string, fill func(io.Writer) error, note ...any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Println(append([]any{"wrote", path}, note...)...)
 	return nil
 }
 
@@ -836,12 +851,10 @@ func allCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	write := func(name, content string) error {
-		path := filepath.Join(opt.out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		return writeFile(filepath.Join(opt.out, name), func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
 			return err
-		}
-		fmt.Println("wrote", path)
-		return nil
+		})
 	}
 	// One bad cell must cost its own artifacts, not the whole campaign:
 	// each phase degrades independently and the failures land in the
@@ -913,45 +926,28 @@ func exportCmd(c *harness.Config, opt *options) error {
 	if err != nil {
 		return err
 	}
-	writeVTK := func(name string, fn func(io.Writer) error) error {
-		path := filepath.Join(opt.out, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
-		return nil
-	}
-	if err := writeVTK("dataset.vtk", func(w io.Writer) error {
+	if err := writeFile(filepath.Join(opt.out, "dataset.vtk"), func(w io.Writer) error {
 		return vtkio.WriteUniformGrid(w, g, "CloverLeaf-like energy field", "energy")
 	}); err != nil {
 		return err
 	}
 	for _, f := range c.ExtendedFilters() {
-		ex := viz.NewExec(c.Pool)
-		res, err := f.Run(g, ex)
+		res, err := f.Run(g, viz.NewExec(c.Pool))
 		if err != nil {
 			return err
 		}
-		slug := strings.ReplaceAll(strings.ToLower(f.Name()), " ", "_")
+		path := filepath.Join(opt.out, strings.ReplaceAll(strings.ToLower(f.Name()), " ", "_")+".vtk")
 		switch {
 		case res.Tris != nil:
-			err = writeVTK(slug+".vtk", func(w io.Writer) error {
+			err = writeFile(path, func(w io.Writer) error {
 				return vtkio.WriteTriMesh(w, res.Tris, f.Name()+" output", "energy")
 			})
 		case res.Cells != nil:
-			err = writeVTK(slug+".vtk", func(w io.Writer) error {
+			err = writeFile(path, func(w io.Writer) error {
 				return vtkio.WriteUnstructured(w, res.Cells, f.Name()+" output", "energy")
 			})
 		case res.Lines != nil:
-			err = writeVTK(slug+".vtk", func(w io.Writer) error {
+			err = writeFile(path, func(w io.Writer) error {
 				return vtkio.WriteLineSet(w, res.Lines, f.Name()+" output", "speed")
 			})
 		default:
@@ -964,20 +960,24 @@ func exportCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-// usageText is the command list, generated from the verbs table.
+// usageText is the command list, generated from the verbs table: each
+// verb with its own flags, then the flags every verb takes.
 func usageText() string {
 	var b strings.Builder
 	b.WriteString("usage: vizpower <command> [flags]\ncommands:\n")
 	for _, v := range verbs {
+		if v.flags != nil {
+			own := flag.NewFlagSet(v.name, flag.ContinueOnError)
+			v.flags(own, &options{})
+			var names []string
+			own.VisitAll(func(f *flag.Flag) { names = append(names, "-"+f.Name) })
+			v.summary += " [" + strings.Join(names, " ") + "]"
+		}
 		fmt.Fprintf(&b, "  %-14s %s\n", v.name, v.summary)
 	}
-	b.WriteString(`run "vizpower <command> -h" for flags; add -quick for a fast demonstration
-global: -trace FILE writes a Perfetto-loadable execution trace of any
-command; -cpuprofile FILE writes a pprof CPU profile; -progress streams
-per-run log lines to stderr; -backend trad|dpp selects the
-contour/threshold formulation ("all" and "backends" compare both)
-`)
+	b.WriteString("every command also takes")
+	fs, _ := (&verb{}).flagSet(&options{cfg: &harness.Config{}})
+	fs.VisitAll(func(f *flag.Flag) { b.WriteString(" -" + f.Name) })
+	b.WriteString("\nrun \"vizpower <command> -h\" for its flags; add -quick for a fast demonstration\n")
 	return b.String()
 }
-
-func usage() { fmt.Fprint(os.Stderr, usageText()) }

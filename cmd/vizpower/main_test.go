@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -48,11 +50,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 // the command line; a negative or non-positive entry is a flag error, not
 // a silent default.
 func TestParseFlags(t *testing.T) {
+	all := lookup(verbs, "all")
 	for _, args := range [][]string{
 		{"-quick", "-images", "7", "-sizes", "8, 12", "-ranks", "2,4"},
 		{"-ranks", "2,4", "-sizes", "8, 12", "-images", "7", "-quick"},
 	} {
-		opt, err := parseFlags("all", args)
+		opt, err := all.parse(args)
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
@@ -64,7 +67,7 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("%v: quick preset not applied: %+v", args, c)
 		}
 	}
-	opt, err := parseFlags("all", nil)
+	opt, err := all.parse(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestParseFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-images", "-1"}, {"-phase-size", "-32"}, {"-steps", "x"}, {"-sizes", "16,0"}, {"-sizes", ""}, {"-ranks", "-2"},
 	} {
-		if _, err := parseFlags("all", args); err == nil {
+		if _, err := all.parse(args); err == nil {
 			t.Errorf("%v accepted", args)
 		}
 	}
@@ -114,6 +117,98 @@ func TestUsageListsEveryVerb(t *testing.T) {
 		if lookup(verbs, a.Name) == nil {
 			t.Errorf("artifact %q has no command", a.Name)
 		}
+	}
+}
+
+// flagNames lists the flags v's set accepts.
+func flagNames(v *verb) map[string]bool {
+	fs, _ := v.flagSet(&options{cfg: &harness.Config{}})
+	names := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { names[f.Name] = true })
+	return names
+}
+
+// TestVerbRejectsForeignFlags: each verb takes the 13 shared flags plus
+// only the ones it reads, so a flag meant for another verb is an error
+// instead of being silently ignored.
+func TestVerbRejectsForeignFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"table1", "-quick", "-cap", "40"},
+		{"govern", "-quick", "-budget", "90"},
+		{"verify", "-quick", "-csv"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%v): error %v, want an undefined-flag error", args, err)
+		}
+	}
+	shared := flagNames(&verb{})
+	pairs := 0
+	for i := range verbs {
+		names := flagNames(&verbs[i])
+		for name := range shared {
+			if !names[name] {
+				t.Errorf("%s lacks the shared flag -%s", verbs[i].name, name)
+			}
+		}
+		pairs += len(names)
+	}
+	if len(shared) != 13 || len(verbs) != 27 || pairs != 388 {
+		t.Errorf("%d shared flags, %d verbs, %d (verb, flag) pairs; want 13, 27, 388", len(shared), len(verbs), pairs)
+	}
+}
+
+// TestHelpIsNotAnError: -h prints the verb's flags and exits 0.
+func TestHelpIsNotAnError(t *testing.T) {
+	if err := run([]string{"table1", "-h"}); err != nil {
+		t.Errorf("table1 -h: %v", err)
+	}
+}
+
+// TestDocumentedInvocationsParse: every "vizpower <verb> ..." command line
+// in README.md, the Makefile and the verify notes names only flags that
+// verb's set defines. Values are not checked, so a documented usage error
+// (-images -1) still counts.
+func TestDocumentedInvocationsParse(t *testing.T) {
+	invocation := regexp.MustCompile(`vizpower ([a-z][a-z0-9]*)([^\n]*)`)
+	seen := 0
+	for _, doc := range []string{"../../README.md", "../../Makefile", "../../.claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(data), "\\\n", " ") // join continued shell lines
+		for _, m := range invocation.FindAllStringSubmatch(text, -1) {
+			// The command line ends at a comment, a closing backquote or
+			// the next shell operator.
+			line := m[2]
+			if i := strings.IndexAny(line, "#`;|>&"); i >= 0 {
+				line = line[:i]
+			}
+			var flags []string
+			for _, field := range strings.Fields(line) {
+				if name := strings.TrimLeft(field, "-"); name != field && name != "" && name[0] >= 'a' && name[0] <= 'z' {
+					flags = append(flags, strings.SplitN(name, "=", 2)[0])
+				}
+			}
+			v := lookup(verbs, m[1])
+			if v == nil {
+				if len(flags) > 0 {
+					t.Errorf("%s: %q: no such command", doc, m[0])
+				}
+				continue
+			}
+			names := flagNames(v)
+			names["h"], names["help"] = true, true // the flag package's own
+			for _, name := range flags {
+				if !names[name] {
+					t.Errorf("%s: %q: %s takes no -%s", doc, m[0], v.name, name)
+				}
+			}
+			seen++
+		}
+	}
+	if seen < 40 {
+		t.Errorf("found only %d documented invocations; is the pattern still right?", seen)
 	}
 }
 
@@ -243,8 +338,7 @@ func TestRunCinemaWritesDatabase(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
 		t.Errorf("missing index.json: %v", err)
 	}
-	// -alg is optional: cinema then renders volume rendering, not the
-	// shared flag's Contour default (which it used to reject).
+	// -alg is optional: cinema's own default is volume rendering.
 	dir = t.TempDir()
 	if err := run([]string{"cinema", "-quick", "-out", dir}); err != nil {
 		t.Fatalf("cinema without -alg: %v", err)
@@ -254,10 +348,10 @@ func TestRunCinemaWritesDatabase(t *testing.T) {
 	}
 }
 
-// TestOverprovisionBudget: only an unset -budget gets the 55 W/node
-// default; an explicit budget below the node floors fails with
-// cluster.BalancedCaps' error instead of being replaced (it used to print
-// "machine-room budget 440 W" for -budget 200).
+// TestOverprovisionBudget: -budget defaults to 55 W per node; an explicit
+// budget below the node floors fails with cluster.BalancedCaps' error
+// instead of being replaced (it used to print "machine-room budget 440 W"
+// for -budget 200).
 func TestOverprovisionBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
@@ -317,5 +411,24 @@ func TestFeedbackClampsTargetAboveTDP(t *testing.T) {
 	}
 	if err := run([]string{"feedback", "-quick", "-cap", "20"}); err == nil {
 		t.Error("feedback accepted a target below the cap floor")
+	}
+}
+
+// TestGovernHonoursCycles: an explicit -cycles is the sweep's cycle count
+// (it used to be raised to harness.GovernCycles), and a count below the
+// governor's floor of 2 is an error, not a silent raise.
+func TestGovernHonoursCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	out, err := runCaptured(t, "govern", "-quick", "-cycles", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "32^3, 2 cycles\n") {
+		t.Errorf("govern -cycles 2: header does not read 2 cycles:\n%s", out)
+	}
+	if _, err := runCaptured(t, "govern", "-quick", "-cycles", "1"); err == nil || !strings.Contains(err.Error(), "at least 2") {
+		t.Errorf("govern -cycles 1: error %v, want one naming the floor of 2", err)
 	}
 }

@@ -149,8 +149,9 @@ type governKey struct {
 // GovernorCompare sweeps the closed-loop governor against the static
 // phase plan and the uniform cap at one size across the given budgets
 // (default 55, 65, 75 W). cycles is the number of simulate+visualize
-// cycles the sweep records once and every budget governs; at least 2, so
-// the governor has one cycle of phase memory to act on. The sweep is one
+// cycles the sweep records once and every budget governs; fewer than 2 is
+// an error, since the governor needs one cycle of phase memory to act on.
+// The sweep is one
 // cell, cached per (size, budgets, cycles) and recorded in Failures as
 // "Closed-loop governor" when it fails.
 func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*GovernResult, error) {
@@ -159,7 +160,7 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 		budgets = []float64{55, 65, 75}
 	}
 	if cycles < 2 {
-		cycles = 2
+		return nil, fmt.Errorf("governor sweep: %d cycles, need at least 2", cycles)
 	}
 	return runCell(c, cellID{
 		key:   governKey{size, cycles, fmt.Sprint(budgets)},
