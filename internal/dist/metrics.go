@@ -25,18 +25,18 @@ var (
 type FabricStats struct {
 	// Sends and Recvs count completed message deliveries (faults and
 	// aborted operations excluded).
-	Sends int64 `json:"sends"`
-	Recvs int64 `json:"recvs"`
+	Sends int64
+	Recvs int64
 	// Bytes is the payload volume sent, at 8 bytes per float64 element.
-	Bytes int64 `json:"bytes"`
+	Bytes int64
 	// Aborts counts fabric cancellations (first abort per Comm).
-	Aborts int64 `json:"aborts"`
+	Aborts int64
 	// Stalls counts sends that failed on a full pair buffer after
 	// Options.SendTimeout.
-	Stalls int64 `json:"stalls"`
+	Stalls int64
 	// Retries counts transient-fault retries noted by callers (the
 	// harness retry loop) via NoteRetry.
-	Retries int64 `json:"retries"`
+	Retries int64
 }
 
 // FabricTotals folds the per-rank shards into one snapshot.

@@ -106,6 +106,9 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil registry scrape: err=%v len=%d", err, sb.Len())
 	}
+	if v := r.Values(); len(v) != 0 {
+		t.Fatalf("nil registry Values = %v, want empty", v)
+	}
 }
 
 // TestHotPathAllocs pins the allocation-free contract for every

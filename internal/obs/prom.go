@@ -20,38 +20,74 @@ import (
 // with increments sees a consistent value per series, not a consistent
 // cut across series (the same contract as par.Pool.Stats).
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range r.families() {
+		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range f.series {
+			if f.kind != kindHistogram {
+				bw.WriteString(f.name)
+				bw.WriteString(s.sig)
+				bw.WriteByte(' ')
+				bw.WriteString(formatValue(seriesValue(s)))
+				bw.WriteByte('\n')
+				continue
+			}
+			buckets, sum := f.histogram(s)
+			var cum int64
+			for i, bound := range f.bounds {
+				cum += buckets[i]
+				writeBucketLine(bw, f.name, s, formatValue(bound), cum)
+			}
+			cum += buckets[len(f.bounds)]
+			writeBucketLine(bw, f.name, s, "+Inf", cum)
+			fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, s.sig, formatValue(sum))
+			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, s.sig, cum)
+		}
+	}
+	return bw.Flush()
+}
+
+// Values reads every sample WritePrometheus writes except histogram
+// buckets, keyed by its exposition name and label signature
+// ("cache_hits_total", `requests_total{handler="render"}`); a histogram
+// gives its name_sum and name_count. It walks the same families and
+// reads the same snapshots as a scrape, under the same per-series
+// consistency. A nil registry gives an empty map.
+func (r *Registry) Values() map[string]float64 {
+	out := map[string]float64{}
+	for _, f := range r.families() {
+		for _, s := range f.series {
+			if f.kind != kindHistogram {
+				out[f.name+s.sig] = seriesValue(s)
+				continue
+			}
+			buckets, sum := f.histogram(s)
+			var n int64
+			for _, b := range buckets {
+				n += b
+			}
+			out[f.name+"_sum"+s.sig] = sum
+			out[f.name+"_count"+s.sig] = float64(n)
+		}
+	}
+	return out
+}
+
+// families copies the registered families in name order; the lock is
+// held only for the copy. A nil registry has none.
+func (r *Registry) families() []*family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
+	defer r.mu.Unlock()
+	fams := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
 	}
-	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
-	for _, name := range names {
-		fams = append(fams, r.fams[name])
-	}
-	r.mu.Unlock()
-
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.series {
-			if f.kind == kindHistogram {
-				writeHistogramSeries(bw, f, s)
-				continue
-			}
-			bw.WriteString(f.name)
-			bw.WriteString(s.sig)
-			bw.WriteByte(' ')
-			bw.WriteString(formatValue(seriesValue(s)))
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
 }
 
 // seriesValue reads the scalar value of a counter or gauge series.
@@ -69,14 +105,12 @@ func seriesValue(s *series) float64 {
 	return 0
 }
 
-// writeHistogramSeries expands one histogram series into cumulative
-// _bucket lines plus _sum and _count. _count is derived from the
-// bucket snapshot, not read separately — under a concurrent Observe
-// the two reads could tear, and "+Inf bucket == _count" is an
-// invariant ValidatePrometheus enforces.
-func writeHistogramSeries(bw *bufio.Writer, f *family, s *series) {
-	var buckets []int64
-	var sum float64
+// histogram reads one histogram series: its per-bucket counts, exactly
+// len(bounds)+1 of them, and its sum. The observation count is the
+// bucket total, never read separately — under a concurrent Observe the
+// two reads could tear, and "+Inf bucket == _count" is an invariant
+// ValidatePrometheus enforces.
+func (f *family) histogram(s *series) (buckets []int64, sum float64) {
 	switch {
 	case s.h != nil:
 		buckets = s.h.snapshot()
@@ -84,19 +118,9 @@ func writeHistogramSeries(bw *bufio.Writer, f *family, s *series) {
 	case s.hfn != nil:
 		buckets, sum = s.hfn()
 	}
-	// Tolerate a short or nil bucket slice from a func-backed source.
-	if len(buckets) < len(f.bounds)+1 {
-		buckets = append(buckets, make([]int64, len(f.bounds)+1-len(buckets))...)
-	}
-	var cum int64
-	for i, bound := range f.bounds {
-		cum += buckets[i]
-		writeBucketLine(bw, f.name, s, formatValue(bound), cum)
-	}
-	cum += buckets[len(f.bounds)]
-	writeBucketLine(bw, f.name, s, "+Inf", cum)
-	fmt.Fprintf(bw, "%s_sum%s %s\n", f.name, s.sig, formatValue(sum))
-	fmt.Fprintf(bw, "%s_count%s %d\n", f.name, s.sig, cum)
+	// Pad a short or nil slice from a func-backed source; cut a long one.
+	n := len(f.bounds) + 1
+	return append(buckets, make([]int64, n)...)[:n], sum
 }
 
 // writeBucketLine emits one cumulative bucket sample, splicing the le

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -170,4 +171,52 @@ func TestConcurrentScrape(t *testing.T) {
 	if !bytes.Contains(out, []byte("ops_total")) {
 		t.Fatal("final scrape missing series")
 	}
+}
+
+// FuzzRegistryRoundTrip registers a counter, a gauge and a histogram
+// under two fuzzed label values and records fuzzed samples (NaN, ±Inf
+// and -0 among the seeds in testdata/fuzz/FuzzRegistryRoundTrip). The
+// exposition must validate, and Values must hold exactly the non-bucket
+// samples the exposition parses back to, bit for bit (NaN as NaN).
+func FuzzRegistryRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b string, count int64, gauge, observed float64) {
+		labels := []string{a, b}
+		if a == b {
+			labels = labels[:1] // one series: a second would be a duplicate
+		}
+		r := NewRegistry()
+		for _, label := range labels {
+			r.Counter("fuzz_total", "a counter", L("k", label)).Add(count)
+			r.Gauge("fuzz_gauge", "a gauge", L("k", label)).Set(gauge)
+			h := r.Histogram("fuzz_seconds", "a histogram", []float64{0, 1}, L("k", label))
+			h.Observe(observed)
+			h.Observe(gauge)
+		}
+		out := scrape(t, r)
+		if _, err := ValidatePrometheus(out); err != nil {
+			t.Fatalf("exposition invalid: %v\n%s", err, out)
+		}
+		values := r.Values()
+		read := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			name, sig, le, v, err := parseSample(line)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			if le != "" {
+				continue
+			}
+			read++
+			got, ok := values[name+sig]
+			if !ok || (math.Float64bits(got) != math.Float64bits(v) && !(math.IsNaN(got) && math.IsNaN(v))) {
+				t.Errorf("%s%s: exposition %v, Values %v (present %v)", name, sig, v, got, ok)
+			}
+		}
+		if read != len(values) {
+			t.Errorf("exposition has %d non-bucket samples, Values %d", read, len(values))
+		}
+	})
 }

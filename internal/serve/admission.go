@@ -253,16 +253,16 @@ func (a *Admission) retryAfterLocked() time.Duration {
 
 // AdmissionStats is a Stats snapshot.
 type AdmissionStats struct {
-	BudgetWatts  float64 `json:"budget_watts"`
-	CurrentWatts float64 `json:"current_watts"`
-	PeakWatts    float64 `json:"peak_watts"`
+	BudgetWatts  float64
+	CurrentWatts float64
+	PeakWatts    float64
 	// AvgWatts is the time-averaged admitted (charged) power since the
 	// queue was created — the measurement the budget must bound.
-	AvgWatts float64 `json:"avg_watts"`
-	Admitted int64   `json:"admitted"`
-	Queued   int64   `json:"queued"`
-	Rejected int64   `json:"rejected"`
-	Waiting  int     `json:"waiting"`
+	AvgWatts float64
+	Admitted int64
+	Queued   int64
+	Rejected int64
+	Waiting  int
 }
 
 // Stats returns a snapshot of the admission counters.

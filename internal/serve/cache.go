@@ -92,10 +92,10 @@ func (c *Cache) GetOrBuild(key string, build func() (any, error)) (val any, hit 
 
 // CacheStats is a Stats snapshot.
 type CacheStats struct {
-	Entries int   `json:"entries"`
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"` // builds started (one per key per generation)
-	Waits   int64 `json:"waits"`  // requests that joined an in-flight build
+	Entries int
+	Hits    int64
+	Misses  int64 // builds started (one per key per generation)
+	Waits   int64 // requests that joined an in-flight build
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -17,12 +18,12 @@ var requestLatencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 // serverMetrics holds the daemon's hot-path metric handles; everything
 // snapshot-shaped (admission, cache, pool, fabric) is func-backed and
 // read only at scrape time, so request handling pays one counter add
-// and one histogram observe per request.
+// and one histogram observe per request. reg is the one source of the
+// daemon's numbers: /metrics and /stats both read it.
 type serverMetrics struct {
 	reg      *obs.Registry
 	requests map[string]*obs.Counter
 	latency  map[string]*obs.Histogram
-	rejected *obs.Counter
 	energyJ  *obs.FloatCounter
 	frames   *obs.Counter
 }
@@ -40,7 +41,6 @@ func (s *Server) initMetrics() {
 		reg:      reg,
 		requests: make(map[string]*obs.Counter, len(meteredHandlers)),
 		latency:  make(map[string]*obs.Histogram, len(meteredHandlers)),
-		rejected: reg.Counter("vizpower_serve_rejected_total", "Requests rejected 429 by the admission queue."),
 		energyJ: reg.FloatCounter("vizpower_serve_energy_joules_total",
 			"Modeled package energy of served frames (per-request X-Energy-Joules, accumulated)."),
 		frames: reg.Counter("vizpower_serve_frames_total", "Frames rendered across /render and /cinema."),
@@ -74,8 +74,17 @@ func (s *Server) initMetrics() {
 		adm(func(a AdmissionStats) float64 { return float64(a.Admitted) }))
 	reg.CounterFunc("vizpower_admission_queued_total", "Admissions that had to wait in the queue.",
 		adm(func(a AdmissionStats) float64 { return float64(a.Queued) }))
-	reg.CounterFunc("vizpower_admission_rejected_total", "Admissions rejected on a full queue.",
+	reg.CounterFunc("vizpower_admission_rejected_total", "Admissions rejected on a full queue (each a 429).",
 		adm(func(a AdmissionStats) float64 { return float64(a.Rejected) }))
+	for _, class := range []core.Class{core.PowerOpportunity, core.PowerSensitive} {
+		reg.GaugeFunc("vizpower_admission_class_demand_watts",
+			"Governor-measured demand charged to a never-run workload of the class (0 until SeedClassDemand).",
+			func() float64 {
+				v, _ := s.classDemand.Load(class)
+				w, _ := v.(float64)
+				return w
+			}, obs.L("class", class.String()))
+	}
 
 	// Derived-structure cache.
 	cch := func(f func(CacheStats) float64) func() float64 {
@@ -186,6 +195,19 @@ func (s *Server) SetGovernorLog(decisions []obs.Decision, dropped int64) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.met.reg.WritePrometheus(w)
+}
+
+// handleStats serves GET /stats: the same registry as JSON,
+// {"requests": N, "series": {...}}. series holds every sample /metrics
+// writes except histogram buckets, keyed by exposition name (a
+// histogram gives its _sum and _count); requests is the sum of the
+// per-handler request counters.
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	var requests int64
+	for _, c := range s.met.requests {
+		requests += c.Value()
+	}
+	writeJSON(w, map[string]any{"requests": requests, "series": s.met.reg.Values()})
 }
 
 // governorDebugResponse is the JSON body of /debug/governor.

@@ -1,13 +1,19 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -179,20 +185,138 @@ func TestStatsSurfacesDropsAndFabric(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, body := get(t, ts, "/stats")
-	var st struct {
-		SpansDropped *int64 `json:"spans_dropped"`
-		Fabric       *struct {
-			Sends int64 `json:"sends"`
-		} `json:"fabric"`
+	st := getStats(t, ts)
+	for _, key := range []string{"vizpower_trace_spans_dropped", "vizpower_fabric_sends_total"} {
+		if _, ok := st.Series[key]; !ok {
+			t.Errorf("/stats missing %s", key)
+		}
 	}
+}
+
+// stats is the JSON body of GET /stats.
+type stats struct {
+	Requests int64              `json:"requests"`
+	Series   map[string]float64 `json:"series"`
+}
+
+func getStats(t *testing.T, ts *httptest.Server) stats {
+	t.Helper()
+	resp, body := get(t, ts, "/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d: %s", resp.StatusCode, body)
+	}
+	var st stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
-	if st.SpansDropped == nil {
-		t.Error("/stats missing spans_dropped")
+	return st
+}
+
+// TestStatsIsTheRegistry: /stats and /metrics are one registry in two
+// encodings. After a render and a 429, on a server at rest, every
+// /metrics sample but the histogram buckets has a /stats entry of the
+// same value and /stats has no other; only the two series that move
+// with the clock are exempt from the value check. The 429 is counted
+// once, by the admission queue.
+func TestStatsIsTheRegistry(t *testing.T) {
+	s := testServer(t, Options{BudgetWatts: 60, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, body := get(t, ts, "/render?alg=volren&frame=1"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("render: status %d: %s", resp.StatusCode, body)
 	}
-	if st.Fabric == nil {
-		t.Error("/stats missing fabric")
+	// Hold the whole budget and park one admission: the queue is full.
+	grant, _, err := s.Admission().Admit(context.Background(), core.PowerSensitive, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	parked := make(chan struct{})
+	go func() {
+		defer close(parked)
+		if g, _, err := s.Admission().Admit(ctx, core.PowerSensitive, 1e9); err == nil {
+			g.Release()
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.Admission().Stats().Waiting != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("admission never parked")
+		}
+	}
+	const rejected = "vizpower_admission_rejected_total"
+	before := getStats(t, ts).Series[rejected]
+	if resp, body := get(t, ts, "/render?alg=volren&frame=1"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overload: status %d, want 429: %s", resp.StatusCode, body)
+	}
+	cancel()
+	<-parked
+	grant.Release()
+	if after := getStats(t, ts).Series[rejected]; after != before+1 {
+		t.Errorf("one 429 moved %s from %v to %v, want +1", rejected, before, after)
+	}
+
+	exempt := map[string]bool{"vizpower_serve_uptime_seconds": true, "vizpower_admission_avg_watts": true}
+	var diffs []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		// A handler observes its latency after the response is sent, and
+		// a parking worker adds its idle time late: retry until at rest.
+		_, text := get(t, ts, "/metrics")
+		st := getStats(t, ts)
+		diffs = diffs[:0]
+		seen := 0
+		for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+			if strings.HasPrefix(line, "#") || strings.Contains(line, "_bucket{") {
+				continue
+			}
+			i := strings.LastIndexByte(line, ' ')
+			key := line[:i]
+			want, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			got, ok := st.Series[key]
+			seen++
+			if !ok || (got != want && !exempt[key]) {
+				diffs = append(diffs, fmt.Sprintf("%s: /metrics %v, /stats %v (present %v)", key, want, got, ok))
+			}
+		}
+		if seen != len(st.Series) {
+			diffs = append(diffs, fmt.Sprintf("/metrics has %d non-bucket samples, /stats %d", seen, len(st.Series)))
+		}
+		if len(diffs) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, d := range diffs {
+		t.Error(d)
+	}
+	if _, text := get(t, ts, "/metrics"); strings.Contains(string(text), "vizpower_serve_rejected_total") {
+		t.Error("/metrics still counts 429s twice (vizpower_serve_rejected_total)")
+	}
+}
+
+// TestDocumentedRoutesExist: every localhost:8080/<path> in README.md,
+// the Makefile and the verify notes names a route the daemon's mux
+// registers. The handlers are looked up, not run.
+func TestDocumentedRoutesExist(t *testing.T) {
+	mux := testServer(t, Options{}).Handler().(*http.ServeMux)
+	route := regexp.MustCompile(`localhost:8080(/[A-Za-z0-9/_.-]*)`)
+	seen := 0
+	for _, doc := range []string{"../../README.md", "../../Makefile", "../../.claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range route.FindAllStringSubmatch(string(data), -1) {
+			r := httptest.NewRequest(http.MethodGet, m[1], nil)
+			if _, pattern := mux.Handler(r); pattern == "" {
+				t.Errorf("%s: %s is not a route of the daemon", doc, m[0])
+			}
+			seen++
+		}
+	}
+	if seen < 10 {
+		t.Errorf("found only %d documented routes; is the pattern still right?", seen)
 	}
 }

@@ -139,6 +139,16 @@ func TestRenderWarmBitIdentical(t *testing.T) {
 			if !bytes.Equal(cold, warm) {
 				t.Fatal("warm frame differs from cold frame")
 			}
+			// The paper's spelling of the algorithm is the same frame from
+			// the same cache entry.
+			spelled := fmt.Sprintf("/render?alg=%s&frame=%d", strings.ReplaceAll(tc.name, " ", "%20"), tc.frame)
+			respSpelled, byName := get(t, ts, spelled)
+			if v := respSpelled.Header.Get("X-Serve-Cache"); respSpelled.StatusCode != http.StatusOK || v != "hit" {
+				t.Errorf("%s: status %d, X-Serve-Cache = %q, want 200 and hit", spelled, respSpelled.StatusCode, v)
+			}
+			if !bytes.Equal(cold, byName) {
+				t.Errorf("%s differs from %s", spelled, path)
+			}
 
 			// The segment [frame-1, frame+1); its second file is the frame.
 			resp, body := get(t, ts, fmt.Sprintf("/cinema?alg=%s&from=%d&count=2", tc.alg, tc.frame-1))
@@ -418,19 +428,12 @@ func TestStatsEndpoint(t *testing.T) {
 	if resp, body := get(t, ts, "/render?alg=raytrace"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("render: status %d: %s", resp.StatusCode, body)
 	}
-	resp, body := get(t, ts, "/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: status %d", resp.StatusCode)
-	}
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests < 1 || st.Admission.Admitted < 1 || st.Cache.Misses < 1 {
+	st := getStats(t, ts)
+	if st.Requests < 1 || st.Series["vizpower_admission_admitted_total"] < 1 || st.Series["vizpower_cache_misses_total"] < 1 {
 		t.Errorf("stats did not count the request: %+v", st)
 	}
-	if st.Admission.BudgetWatts != 120 {
-		t.Errorf("budget = %v, want 120", st.Admission.BudgetWatts)
+	if b := st.Series["vizpower_admission_budget_watts"]; b != 120 {
+		t.Errorf("budget = %v, want 120", b)
 	}
 }
 
@@ -455,6 +458,9 @@ func TestBadRequests(t *testing.T) {
 
 func TestSeedClassDemandLadder(t *testing.T) {
 	s := testServer(t, Options{})
+	if v := s.met.reg.Values()[`vizpower_admission_class_demand_watts{class="power sensitive"}`]; v != 0 {
+		t.Errorf("unseeded class demand series = %v, want 0", v)
+	}
 	// Rung 3: nothing known — a never-seen workload charges spec TDP.
 	if got := s.demandWatts("Volume Rendering", 16); got != s.spec.TDPWatts {
 		t.Fatalf("cold estimate %.1f W, want TDP %.1f W", got, s.spec.TDPWatts)
@@ -480,16 +486,19 @@ func TestSeedClassDemandLadder(t *testing.T) {
 	if got := s.demandWatts("Volume Rendering", 32); got != 80 {
 		t.Errorf("unmeasured size fell off the class rung: %.1f W", got)
 	}
-	// The seeded calibration is visible on /stats.
+	// The seeded calibration is visible on both endpoints.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	_, body := get(t, ts, "/stats")
-	var st statsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.ClassDemand["power sensitive"] != 80 || st.ClassDemand["power opportunity"] != 58 {
-		t.Errorf("stats classDemand = %v, want the seeded 80/58 W", st.ClassDemand)
+	st := getStats(t, ts)
+	_, text := get(t, ts, "/metrics")
+	for class, want := range map[string]float64{"power sensitive": 80, "power opportunity": 58} {
+		key := fmt.Sprintf("vizpower_admission_class_demand_watts{class=%q}", class)
+		if got := st.Series[key]; got != want {
+			t.Errorf("/stats %s = %v, want the seeded %v W", key, got, want)
+		}
+		if line := fmt.Sprintf("%s %g\n", key, want); !strings.Contains(string(text), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }
 

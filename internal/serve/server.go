@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dist"
 	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/obs"
@@ -130,7 +129,7 @@ func New(opts Options) *Server {
 //	GET /render         — one orbit frame as PNG
 //	GET /cinema         — an orbit segment into a cinema database (JSON)
 //	GET /sweep          — one (algorithm, size) sweep cell under every cap (JSON)
-//	GET /stats          — admission, cache, and pool counters (JSON)
+//	GET /stats          — the registry as JSON: request total and every non-bucket sample
 //	GET /metrics        — the registry in Prometheus text format
 //	GET /debug/governor — the seeded governor flight-recorder dump (JSON)
 //	GET /healthz        — liveness
@@ -231,6 +230,7 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 	cfg := s.opts.Config
 	rr := &renderRequest{
 		alg:    "volren",
+		name:   "Volume Rendering",
 		size:   cfg.PhaseSize,
 		images: cfg.Images,
 		w:      cfg.ImageSize,
@@ -241,9 +241,8 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 		if !ok {
 			return nil, fmt.Errorf("alg must be volren or raytrace, got %q", v)
 		}
-		rr.alg = names[0]
+		rr.alg, rr.name = names[0], names[1]
 	}
-	rr.name = map[string]string{"volren": "Volume Rendering", "raytrace": "Ray Tracing"}[rr.alg]
 	var err error
 	if rr.size, err = intParam(q.Get("size"), rr.size, 8, maxSize); err != nil {
 		return nil, fmt.Errorf("size: %w", err)
@@ -463,7 +462,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, track int, name s
 	if err != nil {
 		var ov *OverloadError
 		if errors.As(err, &ov) {
-			s.met.rejected.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ov.RetryAfter.Seconds()))))
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 			return nil
@@ -602,74 +600,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track int) 
 	writeJSON(w, resp)
 }
 
-// statsResponse is the JSON body of /stats.
-type statsResponse struct {
-	UptimeSec float64        `json:"uptime_sec"`
-	Requests  int64          `json:"requests"`
-	Rejected  int64          `json:"rejected"`
-	Admission AdmissionStats `json:"admission"`
-	Cache     CacheStats     `json:"cache"`
-	Pool      poolStats      `json:"pool"`
-	// SpansDropped counts request spans lost to lane-track overflow —
-	// nonzero means the telemetry is undercounting, so surface it.
-	SpansDropped int64 `json:"spans_dropped"`
-	// Fabric is the process-lifetime rank-fabric traffic snapshot.
-	Fabric dist.FabricStats `json:"fabric"`
-	// ClassDemand is the seeded per-class admission estimate in watts
-	// (absent until SeedClassDemand installs a calibration).
-	ClassDemand map[string]float64 `json:"classDemand,omitempty"`
-}
-
-type poolStats struct {
-	Workers     int   `json:"workers"`
-	Launches    int64 `json:"launches"`
-	ActiveLoops int   `json:"active_loops"`
-	Tasks       int64 `json:"tasks"`
-	Stolen      int64 `json:"stolen"`
-	IdleNs      int64 `json:"idle_ns"`
-}
-
-// handleStats serves GET /stats.
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	ps := s.pool.Stats()
-	tot := ps.Totals()
-	demand := map[string]float64{}
-	s.classDemand.Range(func(k, v any) bool {
-		demand[k.(core.Class).String()] = v.(float64)
-		return true
-	})
-	if len(demand) == 0 {
-		demand = nil
-	}
-	var requests int64
-	for _, c := range s.met.requests {
-		requests += c.Value()
-	}
-	writeJSON(w, statsResponse{
-		UptimeSec:    time.Since(s.t0).Seconds(),
-		Requests:     requests,
-		Rejected:     s.met.rejected.Value(),
-		Admission:    s.adm.Stats(),
-		Cache:        s.cache.Stats(),
-		SpansDropped: s.tr.Dropped(),
-		Fabric:       dist.FabricTotals(),
-		ClassDemand:  demand,
-		Pool: poolStats{
-			Workers:     s.pool.Workers(),
-			Launches:    ps.Launches,
-			ActiveLoops: ps.ActiveLoops,
-			Tasks:       tot.Tasks,
-			Stolen:      tot.Stolen,
-			IdleNs:      tot.IdleNs,
-		},
-	})
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// On error (a non-finite float) Encode has written nothing yet.
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // Admission exposes the admission queue (benchmarks read its stats).

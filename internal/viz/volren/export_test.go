@@ -8,3 +8,6 @@ func (m *MacroGrid) NumBricks() int { return len(m.mn) }
 
 // Brick returns the macrocell edge length in cells.
 func (m *MacroGrid) Brick() int { return m.brick }
+
+// Range returns the scalar bounds of one macrocell.
+func (m *MacroGrid) Range(bid int) (lo, hi float64) { return m.mn[bid], m.mx[bid] }

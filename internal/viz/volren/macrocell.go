@@ -29,9 +29,6 @@ type MacroGrid struct {
 	mx    []float64
 }
 
-// Range returns the scalar bounds of one macrocell.
-func (m *MacroGrid) Range(bid int) (lo, hi float64) { return m.mn[bid], m.mx[bid] }
-
 // BuildMacroGrid scans the field once and computes per-brick min/max over
 // each brick's point hull, in parallel over bricks, recording the pass
 // (one launch, a streaming read of the field) into ex. brick is rounded
