@@ -20,7 +20,9 @@ func shockNodes(t testing.TB, variation float64) []Node {
 		t.Fatal(err)
 	}
 	pool := par.NewPool(2)
-	sim.Run(40, pool, nil)
+	for i := 0; i < 40; i++ {
+		sim.Step(pool, nil)
+	}
 	g, err := sim.Grid()
 	if err != nil {
 		t.Fatal(err)

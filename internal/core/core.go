@@ -168,9 +168,6 @@ func (p *Pipeline) Visualize() (PhaseResult, error) {
 	return PhaseResult{Profile: profile, Exec: exec}, nil
 }
 
-// Cycle returns the number of completed simulate+visualize cycles.
-func (p *Pipeline) Cycle() int { return p.cycle }
-
 // RunCycle advances the simulation StepsPerCycle steps, exports the grid,
 // and runs every filter on it.
 func (p *Pipeline) RunCycle() (*CycleResult, error) {

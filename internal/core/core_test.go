@@ -99,7 +99,7 @@ func TestRunCycleProducesBothProfiles(t *testing.T) {
 	if cr.Cycle != 1 {
 		t.Errorf("cycle = %d", cr.Cycle)
 	}
-	if cr.SimProfile.IsZero() || cr.VizProfile.IsZero() {
+	if cr.SimProfile == (ops.Profile{}) || cr.VizProfile == (ops.Profile{}) {
 		t.Error("profiles empty")
 	}
 	if cr.SimExec.Instructions == 0 || cr.VizExec.Instructions == 0 {
@@ -117,7 +117,10 @@ func TestRunCycleProducesBothProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Run(10, par.NewPool(1), nil)
+	refPool := par.NewPool(1)
+	for i := 0; i < 10; i++ {
+		ref.Step(refPool, nil)
+	}
 	if p.Sim.Time() != ref.Time() {
 		t.Errorf("sim time = %v, want %v (10 steps)", p.Sim.Time(), ref.Time())
 	}

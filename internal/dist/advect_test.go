@@ -149,8 +149,8 @@ func TestAdvectGoldenRanks(t *testing.T) {
 			if retired != seeded {
 				t.Fatalf("%s ranks=%d: %d retired, want %d", mode, ranks, retired, seeded)
 			}
-			if res.Rounds < 1 || res.Profile.IsZero() {
-				t.Fatalf("%s ranks=%d: rounds=%d profile zero=%v", mode, ranks, res.Rounds, res.Profile.IsZero())
+			if res.Rounds < 1 || res.Profile == (ops.Profile{}) {
+				t.Fatalf("%s ranks=%d: rounds=%d profile zero=%v", mode, ranks, res.Rounds, res.Profile == (ops.Profile{}))
 			}
 			if ranks == 1 && (out != 0 || in != 0) {
 				t.Fatalf("single rank migrated %d/%d particles", out, in)

@@ -101,7 +101,7 @@ type Options struct {
 	// Fault injects deterministic faults for tests; nil is a clean fabric.
 	Fault *FaultPlan
 	// Tracer, when non-nil, records one span per rank operation —
-	// "dist.send", "dist.recv", "dist.barrier", "dist.gather" — on rank
+	// "dist.send", "dist.recv", "dist.gather" — on rank
 	// r's track (telemetry.WorkerTrack(r)), so a composite stalled on a
 	// slow or wedged peer is visible as a long span on the blocked rank.
 	// Create it with telemetry.New(rank count).
@@ -127,9 +127,6 @@ type Comm struct {
 	sendOps []atomic.Int64
 	pairSeq []atomic.Int64
 }
-
-// NewComm creates a fabric for n ranks with default options.
-func NewComm(n int) (*Comm, error) { return NewCommWith(n, Options{}) }
 
 // NewCommWith creates a fabric for n ranks with explicit options.
 func NewCommWith(n int, opts Options) (*Comm, error) {
@@ -159,9 +156,6 @@ func NewCommWith(n int, opts Options) (*Comm, error) {
 	return c, nil
 }
 
-// Size returns the rank count.
-func (c *Comm) Size() int { return c.size }
-
 // abort records the first cause and releases every blocked operation.
 func (c *Comm) abort(rank int, err error) {
 	c.abortOnce.Do(func() {
@@ -190,10 +184,6 @@ func (c *Comm) Err() error {
 		return nil
 	}
 }
-
-// Done is closed when the run aborts; rank bodies with long local phases
-// can poll it to stop early.
-func (c *Comm) Done() <-chan struct{} { return c.done }
 
 // Run launches body once per rank on its own goroutine and waits for all
 // of them. The first rank to return an error (or panic) cancels the

@@ -38,3 +38,13 @@ func (e *Endpoint) barrier(tag int) error {
 	_, err := e.Recv(root, tag)
 	return err
 }
+
+// NewComm creates a fabric for n ranks with default options.
+func NewComm(n int) (*Comm, error) { return NewCommWith(n, Options{}) }
+
+// Size returns the rank count.
+func (c *Comm) Size() int { return c.size }
+
+// Done is closed when the run aborts; rank bodies with long local phases
+// can poll it to stop early.
+func (c *Comm) Done() <-chan struct{} { return c.done }

@@ -221,34 +221,6 @@ func jitter(src, dst, tag, seq int) time.Duration {
 	return time.Duration(h%200) * time.Microsecond
 }
 
-// TestRayTraceUnderMessageDelays: random (deterministic) per-message
-// delays on an 8-rank sort-last composite must not change a single bit
-// of the image — compositing order is by rank, not arrival.
-func TestRayTraceUnderMessageDelays(t *testing.T) {
-	g := energyGrid(t)
-	pool := par.NewPool(2)
-	cam := render.OrbitCamera(g.Bounds(), 0.7, 0.4, 2.0)
-	const w, h, ranks = 32, 32, 8
-
-	var clean, delayed *render.Image
-	err := guarded(t, 60*time.Second, func() error {
-		var err error
-		clean, _, err = RayTraceWith(energyGrid(t), "energy", ranks, cam, w, h, pool, Options{})
-		if err != nil {
-			return err
-		}
-		delayed, _, err = RayTraceWith(energyGrid(t), "energy", ranks, cam, w, h, pool,
-			Options{Fault: &FaultPlan{Delay: jitter}})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !identicalImages(clean, delayed) {
-		t.Error("message delays changed the ray-traced composite")
-	}
-}
-
 // TestVolumeRenderUnderMessageDelays mirrors the ray-tracing check for
 // ordered alpha compositing, and adds the failure path: an injected
 // rank fault must surface as a clean transient ErrAborted, never a hang.

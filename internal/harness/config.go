@@ -68,12 +68,12 @@ type Config struct {
 	Isovalues     int // contour isovalues per cycle (10)
 
 	// Hydro-proxy controls: the data set is the CloverLeaf-like run's
-	// state near physical time SimTime (the paper uses time step 200).
-	// Sizes above MaxSimSize are produced by trilinear resampling of the
-	// largest direct run (see DESIGN.md substitutions).
-	SimTime     float64
-	MaxSimSize  int
-	MaxSimSteps int
+	// state near physical time SimTime (the paper uses time step 200),
+	// or after maxSimSteps steps if that comes first. Sizes above
+	// MaxSimSize are produced by trilinear resampling of the largest
+	// direct run (see DESIGN.md substitutions).
+	SimTime    float64
+	MaxSimSize int
 
 	// Progress, if non-nil, receives one line per completed run.
 	Progress func(string)
@@ -170,9 +170,6 @@ func (c *Config) Defaults() *Config {
 	if c.MaxSimSize == 0 {
 		c.MaxSimSize = 128
 	}
-	if c.MaxSimSteps == 0 {
-		c.MaxSimSteps = 400
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 2
 	}
@@ -216,6 +213,10 @@ func (c *Config) Dataset(size int) (*mesh.UniformGrid, error) {
 	return g, nil
 }
 
+// maxSimSteps caps a hydro run short of SimTime, so a data set always
+// takes bounded time to build.
+const maxSimSteps = 400
+
 // BuildDataset is the declaration-only half of Dataset: the data set at
 // size, uncached. A size this Config already holds (Preload, or an earlier
 // Dataset) is returned as is; one up to MaxSimSize is a fresh hydro run;
@@ -244,7 +245,7 @@ func (c *Config) BuildDataset(size int, base func(size int) (*mesh.UniformGrid, 
 		return nil, err
 	}
 	steps := 0
-	for s.Time() < c.SimTime && steps < c.MaxSimSteps {
+	for s.Time() < c.SimTime && steps < maxSimSteps {
 		s.Step(c.Pool, nil)
 		steps++
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/ops"
 	"repro/internal/par"
 )
 
@@ -137,7 +138,7 @@ func TestPhase2And3Structure(t *testing.T) {
 		if r.Size != c.PhaseSize {
 			t.Errorf("%s ran at %d", r.Name, r.Size)
 		}
-		if r.Profile.IsZero() {
+		if r.Profile == (ops.Profile{}) {
 			t.Errorf("%s has empty profile", r.Name)
 		}
 		if r.Base.TimeSec <= 0 {

@@ -1,6 +1,9 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Exported only to this package's tests: nothing else calls these, so
 // they are declared here and not in the production tree.
@@ -59,4 +62,55 @@ func (m *UnstructuredMesh) Append(other *UnstructuredMesh) {
 		}
 		m.Offsets = append(m.Offsets, int32(len(m.Conn)))
 	}
+}
+
+// Bounds returns the bounding box of the mesh points.
+func (m *TriMesh) Bounds() Bounds {
+	b := EmptyBounds()
+	for _, p := range m.Points {
+		b.Extend(p)
+	}
+	return b
+}
+
+// Bounds returns the bounding box of the mesh points.
+func (m *UnstructuredMesh) Bounds() Bounds {
+	b := EmptyBounds()
+	for _, p := range m.Points {
+		b.Extend(p)
+	}
+	return b
+}
+
+// AddPoint appends a point with its scalar and returns its index.
+func (m *UnstructuredMesh) AddPoint(p Vec3, s float64) int32 {
+	m.Points = append(m.Points, p)
+	m.Scalars = append(m.Scalars, s)
+	return int32(len(m.Points) - 1)
+}
+
+// AddCell appends a cell of the given type. len(conn) must match the type.
+func (m *UnstructuredMesh) AddCell(t CellType, conn ...int32) {
+	if len(conn) != t.NumCellPoints() {
+		panic(fmt.Sprintf("mesh: %s cell needs %d points, got %d", t, t.NumCellPoints(), len(conn)))
+	}
+	m.Types = append(m.Types, t)
+	m.Conn = append(m.Conn, conn...)
+	m.Offsets = append(m.Offsets, int32(len(m.Conn)))
+}
+
+// Extend grows b to include point p.
+func (b *Bounds) Extend(p Vec3) {
+	b.Lo = b.Lo.Min(p)
+	b.Hi = b.Hi.Max(p)
+}
+
+// Min returns the component-wise minimum of v and w.
+func (v Vec3) Min(w Vec3) Vec3 {
+	return Vec3{math.Min(v[0], w[0]), math.Min(v[1], w[1]), math.Min(v[2], w[2])}
+}
+
+// Max returns the component-wise maximum of v and w.
+func (v Vec3) Max(w Vec3) Vec3 {
+	return Vec3{math.Max(v[0], w[0]), math.Max(v[1], w[1]), math.Max(v[2], w[2])}
 }

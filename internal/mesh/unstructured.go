@@ -16,15 +16,6 @@ func (m *TriMesh) NumTris() int { return len(m.Tris) }
 // NumPoints returns the point count.
 func (m *TriMesh) NumPoints() int { return len(m.Points) }
 
-// Bounds returns the bounding box of the mesh points.
-func (m *TriMesh) Bounds() Bounds {
-	b := EmptyBounds()
-	for _, p := range m.Points {
-		b.Extend(p)
-	}
-	return b
-}
-
 // Validate checks that all connectivity indices are in range.
 func (m *TriMesh) Validate() error {
 	if len(m.Scalars) != 0 && len(m.Scalars) != len(m.Points) {
@@ -155,7 +146,7 @@ type UnstructuredMesh struct {
 	Conn    []int32
 }
 
-// NewUnstructuredMesh returns an empty mesh ready for AddCell.
+// NewUnstructuredMesh returns an empty mesh: no points, no cells.
 func NewUnstructuredMesh() *UnstructuredMesh {
 	return &UnstructuredMesh{Offsets: []int32{0}}
 }
@@ -168,36 +159,10 @@ func (m *UnstructuredMesh) NumCells() int {
 	return len(m.Offsets) - 1
 }
 
-// AddPoint appends a point with its scalar and returns its index.
-func (m *UnstructuredMesh) AddPoint(p Vec3, s float64) int32 {
-	m.Points = append(m.Points, p)
-	m.Scalars = append(m.Scalars, s)
-	return int32(len(m.Points) - 1)
-}
-
-// AddCell appends a cell of the given type. len(conn) must match the type.
-func (m *UnstructuredMesh) AddCell(t CellType, conn ...int32) {
-	if len(conn) != t.NumCellPoints() {
-		panic(fmt.Sprintf("mesh: %s cell needs %d points, got %d", t, t.NumCellPoints(), len(conn)))
-	}
-	m.Types = append(m.Types, t)
-	m.Conn = append(m.Conn, conn...)
-	m.Offsets = append(m.Offsets, int32(len(m.Conn)))
-}
-
 // Cell returns the type and connectivity of cell i. The returned slice
 // aliases the mesh storage.
 func (m *UnstructuredMesh) Cell(i int) (CellType, []int32) {
 	return m.Types[i], m.Conn[m.Offsets[i]:m.Offsets[i+1]]
-}
-
-// Bounds returns the bounding box of the mesh points.
-func (m *UnstructuredMesh) Bounds() Bounds {
-	b := EmptyBounds()
-	for _, p := range m.Points {
-		b.Extend(p)
-	}
-	return b
 }
 
 // Validate checks structural consistency: offsets monotone, connectivity in

@@ -53,31 +53,15 @@ func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
 	}
 }
 
-// Min returns the component-wise minimum of v and w.
-func (v Vec3) Min(w Vec3) Vec3 {
-	return Vec3{math.Min(v[0], w[0]), math.Min(v[1], w[1]), math.Min(v[2], w[2])}
-}
-
-// Max returns the component-wise maximum of v and w.
-func (v Vec3) Max(w Vec3) Vec3 {
-	return Vec3{math.Max(v[0], w[0]), math.Max(v[1], w[1]), math.Max(v[2], w[2])}
-}
-
 // Bounds is an axis-aligned bounding box.
 type Bounds struct {
 	Lo, Hi Vec3
 }
 
-// EmptyBounds returns a bounds value that Extend can grow from.
+// EmptyBounds returns the bounds of no points, which any point widens.
 func EmptyBounds() Bounds {
 	inf := math.Inf(1)
 	return Bounds{Lo: Vec3{inf, inf, inf}, Hi: Vec3{-inf, -inf, -inf}}
-}
-
-// Extend grows b to include point p.
-func (b *Bounds) Extend(p Vec3) {
-	b.Lo = b.Lo.Min(p)
-	b.Hi = b.Hi.Max(p)
 }
 
 // Center returns the midpoint of the box.

@@ -38,28 +38,37 @@ func Attribute(stats []telemetry.StageStat, samples []perfctr.Sample) []StageJou
 	for _, s := range samples {
 		totalJ += s.EnergyJ
 	}
-	var totalSelf float64
-	for _, st := range stats {
-		totalSelf += st.SelfSec()
-	}
 	if len(stats) == 0 {
 		if totalJ == 0 {
 			return nil
 		}
 		return []StageJoules{{Stage: "(untraced)", Joules: totalJ, Share: 1}}
 	}
+	rows := SplitJoules(stats, totalJ)
+	sortStageJoules(rows)
+	return rows
+}
+
+// SplitJoules is the proportional split behind every attribution: one
+// row per stage, in stats order, charged joules × its share of the
+// stages' total self time. The rows sum to joules whenever any stage
+// has self time; with none, every row is charged zero.
+func SplitJoules(stats []telemetry.StageStat, joules float64) []StageJoules {
+	var totalSelf float64
+	for _, st := range stats {
+		totalSelf += st.SelfSec()
+	}
 	rows := make([]StageJoules, 0, len(stats))
 	for _, st := range stats {
 		r := StageJoules{Stage: st.Name, Count: st.Count, SelfSec: st.SelfSec()}
 		if totalSelf > 0 {
-			r.Joules = totalJ * (st.SelfSec() / totalSelf)
-			if totalJ > 0 {
-				r.Share = r.Joules / totalJ
+			r.Joules = joules * (st.SelfSec() / totalSelf)
+			if joules > 0 {
+				r.Share = r.Joules / joules
 			}
 		}
 		rows = append(rows, r)
 	}
-	sortStageJoules(rows)
 	return rows
 }
 

@@ -1,0 +1,34 @@
+package obs
+
+// Exported only to this package's tests: nothing else calls these, so
+// they are declared here and not in the production tree.
+
+// Add increments the counter by n (negative n is ignored: counters are
+// monotone).
+func (c *Counter) Add(n int64) {
+	if c == nil || n < 0 {
+		return
+	}
+	c.v.Add(n)
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
+// Len returns the number of retained decisions.
+func (f *FlightRecorder) Len() int {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.wrapped {
+		return len(f.ring)
+	}
+	return f.next
+}

@@ -94,19 +94,6 @@ func (f *FlightRecorder) Decisions() []Decision {
 	return out
 }
 
-// Len returns the number of retained decisions.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.wrapped {
-		return len(f.ring)
-	}
-	return f.next
-}
-
 // Dropped returns how many decisions were overwritten.
 func (f *FlightRecorder) Dropped() int64 {
 	if f == nil {

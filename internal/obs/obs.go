@@ -235,15 +235,6 @@ type padCounter struct {
 // are safe on a nil receiver (no-ops / zero).
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by n (negative n is ignored: counters are
-// monotone).
-func (c *Counter) Add(n int64) {
-	if c == nil || n < 0 {
-		return
-	}
-	c.v.Add(n)
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() {
 	if c == nil {
@@ -329,14 +320,6 @@ func (h *Histogram) Observe(v float64) {
 		h.sum.Add(v)
 	}
 	h.count.Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of observed values.

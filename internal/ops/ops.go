@@ -133,11 +133,6 @@ func (p *Profile) Instructions() uint64 {
 	return p.Flops + p.IntOps + p.Branches + mem
 }
 
-// IsZero reports whether the profile contains no recorded work.
-func (p Profile) IsZero() bool {
-	return p == Profile{}
-}
-
 // Recorder accumulates operation counts for a single worker. It must not be
 // shared between goroutines; aggregate per-worker recorders with Drain/Add
 // after the parallel region completes. The zero value is ready to use.
@@ -193,9 +188,6 @@ func (r *Recorder) WorkingSet(bytes uint64) {
 
 // Profile returns a copy of the accumulated counts.
 func (r *Recorder) Profile() Profile { return r.p }
-
-// Reset clears the recorder.
-func (r *Recorder) Reset() { r.p = Profile{} }
 
 // Drain returns the accumulated counts and resets the recorder.
 func (r *Recorder) Drain() Profile {

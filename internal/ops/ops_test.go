@@ -110,7 +110,7 @@ func TestDrainResets(t *testing.T) {
 	if p.Flops != 42 {
 		t.Errorf("drained Flops = %d, want 42", p.Flops)
 	}
-	if !r.Profile().IsZero() {
+	if r.Profile() != (Profile{}) {
 		t.Errorf("recorder not reset after Drain: %+v", r.Profile())
 	}
 }
@@ -129,7 +129,7 @@ func TestMergeAndDrainAll(t *testing.T) {
 		t.Errorf("Merge LoadBytes = %d, want 32", m.LoadBytes[Stream])
 	}
 	// Merge must not reset.
-	if recs[0].Profile().IsZero() {
+	if recs[0].Profile() == (Profile{}) {
 		t.Error("Merge reset a recorder")
 	}
 	d := DrainAll(recs)
@@ -137,7 +137,7 @@ func TestMergeAndDrainAll(t *testing.T) {
 		t.Errorf("DrainAll Flops = %d, want 10", d.Flops)
 	}
 	for i := range recs {
-		if !recs[i].Profile().IsZero() {
+		if recs[i].Profile() != (Profile{}) {
 			t.Errorf("recorder %d not reset after DrainAll", i)
 		}
 	}

@@ -246,8 +246,10 @@ func BenchmarkParForDispatchTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%256 == 0 {
-			p.Telemetry().Reset() // keep the span buffers from saturating
+		if i%256 == 0 { // fresh span buffers, so they never saturate
+			b.StopTimer()
+			p.Instrument(telemetry.NewWithCapacity(p.Workers(), 1<<10))
+			b.StartTimer()
 		}
 		p.For(n, 1024, func(lo, hi, worker int) {})
 	}

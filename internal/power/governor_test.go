@@ -136,8 +136,8 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 			t.Errorf("phase %d captured no trace self time", i)
 		}
 	}
-	if pipe.Cycle() != 2 {
-		t.Errorf("pipeline advanced %d cycles, want 2", pipe.Cycle())
+	if next, err := pipe.RunCycle(); err != nil || next.Cycle != 3 {
+		t.Errorf("the cycle after the governed two is %+v (%v), want cycle 3", next, err)
 	}
 	spec := cpu.BroadwellEP()
 	if res.FinalCapWatts < spec.MinCapWatts || res.FinalCapWatts > spec.TDPWatts {

@@ -28,19 +28,7 @@ func (r *Result) Attribute(spans []telemetry.Span) []obs.StageJoules {
 			untracedJ += p.EnergyJ
 			continue
 		}
-		var totalSelf float64
-		for _, st := range stats {
-			totalSelf += st.SelfSec()
-		}
-		phaseRows := make([]obs.StageJoules, 0, len(stats))
-		for _, st := range stats {
-			row := obs.StageJoules{Stage: st.Name, Count: st.Count, SelfSec: st.SelfSec()}
-			if totalSelf > 0 {
-				row.Joules = p.EnergyJ * (st.SelfSec() / totalSelf)
-			}
-			phaseRows = append(phaseRows, row)
-		}
-		rows = obs.MergeAttribution(rows, phaseRows)
+		rows = obs.MergeAttribution(rows, obs.SplitJoules(stats, p.EnergyJ))
 	}
 	if untracedJ > 0 {
 		rows = obs.MergeAttribution(rows, []obs.StageJoules{{Stage: "(untraced)", Joules: untracedJ}})

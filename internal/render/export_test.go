@@ -3,6 +3,8 @@ package render
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/mesh"
 )
 
 // Exported only to this package's tests: nothing else calls these, so
@@ -20,4 +22,34 @@ func (im *Image) WritePPM(w io.Writer) error {
 	}
 	_, err := w.Write(buf)
 	return err
+}
+
+// Add sums two colors channel-wise (including alpha).
+func (c Color) Add(o Color) Color {
+	return Color{c[0] + o[0], c[1] + o[1], c[2] + o[2], c[3] + o[3]}
+}
+
+// Set writes pixel (x, y); out-of-range coordinates are ignored.
+func (im *Image) Set(x, y int, c Color) {
+	if x < 0 || y < 0 || x >= im.W || y >= im.H {
+		return
+	}
+	im.Pix[y*im.W+x] = c
+}
+
+// Ray returns the world-space ray through pixel (px, py) of a w×h image
+// (pixel centers). Loops generating many rays should build one
+// Camera.Frame and call Frame.Ray instead: this convenience form rebuilds
+// the basis and re-evaluates math.Tan on every call.
+func (c Camera) Ray(px, py, w, h int) (orig, dir mesh.Vec3) {
+	f := c.Frame(w, h)
+	return f.Ray(px, py)
+}
+
+// Project maps a world point to pixel coordinates and camera depth.
+// ok is false for points at or behind the eye plane. As with Ray, loops
+// projecting many points should go through one Camera.Frame.
+func (c Camera) Project(p mesh.Vec3, w, h int) (sx, sy, depth float64, ok bool) {
+	f := c.Frame(w, h)
+	return f.Project(p)
 }

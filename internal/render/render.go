@@ -24,11 +24,6 @@ func (c Color) Scale(s float64) Color {
 	return Color{c[0] * s, c[1] * s, c[2] * s, c[3]}
 }
 
-// Add sums two colors channel-wise (including alpha).
-func (c Color) Add(o Color) Color {
-	return Color{c[0] + o[0], c[1] + o[1], c[2] + o[2], c[3] + o[3]}
-}
-
 // Image is a float RGBA framebuffer with an optional depth buffer.
 type Image struct {
 	W, H  int
@@ -61,14 +56,6 @@ func (im *Image) Fill(c Color) {
 	for i := range im.Pix {
 		im.Pix[i] = c
 	}
-}
-
-// Set writes pixel (x, y); out-of-range coordinates are ignored.
-func (im *Image) Set(x, y int, c Color) {
-	if x < 0 || y < 0 || x >= im.W || y >= im.H {
-		return
-	}
-	im.Pix[y*im.W+x] = c
 }
 
 // At reads pixel (x, y); out-of-range coordinates return zero.
@@ -131,12 +118,9 @@ func (im *Image) MeanLuminance() float64 {
 
 // Camera is a perspective pinhole camera.
 type Camera struct {
-	Eye, Look, Up Vec3ish
+	Eye, Look, Up mesh.Vec3
 	FOVDeg        float64
 }
-
-// Vec3ish aliases mesh.Vec3 to keep signatures short.
-type Vec3ish = mesh.Vec3
 
 // OrbitCamera places a camera on a circular orbit around the center of
 // bounds: azimuth in radians around the z axis of the scene (y-up view),
@@ -176,23 +160,6 @@ func (c Camera) basis() (forward, right, up mesh.Vec3) {
 	}
 	up = right.Cross(forward)
 	return
-}
-
-// Ray returns the world-space ray through pixel (px, py) of a w×h image
-// (pixel centers). Loops generating many rays should build one
-// Camera.Frame and call Frame.Ray instead: this convenience form rebuilds
-// the basis and re-evaluates math.Tan on every call.
-func (c Camera) Ray(px, py, w, h int) (orig, dir mesh.Vec3) {
-	f := c.Frame(w, h)
-	return f.Ray(px, py)
-}
-
-// Project maps a world point to pixel coordinates and camera depth.
-// ok is false for points at or behind the eye plane. As with Ray, loops
-// projecting many points should go through one Camera.Frame.
-func (c Camera) Project(p mesh.Vec3, w, h int) (sx, sy, depth float64, ok bool) {
-	f := c.Frame(w, h)
-	return f.Project(p)
 }
 
 // DrawLineFrame rasterizes a depth-tested line between world points a and

@@ -130,9 +130,6 @@ func (s *Sim) initDeck() {
 
 func (s *Sim) idx(i, j, k int) int { return i + s.nx*(j+s.ny*k) }
 
-// N returns the cell count per axis.
-func (s *Sim) N() int { return s.nx }
-
 // NumCells returns the total cell count.
 func (s *Sim) NumCells() int { return s.nx * s.ny * s.nz }
 
@@ -234,13 +231,6 @@ func (s *Sim) Step(pool *par.Pool, recs []ops.Recorder) float64 {
 		recs[0].WorkingSet(uint64(s.NumCells()) * 7 * 8)
 	}
 	return dt
-}
-
-// Run advances the simulation by steps timesteps.
-func (s *Sim) Run(steps int, pool *par.Pool, recs []ops.Recorder) {
-	for i := 0; i < steps; i++ {
-		s.Step(pool, recs)
-	}
 }
 
 // Grid exports the current state as a mesh.UniformGrid over the unit cube

@@ -1,6 +1,11 @@
 package clover
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/ops"
+	"repro/internal/par"
+)
 
 // Exported only to this package's tests: nothing else calls these, so
 // they are declared here and not in the production tree.
@@ -37,4 +42,11 @@ func (s *Sim) TotalEnergy() float64 {
 		sum += e
 	}
 	return sum * vol
+}
+
+// Run advances the simulation by steps timesteps.
+func (s *Sim) Run(steps int, pool *par.Pool, recs []ops.Recorder) {
+	for i := 0; i < steps; i++ {
+		s.Step(pool, recs)
+	}
 }

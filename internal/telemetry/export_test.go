@@ -18,3 +18,27 @@ func (t *Tracer) TrackName(track int) string {
 	}
 	return t.tracks[track].name
 }
+
+// Len returns the number of spans currently recorded across all tracks.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	var n int64
+	for _, tr := range t.tracks {
+		n += tr.published.Load()
+	}
+	return int(n)
+}
+
+// Reset discards all recorded spans (the epoch is preserved, so offsets
+// from before and after a Reset remain comparable).
+func (t *Tracer) Reset() {
+	if t == nil {
+		return
+	}
+	for _, tr := range t.tracks {
+		tr.published.Store(0)
+		tr.cur.Store(0)
+	}
+}

@@ -203,18 +203,6 @@ func (t *Tracer) Dropped() int64 {
 	return n
 }
 
-// Len returns the number of spans currently recorded across all tracks.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	var n int64
-	for _, tr := range t.tracks {
-		n += tr.published.Load()
-	}
-	return int(n)
-}
-
 // Spans returns a snapshot of every recorded span, sorted by (track,
 // start, longer-first): on each track a parent always precedes its
 // children, which is the order the summarizer's containment sweep and
@@ -231,18 +219,6 @@ func (t *Tracer) Spans() []Span {
 	}
 	SortSpans(out)
 	return out
-}
-
-// Reset discards all recorded spans (the epoch is preserved, so offsets
-// from before and after a Reset remain comparable).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for _, tr := range t.tracks {
-		tr.published.Store(0)
-		tr.cur.Store(0)
-	}
 }
 
 // SortSpans orders spans by (track, start, longer-first, name) — the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/viz"
@@ -181,7 +182,7 @@ func TestGatherSceneBuildsSurface(t *testing.T) {
 	if scene.BVH == nil {
 		t.Fatal("no BVH")
 	}
-	p := ex.Profile()
+	p := ops.Merge(ex.Recs)
 	if p.Launches < 2 {
 		t.Errorf("Launches = %d, want >= 2 (gather + build)", p.Launches)
 	}

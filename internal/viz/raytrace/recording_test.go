@@ -88,7 +88,7 @@ func recordingMeshes(t *testing.T) map[string]*mesh.TriMesh {
 func orbitFrameStats(b *BVH, m *mesh.TriMesh) TraverseStats {
 	box := mesh.EmptyBounds()
 	for _, p := range m.Points {
-		box.Extend(p)
+		growPoint(&box, &p)
 	}
 	cam, _ := render.OrbitView(box, 3, 10)
 	fr := cam.Frame(64, 64)

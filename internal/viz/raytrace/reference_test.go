@@ -22,9 +22,9 @@ func BuildBVHReference(m *mesh.TriMesh) *BVH {
 	for i, tr := range m.Tris {
 		p0, p1, p2 := m.Points[tr[0]], m.Points[tr[1]], m.Points[tr[2]]
 		bb := mesh.EmptyBounds()
-		bb.Extend(p0)
-		bb.Extend(p1)
-		bb.Extend(p2)
+		growPoint(&bb, &p0)
+		growPoint(&bb, &p1)
+		growPoint(&bb, &p2)
 		boxes[i] = bb
 		cents[i] = p0.Add(p1).Add(p2).Scale(1.0 / 3)
 		b.order[i] = int32(i)
@@ -39,9 +39,8 @@ func (b *BVH) buildReference(lo, hi int, cents []mesh.Vec3, boxes []mesh.Bounds)
 	bb := mesh.EmptyBounds()
 	cb := mesh.EmptyBounds()
 	for _, ti := range b.order[lo:hi] {
-		bb.Extend(boxes[ti].Lo)
-		bb.Extend(boxes[ti].Hi)
-		cb.Extend(cents[ti])
+		grow(&bb, &boxes[ti])
+		growPoint(&cb, &cents[ti])
 	}
 	idx := int32(len(b.nodes))
 	b.nodes = append(b.nodes, bvhNode{bounds: bb})

@@ -40,9 +40,10 @@ func TestThresholdKeepsExactlyTheRange(t *testing.T) {
 	}
 	// All kept cells are hexes within the x range [2h, 5h].
 	h := 1.0 / float64(n)
-	b := res.Cells.Bounds()
-	if b.Lo[0] < 2*h-1e-9 || b.Hi[0] > 5*h+1e-9 {
-		t.Errorf("kept-cell bounds %v outside expected x range", b)
+	for _, p := range res.Cells.Points {
+		if p[0] < 2*h-1e-9 || p[0] > 5*h+1e-9 {
+			t.Fatalf("kept-cell point %v outside expected x range", p)
+		}
 	}
 	for i := 0; i < res.Cells.NumCells(); i++ {
 		ct, _ := res.Cells.Cell(i)

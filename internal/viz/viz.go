@@ -35,9 +35,6 @@ func NewExec(pool *par.Pool) *Exec {
 // Rec returns the recorder for a worker index.
 func (e *Exec) Rec(worker int) *ops.Recorder { return &e.Recs[worker] }
 
-// Profile merges the per-worker recorders without resetting them.
-func (e *Exec) Profile() ops.Profile { return ops.Merge(e.Recs) }
-
 // Drain merges and resets the per-worker recorders.
 func (e *Exec) Drain() ops.Profile { return ops.DrainAll(e.Recs) }
 

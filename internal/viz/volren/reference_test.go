@@ -29,6 +29,7 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 	proto := mesh.ScalarSamplerFor(g, field)
 	step := math.Min(g.Spacing[0], math.Min(g.Spacing[1], g.Spacing[2])) * 0.75
 
+	fr := cam.Frame(w, h)
 	ex.Rec(0).Launch()
 	ex.Pool.For(w*h, 0, func(lo, hi, worker int) {
 		rec := ex.Rec(worker)
@@ -36,7 +37,7 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		var samples uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
-			orig, dir := cam.Ray(px, py, w, h)
+			orig, dir := fr.Ray(px, py)
 			t0, t1, ok := mesh.RayBox(orig, dir, b)
 			if !ok {
 				continue

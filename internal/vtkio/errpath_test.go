@@ -29,11 +29,11 @@ func (f *failWriter) Write(p []byte) (int, error) {
 func TestWritersPropagateIOErrors(t *testing.T) {
 	tm := triMesh()
 	um := mesh.NewUnstructuredMesh()
-	p0 := um.AddPoint(mesh.Vec3{0, 0, 0}, 0)
-	p1 := um.AddPoint(mesh.Vec3{1, 0, 0}, 1)
-	p2 := um.AddPoint(mesh.Vec3{0, 1, 0}, 2)
-	p3 := um.AddPoint(mesh.Vec3{0, 0, 1}, 3)
-	um.AddCell(mesh.Tet, p0, p1, p2, p3)
+	p0 := addPoint(um, mesh.Vec3{0, 0, 0}, 0)
+	p1 := addPoint(um, mesh.Vec3{1, 0, 0}, 1)
+	p2 := addPoint(um, mesh.Vec3{0, 1, 0}, 2)
+	p3 := addPoint(um, mesh.Vec3{0, 0, 1}, 3)
+	addCell(um, mesh.Tet, p0, p1, p2, p3)
 	ls := mesh.NewLineSet()
 	ls.AppendLine([]mesh.Vec3{{0, 0, 0}, {1, 0, 0}}, []float64{0, 1})
 	g, err := mesh.NewCubeGrid(2)

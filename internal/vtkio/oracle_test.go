@@ -1,5 +1,9 @@
 package vtkio
 
+// The readers below are the writers' round-trip oracle: a test writes a
+// mesh, reads it back and compares. Nothing outside the tests reads VTK,
+// so they live beside the tests and not in the production tree.
+
 import (
 	"bufio"
 	"fmt"
@@ -293,7 +297,7 @@ func ReadUnstructured(r io.Reader) (*mesh.UnstructuredMesh, error) {
 		if ct.NumCellPoints() != len(conns[c]) {
 			return nil, fmt.Errorf("vtkio: cell %d type %s has %d points", c, ct, len(conns[c]))
 		}
-		out.AddCell(ct, conns[c]...)
+		addCell(out, ct, conns[c]...)
 	}
 	scalars, err := readPointScalars(sc, len(pts))
 	if err != nil {
@@ -306,4 +310,18 @@ func ReadUnstructured(r io.Reader) (*mesh.UnstructuredMesh, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// addPoint appends a point with its scalar to m and returns its index.
+func addPoint(m *mesh.UnstructuredMesh, p mesh.Vec3, s float64) int32 {
+	m.Points = append(m.Points, p)
+	m.Scalars = append(m.Scalars, s)
+	return int32(len(m.Points) - 1)
+}
+
+// addCell appends a cell of type t with connectivity conn to m.
+func addCell(m *mesh.UnstructuredMesh, t mesh.CellType, conn ...int32) {
+	m.Types = append(m.Types, t)
+	m.Conn = append(m.Conn, conn...)
+	m.Offsets = append(m.Offsets, int32(len(m.Conn)))
 }

@@ -39,21 +39,21 @@ func TestTriMeshRoundTrip(t *testing.T) {
 
 func TestUnstructuredRoundTrip(t *testing.T) {
 	orig := mesh.NewUnstructuredMesh()
-	p0 := orig.AddPoint(mesh.Vec3{0, 0, 0}, 1)
-	p1 := orig.AddPoint(mesh.Vec3{1, 0, 0}, 2)
-	p2 := orig.AddPoint(mesh.Vec3{0, 1, 0}, 3)
-	p3 := orig.AddPoint(mesh.Vec3{0, 0, 1}, 4)
-	orig.AddCell(mesh.Tet, p0, p1, p2, p3)
+	p0 := addPoint(orig, mesh.Vec3{0, 0, 0}, 1)
+	p1 := addPoint(orig, mesh.Vec3{1, 0, 0}, 2)
+	p2 := addPoint(orig, mesh.Vec3{0, 1, 0}, 3)
+	p3 := addPoint(orig, mesh.Vec3{0, 0, 1}, 4)
+	addCell(orig, mesh.Tet, p0, p1, p2, p3)
 	var hex [8]int32
 	for i := range hex {
-		hex[i] = orig.AddPoint(mesh.Vec3{float64(i), 1, 1}, float64(i))
+		hex[i] = addPoint(orig, mesh.Vec3{float64(i), 1, 1}, float64(i))
 	}
-	orig.AddCell(mesh.Hex, hex[0], hex[1], hex[2], hex[3], hex[4], hex[5], hex[6], hex[7])
+	addCell(orig, mesh.Hex, hex[0], hex[1], hex[2], hex[3], hex[4], hex[5], hex[6], hex[7])
 	var w6 [6]int32
 	for i := range w6 {
-		w6[i] = orig.AddPoint(mesh.Vec3{float64(i), 2, 2}, 0)
+		w6[i] = addPoint(orig, mesh.Vec3{float64(i), 2, 2}, 0)
 	}
-	orig.AddCell(mesh.Wedge, w6[0], w6[1], w6[2], w6[3], w6[4], w6[5])
+	addCell(orig, mesh.Wedge, w6[0], w6[1], w6[2], w6[3], w6[4], w6[5])
 
 	var buf bytes.Buffer
 	if err := WriteUnstructured(&buf, orig, "rt", "energy"); err != nil {

@@ -59,16 +59,16 @@ func TestWriteTriMesh(t *testing.T) {
 
 func TestWriteUnstructured(t *testing.T) {
 	m := mesh.NewUnstructuredMesh()
-	p0 := m.AddPoint(mesh.Vec3{0, 0, 0}, 0)
-	p1 := m.AddPoint(mesh.Vec3{1, 0, 0}, 1)
-	p2 := m.AddPoint(mesh.Vec3{0, 1, 0}, 2)
-	p3 := m.AddPoint(mesh.Vec3{0, 0, 1}, 3)
-	m.AddCell(mesh.Tet, p0, p1, p2, p3)
+	p0 := addPoint(m, mesh.Vec3{0, 0, 0}, 0)
+	p1 := addPoint(m, mesh.Vec3{1, 0, 0}, 1)
+	p2 := addPoint(m, mesh.Vec3{0, 1, 0}, 2)
+	p3 := addPoint(m, mesh.Vec3{0, 0, 1}, 3)
+	addCell(m, mesh.Tet, p0, p1, p2, p3)
 	var hex [8]int32
 	for i := range hex {
-		hex[i] = m.AddPoint(mesh.Vec3{float64(i), 0, 0}, float64(i))
+		hex[i] = addPoint(m, mesh.Vec3{float64(i), 0, 0}, float64(i))
 	}
-	m.AddCell(mesh.Hex, hex[0], hex[1], hex[2], hex[3], hex[4], hex[5], hex[6], hex[7])
+	addCell(m, mesh.Hex, hex[0], hex[1], hex[2], hex[3], hex[4], hex[5], hex[6], hex[7])
 
 	var buf bytes.Buffer
 	if err := WriteUnstructured(&buf, m, "threshold output", "energy"); err != nil {
