@@ -13,7 +13,10 @@
 #                  panels rendering at once on one pool from one shared,
 #                  read-only grid), and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
-#                  runs with ./internal/power in RACE_PKGS)
+#                  runs with ./internal/power in RACE_PKGS), and the one
+#                  PNG encoder with its shared buffer free list, which
+#                  the daemon's handlers and cinema's async encoders use
+#                  at once (./internal/render)
 #   make fuzz    - every Fuzz* target for 10 s each (plain `go test` only
 #                  replays the committed corpora under testdata/fuzz)
 #   make bench   - the repo's benchmark: bench/run.sh, every workload
@@ -44,7 +47,7 @@
 GO ?= go
 
 # Packages whose tests exercise multi-worker pools and shared buffers.
-RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs
+RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs ./internal/render
 
 .PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve
 

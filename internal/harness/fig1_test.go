@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"image/png"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -46,14 +47,29 @@ func TestRenderFig1WritesAllEightImages(t *testing.T) {
 	}
 }
 
-// The SHA-256 of each Figure 1 PNG, in Fig1Names order, recorded at the
-// parent of the change that renders the panels concurrently (commit
-// 687df6f), from tinyConfig's data set at two sizes and resolutions.
+// The SHA-256 of each Figure 1 PNG, in Fig1Names order, from tinyConfig's
+// data set at two sizes and resolutions. sha256 is the file as written,
+// recorded when PNGs moved to the png.BestSpeed encoder (parent commit
+// a4f35f1). defaultLevel is the file png.Encode writes at the default
+// compression level for the same pixels, recorded at the parent of the
+// change that renders the panels concurrently (commit 687df6f): each
+// panel decodes and re-encodes to it, so the re-recording changed the
+// encoding and no pixel.
 var fig1Recording = []struct {
-	size, res int
-	sha256    [8]string
+	size, res    int
+	sha256       [8]string
+	defaultLevel [8]string
 }{
 	{16, 32, [8]string{
+		"2640711eb3572ed550eb8aa62bdea7e157905671961c6ac314ebb9b5f98719ba",
+		"c44dc4a55771164450bcb06befd73ce51d7223204fb3b9a6b6f92152c53a8a21",
+		"9c5704c9ca8b15c01a3fe0c668ee08550ec344fcb860e4979fa80c4209d6dfdc",
+		"8f95856cc0168df5e789a73798fe8b683a5f5343f956bbe07767d75c5a06ed27",
+		"2e480736166f43edc733cde450af1ed1beee31ed6688395ba2bc28d8f7dbd66b",
+		"9d32e460bce14cff110f1dbfa9179b20d6768dedd490eae6e4f52acb9bccedf7",
+		"1e1409ce6e2dbeca18e1a65eb592bafbd2a2964535a3d9f2466ffdb686594ffa",
+		"6f014e729f1f1f492835cfae3d62b559dc09f4bbb28577e610066f8698153603",
+	}, [8]string{
 		"ebcd1af25f673e4d4910e7c346b06797fcf8ed5aa2e48cc5186cfc592a62231c",
 		"009da19ab2e44c4efa5fbb69d1c18a04a8f3e889e82ba9c28c2b8cfafc5488a0",
 		"0168752f05a351fe17e7d9a26c841f70258d46a8b47f3276df0f9636813e85ef",
@@ -64,6 +80,15 @@ var fig1Recording = []struct {
 		"b7fb4119280e59b885454d6c298c9c107bebefc60723a942728f0ede77711c41",
 	}},
 	{32, 128, [8]string{
+		"4c76d7dd3878491d46283e13534e96e69712892934b9e3caff9ef249c4b2c739",
+		"e6077759360706922c71f60058fca0eafe928f568154d04902bf0c7c4090bc46",
+		"9b656ea68490ceb7a765dc043188340493922f5d9c3fdfdd5a50949d0ecdb6d1",
+		"56ce3f62c12be27563eefc04fd0781aa1a22e7f7a878a4d454c2769229088625",
+		"7dfb116c5b4c5da6b270834078ad75b5253c4e13f8b7c027cc71f07e0d001d72",
+		"c74cf1c82f36c0c23e76ed02176830d97f0feb6f87ef93e21eb5f70c003eb075",
+		"0efa0d5bd517b7ee19ddd51da82f9d4238151b360dee33f0d2602ea21b2d9dc9",
+		"75b92311ffb12a94154ab5b34aa8b0f19d3fbb78e17406a4fd36c1fefae040dc",
+	}, [8]string{
 		"29e13642818583ea247b2f05415586ff3dc4bb807d653167c9aee50f20a784a9",
 		"712e660adb31c20b6a514934146a19a34f14157b6980fe9dcfa0f2d71907148e",
 		"95ab8882316a03c66f7c91d344309f4658c1d87a0a983df3f28434b9bd137f98",
@@ -85,7 +110,7 @@ func TestRenderFig1MatchesParentRecording(t *testing.T) {
 			if raceDetector && rec.size > 16 {
 				continue // TestRenderFig1ReadsGridOnly is the -race case
 			}
-			requireFig1Recording(t, c, rec.size, rec.res, rec.sha256)
+			requireFig1Recording(t, c, rec.size, rec.res, rec.sha256, rec.defaultLevel)
 		}
 		c.Pool.Close()
 	}
@@ -111,14 +136,15 @@ func TestRenderFig1ReadsGridOnly(t *testing.T) {
 		c := tinyConfig()
 		c.Pool = par.NewPool(workers)
 		c.Preload(16, g)
-		requireFig1Recording(t, c, 16, 32, fig1Recording[0].sha256)
+		requireFig1Recording(t, c, 16, 32, fig1Recording[0].sha256, fig1Recording[0].defaultLevel)
 		c.Pool.Close()
 	}
 }
 
 // requireFig1Recording renders Figure 1 at size and res and checks each
-// PNG against its recorded SHA-256.
-func requireFig1Recording(t *testing.T, c *Config, size, res int, want [8]string) {
+// PNG against its recorded SHA-256, and its pixels, re-encoded at the
+// default compression level, against the default-level recording.
+func requireFig1Recording(t *testing.T, c *Config, size, res int, want, defaultLevel [8]string) {
 	t.Helper()
 	paths, err := c.RenderFig1(size, res, t.TempDir())
 	if err != nil {
@@ -130,7 +156,10 @@ func requireFig1Recording(t *testing.T, c *Config, size, res int, want [8]string
 			t.Fatal(err)
 		}
 		if sum := sha256.Sum256(png); hex.EncodeToString(sum[:]) != want[i] {
-			t.Errorf("%d workers, %d^3 at %dx%d: %s differs from the recording", c.Pool.Workers(), size, res, res, filepath.Base(p))
+			t.Errorf("%d workers, %d^3 at %dx%d: %s differs from the recording (%x)", c.Pool.Workers(), size, res, res, filepath.Base(p), sum)
+		}
+		if sum := defaultLevelSHA256(t, png); sum != defaultLevel[i] {
+			t.Errorf("%d workers, %d^3 at %dx%d: %s re-encoded at the default level differs from its recording", c.Pool.Workers(), size, res, res, filepath.Base(p))
 		}
 	}
 }
@@ -147,4 +176,20 @@ func TestFileSlug(t *testing.T) {
 			t.Errorf("fileSlug(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// defaultLevelSHA256 decodes a PNG and returns the SHA-256 of the file
+// png.Encode writes for its pixels at the default compression level.
+func defaultLevelSHA256(t *testing.T, file []byte) string {
+	t.Helper()
+	im, err := png.Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := png.Encode(&buf, im); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
 }

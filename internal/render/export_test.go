@@ -53,3 +53,40 @@ func (c Camera) Project(p mesh.Vec3, w, h int) (sx, sy, depth float64, ok bool) 
 	f := c.Frame(w, h)
 	return f.Project(p)
 }
+
+// Eval interpolates the table at t (clamped to [0, 1]), the evaluation
+// the volume marcher inlines. NaN maps to the t = 0 node, so the result
+// stays finite.
+func (l *ColorLUT) Eval(t float64) Color {
+	x := t * l.N
+	if !(x > 0) { // catches t <= 0 and NaN
+		return l.Nodes[0]
+	}
+	if x >= l.N {
+		return l.Nodes[len(l.Nodes)-1]
+	}
+	i := int(x)
+	u := x - float64(i)
+	a, b := l.Nodes[i], l.Nodes[i+1]
+	return Color{
+		a[0] + u*(b[0]-a[0]),
+		a[1] + u*(b[1]-a[1]),
+		a[2] + u*(b[2]-a[2]),
+		a[3] + u*(b[3]-a[3]),
+	}
+}
+
+// Eval returns the color and opacity for scalar v through the tables,
+// matching TransferFunction.Eval to floating-point rounding: the
+// arithmetic the volume marcher inlines per sample.
+func (l *TFLUT) Eval(v float64) (Color, float64) {
+	t := l.TF.Norm.Norm(v)
+	if !(t >= l.TF.Transparent) {
+		return l.Map.Eval(t), 0
+	}
+	alpha := l.TF.OpacityScale * (0.02 + 0.98*t*t)
+	if alpha > 1 {
+		alpha = 1
+	}
+	return l.Map.Eval(t), alpha
+}

@@ -5,10 +5,16 @@ package render
 // so a table with an even number of segments has a node exactly at the
 // breakpoint and reproduces the map to floating-point rounding — no branch
 // math per sample, just one indexed load pair and a lerp.
+//
+// The volume marcher reads the table directly and evaluates it inline:
+// x := t·N; x ≤ 0 (or NaN) takes Nodes[0], x ≥ N takes Nodes[N], and
+// otherwise i := int(x), u := x − i and each channel is
+// Nodes[i] + u·(Nodes[i+1] − Nodes[i]).
 type ColorLUT struct {
-	// nodes holds n+1 colors at t = i/n.
-	nodes []Color
-	n     float64
+	// Nodes holds N+1 colors at t = i/N.
+	Nodes []Color
+	// N is the segment count.
+	N float64
 }
 
 // NewColorLUT tabulates f at n+1 evenly spaced nodes (n is rounded up to
@@ -21,9 +27,9 @@ func NewColorLUT(f func(float64) Color, n int) *ColorLUT {
 	if n%2 == 1 {
 		n++
 	}
-	l := &ColorLUT{nodes: make([]Color, n+1), n: float64(n)}
+	l := &ColorLUT{Nodes: make([]Color, n+1), N: float64(n)}
 	for i := 0; i <= n; i++ {
-		l.nodes[i] = f(float64(i) / float64(n))
+		l.Nodes[i] = f(float64(i) / float64(n))
 	}
 	return l
 }
@@ -33,37 +39,16 @@ func CoolWarmLUT(n int) *ColorLUT {
 	return NewColorLUT(CoolWarm, n)
 }
 
-// Eval interpolates the table at t (clamped to [0, 1]). NaN maps to the
-// t = 0 node's segment start, matching CoolWarm's NaN handling only in
-// that it stays finite; callers normalizing scalars never produce NaN.
-func (l *ColorLUT) Eval(t float64) Color {
-	x := t * l.n
-	if !(x > 0) { // catches t <= 0 and NaN
-		return l.nodes[0]
-	}
-	if x >= l.n {
-		return l.nodes[len(l.nodes)-1]
-	}
-	i := int(x)
-	u := x - float64(i)
-	a, b := l.nodes[i], l.nodes[i+1]
-	return Color{
-		a[0] + u*(b[0]-a[0]),
-		a[1] + u*(b[1]-a[1]),
-		a[2] + u*(b[2]-a[2]),
-		a[3] + u*(b[3]-a[3]),
-	}
-}
-
-// TFLUT is a transfer function with its colormap tabulated. The color
-// channel comes from a ColorLUT (exact for the piecewise-linear CoolWarm);
-// the opacity ramp is quadratic in t, so it is evaluated in closed form —
-// two multiply-adds — rather than tabulated, keeping the fast path within
-// floating-point rounding of TransferFunction.Eval instead of within
-// table-interpolation error.
+// TFLUT is a transfer function with its colormap tabulated: what the
+// volume marcher reads, once per frame, to evaluate the transfer function
+// inline in its sample loop. The color channels come from the ColorLUT
+// (exact for the piecewise-linear CoolWarm); the opacity ramp is quadratic
+// in t, so it is evaluated in closed form — two multiply-adds — rather
+// than tabulated, keeping the fast path within floating-point rounding of
+// TransferFunction.Eval instead of within table-interpolation error.
 type TFLUT struct {
-	tf  TransferFunction
-	lut *ColorLUT
+	TF  TransferFunction
+	Map *ColorLUT
 }
 
 // tfLUTSize is sized so two adjacent Color nodes (64 B) plus the index
@@ -74,21 +59,7 @@ const tfLUTSize = 512
 
 // LUT tabulates the transfer function's colormap for the render hot path.
 func (tf TransferFunction) LUT() *TFLUT {
-	return &TFLUT{tf: tf, lut: CoolWarmLUT(tfLUTSize)}
-}
-
-// Eval returns the color and opacity for scalar v, matching
-// TransferFunction.Eval to floating-point rounding.
-func (l *TFLUT) Eval(v float64) (Color, float64) {
-	t := l.tf.Norm.Norm(v)
-	if t < l.tf.Transparent {
-		return l.lut.Eval(t), 0
-	}
-	alpha := l.tf.OpacityScale * (0.02 + 0.98*t*t)
-	if alpha > 1 {
-		alpha = 1
-	}
-	return l.lut.Eval(t), alpha
+	return &TFLUT{TF: tf, Map: CoolWarmLUT(tfLUTSize)}
 }
 
 // MaxOpacity returns a conservative upper bound on the opacity the

@@ -81,6 +81,9 @@ func TestTo8Clamps(t *testing.T) {
 	if to8(-1) != 0 || to8(2) != 255 || to8(0.5) != 128 {
 		t.Errorf("to8 = %d %d %d", to8(-1), to8(2), to8(0.5))
 	}
+	if to8(math.NaN()) != 0 || to8(math.Inf(1)) != 255 || to8(math.Inf(-1)) != 0 {
+		t.Errorf("to8(NaN, +Inf, -Inf) = %d %d %d", to8(math.NaN()), to8(math.Inf(1)), to8(math.Inf(-1)))
+	}
 }
 
 func TestOrbitCameraLooksAtCenter(t *testing.T) {

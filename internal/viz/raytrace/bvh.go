@@ -373,34 +373,6 @@ type TraverseStats struct {
 	TriTests     int
 }
 
-// triIntersect is the Möller–Trumbore ray/triangle test. It returns the
-// hit parameter and barycentrics, or ok=false.
-func triIntersect(orig, dir, p0, p1, p2 mesh.Vec3) (t, u, v float64, ok bool) {
-	e1 := p1.Sub(p0)
-	e2 := p2.Sub(p0)
-	pvec := dir.Cross(e2)
-	det := e1.Dot(pvec)
-	if math.Abs(det) < 1e-15 {
-		return 0, 0, 0, false
-	}
-	inv := 1 / det
-	tvec := orig.Sub(p0)
-	u = tvec.Dot(pvec) * inv
-	if u < 0 || u > 1 {
-		return 0, 0, 0, false
-	}
-	qvec := tvec.Cross(e1)
-	v = dir.Dot(qvec) * inv
-	if v < 0 || u+v > 1 {
-		return 0, 0, 0, false
-	}
-	t = e2.Dot(qvec) * inv
-	if t <= 1e-12 {
-		return 0, 0, 0, false
-	}
-	return t, u, v, true
-}
-
 // Hit describes the nearest intersection of a ray with the mesh.
 type Hit struct {
 	T    float64
@@ -422,11 +394,22 @@ func closer(t float64, ti int32, best Hit) bool {
 // entering side of the split axis first, so the nearest hit tightens the
 // ray-slab early-out (boxes beyond the current best are culled) as early
 // as possible.
+//
+// The loop is the hot path of every traced frame, so its two tests are
+// written out in place: the slab test is mesh.RayBoxInv over [0, best.T]
+// unrolled over the three axes (same order, same comparisons), and the
+// leaf test is the Möller–Trumbore ray/triangle test (the test oracle
+// triIntersect in reference_test.go) with the ray's components in locals.
+// Both evaluate exactly the arithmetic of RayBoxInv and triIntersect, so
+// hits are bit-identical.
 func (b *BVH) Intersect(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *TraverseStats) (Hit, bool) {
 	if b == nil || len(b.nodes) == 0 {
 		return Hit{}, false
 	}
 	invDir := mesh.SafeInvDir(dir)
+	ox, oy, oz := orig[0], orig[1], orig[2]
+	dx, dy, dz := dir[0], dir[1], dir[2]
+	ix, iy, iz := invDir[0], invDir[1], invDir[2]
 	best := Hit{T: math.Inf(1), Tri: -1}
 	// A tree deeper than the fixed stack (a chain of geometrically spaced
 	// triangles) spills it to the heap; nothing is ever skipped.
@@ -438,15 +421,80 @@ func (b *BVH) Intersect(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *TraverseSta
 		node := &b.nodes[stack[top]]
 		stack = stack[:top]
 		nodes++
-		if _, _, ok := mesh.RayBoxInv(orig, invDir, node.bounds, 0, best.T); !ok {
+		// The slab test. An axis whose slab distance is NaN (an
+		// axis-parallel ray starting on the face) constrains nothing.
+		t0, t1 := 0.0, best.T
+		bb := &node.bounds
+		ta := (bb.Lo[0] - ox) * ix
+		tb := (bb.Hi[0] - ox) * ix
+		if ta > tb {
+			ta, tb = tb, ta
+		}
+		if ta > t0 {
+			t0 = ta
+		}
+		if tb < t1 {
+			t1 = tb
+		}
+		ta = (bb.Lo[1] - oy) * iy
+		tb = (bb.Hi[1] - oy) * iy
+		if ta > tb {
+			ta, tb = tb, ta
+		}
+		if ta > t0 {
+			t0 = ta
+		}
+		if tb < t1 {
+			t1 = tb
+		}
+		ta = (bb.Lo[2] - oz) * iz
+		tb = (bb.Hi[2] - oz) * iz
+		if ta > tb {
+			ta, tb = tb, ta
+		}
+		if ta > t0 {
+			t0 = ta
+		}
+		if tb < t1 {
+			t1 = tb
+		}
+		if !(t0 <= t1) {
 			continue
 		}
 		if node.num > 0 {
 			for _, ti := range b.order[node.start : node.start+node.num] {
 				tris++
-				tr := m.Tris[ti]
-				t, u, v, ok := triIntersect(orig, dir, m.Points[tr[0]], m.Points[tr[1]], m.Points[tr[2]])
-				if ok && closer(t, ti, best) {
+				tr := &m.Tris[ti]
+				p0, p1, p2 := &m.Points[tr[0]], &m.Points[tr[1]], &m.Points[tr[2]]
+				e1x, e1y, e1z := p1[0]-p0[0], p1[1]-p0[1], p1[2]-p0[2]
+				e2x, e2y, e2z := p2[0]-p0[0], p2[1]-p0[1], p2[2]-p0[2]
+				// pvec = dir × e2
+				px := dy*e2z - dz*e2y
+				py := dz*e2x - dx*e2z
+				pz := dx*e2y - dy*e2x
+				det := e1x*px + e1y*py + e1z*pz
+				if math.Abs(det) < 1e-15 {
+					continue
+				}
+				inv := 1 / det
+				tx, ty, tz := ox-p0[0], oy-p0[1], oz-p0[2]
+				u := (tx*px + ty*py + tz*pz) * inv
+				if u < 0 || u > 1 {
+					continue
+				}
+				// qvec = tvec × e1
+				qx := ty*e1z - tz*e1y
+				qy := tz*e1x - tx*e1z
+				qz := tx*e1y - ty*e1x
+				v := (dx*qx + dy*qy + dz*qz) * inv
+				if v < 0 || u+v > 1 {
+					continue
+				}
+				t := (e2x*qx + e2y*qy + e2z*qz) * inv
+				if t <= 1e-12 {
+					continue
+				}
+				if closer(t, ti, best) {
 					best = Hit{T: t, Tri: ti, U: u, V: v}
 				}
 			}

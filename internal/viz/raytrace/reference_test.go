@@ -132,3 +132,34 @@ func BruteForceIntersect(m *mesh.TriMesh, orig, dir mesh.Vec3) (Hit, bool) {
 	}
 	return best, best.Tri >= 0
 }
+
+// triIntersect is the Möller–Trumbore ray/triangle test, as the
+// production tree called it before BVH.Intersect wrote it out in its leaf
+// loop. It returns the hit parameter and barycentrics, or ok=false; the
+// brute-force and reference-tree oracles below test every triangle
+// through it.
+func triIntersect(orig, dir, p0, p1, p2 mesh.Vec3) (t, u, v float64, ok bool) {
+	e1 := p1.Sub(p0)
+	e2 := p2.Sub(p0)
+	pvec := dir.Cross(e2)
+	det := e1.Dot(pvec)
+	if math.Abs(det) < 1e-15 {
+		return 0, 0, 0, false
+	}
+	inv := 1 / det
+	tvec := orig.Sub(p0)
+	u = tvec.Dot(pvec) * inv
+	if u < 0 || u > 1 {
+		return 0, 0, 0, false
+	}
+	qvec := tvec.Cross(e1)
+	v = dir.Dot(qvec) * inv
+	if v < 0 || u+v > 1 {
+		return 0, 0, 0, false
+	}
+	t = e2.Dot(qvec) * inv
+	if t <= 1e-12 {
+		return 0, 0, 0, false
+	}
+	return t, u, v, true
+}

@@ -161,3 +161,54 @@ func TestBuildMacroGridParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// A NaN scalar is transparent in both samplers: one NaN point in a 16³
+// field used to turn every pixel whose ray sampled near it into NaN (and
+// its ray never terminated early). Now the samplers agree and no pixel,
+// segment or flattened, is NaN.
+func TestNaNScalarIsTransparent(t *testing.T) {
+	g := blobGrid(t, 16)
+	field := g.PointField("energy")
+	lo, hi := mesh.FieldRange(field)
+	center := g.PointID(8, 8, 8)
+	field[center] = math.NaN()
+	for _, transparent := range []float64{0, 0.35} {
+		tf := render.TransferFunction{
+			Norm:         render.Normalizer{Lo: lo, Hi: hi},
+			OpacityScale: 0.25,
+			Transparent:  transparent,
+		}
+		cam := render.OrbitCamera(g.Bounds(), 0.7, 0.35, 2.0)
+		ex := viz.NewExec(par.NewPool(2))
+		ref := RenderSegmentsReference(nil, g, field, tf, cam, 32, 32, ex)
+		r := NewRenderer(g, field, tf, ex)
+		fast := r.RenderSegmentsInto(nil, cam, 32, 32, ex)
+		for i := range ref.Pix {
+			for c := 0; c < 4; c++ {
+				if math.IsNaN(ref.Pix[i][c]) || math.IsNaN(fast.Pix[i][c]) {
+					t.Fatalf("transparent=%v pixel %d: NaN (reference %v, marcher %v)", transparent, i, ref.Pix[i], fast.Pix[i])
+				}
+				if d := math.Abs(ref.Pix[i][c] - fast.Pix[i][c]); d > 1e-6 {
+					t.Fatalf("transparent=%v pixel %d channel %d: samplers differ by %g", transparent, i, c, d)
+				}
+			}
+		}
+		BlendBackground(fast)
+		for i, c := range fast.Pix {
+			if math.IsNaN(c[0]) || math.IsNaN(c[1]) || math.IsNaN(c[2]) {
+				t.Fatalf("transparent=%v: flattened pixel %d is %v", transparent, i, c)
+			}
+		}
+	}
+}
+
+// The opacity bound stays conservative for a NaN range end: a brick whose
+// maximum is NaN is never proved transparent, so never skipped.
+func TestMaxOpacityNaNNeverSkips(t *testing.T) {
+	tf := render.TransferFunction{Norm: render.Normalizer{Lo: 0, Hi: 1}, OpacityScale: 0.25, Transparent: 0.5}
+	for _, r := range [][2]float64{{0, math.NaN()}, {math.NaN(), math.NaN()}, {0.9, math.NaN()}} {
+		if b := tf.MaxOpacity(r[0], r[1]); b == 0 {
+			t.Errorf("MaxOpacity(%v, %v) = 0: a NaN brick would be skipped", r[0], r[1])
+		}
+	}
+}

@@ -24,8 +24,11 @@ import (
 //     divisions, a bounds check, and the eight-corner index build) becomes
 //     three multiply-adds from precomputed per-ray parametric deltas plus
 //     a fused eight-corner gather off one base index;
-//   - the transfer function's colormap is a LUT (exact for the
-//     piecewise-linear CoolWarm) instead of per-sample branch math;
+//   - the transfer function is evaluated inline in the sample loop, its
+//     terms read into locals once per frame, and its colormap is a LUT
+//     (exact for the piecewise-linear CoolWarm) instead of per-sample
+//     branch math; a sample below the transparency threshold (or NaN)
+//     contributes nothing, so it neither looks up a color nor blends;
 //   - macrocells whose conservative opacity bound is zero are skipped:
 //     the ray jumps over them sample by sample without touching the field
 //     or the transfer function. The sample lattice (t0 + step/2 + k·step,
@@ -34,7 +37,6 @@ import (
 type Renderer struct {
 	g     *mesh.UniformGrid
 	field []float64
-	tf    render.TransferFunction
 	lut   *render.TFLUT
 	macro *MacroGrid
 	amax  []float64
@@ -48,7 +50,6 @@ func NewRenderer(g *mesh.UniformGrid, field []float64, tf render.TransferFunctio
 	return &Renderer{
 		g:     g,
 		field: field,
-		tf:    tf,
 		lut:   tf.LUT(),
 		macro: BuildMacroGrid(g, field, DefaultBrick, ex),
 		amax:  nil,
@@ -59,7 +60,7 @@ func NewRenderer(g *mesh.UniformGrid, field []float64, tf render.TransferFunctio
 // amaxTable lazily evaluates the per-brick opacity bounds.
 func (r *Renderer) amaxTable() []float64 {
 	if r.amax == nil {
-		r.amax = r.macro.OpacityBound(r.tf)
+		r.amax = r.macro.OpacityBound(r.lut.TF)
 	}
 	return r.amax
 }
@@ -93,8 +94,16 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 	shift := r.macro.shift
 	mdx, mdy := r.macro.dims[0], r.macro.dims[1]
 	field := r.field
-	lut := r.lut
 	amax := r.amaxTable()
+	// The transfer function's terms, read once per frame; the sample loop
+	// evaluates TransferFunction.Eval's normalize, clamp, threshold and
+	// opacity ramp and the ColorLUT's three color lerps with them, in the
+	// same operation order, so every sample is bit-identical to the
+	// table's evaluation.
+	tf, nodes, nseg := r.lut.TF, r.lut.Map.Nodes, r.lut.Map.N
+	nlo, nspan, flat := tf.Norm.Lo, tf.Norm.Hi-tf.Norm.Lo, tf.Norm.Hi <= tf.Norm.Lo
+	transparent, oscale := tf.Transparent, tf.OpacityScale
+	first, last := nodes[0], nodes[len(nodes)-1]
 
 	ex.Rec(0).Launch()
 	ex.Pool.For(w*h, 0, func(lo, hi, worker int) {
@@ -212,15 +221,45 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 					c1 := c01 + vv*(c11-c01)
 					v := c0 + ww*(c1-c0)
 					samples++
-					col, a := lut.Eval(v)
-					// Front-to-back compositing.
-					wgt := (1 - alpha) * a
-					cr += wgt * col[0]
-					cg += wgt * col[1]
-					cb += wgt * col[2]
-					alpha += wgt
-					if alpha > 0.99 {
-						break march
+					tn := 0.5
+					if !flat {
+						tn = (v - nlo) / nspan
+						if tn < 0 {
+							tn = 0
+						} else if tn > 1 {
+							tn = 1
+						}
+					}
+					// A transparent sample (NaN included) would blend
+					// zero weight: skipping it leaves the pixel's bits as
+					// they are.
+					if tn >= transparent {
+						a := oscale * (0.02 + 0.98*tn*tn)
+						if a > 1 {
+							a = 1
+						}
+						var kr, kg, kb float64
+						if x := tn * nseg; !(x > 0) {
+							kr, kg, kb = first[0], first[1], first[2]
+						} else if x >= nseg {
+							kr, kg, kb = last[0], last[1], last[2]
+						} else {
+							i := int(x)
+							u := x - float64(i)
+							na, nb := &nodes[i], &nodes[i+1]
+							kr = na[0] + u*(nb[0]-na[0])
+							kg = na[1] + u*(nb[1]-na[1])
+							kb = na[2] + u*(nb[2]-na[2])
+						}
+						// Front-to-back compositing.
+						wgt := (1 - alpha) * a
+						cr += wgt * kr
+						cg += wgt * kg
+						cb += wgt * kb
+						alpha += wgt
+						if alpha > 0.99 {
+							break march
+						}
 					}
 					t += step
 					if t >= tEx {
