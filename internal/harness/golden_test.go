@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/ops"
 	"repro/internal/par"
 )
 
@@ -17,6 +21,11 @@ import (
 // exported Phase*/RunAll/RunsBySize/BackendCompare producers and the
 // Table*/Fig*/SeriesCSV formatters on this configuration; a change that
 // moves a number on purpose regenerates them from Artifact.Render.
+//
+// The same campaign's measured half is pinned beside them: every
+// (algorithm, size, backend) cell it executed, one line per counter of
+// its ops.Profile (testdata/cells.txt, see measuredCells), so a change to
+// a kernel's accounting shows as the lines naming that kernel and counter.
 func TestGoldenArtifacts(t *testing.T) {
 	c := (&Config{
 		Pool: par.NewPool(2), Sizes: []int{16, 32}, PhaseSize: 32,
@@ -53,7 +62,50 @@ func TestGoldenArtifacts(t *testing.T) {
 	if entries, err := os.ReadDir(filepath.Join("testdata", "golden")); err != nil || len(entries) != compared {
 		t.Errorf("compared %d artifacts, testdata/golden holds %d (%v)", compared, len(entries), err)
 	}
+	want, err := os.ReadFile(filepath.Join("testdata", "cells.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := measuredCells(c); got != string(want) {
+		t.Errorf("measured cells differ from testdata/cells.txt:\n--- got\n%s--- want\n%s", got, want)
+	}
 	if fs := c.Failures(); len(fs) != 0 {
 		t.Errorf("golden campaign degraded: %v", fs)
 	}
+}
+
+// measuredCells lists what c measured: for each executed (algorithm,
+// size, backend) cell, its element count and every ops.Profile counter,
+// one "name size backend counter value" line each, ordered by cell.
+func measuredCells(c *Config) string {
+	runs := cached[*AlgoRun](c)
+	sort.Slice(runs, func(i, j int) bool {
+		a, b := runs[i], runs[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		if a.Size != b.Size {
+			return a.Size < b.Size
+		}
+		return a.Backend < b.Backend
+	})
+	var b strings.Builder
+	for _, r := range runs {
+		row := func(counter string, v uint64) {
+			fmt.Fprintf(&b, "%-20s %4d %-5s %-24s %d\n", r.Name, r.Size, r.Backend, counter, v)
+		}
+		row("Elements", uint64(r.Elements))
+		p := reflect.ValueOf(r.Profile)
+		for i := 0; i < p.NumField(); i++ {
+			name, f := p.Type().Field(i).Name, p.Field(i)
+			if f.Kind() != reflect.Array {
+				row(name, f.Uint())
+				continue
+			}
+			for k := 0; k < f.Len(); k++ {
+				row(fmt.Sprintf("%s[%s]", name, ops.Pattern(k)), f.Index(k).Uint())
+			}
+		}
+	}
+	return b.String()
 }
