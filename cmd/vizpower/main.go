@@ -840,7 +840,7 @@ func allocateCmd(c *harness.Config, opt *options) error {
 			return err
 		}
 		fmt.Printf("%-22s %10.0f %10.0f %11.2fx %10s\n",
-			r.Name, a.SimWatts, a.VizWatts, a.Speedup, a.VizClass)
+			r.Name, a.SimWatts, a.VizWatts, a.Speedup, r.Class)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/perfctr"
@@ -48,11 +47,12 @@ func (c Class) String() string {
 // (<= 60 W).
 const SensitiveCapWatts = 70
 
-// Classify applies the Section VI-B rule to a run's cap sweep: an
-// algorithm whose first 10% slowdown appears at SensitiveCapWatts or
-// above is power sensitive; otherwise it offers power opportunity.
-func Classify(base cpu.CapResult, byCap []cpu.CapResult) Class {
-	if metrics.FirstSlowdownCap(base, byCap) >= SensitiveCapWatts {
+// Classify applies the Section VI-B rule to the first cap of a run's cap
+// sweep with a 10% slowdown (metrics.FirstSlowdownCap, 0 for none): an
+// algorithm that slows that much at SensitiveCapWatts or above is power
+// sensitive; otherwise it offers power opportunity.
+func Classify(firstSlowdownCap float64) Class {
+	if firstSlowdownCap >= SensitiveCapWatts {
 		return PowerSensitive
 	}
 	return PowerOpportunity
@@ -214,7 +214,6 @@ type Allocation struct {
 	TimeSec            float64
 	NaiveTimeSec       float64
 	Speedup            float64
-	VizClass           Class
 }
 
 // AllocateBudget chooses the split of budget watts between the simulation
@@ -258,12 +257,6 @@ func AllocateBudget(sim, vis cpu.Execution, budget float64) (Allocation, error) 
 	if best.TimeSec > 0 {
 		best.Speedup = tn / best.TimeSec
 	}
-	// Classify the visualization side for reporting.
-	var byCap []cpu.CapResult
-	for w := spec.TDPWatts; w >= minW; w -= 10 {
-		byCap = append(byCap, vis.UnderCap(w))
-	}
-	best.VizClass = Classify(vis.UnderCap(spec.TDPWatts), byCap)
 	return best, nil
 }
 

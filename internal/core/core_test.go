@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/msr"
 	"repro/internal/ops"
 	"repro/internal/par"
@@ -42,12 +43,10 @@ func capSweep(e cpu.Execution) (cpu.CapResult, []cpu.CapResult) {
 }
 
 func TestClassify(t *testing.T) {
-	base, byCap := capSweep(computeExec())
-	if got := Classify(base, byCap); got != PowerSensitive {
+	if got := Classify(metrics.FirstSlowdownCap(capSweep(computeExec()))); got != PowerSensitive {
 		t.Errorf("compute-bound classified as %v", got)
 	}
-	base, byCap = capSweep(memoryExec())
-	if got := Classify(base, byCap); got != PowerOpportunity {
+	if got := Classify(metrics.FirstSlowdownCap(capSweep(memoryExec()))); got != PowerOpportunity {
 		t.Errorf("memory-bound classified as %v", got)
 	}
 	if PowerSensitive.String() != "power sensitive" || PowerOpportunity.String() != "power opportunity" {
@@ -175,9 +174,6 @@ func TestAllocateBudgetFavorsSimWithOpportunityViz(t *testing.T) {
 	}
 	if a.Speedup < 1 {
 		t.Errorf("informed split slower than naive: %v", a.Speedup)
-	}
-	if a.VizClass != PowerOpportunity {
-		t.Errorf("viz classified %v", a.VizClass)
 	}
 	if math.Abs(a.SimWatts+a.VizWatts-130) > 1e-9 {
 		t.Errorf("split does not sum to budget: %v + %v", a.SimWatts, a.VizWatts)

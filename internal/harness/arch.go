@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cpu"
-	"repro/internal/metrics"
 )
 
 // Architectures lists the processor models the cross-architecture
@@ -14,18 +13,11 @@ func Architectures() []cpu.Spec {
 	return []cpu.Spec{cpu.BroadwellEP(), cpu.EPYCLike(), cpu.KNLLike()}
 }
 
-// ArchRow is one algorithm's capping response on one architecture.
+// ArchRow is one algorithm's capping response on one architecture: its
+// profile priced at archFractions of the spec's TDP (ByCap in that order).
 type ArchRow struct {
 	Spec cpu.Spec
-	// Fractions are the cap points as fractions of TDP.
-	Fractions []float64
-	// Tratios are the slowdowns at those fractions.
-	Tratios []float64
-	// DemandFrac is the unconstrained power demand as a fraction of TDP.
-	DemandFrac float64
-	// FirstSlowFrac is the largest cap fraction with a >= 10% slowdown
-	// (0 when the algorithm never slows that much).
-	FirstSlowFrac float64
+	Priced
 }
 
 // archFractions are the relative cap points used for cross-architecture
@@ -33,10 +25,10 @@ type ArchRow struct {
 // caps are expressed as fractions of its TDP.
 var archFractions = []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.33}
 
-// CompareArchitectures re-analyzes one algorithm's instrumented profile
-// on each architecture and sweeps caps relative to each TDP. The profile
-// is obtained from a run at the phase size on the study pool (the
-// operation counts are architecture-independent; the model is not).
+// CompareArchitectures prices one algorithm's instrumented profile once
+// per architecture, at caps relative to each TDP. The profile is obtained
+// from a run at the phase size on the study pool (the operation counts
+// are architecture-independent; the model is not).
 func (c *Config) CompareArchitectures(algName string, specs []cpu.Spec) ([]ArchRow, error) {
 	c.Defaults()
 	f, err := c.FilterByName(algName)
@@ -47,29 +39,21 @@ func (c *Config) CompareArchitectures(algName string, specs []cpu.Spec) ([]ArchR
 	if err != nil {
 		return nil, err
 	}
-	var rows []ArchRow
-	for _, spec := range specs {
-		exec := cpu.Analyze(spec, run.Profile, 0)
-		base := exec.UnderCap(spec.TDPWatts)
-		row := ArchRow{
-			Spec:       spec,
-			Fractions:  archFractions,
-			DemandFrac: exec.Demand().PowerWatts / spec.TDPWatts,
+	rows := make([]ArchRow, len(specs))
+	for i, spec := range specs {
+		caps := make([]float64, len(archFractions))
+		for j, frac := range archFractions {
+			caps[j] = frac * spec.TDPWatts
 		}
-		for _, frac := range archFractions {
-			r := exec.UnderCap(frac * spec.TDPWatts)
-			tr := metrics.Compute(base, r).Tratio
-			row.Tratios = append(row.Tratios, tr)
-			if row.FirstSlowFrac == 0 && tr >= metrics.SlowdownThreshold {
-				row.FirstSlowFrac = frac
-			}
-		}
-		rows = append(rows, row)
+		rows[i] = ArchRow{Spec: spec, Priced: price(spec, caps, run.Profile)}
 	}
 	return rows, nil
 }
 
-// ArchTable renders the cross-architecture comparison.
+// ArchTable renders the cross-architecture comparison. A fraction below
+// the spec's enforceable floor is raised to it (cpu.Execution.UnderCap),
+// so a column whose enforced cap repeats the previous column's prints
+// "—" rather than that column's result again.
 func ArchTable(algName string, rows []ArchRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cross-architecture capping response — %s\n", algName)
@@ -79,13 +63,17 @@ func ArchTable(algName string, rows []ArchRow) string {
 	}
 	b.WriteByte('\n')
 	for _, row := range rows {
-		fmt.Fprintf(&b, "%-40s %9.0f%%", row.Spec.Name, row.DemandFrac*100)
-		for i := range row.Fractions {
-			mark := ""
-			if row.Fractions[i] == row.FirstSlowFrac {
-				mark = "*"
+		fmt.Fprintf(&b, "%-40s %9.0f%%", row.Spec.Name, row.Demand.PowerWatts/row.Spec.TDPWatts*100)
+		for i, r := range row.ByCap {
+			cell := "—"
+			if i == 0 || r.CapWatts != row.ByCap[i-1].CapWatts {
+				mark := ""
+				if r.CapWatts == row.SlowT {
+					mark = "*"
+				}
+				cell = fmt.Sprintf("%.2fX%s", row.Ratios[i].Tratio, mark)
 			}
-			fmt.Fprintf(&b, "%8s", fmt.Sprintf("%.2fX%s", row.Tratios[i], mark))
+			fmt.Fprintf(&b, "%8s", cell)
 		}
 		b.WriteByte('\n')
 	}

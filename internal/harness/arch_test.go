@@ -35,20 +35,20 @@ func TestCompareArchitectures(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, row := range rows {
-		if len(row.Tratios) != len(archFractions) {
-			t.Fatalf("%s: %d ratios", row.Spec.Name, len(row.Tratios))
+		if len(row.Ratios) != len(archFractions) {
+			t.Fatalf("%s: %d ratios", row.Spec.Name, len(row.Ratios))
 		}
 		// Tratio at full TDP is 1 and never improves as caps drop.
-		if row.Tratios[0] != 1 {
-			t.Errorf("%s: Tratio at TDP = %v", row.Spec.Name, row.Tratios[0])
+		if row.Ratios[0].Tratio != 1 {
+			t.Errorf("%s: Tratio at TDP = %v", row.Spec.Name, row.Ratios[0].Tratio)
 		}
-		for i := 1; i < len(row.Tratios); i++ {
-			if row.Tratios[i] < row.Tratios[i-1]-1e-9 {
+		for i := 1; i < len(row.Ratios); i++ {
+			if row.Ratios[i].Tratio < row.Ratios[i-1].Tratio-1e-9 {
 				t.Errorf("%s: Tratio not monotone at %v", row.Spec.Name, archFractions[i])
 			}
 		}
-		if row.DemandFrac <= 0 || row.DemandFrac > 1.2 {
-			t.Errorf("%s: demand fraction %v", row.Spec.Name, row.DemandFrac)
+		if frac := row.Demand.PowerWatts / row.Spec.TDPWatts; frac <= 0 || frac > 1.2 {
+			t.Errorf("%s: demand fraction %v", row.Spec.Name, frac)
 		}
 	}
 	tbl := ArchTable("Contour", rows)
@@ -73,8 +73,35 @@ func TestArchExtensionShiftsClasses(t *testing.T) {
 	}
 	bdw, knl := rows[0], rows[1]
 	last := len(archFractions) - 1
-	if knl.Tratios[last] < bdw.Tratios[last]-1e-9 {
+	if knl.Ratios[last].Tratio < bdw.Ratios[last].Tratio-1e-9 {
 		t.Errorf("deep-cap slowdown on KNL (%v) should be at least Broadwell's (%v): bandwidth removes the memory bottleneck",
-			knl.Tratios[last], bdw.Tratios[last])
+			knl.Ratios[last].Tratio, bdw.Ratios[last].Tratio)
+	}
+}
+
+// TestArchTableDashesClampedCaps: on the EPYC-like spec (TDP 180 W,
+// floor 90 W) the 40 % and 33 % fractions are raised to the 90 W floor,
+// the 50 % column's cap. Those columns print "—" instead of repeating the
+// 50 % result, and so never carry the first-slowdown marker. Broadwell's
+// 33 % (39.6 W) is raised to its 40 W floor too, but no other column
+// enforces 40 W, so its row prints all eight results.
+func TestArchTableDashesClampedCaps(t *testing.T) {
+	c := tinyConfig()
+	specs := []cpu.Spec{cpu.BroadwellEP(), cpu.EPYCLike()}
+	rows, err := c.CompareArchitectures("Particle Advection", specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(ArchTable("Particle Advection", rows)), "\n")[2:]
+	for k, spec := range specs {
+		fields := strings.Fields(lines[k])
+		cells := fields[len(fields)-len(archFractions):]
+		enforced := func(i int) float64 { return max(archFractions[i]*spec.TDPWatts, spec.MinCapWatts) }
+		for i, frac := range archFractions {
+			repeat := i > 0 && enforced(i) == enforced(i-1)
+			if repeat != (cells[i] == "—") {
+				t.Errorf("%s at %.0f%% of TDP (repeats the previous cap: %v): cell %q", spec.Name, frac*100, repeat, cells[i])
+			}
+		}
 	}
 }

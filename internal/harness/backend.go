@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
 	"repro/internal/viz/threshold"
@@ -48,7 +46,7 @@ type BackendPair struct {
 // ClassChanged reports whether the two formulations land in different
 // power classes.
 func (p BackendPair) ClassChanged() bool {
-	return Classify(p.Trad) != Classify(p.DPP)
+	return p.Trad.Class != p.DPP.Class
 }
 
 // BackendCompare executes the backend-capable algorithms at one size
@@ -102,35 +100,19 @@ func BackendTable(pairs []BackendPair) string {
 		"Algorithm", "Backend", "Demand(W)", "IPC", "LLC miss", "Launches", "1st 10% slow", "Class")
 	for _, p := range pairs {
 		for _, r := range []*AlgoRun{p.Trad, p.DPP} {
-			d := r.Exec.Demand()
-			class, slowStr := Classify(r), FirstSlowdownString(r)
+			d := r.Demand
 			fmt.Fprintf(&b, "%-22s %-8s %10.1f %8.2f %10.3f %9d %14s  %s\n",
 				fmt.Sprintf("%s %d^3", r.Name, r.Size), r.Backend, d.PowerWatts, d.IPC,
-				d.LLCMissRate, r.Profile.Launches, slowStr, class)
+				d.LLCMissRate, r.Profile.Launches, capLabel(r.SlowT, "W"), r.Class)
 		}
 	}
 	for _, p := range pairs {
 		if p.ClassChanged() {
 			fmt.Fprintf(&b, "%s: DPP CHANGES the class (%s -> %s)\n",
-				p.Name, Classify(p.Trad), Classify(p.DPP))
+				p.Name, p.Trad.Class, p.DPP.Class)
 		} else {
-			fmt.Fprintf(&b, "%s: DPP keeps the class (%s)\n", p.Name, Classify(p.Trad))
+			fmt.Fprintf(&b, "%s: DPP keeps the class (%s)\n", p.Name, p.Trad.Class)
 		}
 	}
 	return b.String()
-}
-
-// Classify returns the paper's Section VI-B class of a run, as
-// core.Classify names it.
-func Classify(run *AlgoRun) string {
-	return core.Classify(run.Base, run.ByCap).String()
-}
-
-// FirstSlowdownString formats the first >=10%-slowdown cap, "none" when
-// no cap slows the run.
-func FirstSlowdownString(run *AlgoRun) string {
-	if s := metrics.FirstSlowdownCap(run.Base, run.ByCap); s > 0 {
-		return fmt.Sprintf("%.0fW", s)
-	}
-	return "none"
 }

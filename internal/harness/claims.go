@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // Claim is one executable statement from the paper's findings (Section
@@ -38,12 +36,10 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 	for _, r := range runs {
 		byName[r.Name] = r
 	}
-	demand := func(n string) float64 { return byName[n].Exec.Demand().PowerWatts }
-	slow := func(n string) float64 {
-		return metrics.FirstSlowdownCap(byName[n].Base, byName[n].ByCap)
-	}
-	ipc := func(n string) float64 { return byName[n].Base.IPC }
-	miss := func(n string) float64 { return byName[n].Base.LLCMissRate }
+	demand := func(n string) float64 { return byName[n].Demand.PowerWatts }
+	slow := func(n string) float64 { return byName[n].SlowT }
+	ipc := func(n string) float64 { return byName[n].ByCap[0].IPC }
+	miss := func(n string) float64 { return byName[n].ByCap[0].LLCMissRate }
 
 	sensitive := []string{"Volume Rendering", "Particle Advection"}
 	opportunity := []string{"Contour", "Spherical Clip", "Isovolume", "Threshold", "Slice", "Ray Tracing"}
@@ -140,12 +136,10 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 		pass := true
 		detail := ""
 		for _, r := range runs {
-			for i, capW := range c.Caps {
-				pr := c.Caps[0] / capW
-				tr := metrics.Compute(r.Base, r.ByCap[i]).Tratio
-				if tr > pr+1e-9 {
+			for i, rt := range r.Ratios {
+				if rt.Tratio > rt.Pratio+1e-9 {
 					pass = false
-					detail = fmt.Sprintf("%s at %.0f W: Tratio %.2f > Pratio %.2f", r.Name, capW, tr, pr)
+					detail = fmt.Sprintf("%s at %.0f W: Tratio %.2f > Pratio %.2f", r.Name, r.ByCap[i].CapWatts, rt.Tratio, rt.Pratio)
 				}
 			}
 		}
@@ -165,8 +159,8 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 			if err != nil {
 				return nil, err
 			}
-			lo := bySize[sizes[0]].Base.IPC
-			hi := bySize[sizes[len(sizes)-1]].Base.IPC
+			lo := bySize[sizes[0]].ByCap[0].IPC
+			hi := bySize[sizes[len(sizes)-1]].ByCap[0].IPC
 			pass = hi > lo
 			detail = fmt.Sprintf("slice IPC %.2f at %d^3 -> %.2f at %d^3", lo, sizes[0], hi, sizes[len(sizes)-1])
 		}
@@ -180,8 +174,8 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 			if err != nil {
 				return nil, err
 			}
-			mid := bySize[sizes[len(sizes)-2]].Base.IPC
-			top := bySize[sizes[len(sizes)-1]].Base.IPC
+			mid := bySize[sizes[len(sizes)-2]].ByCap[0].IPC
+			top := bySize[sizes[len(sizes)-1]].ByCap[0].IPC
 			pass = top < mid
 			detail = fmt.Sprintf("volume rendering IPC %.3f -> %.3f at the overflow step", mid, top)
 		}
@@ -197,7 +191,7 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 			}
 			lo, hi := 1e300, 0.0
 			for _, s := range sizes {
-				v := bySize[s].Base.IPC
+				v := bySize[s].ByCap[0].IPC
 				if v < lo {
 					lo = v
 				}

@@ -300,9 +300,8 @@ func (c *Config) RunAllExtended(size int) ([]*AlgoRun, error) {
 	return c.runSet(c.ExtendedFilters(), size)
 }
 
-// AlgoRun is the outcome of one (algorithm, size) execution: the
-// instrumented profile, its processor-model analysis, and the modeled
-// result under every cap in Config.Caps (same order).
+// AlgoRun is the outcome of one (algorithm, size) execution: what was
+// measured, and that profile priced on Config.Spec under Config.Caps.
 type AlgoRun struct {
 	Name string
 	Size int
@@ -311,10 +310,6 @@ type AlgoRun struct {
 	Backend  viz.Backend
 	Elements int64
 	Profile  ops.Profile
-	Exec     cpu.Execution
-	// Base is the result at the first (default/TDP) cap.
-	Base  cpu.CapResult
-	ByCap []cpu.CapResult
 	// WallSec is the measured wall-clock time of the instrumented
 	// execution (dataset excluded) — what the cell actually cost this
 	// machine, as opposed to the modeled TimeSec under a cap.
@@ -322,6 +317,8 @@ type AlgoRun struct {
 	// Stages, when Config.Tracer is set, attributes the cell's wall
 	// clock across pipeline-track stages (self time per stage name).
 	Stages []telemetry.StageStat
+	// Priced holds every modeled number, ByCap in Config.Caps' order.
+	Priced
 }
 
 // runKey identifies an (algorithm, size) cell. Backend-capable filters
@@ -379,8 +376,8 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 		Backend:  filterBackend(f),
 		Elements: res.Elements,
 		Profile:  res.Profile,
-		Exec:     cpu.Analyze(c.Spec, res.Profile, 0),
 		WallSec:  wallSec,
+		Priced:   price(c.Spec, c.Caps, res.Profile),
 	}
 	if c.Tracer != nil {
 		var cell []telemetry.Span
@@ -391,13 +388,8 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 		}
 		run.Stages = telemetry.Summarize(cell)
 	}
-	run.ByCap = make([]cpu.CapResult, len(c.Caps))
-	for i, capW := range c.Caps {
-		run.ByCap[i] = run.Exec.UnderCap(capW)
-	}
-	run.Base = run.ByCap[0]
 	c.log("run %s at %d^3: T(base)=%.3fs P(demand)=%.1fW IPC=%.2f",
-		run.Name, size, run.Base.TimeSec, run.Exec.Demand().PowerWatts, run.Base.IPC)
+		run.Name, size, run.ByCap[0].TimeSec, run.Demand.PowerWatts, run.ByCap[0].IPC)
 	return run, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/ops"
 	"repro/internal/par"
 )
@@ -141,8 +140,8 @@ func TestPhase2And3Structure(t *testing.T) {
 		if r.Profile == (ops.Profile{}) {
 			t.Errorf("%s has empty profile", r.Name)
 		}
-		if r.Base.TimeSec <= 0 {
-			t.Errorf("%s base time = %v", r.Name, r.Base.TimeSec)
+		if r.ByCap[0].TimeSec <= 0 {
+			t.Errorf("%s base time = %v", r.Name, r.ByCap[0].TimeSec)
 		}
 	}
 	tbl := Table2(runs, c.Caps)
@@ -276,9 +275,9 @@ func TestPaperShapesAt64(t *testing.T) {
 	for _, r := range runs {
 		byName[r.Name] = r
 	}
-	demand := func(n string) float64 { return byName[n].Exec.Demand().PowerWatts }
+	demand := func(n string) float64 { return byName[n].Demand.PowerWatts }
 	slow := func(n string) float64 {
-		return metrics.FirstSlowdownCap(byName[n].Base, byName[n].ByCap)
+		return byName[n].SlowT
 	}
 
 	// Power-sensitive demand exceeds every opportunity algorithm's.
@@ -304,19 +303,19 @@ func TestPaperShapesAt64(t *testing.T) {
 		}
 	}
 	// IPC divide (Fig. 2b): sensitive > 1, threshold < 1.
-	if ipc := byName["Volume Rendering"].Base.IPC; ipc <= 1 {
+	if ipc := byName["Volume Rendering"].ByCap[0].IPC; ipc <= 1 {
 		t.Errorf("volume rendering IPC = %.2f, want > 1", ipc)
 	}
-	if ipc := byName["Particle Advection"].Base.IPC; ipc <= 1 {
+	if ipc := byName["Particle Advection"].ByCap[0].IPC; ipc <= 1 {
 		t.Errorf("particle advection IPC = %.2f, want > 1", ipc)
 	}
-	if ipc := byName["Threshold"].Base.IPC; ipc >= 1 {
+	if ipc := byName["Threshold"].ByCap[0].IPC; ipc >= 1 {
 		t.Errorf("threshold IPC = %.2f, want < 1", ipc)
 	}
 	// Miss-rate inversion (Fig. 2c): isovolume high, volren low.
-	if byName["Isovolume"].Base.LLCMissRate <= byName["Volume Rendering"].Base.LLCMissRate {
+	if byName["Isovolume"].ByCap[0].LLCMissRate <= byName["Volume Rendering"].ByCap[0].LLCMissRate {
 		t.Errorf("isovolume miss rate %.3f <= volume rendering %.3f",
-			byName["Isovolume"].Base.LLCMissRate, byName["Volume Rendering"].Base.LLCMissRate)
+			byName["Isovolume"].ByCap[0].LLCMissRate, byName["Volume Rendering"].ByCap[0].LLCMissRate)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/viz"
 )
 
@@ -81,20 +80,9 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 	b.WriteString("| algorithm | demand (W) | IPC | LLC miss | first 10% slowdown | Tratio @ 40 W | energy @ 40 W |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")
 	for _, r := range runs2 {
-		d := r.Exec.Demand()
-		s := metrics.FirstSlowdownCap(r.Base, r.ByCap)
-		slowStr := "none"
-		if s > 0 {
-			slowStr = fmt.Sprintf("%.0f W", s)
-		}
-		last := r.ByCap[len(r.ByCap)-1]
-		tr := metrics.Compute(r.Base, last)
-		eRatio := 0.0
-		if r.Base.EnergyJ > 0 {
-			eRatio = last.EnergyJ / r.Base.EnergyJ
-		}
+		d, last := r.Demand, r.Ratios[len(r.Ratios)-1]
 		fmt.Fprintf(&b, "| %s | %.1f | %.2f | %.3f | %s | %.2fX | %.2fx |\n",
-			r.Name, d.PowerWatts, d.IPC, d.LLCMissRate, slowStr, tr.Tratio, eRatio)
+			r.Name, d.PowerWatts, d.IPC, d.LLCMissRate, capLabel(r.SlowT, " W"), last.Tratio, last.Eratio)
 	}
 	c.writeBackends(&b)
 	c.writeCellCost(&b)

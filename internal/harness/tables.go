@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // Table1 renders the paper's Table I: for one algorithm (contour in the
@@ -16,17 +14,13 @@ func Table1(run *AlgoRun, caps []float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table I — %s, %d^3 data set\n", run.Name, run.Size)
 	fmt.Fprintf(&b, "%-6s %-7s %-10s %-7s %-8s %-7s\n", "P", "Pratio", "T", "Tratio", "F", "Fratio")
-	base := run.Base
-	slowT := metrics.FirstSlowdownCap(base, run.ByCap)
-	slowF := firstFreqSlowdownCap(run, caps)
 	for i, capW := range caps {
-		r := run.ByCap[i]
-		rt := metrics.Compute(base, r)
+		r, rt := run.ByCap[i], run.Ratios[i]
 		markT, markF := " ", " "
-		if capW == slowT {
+		if capW == run.SlowT {
 			markT = "*"
 		}
-		if capW == slowF {
+		if capW == run.SlowF {
 			markF = "*"
 		}
 		fmt.Fprintf(&b, "%-6s %-7s %-10s %-7s %-8s %-7s\n",
@@ -39,14 +33,6 @@ func Table1(run *AlgoRun, caps []float64) string {
 		)
 	}
 	return b.String()
-}
-
-// firstFreqSlowdownCap is the highlight rule on the frequency ratio;
-// caps is parallel to run.ByCap.
-func firstFreqSlowdownCap(run *AlgoRun, caps []float64) float64 {
-	return metrics.FirstCapOver(caps, run.Base.CapWatts, func(i int) float64 {
-		return metrics.Compute(run.Base, run.ByCap[i]).Fratio
-	})
 }
 
 // SlowdownTable renders the paper's Table II/III format: for every
@@ -67,27 +53,22 @@ func SlowdownTable(title string, runs []*AlgoRun, caps []float64) string {
 	}
 	b.WriteByte('\n')
 	for _, run := range runs {
-		base := run.Base
-		slowT := metrics.FirstSlowdownCap(base, run.ByCap)
-		slowF := firstFreqSlowdownCap(run, caps)
 		fmt.Fprintf(&b, "%-22s %-8s", run.Name, "Tratio")
 		for i, capW := range caps {
-			rt := metrics.Compute(base, run.ByCap[i])
 			mark := ""
-			if capW == slowT {
+			if capW == run.SlowT {
 				mark = "*"
 			}
-			fmt.Fprintf(&b, "%8s", fmt.Sprintf("%.2fX%s", rt.Tratio, mark))
+			fmt.Fprintf(&b, "%8s", fmt.Sprintf("%.2fX%s", run.Ratios[i].Tratio, mark))
 		}
 		b.WriteByte('\n')
 		fmt.Fprintf(&b, "%-22s %-8s", "", "Fratio")
 		for i, capW := range caps {
-			rt := metrics.Compute(base, run.ByCap[i])
 			mark := ""
-			if capW == slowF {
+			if capW == run.SlowF {
 				mark = "*"
 			}
-			fmt.Fprintf(&b, "%8s", fmt.Sprintf("%.2fX%s", rt.Fratio, mark))
+			fmt.Fprintf(&b, "%8s", fmt.Sprintf("%.2fX%s", run.Ratios[i].Fratio, mark))
 		}
 		b.WriteByte('\n')
 	}
@@ -127,14 +108,9 @@ func EnergyTable(runs []*AlgoRun, caps []float64) string {
 	}
 	b.WriteByte('\n')
 	for _, run := range runs {
-		base := run.Base.EnergyJ
 		fmt.Fprintf(&b, "%-22s", run.Name)
 		for i := range caps {
-			ratio := 0.0
-			if base > 0 {
-				ratio = run.ByCap[i].EnergyJ / base
-			}
-			fmt.Fprintf(&b, "%8.2f", ratio)
+			fmt.Fprintf(&b, "%8.2f", run.Ratios[i].Eratio)
 		}
 		b.WriteByte('\n')
 	}
@@ -149,9 +125,9 @@ func DemandTable(runs []*AlgoRun) string {
 	fmt.Fprintf(&b, "%-22s %10s %8s %10s %14s  %s\n",
 		"Algorithm", "Demand(W)", "IPC", "LLC miss", "1st 10% slow", "Class")
 	for _, run := range runs {
-		d := run.Exec.Demand()
+		d := run.Demand
 		fmt.Fprintf(&b, "%-22s %10.1f %8.2f %10.3f %14s  %s\n",
-			run.Name, d.PowerWatts, d.IPC, d.LLCMissRate, FirstSlowdownString(run), Classify(run))
+			run.Name, d.PowerWatts, d.IPC, d.LLCMissRate, capLabel(run.SlowT, "W"), run.Class)
 	}
 	return b.String()
 }

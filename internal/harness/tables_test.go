@@ -8,11 +8,13 @@ import (
 )
 
 // syntheticRun builds an AlgoRun with prescribed times/frequencies per cap
-// so the table emitters' highlight rule can be checked exactly.
+// (caps[0] the base) so the table emitters' highlight rule can be checked
+// exactly.
 func syntheticRun(name string, caps, times, freqs []float64) *AlgoRun {
 	run := &AlgoRun{Name: name, Size: 128, Elements: 1 << 21}
+	var byCap []cpu.CapResult
 	for i := range caps {
-		run.ByCap = append(run.ByCap, cpu.CapResult{
+		byCap = append(byCap, cpu.CapResult{
 			CapWatts:   caps[i],
 			TimeSec:    times[i],
 			FreqGHz:    freqs[i],
@@ -21,7 +23,7 @@ func syntheticRun(name string, caps, times, freqs []float64) *AlgoRun {
 			IPC:        1.0,
 		})
 	}
-	run.Base = run.ByCap[0]
+	run.Priced = fromSweep(byCap)
 	return run
 }
 
@@ -78,16 +80,16 @@ func TestSlowdownTableNoMarkerWhenFlat(t *testing.T) {
 }
 
 func TestFreqSlowdownCapShuffledInput(t *testing.T) {
-	// Caps out of the tables' high->low order: the highlight rule must
-	// sort internally rather than trust caller ordering.
-	caps := []float64{80, 120, 40, 100, 60}
+	// After the 120 W base, caps out of the tables' high->low order: the
+	// highlight rule must sort internally rather than trust caller
+	// ordering.
+	caps := []float64{120, 80, 40, 100, 60}
 	run := syntheticRun("Volume Rendering", caps,
-		[]float64{11.2, 10, 18, 10, 12.5},
-		[]float64{2.3, 2.6, 1.4, 2.6, 2.0},
+		[]float64{10, 11.2, 18, 10, 12.5},
+		[]float64{2.6, 2.3, 1.4, 2.6, 2.0},
 	)
-	run.Base = run.ByCap[1] // the 120 W default
-	if got := firstFreqSlowdownCap(run, caps); got != 80 {
-		t.Errorf("firstFreqSlowdownCap = %v, want 80 (highest cap with Fratio >= 1.10)", got)
+	if run.SlowF != 80 {
+		t.Errorf("SlowF = %v, want 80 (highest cap with Fratio >= 1.10)", run.SlowF)
 	}
 	// A duplicate entry at the base cap never matches, whatever its freq.
 	caps = []float64{120, 120, 100}
@@ -95,8 +97,8 @@ func TestFreqSlowdownCapShuffledInput(t *testing.T) {
 		[]float64{10, 10, 10},
 		[]float64{2.6, 1.0, 2.5},
 	)
-	if got := firstFreqSlowdownCap(run, caps); got != 0 {
-		t.Errorf("base cap matched the frequency slowdown rule: got %v, want 0", got)
+	if run.SlowF != 0 {
+		t.Errorf("base cap matched the frequency slowdown rule: got %v, want 0", run.SlowF)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // Ratios are the paper's three comparison ratios against the default-power
 // (TDP) run. Pratio and Fratio put the default value in the numerator and
 // Tratio puts it in the denominator, so all ratios are >= 1 when capping
-// costs performance (Section V-A).
+// costs performance (Section V-A). Eratio is the energy side of that
+// tradeoff.
 type Ratios struct {
 	// Pratio = P_default / P_reduced (ratio of power caps).
 	Pratio float64
@@ -22,6 +23,9 @@ type Ratios struct {
 	Tratio float64
 	// Fratio = F_default / F_reduced (frequency reduction).
 	Fratio float64
+	// Eratio = E_reduced / E_default (energy to solution; below 1 the
+	// cap saves energy).
+	Eratio float64
 }
 
 // Compute derives the ratios of r against the default-cap baseline.
@@ -35,6 +39,9 @@ func Compute(base, r cpu.CapResult) Ratios {
 	}
 	if r.FreqGHz > 0 {
 		out.Fratio = base.FreqGHz / r.FreqGHz
+	}
+	if base.EnergyJ > 0 {
+		out.Eratio = r.EnergyJ / base.EnergyJ
 	}
 	return out
 }

@@ -575,15 +575,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track int) 
 	run := v.(*harness.AlgoRun)
 	// Feed the measured demand and classification back into admission.
 	s.noteDemand(name, size, run.Exec)
-	cls := core.Classify(run.Base, run.ByCap)
-	s.classes.Store(estimateKey(name, size), cls)
+	s.classes.Store(estimateKey(name, size), run.Class)
 
 	resp := sweepResponse{
 		Name:        run.Name,
 		Size:        run.Size,
 		Elements:    run.Elements,
-		DemandWatts: run.Exec.Demand().PowerWatts,
-		Class:       cls.String(),
+		DemandWatts: run.Demand.PowerWatts,
+		Class:       run.Class.String(),
 		WallSec:     run.WallSec,
 	}
 	for _, cr := range run.ByCap {
