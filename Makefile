@@ -39,6 +39,9 @@
 #                  validating the exported JSON
 #   make serve   - run the rendering daemon at demonstration scale on
 #                  localhost:8080 with a 130 W budget
+#   make loc     - the three line counts ROADMAP.md quotes: non-test Go
+#                  under internal/ + cmd/, non-test Go in the whole repo,
+#                  and test Go
 #
 # Every test target carries -timeout 120s: the fabric tests deliberately
 # create would-be deadlocks and rely on cancellation to unblock, so a
@@ -49,7 +52,7 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs ./internal/render
 
-.PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve
+.PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve loc
 
 check: fmt vet build test race
 
@@ -102,3 +105,11 @@ profile:
 # requests and finalizes the cinema manifests before exiting).
 serve:
 	$(GO) run ./cmd/vizpower serve -quick -addr localhost:8080 -budget 130 -out out
+
+# Go sources under the given roots (build trees excluded), then the
+# three counts.
+GOFILES = find $(1) -path ./.bench_build -prune -o -name '*.go' $(2) -print
+loc:
+	@printf '%-32s %6d\n' 'non-test Go, internal/ + cmd/' $$($(call GOFILES,internal cmd,! -name '*_test.go') | xargs cat | wc -l)
+	@printf '%-32s %6d\n' 'non-test Go, whole repo' $$($(call GOFILES,.,! -name '*_test.go') | xargs cat | wc -l)
+	@printf '%-32s %6d\n' 'test Go' $$($(call GOFILES,.,-name '*_test.go') | xargs cat | wc -l)
