@@ -224,8 +224,7 @@ type Allocation struct {
 // power-opportunity visualization is starved to its floor with almost no
 // cost, freeing the rest of the budget for the simulation.
 func AllocateBudget(sim, vis cpu.Execution, budget float64) (Allocation, error) {
-	spec := sim.Spec
-	minW := spec.MinCapWatts
+	minW := sim.Spec.MinCapWatts
 	if budget < 2*minW {
 		return Allocation{}, fmt.Errorf("core: budget %.0f W below twice the %.0f W cap floor", budget, minW)
 	}
