@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,6 +29,11 @@ import (
 // (algorithm, size, backend) cell it executed, one line per counter of
 // its ops.Profile (testdata/cells.txt, see measuredCells), so a change to
 // a kernel's accounting shows as the lines naming that kernel and counter.
+//
+// A third input is the study-default 64^3 cell set (testdata/cells64.txt):
+// RunAll(64)'s measured cells plus a SHA-256 of every field of the 64^3
+// data set, which a one-ulp change anywhere in the hydro proxy moves even
+// when the 32^3 campaign's numbers survive it.
 func TestGoldenArtifacts(t *testing.T) {
 	c := (&Config{
 		Pool: par.NewPool(2), Sizes: []int{16, 32}, PhaseSize: 32,
@@ -71,6 +79,53 @@ func TestGoldenArtifacts(t *testing.T) {
 	}
 	if fs := c.Failures(); len(fs) != 0 {
 		t.Errorf("golden campaign degraded: %v", fs)
+	}
+	if !testing.Short() && !raceDetector {
+		requireCells64(t)
+	}
+}
+
+// requireCells64 runs the eight algorithms at 64^3 under the study
+// defaults on two workers and compares their measured cells and the data
+// set's field hashes with testdata/cells64.txt.
+func requireCells64(t *testing.T) {
+	t.Helper()
+	c := (&Config{Pool: par.NewPool(2)}).Defaults()
+	defer c.Pool.Close()
+	if _, err := c.RunAll(64); err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.Dataset(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := measuredCells(c)
+	hash := func(kind, name string, v []float64) {
+		h := sha256.New()
+		for _, x := range v {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+		}
+		got += fmt.Sprintf("dataset 64 %-6s %-9s sha256 %x\n", kind, name, h.Sum(nil))
+	}
+	for _, name := range []string{"energy", "density", "pressure"} {
+		hash("cell", name, g.CellField(name))
+	}
+	hash("point", "energy", g.PointField("energy"))
+	vel := g.PointVector("velocity")
+	flat := make([]float64, 0, 3*len(vel))
+	for _, v := range vel {
+		flat = append(flat, v[:]...)
+	}
+	hash("point", "velocity", flat)
+	want, err := os.ReadFile(filepath.Join("testdata", "cells64.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("64^3 cells differ from testdata/cells64.txt:\n--- got\n%s--- want\n%s", got, want)
+	}
+	if fs := c.Failures(); len(fs) != 0 {
+		t.Errorf("64^3 cells degraded: %v", fs)
 	}
 }
 
