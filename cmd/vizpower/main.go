@@ -31,6 +31,7 @@ import (
 	"repro/internal/cinema"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/harness"
 	"repro/internal/msr"
 	"repro/internal/obs"
@@ -665,12 +666,12 @@ func advectCmd(c *harness.Config, opt *options) error {
 // traceCmd runs the in situ pipeline under a cap and prints the sampled
 // power timeline.
 func traceCmd(c *harness.Config, opt *options) error {
-	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
+	pkg, capW, err := cappedPackage(c.Spec, opt.capW)
 	if err != nil {
 		return err
 	}
-	pkg := rapl.NewPackage(msr.NewFile(), c.Spec)
-	if err := pkg.SetLimitWatts(opt.capW); err != nil {
+	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
+	if err != nil {
 		return err
 	}
 	samples, results, err := pipe.Trace(pkg, opt.cycles, 0.1)
@@ -681,7 +682,7 @@ func traceCmd(c *harness.Config, opt *options) error {
 		return perfctr.WriteCSV(os.Stdout, samples)
 	}
 	fmt.Printf("in situ trace: %d cycles under a %.0f W cap (%d segments, %d samples)\n",
-		opt.cycles, opt.capW, len(results), len(samples))
+		opt.cycles, capW, len(results), len(samples))
 	for i, r := range results {
 		phase := "simulate "
 		if i%2 == 1 {
@@ -698,12 +699,28 @@ func traceCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
+// cappedPackage programs a package to the -cap limit under the governor's
+// target rules (power.EnforceableTarget) and returns it with the cap it
+// is held to, so the printed cap is the one the rows ran under.
+func cappedPackage(spec cpu.Spec, w float64) (*rapl.Package, float64, error) {
+	w, err := power.EnforceableTarget(spec, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	pkg := rapl.NewPackage(msr.NewFile(), spec)
+	return pkg, w, pkg.SetLimitWatts(w)
+}
+
 // profileCmd is the telemetry entry point: run -cycles in situ cycles
 // under the -cap RAPL limit with the tracer attached to both the
 // pipeline (stage spans) and the worker pool (launch and chunk spans),
 // then write a Perfetto-loadable trace.json and a plain-text stage
 // summary into -out.
 func profileCmd(c *harness.Config, opt *options) error {
+	pkg, capW, err := cappedPackage(c.Spec, opt.capW)
+	if err != nil {
+		return err
+	}
 	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
 	if err != nil {
 		return err
@@ -718,10 +735,6 @@ func profileCmd(c *harness.Config, opt *options) error {
 		c.Tracer = tr
 	}
 	pipe.Tracer = tr
-	pkg := rapl.NewPackage(msr.NewFile(), c.Spec)
-	if err := pkg.SetLimitWatts(opt.capW); err != nil {
-		return err
-	}
 	t0 := time.Now()
 	samples, results, err := pipe.Trace(pkg, opt.cycles, 0.1)
 	if err != nil {
@@ -754,13 +767,13 @@ func profileCmd(c *harness.Config, opt *options) error {
 	// extra joules.
 	joules := obs.Attribute(telemetry.Summarize(spans), samples)
 	fmt.Printf("profiled %d in situ cycles (%d governed segments) under a %.0f W cap in %.3fs\n",
-		opt.cycles, len(results), opt.capW, wall.Seconds())
+		opt.cycles, len(results), capW, wall.Seconds())
 	if err := writeFile(filepath.Join(opt.out, "summary.txt"), func(w io.Writer) error {
 		if err := telemetry.WriteSummary(w, spans, 10, wall.Nanoseconds()); err != nil {
 			return err
 		}
 		if len(joules) > 0 {
-			fmt.Fprintf(w, "\nwhere the joules went (%.0f W cap, %d meter samples):\n", opt.capW, len(samples))
+			fmt.Fprintf(w, "\nwhere the joules went (%.0f W cap, %d meter samples):\n", capW, len(samples))
 			obs.WriteJoulesTable(w, joules)
 		}
 		// Footer: span loss must be visible in the artifact, not only on

@@ -414,6 +414,34 @@ func TestFeedbackClampsTargetAboveTDP(t *testing.T) {
 	}
 }
 
+// TestCapVerbsFollowTheTargetRules: trace and profile program -cap under
+// the rules feedback follows, so the cap they print is the one their rows
+// ran under. Below the floor is an error naming it (trace -cap 30 used to
+// print "under a 30 W cap" over the 40 W floor's rows); above TDP is
+// reported as TDP (-cap 200 used to print 200 W over 120 W rows).
+func TestCapVerbsFollowTheTargetRules(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	for _, verb := range []string{"trace", "profile"} {
+		args := []string{verb, "-quick", "-cycles", "1"}
+		if verb == "profile" {
+			args = append(args, "-out", t.TempDir())
+		}
+		out, err := runCaptured(t, append(args, "-cap", "200")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "under a 120 W cap") {
+			t.Errorf("%s -cap 200 output does not report the 120 W TDP:\n%s", verb, out)
+		}
+		err = run(append(args, "-cap", "30"))
+		if err == nil || !strings.Contains(err.Error(), "40 W cap floor") {
+			t.Errorf("%s -cap 30: err = %v, want one naming the 40 W cap floor", verb, err)
+		}
+	}
+}
+
 // TestGovernHonoursCycles: an explicit -cycles is the sweep's cycle count
 // (it used to be raised to harness.GovernCycles), and a count below the
 // governor's floor of 2 is an error, not a silent raise.

@@ -26,10 +26,6 @@ type Options struct {
 	YLabel string
 	// Width and Height are the SVG pixel dimensions (default 720x440).
 	Width, Height int
-	// XDescending draws the x axis high-to-low (the paper's cap sweeps
-	// read 120 W on the left in tables; its figures ascend — default
-	// ascending).
-	XDescending bool
 }
 
 // palette is a color-blind-friendly categorical palette.
@@ -119,11 +115,7 @@ func WriteSVG(w io.Writer, opt Options, series []Series) error {
 	ys = span{ys.lo - pad, ys.hi + pad}
 
 	px := func(x float64) float64 {
-		t := (x - xs.lo) / xs.size()
-		if opt.XDescending {
-			t = 1 - t
-		}
-		return float64(mLeft) + t*pw
+		return float64(mLeft) + (x-xs.lo)/xs.size()*pw
 	}
 	py := func(y float64) float64 {
 		return float64(mTop) + (1-(y-ys.lo)/ys.size())*ph

@@ -74,20 +74,6 @@ func TestWriteSVGDegenerate(t *testing.T) {
 	}
 }
 
-func TestWriteSVGDescendingX(t *testing.T) {
-	var asc, desc bytes.Buffer
-	s := sampleSeries()
-	if err := WriteSVG(&asc, Options{}, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSVG(&desc, Options{XDescending: true}, s); err != nil {
-		t.Fatal(err)
-	}
-	if asc.String() == desc.String() {
-		t.Error("XDescending had no effect")
-	}
-}
-
 func TestNiceTicks(t *testing.T) {
 	ticks := niceTicks(span{0, 100}, 5)
 	if len(ticks) < 3 || len(ticks) > 12 {

@@ -34,9 +34,6 @@ type Options struct {
 	// IntervalSec is the intra-phase control tick (default
 	// perfctr.DefaultInterval, the study's 100 ms).
 	IntervalSec float64
-	// MaxSamples bounds the retained sample timeline (default
-	// DefaultMaxSamples); older samples are dropped, not the run.
-	MaxSamples int
 	// DecisionLog bounds the flight recorder's cap-decision ring
 	// (default obs.DefaultFlightRecorderSize); oldest decisions are
 	// overwritten and counted, never the run blocked.
@@ -116,7 +113,7 @@ type Result struct {
 	FinalCapWatts float64
 	// Reprograms counts RAPL limit writes that changed the register.
 	Reprograms int
-	// Samples is the retained measurement timeline (newest MaxSamples);
+	// Samples is the retained measurement timeline (newest DefaultMaxSamples);
 	// SamplesDropped counts evicted older samples.
 	Samples        []perfctr.Sample
 	SamplesDropped int
@@ -202,16 +199,24 @@ func NewTable(pkg *rapl.Package, opt Options, caps map[string]float64) (*Governo
 	})
 }
 
-// newGovernor checks the target (below the cap floor is an error, above
-// TDP is clamped), assembles the engine around the policy law builds from
-// the checked options, and programs the opening limit.
+// EnforceableTarget applies the target rules to w watts on spec: below the
+// cap floor is an error naming the floor, above TDP is clamped to TDP. It
+// returns the watts a package can be held to.
+func EnforceableTarget(spec cpu.Spec, w float64) (float64, error) {
+	if w < spec.MinCapWatts {
+		return 0, fmt.Errorf("power: target %.0f W below the %.0f W cap floor", w, spec.MinCapWatts)
+	}
+	return min(w, spec.TDPWatts), nil
+}
+
+// newGovernor checks the target (EnforceableTarget), assembles the engine
+// around the policy law builds from the checked options, and programs the
+// opening limit.
 func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) policy) (*Governor, error) {
 	spec := pkg.Spec()
-	if opt.TargetWatts < spec.MinCapWatts {
-		return nil, fmt.Errorf("power: target %.0f W below the %.0f W cap floor", opt.TargetWatts, spec.MinCapWatts)
-	}
-	if opt.TargetWatts > spec.TDPWatts {
-		opt.TargetWatts = spec.TDPWatts
+	var err error
+	if opt.TargetWatts, err = EnforceableTarget(spec, opt.TargetWatts); err != nil {
+		return nil, err
 	}
 	if opt.IntervalSec <= 0 {
 		opt.IntervalSec = perfctr.DefaultInterval
@@ -226,7 +231,7 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 		opt:    opt,
 		law:    law(spec, opt),
 		mon:    mon,
-		ring:   newSampleRing(opt.MaxSamples),
+		ring:   newSampleRing(DefaultMaxSamples),
 		flight: obs.NewFlightRecorder(opt.DecisionLog),
 	}
 	before := g.pkg.EffectiveCapWatts()

@@ -18,12 +18,7 @@ type sampleRing struct {
 	total int
 }
 
-func newSampleRing(capacity int) *sampleRing {
-	if capacity <= 0 {
-		capacity = DefaultMaxSamples
-	}
-	return &sampleRing{cap: capacity}
-}
+func newSampleRing(capacity int) *sampleRing { return &sampleRing{cap: capacity} }
 
 func (r *sampleRing) push(s perfctr.Sample) {
 	r.total++

@@ -180,32 +180,24 @@ func TestGovernorEnergyAccounting(t *testing.T) {
 
 func TestGovernorSampleBound(t *testing.T) {
 	// A long run must not grow the retained timeline without bound: the
-	// ring keeps the newest MaxSamples (DefaultMaxSamples when unset) in
-	// order and counts the evictions.
-	for _, c := range []struct {
-		name     string
-		opt      Options
-		capacity int
-	}{
-		{"max-64", Options{TargetWatts: 65, IntervalSec: 0.001, MaxSamples: 64}, 64},
-		{"default", Options{TargetWatts: 65, IntervalSec: 0.0001}, DefaultMaxSamples},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			eachPolicy(t, mixedSegments(4), c.opt, func(t *testing.T, _ string, res Result) {
-				if res.SamplesDropped <= 0 {
-					t.Fatalf("long run evicted nothing (%d samples retained)", len(res.Samples))
+	// ring keeps the newest DefaultMaxSamples in order and counts the
+	// evictions.
+	t.Run("default", func(t *testing.T) {
+		opt := Options{TargetWatts: 65, IntervalSec: 0.0001}
+		eachPolicy(t, mixedSegments(4), opt, func(t *testing.T, _ string, res Result) {
+			if res.SamplesDropped <= 0 {
+				t.Fatalf("long run evicted nothing (%d samples retained)", len(res.Samples))
+			}
+			if len(res.Samples) != DefaultMaxSamples {
+				t.Fatalf("dropped %d yet retained %d, capacity is %d", res.SamplesDropped, len(res.Samples), DefaultMaxSamples)
+			}
+			for i := 1; i < len(res.Samples); i++ {
+				if res.Samples[i].TimeSec <= res.Samples[i-1].TimeSec {
+					t.Fatalf("retained timeline out of order at %d", i)
 				}
-				if len(res.Samples) != c.capacity {
-					t.Fatalf("dropped %d yet retained %d, capacity is %d", res.SamplesDropped, len(res.Samples), c.capacity)
-				}
-				for i := 1; i < len(res.Samples); i++ {
-					if res.Samples[i].TimeSec <= res.Samples[i-1].TimeSec {
-						t.Fatalf("retained timeline out of order at %d", i)
-					}
-				}
-			})
+			}
 		})
-	}
+	})
 }
 
 func TestGovernorBeatsUniformCapOnTime(t *testing.T) {

@@ -20,60 +20,32 @@ import (
 	"repro/internal/par"
 )
 
-// Options configures the proxy.
-type Options struct {
-	// Gamma is the ideal-gas ratio of specific heats. Default 1.4.
-	Gamma float64
-	// CFL is the Courant number for the explicit timestep. Default 0.4.
-	CFL float64
-	// AmbientDensity and AmbientEnergy set the background state
-	// (CloverLeaf state 1: rho 0.2, specific internal energy 1.0).
-	AmbientDensity, AmbientEnergy float64
-	// SourceDensity and SourceEnergy set the energetic region
-	// (CloverLeaf state 2: rho 1.0, specific internal energy 2.5).
-	SourceDensity, SourceEnergy float64
-	// SourceExtent is the fraction of the unit cube, from the origin
-	// corner, occupied by the energetic region. Default 0.3.
-	SourceExtent float64
-	// SecondOrder enables MUSCL reconstruction (minmod-limited linear
-	// interface states) in the sweeps, halving the scheme's numerical
-	// diffusion. The default first-order scheme is more robust and is
-	// what the study harness uses.
-	SecondOrder bool
-}
+// The CloverLeaf benchmark deck the paper's data set comes from: an ideal
+// gas at ambient state 1 (density, specific internal energy) with the
+// energetic state 2 filling the corner cube [0, sourceExtent)³, advanced
+// at Courant number cfl.
+const (
+	// gamma is the ideal-gas ratio of specific heats. It is typed so that
+	// gamma-1 is the float64 difference 0.3999999999999999 the data sets
+	// are made with, not an exact 0.4.
+	gamma float64 = 1.4
+	cfl           = 0.4
 
-// withDefaults fills zero fields with the benchmark-deck values.
-func (o Options) withDefaults() Options {
-	if o.Gamma == 0 {
-		o.Gamma = 1.4
-	}
-	if o.CFL == 0 {
-		o.CFL = 0.4
-	}
-	if o.AmbientDensity == 0 {
-		o.AmbientDensity = 0.2
-	}
-	if o.AmbientEnergy == 0 {
-		o.AmbientEnergy = 1.0
-	}
-	if o.SourceDensity == 0 {
-		o.SourceDensity = 1.0
-	}
-	if o.SourceEnergy == 0 {
-		o.SourceEnergy = 2.5
-	}
-	if o.SourceExtent == 0 {
-		o.SourceExtent = 0.3
-	}
-	return o
-}
+	ambientDensity, ambientEnergy = 0.2, 1.0
+	sourceDensity, sourceEnergy   = 1.0, 2.5
+	sourceExtent                  = 0.3
+)
+
+// Options has no fields: the proxy runs the one deck above with the one
+// first-order scheme. The type stays because the benchmark programs under
+// bench/, which are held fixed, call New(n, Options{}).
+type Options struct{}
 
 // Sim is the proxy-application state: conserved variables on an n³ uniform
 // grid of cells spanning the unit cube.
 type Sim struct {
 	nx, ny, nz int     // cells per axis
 	h          float64 // cell spacing
-	opts       Options
 
 	// Conserved variables, cell-centered, x-fastest layout.
 	rho  []float64 // mass density
@@ -91,13 +63,13 @@ type Sim struct {
 }
 
 // New creates a proxy simulation with n cells per axis.
-func New(n int, opts Options) (*Sim, error) {
+func New(n int, _ Options) (*Sim, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("clover: need at least 2 cells per axis, got %d", n)
 	}
 	nc := n * n * n
 	s := &Sim{
-		nx: n, ny: n, nz: n, h: 1.0 / float64(n), opts: opts.withDefaults(),
+		nx: n, ny: n, nz: n, h: 1.0 / float64(n),
 		rho: make([]float64, nc), mx: make([]float64, nc), my: make([]float64, nc),
 		mz: make([]float64, nc), etot: make([]float64, nc),
 		prs: make([]float64, nc), snd: make([]float64, nc),
@@ -108,8 +80,6 @@ func New(n int, opts Options) (*Sim, error) {
 
 // initDeck applies the two-state benchmark initialization.
 func (s *Sim) initDeck() {
-	o := s.opts
-	ext := o.SourceExtent
 	for k := 0; k < s.nz; k++ {
 		z := (float64(k) + 0.5) * s.h
 		for j := 0; j < s.ny; j++ {
@@ -117,9 +87,9 @@ func (s *Sim) initDeck() {
 			for i := 0; i < s.nx; i++ {
 				x := (float64(i) + 0.5) * s.h
 				c := s.idx(i, j, k)
-				rho, e := o.AmbientDensity, o.AmbientEnergy
-				if x < ext && y < ext && z < ext {
-					rho, e = o.SourceDensity, o.SourceEnergy
+				rho, e := ambientDensity, ambientEnergy
+				if x < sourceExtent && y < sourceExtent && z < sourceExtent {
+					rho, e = sourceDensity, sourceEnergy
 				}
 				s.rho[c] = rho
 				s.etot[c] = rho * e // zero initial velocity
@@ -139,7 +109,6 @@ func (s *Sim) Time() float64 { return s.time }
 // eosAndSpeeds fills pressure and sound speed and returns the maximum
 // signal speed |u|+c over the domain (for the CFL condition).
 func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
-	g1 := s.opts.Gamma - 1
 	nc := s.NumCells()
 	maxSpeed := par.Reduce(pool, nc, 0,
 		func() float64 { return 0 },
@@ -148,12 +117,12 @@ func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
 				r := s.rho[c]
 				inv := 1 / r
 				ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
-				p := g1 * (s.etot[c] - ke)
+				p := (gamma - 1) * (s.etot[c] - ke)
 				if p < 1e-12 {
 					p = 1e-12
 				}
 				s.prs[c] = p
-				cs := math.Sqrt(s.opts.Gamma * p * inv)
+				cs := math.Sqrt(gamma * p * inv)
 				s.snd[c] = cs
 				u := math.Sqrt(s.mx[c]*s.mx[c]+s.my[c]*s.my[c]+s.mz[c]*s.mz[c]) * inv
 				if u+cs > acc {
@@ -177,19 +146,18 @@ func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
 // refreshEOS recomputes pressure and sound speed (used between split
 // sweeps so each sweep sees consistent primitives).
 func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
-	g1 := s.opts.Gamma - 1
 	nc := s.NumCells()
 	pool.For(nc, 0, func(lo, hi, worker int) {
 		for c := lo; c < hi; c++ {
 			r := s.rho[c]
 			inv := 1 / r
 			ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
-			p := g1 * (s.etot[c] - ke)
+			p := (gamma - 1) * (s.etot[c] - ke)
 			if p < 1e-12 {
 				p = 1e-12
 			}
 			s.prs[c] = p
-			s.snd[c] = math.Sqrt(s.opts.Gamma * p * inv)
+			s.snd[c] = math.Sqrt(gamma * p * inv)
 		}
 		if recs != nil {
 			rec := &recs[worker]
@@ -209,7 +177,7 @@ func (s *Sim) timestep(pool *par.Pool, recs []ops.Recorder) float64 {
 	if maxSpeed <= 0 || math.IsNaN(maxSpeed) {
 		maxSpeed = 1
 	}
-	return s.opts.CFL * s.h / maxSpeed
+	return cfl * s.h / maxSpeed
 }
 
 // Step advances the simulation by one explicit timestep and returns dt.
@@ -247,7 +215,6 @@ func (s *Sim) Grid() (*mesh.UniformGrid, error) {
 	energy := g.AddCellField("energy")
 	density := g.AddCellField("density")
 	pressure := g.AddCellField("pressure")
-	g1 := s.opts.Gamma - 1
 	for c := 0; c < s.NumCells(); c++ {
 		r := s.rho[c]
 		inv := 1 / r
@@ -255,7 +222,7 @@ func (s *Sim) Grid() (*mesh.UniformGrid, error) {
 		eint := (s.etot[c] - ke) * inv
 		energy[c] = eint
 		density[c] = r
-		pressure[c] = g1 * (s.etot[c] - ke)
+		pressure[c] = (gamma - 1) * (s.etot[c] - ke)
 	}
 	if _, err := g.CellToPoint("energy"); err != nil {
 		return nil, err

@@ -192,100 +192,25 @@ func TestDensityFieldMatchesState(t *testing.T) {
 	}
 }
 
-func TestSecondOrderConservesToo(t *testing.T) {
-	s, err := New(12, Options{SecondOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := par.NewPool(2)
-	m0, e0 := s.TotalMass(), s.TotalEnergy()
-	s.Run(25, pool, nil)
-	if rel := math.Abs(s.TotalMass()-m0) / m0; rel > 1e-12 {
-		t.Errorf("second-order mass drift %.3e", rel)
-	}
-	if rel := math.Abs(s.TotalEnergy()-e0) / e0; rel > 1e-12 {
-		t.Errorf("second-order energy drift %.3e", rel)
-	}
-	if s.MinDensity() <= 0 {
-		t.Errorf("second-order density non-positive: %v", s.MinDensity())
-	}
-}
-
-// sampleOnCoarse runs a sim to a fixed physical time and returns the
-// density field averaged down to a reference coarse resolution.
-func densityAtTime(t *testing.T, n int, second bool, tEnd float64, coarse int) []float64 {
-	t.Helper()
-	s, err := New(n, Options{SecondOrder: second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := par.NewPool(2)
-	for s.Time() < tEnd {
-		s.Step(pool, nil)
-	}
-	// Average n^3 cells down to coarse^3 blocks.
-	r := n / coarse
-	out := make([]float64, coarse*coarse*coarse)
-	cnt := float64(r * r * r)
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				dst := (i / r) + coarse*((j/r)+coarse*(k/r))
-				out[dst] += s.rho[s.idx(i, j, k)] / cnt
-			}
-		}
-	}
-	return out
-}
-
-// TestSecondOrderIsLessDiffusive compares both schemes at a coarse
-// resolution against a fine-grid reference: the MUSCL scheme's L1 error
-// must be smaller (it halves the numerical diffusion).
-func TestSecondOrderIsLessDiffusive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("convergence check skipped in -short mode")
-	}
-	const tEnd = 0.05
-	const coarse = 8
-	ref := densityAtTime(t, 32, true, tEnd, coarse)
-	l1 := func(a []float64) float64 {
-		sum := 0.0
-		for i := range a {
-			sum += math.Abs(a[i] - ref[i])
-		}
-		return sum / float64(len(a))
-	}
-	e1 := l1(densityAtTime(t, 16, false, tEnd, coarse))
-	e2 := l1(densityAtTime(t, 16, true, tEnd, coarse))
-	if e2 >= e1 {
-		t.Errorf("second-order L1 error %.4e not below first-order %.4e", e2, e1)
-	}
-}
-
 // TestSweepScratchReuse pins the sweep's pencil buffers to the pool
 // scratch store: after a warm-up step, repeated sweeps must not allocate
-// fresh flux/slope slices per chunk.
+// fresh side/flux rows per chunk.
 func TestSweepScratchReuse(t *testing.T) {
-	for _, secondOrder := range []bool{false, true} {
-		s, err := New(16, Options{SecondOrder: secondOrder})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool := par.NewPool(1) // serial pool: no worker-goroutine noise
-		dt := s.timestep(pool, nil)
-		sweepXY := func() {
-			s.sweep(0, dt, pool, nil)
-			s.refreshEOS(pool, nil)
-			s.sweep(1, dt, pool, nil)
-			s.refreshEOS(pool, nil)
-		}
-		sweepXY() // warm the scratch lease
-		allocs := testing.AllocsPerRun(5, sweepXY)
-		// refreshEOS reductions may allocate a few accumulator cells;
-		// the per-chunk []state5 buffers (16 chunks x 2 sweeps) must not
-		// show up.
-		if allocs > 8 {
-			t.Errorf("secondOrder=%v: the x and y sweeps allocate %v objects/run, want scratch reuse (<= 8)", secondOrder, allocs)
-		}
+	s := newSim(t, 16)
+	pool := par.NewPool(1) // serial pool: no worker-goroutine noise
+	dt := s.timestep(pool, nil)
+	sweepXY := func() {
+		s.sweep(0, dt, pool, nil)
+		s.refreshEOS(pool, nil)
+		s.sweep(1, dt, pool, nil)
+		s.refreshEOS(pool, nil)
+	}
+	sweepXY() // warm the scratch lease
+	allocs := testing.AllocsPerRun(5, sweepXY)
+	// refreshEOS reductions may allocate a few accumulator cells;
+	// the per-chunk []state5 buffers (16 chunks x 2 sweeps) must not
+	// show up.
+	if allocs > 8 {
+		t.Errorf("the x and y sweeps allocate %v objects/run, want scratch reuse (<= 8)", allocs)
 	}
 }

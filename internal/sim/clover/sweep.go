@@ -20,7 +20,7 @@ type state5 struct{ rho, mn, mt1, mt2, e float64 }
 // side is a state as a face sees it from one of its two sides: the
 // conserved variables plus everything the Rusanov flux derives from that
 // state alone — the physical flux F(U) (whose mass component is mn itself)
-// and the signal speed |u|+c. A first-order cell shows the same side to
+// and the signal speed |u|+c. A cell shows the same side to
 // both its faces, so it is computed once per cell, not once per face.
 type side struct {
 	state5
@@ -40,8 +40,6 @@ func (d *side) set(rho, mn, mt1, mt2, e, p, c float64) {
 	d.fe = (e + p) * v
 	d.s = math.Abs(v) + c
 }
-
-func (d *side) setState(u state5, p, c float64) { d.set(u.rho, u.mn, u.mt1, u.mt2, u.e, p, c) }
 
 // faces fills f[i] with the Rusanov (local Lax–Friedrichs) flux between
 // l[i] and r[i]. The builtin max propagates a NaN signal speed.
@@ -65,11 +63,6 @@ type sweepKernel struct {
 	rho, mn, mt1, mt2, e []float64
 	prs, snd             []float64
 	lambda               float64 // dt/h
-	second               bool    // MUSCL reconstruction
-}
-
-func (k *sweepKernel) at(c int) state5 {
-	return state5{k.rho[c], k.mn[c], k.mt1[c], k.mt2[c], k.e[c]}
 }
 
 // centred fills dst with the cell-centred sides of the cells from c on.
@@ -90,58 +83,6 @@ func (k *sweepKernel) wall(dst []side, c int) {
 		j := c + i
 		dst[i].set(k.rho[j], -k.mn[j], k.mt1[j], k.mt2[j], k.e[j], k.prs[j], k.snd[j])
 	}
-}
-
-// muscl fills minus and plus with the sides the cells from c on show their
-// lower and upper neighbor (stride cells away) under minmod-limited linear
-// reconstruction; end marks the first and last cell of a pencil, whose
-// slope is zero.
-func (k *sweepKernel) muscl(minus, plus []side, c, stride int, end bool) {
-	for i := range minus {
-		u := k.at(c + i)
-		var slope state5
-		if !end {
-			lo, hi := k.at(c+i-stride), k.at(c+i+stride)
-			slope = state5{
-				rho: minmod(u.rho-lo.rho, hi.rho-u.rho),
-				mn:  minmod(u.mn-lo.mn, hi.mn-u.mn),
-				mt1: minmod(u.mt1-lo.mt1, hi.mt1-u.mt1),
-				mt2: minmod(u.mt2-lo.mt2, hi.mt2-u.mt2),
-				e:   minmod(u.e-lo.e, hi.e-u.e),
-			}
-		}
-		minus[i].setState(addHalf(u, slope, -1), k.prs[c+i], k.snd[c+i])
-		plus[i].setState(addHalf(u, slope, +1), k.prs[c+i], k.snd[c+i])
-	}
-}
-
-// minmod is the classic slope limiter: the smaller-magnitude of the two
-// one-sided differences when they agree in sign, zero at extrema.
-func minmod(a, b float64) float64 {
-	if a*b <= 0 {
-		return 0
-	}
-	if math.Abs(a) < math.Abs(b) {
-		return a
-	}
-	return b
-}
-
-// addHalf shifts a cell state by ±half its limited slope, producing the
-// MUSCL interface state (density floored like the update's).
-func addHalf(u, slope state5, sign float64) state5 {
-	h := 0.5 * sign
-	r := state5{
-		rho: u.rho + h*slope.rho,
-		mn:  u.mn + h*slope.mn,
-		mt1: u.mt1 + h*slope.mt1,
-		mt2: u.mt2 + h*slope.mt2,
-		e:   u.e + h*slope.e,
-	}
-	if r.rho < 1e-10 {
-		r.rho = 1e-10
-	}
-	return r
 }
 
 // update applies the conservative update to the cells from c on, given the
@@ -169,26 +110,13 @@ func (k *sweepKernel) update(c int, fLo, fHi []state5) {
 // cell's sides once, then every face, then every cell's update.
 func (k *sweepKernel) pencil(ss *sweepScratch, base, n int) {
 	f := ss.flux[0][:n+1]
-	minus := ss.side[0][:n] // the sides facing the lower neighbor
-	plus := minus           // the sides facing the upper neighbor
-	// The walls reflect the cell-centred end states.
-	lo, hi, g := minus[:1], minus[n-1:], ss.side[1][:1]
-	if k.second {
-		plus = ss.side[1][:n]
-		k.muscl(minus[:1], plus[:1], base, 1, true)
-		k.muscl(minus[1:n-1], plus[1:n-1], base+1, 1, false)
-		k.muscl(minus[n-1:], plus[n-1:], base+n-1, 1, true)
-		lo, hi, g = ss.side[2][:1], ss.side[2][1:2], ss.side[2][2:3]
-		k.centred(lo, base)
-		k.centred(hi, base+n-1)
-	} else {
-		k.centred(minus, base)
-	}
-	k.wall(g, base)
-	faces(f[:1], g, lo)
-	faces(f[1:n], plus, minus[1:])
-	k.wall(g, base+n-1)
-	faces(f[n:], hi, g)
+	sides, ghost := ss.side[0][:n], ss.side[1][:1]
+	k.centred(sides, base)
+	k.wall(ghost, base)
+	faces(f[:1], ghost, sides)
+	faces(f[1:n], sides, sides[1:])
+	k.wall(ghost, base+n-1)
+	faces(f[n:], sides[n-1:], ghost)
 	k.update(base, f[:n], f[1:])
 }
 
@@ -201,31 +129,18 @@ func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int) {
 	fLo, fHi := ss.flux[0][:w], ss.flux[1][:w]
 	// carry holds the sides row q-1 shows row q; cur is built for row q.
 	carry, cur := ss.side[0][:w], ss.side[1][:w]
-	var minus []side
 	k.centred(carry, base)
 	k.wall(cur, base)
 	faces(fLo, cur, carry)
-	if k.second {
-		minus = ss.side[2][:w]
-		k.muscl(minus, carry, base, stride, true)
-	}
 	for q := 1; q < n; q++ {
 		c := base + q*stride
-		if k.second {
-			k.muscl(minus, cur, c, stride, q == n-1)
-			faces(fHi, carry, minus)
-		} else {
-			k.centred(cur, c)
-			faces(fHi, carry, cur)
-		}
+		k.centred(cur, c)
+		faces(fHi, carry, cur)
 		k.update(c-stride, fLo, fHi)
 		fLo, fHi = fHi, fLo
 		carry, cur = cur, carry
 	}
 	last := base + (n-1)*stride
-	if k.second {
-		k.centred(carry, last) // the wall reflects the cell-centred state
-	}
 	k.wall(cur, last)
 	faces(fHi, carry, cur)
 	k.update(last, fLo, fHi)
@@ -240,7 +155,7 @@ func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int) {
 func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
 	k := sweepKernel{
 		rho: s.rho, e: s.etot, prs: s.prs, snd: s.snd,
-		lambda: dt / s.h, second: s.opts.SecondOrder,
+		lambda: dt / s.h,
 	}
 	nx, plane := s.nx, s.nx*s.ny
 	var n, nPencils int
@@ -307,7 +222,7 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
 // the worker pool's scratch store across sweeps and steps. A row is as long
 // as a row block or a whole x pencil with its two wall faces.
 type sweepScratch struct {
-	side [3][]side // only MUSCL uses the third
+	side [2][]side
 	flux [2][]state5
 }
 

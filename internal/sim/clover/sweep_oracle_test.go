@@ -10,10 +10,10 @@ import (
 )
 
 // The pencil-at-a-time sweep that sweep.go replaced, kept verbatim as the
-// bit-identity oracle: sweepRef, rusanov and pencilSlopesRef are the parent
+// bit-identity oracle: sweepRef and rusanovRef are the parent
 // implementation with only the scratch lease (a per-chunk make here), the
-// helper names and the slab subdomains' halo branch gone. stepRef is
-// Sim.Step over sweepRef.
+// helper names, the slab subdomains' halo branch and the MUSCL option gone.
+// stepRef is Sim.Step over sweepRef.
 
 // rusanovRef computes the Rusanov (local Lax–Friedrichs) flux between two
 // states. mn is momentum normal to the face; mt1/mt2 are transverse.
@@ -89,32 +89,15 @@ func (s *Sim) sweepRef(dir int, dt float64, pool *par.Pool, recs []ops.Recorder)
 	}
 
 	pool.For(nPencils, 0, func(lo, hi, worker int) {
-		// Face-flux and slope buffers for one pencil (n+1 faces).
+		// Face-flux buffer for one pencil (n+1 faces).
 		fluxes := make([]state5, n+1)
-		var slopes []state5
-		if s.opts.SecondOrder {
-			slopes = make([]state5, n)
-		}
 		for pencil := lo; pencil < hi; pencil++ {
-			if s.opts.SecondOrder {
-				s.pencilSlopesRef(pencil, n, cellAt, mn, mt1, mt2, slopes)
-			}
 			// Interior faces.
 			for q := 1; q < n; q++ {
 				cl := cellAt(pencil, q-1)
 				cr := cellAt(pencil, q)
 				l := state5{s.rho[cl], mn[cl], mt1[cl], mt2[cl], s.etot[cl]}
 				r := state5{s.rho[cr], mn[cr], mt1[cr], mt2[cr], s.etot[cr]}
-				if s.opts.SecondOrder {
-					l = addHalfRef(l, slopes[q-1], +1)
-					r = addHalfRef(r, slopes[q], -1)
-					if l.rho < 1e-10 {
-						l.rho = 1e-10
-					}
-					if r.rho < 1e-10 {
-						r.rho = 1e-10
-					}
-				}
 				fluxes[q] = rusanovRef(l, r, s.prs[cl], s.prs[cr], s.snd[cl], s.snd[cr])
 			}
 			// Domain ends: reflective walls (mirror the state with
@@ -155,55 +138,6 @@ func (s *Sim) sweepRef(dir int, dt float64, pool *par.Pool, recs []ops.Recorder)
 			}
 		}
 	})
-}
-
-// minmodRef is the classic slope limiter: the smaller-magnitude of the two
-// one-sided differences when they agree in sign, zero at extrema.
-func minmodRef(a, b float64) float64 {
-	if a*b <= 0 {
-		return 0
-	}
-	if math.Abs(a) < math.Abs(b) {
-		return a
-	}
-	return b
-}
-
-// addHalfRef shifts a cell state by ±half its limited slope, producing the
-// MUSCL interface state.
-func addHalfRef(u, slope state5, sign float64) state5 {
-	h := 0.5 * sign
-	return state5{
-		rho: u.rho + h*slope.rho,
-		mn:  u.mn + h*slope.mn,
-		mt1: u.mt1 + h*slope.mt1,
-		mt2: u.mt2 + h*slope.mt2,
-		e:   u.e + h*slope.e,
-	}
-}
-
-// pencilSlopesRef fills the minmod-limited slopes of the conserved variables
-// along one pencil (zero slope at the walls).
-func (s *Sim) pencilSlopesRef(pencil, n int, cellAt func(int, int) int, mn, mt1, mt2 []float64, slopes []state5) {
-	get := func(q int) state5 {
-		c := cellAt(pencil, q)
-		return state5{s.rho[c], mn[c], mt1[c], mt2[c], s.etot[c]}
-	}
-	slopes[0] = state5{}
-	slopes[n-1] = state5{}
-	prev := get(0)
-	cur := get(1)
-	for q := 1; q < n-1; q++ {
-		next := get(q + 1)
-		slopes[q] = state5{
-			rho: minmodRef(cur.rho-prev.rho, next.rho-cur.rho),
-			mn:  minmodRef(cur.mn-prev.mn, next.mn-cur.mn),
-			mt1: minmodRef(cur.mt1-prev.mt1, next.mt1-cur.mt1),
-			mt2: minmodRef(cur.mt2-prev.mt2, next.mt2-cur.mt2),
-			e:   minmodRef(cur.e-prev.e, next.e-cur.e),
-		}
-		prev, cur = cur, next
-	}
 }
 
 // stepRef is Sim.Step with every sweep through sweepRef.
@@ -255,43 +189,37 @@ func requireSameBits(t *testing.T, got, want *Sim) {
 // two-cell pencil whose every cell touches a wall.
 func TestSweepMatchesOracle(t *testing.T) {
 	const steps = 25
-	for _, second := range []bool{false, true} {
-		for _, n := range []int{2, 3, 8, 12, 17, 32, 40} {
-			if (testing.Short() || raceDetector) && n > 17 {
-				continue
-			}
-			opts := Options{SecondOrder: second}
-			want, err := New(n, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The oracle's result does not depend on the worker count
-			// (TestStepDeterministicAcrossWorkerCounts), so one run serves.
-			refPool := par.NewPool(2)
-			wantRecs := make([]ops.Recorder, refPool.Workers())
-			for i := 0; i < steps; i++ {
-				want.stepRef(refPool, wantRecs)
-			}
-			refPool.Close()
-			for workers := 1; workers <= 4; workers++ {
-				t.Run(fmt.Sprintf("second=%v/n=%d/workers=%d", second, n, workers), func(t *testing.T) {
-					got, err := New(n, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pool := par.NewPool(workers)
-					defer pool.Close()
-					recs := make([]ops.Recorder, pool.Workers())
-					got.Run(steps, pool, recs)
-					requireSameBits(t, got, want)
-					if math.Float64bits(got.Time()) != math.Float64bits(want.Time()) {
-						t.Errorf("time %v, oracle %v", got.Time(), want.Time())
-					}
-					if g, w := ops.Merge(recs), ops.Merge(wantRecs); g != w {
-						t.Errorf("profile %+v, oracle %+v", g, w)
-					}
-				})
-			}
+	for _, n := range []int{2, 3, 8, 12, 17, 32, 40} {
+		if (testing.Short() || raceDetector) && n > 17 {
+			continue
+		}
+		want := newSim(t, n)
+		// The oracle's result does not depend on the worker count
+		// (TestStepDeterministicAcrossWorkerCounts), so one run serves.
+		refPool := par.NewPool(2)
+		wantRecs := make([]ops.Recorder, refPool.Workers())
+		for i := 0; i < steps; i++ {
+			want.stepRef(refPool, wantRecs)
+		}
+		refPool.Close()
+		for workers := 1; workers <= 4; workers++ {
+			// "second=false" names the first-order scheme, the only one
+			// the sweep has; the cases keep the names they were listed
+			// under when a second-order arm ran beside them.
+			t.Run(fmt.Sprintf("second=false/n=%d/workers=%d", n, workers), func(t *testing.T) {
+				got := newSim(t, n)
+				pool := par.NewPool(workers)
+				defer pool.Close()
+				recs := make([]ops.Recorder, pool.Workers())
+				got.Run(steps, pool, recs)
+				requireSameBits(t, got, want)
+				if math.Float64bits(got.Time()) != math.Float64bits(want.Time()) {
+					t.Errorf("time %v, oracle %v", got.Time(), want.Time())
+				}
+				if g, w := ops.Merge(recs), ops.Merge(wantRecs); g != w {
+					t.Errorf("profile %+v, oracle %+v", g, w)
+				}
+			})
 		}
 	}
 }
