@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -111,5 +112,99 @@ func TestRayBoxMatchesContainsForRandomRays(t *testing.T) {
 				t.Fatalf("ray %d: interval midpoint %v outside box", i, mid)
 			}
 		}
+	}
+}
+
+// The slab test as it was first written, over Vec3 values: the oracle
+// the production routine is held to bit for bit.
+
+func safeInvDirVec(dir Vec3) Vec3 {
+	inv := Vec3{}
+	for a := 0; a < 3; a++ {
+		if dir[a] == 0 {
+			inv[a] = math.Inf(1)
+		} else {
+			inv[a] = 1 / dir[a]
+		}
+	}
+	return inv
+}
+
+func rayBoxInvVec(orig, inv Vec3, b Bounds, t0, t1 float64) (float64, float64, bool) {
+	for a := 0; a < 3; a++ {
+		ta := (b.Lo[a] - orig[a]) * inv[a]
+		tb := (b.Hi[a] - orig[a]) * inv[a]
+		if ta > tb {
+			ta, tb = tb, ta
+		}
+		if ta > t0 {
+			t0 = ta
+		}
+		if tb < t1 {
+			t1 = tb
+		}
+	}
+	return t0, t1, t0 <= t1
+}
+
+func rayBoxVec(orig, dir Vec3, b Bounds) (t0, t1 float64, ok bool) {
+	return rayBoxInvVec(orig, safeInvDirVec(dir), b, 0, math.Inf(1))
+}
+
+// TestRayBoxMatchesVec3Oracle compares the slab test with the oracle by
+// float bits on seeded random rays and boxes, on axis-parallel rays
+// (either sign of zero) starting on a face, edge or corner of the box —
+// the NaN slab — and on clipped intervals [t0, t1].
+func TestRayBoxMatchesVec3Oracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	coord := func() float64 { return rng.Float64()*4 - 2 }
+	negZero := math.Copysign(0, -1)
+	type ray struct {
+		orig, dir Vec3
+		b         Bounds
+	}
+	var rays []ray
+	for i := 0; i < 2000; i++ {
+		lo := Vec3{coord(), coord(), coord()}
+		b := Bounds{Lo: lo, Hi: lo.Add(Vec3{rng.Float64(), rng.Float64(), rng.Float64()})}
+		orig := Vec3{coord(), coord(), coord()}
+		dir := Vec3{coord(), coord(), coord()}
+		if i%2 == 0 {
+			dir = b.Lo.Lerp(b.Hi, rng.Float64()).Sub(orig) // aimed into the box
+		}
+		rays = append(rays, ray{orig, dir.Normalize(), b})
+	}
+	box := unitBox()
+	for _, orig := range []Vec3{{0, 0.5, -1}, {1, 0.5, -1}, {0, 1, 0.5}, {1, 1, 1}, {0, 0, 0}, {0.5, 0.5, 0.5}, {0.5, 0, 2}} {
+		for a := 0; a < 3; a++ {
+			for _, sign := range []float64{1, -1} {
+				dir := Vec3{negZero, 0, negZero}
+				dir[a] = sign
+				rays = append(rays, ray{orig, dir, box})
+			}
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	hits := 0
+	for i, r := range rays {
+		w0, w1, wok := rayBoxVec(r.orig, r.dir, r.b)
+		g0, g1, gok := RayBox(r.orig, r.dir, r.b)
+		if gok != wok || !same(g0, w0) || !same(g1, w1) {
+			t.Fatalf("ray %d %+v: got (%v, %v, %v), oracle (%v, %v, %v)", i, r, g0, g1, gok, w0, w1, wok)
+		}
+		if wok {
+			hits++
+		}
+		inv := safeInvDirVec(r.dir)
+		for _, clip := range [][2]float64{{0.5, 1.5}, {1.5, math.Inf(1)}, {0, 0.25}} {
+			w0, w1, wok := rayBoxInvVec(r.orig, inv, r.b, clip[0], clip[1])
+			g0, g1, gok := RayBoxInv(r.orig, SafeInvDir(r.dir), r.b, clip[0], clip[1])
+			if gok != wok || !same(g0, w0) || !same(g1, w1) {
+				t.Fatalf("ray %d %+v clipped to %v: got (%v, %v, %v), oracle (%v, %v, %v)", i, r, clip, g0, g1, gok, w0, w1, wok)
+			}
+		}
+	}
+	if hits < 100 {
+		t.Fatalf("only %d of %d rays hit their box", hits, len(rays))
 	}
 }

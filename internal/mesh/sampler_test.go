@@ -53,7 +53,7 @@ func samplerProbePoints(n int) []Vec3 {
 // by-name reference paths on power-of-two (exact reciprocal) and
 // non-power-of-two (division) grids.
 func TestSamplersBitIdentical(t *testing.T) {
-	for _, n := range []int{8, 32, 6, 12} {
+	for _, n := range []int{8, 32, 6, 12, 24, 40} {
 		g := samplerTestGrid(t, n)
 		ss, err := NewScalarSampler(g, "s")
 		if err != nil {

@@ -30,6 +30,44 @@ func TestFrameRayMatchesCamera(t *testing.T) {
 	}
 }
 
+// frameRayVec is Frame.Ray as it was first written, returning the origin
+// and a mesh.Vec3 direction: the oracle the method is held to bit for bit.
+func frameRayVec(f *Frame, px, py int) (orig, dir mesh.Vec3) {
+	u := (2*(float64(px)+0.5)*f.invW - 1) * f.uScale
+	v := (1 - 2*(float64(py)+0.5)*f.invH) * f.vScale
+	dir = mesh.Vec3{
+		f.Forward[0] + f.Right[0]*u + f.Up[0]*v,
+		f.Forward[1] + f.Right[1]*u + f.Up[1]*v,
+		f.Forward[2] + f.Right[2]*u + f.Up[2]*v,
+	}.Normalize()
+	return f.Eye, dir
+}
+
+// TestFrameRayMatchesVec3Oracle compares every pixel of three orbit
+// frames, square and not, with the oracle by float bits.
+func TestFrameRayMatchesVec3Oracle(t *testing.T) {
+	b := mesh.Bounds{Lo: mesh.Vec3{0, 0, 0}, Hi: mesh.Vec3{1, 1, 1}}
+	for _, size := range [][2]int{{128, 128}, {96, 64}} {
+		w, h := size[0], size[1]
+		for _, frame := range []int{0, 17, 33} {
+			cam, _ := OrbitView(b, frame, 50)
+			fr := cam.Frame(w, h)
+			for py := 0; py < h; py++ {
+				for px := 0; px < w; px++ {
+					wantOrig, want := frameRayVec(&fr, px, py)
+					gotOrig, got := fr.Ray(px, py)
+					for a := 0; a < 3; a++ {
+						if math.Float64bits(got[a]) != math.Float64bits(want[a]) || gotOrig[a] != wantOrig[a] {
+							t.Fatalf("%dx%d frame %d pixel (%d,%d): got %v %v, oracle %v %v",
+								w, h, frame, px, py, gotOrig, got, wantOrig, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFrameProjectMatchesCamera(t *testing.T) {
 	cam := testCam()
 	const w, h = 64, 48
