@@ -150,10 +150,19 @@ func main() {
 	}
 }
 
-// analyze parses the non-test Go under internal/, cmd/ and bench/ of
-// fsys, as module repro, and runs unusedNames on it with the packages
-// under internal/ checked.
+// analyze parses the non-test Go of fsys (parseTree) and runs
+// unusedNames on it with the packages under internal/ checked.
 func analyze(fsys fs.FS) (*analysis, error) {
+	fset, files, err := parseTree(fsys)
+	if err != nil {
+		return nil, err
+	}
+	return unusedNames(fset, files, func(path string) bool { return strings.HasPrefix(path, "repro/internal/") })
+}
+
+// parseTree parses the non-test Go under internal/, cmd/ and bench/ of
+// fsys, as module repro, keyed by import path.
+func parseTree(fsys fs.FS) (*token.FileSet, map[string][]*ast.File, error) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // import path -> non-test files
 	for _, root := range []string{"internal", "cmd", "bench"} {
@@ -174,10 +183,10 @@ func analyze(fsys fs.FS) (*analysis, error) {
 			return nil
 		})
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return unusedNames(fset, files, func(path string) bool { return strings.HasPrefix(path, "repro/internal/") })
+	return fset, files, nil
 }
 
 // implicitInterfaces are the unnamed interfaces errors.Is, errors.As and
@@ -224,13 +233,7 @@ func (a *analysis) isUnused(key string) bool {
 // then it is called without being named. Keys are "package.Name" and
 // "package.Type.Name".
 func unusedNames(fset *token.FileSet, files map[string][]*ast.File, checked func(path string) bool) (*analysis, error) {
-	l := &loader{
-		fset:  fset,
-		files: files,
-		pkgs:  map[string]*types.Package{},
-		std:   importer.ForCompiler(fset, "gc", nil),
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-	}
+	l := newLoader(fset, files)
 	paths := make([]string, 0, len(files))
 	for path := range files {
 		paths = append(paths, path)
@@ -395,6 +398,16 @@ type loader struct {
 	pkgs  map[string]*types.Package
 	std   types.Importer
 	info  *types.Info
+}
+
+func newLoader(fset *token.FileSet, files map[string][]*ast.File) *loader {
+	return &loader{
+		fset:  fset,
+		files: files,
+		pkgs:  map[string]*types.Package{},
+		std:   importer.ForCompiler(fset, "gc", nil),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {

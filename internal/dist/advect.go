@@ -239,7 +239,7 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	}
 	perRank := make([][]advect.Particle, nRanks)
 	for _, p := range live {
-		layer, _ := gs.CellLayer(p.Pos)
+		layer, _ := gs.CellLayer(p.Pos[0], p.Pos[1], p.Pos[2])
 		perRank[owners[layer]] = append(perRank[owners[layer]], p)
 	}
 
@@ -300,7 +300,7 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 	// migrates there.
 	a := sh.f.Advancer(sh.g)
 	a.Leave = func(p mesh.Vec3) int32 {
-		if layer, ok := s.CellLayer(p); ok && sh.owners[layer] != rank32 {
+		if layer, ok := s.CellLayer(p[0], p[1], p[2]); ok && sh.owners[layer] != rank32 {
 			return sh.owners[layer]
 		}
 		return advect.Resident

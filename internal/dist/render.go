@@ -91,12 +91,12 @@ func compositeSegments(gathered [][]float64, nRanks int, cam render.Camera, w, h
 	fr := cam.Frame(w, h) // one camera frame for the whole composite
 	for p := 0; p < w*h; p++ {
 		px, py := p%w, p/w
-		_, dir := fr.Ray(px, py)
+		_, _, dz := fr.Ray(px, py)
 		var cr, cg, cb, alpha float64
 		for k := 0; k < nRanks; k++ {
 			r := k
-			if dir[2] < 0 {
-				r = nRanks - 1 - k // far slabs first along -z rays
+			if dz < 0 {
+				r = nRanks - 1 - k // near slab first: a -z ray enters the highest
 			}
 			seg := gathered[r]
 			sa := seg[p*4+3]

@@ -115,7 +115,7 @@ func TestBlockSamplerBitIdentical(t *testing.T) {
 	checked := 0
 	for _, p := range probes {
 		want, wok := global.Sample(p)
-		layer, lok := global.CellLayer(p)
+		layer, lok := global.CellLayer(p[0], p[1], p[2])
 		if !lok {
 			if wok {
 				t.Fatalf("probe %v: CellLayer rejects but Sample accepts", p)

@@ -8,6 +8,13 @@ import (
 // Exported only to this package's tests: nothing else calls these, so
 // they are declared here and not in the production tree.
 
+// Sample is At for a Vec3 probe: the spelling the sampler tests compare
+// against the by-name oracle with.
+func (s *VectorSampler) Sample(p Vec3) (Vec3, bool) {
+	vx, vy, vz, ok := s.At(p[0], p[1], p[2])
+	return Vec3{vx, vy, vz}, ok
+}
+
 // OwnsLayer reports whether global cell layer k belongs to this block.
 func (b *Block) OwnsLayer(k int) bool { return k >= b.K0 && k < b.K1 }
 

@@ -10,35 +10,39 @@ func unitBox() Bounds {
 	return Bounds{Lo: Vec3{0, 0, 0}, Hi: Vec3{1, 1, 1}}
 }
 
-func TestSafeInvDir(t *testing.T) {
-	inv := SafeInvDir(Vec3{2, -4, 0})
-	if inv[0] != 0.5 || inv[1] != -0.25 || !math.IsInf(inv[2], 1) {
-		t.Errorf("SafeInvDir = %v", inv)
+// rayBox is the forward ray orig + t·dir (t ≥ 0) against b through
+// RaySlab, the way the volume renderer calls it.
+func rayBox(orig, dir Vec3, b Bounds) (t0, t1 float64, ok bool) {
+	return RaySlab(orig[0], orig[1], orig[2], SafeRecip(dir[0]), SafeRecip(dir[1]), SafeRecip(dir[2]), &b, 0, math.Inf(1))
+}
+
+func TestSafeRecip(t *testing.T) {
+	if a, b, c := SafeRecip(2), SafeRecip(-4), SafeRecip(0); a != 0.5 || b != -0.25 || !math.IsInf(c, 1) {
+		t.Errorf("SafeRecip = %v %v %v", a, b, c)
 	}
 	// Negative zero must also map to +Inf, not -Inf.
-	negZero := math.Copysign(0, -1)
-	if inv := SafeInvDir(Vec3{negZero, 1, 1}); !math.IsInf(inv[0], 1) {
-		t.Errorf("SafeInvDir(-0) = %v", inv[0])
+	if inv := SafeRecip(math.Copysign(0, -1)); !math.IsInf(inv, 1) {
+		t.Errorf("SafeRecip(-0) = %v", inv)
 	}
 }
 
 func TestRayBoxBasicOverlap(t *testing.T) {
 	b := unitBox()
-	t0, t1, ok := RayBox(Vec3{0.5, 0.5, -1}, Vec3{0, 0, 1}, b)
+	t0, t1, ok := rayBox(Vec3{0.5, 0.5, -1}, Vec3{0, 0, 1}, b)
 	if !ok || math.Abs(t0-1) > 1e-12 || math.Abs(t1-2) > 1e-12 {
-		t.Errorf("RayBox = %v %v %v", t0, t1, ok)
+		t.Errorf("rayBox = %v %v %v", t0, t1, ok)
 	}
-	if _, _, ok := RayBox(Vec3{2, 2, -1}, Vec3{0, 0, 1}, b); ok {
+	if _, _, ok := rayBox(Vec3{2, 2, -1}, Vec3{0, 0, 1}, b); ok {
 		t.Error("missing ray reported overlap")
 	}
 	// Ray starting inside clips t0 to 0.
-	t0, _, ok = RayBox(Vec3{0.5, 0.5, 0.5}, Vec3{0, 0, 1}, b)
+	t0, _, ok = rayBox(Vec3{0.5, 0.5, 0.5}, Vec3{0, 0, 1}, b)
 	if !ok || t0 != 0 {
 		t.Errorf("inside ray t0 = %v, ok = %v", t0, ok)
 	}
 	// Diagonal ray through opposite corners.
 	d := Vec3{1, 1, 1}.Normalize()
-	t0, t1, ok = RayBox(Vec3{-1, -1, -1}, d, b)
+	t0, t1, ok = rayBox(Vec3{-1, -1, -1}, d, b)
 	if !ok || t1 <= t0 {
 		t.Errorf("diagonal ray = %v %v %v", t0, t1, ok)
 	}
@@ -47,14 +51,14 @@ func TestRayBoxBasicOverlap(t *testing.T) {
 func TestRayBoxAxisParallel(t *testing.T) {
 	b := unitBox()
 	// Parallel and outside the slab: miss on both sides.
-	if _, _, ok := RayBox(Vec3{0.5, 2, -1}, Vec3{0, 0, 1}, b); ok {
+	if _, _, ok := rayBox(Vec3{0.5, 2, -1}, Vec3{0, 0, 1}, b); ok {
 		t.Error("parallel ray above the box reported overlap")
 	}
-	if _, _, ok := RayBox(Vec3{0.5, -2, -1}, Vec3{0, 0, 1}, b); ok {
+	if _, _, ok := rayBox(Vec3{0.5, -2, -1}, Vec3{0, 0, 1}, b); ok {
 		t.Error("parallel ray below the box reported overlap")
 	}
 	// Parallel and inside the slab: hit with the other axes' clipping.
-	t0, t1, ok := RayBox(Vec3{0.25, 0.25, -1}, Vec3{0, 0, 1}, b)
+	t0, t1, ok := rayBox(Vec3{0.25, 0.25, -1}, Vec3{0, 0, 1}, b)
 	if !ok || math.Abs(t0-1) > 1e-12 || math.Abs(t1-2) > 1e-12 {
 		t.Errorf("parallel inside ray = %v %v %v", t0, t1, ok)
 	}
@@ -65,30 +69,30 @@ func TestRayBoxAxisParallel(t *testing.T) {
 func TestRayBoxOnFaceOrigin(t *testing.T) {
 	b := unitBox()
 	for _, orig := range []Vec3{{0, 0.5, -1}, {1, 0.5, -1}} {
-		t0, t1, ok := RayBox(orig, Vec3{0, 0, 1}, b)
+		t0, t1, ok := rayBox(orig, Vec3{0, 0, 1}, b)
 		if !ok || math.Abs(t0-1) > 1e-12 || math.Abs(t1-2) > 1e-12 {
 			t.Errorf("on-face origin %v: got %v %v %v", orig, t0, t1, ok)
 		}
 	}
 	// Both coordinates on faces, marching along the remaining axis.
-	t0, t1, ok := RayBox(Vec3{0, 1, 0.5}, Vec3{0, 0, 1}, b)
+	t0, t1, ok := rayBox(Vec3{0, 1, 0.5}, Vec3{0, 0, 1}, b)
 	if !ok || t0 != 0 || math.Abs(t1-0.5) > 1e-12 {
 		t.Errorf("edge origin: got %v %v %v", t0, t1, ok)
 	}
 }
 
-func TestRayBoxInvClipsExistingInterval(t *testing.T) {
+func TestRaySlabClipsExistingInterval(t *testing.T) {
 	b := unitBox()
 	orig := Vec3{0.5, 0.5, -1}
 	dir := Vec3{0, 0, 1}
-	inv := SafeInvDir(dir)
+	ix, iy, iz := SafeRecip(dir[0]), SafeRecip(dir[1]), SafeRecip(dir[2])
 	// Interval already tighter than the box on one side.
-	t0, t1, ok := RayBoxInv(orig, inv, b, 1.5, math.Inf(1))
+	t0, t1, ok := RaySlab(orig[0], orig[1], orig[2], ix, iy, iz, &b, 1.5, math.Inf(1))
 	if !ok || t0 != 1.5 || math.Abs(t1-2) > 1e-12 {
 		t.Errorf("clip lo: %v %v %v", t0, t1, ok)
 	}
 	// tBest-style far clip excludes the box entirely.
-	if _, _, ok := RayBoxInv(orig, inv, b, 0, 0.5); ok {
+	if _, _, ok := RaySlab(orig[0], orig[1], orig[2], ix, iy, iz, &b, 0, 0.5); ok {
 		t.Error("box beyond tBest reported overlap")
 	}
 }
@@ -101,7 +105,7 @@ func TestRayBoxMatchesContainsForRandomRays(t *testing.T) {
 		fi := float64(i)
 		orig := Vec3{math.Sin(fi) * 3, math.Cos(fi*1.7) * 3, math.Sin(fi*0.3) * 4}
 		dir := Vec3{math.Cos(fi * 0.9), math.Sin(fi * 1.3), math.Cos(fi * 2.1)}.Normalize()
-		t0, t1, ok := RayBox(orig, dir, b)
+		t0, t1, ok := rayBox(orig, dir, b)
 		if !ok {
 			continue
 		}
@@ -116,7 +120,7 @@ func TestRayBoxMatchesContainsForRandomRays(t *testing.T) {
 }
 
 // The slab test as it was first written, over Vec3 values: the oracle
-// the production routine is held to bit for bit.
+// RaySlab and SafeRecip are held to bit for bit.
 
 func safeInvDirVec(dir Vec3) Vec3 {
 	inv := Vec3{}
@@ -188,7 +192,7 @@ func TestRayBoxMatchesVec3Oracle(t *testing.T) {
 	hits := 0
 	for i, r := range rays {
 		w0, w1, wok := rayBoxVec(r.orig, r.dir, r.b)
-		g0, g1, gok := RayBox(r.orig, r.dir, r.b)
+		g0, g1, gok := rayBox(r.orig, r.dir, r.b)
 		if gok != wok || !same(g0, w0) || !same(g1, w1) {
 			t.Fatalf("ray %d %+v: got (%v, %v, %v), oracle (%v, %v, %v)", i, r, g0, g1, gok, w0, w1, wok)
 		}
@@ -198,7 +202,8 @@ func TestRayBoxMatchesVec3Oracle(t *testing.T) {
 		inv := safeInvDirVec(r.dir)
 		for _, clip := range [][2]float64{{0.5, 1.5}, {1.5, math.Inf(1)}, {0, 0.25}} {
 			w0, w1, wok := rayBoxInvVec(r.orig, inv, r.b, clip[0], clip[1])
-			g0, g1, gok := RayBoxInv(r.orig, SafeInvDir(r.dir), r.b, clip[0], clip[1])
+			g0, g1, gok := RaySlab(r.orig[0], r.orig[1], r.orig[2],
+				SafeRecip(r.dir[0]), SafeRecip(r.dir[1]), SafeRecip(r.dir[2]), &r.b, clip[0], clip[1])
 			if gok != wok || !same(g0, w0) || !same(g1, w1) {
 				t.Fatalf("ray %d %+v clipped to %v: got (%v, %v, %v), oracle (%v, %v, %v)", i, r, clip, g0, g1, gok, w0, w1, wok)
 			}

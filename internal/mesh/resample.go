@@ -18,16 +18,26 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 		return nil, fmt.Errorf("mesh: ResampleCube requires a unit-cube source, got bounds %+v", g.Bounds())
 	}
 
-	// Resolve each source field into a sampler once; destination points
-	// walk the grid in order, so the sampler's cached cell covers most
-	// probes.
+	// Resolve each source field into a sampler once. Destination points
+	// walk the grid in id order (x fastest), so the sampler's cached cell
+	// covers most probes; their coordinates are PointPosition's
+	// arithmetic, evaluated once per axis index instead of once per id.
+	var axes [3][]float64
+	for a := range axes {
+		axes[a] = make([]float64, out.Dims[a])
+		for i := range axes[a] {
+			axes[a][i] = out.Origin[a] + float64(i)*out.Spacing[a]
+		}
+	}
 	samplePts := func(s *ScalarSampler, dst []float64) {
-		for id := range dst {
-			v, ok := s.Sample(out.PointPosition(id))
-			if !ok {
-				v = 0
+		id := 0
+		for _, z := range axes[2] {
+			for _, y := range axes[1] {
+				for _, x := range axes[0] {
+					dst[id], _ = s.At(x, y, z) // zero outside the grid
+					id++
+				}
 			}
-			dst[id] = v
 		}
 	}
 	for name, src := range g.cellFields {
@@ -41,11 +51,8 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 		s := ScalarSamplerFor(g, pf)
 		cf := out.AddCellField(name)
 		for c := range cf {
-			v, ok := s.Sample(out.CellCenter(c))
-			if !ok {
-				v = 0
-			}
-			cf[c] = v
+			p := out.CellCenter(c)
+			cf[c], _ = s.At(p[0], p[1], p[2])
 		}
 		samplePts(s, out.AddPointField(name))
 	}
@@ -61,12 +68,15 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 			return nil, err
 		}
 		dst := out.AddPointVector(name)
-		for id := range dst {
-			v, ok := s.Sample(out.PointPosition(id))
-			if !ok {
-				v = Vec3{}
+		id := 0
+		for _, z := range axes[2] {
+			for _, y := range axes[1] {
+				for _, x := range axes[0] {
+					vx, vy, vz, _ := s.At(x, y, z)
+					dst[id] = Vec3{vx, vy, vz}
+					id++
+				}
 			}
-			dst[id] = v
 		}
 	}
 	return out, nil

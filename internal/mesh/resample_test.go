@@ -132,3 +132,39 @@ func TestResampleCubeRejectsNonUnitSource(t *testing.T) {
 		t.Error("non-unit-cube source accepted")
 	}
 }
+
+// TestResampleCubeMatchesOracle holds every resampled value, by float
+// bits, to the by-name oracle probed at PointPosition / CellCenter of its
+// id — up (16 → 24, 40: the division path) and down (16 → 8).
+func TestResampleCubeMatchesOracle(t *testing.T) {
+	g := samplerTestGrid(t, 16)
+	cf := g.AddCellField("c")
+	for i := range cf {
+		cf[i] = math.Sin(float64(i))
+	}
+	pc := g.recenter(cf)
+	for _, n := range []int{24, 40, 8} {
+		out, err := ResampleCube(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < out.NumPoints(); id++ {
+			p := out.PointPosition(id)
+			s, _ := g.SampleScalar("s", p)
+			v, _ := g.SampleVector("v", p)
+			c, _ := SampleScalarField(g, pc, p)
+			if math.Float64bits(out.PointField("s")[id]) != math.Float64bits(s) ||
+				out.PointVector("v")[id] != v ||
+				math.Float64bits(out.PointField("c")[id]) != math.Float64bits(c) {
+				t.Fatalf("n=%d point %d at %v: got %v %v %v, oracle %v %v %v", n, id, p,
+					out.PointField("s")[id], out.PointVector("v")[id], out.PointField("c")[id], s, v, c)
+			}
+		}
+		for id := 0; id < out.NumCells(); id++ {
+			p := out.CellCenter(id)
+			if want, _ := SampleScalarField(g, pc, p); math.Float64bits(out.CellField("c")[id]) != math.Float64bits(want) {
+				t.Fatalf("n=%d cell %d at %v: got %v, oracle %v", n, id, p, out.CellField("c")[id], want)
+			}
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 // eight-corner gather per sample instead of re-resolving the field by name
 // and rebuilding the corner index list on every call.
 //
-// Bit-identity contract: Sample reproduces, bit for bit, the plain
+// Bit-identity contract: At reproduces, bit for bit, the plain
 // definition of trilinear sampling kept as the test oracle in
 // sample_oracle_test.go (locate the cell with three divisions, list its
 // eight corners, lerp x then y then z). The lerp runs in exactly that
@@ -27,6 +27,10 @@ import (
 // Samplers carry a mutable last-cell cache and therefore must not be
 // shared between goroutines; they are small values, so parallel kernels
 // give each worker its own copy of a prototype.
+//
+// Positions go in and values come out as float64 scalars, never as Vec3:
+// Go's register ABI passes an array of more than one element through
+// memory, and these calls run once per sample.
 
 // samplerGeom is the shared world→index state of both sampler kinds.
 type samplerGeom struct {
@@ -69,15 +73,15 @@ func newSamplerGeomFrom(origin, spacing Vec3, cd [3]int) samplerGeom {
 // index converts a world position to continuous cell coordinates and
 // applies the domain bounds test — the one world→index transform every
 // sampling path shares.
-func (sg *samplerGeom) index(p Vec3) (fx, fy, fz float64, ok bool) {
+func (sg *samplerGeom) index(x, y, z float64) (fx, fy, fz float64, ok bool) {
 	if sg.exact {
-		fx = (p[0] - sg.org[0]) * sg.inv[0]
-		fy = (p[1] - sg.org[1]) * sg.inv[1]
-		fz = (p[2] - sg.org[2]) * sg.inv[2]
+		fx = (x - sg.org[0]) * sg.inv[0]
+		fy = (y - sg.org[1]) * sg.inv[1]
+		fz = (z - sg.org[2]) * sg.inv[2]
 	} else {
-		fx = (p[0] - sg.org[0]) / sg.sp[0]
-		fy = (p[1] - sg.org[1]) / sg.sp[1]
-		fz = (p[2] - sg.org[2]) / sg.sp[2]
+		fx = (x - sg.org[0]) / sg.sp[0]
+		fy = (y - sg.org[1]) / sg.sp[1]
+		fz = (z - sg.org[2]) / sg.sp[2]
 	}
 	if fx < 0 || fy < 0 || fz < 0 ||
 		fx > sg.cdf[0] || fy > sg.cdf[1] || fz > sg.cdf[2] {
@@ -102,12 +106,12 @@ func (sg *samplerGeom) clamp(fx, fy, fz float64) (ci, cj, ck int) {
 	return ci, cj, ck
 }
 
-// Cell returns the linearized id of the cell containing p (the true
-// (i,j,k) flattened in x-fastest order), or ok=false outside the grid.
-// This is the id advection uses to count cell crossings: unlike any
-// radius-derived bucket, distinct cells always map to distinct ids.
-func (sg *samplerGeom) Cell(p Vec3) (int, bool) {
-	fx, fy, fz, ok := sg.index(p)
+// Cell returns the linearized id of the cell containing (x, y, z) (the
+// true (i,j,k) flattened in x-fastest order), or ok=false outside the
+// grid. This is the id advection uses to count cell crossings: unlike
+// any radius-derived bucket, distinct cells always map to distinct ids.
+func (sg *samplerGeom) Cell(x, y, z float64) (int, bool) {
+	fx, fy, fz, ok := sg.index(x, y, z)
 	if !ok {
 		return -1, false
 	}
@@ -115,11 +119,11 @@ func (sg *samplerGeom) Cell(p Vec3) (int, bool) {
 	return ci + sg.cd[0]*(cj+sg.cd[1]*ck), true
 }
 
-// CellLayer returns the z cell layer containing p, with the sampler's
-// exact bounds test and clamp. Distributed advection uses it as the
-// particle-ownership predicate, so every rank agrees bit for bit.
-func (sg *samplerGeom) CellLayer(p Vec3) (int, bool) {
-	fx, fy, fz, ok := sg.index(p)
+// CellLayer returns the z cell layer containing (x, y, z), with the
+// sampler's exact bounds test and clamp. Distributed advection uses it as
+// the particle-ownership predicate, so every rank agrees bit for bit.
+func (sg *samplerGeom) CellLayer(x, y, z float64) (int, bool) {
+	fx, fy, fz, ok := sg.index(x, y, z)
 	if !ok {
 		return -1, false
 	}
@@ -134,7 +138,7 @@ func (sg *samplerGeom) CellLayer(p Vec3) (int, bool) {
 // sampler reject identically.
 func (g *UniformGrid) InDomain(p Vec3) bool {
 	sg := newSamplerGeom(g)
-	_, _, _, ok := sg.index(p)
+	_, _, _, ok := sg.index(p[0], p[1], p[2])
 	return ok
 }
 
@@ -166,9 +170,15 @@ func NewScalarSampler(g *UniformGrid, name string) (*ScalarSampler, error) {
 	return ScalarSamplerFor(g, f), nil
 }
 
-// Sample evaluates the field at p; ok is false outside the grid.
+// Sample evaluates the field at p; ok is false outside the grid. It is
+// At for callers holding a Vec3, and small enough to inline.
 func (s *ScalarSampler) Sample(p Vec3) (float64, bool) {
-	fx, fy, fz, ok := s.index(p)
+	return s.At(p[0], p[1], p[2])
+}
+
+// At evaluates the field at (x, y, z); ok is false outside the grid.
+func (s *ScalarSampler) At(x, y, z float64) (float64, bool) {
+	fx, fy, fz, ok := s.index(x, y, z)
 	if !ok {
 		return 0, false
 	}
@@ -186,15 +196,22 @@ func (s *ScalarSampler) Sample(p Vec3) (float64, bool) {
 		s.corners[7] = f[base+s.nx+s.nxy]
 		s.lastCi, s.lastCj, s.lastCk = ci, cj, ck
 	}
-	u, v, w := fx-float64(ci), fy-float64(cj), fz-float64(ck)
-	// Lerp order is the contract: x, then y, then z.
-	c00 := s.corners[0] + u*(s.corners[1]-s.corners[0])
-	c10 := s.corners[3] + u*(s.corners[2]-s.corners[3])
-	c01 := s.corners[4] + u*(s.corners[5]-s.corners[4])
-	c11 := s.corners[7] + u*(s.corners[6]-s.corners[7])
-	c0 := c00 + v*(c10-c00)
-	c1 := c01 + v*(c11-c01)
-	return c0 + w*(c1-c0), true
+	c := &s.corners
+	return trilerp(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+		fx-float64(ci), fy-float64(cj), fz-float64(ck)), true
+}
+
+// trilerp interpolates a cell's eight corner values (the gather order of
+// the samplers) at local coordinates (u, v, w). The lerp order is the
+// contract: x, then y, then z.
+func trilerp(c0, c1, c2, c3, c4, c5, c6, c7, u, v, w float64) float64 {
+	c00 := c0 + u*(c1-c0)
+	c10 := c3 + u*(c2-c3)
+	c01 := c4 + u*(c5-c4)
+	c11 := c7 + u*(c6-c7)
+	cy0 := c00 + v*(c10-c00)
+	cy1 := c01 + v*(c11-c01)
+	return cy0 + w*(cy1-cy0)
 }
 
 // VectorSampler samples one point vector field with trilinear
@@ -210,7 +227,7 @@ func (s *ScalarSampler) Sample(p Vec3) (float64, bool) {
 // corner gather is offset into the slab.
 //
 // A probe inside the domain but outside the window cannot be answered
-// from this storage: Sample returns ok=false and latches Escaped, so
+// from this storage: At returns ok=false and latches Escaped, so
 // callers can tell "left the domain: terminate the particle" (ok=false,
 // not escaped) from "left the block: the ghost halo is too thin for
 // this step length", which is a setup error, never a silently wrong
@@ -250,21 +267,21 @@ func NewVectorSampler(g *UniformGrid, name string) (*VectorSampler, error) {
 	return VectorSamplerFor(g, f), nil
 }
 
-// Escaped reports whether any Sample probe fell inside the domain but
+// Escaped reports whether any At probe fell inside the domain but
 // outside the sampler's stored layers.
 func (s *VectorSampler) Escaped() bool { return s.escaped }
 
-// Sample evaluates the field at p; ok is false outside the grid or the
-// stored layers.
-func (s *VectorSampler) Sample(p Vec3) (Vec3, bool) {
-	fx, fy, fz, ok := s.index(p)
+// At evaluates the field at (x, y, z); ok is false outside the grid or
+// the stored layers.
+func (s *VectorSampler) At(x, y, z float64) (vx, vy, vz float64, ok bool) {
+	fx, fy, fz, ok := s.index(x, y, z)
 	if !ok {
-		return Vec3{}, false // outside the domain
+		return 0, 0, 0, false // outside the domain
 	}
 	ci, cj, ck := s.clamp(fx, fy, fz)
 	if ck < s.kLo || ck >= s.kHi {
 		s.escaped = true
-		return Vec3{}, false
+		return 0, 0, 0, false
 	}
 	if ci != s.lastCi || cj != s.lastCj || ck != s.lastCk {
 		base := ci + s.nx*cj + s.nxy*(ck-s.kLo)
@@ -280,16 +297,9 @@ func (s *VectorSampler) Sample(p Vec3) (Vec3, bool) {
 		s.lastCi, s.lastCj, s.lastCk = ci, cj, ck
 	}
 	u, v, w := fx-float64(ci), fy-float64(cj), fz-float64(ck)
-	var out Vec3
-	for c := 0; c < 3; c++ {
-		// Per component, the scalar sampler's lerp order exactly.
-		c00 := s.corners[0][c] + u*(s.corners[1][c]-s.corners[0][c])
-		c10 := s.corners[3][c] + u*(s.corners[2][c]-s.corners[3][c])
-		c01 := s.corners[4][c] + u*(s.corners[5][c]-s.corners[4][c])
-		c11 := s.corners[7][c] + u*(s.corners[6][c]-s.corners[7][c])
-		c0 := c00 + v*(c10-c00)
-		c1 := c01 + v*(c11-c01)
-		out[c] = c0 + w*(c1-c0)
-	}
-	return out, true
+	c := &s.corners
+	vx = trilerp(c[0][0], c[1][0], c[2][0], c[3][0], c[4][0], c[5][0], c[6][0], c[7][0], u, v, w)
+	vy = trilerp(c[0][1], c[1][1], c[2][1], c[3][1], c[4][1], c[5][1], c[6][1], c[7][1], u, v, w)
+	vz = trilerp(c[0][2], c[1][2], c[2][2], c[3][2], c[4][2], c[5][2], c[6][2], c[7][2], u, v, w)
+	return vx, vy, vz, true
 }

@@ -121,7 +121,7 @@ func TestCellIndexMatchesLocate(t *testing.T) {
 			if gotOK != ok || (ok && got != want) {
 				t.Fatalf("n=%d CellIndex(%v) = (%d,%v), want (%d,%v)", n, p, got, gotOK, want, ok)
 			}
-			sgot, sok := vs.Cell(p)
+			sgot, sok := vs.Cell(p[0], p[1], p[2])
 			if sok != ok || (ok && sgot != want) {
 				t.Fatalf("n=%d sampler Cell(%v) = (%d,%v), want (%d,%v)", n, p, sgot, sok, want, ok)
 			}

@@ -51,7 +51,7 @@ func TestVectorSamplerMatchesOracleAlongTrajectories(t *testing.T) {
 					break // left the grid, on both paths alike
 				}
 				p = p.Add(k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4).Scale(h / 6))
-				cell, ok := vs.Cell(p)
+				cell, ok := vs.Cell(p[0], p[1], p[2])
 				want, wantOK := g.CellIndex(p)
 				if ok != wantOK || cell != want {
 					t.Fatalf("n=%d seed %d step %d at %v: Cell (%d,%v) != oracle (%d,%v)", n, s, step, p, cell, ok, want, wantOK)

@@ -43,7 +43,8 @@ func (im *Image) Set(x, y int, c Color) {
 // the basis and re-evaluates math.Tan on every call.
 func (c Camera) Ray(px, py, w, h int) (orig, dir mesh.Vec3) {
 	f := c.Frame(w, h)
-	return f.Ray(px, py)
+	dx, dy, dz := f.Ray(px, py)
+	return f.Eye, mesh.Vec3{dx, dy, dz}
 }
 
 // Project maps a world point to pixel coordinates and camera depth.

@@ -49,17 +49,23 @@ func (c Camera) Frame(w, h int) Frame {
 	return f
 }
 
-// Ray returns the world-space ray through pixel (px, py) (pixel centers).
-// The direction is normalized.
-func (f *Frame) Ray(px, py int) (orig, dir mesh.Vec3) {
+// Ray returns the normalized direction of the world-space ray from Eye
+// through pixel (px, py) (pixel centers). The direction comes back as
+// three scalars: render loops call this once per pixel, and a Vec3
+// result would pass through memory.
+func (f *Frame) Ray(px, py int) (dx, dy, dz float64) {
 	u := (2*(float64(px)+0.5)*f.invW - 1) * f.uScale
 	v := (1 - 2*(float64(py)+0.5)*f.invH) * f.vScale
-	dir = mesh.Vec3{
-		f.Forward[0] + f.Right[0]*u + f.Up[0]*v,
-		f.Forward[1] + f.Right[1]*u + f.Up[1]*v,
-		f.Forward[2] + f.Right[2]*u + f.Up[2]*v,
-	}.Normalize()
-	return f.Eye, dir
+	x := f.Forward[0] + f.Right[0]*u + f.Up[0]*v
+	y := f.Forward[1] + f.Right[1]*u + f.Up[1]*v
+	z := f.Forward[2] + f.Right[2]*u + f.Up[2]*v
+	// Vec3.Normalize's arithmetic: the reciprocal norm times each component.
+	n := math.Sqrt(x*x + y*y + z*z)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	s := 1 / n
+	return s * x, s * y, s * z
 }
 
 // Project maps a world point to pixel coordinates and camera depth.

@@ -19,7 +19,8 @@ func TestFrameRayMatchesCamera(t *testing.T) {
 	for py := 0; py < h; py += 7 {
 		for px := 0; px < w; px += 5 {
 			co, cd := cam.Ray(px, py, w, h)
-			fo, fd := fr.Ray(px, py)
+			dx, dy, dz := fr.Ray(px, py)
+			fo, fd := fr.Eye, mesh.Vec3{dx, dy, dz}
 			if co != fo {
 				t.Fatalf("origin mismatch at (%d,%d): %v vs %v", px, py, co, fo)
 			}
@@ -31,7 +32,8 @@ func TestFrameRayMatchesCamera(t *testing.T) {
 }
 
 // frameRayVec is Frame.Ray as it was first written, returning the origin
-// and a mesh.Vec3 direction: the oracle the method is held to bit for bit.
+// and a mesh.Vec3 direction: the oracle the scalar method is held to bit
+// for bit.
 func frameRayVec(f *Frame, px, py int) (orig, dir mesh.Vec3) {
 	u := (2*(float64(px)+0.5)*f.invW - 1) * f.uScale
 	v := (1 - 2*(float64(py)+0.5)*f.invH) * f.vScale
@@ -55,11 +57,12 @@ func TestFrameRayMatchesVec3Oracle(t *testing.T) {
 			for py := 0; py < h; py++ {
 				for px := 0; px < w; px++ {
 					wantOrig, want := frameRayVec(&fr, px, py)
-					gotOrig, got := fr.Ray(px, py)
+					dx, dy, dz := fr.Ray(px, py)
+					got := mesh.Vec3{dx, dy, dz}
 					for a := 0; a < 3; a++ {
-						if math.Float64bits(got[a]) != math.Float64bits(want[a]) || gotOrig[a] != wantOrig[a] {
+						if math.Float64bits(got[a]) != math.Float64bits(want[a]) || fr.Eye[a] != wantOrig[a] {
 							t.Fatalf("%dx%d frame %d pixel (%d,%d): got %v %v, oracle %v %v",
-								w, h, frame, px, py, gotOrig, got, wantOrig, want)
+								w, h, frame, px, py, fr.Eye, got, wantOrig, want)
 						}
 					}
 				}
@@ -98,8 +101,8 @@ func TestFrameRayProjectRoundTrip(t *testing.T) {
 	fr := cam.Frame(w, h)
 	for py := 0; py < h; py += 3 {
 		for px := 0; px < w; px += 3 {
-			orig, dir := fr.Ray(px, py)
-			p := orig.Add(dir.Scale(2.5))
+			dx, dy, dz := fr.Ray(px, py)
+			p := fr.Eye.Add(mesh.Vec3{dx, dy, dz}.Scale(2.5))
 			sx, sy, _, ok := fr.Project(p)
 			if !ok {
 				t.Fatalf("pixel (%d,%d): point behind eye", px, py)

@@ -170,31 +170,33 @@ func Advance(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t *Tall
 // arithmetic order, counting a crossing whenever the true cell id
 // changes.
 func advanceFixed(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t *Tally) int32 {
-	pos, steps, lastCell := p.Pos, p.Steps, int(p.Cell)
+	px, py, pz := p.Pos[0], p.Pos[1], p.Pos[2]
+	steps, lastCell := p.Steps, int(p.Cell)
 	pts, spd := tr.Pts, tr.Spd
 	off := len(pts)
 	if steps == 0 {
-		v0, _ := s.Sample(pos)
-		pts, spd = append(pts, pos), append(spd, v0.Norm())
+		vx, vy, vz, _ := s.At(px, py, pz)
+		pts, spd = append(pts, p.Pos), append(spd, norm(vx, vy, vz))
 	}
 	var samples, taken, crossings uint64
 	out := Resident
 	for n := 0; n < a.burst && steps < a.numSteps; n++ {
-		next, v0, ok := RK4Step(s, pos, a.h0)
+		nx, ny, nz, vx, vy, vz, ok := RK4Step(s, px, py, pz, a.h0)
 		samples += 4
 		if !ok {
 			out = Retired // left the bounding box
 			break
 		}
-		pos = next
+		px, py, pz = nx, ny, nz
+		pos := mesh.Vec3{px, py, pz}
 		if !a.bounds.Contains(pos) {
 			out = Retired
 			break
 		}
 		steps++
 		taken++
-		pts, spd = append(pts, pos), append(spd, v0.Norm())
-		if c, inGrid := s.Cell(pos); inGrid && c != lastCell {
+		pts, spd = append(pts, pos), append(spd, norm(vx, vy, vz))
+		if c, inGrid := s.Cell(px, py, pz); inGrid && c != lastCell {
 			crossings++
 			lastCell = c
 		}
@@ -208,7 +210,7 @@ func advanceFixed(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t 
 		out = Retired // step budget spent
 	}
 	tr.seal(p, pts, spd, off)
-	p.Pos, p.Steps, p.Cell = pos, steps, int32(lastCell)
+	p.Pos, p.Steps, p.Cell = mesh.Vec3{px, py, pz}, steps, int32(lastCell)
 	t.Add(Tally{Samples: samples, Steps: taken, Crossings: crossings})
 	return out
 }
@@ -220,13 +222,14 @@ func advanceFixed(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t 
 // output and crossings are the reference's arc-length estimate
 // (arc/cellDiag + 1) at retirement.
 func advanceAdaptive(a *Advancer, s *mesh.VectorSampler, p *Particle, tr *Trail, t *Tally) int32 {
-	pos, steps, h, arc := p.Pos, p.Steps, p.H, p.Arc
+	px, py, pz := p.Pos[0], p.Pos[1], p.Pos[2]
+	steps, h, arc := p.Steps, p.H, p.Arc
 	pts, spd := tr.Pts, tr.Spd
 	off := len(pts)
 	var samples, taken, rejects, crossings uint64
 	if steps == 0 {
-		v, _ := s.Sample(pos)
-		pts, spd = append(pts, pos), append(spd, v.Norm())
+		vx, vy, vz, _ := s.At(px, py, pz)
+		pts, spd = append(pts, p.Pos), append(spd, norm(vx, vy, vz))
 		taken++
 	}
 	out := Resident
@@ -237,7 +240,7 @@ burst:
 			break
 		}
 		for {
-			next, v0, errEst, ok := BS23Step(s, pos, h)
+			nx, ny, nz, vx, vy, vz, errEst, ok := BS23Step(s, px, py, pz, h)
 			samples += 4
 			if !ok {
 				out = Retired // left the domain
@@ -248,14 +251,15 @@ burst:
 				h = controller(h, errEst, a.tol, a.hMin, a.hMax)
 				continue
 			}
-			d := next.Sub(pos).Norm()
-			pos = next
+			d := norm(nx-px, ny-py, nz-pz)
+			px, py, pz = nx, ny, nz
+			pos := mesh.Vec3{px, py, pz}
 			if !a.bounds.Contains(pos) {
 				out = Retired
 				break burst
 			}
 			arc += d
-			pts, spd = append(pts, pos), append(spd, v0.Norm())
+			pts, spd = append(pts, pos), append(spd, norm(vx, vy, vz))
 			taken++
 			steps++
 			h = controller(h, errEst, a.tol, a.hMin, a.hMax) // grow for the next step
@@ -271,7 +275,7 @@ burst:
 		crossings = uint64(arc/a.cellDiag) + 1
 	}
 	tr.seal(p, pts, spd, off)
-	p.Pos, p.Steps, p.H, p.Arc = pos, steps, h, arc
+	p.Pos, p.Steps, p.H, p.Arc = mesh.Vec3{px, py, pz}, steps, h, arc
 	t.Add(Tally{Samples: samples, Steps: taken, Rejects: rejects, Crossings: crossings})
 	return out
 }

@@ -113,7 +113,7 @@ func TestBurstInvariance(t *testing.T) {
 			// there ends the burst.
 			{"leave", func(a *Advancer, s *mesh.VectorSampler) {
 				a.Leave = func(p mesh.Vec3) int32 {
-					if layer, ok := s.CellLayer(p); ok && layer%2 == 1 {
+					if layer, ok := s.CellLayer(p[0], p[1], p[2]); ok && layer%2 == 1 {
 						return 0
 					}
 					return Resident

@@ -13,7 +13,8 @@ import (
 // one place they touch the sampler.
 
 func sampleVec(s *mesh.VectorSampler, p mesh.Vec3) (mesh.Vec3, bool) {
-	return s.Sample(p)
+	vx, vy, vz, ok := s.At(p[0], p[1], p[2])
+	return mesh.Vec3{vx, vy, vz}, ok
 }
 
 func rk4StepVec(s *mesh.VectorSampler, p mesh.Vec3, h float64) (next, v0 mesh.Vec3, ok bool) {
@@ -115,8 +116,8 @@ func TestSteppersMatchVec3Oracles(t *testing.T) {
 	steppers := []stepper{
 		{"RK4Step",
 			func(s *mesh.VectorSampler, p mesh.Vec3, h float64) stepResult {
-				next, v0, ok := RK4Step(s, p, h)
-				return stepResult{next: bitsOf(next), v0: bitsOf(v0), ok: ok, escaped: s.Escaped()}
+				nx, ny, nz, vx, vy, vz, ok := RK4Step(s, p[0], p[1], p[2], h)
+				return stepResult{next: bitsOf(mesh.Vec3{nx, ny, nz}), v0: bitsOf(mesh.Vec3{vx, vy, vz}), ok: ok, escaped: s.Escaped()}
 			},
 			func(s *mesh.VectorSampler, p mesh.Vec3, h float64) stepResult {
 				next, v0, ok := rk4StepVec(s, p, h)
@@ -124,8 +125,8 @@ func TestSteppersMatchVec3Oracles(t *testing.T) {
 			}},
 		{"BS23Step",
 			func(s *mesh.VectorSampler, p mesh.Vec3, h float64) stepResult {
-				next, v0, errEst, ok := BS23Step(s, p, h)
-				return stepResult{next: bitsOf(next), v0: bitsOf(v0), errEst: math.Float64bits(errEst), ok: ok, escaped: s.Escaped()}
+				nx, ny, nz, vx, vy, vz, errEst, ok := BS23Step(s, p[0], p[1], p[2], h)
+				return stepResult{next: bitsOf(mesh.Vec3{nx, ny, nz}), v0: bitsOf(mesh.Vec3{vx, vy, vz}), errEst: math.Float64bits(errEst), ok: ok, escaped: s.Escaped()}
 			},
 			func(s *mesh.VectorSampler, p mesh.Vec3, h float64) stepResult {
 				next, v0, errEst, ok := bs23StepVec(s, p, h)

@@ -87,15 +87,15 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 			pts := make([]mesh.Vec3, 0, f.opts.NumSteps/4)
 			spd := make([]float64, 0, f.opts.NumSteps/4)
 			lastCell := -1
-			v0, _ := sv.Sample(p)
+			v0, _ := sampleVec(&sv, p)
 			pts = append(pts, p)
 			spd = append(spd, v0.Norm())
 			for s := 0; s < f.opts.NumSteps; s++ {
 				// RK4 with four field samples.
-				k1, ok1 := sv.Sample(p)
-				k2, ok2 := sv.Sample(p.Add(k1.Scale(h / 2)))
-				k3, ok3 := sv.Sample(p.Add(k2.Scale(h / 2)))
-				k4, ok4 := sv.Sample(p.Add(k3.Scale(h)))
+				k1, ok1 := sampleVec(&sv, p)
+				k2, ok2 := sampleVec(&sv, p.Add(k1.Scale(h/2)))
+				k3, ok3 := sampleVec(&sv, p.Add(k2.Scale(h/2)))
+				k4, ok4 := sampleVec(&sv, p.Add(k3.Scale(h)))
 				samples += 4
 				if !(ok1 && ok2 && ok3 && ok4) {
 					break // left the bounding box: terminate
@@ -110,7 +110,7 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 				spd = append(spd, k1.Norm())
 				// Track cell crossings for the memory model by the true
 				// linearized cell id.
-				if cell, inGrid := sv.Cell(p); inGrid && cell != lastCell {
+				if cell, inGrid := sv.Cell(p[0], p[1], p[2]); inGrid && cell != lastCell {
 					crossings++
 					lastCell = cell
 				}
@@ -184,7 +184,7 @@ func integrateAdaptive(s *mesh.VectorSampler, b mesh.Bounds, start mesh.Vec3,
 	hMin, hMax := AdaptiveStepBounds(h0)
 	h := h0
 	p := start
-	v, ok := s.Sample(p)
+	v, ok := sampleVec(s, p)
 	if !ok {
 		return nil, nil, 0, 0
 	}
@@ -193,7 +193,7 @@ func integrateAdaptive(s *mesh.VectorSampler, b mesh.Bounds, start mesh.Vec3,
 	arc := 0.0
 	for step := 0; step < maxSteps && arc < maxLen; step++ {
 		for {
-			next, v0, errEst, ok := BS23Step(s, p, h)
+			next, v0, errEst, ok := bs23StepVec(s, p, h)
 			samples += 4
 			if !ok {
 				return pts, spd, samples, rejects // left the domain

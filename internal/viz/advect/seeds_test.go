@@ -34,7 +34,7 @@ func TestSeedRejectionShared(t *testing.T) {
 	}
 	wantDead := make([]bool, len(seeds))
 	for i, p := range seeds {
-		_, ok := sampler.Sample(p)
+		_, ok := sampleVec(sampler, p)
 		wantDead[i] = !ok
 	}
 	dead := RejectSeeds(g, seeds, nil)

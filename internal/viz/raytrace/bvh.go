@@ -396,20 +396,19 @@ func closer(t float64, ti int32, best Hit) bool {
 // as possible.
 //
 // The loop is the hot path of every traced frame, so its two tests are
-// written out in place: the slab test is mesh.RayBoxInv over [0, best.T]
+// written out in place: the slab test is mesh.RaySlab over [0, best.T]
 // unrolled over the three axes (same order, same comparisons), and the
 // leaf test is the Möller–Trumbore ray/triangle test (the test oracle
 // triIntersect in reference_test.go) with the ray's components in locals.
-// Both evaluate exactly the arithmetic of RayBoxInv and triIntersect, so
+// Both evaluate exactly the arithmetic of RaySlab and triIntersect, so
 // hits are bit-identical.
 func (b *BVH) Intersect(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *TraverseStats) (Hit, bool) {
 	if b == nil || len(b.nodes) == 0 {
 		return Hit{}, false
 	}
-	invDir := mesh.SafeInvDir(dir)
 	ox, oy, oz := orig[0], orig[1], orig[2]
 	dx, dy, dz := dir[0], dir[1], dir[2]
-	ix, iy, iz := invDir[0], invDir[1], invDir[2]
+	ix, iy, iz := mesh.SafeRecip(dx), mesh.SafeRecip(dy), mesh.SafeRecip(dz)
 	best := Hit{T: math.Inf(1), Tri: -1}
 	// A tree deeper than the fixed stack (a chain of geometrically spaced
 	// triangles) spills it to the heap; nothing is ever skipped.

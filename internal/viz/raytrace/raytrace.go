@@ -159,8 +159,8 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 		var hits uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
-			orig, dir := fr.Ray(px, py)
-			hit, ok := s.BVH.Intersect(s.Tris, orig, dir, &stats)
+			dx, dy, dz := fr.Ray(px, py)
+			hit, ok := s.BVH.Intersect(s.Tris, fr.Eye, mesh.Vec3{dx, dy, dz}, &stats)
 			if !ok {
 				im.Pix[pix] = Background
 				continue

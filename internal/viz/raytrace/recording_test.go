@@ -95,8 +95,8 @@ func orbitFrameStats(b *BVH, m *mesh.TriMesh) TraverseStats {
 	var stats TraverseStats
 	for py := 0; py < 64; py++ {
 		for px := 0; px < 64; px++ {
-			orig, dir := fr.Ray(px, py)
-			b.Intersect(m, orig, dir, &stats)
+			dx, dy, dz := fr.Ray(px, py)
+			b.Intersect(m, fr.Eye, mesh.Vec3{dx, dy, dz}, &stats)
 		}
 	}
 	return stats

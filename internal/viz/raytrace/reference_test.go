@@ -80,7 +80,7 @@ func (b *BVH) IntersectReference(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *Tr
 	if b == nil || len(b.nodes) == 0 {
 		return Hit{}, false
 	}
-	invDir := mesh.SafeInvDir(dir)
+	ix, iy, iz := mesh.SafeRecip(dir[0]), mesh.SafeRecip(dir[1]), mesh.SafeRecip(dir[2])
 	best := Hit{T: math.Inf(1), Tri: -1}
 	var stack [64]int32
 	sp := 0
@@ -91,7 +91,7 @@ func (b *BVH) IntersectReference(m *mesh.TriMesh, orig, dir mesh.Vec3, stats *Tr
 		sp--
 		node := &b.nodes[stack[sp]]
 		nodes++
-		if _, _, ok := mesh.RayBoxInv(orig, invDir, node.bounds, 0, best.T); !ok {
+		if _, _, ok := mesh.RaySlab(orig[0], orig[1], orig[2], ix, iy, iz, &node.bounds, 0, best.T); !ok {
 			continue
 		}
 		if node.num > 0 {

@@ -87,6 +87,7 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 	b := g.Bounds()
 	step := r.step
 	fr := cam.Frame(w, h)
+	eyeX, eyeY, eyeZ := fr.Eye[0], fr.Eye[1], fr.Eye[2]
 	cd := g.CellDims()
 	cdf := [3]float64{float64(cd[0]), float64(cd[1]), float64(cd[2])}
 	nx := g.Dims[0]
@@ -111,22 +112,22 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 		var samples, skipped, bricks, skippedBricks uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
-			orig, dir := fr.Ray(px, py)
-			t0, t1, ok := mesh.RayBox(orig, dir, b)
+			dx, dy, dz := fr.Ray(px, py)
+			t0, t1, ok := mesh.RaySlab(eyeX, eyeY, eyeZ, mesh.SafeRecip(dx), mesh.SafeRecip(dy), mesh.SafeRecip(dz), &b, 0, math.Inf(1))
 			if !ok {
 				continue
 			}
 			// The ray in index space: position(t) = o + d·t in cell units.
-			o0 := (orig[0] - g.Origin[0]) / g.Spacing[0]
-			o1 := (orig[1] - g.Origin[1]) / g.Spacing[1]
-			o2 := (orig[2] - g.Origin[2]) / g.Spacing[2]
-			d0 := dir[0] / g.Spacing[0]
-			d1 := dir[1] / g.Spacing[1]
-			d2 := dir[2] / g.Spacing[2]
+			o0 := (eyeX - g.Origin[0]) / g.Spacing[0]
+			o1 := (eyeY - g.Origin[1]) / g.Spacing[1]
+			o2 := (eyeZ - g.Origin[2]) / g.Spacing[2]
+			d0 := dx / g.Spacing[0]
+			d1 := dy / g.Spacing[1]
+			d2 := dz / g.Spacing[2]
 			// Reciprocals for the brick-exit parametric math.
-			id0 := safeRecip(d0)
-			id1 := safeRecip(d1)
-			id2 := safeRecip(d2)
+			id0 := mesh.SafeRecip(d0)
+			id1 := mesh.SafeRecip(d1)
+			id2 := mesh.SafeRecip(d2)
 			var cr, cg, cb, alpha float64
 			t := t0 + step*0.5
 		march:
@@ -315,12 +316,4 @@ func (r *Renderer) RenderImageInto(im *render.Image, cam render.Camera, w, h int
 	im = r.RenderSegmentsInto(im, cam, w, h, ex)
 	BlendBackground(im)
 	return im
-}
-
-// safeRecip mirrors mesh.SafeInvDir for a single component.
-func safeRecip(x float64) float64 {
-	if x == 0 {
-		return math.Inf(1)
-	}
-	return 1 / x
 }

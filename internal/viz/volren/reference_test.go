@@ -37,8 +37,9 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 		var samples uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
-			orig, dir := fr.Ray(px, py)
-			t0, t1, ok := mesh.RayBox(orig, dir, b)
+			dx, dy, dz := fr.Ray(px, py)
+			orig, dir := fr.Eye, mesh.Vec3{dx, dy, dz}
+			t0, t1, ok := rayBox(orig, dir, b)
 			if !ok {
 				continue
 			}
