@@ -124,15 +124,14 @@ type PhaseResult struct {
 // grid state this call advances.
 func (p *Pipeline) Simulate() (PhaseResult, error) {
 	tr := p.Tracer
-	recs := make([]ops.Recorder, p.Pool.Workers())
+	var profile ops.Profile
 	simStart := tr.Begin()
 	for i := 0; i < p.StepsPerCycle; i++ {
 		s := tr.Begin()
-		p.Sim.Step(p.Pool, recs)
+		p.Sim.Step(p.Pool, &profile)
 		tr.End(telemetry.PipelineTrack, "sim.step", s)
 	}
 	tr.End(telemetry.PipelineTrack, "simulate", simStart)
-	profile := ops.DrainAll(recs)
 	anStart := tr.Begin()
 	exec := cpu.Analyze(p.Spec, profile, 0)
 	tr.End(telemetry.PipelineTrack, "analyze", anStart)
@@ -158,7 +157,7 @@ func (p *Pipeline) Visualize() (PhaseResult, error) {
 		if err != nil {
 			return PhaseResult{}, fmt.Errorf("core: cycle %d: %w", p.cycle, err)
 		}
-		// Filters drain the exec recorders into their result profile.
+		// Filters drain their charges into their result profile.
 		profile.Add(res.Profile)
 	}
 	anStart := tr.Begin()

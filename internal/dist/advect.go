@@ -172,8 +172,8 @@ type advectShared struct {
 	maxRounds int
 	tracer    *telemetry.Tracer
 
-	stats []AdvectRankStats
-	recs  []ops.Recorder
+	stats   []AdvectRankStats
+	tallies []advect.Tally // each rank's, priced once the ranks are done
 
 	lines  *mesh.LineSet
 	rounds int
@@ -263,8 +263,8 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 		f: f, g: g, blocks: blocks, owners: owners, nSeeds: len(starts),
 		perRank: perRank, seedTally: seedTally, ghost: ghost,
 		maxRounds: maxRounds, tracer: opts.Fabric.Tracer,
-		stats: make([]AdvectRankStats, nRanks),
-		recs:  make([]ops.Recorder, nRanks),
+		stats:   make([]AdvectRankStats, nRanks),
+		tallies: make([]advect.Tally, nRanks),
 	}
 	for r := 0; r < nRanks; r++ {
 		sh.tracer.SetTrackName(telemetry.WorkerTrack(r), fmt.Sprintf("rank %d", r))
@@ -273,12 +273,20 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	if err := comm.Run(sh.rankBody); err != nil {
 		return nil, err
 	}
+	// Each rank's tally is priced over its own block (the merged working
+	// set is the largest rank's); the root carries one launch per round.
+	var prof ops.Profile
+	launches := uint64(sh.rounds)
+	for r, t := range sh.tallies {
+		prof.Add(t.Cost(launches, blocks[r].Grid.NumPoints(), t.Steps))
+		launches = 0
+	}
 	return &AdvectResult{
 		Lines:   sh.lines,
 		Stats:   sh.stats,
 		Rounds:  sh.rounds,
 		Ghost:   sh.ghost,
-		Profile: ops.Merge(sh.recs),
+		Profile: prof,
 	}, nil
 }
 
@@ -327,9 +335,6 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 	rounds := 0
 	for round := 0; round < sh.maxRounds; round++ {
 		rounds = round + 1
-		if rank == 0 {
-			sh.recs[0].Launch()
-		}
 
 		t0 := sh.tracer.Begin()
 		st.next = st.next[:0]
@@ -432,8 +437,7 @@ func (sh *advectShared) rankBody(ep *Endpoint) error {
 
 	stats.Steps = st.tally.Steps
 	stats.IdleNs = int64(idle)
-	st.tally.Record(&sh.recs[rank])
-	sh.recs[rank].WorkingSet(st.tally.WorkingSet(sh.blocks[rank].Grid.NumPoints(), st.tally.Steps))
+	sh.tallies[rank] = st.tally
 
 	// Final gather: every rank ships its arena as
 	// [nSegs, (pid, seq, n, n×(x, y, z, spd))...]; the root decodes the

@@ -13,6 +13,13 @@ import (
 // differ only in what they hand it: a typed key, the names below and a
 // build function.
 
+// The retries of a transiently failing cell, and the sleep before the
+// first (doubling on each further one).
+const (
+	maxRetries   = 2
+	retryBackoff = 10 * time.Millisecond
+)
+
 // cellID names one sweep cell to the cell policy.
 type cellID struct {
 	key   any    // comparable and typed per kind: the slot in the cell store
@@ -24,7 +31,7 @@ type cellID struct {
 // runCell is the cell policy. A cached cell is returned without
 // executing. Otherwise each attempt consults Config.Inject and then
 // builds; an attempt that fails with a transient error is retried up to
-// MaxRetries times with doubling backoff. The outcome is
+// maxRetries times with doubling backoff. The outcome is
 // one heartbeat line, and either the stored result or a CellError in
 // Failures and the error, wrapped with the cell's name and size.
 func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
@@ -47,12 +54,12 @@ func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
 			v, err = build()
 		}
 		attempts++
-		if err == nil || attempts > c.MaxRetries || !dist.IsTransient(err) {
+		if err == nil || attempts > maxRetries || !dist.IsTransient(err) {
 			break
 		}
 		dist.NoteRetry(0)
 		c.log("retry %s at %d^3 after transient failure (attempt %d): %v", id.name, id.size, attempts, err)
-		time.Sleep(c.RetryBackoff << (attempts - 1))
+		time.Sleep(retryBackoff << (attempts - 1))
 	}
 	c.run.cellsDone++
 	if err != nil {

@@ -91,13 +91,6 @@ type Config struct {
 	// the cell spans.
 	Tracer *telemetry.Tracer
 
-	// MaxRetries bounds re-executions of a failed sweep cell when the
-	// error is transient (a dist.TransientError in its chain). Default 2;
-	// set -1 to disable retries.
-	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubling on each
-	// further attempt. Default 10 ms.
-	RetryBackoff time.Duration
 	// Inject, when non-nil, is consulted before every execution attempt
 	// of a sweep cell, under the name its CellError would carry (the
 	// algorithm, "Particle Advection ranks=N", "Closed-loop governor");
@@ -169,12 +162,6 @@ func (c *Config) Defaults() *Config {
 	}
 	if c.MaxSimSize == 0 {
 		c.MaxSimSize = 128
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.run == nil {
 		c.run = &runState{datasets: make(map[int]*mesh.UniformGrid), cells: make(map[any]any)}

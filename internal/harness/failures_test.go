@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dist"
 )
@@ -17,7 +16,6 @@ import (
 // losing the whole 288-configuration study.
 func TestPhase3PartialOnInjectedFailure(t *testing.T) {
 	c := tinyConfig()
-	c.RetryBackoff = time.Millisecond
 	boom := errors.New("node OOM")
 	c.Inject = func(name string, size, attempt int) error {
 		if name == "Slice" && size == 16 {
@@ -93,7 +91,6 @@ func forEachCellKind(t *testing.T, fail func(attempt int) error, body func(t *te
 	for _, k := range cellKinds {
 		t.Run(k.kind, func(t *testing.T) {
 			c := k.cfg()
-			c.RetryBackoff = time.Millisecond
 			var consulted []int
 			var hb bytes.Buffer
 			c.Heartbeat = &hb
@@ -181,10 +178,16 @@ func TestRunDoesNotRetryPermanentFailures(t *testing.T) {
 }
 
 // TestExhaustedTransientRetriesRecorded: a cell that stays transiently
-// broken is retried MaxRetries times, then recorded with its attempt
+// broken is retried maxRetries times, then recorded with its attempt
 // count; failing again later replaces that record instead of adding one.
 func TestExhaustedTransientRetriesRecorded(t *testing.T) {
-	flaky := func(int) error { return &dist.TransientError{Err: errors.New("always flaky")} }
+	runs := 0 // numbers each run's errors, so a replaced record shows
+	flaky := func(attempt int) error {
+		if attempt == 0 {
+			runs++
+		}
+		return &dist.TransientError{Err: fmt.Errorf("always flaky (run %d)", runs)}
+	}
 	forEachCellKind(t, flaky, func(t *testing.T, c *Config, run func() (any, error), consulted *[]int, hb *bytes.Buffer) {
 		_, err := run()
 		if !dist.IsTransient(err) {
@@ -195,14 +198,17 @@ func TestExhaustedTransientRetriesRecorded(t *testing.T) {
 		}
 		fs := c.Failures()
 		if len(fs) != 1 || fs[0].Attempts != 3 {
-			t.Errorf("want 1 failure after 3 attempts (1 + MaxRetries), got %v", fs)
+			t.Errorf("want 1 failure after 3 attempts (1 + maxRetries), got %v", fs)
 		}
-		c.MaxRetries = -1
 		if _, err := run(); err == nil {
 			t.Fatal("failed cell was cached as a success")
 		}
-		if fs := c.Failures(); len(fs) != 1 || fs[0].Attempts != 1 {
-			t.Errorf("want the cell's one record replaced by the 1-attempt failure, got %v", fs)
+		if got := fmt.Sprint(*consulted); got != "[0 1 2 0 1 2]" {
+			t.Errorf("Inject consulted for attempts %s, want [0 1 2 0 1 2]", got)
+		}
+		last := fmt.Sprintf("(run %d)", runs)
+		if fs := c.Failures(); len(fs) != 1 || fs[0].Attempts != 3 || !strings.Contains(fs[0].Err.Error(), last) {
+			t.Errorf("want the cell's one record replaced by the second run's %s failure, got %v", last, fs)
 		}
 	})
 }
@@ -212,7 +218,6 @@ func TestExhaustedTransientRetriesRecorded(t *testing.T) {
 // rather than nil-dereferencing a missing algorithm.
 func TestClaimsRefusePartialPhase2(t *testing.T) {
 	c := tinyConfig()
-	c.RetryBackoff = time.Millisecond
 	c.Inject = func(name string, size, attempt int) error {
 		if name == "Contour" && size == c.PhaseSize {
 			return errors.New("injected")
@@ -230,7 +235,6 @@ func TestClaimsRefusePartialPhase2(t *testing.T) {
 // partial-on-failure error section.
 func TestWriteReportIncludesFailures(t *testing.T) {
 	c := tinyConfig()
-	c.RetryBackoff = time.Millisecond
 	c.Inject = func(name string, size, attempt int) error {
 		if name == "Ray Tracing" && size == c.PhaseSize {
 			return errors.New("injected raytrace loss")

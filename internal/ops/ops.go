@@ -2,16 +2,15 @@
 //
 // The reproduction cannot read hardware performance counters (the paper used
 // msr-safe on a real Broadwell node), so every visualization and simulation
-// kernel in this repository reports the work it performs — floating-point
+// kernel in this repository is priced as a Profile — floating-point
 // operations, integer operations, branches, and memory traffic classified by
-// access pattern — through a Recorder. The aggregated Profile is what the
-// simulated processor model (internal/cpu) consumes to derive execution
-// time, power draw, effective frequency, IPC, and last-level-cache behavior
-// under a RAPL power cap.
+// access pattern. The Profile is what the simulated processor model
+// (internal/cpu) consumes to derive execution time, power draw, effective
+// frequency, IPC, and last-level-cache behavior under a RAPL power cap.
 //
-// Recorders are cheap (a handful of integer adds per call; kernels batch
-// their reports per chunk, not per element) and are meant to be used one per
-// worker so the hot path needs no synchronization.
+// A kernel's loops count only what the data decides; the cost.go of its
+// package turns those counts and the sizes the launch knows into the
+// launch's Profile.
 package ops
 
 // Pattern classifies the spatial locality of a block of memory accesses.
@@ -131,86 +130,4 @@ func (p *Profile) MemBytes() uint64 {
 func (p *Profile) Instructions() uint64 {
 	mem := p.MemBytes() / 8
 	return p.Flops + p.IntOps + p.Branches + mem
-}
-
-// Recorder accumulates operation counts for a single worker. It must not be
-// shared between goroutines; aggregate per-worker recorders with Drain/Add
-// after the parallel region completes. The zero value is ready to use.
-//
-// The pad field separates recorders in a slice by at least one cache line so
-// adjacent workers do not false-share.
-type Recorder struct {
-	p   Profile
-	pad [64]byte //nolint:unused // false-sharing padding
-}
-
-// Flops records n floating-point operations.
-func (r *Recorder) Flops(n uint64) { r.p.Flops += n }
-
-// IntOps records n integer operations.
-func (r *Recorder) IntOps(n uint64) { r.p.IntOps += n }
-
-// Branches records n conditional branches.
-func (r *Recorder) Branches(n uint64) { r.p.Branches += n }
-
-// Loads records bytes of load traffic with the given access pattern.
-func (r *Recorder) Loads(bytes uint64, pat Pattern) {
-	r.p.LoadBytes[pat] += bytes
-	if pat == Random {
-		r.p.RandomAccesses++
-	}
-}
-
-// LoadsN records n discrete random-access loads of size bytes each.
-// Use this instead of Loads(n*bytes, Random) so the miss model sees the
-// correct number of independent touch events.
-func (r *Recorder) LoadsN(n, bytes uint64, pat Pattern) {
-	r.p.LoadBytes[pat] += n * bytes
-	if pat == Random {
-		r.p.RandomAccesses += n
-	}
-}
-
-// Stores records bytes of store traffic with the given access pattern.
-func (r *Recorder) Stores(bytes uint64, pat Pattern) {
-	r.p.StoreBytes[pat] += bytes
-}
-
-// Launch records a kernel launch (one parallel-for dispatch).
-func (r *Recorder) Launch() { r.p.Launches++ }
-
-// WorkingSet raises the recorder's working-set estimate to at least bytes.
-func (r *Recorder) WorkingSet(bytes uint64) {
-	if bytes > r.p.WorkingSetBytes {
-		r.p.WorkingSetBytes = bytes
-	}
-}
-
-// Profile returns a copy of the accumulated counts.
-func (r *Recorder) Profile() Profile { return r.p }
-
-// Drain returns the accumulated counts and resets the recorder.
-func (r *Recorder) Drain() Profile {
-	p := r.p
-	r.p = Profile{}
-	return p
-}
-
-// Merge sums the profiles of a slice of per-worker recorders without
-// resetting them.
-func Merge(recs []Recorder) Profile {
-	var total Profile
-	for i := range recs {
-		total.Add(recs[i].Profile())
-	}
-	return total
-}
-
-// DrainAll sums and resets a slice of per-worker recorders.
-func DrainAll(recs []Recorder) Profile {
-	var total Profile
-	for i := range recs {
-		total.Add(recs[i].Drain())
-	}
-	return total
 }

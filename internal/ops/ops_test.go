@@ -19,65 +19,15 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
-func TestRecorderAccumulates(t *testing.T) {
-	var r Recorder
-	r.Flops(10)
-	r.Flops(5)
-	r.IntOps(3)
-	r.Branches(2)
-	r.Loads(64, Stream)
-	r.Loads(8, Random)
-	r.Stores(128, Strided)
-	r.WorkingSet(1 << 20)
-
-	p := r.Profile()
-	if p.Flops != 15 {
-		t.Errorf("Flops = %d, want 15", p.Flops)
-	}
-	if p.IntOps != 3 || p.Branches != 2 {
-		t.Errorf("IntOps/Branches = %d/%d, want 3/2", p.IntOps, p.Branches)
-	}
-	if p.LoadBytes[Stream] != 64 || p.LoadBytes[Random] != 8 {
-		t.Errorf("LoadBytes = %v", p.LoadBytes)
-	}
-	if p.RandomAccesses != 1 {
-		t.Errorf("RandomAccesses = %d, want 1", p.RandomAccesses)
-	}
-	if p.StoreBytes[Strided] != 128 {
-		t.Errorf("StoreBytes = %v", p.StoreBytes)
-	}
-	if p.WorkingSetBytes != 1<<20 {
-		t.Errorf("WorkingSetBytes = %d, want %d", p.WorkingSetBytes, 1<<20)
-	}
-}
-
-func TestLoadsNCountsEvents(t *testing.T) {
-	var r Recorder
-	r.LoadsN(7, 8, Random)
-	p := r.Profile()
-	if p.RandomAccesses != 7 {
-		t.Errorf("RandomAccesses = %d, want 7", p.RandomAccesses)
-	}
-	if p.LoadBytes[Random] != 56 {
-		t.Errorf("LoadBytes[Random] = %d, want 56", p.LoadBytes[Random])
-	}
-	// Non-random pattern records no events.
-	r.LoadsN(3, 64, Stream)
-	if got := r.Profile().RandomAccesses; got != 7 {
-		t.Errorf("RandomAccesses after stream LoadsN = %d, want 7", got)
-	}
-}
-
 func TestWorkingSetKeepsMax(t *testing.T) {
-	var r Recorder
-	r.WorkingSet(100)
-	r.WorkingSet(50)
-	if got := r.Profile().WorkingSetBytes; got != 100 {
-		t.Errorf("WorkingSetBytes = %d, want 100", got)
+	p := Profile{WorkingSetBytes: 100}
+	p.Add(Profile{WorkingSetBytes: 50})
+	if p.WorkingSetBytes != 100 {
+		t.Errorf("WorkingSetBytes = %d, want 100", p.WorkingSetBytes)
 	}
-	r.WorkingSet(200)
-	if got := r.Profile().WorkingSetBytes; got != 200 {
-		t.Errorf("WorkingSetBytes = %d, want 200", got)
+	p.Add(Profile{WorkingSetBytes: 200})
+	if p.WorkingSetBytes != 200 {
+		t.Errorf("WorkingSetBytes = %d, want 200", p.WorkingSetBytes)
 	}
 }
 
@@ -100,46 +50,6 @@ func TestProfileAdd(t *testing.T) {
 	}
 	if a.RandomAccesses != 4 {
 		t.Errorf("RandomAccesses = %d, want 4", a.RandomAccesses)
-	}
-}
-
-func TestDrainResets(t *testing.T) {
-	var r Recorder
-	r.Flops(42)
-	p := r.Drain()
-	if p.Flops != 42 {
-		t.Errorf("drained Flops = %d, want 42", p.Flops)
-	}
-	if r.Profile() != (Profile{}) {
-		t.Errorf("recorder not reset after Drain: %+v", r.Profile())
-	}
-}
-
-func TestMergeAndDrainAll(t *testing.T) {
-	recs := make([]Recorder, 4)
-	for i := range recs {
-		recs[i].Flops(uint64(i + 1))
-		recs[i].Loads(8, Stream)
-	}
-	m := Merge(recs)
-	if m.Flops != 1+2+3+4 {
-		t.Errorf("Merge Flops = %d, want 10", m.Flops)
-	}
-	if m.LoadBytes[Stream] != 32 {
-		t.Errorf("Merge LoadBytes = %d, want 32", m.LoadBytes[Stream])
-	}
-	// Merge must not reset.
-	if recs[0].Profile() == (Profile{}) {
-		t.Error("Merge reset a recorder")
-	}
-	d := DrainAll(recs)
-	if d.Flops != 10 {
-		t.Errorf("DrainAll Flops = %d, want 10", d.Flops)
-	}
-	for i := range recs {
-		if recs[i].Profile() != (Profile{}) {
-			t.Errorf("recorder %d not reset after DrainAll", i)
-		}
 	}
 }
 

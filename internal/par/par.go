@@ -19,8 +19,8 @@
 // the caller instead of deadlocking on a bounded pool.
 //
 // Kernels receive the index of the worker executing each chunk so they can
-// use per-worker scratch space and per-worker ops.Recorders without any
-// synchronization on the hot path. The pool also owns a scratch store
+// use per-worker scratch space without any synchronization on the hot
+// path. The pool also owns a scratch store
 // (GetScratch/PutScratch) from which kernels lease small working state
 // whose size does not scale with the data — dpp block partials and loop
 // bodies, hydro row buffers — across launches; Close, or the garbage

@@ -108,7 +108,7 @@ func (s *Sim) Time() float64 { return s.time }
 
 // eosAndSpeeds fills pressure and sound speed and returns the maximum
 // signal speed |u|+c over the domain (for the CFL condition).
-func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
+func (s *Sim) eosAndSpeeds(pool *par.Pool) float64 {
 	nc := s.NumCells()
 	maxSpeed := par.Reduce(pool, nc, 0,
 		func() float64 { return 0 },
@@ -133,21 +133,14 @@ func (s *Sim) eosAndSpeeds(pool *par.Pool, recs []ops.Recorder) float64 {
 		},
 		math.Max,
 	)
-	if len(recs) > 0 {
-		// EOS kernel: 5 field loads + 2 stores per cell, ~25 flops.
-		recs[0].Loads(uint64(nc)*5*8, ops.Stream)
-		recs[0].Stores(uint64(nc)*2*8, ops.Stream)
-		recs[0].Flops(uint64(nc) * 25)
-		recs[0].Branches(uint64(nc))
-	}
 	return maxSpeed
 }
 
 // refreshEOS recomputes pressure and sound speed (used between split
 // sweeps so each sweep sees consistent primitives).
-func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
+func (s *Sim) refreshEOS(pool *par.Pool) {
 	nc := s.NumCells()
-	pool.For(nc, 0, func(lo, hi, worker int) {
+	pool.For(nc, 0, func(lo, hi, _ int) {
 		for c := lo; c < hi; c++ {
 			r := s.rho[c]
 			inv := 1 / r
@@ -159,44 +152,36 @@ func (s *Sim) refreshEOS(pool *par.Pool, recs []ops.Recorder) {
 			s.prs[c] = p
 			s.snd[c] = math.Sqrt(gamma * p * inv)
 		}
-		if recs != nil {
-			rec := &recs[worker]
-			nn := uint64(hi - lo)
-			rec.Loads(nn*5*8, ops.Stream)
-			rec.Stores(nn*2*8, ops.Stream)
-			rec.Flops(nn * 20)
-			rec.Branches(nn)
-		}
 	})
 }
 
 // timestep refreshes pressure and sound speed and returns the CFL
 // timestep of the current state.
-func (s *Sim) timestep(pool *par.Pool, recs []ops.Recorder) float64 {
-	maxSpeed := s.eosAndSpeeds(pool, recs)
+func (s *Sim) timestep(pool *par.Pool) float64 {
+	maxSpeed := s.eosAndSpeeds(pool)
 	if maxSpeed <= 0 || math.IsNaN(maxSpeed) {
 		maxSpeed = 1
 	}
 	return cfl * s.h / maxSpeed
 }
 
-// Step advances the simulation by one explicit timestep and returns dt.
-// recs may be nil when operation accounting is not needed.
-func (s *Sim) Step(pool *par.Pool, recs []ops.Recorder) float64 {
+// Step advances the simulation by one explicit timestep, adds its price
+// to prof unless prof is nil, and returns dt.
+func (s *Sim) Step(pool *par.Pool, prof *ops.Profile) float64 {
 	if pool == nil {
 		pool = par.NewPool(1)
 	}
-	dt := s.timestep(pool, recs)
+	dt := s.timestep(pool)
 	// Dimensionally-split sweeps, refreshing primitives between passes.
-	s.sweep(0, dt, pool, recs)
-	s.refreshEOS(pool, recs)
-	s.sweep(1, dt, pool, recs)
-	s.refreshEOS(pool, recs)
-	s.sweep(2, dt, pool, recs)
+	s.sweep(0, dt, pool)
+	s.refreshEOS(pool)
+	s.sweep(1, dt, pool)
+	s.refreshEOS(pool)
+	s.sweep(2, dt, pool)
 	s.time += dt
 	s.step++
-	if len(recs) > 0 {
-		recs[0].WorkingSet(uint64(s.NumCells()) * 7 * 8)
+	if prof != nil {
+		prof.Add(stepCost(uint64(s.NumCells())))
 	}
 	return dt
 }

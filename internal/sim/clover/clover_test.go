@@ -114,9 +114,8 @@ func TestStepDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestStepRecordsOps(t *testing.T) {
 	s := newSim(t, 8)
 	pool := par.NewPool(2)
-	recs := make([]ops.Recorder, pool.Workers())
-	s.Step(pool, recs)
-	p := ops.Merge(recs)
+	var p ops.Profile
+	s.Step(pool, &p)
 	if p.Flops == 0 || p.TotalLoadBytes() == 0 || p.TotalStoreBytes() == 0 {
 		t.Errorf("profile missing work: %+v", p)
 	}
@@ -198,12 +197,12 @@ func TestDensityFieldMatchesState(t *testing.T) {
 func TestSweepScratchReuse(t *testing.T) {
 	s := newSim(t, 16)
 	pool := par.NewPool(1) // serial pool: no worker-goroutine noise
-	dt := s.timestep(pool, nil)
+	dt := s.timestep(pool)
 	sweepXY := func() {
-		s.sweep(0, dt, pool, nil)
-		s.refreshEOS(pool, nil)
-		s.sweep(1, dt, pool, nil)
-		s.refreshEOS(pool, nil)
+		s.sweep(0, dt, pool)
+		s.refreshEOS(pool)
+		s.sweep(1, dt, pool)
+		s.refreshEOS(pool)
 	}
 	sweepXY() // warm the scratch lease
 	allocs := testing.AllocsPerRun(5, sweepXY)

@@ -45,8 +45,8 @@ func (s *Sim) TotalEnergy() float64 {
 }
 
 // Run advances the simulation by steps timesteps.
-func (s *Sim) Run(steps int, pool *par.Pool, recs []ops.Recorder) {
+func (s *Sim) Run(steps int, pool *par.Pool, prof *ops.Profile) {
 	for i := 0; i < steps; i++ {
-		s.Step(pool, recs)
+		s.Step(pool, prof)
 	}
 }

@@ -3,7 +3,6 @@ package clover
 import (
 	"math"
 
-	"repro/internal/ops"
 	"repro/internal/par"
 )
 
@@ -152,7 +151,7 @@ func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int) {
 // walked pencil by pencil, a chunk of y or z pencils in row blocks (a y
 // chunk may begin and end mid-plane; its blocks also end with their x row,
 // where the next pencil's cells stop being adjacent).
-func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
+func (s *Sim) sweep(dir int, dt float64, pool *par.Pool) {
 	k := sweepKernel{
 		rho: s.rho, e: s.etot, prs: s.prs, snd: s.snd,
 		lambda: dt / s.h,
@@ -171,15 +170,7 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
 		k.mn, k.mt1, k.mt2 = s.mz, s.mx, s.my
 	}
 
-	// The recorded pattern describes the modeled CloverLeaf kernel on the
-	// paper's Broadwell node, whose y and z sweeps walk strided pencils —
-	// it is what the cpu model prices, not this host's row traversal.
-	pattern := ops.Stream
-	if dir != 0 {
-		pattern = ops.Strided
-	}
-
-	pool.For(nPencils, 0, func(lo, hi, worker int) {
+	pool.For(nPencils, 0, func(lo, hi, _ int) {
 		// Side and flux rows are leased from the pool's scratch store so
 		// the three sweeps of every step reuse warm allocations.
 		ss, _ := pool.GetScratch(sweepScratchKey{}).(*sweepScratch)
@@ -205,16 +196,6 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
 			}
 		}
 		pool.PutScratch(sweepScratchKey{}, ss)
-		if recs != nil {
-			rec := &recs[worker]
-			nc := uint64(hi-lo) * uint64(n)
-			// Per cell: 7 field loads for flux, 5 stores on update,
-			// ~55 flops in the flux + update, a few branches.
-			rec.Loads(nc*7*8, pattern)
-			rec.Stores(nc*5*8, pattern)
-			rec.Flops(nc * 55)
-			rec.Branches(nc * 2)
-		}
 	})
 }
 

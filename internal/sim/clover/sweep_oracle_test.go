@@ -13,7 +13,8 @@ import (
 // bit-identity oracle: sweepRef and rusanovRef are the parent
 // implementation with only the scratch lease (a per-chunk make here), the
 // helper names, the slab subdomains' halo branch and the MUSCL option gone.
-// stepRef is Sim.Step over sweepRef.
+// stepRef is Sim.Step over sweepRef, with its own spelling of the
+// accounting.
 
 // rusanovRef computes the Rusanov (local Lax–Friedrichs) flux between two
 // states. mn is momentum normal to the face; mt1/mt2 are transverse.
@@ -49,7 +50,7 @@ func rusanovRef(l, r state5, pl, pr, cl, cr float64) state5 {
 // sweepRef performs one dimensionally-split update along axis dir (0,1,2)
 // with timestep dt. Pencils along the sweep axis are independent, so the
 // loop over pencils is the parallel dimension.
-func (s *Sim) sweepRef(dir int, dt float64, pool *par.Pool, recs []ops.Recorder) {
+func (s *Sim) sweepRef(dir int, dt float64, pool *par.Pool, profs []ops.Profile) {
 	lambda := dt / s.h
 	var n, nPencils int
 	switch dir {
@@ -126,33 +127,48 @@ func (s *Sim) sweepRef(dir int, dt float64, pool *par.Pool, recs []ops.Recorder)
 					s.rho[c] = 1e-10
 				}
 			}
-			if recs != nil {
-				rec := &recs[worker]
+			if profs != nil {
+				rec := &profs[worker]
 				nc := uint64(n)
 				// Per cell: 7 field loads for flux, 5 stores on update,
 				// ~55 flops in rusanov + update, a few branches.
-				rec.Loads(nc*7*8, pattern)
-				rec.Stores(nc*5*8, pattern)
-				rec.Flops(nc * 55)
-				rec.Branches(nc * 2)
+				rec.LoadBytes[pattern] += nc * 7 * 8
+				rec.StoreBytes[pattern] += nc * 5 * 8
+				rec.Flops += nc * 55
+				rec.Branches += nc * 2
 			}
 		}
 	})
 }
 
 // stepRef is Sim.Step with every sweep through sweepRef.
-func (s *Sim) stepRef(pool *par.Pool, recs []ops.Recorder) {
-	dt := s.timestep(pool, recs)
-	s.sweepRef(0, dt, pool, recs)
-	s.refreshEOS(pool, recs)
-	s.sweepRef(1, dt, pool, recs)
-	s.refreshEOS(pool, recs)
-	s.sweepRef(2, dt, pool, recs)
+func (s *Sim) stepRef(pool *par.Pool, prof *ops.Profile) {
+	var profs []ops.Profile
+	if prof != nil {
+		profs = make([]ops.Profile, pool.Workers())
+	}
+	dt := s.timestep(pool)
+	s.sweepRef(0, dt, pool, profs)
+	s.refreshEOS(pool)
+	s.sweepRef(1, dt, pool, profs)
+	s.refreshEOS(pool)
+	s.sweepRef(2, dt, pool, profs)
 	s.time += dt
 	s.step++
-	if len(recs) > 0 {
-		recs[0].WorkingSet(uint64(s.NumCells()) * 7 * 8)
+	if prof == nil {
+		return
 	}
+	for _, p := range profs {
+		prof.Add(p)
+	}
+	// The EOS pass and the two refreshes: 5 field loads + 2 stores per
+	// cell each, ~25 flops in the pass, ~20 in a refresh.
+	nc := uint64(s.NumCells())
+	prof.LoadBytes[ops.Stream] += 3 * nc * 5 * 8
+	prof.StoreBytes[ops.Stream] += 3 * nc * 2 * 8
+	prof.Flops += nc*25 + 2*nc*20
+	prof.Branches += 3 * nc
+	prof.WorkingSetBytes = nc * 7 * 8
 }
 
 // fields lists the seven state arrays for cell-by-cell comparison.
@@ -197,9 +213,9 @@ func TestSweepMatchesOracle(t *testing.T) {
 		// The oracle's result does not depend on the worker count
 		// (TestStepDeterministicAcrossWorkerCounts), so one run serves.
 		refPool := par.NewPool(2)
-		wantRecs := make([]ops.Recorder, refPool.Workers())
+		var wantProf ops.Profile
 		for i := 0; i < steps; i++ {
-			want.stepRef(refPool, wantRecs)
+			want.stepRef(refPool, &wantProf)
 		}
 		refPool.Close()
 		for workers := 1; workers <= 4; workers++ {
@@ -210,13 +226,13 @@ func TestSweepMatchesOracle(t *testing.T) {
 				got := newSim(t, n)
 				pool := par.NewPool(workers)
 				defer pool.Close()
-				recs := make([]ops.Recorder, pool.Workers())
-				got.Run(steps, pool, recs)
+				var prof ops.Profile
+				got.Run(steps, pool, &prof)
 				requireSameBits(t, got, want)
 				if math.Float64bits(got.Time()) != math.Float64bits(want.Time()) {
 					t.Errorf("time %v, oracle %v", got.Time(), want.Time())
 				}
-				if g, w := ops.Merge(recs), ops.Merge(wantRecs); g != w {
+				if g, w := prof, wantProf; g != w {
 					t.Errorf("profile %+v, oracle %+v", g, w)
 				}
 			})

@@ -1,9 +1,6 @@
 package advect
 
-import (
-	"repro/internal/mesh"
-	"repro/internal/ops"
-)
+import "repro/internal/mesh"
 
 // The one definition of "advance one particle" and of what that costs.
 // Run (rounds over a compacted active list) and dist.Advect (bursts
@@ -61,8 +58,7 @@ func (tr *Trail) seal(p *Particle, pts []mesh.Vec3, spd []float64, off int) {
 	}
 }
 
-// Tally counts what advancing cost; Record and WorkingSet turn it into
-// the operation profile.
+// Tally counts what advancing cost; its Cost (cost.go) prices it.
 type Tally struct {
 	Samples   uint64 // field samples (four per trial step)
 	Steps     uint64 // streamline points charged as output
@@ -76,34 +72,6 @@ func (t *Tally) Add(o Tally) {
 	t.Steps += o.Steps
 	t.Rejects += o.Rejects
 	t.Crossings += o.Crossings
-}
-
-// Record charges the tally to rec: three trilinear component
-// reconstructions (~90 flops) per sample plus the step combination and
-// the controller's work on a rejected trial; samples read a cache-hot
-// 8-corner neighborhood (resident), and each cell crossing pulls fresh
-// lines.
-func (t Tally) Record(rec *ops.Recorder) {
-	rec.Flops(t.Samples*90 + t.Steps*30 + t.Rejects*20)
-	rec.IntOps(t.Samples * 24)
-	rec.Branches(t.Samples * 6)
-	rec.Loads(t.Samples*192, ops.Resident)
-	rec.LoadsN(t.Crossings, 192, ops.Random)
-	rec.Stores(t.Steps*32, ops.Stream)
-}
-
-// WorkingSet is the footprint of a run that touched a field of
-// fieldPoints points and wrote linePoints streamline points: the field
-// data along the particle paths (capped at the full field: paths
-// overlap) plus the output. Seed count, step length, and step count are
-// size-independent, so this is too — the paper's Fig. 6 flat-IPC
-// mechanism.
-func (t Tally) WorkingSet(fieldPoints int, linePoints uint64) uint64 {
-	pathBytes := t.Crossings * 96
-	if fieldBytes := uint64(fieldPoints) * 24; pathBytes > fieldBytes {
-		pathBytes = fieldBytes
-	}
-	return pathBytes + linePoints*32
 }
 
 // Advancer is a filter's configuration resolved against one grid.

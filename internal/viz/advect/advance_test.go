@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -122,10 +121,7 @@ func TestBurstInvariance(t *testing.T) {
 		}
 		for _, v := range variants {
 			lines, tally := driveSerial(t, f, g, starts, v.prepare)
-			var rec ops.Recorder
-			tally.Record(&rec)
-			rec.WorkingSet(tally.WorkingSet(g.NumPoints(), uint64(lines.TotalPoints())))
-			got := &viz.Result{Lines: lines, Profile: rec.Profile()}
+			got := &viz.Result{Lines: lines, Profile: tally.Cost(0, g.NumPoints(), uint64(lines.TotalPoints()))}
 			t.Run(fmt.Sprintf("adaptive=%v/%s", adaptive, v.name), func(t *testing.T) { assertGolden(t, got, want) })
 		}
 	}

@@ -26,6 +26,7 @@ package advect
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/mesh"
 	"repro/internal/par"
@@ -150,21 +151,21 @@ func (f *Filter) run(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz
 	}
 	a := f.Advancer(g)
 	ps, total := a.Seed(starts, make([]Particle, 0, len(starts)))
-	total.Record(ex.Rec(0))
 	slot := int(a.numSteps) + 1
 	pts := make([]mesh.Vec3, len(starts)*slot)
 	spd := make([]float64, len(starts)*slot)
 	lens := make([]int32, len(starts))
 	dead := make([]bool, len(ps))
-	crossw := make([]uint64, ex.Pool.Workers())
 
 	// Rounds: every active particle advances one burst into its slot, then
 	// the retired ones are compacted away. Only the launch count differs
 	// from the reference's accounting (one per round).
+	var mu sync.Mutex
+	var rounds uint64
 	for ; len(ps) > 0; ps = compact(ps, dead) {
-		ex.Rec(0).Launch()
+		rounds++
 		n := len(ps)
-		ex.Pool.For(n, par.GrainFor(n, ex.Pool.Workers()), func(lo, hi, worker int) {
+		ex.Pool.For(n, par.GrainFor(n, ex.Pool.Workers()), func(lo, hi, _ int) {
 			s := *proto
 			var t Tally
 			var tr Trail
@@ -180,8 +181,9 @@ func (f *Filter) run(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz
 				}
 				lens[p.PID] = int32(len(tr.Pts))
 			}
-			t.Record(ex.Rec(worker))
-			crossw[worker] += t.Crossings
+			mu.Lock()
+			total.Add(t)
+			mu.Unlock()
 		})
 	}
 
@@ -197,10 +199,7 @@ func (f *Filter) run(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.Vec3) *viz
 		out.Offsets = append(out.Offsets, int32(w))
 	}
 	out.Points, out.Scalars = pts[:w], spd[:w]
-	for _, c := range crossw {
-		total.Crossings += c
-	}
-	ex.Rec(0).WorkingSet(total.WorkingSet(g.NumPoints(), uint64(len(out.Points))))
+	ex.Charge(total.Cost(rounds, g.NumPoints(), uint64(len(out.Points))))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

@@ -48,13 +48,12 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 	}
 	lines := make([]line, len(starts))
 	cellDiag := g.Spacing.Norm()
-	crossingsByWorker := make([]uint64, ex.Pool.Workers())
+	profs := make([]ops.Profile, ex.Pool.Workers())
 	// The same out-of-domain seed predicate as Run and dist.Advect.
 	deadSeed := RejectSeeds(g, starts, nil)
 
-	ex.Rec(0).Launch()
 	ex.Pool.For(len(starts), 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+		rec := &profs[worker]
 		sv := *proto
 		var samples, crossings, stepsTaken uint64
 		for pi := lo; pi < hi; pi++ {
@@ -77,7 +76,7 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 				crossings += uint64(arc/cellDiag) + 1
 				stepsTaken += uint64(len(apts))
 				// Rejected trials cost controller flops too.
-				rec.Flops(aRejects * 20)
+				rec.Flops += aRejects * 20
 				lines[pi] = line{pts: apts, spd: aspd}
 				continue
 			}
@@ -121,13 +120,13 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 		// per sample plus the step combination; samples read a cache-hot
 		// 8-corner neighborhood (resident), and each cell crossing pulls
 		// fresh lines.
-		rec.Flops(samples*90 + stepsTaken*30)
-		rec.IntOps(samples * 24)
-		rec.Branches(samples * 6)
-		rec.Loads(samples*192, ops.Resident)
-		rec.LoadsN(crossings, 192, ops.Random)
-		rec.Stores(stepsTaken*32, ops.Stream)
-		crossingsByWorker[worker] += crossings
+		rec.Flops += samples*90 + stepsTaken*30
+		rec.IntOps += samples * 24
+		rec.Branches += samples * 6
+		rec.LoadBytes[ops.Resident] += samples * 192
+		rec.LoadBytes[ops.Random] += crossings * 192
+		rec.RandomAccesses += crossings
+		rec.StoreBytes[ops.Stream] += stepsTaken * 32
 	})
 
 	out := mesh.NewLineSet()
@@ -142,15 +141,17 @@ func (f *Filter) runReference(g *mesh.UniformGrid, ex *viz.Exec, starts []mesh.V
 	// the full field: paths overlap) plus the streamline output. Because
 	// seed count, step length, and step count are size-independent, so is
 	// this working set — the paper's Fig. 6 flat-IPC mechanism.
-	var totalCrossings uint64
-	for _, c := range crossingsByWorker {
-		totalCrossings += c
+	var prof ops.Profile
+	for _, p := range profs {
+		prof.Add(p)
 	}
-	pathBytes := totalCrossings * 96
+	pathBytes := prof.RandomAccesses * 96 // one random access per crossing
 	if fieldBytes := uint64(g.NumPoints()) * 24; pathBytes > fieldBytes {
 		pathBytes = fieldBytes
 	}
-	ex.Rec(0).WorkingSet(pathBytes + uint64(totalSteps)*32)
+	prof.Launches = 1
+	prof.WorkingSetBytes = pathBytes + uint64(totalSteps)*32
+	ex.Charge(prof)
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

@@ -8,9 +8,9 @@ package clip
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -61,18 +61,10 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	// inside). One kernel launch streaming the coordinates.
 	nPts := g.NumPoints()
 	dist := make([]float64, nPts)
-	ex.Rec(0).Launch()
-	ex.Pool.For(nPts, 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+	ex.Pool.For(nPts, 0, func(lo, hi, _ int) {
 		for id := lo; id < hi; id++ {
 			dist[id] = g.PointPosition(id).Sub(center).Norm() - radius
 		}
-		// Position reconstruction, three squares, a square root (counted
-		// at its multi-op latency), and the subtraction, per point.
-		n := uint64(hi - lo)
-		rec.Flops(n * 22)
-		rec.IntOps(n * 6)
-		rec.Stores(n*8, ops.Stream)
 	})
 
 	// Pass 2: classify and clip cells into one pre-weld mesh of exact
@@ -105,15 +97,14 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	pre := em.Cells()
 
-	ex.Rec(0).Launch()
+	var straddlers atomic.Uint64
 	em.Fill(func(lo, hi, worker int, at mesh.Sizes) mesh.Sizes {
-		rec := ex.Rec(worker)
 		win := &wins[worker]
 		win.Reset(g, lo, hi)
 		w := mesh.CellWriter{Mesh: pre, Next: at}
 		var ts [6]viz.Tet
 		scratch := make([]viz.Tet, 0, 16)
-		var whole, straddle, pieces uint64
+		var straddle uint64
 		cell := g.WalkCells(lo)
 		for ; cell.Cell < hi; cell.Next() {
 			switch above, below := cell.Masks(dist, 0, 0); {
@@ -121,7 +112,6 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				// Entirely inside the sphere: culled.
 			case above == 0xFF:
 				// Entirely outside: pass the hex through.
-				whole++
 				w.AddHex(&cell, carry, win)
 			default:
 				// Straddling: subdivide and keep the outside part.
@@ -130,7 +120,6 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				for i := range ts {
 					scratch = ts[i].ClipAbove(0, scratch[:0])
 					for _, piece := range scratch {
-						pieces++
 						var conn [4]int32
 						for c := 0; c < 4; c++ {
 							conn[c] = w.AddPoint(piece.P[c], piece.S[c])
@@ -140,27 +129,12 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 			}
 		}
-
-		n := uint64(hi - lo)
-		rec.Loads(n*8*8, ops.Strided) // 8 corner distances per cell
-		rec.Flops(n * 16)
-		rec.Branches(n * 4)
-		rec.IntOps(n * 10)
-		rec.Loads((whole+straddle)*8*32, ops.Strided)
-		rec.Stores(whole*(8*32+8*4), ops.Stream)
-		rec.Flops(straddle * 6 * 60) // tet assembly + clip interpolation
-		rec.IntOps(straddle * 6 * 25)
-		rec.Branches(straddle * 6 * 8)
-		rec.Stores(pieces*4*36, ops.Stream)
+		straddlers.Add(straddle)
 		return w.Next
 	})
 
 	out := mesh.WeldPointsPool(pre, 1e-9, ex.Pool)
-	preWeld := uint64(em.Total.Points)
-	rec := ex.Rec(0)
-	rec.IntOps(preWeld * 8) // weld hashing
-	rec.LoadsN(preWeld, 32, ops.Random)
-	rec.WorkingSet(uint64(nPts)*16 + uint64(len(out.Points))*40)
+	ex.Charge(cost(uint64(nPts), uint64(nCells), straddlers.Load(), em.Total, uint64(len(out.Points))))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

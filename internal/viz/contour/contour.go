@@ -11,9 +11,9 @@ package contour
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -105,7 +105,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 // alone (crossing) and sizes each chunk, and the fill writes every chunk
 // at its scanned offsets, visiting only the cells the count found crossed.
 // The count pass is this host's sizing, not the paper's kernel, so it
-// records no operations.
+// is not charged.
 func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, ex *viz.Exec, out *mesh.TriMesh) {
 	nCells := g.NumCells()
 	cross := make([]uint8, nCells)
@@ -115,35 +115,13 @@ func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso fl
 	})
 	em.GrowTris(out)
 
-	ex.Rec(0).Launch()
-	em.Fill(func(lo, hi, worker int, at mesh.Sizes) mesh.Sizes {
-		rec := ex.Rec(worker)
-		end, crossed, _ := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-		tris := uint64(end.Cells - at.Cells)
-
-		// Operation accounting for this chunk: every cell gathers its 8
-		// corner scalars (strided through the point array) and runs the
-		// min/max rejection; crossed cells additionally gather positions,
-		// build 6 tets, and classify 24 corners; each triangle costs 3
-		// edge interpolations and a streamed store.
-		n := uint64(hi - lo)
-		rec.Loads(n*8*8, ops.Strided)
-		rec.Flops(n * 16)
-		rec.IntOps(n * 12)
-		rec.Branches(n * 3)
-		rec.Loads(crossed*8*24, ops.Strided) // corner positions
-		rec.Flops(crossed * 6 * 12)          // per-tet classification
-		rec.IntOps(crossed * 6 * 10)
-		rec.Branches(crossed * 6 * 4)
-		rec.Flops(tris * 3 * 9) // edge lerps
-		rec.Stores(tris*3*32, ops.Stream)
+	var crossed atomic.Uint64
+	em.Fill(func(lo, hi, _ int, at mesh.Sizes) mesh.Sizes {
+		end, c := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
+		crossed.Add(c)
 		return end
 	})
-
-	// The launch working set is the field plus the surface emitted by this
-	// call — not the whole of out, which accumulates across the 10
-	// isovalues of a cycle.
-	ex.Rec(0).WorkingSet(uint64(len(field))*8 + uint64(em.Total.Points)*32)
+	ex.Charge(tradCost(uint64(nCells), crossed.Load(), uint64(em.Total.Cells), uint64(len(field))))
 }
 
 // crossing classifies the cells [lo, hi) against iso from their corner
@@ -171,10 +149,10 @@ func crossing(g *mesh.UniformGrid, field []float64, rows Rows, iso float64, lo, 
 
 // fillTris writes the triangles of the cells [lo, hi) that cross marks
 // into out from offsets at (three fresh points per triangle, in cell
-// order) and returns the offsets past them, the cells whose corner range
-// holds iso and, of those, the cells that emit a triangle. Both
-// formulations fill with it; they differ in how they count.
-func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []uint8, lo, hi int, out *mesh.TriMesh, at mesh.Sizes) (end mesh.Sizes, crossed, emitting uint64) {
+// order) and returns the offsets past them and the cells whose corner
+// range holds iso. Both formulations fill with it; they differ in how
+// they count.
+func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []uint8, lo, hi int, out *mesh.TriMesh, at mesh.Sizes) (end mesh.Sizes, crossed uint64) {
 	var ts [6]viz.Tet
 	p, t := at.Points, at.Cells
 	for c := lo; c < hi; c++ {
@@ -182,9 +160,6 @@ func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []
 			continue
 		}
 		crossed++
-		if cross[c] > 1 {
-			emitting++
-		}
 		cell := g.WalkCells(c)
 		viz.CellTets(&cell, field, carry, &ts)
 		for i := range ts {
@@ -197,5 +172,5 @@ func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []
 			})
 		}
 	}
-	return mesh.Sizes{Points: p, Cells: t}, crossed, emitting
+	return mesh.Sizes{Points: p, Cells: t}, crossed
 }

@@ -1,9 +1,10 @@
 package contour
 
 import (
+	"sync/atomic"
+
 	"repro/internal/dpp"
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -15,9 +16,9 @@ import (
 // counts into per-cell output offsets, and the emit pass writes each
 // chunk's triangles at the offset of its first cell — with fillTris, the
 // traditional formulation's fill. The two formulations differ only in
-// count granularity (per cell here, per chunk there) and in what they
-// account for: the per-cell count array, its scan and its launches are
-// the DPP formulation's measured cost.
+// count granularity (per cell here, per chunk there) and in what
+// cost.go charges them: the per-cell count array, its scan and its
+// launches are the DPP formulation's measured cost.
 //
 // The output is bit-identical to the traditional backend: both write
 // three fresh points per triangle in ascending cell order.
@@ -72,30 +73,21 @@ func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso
 
 	// Pass 1 (count): classify every cell from its corner scalars and
 	// store its triangle count.
-	ex.Rec(0).Launch()
-	ex.Pool.For(nCells, grain, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+	var emitting atomic.Uint64
+	ex.Pool.For(nCells, grain, func(lo, hi, _ int) {
 		crossing(g, field, rows, iso, lo, hi, cross)
+		var n uint64
 		for cell, k := range cross[lo:hi] {
 			if k > 1 {
 				offs[lo+cell] = int32(k - 1)
+				n++
 			}
 		}
-		n := uint64(hi - lo)
-		rec.Loads(n*8*8, ops.Strided) // corner scalar gather
-		rec.Flops(n * 16)
-		rec.IntOps(n * 24) // 6 tets x 4 corner classifications
-		rec.Branches(n * 24)
-		rec.Stores(n*4, ops.Stream) // count word
+		emitting.Add(n)
 	})
 
 	// Scan: counts become output triangle offsets, in place.
-	ex.Rec(0).Launch()
 	total := dpp.ScanExclusive(ex.Pool, offs, offs)
-	rec0 := ex.Rec(0)
-	rec0.Loads(uint64(nCells)*4, ops.Stream)
-	rec0.Stores(uint64(nCells)*4, ops.Stream)
-	rec0.IntOps(uint64(nCells))
 
 	// Size the output exactly once from the scan total — a chunk's
 	// triangles run from its first cell's offset to the next chunk's —
@@ -109,23 +101,9 @@ func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso
 		return mesh.Sizes{Points: 3 * tris, Cells: tris}
 	})
 	em.GrowTris(out)
-	ex.Rec(0).Launch()
-	em.Fill(func(lo, hi, worker int, at mesh.Sizes) mesh.Sizes {
-		rec := ex.Rec(worker)
-		end, _, crossed := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-		tris := uint64(end.Cells - at.Cells)
-		n := uint64(hi - lo)
-		rec.Loads(n*4, ops.Stream)               // offset stream
-		rec.Loads(crossed*8*(24+8), ops.Strided) // corner positions + scalars
-		rec.Flops(crossed * 6 * 12)              // per-tet classification
-		rec.IntOps(crossed * 6 * 10)
-		rec.Branches(crossed * 6 * 4)
-		rec.Flops(tris * 3 * 9) // edge lerps
-		rec.Stores(tris*3*32, ops.Stream)
+	em.Fill(func(lo, hi, _ int, at mesh.Sizes) mesh.Sizes {
+		end, _ := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
 		return end
 	})
-
-	// Working set: the field, the surface emitted by this call, and the
-	// per-cell offset array — the DPP formulation's memory overhead.
-	rec0.WorkingSet(uint64(len(field))*8 + uint64(3*total)*32 + uint64(nCells)*4)
+	ex.Charge(dppCost(uint64(nCells), emitting.Load(), uint64(total), uint64(len(field))))
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/viz"
 )
 
@@ -60,9 +59,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	nx, ny, nz := g.Dims[0], g.Dims[1], g.Dims[2]
 	inv2 := mesh.Vec3{0.5 / g.Spacing[0], 0.5 / g.Spacing[1], 0.5 / g.Spacing[2]}
 
-	ex.Rec(0).Launch()
-	ex.Pool.For(g.NumPoints(), 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+	ex.Pool.For(g.NumPoints(), 0, func(lo, hi, _ int) {
 		for id := lo; id < hi; id++ {
 			i, j, k := g.PointIJK(id)
 			// One-sided differences at the boundary, central inside,
@@ -74,14 +71,8 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 			grad[id] = v
 			mag[id] = v.Norm()
 		}
-		n := uint64(hi - lo)
-		rec.Loads(n*6*8, ops.Strided) // the 6-point stencil
-		rec.Flops(n * 18)
-		rec.IntOps(n * 14)
-		rec.Branches(n * 6)
-		rec.Stores(n*32, ops.Stream)
 	})
-	ex.Rec(0).WorkingSet(uint64(g.NumPoints()) * (8 + 32))
+	ex.Charge(cost(uint64(g.NumPoints())))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

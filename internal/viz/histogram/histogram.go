@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -54,7 +53,6 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	inv := 1 / width
 	bins := f.opts.Bins
 
-	ex.Rec(0).Launch()
 	counts := par.Reduce(ex.Pool, len(cf), 0,
 		func() []int64 { return make([]int64, bins) },
 		func(lo2, hi2 int, acc []int64) []int64 {
@@ -77,16 +75,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 			return a
 		},
 	)
-	// The per-cell work is perfectly uniform, so it is recorded once
-	// rather than per chunk.
-	rec := ex.Rec(0)
-	n := uint64(len(cf))
-	rec.Loads(n*8, ops.Stream)
-	rec.Flops(n * 2)
-	rec.IntOps(n * 3)
-	rec.Branches(n * 2)
-	rec.Stores(uint64(bins)*8, ops.Stream)
-	rec.WorkingSet(n*8 + uint64(bins)*8)
+	ex.Charge(cost(uint64(len(cf)), uint64(bins)))
 
 	return &viz.Result{
 		Profile:   ex.Drain(),

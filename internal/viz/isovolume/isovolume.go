@@ -9,9 +9,9 @@ package isovolume
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -84,16 +84,15 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	pre := em.Cells()
 
-	ex.Rec(0).Launch()
+	var straddlers atomic.Uint64
 	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) mesh.Sizes {
-		rec := ex.Rec(worker)
 		win := &wins[worker]
 		win.Reset(g, lo2, hi2)
 		w := mesh.CellWriter{Mesh: pre, Next: at}
 		var ts [6]viz.Tet
 		above := make([]viz.Tet, 0, 16)
 		kept := make([]viz.Tet, 0, 16)
-		var whole, straddle, pieces uint64
+		var straddle uint64
 		cell := g.WalkCells(lo2)
 		for ; cell.Cell < hi2; cell.Next() {
 			switch ge, le := cell.Masks(field, lo, hi); {
@@ -101,7 +100,6 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				// Entirely outside the range: removed.
 			case ge == 0xFF && le == 0xFF:
 				// Entirely inside: pass the hex through.
-				whole++
 				w.AddHex(&cell, field, win)
 			default:
 				// Straddling: clip tets against both range bounds.
@@ -114,7 +112,6 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 						kept = a.ClipBelow(hi, kept)
 					}
 					for _, piece := range kept {
-						pieces++
 						var conn [4]int32
 						for c := 0; c < 4; c++ {
 							conn[c] = w.AddPoint(piece.P[c], piece.S[c])
@@ -124,29 +121,12 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 			}
 		}
-
-		n := uint64(hi2 - lo2)
-		rec.Loads(n*8*8, ops.Strided)
-		rec.Flops(n * 16)
-		rec.Branches(n * 5)
-		rec.IntOps(n * 10)
-		// Straddling cells are read twice (one gather per clip pass) and
-		// run the full two-sided subdivision arithmetic.
-		rec.Loads(whole*8*32+straddle*2*8*32, ops.Strided)
-		rec.Stores(whole*(8*32+8*4), ops.Stream)
-		rec.Flops(straddle * 6 * 120) // two clip chains per tet
-		rec.IntOps(straddle * 6 * 60)
-		rec.Branches(straddle * 6 * 16)
-		rec.Stores(pieces*4*36, ops.Stream)
+		straddlers.Add(straddle)
 		return w.Next
 	})
 
 	out := mesh.WeldPointsPool(pre, 1e-9, ex.Pool)
-	preWeld := uint64(em.Total.Points)
-	rec := ex.Rec(0)
-	rec.IntOps(preWeld * 8) // weld hashing
-	rec.LoadsN(preWeld, 32, ops.Random)
-	rec.WorkingSet(uint64(len(field))*8 + uint64(len(out.Points))*40)
+	ex.Charge(cost(uint64(nCells), straddlers.Load(), em.Total, uint64(len(field)), uint64(len(out.Points))))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

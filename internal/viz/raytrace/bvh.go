@@ -366,8 +366,8 @@ func (bd *bvhBuilder) even(lo, hi int, axis uint8) (int, uint8, extent, extent) 
 // NumNodes returns the node count (for size accounting).
 func (b *BVH) NumNodes() int { return len(b.nodes) }
 
-// TraverseStats counts the work one ray performed, feeding the operation
-// recorders.
+// TraverseStats counts the work rays performed, feeding the frame's
+// price (frameCost).
 type TraverseStats struct {
 	NodesVisited int
 	TriTests     int

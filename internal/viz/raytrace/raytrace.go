@@ -10,9 +10,9 @@ package raytrace
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/viz"
@@ -67,70 +67,19 @@ func NewSceneWith(tris *mesh.TriMesh, pool *par.Pool) *Scene {
 	return &Scene{Tris: tris, BVH: BuildBVHWith(tris, pool), Norm: render.Normalizer{Lo: lo, Hi: hi}}
 }
 
-// GatherScene extracts the external faces of the grid (scanning every
-// cell, as the paper's gather does), builds the BVH, and records the
-// operation profile of both stages.
+// GatherScene extracts the external faces of the grid, builds the BVH,
+// and charges both stages to ex: the gather as the paper's scan of every
+// cell, the build.
 func GatherScene(g *mesh.UniformGrid, field string, ex *viz.Exec) (*Scene, error) {
-	// Stage 1: scan all cells for boundary membership. On a structured
-	// grid this is an index test, but it still streams the cell index
-	// space and touches the scalar, which is the data-intensive gather
-	// the paper identifies.
-	nCells := g.NumCells()
-	cf := g.CellField(field)
-	pf := g.PointField(field)
-	if cf == nil && pf == nil {
+	if g.CellField(field) == nil && g.PointField(field) == nil {
 		return nil, fmt.Errorf("raytrace: grid has no field %q", field)
 	}
-	cd := g.CellDims()
-	ex.Rec(0).Launch()
-	boundary := make([]int64, ex.Pool.Workers())
-	ex.Pool.For(nCells, 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
-		cnt := int64(0)
-		for cell := lo; cell < hi; cell++ {
-			i, j, k := g.CellIJK(cell)
-			if i == 0 || j == 0 || k == 0 || i == cd[0]-1 || j == cd[1]-1 || k == cd[2]-1 {
-				cnt++
-			}
-			// Touch the scalar like the gather must.
-			if cf != nil {
-				_ = cf[cell]
-			}
-		}
-		boundary[worker] += cnt
-		n := uint64(hi - lo)
-		rec.Loads(n*8, ops.Stream)
-		rec.IntOps(n * 14)
-		rec.Branches(n * 6)
-	})
-
 	tris, err := mesh.GridExternalFaces(g, field)
 	if err != nil {
 		return nil, err
 	}
-	nt := uint64(tris.NumTris())
-	np := uint64(tris.NumPoints())
-	rec := ex.Rec(0)
-	rec.Loads(np*40, ops.Strided) // face point/scalar gather
-	rec.Stores(nt*12+np*32, ops.Stream)
-
-	// Stage 2: build the acceleration structure. The binned-SAH build does
-	// ~n work per tree level — still n log n with random reordering
-	// traffic, just with a smaller constant than the old per-level sort.
-	ex.Rec(0).Launch()
 	scene := NewSceneWith(tris, ex.Pool)
-	logn := uint64(1)
-	if nt > 1 {
-		logn = uint64(math.Log2(float64(nt))) + 1
-	}
-	rec.IntOps(nt * logn * 8)
-	rec.Flops(nt * logn * 4)
-	rec.LoadsN(nt*logn/4, 64, ops.Random)
-	rec.Stores(uint64(scene.BVH.NumNodes())*64, ops.Stream)
-	// The hot footprint of the trace phase is the geometry plus the
-	// acceleration structure; the gather pass streams the cell space once
-	// and keeps nothing resident.
-	rec.WorkingSet(nt*48 + uint64(scene.BVH.NumNodes())*64)
+	ex.Charge(gatherCost(uint64(g.NumCells()), uint64(tris.NumTris()), uint64(tris.NumPoints()), uint64(scene.BVH.NumNodes())))
 	return scene, nil
 }
 
@@ -139,7 +88,7 @@ var Background = render.Color{0.08, 0.08, 0.10, 1}
 
 // RenderInto traces one image from cam into a caller-provided framebuffer
 // (reset here), allocating one only when im is nil or the wrong size, and
-// records the traversal work into ex. The orbit loop reuses one image
+// charges the frame to ex. The orbit loop reuses one image
 // across all 50 frames.
 func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	if im == nil || im.W != w || im.H != h {
@@ -152,11 +101,10 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 	// a handful of multiply-adds.
 	fr := cam.Frame(w, h)
 
-	ex.Rec(0).Launch()
-	ex.Pool.For(w*h, 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+	var nodes, tests, hits atomic.Uint64
+	ex.Pool.For(w*h, 0, func(lo, hi, _ int) {
 		var stats TraverseStats
-		var hits uint64
+		var lit uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
 			dx, dy, dz := fr.Ray(px, py)
@@ -165,7 +113,7 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 				im.Pix[pix] = Background
 				continue
 			}
-			hits++
+			lit++
 			im.Depth[pix] = hit.T
 			tr := s.Tris.Tris[hit.Tri]
 			// Interpolate the scalar with barycentrics and shade
@@ -180,13 +128,11 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 			c[3] = 1
 			im.Pix[pix] = c
 		}
-		n := uint64(hi - lo)
-		rec.Flops(n*12 + uint64(stats.NodesVisited)*14 + uint64(stats.TriTests)*28 + hits*30)
-		rec.IntOps(n*10 + uint64(stats.NodesVisited)*6)
-		rec.Branches(n*3 + uint64(stats.NodesVisited)*3 + uint64(stats.TriTests)*4)
-		rec.Loads(uint64(stats.NodesVisited)*64+uint64(stats.TriTests)*112, ops.Resident)
-		rec.Stores(n*4, ops.Stream)
+		nodes.Add(uint64(stats.NodesVisited))
+		tests.Add(uint64(stats.TriTests))
+		hits.Add(lit)
 	})
+	ex.Charge(frameCost(uint64(w*h), nodes.Load(), tests.Load(), hits.Load()))
 	return im
 }
 

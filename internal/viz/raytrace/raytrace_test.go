@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/viz"
@@ -182,7 +181,7 @@ func TestGatherSceneBuildsSurface(t *testing.T) {
 	if scene.BVH == nil {
 		t.Fatal("no BVH")
 	}
-	p := ops.Merge(ex.Recs)
+	p := ex.Drain()
 	if p.Launches < 2 {
 		t.Errorf("Launches = %d, want >= 2 (gather + build)", p.Launches)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
 )
@@ -80,9 +79,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		// Signed-distance field for this plane on every mesh point, a row
 		// of points at a time, with each row's range for the contour's row
 		// index: an x-y or x-z plane crosses one layer of rows.
-		ex.Rec(0).Launch()
-		ex.Pool.For(len(pointRows), 0, func(lo, hi, worker int) {
-			rec := ex.Rec(worker)
+		ex.Pool.For(len(pointRows), 0, func(lo, hi, _ int) {
 			for r := lo; r < hi; r++ {
 				// The row's y and z hold along it; x is PointPosition's.
 				p := g.PointPosition(r * nx)
@@ -93,16 +90,13 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 				pointRows[r] = contour.RangeOf(row)
 			}
-			cnt := uint64((hi - lo) * nx)
-			rec.Flops(cnt * 9)
-			rec.IntOps(cnt * 6)
-			rec.Stores(cnt*8, ops.Stream)
 		})
+		ex.Charge(distanceCost(uint64(nPts)))
 		// Contour the distance field at zero, carrying the data field.
 		contour.ContourField(g, dist, carry, contour.CellRows(g, pointRows), 0, ex, out)
 	}
 
-	ex.Rec(0).WorkingSet(uint64(nPts)*16 + uint64(len(out.Points))*32)
+	ex.Charge(workingSet(uint64(nPts), uint64(len(out.Points))))
 	return &viz.Result{
 		Profile:  ex.Drain(),
 		Elements: int64(g.NumCells()),

@@ -3,7 +3,6 @@ package threshold
 import (
 	"repro/internal/dpp"
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -45,9 +44,7 @@ func runDPP(g *mesh.UniformGrid, cf, pf []float64, lo, hi float64, ex *viz.Exec)
 	survivors := make([]int32, nCells)
 
 	// Pass 1 (flag): one streamed load and compare per cell.
-	ex.Rec(0).Launch()
-	ex.Pool.For(nCells, 0, func(lo2, hi2, worker int) {
-		rec := ex.Rec(worker)
+	ex.Pool.For(nCells, 0, func(lo2, hi2, _ int) {
 		for cell := lo2; cell < hi2; cell++ {
 			if v := cf[cell]; v >= lo && v <= hi {
 				flags[cell] = 1
@@ -55,29 +52,17 @@ func runDPP(g *mesh.UniformGrid, cf, pf []float64, lo, hi float64, ex *viz.Exec)
 				flags[cell] = 0
 			}
 		}
-		n := uint64(hi2 - lo2)
-		rec.Loads(n*8, ops.Stream)
-		rec.Stores(n*4, ops.Stream)
-		rec.Flops(n)
-		rec.Branches(n)
 	})
 
 	// Compact: flag → scan → scatter yields the survivor cell ids in
 	// ascending order.
-	ex.Rec(0).Launch()
 	kept := dpp.Compact(ex.Pool, flags, survivors)
-	rec0 := ex.Rec(0)
-	rec0.Loads(uint64(nCells)*8, ops.Stream) // scan + scatter read the flags twice
-	rec0.Stores(uint64(nCells)*4+uint64(kept)*4, ops.Stream)
-	rec0.IntOps(uint64(nCells) * 2)
 	surv := survivors[:kept]
 
 	// Pass 2 (count): per GrainFixed chunk, the survivors it holds and
 	// the unique corner points they touch.
 	wins := make([]mesh.PointWindow, ex.Pool.Workers())
-	ex.Rec(0).Launch()
 	em := mesh.Count(ex.Pool, nCells, par.GrainFixed(nCells), func(lo2, hi2, worker int) mesh.Sizes {
-		rec := ex.Rec(worker)
 		win := &wins[worker]
 		win.Reset(g, lo2, hi2)
 		s0, s1 := lowerBound(surv, int32(lo2)), lowerBound(surv, int32(hi2))
@@ -86,29 +71,16 @@ func runDPP(g *mesh.UniformGrid, cf, pf []float64, lo, hi float64, ex *viz.Exec)
 			cell := g.WalkCells(int(id))
 			at.Points += win.Mark(&cell)
 		}
-		n := uint64(s1 - s0)
-		rec.Loads(n*4, ops.Stream) // survivor ids
-		rec.IntOps(n * 8 * 4)      // point-map lookups
 		return at
 	})
 
 	// Pass 3 (emit): every chunk at its scanned offsets; a surviving
 	// cell's output slot is its position in the survivor list.
 	out := em.Cells()
-	ex.Rec(0).Launch()
 	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) mesh.Sizes {
-		rec := ex.Rec(worker)
-		end := fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at)
-		n := uint64(end.Cells - at.Cells)
-		rec.Loads(n*8*32, ops.Strided) // corner positions + scalars
-		rec.IntOps(n * 8 * 4)          // point-map lookups
-		rec.Stores(n*(8*32+8*4), ops.Stream)
-		return end
+		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at)
 	})
-
-	// Working set: the cell field, the carry field, the emitted mesh,
-	// and the flag/survivor index arrays — the DPP memory overhead.
-	rec0.WorkingSet(uint64(nCells)*8 + uint64(len(pf))*8 + uint64(em.Total.Points)*40 + uint64(nCells)*8)
+	ex.Charge(dppCost(uint64(nCells), uint64(kept), uint64(len(pf)), uint64(em.Total.Points)))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

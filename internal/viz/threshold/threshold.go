@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -89,32 +88,10 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	out := em.Cells()
 
-	ex.Rec(0).Launch()
 	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) mesh.Sizes {
-		rec := ex.Rec(worker)
-		end := fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at)
-		kept := uint64(end.Cells - at.Cells)
-
-		// Threshold compacts with the classify → scan → scatter pattern
-		// (as VTK-m does): the cell field is streamed twice (classify
-		// and scatter-read), a mask/offset word is written per cell, and
-		// survivors gather corner positions/scalars and store the
-		// compacted cell. Almost pure streaming — the lowest-IPC, most
-		// bandwidth-bound mix of the eight algorithms.
-		n := uint64(hi2 - lo2)
-		rec.Loads(n*24, ops.Stream) // classify + scan + scatter passes
-		rec.Stores(n*6, ops.Stream) // mask + offset words
-		rec.Flops(n * 1)
-		rec.Branches(n * 1)
-		rec.IntOps(n * 1)
-		rec.Loads(kept*8*32, ops.Strided)
-		rec.IntOps(kept * 8 * 4) // point-map lookups
-		rec.Stores(kept*(8*32+8*4), ops.Stream)
-		return end
+		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at)
 	})
-
-	rec := ex.Rec(0)
-	rec.WorkingSet(uint64(nCells)*8 + uint64(len(pf))*8 + uint64(len(out.Points))*40)
+	ex.Charge(tradCost(uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

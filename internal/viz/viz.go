@@ -4,8 +4,8 @@
 // cell-centered filters build on: hexahedron→tetrahedra decomposition,
 // marching-tetrahedra contouring, and half-space tetrahedron clipping.
 //
-// Every filter runs its hot loops under the par worker pool and reports
-// its work through per-worker ops.Recorders; the resulting profile is what
+// Every filter runs its hot loops under the par worker pool, and its
+// package's cost.go prices each launch; the resulting profile is what
 // the processor model consumes to derive the paper's power/performance
 // metrics.
 package viz
@@ -17,10 +17,11 @@ import (
 )
 
 // Exec carries the execution context a filter runs in: the worker pool and
-// one operation recorder per worker.
+// what its launches have been charged, once each, on the calling
+// goroutine.
 type Exec struct {
 	Pool *par.Pool
-	Recs []ops.Recorder
+	prof ops.Profile
 }
 
 // NewExec creates an execution context over pool (nil selects the default
@@ -29,14 +30,17 @@ func NewExec(pool *par.Pool) *Exec {
 	if pool == nil {
 		pool = par.Default()
 	}
-	return &Exec{Pool: pool, Recs: make([]ops.Recorder, pool.Workers())}
+	return &Exec{Pool: pool}
 }
 
-// Rec returns the recorder for a worker index.
-func (e *Exec) Rec(worker int) *ops.Recorder { return &e.Recs[worker] }
+// Charge adds a launch's priced profile to the context.
+func (e *Exec) Charge(p ops.Profile) { e.prof.Add(p) }
 
-// Drain merges and resets the per-worker recorders.
-func (e *Exec) Drain() ops.Profile { return ops.DrainAll(e.Recs) }
+// Drain returns what has been charged and resets the context.
+func (e *Exec) Drain() (p ops.Profile) {
+	p, e.prof = e.prof, ops.Profile{}
+	return p
+}
 
 // Result is a filter's output: the operation profile of the run, the
 // number of input elements processed (for the Moreland–Oldfield rate

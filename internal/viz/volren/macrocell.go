@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/render"
 	"repro/internal/viz"
 )
@@ -30,8 +29,8 @@ type MacroGrid struct {
 }
 
 // BuildMacroGrid scans the field once and computes per-brick min/max over
-// each brick's point hull, in parallel over bricks, recording the pass
-// (one launch, a streaming read of the field) into ex. brick is rounded
+// each brick's point hull, in parallel over bricks, charging the pass
+// (one launch, a streaming read of the field) to ex. brick is rounded
 // up to a power of two; <= 0 selects DefaultBrick.
 func BuildMacroGrid(g *mesh.UniformGrid, field []float64, brick int, ex *viz.Exec) *MacroGrid {
 	if brick <= 0 {
@@ -57,10 +56,7 @@ func BuildMacroGrid(g *mesh.UniformGrid, field []float64, brick int, ex *viz.Exe
 	m.mx = make([]float64, n)
 	nx, nxy := g.Dims[0], g.Dims[0]*g.Dims[1]
 
-	ex.Rec(0).Launch()
-	ex.Pool.For(n, 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
-		var pts uint64
+	ex.Pool.For(n, 0, func(lo, hi, _ int) {
 		for bid := lo; bid < hi; bid++ {
 			bi := bid % m.dims[0]
 			rest := bid / m.dims[0]
@@ -92,15 +88,9 @@ func BuildMacroGrid(g *mesh.UniformGrid, field []float64, brick int, ex *viz.Exe
 			}
 			m.mn[bid] = mn
 			m.mx[bid] = mx
-			pts += uint64((i1 - i0 + 1) * (j1 - j0 + 1) * (k1 - k0 + 1))
 		}
-		nb := uint64(hi - lo)
-		rec.Flops(pts * 2) // the two range comparisons per point
-		rec.IntOps(nb*24 + pts*2)
-		rec.Branches(pts * 2)
-		rec.Loads(pts*8, ops.Stream)
-		rec.Stores(nb*16, ops.Stream)
 	})
+	ex.Charge(macroCost(cd, m.dims))
 	return m
 }
 

@@ -2,9 +2,9 @@ package volren
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mesh"
-	"repro/internal/ops"
 	"repro/internal/render"
 	"repro/internal/viz"
 )
@@ -44,8 +44,8 @@ type Renderer struct {
 }
 
 // NewRenderer builds the acceleration state (macrocell grid, opacity
-// bounds, colormap LUT) for a volume + transfer function, recording the
-// build pass into ex.
+// bounds, colormap LUT) for a volume + transfer function, charging the
+// build pass to ex.
 func NewRenderer(g *mesh.UniformGrid, field []float64, tf render.TransferFunction, ex *viz.Exec) *Renderer {
 	return &Renderer{
 		g:     g,
@@ -106,9 +106,8 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 	transparent, oscale := tf.Transparent, tf.OpacityScale
 	first, last := nodes[0], nodes[len(nodes)-1]
 
-	ex.Rec(0).Launch()
-	ex.Pool.For(w*h, 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+	var nSamples, nSkipped, nBricks, nSkippedBricks atomic.Uint64
+	ex.Pool.For(w*h, 0, func(lo, hi, _ int) {
 		var samples, skipped, bricks, skippedBricks uint64
 		for pix := lo; pix < hi; pix++ {
 			px, py := pix%w, pix/w
@@ -291,23 +290,12 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 			}
 			im.Pix[pix] = render.Color{cr, cg, cb, alpha}
 		}
-		n := uint64(hi - lo)
-		// Per taken sample the demand matches the reference sampler: the
-		// trilinear reconstruction and blend are identical arithmetic, the
-		// LUT lerp replaces the normalize+colormap math flop for flop, and
-		// the incremental index-space advance replaces the locate
-		// divisions — same 52 flops and the same 8 corner loads (64
-		// resident bytes). One branch per sample disappears with the
-		// colormap's piecewise test. Per skipped sample only the lattice
-		// advance remains; each visited brick adds its min/max consult and
-		// exit math, with the macrocell table counted as resident loads —
-		// it is the definition of a cache-hot structure.
-		rec.Flops(samples*52 + skipped*1 + bricks*6 + n*18)
-		rec.IntOps(samples*16 + bricks*14 + n*8)
-		rec.Branches(samples*3 + skipped*1 + bricks*3 + n*3)
-		rec.Loads(samples*64+(bricks+skippedBricks)*16, ops.Resident)
-		rec.Stores(n*4, ops.Stream)
+		nSamples.Add(samples)
+		nSkipped.Add(skipped)
+		nBricks.Add(bricks)
+		nSkippedBricks.Add(skippedBricks)
 	})
+	ex.Charge(frameCost(uint64(w*h), nSamples.Load(), nSkipped.Load(), nBricks.Load(), nSkippedBricks.Load()))
 	return im
 }
 

@@ -2,6 +2,7 @@ package volren
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/mesh"
 	"repro/internal/ops"
@@ -30,9 +31,8 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 	step := math.Min(g.Spacing[0], math.Min(g.Spacing[1], g.Spacing[2])) * 0.75
 
 	fr := cam.Frame(w, h)
-	ex.Rec(0).Launch()
-	ex.Pool.For(w*h, 0, func(lo, hi, worker int) {
-		rec := ex.Rec(worker)
+	var total atomic.Uint64
+	ex.Pool.For(w*h, 0, func(lo, hi, _ int) {
 		sampler := *proto
 		var samples uint64
 		for pix := lo; pix < hi; pix++ {
@@ -65,15 +65,19 @@ func RenderSegmentsReference(im *render.Image, g *mesh.UniformGrid, field []floa
 			}
 			im.Pix[pix] = render.Color{cr, cg, cb, alpha}
 		}
-		n := uint64(hi - lo)
-		// Per sample: a trilinear reconstruction (8 corner loads from
-		// the cache-hot volume, ~30 flops), a transfer-function lookup,
-		// and the compositing blend.
-		rec.Flops(samples*52 + n*18)
-		rec.IntOps(samples*16 + n*8)
-		rec.Branches(samples*4 + n*3)
-		rec.Loads(samples*64, ops.Resident)
-		rec.Stores(n*4, ops.Stream)
+		total.Add(samples)
 	})
+	// Per sample: a trilinear reconstruction (8 corner loads from the
+	// cache-hot volume, ~30 flops), a transfer-function lookup, and the
+	// compositing blend.
+	samples, n := total.Load(), uint64(w*h)
+	var p ops.Profile
+	p.Launches = 1
+	p.Flops = samples*52 + n*18
+	p.IntOps = samples*16 + n*8
+	p.Branches = samples*4 + n*3
+	p.LoadBytes[ops.Resident] = samples * 64
+	p.StoreBytes[ops.Stream] = n * 4
+	ex.Charge(p)
 	return im
 }

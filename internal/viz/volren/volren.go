@@ -96,10 +96,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		cam, _ := render.OrbitView(g.Bounds(), i, f.opts.Images)
 		im = r.RenderImageInto(im, cam, f.opts.Width, f.opts.Height, ex)
 	}
-	// Rays resample the whole volume every image: the working set is the
-	// full point field (this is what overflows the LLC at 256³ and
-	// produces the paper's Fig. 5 IPC drop).
-	ex.Rec(0).WorkingSet(uint64(len(field)) * 8)
+	ex.Charge(workingSet(uint64(len(field))))
 	return &viz.Result{
 		Profile:  ex.Drain(),
 		Elements: int64(g.NumCells()),
