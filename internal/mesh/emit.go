@@ -31,34 +31,48 @@ func (s Sizes) add(o Sizes) Sizes {
 type Emission struct {
 	pool     *par.Pool
 	n, grain int
-	at       []Sizes // chunk c fills [at[c], at[c+1])
+	chunks   []chunk // chunk c fills [chunks[c].at, chunks[c+1].at)
 	// Total is what the whole loop emits.
 	Total Sizes
+}
+
+// chunk is one chunk's offsets and the count its fill reported.
+type chunk struct {
+	at      Sizes
+	counted uint64
 }
 
 // Count runs count over the chunks [lo, hi) of a loop of n items, lo a
 // multiple of grain — the chunks Fill visits — and scans the chunk counts
 // into each chunk's offsets.
 func Count(pool *par.Pool, n, grain int, count func(lo, hi, worker int) Sizes) Emission {
-	at := make([]Sizes, (n+grain-1)/grain+1)
-	pool.For(n, grain, func(lo, hi, worker int) { at[lo/grain+1] = count(lo, hi, worker) })
-	for c := 1; c < len(at); c++ {
-		at[c] = at[c].add(at[c-1])
+	cs := make([]chunk, (n+grain-1)/grain+1)
+	pool.For(n, grain, func(lo, hi, worker int) { cs[lo/grain+1].at = count(lo, hi, worker) })
+	for c := 1; c < len(cs); c++ {
+		cs[c].at = cs[c].at.add(cs[c-1].at)
 	}
-	return Emission{pool: pool, n: n, grain: grain, at: at, Total: at[len(at)-1]}
+	return Emission{pool: pool, n: n, grain: grain, chunks: cs, Total: cs[len(cs)-1].at}
 }
 
 // Fill runs fill over the counted chunks, handing each its offsets. fill
 // returns the offsets one past what it wrote, which must be where the
-// next chunk starts: a fill that strays from its count panics.
-func (e *Emission) Fill(fill func(lo, hi, worker int, at Sizes) Sizes) {
-	at, grain := e.at, e.grain
+// next chunk starts (a fill that strays from its count panics), and a
+// count for the caller's cost function; Fill returns their sum.
+func (e *Emission) Fill(fill func(lo, hi, worker int, at Sizes) (Sizes, uint64)) uint64 {
+	cs, grain := e.chunks, e.grain
 	e.pool.For(e.n, grain, func(lo, hi, worker int) {
 		c := lo / grain
-		if end := fill(lo, hi, worker, at[c]); end != at[c+1] {
-			panic(fmt.Sprintf("mesh: chunk [%d, %d) filled up to %+v, counted %+v", lo, hi, end, at[c+1]))
+		end, n := fill(lo, hi, worker, cs[c].at)
+		if end != cs[c+1].at {
+			panic(fmt.Sprintf("mesh: chunk [%d, %d) filled up to %+v, counted %+v", lo, hi, end, cs[c+1].at))
 		}
+		cs[c].counted = n
 	})
+	var total uint64
+	for _, c := range cs {
+		total += c.counted
+	}
+	return total
 }
 
 // GrowTris makes room at the end of out for the emission, its cells
@@ -69,8 +83,8 @@ func (e *Emission) GrowTris(out *TriMesh) {
 	out.Points = slices.Grow(out.Points, e.Total.Points)[:base.Points+e.Total.Points]
 	out.Scalars = slices.Grow(out.Scalars, e.Total.Points)[:base.Points+e.Total.Points]
 	out.Tris = slices.Grow(out.Tris, e.Total.Cells)[:base.Cells+e.Total.Cells]
-	for c := range e.at {
-		e.at[c] = e.at[c].add(base)
+	for c := range e.chunks {
+		e.chunks[c].at = e.chunks[c].at.add(base)
 	}
 }
 

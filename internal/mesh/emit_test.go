@@ -43,8 +43,9 @@ func serialTris(seed int64, n int, out *TriMesh) {
 }
 
 // emitTris is the driver run the filters make: count per chunk, grow,
-// fill per chunk.
-func emitTris(pool *par.Pool, seed int64, n, grain int, out *TriMesh) {
+// fill per chunk. Each chunk's fill reports its item count, so the
+// returned sum is n.
+func emitTris(pool *par.Pool, seed int64, n, grain int, out *TriMesh) uint64 {
 	em := Count(pool, n, grain, func(lo, hi, _ int) Sizes {
 		tris := 0
 		for i := lo; i < hi; i++ {
@@ -53,12 +54,12 @@ func emitTris(pool *par.Pool, seed int64, n, grain int, out *TriMesh) {
 		return Sizes{Points: 3 * tris, Cells: tris}
 	})
 	em.GrowTris(out)
-	em.Fill(func(lo, hi, _ int, at Sizes) Sizes {
+	return em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64) {
 		p, t := at.Points, at.Cells
 		for i := lo; i < hi; i++ {
 			p, t = emitItemTris(seed, i, out, p, t)
 		}
-		return Sizes{Points: p, Cells: t}
+		return Sizes{Points: p, Cells: t}, uint64(hi - lo)
 	})
 }
 
@@ -74,7 +75,9 @@ func TestEmitTrisMatchesSerialEmission(t *testing.T) {
 			pool := par.NewPool(nw)
 			grain := 1 + rng.Intn(n+1)
 			got := &TriMesh{}
-			emitTris(pool, seed, n, grain, got)
+			if counted := emitTris(pool, seed, n, grain, got); counted != uint64(n) {
+				t.Fatalf("trial %d nw=%d grain=%d: fills reported %d items, want %d", trial, nw, grain, counted, n)
+			}
 			pool.Close()
 			if err := got.Validate(); err != nil {
 				t.Fatalf("trial %d nw=%d grain=%d: %v", trial, nw, grain, err)
@@ -184,7 +187,7 @@ func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 				return at
 			})
 			got := em.Cells()
-			em.Fill(func(lo, hi, worker int, at Sizes) Sizes {
+			em.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64) {
 				win := &wins[worker]
 				win.Reset(g, lo, hi)
 				w := CellWriter{Mesh: got, Next: at}
@@ -203,7 +206,7 @@ func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 						}
 					}
 				}
-				return w.Next
+				return w.Next, 0
 			})
 			pool.Close()
 			if err := got.Validate(); err != nil {
@@ -233,11 +236,11 @@ func TestEmitFillMustMatchCount(t *testing.T) {
 			t.Fatalf("panic %v, want a *par.WorkerPanic", r)
 		}
 	}()
-	em.Fill(func(lo, hi, _ int, at Sizes) Sizes {
+	em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64) {
 		if lo == 50 {
 			at.Points--
 		}
-		return Sizes{Points: at.Points + hi - lo}
+		return Sizes{Points: at.Points + hi - lo}, 0
 	})
 }
 

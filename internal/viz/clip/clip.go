@@ -8,7 +8,6 @@ package clip
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mesh"
 	"repro/internal/par"
@@ -97,8 +96,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	pre := em.Cells()
 
-	var straddlers atomic.Uint64
-	em.Fill(func(lo, hi, worker int, at mesh.Sizes) mesh.Sizes {
+	straddlers := em.Fill(func(lo, hi, worker int, at mesh.Sizes) (mesh.Sizes, uint64) {
 		win := &wins[worker]
 		win.Reset(g, lo, hi)
 		w := mesh.CellWriter{Mesh: pre, Next: at}
@@ -129,12 +127,11 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 			}
 		}
-		straddlers.Add(straddle)
-		return w.Next
+		return w.Next, straddle
 	})
 
 	out := mesh.WeldPointsPool(pre, 1e-9, ex.Pool)
-	ex.Charge(cost(uint64(nPts), uint64(nCells), straddlers.Load(), em.Total, uint64(len(out.Points))))
+	ex.Charge(cost(uint64(nPts), uint64(nCells), straddlers, em.Total, uint64(len(out.Points))))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

@@ -11,7 +11,6 @@ package contour
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mesh"
 	"repro/internal/par"
@@ -115,13 +114,11 @@ func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso fl
 	})
 	em.GrowTris(out)
 
-	var crossed atomic.Uint64
-	em.Fill(func(lo, hi, _ int, at mesh.Sizes) mesh.Sizes {
-		end, c := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-		crossed.Add(c)
-		return end
+	crossed := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64) {
+		end, n, _ := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
+		return end, n
 	})
-	ex.Charge(tradCost(uint64(nCells), crossed.Load(), uint64(em.Total.Cells), uint64(len(field))))
+	ex.Charge(tradCost(uint64(nCells), crossed, uint64(em.Total.Cells), uint64(len(field))))
 }
 
 // crossing classifies the cells [lo, hi) against iso from their corner
@@ -149,10 +146,10 @@ func crossing(g *mesh.UniformGrid, field []float64, rows Rows, iso float64, lo, 
 
 // fillTris writes the triangles of the cells [lo, hi) that cross marks
 // into out from offsets at (three fresh points per triangle, in cell
-// order) and returns the offsets past them and the cells whose corner
-// range holds iso. Both formulations fill with it; they differ in how
-// they count.
-func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []uint8, lo, hi int, out *mesh.TriMesh, at mesh.Sizes) (end mesh.Sizes, crossed uint64) {
+// order) and returns the offsets past them, the cells whose corner range
+// holds iso and, of those, the cells that emit a triangle. Both
+// formulations fill with it; they differ in how they count.
+func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []uint8, lo, hi int, out *mesh.TriMesh, at mesh.Sizes) (end mesh.Sizes, crossed, emitting uint64) {
 	var ts [6]viz.Tet
 	p, t := at.Points, at.Cells
 	for c := lo; c < hi; c++ {
@@ -160,6 +157,9 @@ func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []
 			continue
 		}
 		crossed++
+		if cross[c] > 1 {
+			emitting++
+		}
 		cell := g.WalkCells(c)
 		viz.CellTets(&cell, field, carry, &ts)
 		for i := range ts {
@@ -172,5 +172,5 @@ func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []
 			})
 		}
 	}
-	return mesh.Sizes{Points: p, Cells: t}, crossed
+	return mesh.Sizes{Points: p, Cells: t}, crossed, emitting
 }

@@ -1,8 +1,6 @@
 package contour
 
 import (
-	"sync/atomic"
-
 	"repro/internal/dpp"
 	"repro/internal/mesh"
 	"repro/internal/par"
@@ -73,17 +71,13 @@ func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso
 
 	// Pass 1 (count): classify every cell from its corner scalars and
 	// store its triangle count.
-	var emitting atomic.Uint64
 	ex.Pool.For(nCells, grain, func(lo, hi, _ int) {
 		crossing(g, field, rows, iso, lo, hi, cross)
-		var n uint64
 		for cell, k := range cross[lo:hi] {
 			if k > 1 {
 				offs[lo+cell] = int32(k - 1)
-				n++
 			}
 		}
-		emitting.Add(n)
 	})
 
 	// Scan: counts become output triangle offsets, in place.
@@ -101,9 +95,9 @@ func ContourFieldDPP(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso
 		return mesh.Sizes{Points: 3 * tris, Cells: tris}
 	})
 	em.GrowTris(out)
-	em.Fill(func(lo, hi, _ int, at mesh.Sizes) mesh.Sizes {
-		end, _ := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-		return end
+	emitting := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64) {
+		end, _, n := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
+		return end, n
 	})
-	ex.Charge(dppCost(uint64(nCells), emitting.Load(), uint64(total), uint64(len(field))))
+	ex.Charge(dppCost(uint64(nCells), emitting, uint64(total), uint64(len(field))))
 }

@@ -68,8 +68,7 @@ func NewSceneWith(tris *mesh.TriMesh, pool *par.Pool) *Scene {
 }
 
 // GatherScene extracts the external faces of the grid, builds the BVH,
-// and charges both stages to ex: the gather as the paper's scan of every
-// cell, the build.
+// and charges both stages to ex.
 func GatherScene(g *mesh.UniformGrid, field string, ex *viz.Exec) (*Scene, error) {
 	if g.CellField(field) == nil && g.PointField(field) == nil {
 		return nil, fmt.Errorf("raytrace: grid has no field %q", field)

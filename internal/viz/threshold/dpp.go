@@ -77,8 +77,8 @@ func runDPP(g *mesh.UniformGrid, cf, pf []float64, lo, hi float64, ex *viz.Exec)
 	// Pass 3 (emit): every chunk at its scanned offsets; a surviving
 	// cell's output slot is its position in the survivor list.
 	out := em.Cells()
-	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) mesh.Sizes {
-		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at)
+	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64) {
+		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at), 0
 	})
 	ex.Charge(dppCost(uint64(nCells), uint64(kept), uint64(len(pf)), uint64(em.Total.Points)))
 

@@ -88,8 +88,8 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	out := em.Cells()
 
-	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) mesh.Sizes {
-		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at)
+	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64) {
+		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at), 0
 	})
 	ex.Charge(tradCost(uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)))
 
