@@ -31,9 +31,9 @@ import (
 // a kernel's accounting shows as the lines naming that kernel and counter.
 //
 // A third input is the study-default 64^3 cell set (testdata/cells64.txt):
-// RunAll(64)'s measured cells plus a SHA-256 of every field of the 64^3
-// data set, which a one-ulp change anywhere in the hydro proxy moves even
-// when the 32^3 campaign's numbers survive it.
+// the measured cells of RunAll(64) and BackendCompare(64), plus a SHA-256
+// of every field of the 64^3 data set, which a one-ulp change anywhere in
+// the hydro proxy moves even when the 32^3 campaign's numbers survive it.
 func TestGoldenArtifacts(t *testing.T) {
 	c := (&Config{
 		Pool: par.NewPool(2), Sizes: []int{16, 32}, PhaseSize: 32,
@@ -86,13 +86,17 @@ func TestGoldenArtifacts(t *testing.T) {
 }
 
 // requireCells64 runs the eight algorithms at 64^3 under the study
-// defaults on two workers and compares their measured cells and the data
-// set's field hashes with testdata/cells64.txt.
+// defaults on two workers, and contour and threshold under both
+// backends, and compares their measured cells and the data set's field
+// hashes with testdata/cells64.txt.
 func requireCells64(t *testing.T) {
 	t.Helper()
 	c := (&Config{Pool: par.NewPool(2)}).Defaults()
 	defer c.Pool.Close()
 	if _, err := c.RunAll(64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BackendCompare(64); err != nil {
 		t.Fatal(err)
 	}
 	g, err := c.Dataset(64)
