@@ -25,8 +25,7 @@
 #                  BENCH_HISTORY.json, onto its rows)
 #   make bench-go BENCH=<regexp> [PKG=<package>] - pass-through to
 #                  `go test -bench`: the few root arms no ledger row can
-#                  hold, e.g. make bench-go BENCH='DPP(Contour|Threshold)'
-#                  (trad vs dpp at 128^3) or BENCH=Ablation;
+#                  hold, e.g. make bench-go BENCH=Ablation;
 #                  make bench-go BENCH=CellCold is the cold, one-shot cost
 #                  of clip, isovolume, contour and threshold at 64^3 and
 #                  128^3 and advection at 64^3 (fresh pool per iteration,

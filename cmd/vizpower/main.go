@@ -125,7 +125,7 @@ func (v *verb) flagSet(opt *options) (fs *flag.FlagSet, finish func()) {
 	fs.Var((*intList)(&cfg.Ranks), "ranks", "comma-separated fabric sizes for distributed advection (default 1,2,4,8)")
 	quick := fs.Bool("quick", false, "shrink the study for a fast demonstration (small sizes and image counts)")
 	progress := fs.Bool("progress", false, "stream per-run progress to stderr")
-	fs.Func("backend", "geometry kernel formulation for contour/threshold: trad (default) or dpp", func(s string) (err error) {
+	fs.Func("backend", "formulation contour/threshold are priced under: trad (default) or dpp", func(s string) (err error) {
 		cfg.Backend, err = viz.ParseBackend(s)
 		return err
 	})

@@ -41,7 +41,7 @@ var Artifacts = []Artifact{
 	table("classify", "classification.txt", "demand power / IPC / miss rate / class per algorithm", (*Config).Phase2,
 		func(runs []*AlgoRun, _ []float64) string { return DemandTable(runs) }),
 	table("energy", "energy.txt", "energy to solution relative to the TDP run, per algorithm and cap", (*Config).Phase2, EnergyTable),
-	table("backends", "backends.txt", "contour and threshold under the traditional and DPP formulations, classified per backend",
+	table("backends", "backends.txt", "contour and threshold priced under the traditional and DPP formulations, classified per backend",
 		func(c *Config) ([]BackendPair, error) { return c.BackendCompare(c.PhaseSize) },
 		func(pairs []BackendPair, _ []float64) string { return BackendTable(pairs) }),
 	{Name: "govern", File: "govern.txt", Desc: "closed-loop governor vs. static phase plan vs. uniform cap", OnRequest: true,

@@ -11,11 +11,13 @@ import (
 )
 
 // This file runs the study's backend dimension: the backend-capable
-// geometry kernels (contour, threshold) execute under both the
-// traditional per-chunk formulation and the data-parallel-primitive
-// formulation (Bethel et al., arXiv 2010.02361), and the power model
-// classifies each formulation independently — asking whether DPP
-// changes an algorithm's power-opportunity vs power-sensitive class.
+// geometry kernels (contour, threshold) are priced under both the
+// traditional formulation and the data-parallel-primitive formulation
+// (Bethel et al., arXiv 2010.02361), and the power model classifies
+// each formulation independently — asking whether DPP changes an
+// algorithm's power-opportunity vs power-sensitive class. Each cell
+// runs the kernel, which is the same under both; only its profile
+// differs.
 
 // filterBackend returns a filter's formulation; filters without a
 // backend choice are Traditional.
@@ -26,8 +28,8 @@ func filterBackend(f viz.Filter) viz.Backend {
 	return viz.Traditional
 }
 
-// BackendFilters returns the backend-capable algorithms configured for
-// one formulation.
+// BackendFilters returns the backend-capable algorithms configured to be
+// priced under one formulation.
 func (c *Config) BackendFilters(b viz.Backend) []viz.Filter {
 	c.Defaults()
 	return []viz.Filter{

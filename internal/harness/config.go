@@ -54,10 +54,10 @@ type Config struct {
 	// Ranks are the fabric sizes the distributed-advection scaling
 	// sweep (AdvectScaling) runs, ascending. Default {1, 2, 4, 8}.
 	Ranks []int
-	// Backend selects the formulation of the backend-capable geometry
-	// kernels (contour, threshold): viz.Traditional (default) or
-	// viz.DPP. Runs are cached per backend, so one config can sweep
-	// both (see BackendCompare).
+	// Backend selects the formulation the backend-capable geometry
+	// kernels (contour, threshold) are priced under: viz.Traditional
+	// (default) or viz.DPP. Runs are cached per backend, so one config
+	// can sweep both (see BackendCompare).
 	Backend viz.Backend
 
 	// Workload knobs (paper values by default).
@@ -68,10 +68,11 @@ type Config struct {
 	Isovalues     int // contour isovalues per cycle (10)
 
 	// Hydro-proxy controls: the data set is the CloverLeaf-like run's
-	// state near physical time SimTime (the paper uses time step 200),
-	// or after maxSimSteps steps if that comes first. Sizes above
-	// MaxSimSize are produced by trilinear resampling of the largest
-	// direct run (see DESIGN.md substitutions).
+	// state near physical time SimTime (the paper uses time step 200);
+	// a run that needs more than maxSimSteps steps to reach it is an
+	// error. Sizes above MaxSimSize are produced by trilinear
+	// resampling of the largest direct run (see DESIGN.md
+	// substitutions).
 	SimTime    float64
 	MaxSimSize int
 
@@ -200,15 +201,16 @@ func (c *Config) Dataset(size int) (*mesh.UniformGrid, error) {
 	return g, nil
 }
 
-// maxSimSteps caps a hydro run short of SimTime, so a data set always
-// takes bounded time to build.
+// maxSimSteps caps a hydro run, so a data set always takes bounded time
+// to build; a run the cap stops short of SimTime fails.
 const maxSimSteps = 400
 
 // BuildDataset is the declaration-only half of Dataset: the data set at
 // size, uncached. A size this Config already holds (Preload, or an earlier
-// Dataset) is returned as is; one up to MaxSimSize is a fresh hydro run;
-// a larger one is a trilinear resampling of the MaxSimSize data set, which
-// is asked of base — the caller's store. c must have had Defaults applied.
+// Dataset) is returned as is; one up to MaxSimSize is a fresh hydro run
+// to SimTime, which fails if maxSimSteps stops it short; a larger one is
+// a trilinear resampling of the MaxSimSize data set, which is asked of
+// base — the caller's store. c must have had Defaults applied.
 // It writes nothing to c, so any number of goroutines may call it at once
 // (none of them concurrently with the shell).
 func (c *Config) BuildDataset(size int, base func(size int) (*mesh.UniformGrid, error)) (*mesh.UniformGrid, error) {
@@ -235,6 +237,10 @@ func (c *Config) BuildDataset(size int, base func(size int) (*mesh.UniformGrid, 
 	for s.Time() < c.SimTime && steps < maxSimSteps {
 		s.Step(c.Pool, nil)
 		steps++
+	}
+	if s.Time() < c.SimTime {
+		return nil, fmt.Errorf("harness: dataset %d^3: the hydro reached t=%.4f at its %d-step cap, short of SimTime %g",
+			size, s.Time(), maxSimSteps, c.SimTime)
 	}
 	c.log("dataset %d^3: hydro ran %d steps to t=%.4f", size, steps, s.Time())
 	return s.Grid()
@@ -292,7 +298,7 @@ func (c *Config) RunAllExtended(size int) ([]*AlgoRun, error) {
 type AlgoRun struct {
 	Name string
 	Size int
-	// Backend is the kernel formulation that produced the run:
+	// Backend is the kernel formulation the run was priced under:
 	// viz.Traditional for every filter without a backend choice.
 	Backend  viz.Backend
 	Elements int64

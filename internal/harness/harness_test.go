@@ -42,6 +42,24 @@ func TestDefaultsMatchPaperMatrix(t *testing.T) {
 	}
 }
 
+// A hydro run that maxSimSteps stops short of SimTime is an error that
+// names the size, the cap, the time reached and the time asked for, not
+// a data set from an earlier time.
+func TestBuildDatasetFailsShortOfSimTime(t *testing.T) {
+	c := tinyConfig()
+	defer c.Pool.Close()
+	c.SimTime = 1000
+	g, err := c.Dataset(8)
+	if err == nil {
+		t.Fatalf("8^3 to t=1000 built a data set (%d cells) past the %d-step cap", g.NumCells(), maxSimSteps)
+	}
+	for _, want := range []string{"8^3", "t=", "400-step cap", "SimTime 1000"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
 func TestFilterNamesMatchPaper(t *testing.T) {
 	c := tinyConfig()
 	want := []string{

@@ -99,12 +99,10 @@ func TestLivePoolParksNoDataSizedScratch(t *testing.T) {
 	}
 	filters := []viz.Filter{
 		contour.New(contour.Options{Field: "energy"}),
-		contour.New(contour.Options{Field: "energy", Backend: viz.DPP}),
 		slice.New(slice.Options{Field: "energy"}),
 		clip.New(clip.Options{Field: "energy"}),
 		isovolume.New(isovolume.Options{Field: "energy"}),
 		threshold.New(threshold.Options{Field: "energy"}),
-		threshold.New(threshold.Options{Field: "energy", Backend: viz.DPP}),
 		advect.New(advect.Options{}),
 	}
 	heap := func() uint64 {

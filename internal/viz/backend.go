@@ -2,22 +2,25 @@ package viz
 
 import "fmt"
 
-// Backend selects between the two formulations of a geometry kernel the
-// study measures: the traditional scratch-mesh implementation and the
-// data-parallel-primitive (scan/gather/scatter) formulation built on
-// internal/dpp. Bethel et al. (arXiv 2010.02361) compare exactly these
-// two formulations of the kernels this repository reproduces; running
-// both through the power sweep asks whether the formulation changes an
-// algorithm's power-opportunity vs power-sensitive class.
+// Backend selects which of two formulations of a geometry kernel the
+// study prices: the traditional fused loop or the data-parallel-primitive
+// (count/flag → scan → emit) formulation VTK-m uses. Bethel et al.
+// (arXiv 2010.02361) compare exactly these two formulations of the
+// kernels this repository reproduces; pricing both through the power
+// sweep asks whether the formulation changes an algorithm's
+// power-opportunity vs power-sensitive class. The kernel runs the same
+// way under either: the backend picks the cost function that turns its
+// counts into the launch's profile.
 type Backend int
 
 const (
-	// Traditional counts each chunk of cells, scans the chunk counts and
-	// fills every chunk at its offset (mesh.Count/Fill), with no
-	// per-element intermediate arrays.
+	// Traditional is priced as one launch that counts each chunk of
+	// cells and fills every chunk at its offset, with no per-element
+	// intermediate arrays.
 	Traditional Backend = iota
-	// DPP is the data-parallel-primitive formulation: count → scan →
-	// emit for contour, flag → compact for threshold.
+	// DPP is priced as the data-parallel-primitive formulation: count →
+	// scan → emit for contour, flag → compact → count → emit for
+	// threshold, with their extra launches and index arrays.
 	DPP
 )
 
@@ -40,7 +43,7 @@ func ParseBackend(s string) (Backend, error) {
 	return Traditional, fmt.Errorf("unknown backend %q (want trad or dpp)", s)
 }
 
-// BackendProvider is implemented by filters that offer both formulations.
+// BackendProvider is implemented by filters priced under both formulations.
 // The harness uses it to key cached runs and report rows per backend.
 type BackendProvider interface {
 	Backend() Backend

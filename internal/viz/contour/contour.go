@@ -28,9 +28,10 @@ type Options struct {
 	// NumIsovalues is used when Isovalues is empty. Default 10 (the
 	// paper's configuration).
 	NumIsovalues int
-	// Backend selects the traditional implementation (default), which
-	// counts per chunk of cells, or the data-parallel-primitive one,
-	// which counts per cell and scans. Both produce bit-identical output.
+	// Backend selects the cost function that prices each launch: the
+	// traditional formulation's (default) or the data-parallel-primitive
+	// count → scan → emit formulation's. The kernel and its output are
+	// the same under both.
 	Backend viz.Backend
 }
 
@@ -79,11 +80,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	rows := indexRows(g, field, ex.Pool)
 	out := &mesh.TriMesh{}
 	for _, iso := range isos {
-		if f.opts.Backend == viz.DPP {
-			ContourFieldDPP(g, field, field, rows, iso, ex, out)
-		} else {
-			ContourField(g, field, field, rows, iso, ex, out)
-		}
+		ContourField(g, field, field, rows, iso, f.opts.Backend, ex, out)
 	}
 	res := &viz.Result{
 		Profile:  ex.Drain(),
@@ -104,8 +101,10 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 // alone (crossing) and sizes each chunk, and the fill writes every chunk
 // at its scanned offsets, visiting only the cells the count found crossed.
 // The count pass is this host's sizing, not the paper's kernel, so it
-// is not charged.
-func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, ex *viz.Exec, out *mesh.TriMesh) {
+// is not charged. The backend picks the price of the launch (cost.go):
+// the traditional formulation visits the crossed cells, the DPP one the
+// emitting cells its per-cell count and scan single out.
+func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, backend viz.Backend, ex *viz.Exec, out *mesh.TriMesh) {
 	nCells := g.NumCells()
 	cross := make([]uint8, nCells)
 	em := mesh.Count(ex.Pool, nCells, par.GrainFor(nCells, ex.Pool.Workers()), func(lo, hi, _ int) mesh.Sizes {
@@ -114,11 +113,56 @@ func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso fl
 	})
 	em.GrowTris(out)
 
-	crossed := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64) {
-		end, n, _ := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-		return end, n
+	visited := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64) {
+		end, crossed, emitting := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
+		if backend == viz.DPP {
+			return end, emitting
+		}
+		return end, crossed
 	})
-	ex.Charge(tradCost(uint64(nCells), crossed, uint64(em.Total.Cells), uint64(len(field))))
+	cost := tradCost
+	if backend == viz.DPP {
+		cost = dppCost
+	}
+	ex.Charge(cost(uint64(nCells), visited, uint64(em.Total.Cells), uint64(len(field))))
+}
+
+// triCounts is cellTriCount by corner mask: entry m is the triangle count
+// of a cell whose corners at or above the isovalue are the bits of m
+// (mesh.CellWalk.Masks). crossing looks it up.
+var triCounts = func() (t [256]uint8) {
+	for m := range t {
+		var dv [8]float64
+		for c := range dv {
+			dv[c] = float64(m >> c & 1)
+		}
+		t[m] = uint8(cellTriCount(&dv, 1))
+	}
+	return t
+}()
+
+// cellTriCount classifies one cell from its eight corner scalars alone:
+// the number of marching-tetrahedra triangles across the six-tet
+// decomposition. It mirrors Tet.Contour's corner test (D >= iso counts
+// as inside) without touching positions — the count pass needs no
+// geometry.
+func cellTriCount(dv *[8]float64, iso float64) int32 {
+	var tris int32
+	for _, tet := range viz.HexTets {
+		ni := 0
+		for _, c := range tet {
+			if dv[c] >= iso {
+				ni++
+			}
+		}
+		switch ni {
+		case 1, 3:
+			tris++
+		case 2:
+			tris += 2
+		}
+	}
+	return tris
 }
 
 // crossing classifies the cells [lo, hi) against iso from their corner
@@ -147,8 +191,7 @@ func crossing(g *mesh.UniformGrid, field []float64, rows Rows, iso float64, lo, 
 // fillTris writes the triangles of the cells [lo, hi) that cross marks
 // into out from offsets at (three fresh points per triangle, in cell
 // order) and returns the offsets past them, the cells whose corner range
-// holds iso and, of those, the cells that emit a triangle. Both
-// formulations fill with it; they differ in how they count.
+// holds iso and, of those, the cells that emit a triangle.
 func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []uint8, lo, hi int, out *mesh.TriMesh, at mesh.Sizes) (end mesh.Sizes, crossed, emitting uint64) {
 	var ts [6]viz.Tet
 	p, t := at.Points, at.Cells

@@ -33,8 +33,11 @@ func tradCost(nCells, crossed, tris, fieldLen uint64) (p ops.Profile) {
 	return
 }
 
-// dppCost is tradCost for the count, scan and emit launches of
-// ContourFieldDPP, of whose cells emitting emit a triangle.
+// dppCost prices the same ContourField launch as the count, scan and
+// emit launches of the data-parallel-primitive formulation VTK-m uses
+// (per Bethel et al., arXiv 2010.02361), of whose cells emitting emit a
+// triangle: every cell is classified and writes a count word, the
+// counts are scanned into offsets, and only the emitting cells fill.
 func dppCost(nCells, emitting, tris, fieldLen uint64) (p ops.Profile) {
 	p.Launches = 3
 	// Count: the corner scalar gather, 6 tets x 4 corner classifications,

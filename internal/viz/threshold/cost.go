@@ -30,8 +30,11 @@ func tradCost(nCells, kept, pfLen, outPoints uint64) (p ops.Profile) {
 	return
 }
 
-// dppCost is tradCost for the flag, compact, count and emit launches of
-// the DPP formulation.
+// dppCost prices the same launch as the data-parallel-primitive
+// formulation's flag, compact, count and emit launches (per Bethel et
+// al., arXiv 2010.02361, how VTK-m expresses threshold): every cell is
+// flagged, the flags are compacted into a survivor list, and only the
+// survivors are counted and emitted.
 func dppCost(nCells, kept, pfLen, outPoints uint64) (p ops.Profile) {
 	p.Launches = 4
 	// Flag: one streamed load and compare per cell.

@@ -22,9 +22,10 @@ type Options struct {
 	// Lo and Hi bound the kept range. If both are zero, the upper half
 	// of the field range is kept.
 	Lo, Hi float64
-	// Backend selects the traditional per-chunk count → fill
-	// implementation (default) or the data-parallel-primitive flag →
-	// compact formulation. Both produce bit-identical output.
+	// Backend selects the cost function that prices the launch: the
+	// traditional per-chunk count → fill formulation's (default) or the
+	// data-parallel-primitive flag → compact → emit formulation's. The
+	// kernel and its output are the same under both.
 	Backend viz.Backend
 }
 
@@ -63,10 +64,6 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		return nil, err
 	}
 
-	if f.opts.Backend == viz.DPP {
-		return runDPP(g, cf, pf, lo, hi, ex)
-	}
-
 	// The output, counted and filled per GrainFixed chunk: a chunk's
 	// corners are deduplicated within the chunk, so its boundaries are part
 	// of the output.
@@ -91,7 +88,11 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64) {
 		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at), 0
 	})
-	ex.Charge(tradCost(uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)))
+	cost := tradCost
+	if f.opts.Backend == viz.DPP {
+		cost = dppCost
+	}
+	ex.Charge(cost(uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),
@@ -102,8 +103,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 
 // fill writes the cells of [lo2, hi2) whose value lies in [lo, hi] into
 // out from offsets at, as hexahedra with the chunk's corners deduplicated
-// through win, and returns the offsets past them. Both formulations fill
-// with it; they differ in how they count.
+// through win, and returns the offsets past them.
 func fill(g *mesh.UniformGrid, cf, pf []float64, lo, hi float64, lo2, hi2 int, win *mesh.PointWindow, out *mesh.UnstructuredMesh, at mesh.Sizes) mesh.Sizes {
 	win.Reset(g, lo2, hi2)
 	w := mesh.CellWriter{Mesh: out, Next: at}

@@ -1,6 +1,8 @@
 package threshold
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
@@ -69,6 +71,42 @@ func TestThresholdEmptyAndFull(t *testing.T) {
 	}
 	if full.Cells.NumCells() != g.NumCells() {
 		t.Errorf("all-pass threshold kept %d of %d cells", full.Cells.NumCells(), g.NumCells())
+	}
+}
+
+// Thresholding [min, m] and its complement [next float after m, max]
+// keeps every cell exactly once, whatever m and the worker count: no
+// cell is lost or kept twice at the range's closed ends.
+func TestThresholdPartitionsCells(t *testing.T) {
+	g := waveGrid(t, 12)
+	cf := g.CellField("e")
+	fmin, fmax := mesh.FieldRange(cf)
+	sorted := slices.Clone(cf)
+	slices.Sort(sorted)
+	// The extremes, field values themselves (so cells sit on the split)
+	// and a value between field values.
+	splits := []float64{fmin, sorted[len(sorted)/10], sorted[len(sorted)/2], sorted[9*len(sorted)/10], 0.1234567, fmax}
+	if fmin >= 0 || fmax <= 0 {
+		// Lo == Hi == 0 would select the default range.
+		t.Fatalf("field range [%g, %g] does not straddle 0", fmin, fmax)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		pool := par.NewPool(workers)
+		kept := func(lo, hi float64) int {
+			res, err := New(Options{Field: "e", Lo: lo, Hi: hi}).Run(g, viz.NewExec(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Cells.NumCells()
+		}
+		for _, m := range splits {
+			below, above := kept(fmin, m), kept(math.Nextafter(m, math.Inf(1)), fmax)
+			if below+above != g.NumCells() {
+				t.Errorf("workers=%d m=%g: [min, m] kept %d, (m, max] kept %d; sum %d, want %d",
+					workers, m, below, above, below+above, g.NumCells())
+			}
+		}
+		pool.Close()
 	}
 }
 
