@@ -30,6 +30,10 @@
 #                  of clip, isovolume, contour and threshold at 64^3 and
 #                  128^3 and advection at 64^3 (fresh pool per iteration,
 #                  -benchmem, live-MB left behind; clip-128 ~0.4 GB/run);
+#                  make bench-go BENCH=HydroDataset is what a data set
+#                  costs before any kernel: BuildDataset at 64^3 to
+#                  SimTime 0.05 and 0.12 (hydro run + Grid export),
+#                  with the hydro's step count as `steps`;
 #                  a package's own, e.g. make bench-go BENCH=Obs PKG=./internal/obs
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)

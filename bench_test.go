@@ -50,6 +50,38 @@ func benchGrid(b *testing.B, n int) *mesh.UniformGrid {
 	return g
 }
 
+// BenchmarkHydroDataset times what every data set costs before a kernel
+// sees it: BuildDataset at 64^3, the hydro run to SimTime and the export,
+// on the default pool, at the ledger's step-time horizon (t = 0.05) and the
+// study's (t = 0.12). steps is the number of hydro steps the run took.
+// (128^3 is no default arm: the study's data set takes seconds a run.)
+func BenchmarkHydroDataset(b *testing.B) {
+	for _, simTime := range []float64{0.05, 0.12} {
+		b.Run(fmt.Sprintf("64-t%g", simTime), func(b *testing.B) {
+			var steps int
+			c := (&harness.Config{
+				Pool: par.Default(), Sizes: []int{64}, PhaseSize: 64,
+				MaxSimSize: 64, SimTime: simTime,
+				Progress: func(msg string) {
+					// "dataset 64^3: hydro ran <steps> steps to t=..."; any
+					// other line leaves steps as it was.
+					_, _ = fmt.Sscanf(msg, "dataset 64^3: hydro ran %d steps", &steps)
+				},
+			}).Defaults()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.BuildDataset(64, c.Dataset); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if steps == 0 {
+				b.Fatal("BuildDataset reported no hydro run")
+			}
+			b.ReportMetric(float64(steps), "steps")
+		})
+	}
+}
+
 // BenchmarkCellCold measures an emitting kernel the way the campaign
 // pays for it: once, cold, on a pool of its own. Every iteration takes a
 // fresh pool, runs the filter and closes the pool, so everything the run

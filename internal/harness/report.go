@@ -94,7 +94,7 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 }
 
 // writeBackends appends the DPP-backend comparison section when the
-// campaign executed both formulations of the backend-capable kernels
+// campaign priced both formulations of the backend-capable kernels
 // (see BackendCompare): per-backend demand metrics and power class,
 // answering whether the DPP formulation changes the classification.
 func (c *Config) writeBackends(b *strings.Builder) {
@@ -103,11 +103,11 @@ func (c *Config) writeBackends(b *strings.Builder) {
 		return
 	}
 	b.WriteString("\n## DPP backend\n\n")
-	b.WriteString("The contour and threshold kernels also ran under the\n")
-	b.WriteString("data-parallel-primitive formulation (count/flag -> scan -> emit on\n")
-	b.WriteString("internal/dpp; Bethel et al., arXiv 2010.02361), bit-identical in output\n")
-	b.WriteString("to the traditional scratch-mesh backend. Each formulation is classified\n")
-	b.WriteString("independently:\n\n```\n")
+	b.WriteString("The contour and threshold kernels were also priced under the\n")
+	b.WriteString("data-parallel-primitive formulation (count/flag -> scan -> emit;\n")
+	b.WriteString("Bethel et al., arXiv 2010.02361). Each kernel runs once and its counts\n")
+	b.WriteString("are priced as either formulation's launches: the output is the same,\n")
+	b.WriteString("only the profile differs. Each formulation is classified independently:\n\n```\n")
 	b.WriteString(BackendTable(pairs))
 	b.WriteString("```\n")
 }

@@ -146,27 +146,32 @@ func (k *sweepKernel) rows(ss *sweepScratch, base, w, stride, n int) {
 }
 
 // sweep performs one dimensionally-split update along axis dir (0,1,2)
-// with timestep dt. Pencils along the sweep axis are independent, so the
-// loop over pencils is the parallel dimension; a chunk of x pencils is
-// walked pencil by pencil, a chunk of y or z pencils in row blocks (a y
-// chunk may begin and end mid-plane; its blocks also end with their x row,
-// where the next pencil's cells stop being adjacent).
+// with timestep dt, over the pencils whose transverse indices lie in the
+// disturbed box: every other pencil is all ambient, and its update the
+// identity. Each pencil runs the full length of the axis; the update
+// carries the disturbance one cell further along it, so the box grows by
+// one. Pencils along the sweep axis are independent, so the loop over
+// pencils is the parallel dimension; a chunk of x pencils is walked
+// pencil by pencil, a chunk of y or z pencils in row blocks that end with
+// the box's x row, where the next pencil's cells stop being adjacent (a
+// chunk may begin and end mid-row).
 func (s *Sim) sweep(dir int, dt float64, pool *par.Pool) {
 	k := sweepKernel{
 		rho: s.rho, e: s.etot, prs: s.prs, snd: s.snd,
 		lambda: dt / s.h,
 	}
 	nx, plane := s.nx, s.nx*s.ny
+	ex, ey, ez := s.ext[0], s.ext[1], s.ext[2]
 	var n, nPencils int
 	switch dir {
 	case 0:
-		n, nPencils = s.nx, s.ny*s.nz
+		n, nPencils = s.nx, ey*ez
 		k.mn, k.mt1, k.mt2 = s.mx, s.my, s.mz
 	case 1:
-		n, nPencils = s.ny, s.nx*s.nz
+		n, nPencils = s.ny, ex*ez
 		k.mn, k.mt1, k.mt2 = s.my, s.mx, s.mz
 	default:
-		n, nPencils = s.nz, plane
+		n, nPencils = s.nz, ex*ey
 		k.mn, k.mt1, k.mt2 = s.mz, s.mx, s.my
 	}
 
@@ -181,22 +186,24 @@ func (s *Sim) sweep(dir int, dt float64, pool *par.Pool) {
 		switch dir {
 		case 0:
 			for p := lo; p < hi; p++ {
-				k.pencil(ss, p*nx, n)
-			}
-		case 1:
-			for p, w := lo, 0; p < hi; p += w {
-				i := p % nx
-				w = min(rowBlock, nx-i, hi-p)
-				k.rows(ss, p/nx*plane+i, w, nx, n)
+				k.pencil(ss, s.idx(0, p%ey, p/ey), n)
 			}
 		default:
+			// Pencil p is at x index p%ex; p/ex is its z (y sweep) or
+			// y (z sweep) index.
+			stride, outer := nx, plane
+			if dir == 2 {
+				stride, outer = plane, nx
+			}
 			for p, w := lo, 0; p < hi; p += w {
-				w = min(rowBlock, hi-p)
-				k.rows(ss, p, w, plane, n)
+				i := p % ex
+				w = min(rowBlock, ex-i, hi-p)
+				k.rows(ss, p/ex*outer+i, w, stride, n)
 			}
 		}
 		pool.PutScratch(sweepScratchKey{}, ss)
 	})
+	s.ext[dir] = min(n, s.ext[dir]+1)
 }
 
 // sweepScratch holds the per-chunk side and flux rows of sweep, leased from

@@ -14,7 +14,68 @@ import (
 // implementation with only the scratch lease (a per-chunk make here), the
 // helper names, the slab subdomains' halo branch and the MUSCL option gone.
 // stepRef is Sim.Step over sweepRef, with its own spelling of the
-// accounting.
+// accounting, and over eosAndSpeedsRef and refreshEOSRef: the EOS passes
+// as they were before the hydro tracked its disturbed box, visiting every
+// cell, so no production loop bound reaches the oracle.
+
+// eosAndSpeedsRef fills pressure and sound speed and returns the maximum
+// signal speed |u|+c over the domain (for the CFL condition).
+func (s *Sim) eosAndSpeedsRef(pool *par.Pool) float64 {
+	nc := s.NumCells()
+	maxSpeed := par.Reduce(pool, nc, 0,
+		func() float64 { return 0 },
+		func(lo, hi int, acc float64) float64 {
+			for c := lo; c < hi; c++ {
+				r := s.rho[c]
+				inv := 1 / r
+				ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
+				p := (gamma - 1) * (s.etot[c] - ke)
+				if p < 1e-12 {
+					p = 1e-12
+				}
+				s.prs[c] = p
+				cs := math.Sqrt(gamma * p * inv)
+				s.snd[c] = cs
+				u := math.Sqrt(s.mx[c]*s.mx[c]+s.my[c]*s.my[c]+s.mz[c]*s.mz[c]) * inv
+				if u+cs > acc {
+					acc = u + cs
+				}
+			}
+			return acc
+		},
+		math.Max,
+	)
+	return maxSpeed
+}
+
+// refreshEOSRef recomputes pressure and sound speed (used between split
+// sweeps so each sweep sees consistent primitives).
+func (s *Sim) refreshEOSRef(pool *par.Pool) {
+	nc := s.NumCells()
+	pool.For(nc, 0, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			r := s.rho[c]
+			inv := 1 / r
+			ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
+			p := (gamma - 1) * (s.etot[c] - ke)
+			if p < 1e-12 {
+				p = 1e-12
+			}
+			s.prs[c] = p
+			s.snd[c] = math.Sqrt(gamma * p * inv)
+		}
+	})
+}
+
+// timestepRef refreshes pressure and sound speed and returns the CFL
+// timestep of the current state.
+func (s *Sim) timestepRef(pool *par.Pool) float64 {
+	maxSpeed := s.eosAndSpeedsRef(pool)
+	if maxSpeed <= 0 || math.IsNaN(maxSpeed) {
+		maxSpeed = 1
+	}
+	return cfl * s.h / maxSpeed
+}
 
 // rusanovRef computes the Rusanov (local Lax–Friedrichs) flux between two
 // states. mn is momentum normal to the face; mt1/mt2 are transverse.
@@ -147,11 +208,11 @@ func (s *Sim) stepRef(pool *par.Pool, prof *ops.Profile) {
 	if prof != nil {
 		profs = make([]ops.Profile, pool.Workers())
 	}
-	dt := s.timestep(pool)
+	dt := s.timestepRef(pool)
 	s.sweepRef(0, dt, pool, profs)
-	s.refreshEOS(pool)
+	s.refreshEOSRef(pool)
 	s.sweepRef(1, dt, pool, profs)
-	s.refreshEOS(pool)
+	s.refreshEOSRef(pool)
 	s.sweepRef(2, dt, pool, profs)
 	s.time += dt
 	s.step++
@@ -252,6 +313,10 @@ func TestSweepPoisonedCell(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		want.stepRef(pool, nil)
 	}
+	// A poke outside the disturbed box would be stepped over, not spread.
+	if i, j, k := 3, 4, 2; i >= got.ext[0] || j >= got.ext[1] || k >= got.ext[2] {
+		t.Fatalf("cell (%d,%d,%d) lies outside the disturbed box %v", i, j, k, got.ext)
+	}
 	poisoned := got.idx(3, 4, 2)
 	got.etot[poisoned] = math.NaN()
 	want.etot[poisoned] = math.NaN()
@@ -268,5 +333,64 @@ func TestSweepPoisonedCell(t *testing.T) {
 	}
 	if nans < 7 || nans == n*n*n {
 		t.Errorf("%d NaN cells after two steps, want the poison to have spread but not everywhere", nans)
+	}
+}
+
+// TestQuiescentCellsStayAmbient holds the hydro to the invariant that lets
+// it sweep only its disturbed box: after every step, every cell outside
+// ext holds the ambient state and the ambient pressure and sound speed,
+// bit for bit, and ext never shrinks nor passes n. Within 25 steps the box
+// reaches the walls for n ≤ 17 and does not for n = 40.
+func TestQuiescentCellsStayAmbient(t *testing.T) {
+	const steps = 25
+	for _, n := range []int{2, 3, 8, 17, 40} {
+		if (testing.Short() || raceDetector) && n > 17 {
+			continue
+		}
+		for workers := 1; workers <= 4; workers++ {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				s := newSim(t, n)
+				pool := par.NewPool(workers)
+				defer pool.Close()
+				// The far corner of a fresh grid is ambient; the oracle's
+				// full-domain EOS gives its prs and snd.
+				ref := newSim(t, n)
+				ref.refreshEOSRef(pool)
+				far := s.NumCells() - 1
+				ambient := map[string]float64{}
+				for name, f := range ref.fields() {
+					ambient[name] = f[far]
+				}
+				ext := s.ext
+				for step := 1; step <= steps; step++ {
+					s.Step(pool, nil)
+					for d := range ext {
+						if s.ext[d] < ext[d] || s.ext[d] > n {
+							t.Fatalf("step %d: ext %v after %v, n = %d", step, s.ext, ext, n)
+						}
+					}
+					ext = s.ext
+					for name, f := range s.fields() {
+						for k := 0; k < n; k++ {
+							for j := 0; j < n; j++ {
+								for i := 0; i < n; i++ {
+									if i < ext[0] && j < ext[1] && k < ext[2] {
+										continue
+									}
+									c := s.idx(i, j, k)
+									if math.Float64bits(f[c]) != math.Float64bits(ambient[name]) {
+										t.Fatalf("step %d: %s(%d,%d,%d) = %v outside the box %v, ambient %v",
+											step, name, i, j, k, f[c], ext, ambient[name])
+									}
+								}
+							}
+						}
+					}
+				}
+				if inside := ext == [3]int{n, n, n}; inside != (n <= 17) {
+					t.Errorf("box %v after %d steps at n = %d", ext, steps, n)
+				}
+			})
+		}
 	}
 }
