@@ -109,9 +109,9 @@ func (l *intList) Set(s string) error {
 }
 
 // flagSet declares the verb's flags on opt: the ones every verb shares
-// (the eight Config knobs, -quick, -progress, -backend, -trace and
-// -cpuprofile), then the verb's own. finish applies -quick and -progress
-// once the set is parsed.
+// (the eight Config knobs, -quick, -progress, -trace and -cpuprofile),
+// then the verb's own. finish applies -quick and -progress once the set
+// is parsed.
 func (v *verb) flagSet(opt *options) (fs *flag.FlagSet, finish func()) {
 	fs = flag.NewFlagSet(v.name, flag.ContinueOnError)
 	cfg := opt.cfg
@@ -125,10 +125,6 @@ func (v *verb) flagSet(opt *options) (fs *flag.FlagSet, finish func()) {
 	fs.Var((*intList)(&cfg.Ranks), "ranks", "comma-separated fabric sizes for distributed advection (default 1,2,4,8)")
 	quick := fs.Bool("quick", false, "shrink the study for a fast demonstration (small sizes and image counts)")
 	progress := fs.Bool("progress", false, "stream per-run progress to stderr")
-	fs.Func("backend", "formulation contour/threshold are priced under: trad (default) or dpp", func(s string) (err error) {
-		cfg.Backend, err = viz.ParseBackend(s)
-		return err
-	})
 	fs.StringVar(&opt.traceFile, "trace", "", "write a Chrome trace-event JSON of this run to FILE (load in Perfetto)")
 	fs.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of this run to FILE")
 	if v.flags != nil {

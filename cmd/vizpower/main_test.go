@@ -128,7 +128,7 @@ func flagNames(v *verb) map[string]bool {
 	return names
 }
 
-// TestVerbRejectsForeignFlags: each verb takes the 13 shared flags plus
+// TestVerbRejectsForeignFlags: each verb takes the 12 shared flags plus
 // only the ones it reads, so a flag meant for another verb is an error
 // instead of being silently ignored.
 func TestVerbRejectsForeignFlags(t *testing.T) {
@@ -152,8 +152,8 @@ func TestVerbRejectsForeignFlags(t *testing.T) {
 		}
 		pairs += len(names)
 	}
-	if len(shared) != 13 || len(verbs) != 27 || pairs != 388 {
-		t.Errorf("%d shared flags, %d verbs, %d (verb, flag) pairs; want 13, 27, 388", len(shared), len(verbs), pairs)
+	if len(shared) != 12 || len(verbs) != 27 || pairs != 361 {
+		t.Errorf("%d shared flags, %d verbs, %d (verb, flag) pairs; want 12, 27, 361", len(shared), len(verbs), pairs)
 	}
 }
 

@@ -2,12 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/viz"
-	"repro/internal/viz/contour"
-	"repro/internal/viz/threshold"
 )
 
 // This file runs the study's backend dimension: the backend-capable
@@ -15,28 +14,17 @@ import (
 // traditional formulation and the data-parallel-primitive formulation
 // (Bethel et al., arXiv 2010.02361), and the power model classifies
 // each formulation independently — asking whether DPP changes an
-// algorithm's power-opportunity vs power-sensitive class. Each cell
-// runs the kernel, which is the same under both; only its profile
-// differs.
+// algorithm's power-opportunity vs power-sensitive class. The kernel is
+// the same under both, so each cell runs once and carries both prices
+// (AlgoRun.DPP).
 
-// filterBackend returns a filter's formulation; filters without a
-// backend choice are Traditional.
-func filterBackend(f viz.Filter) viz.Backend {
-	if bp, ok := f.(viz.BackendProvider); ok {
-		return bp.Backend()
-	}
-	return viz.Traditional
-}
+// backendNames are the algorithms whose runs carry a DPP price, in the
+// order BackendCompare pairs them.
+var backendNames = []string{"Contour", "Threshold"}
 
-// BackendFilters returns the backend-capable algorithms configured to be
-// priced under one formulation.
-func (c *Config) BackendFilters(b viz.Backend) []viz.Filter {
-	c.Defaults()
-	return []viz.Filter{
-		contour.New(contour.Options{Field: "energy", NumIsovalues: c.Isovalues, Backend: b}),
-		threshold.New(threshold.Options{Field: "energy", Backend: b}),
-	}
-}
+// dppKey is the cell store's slot for the DPP price of the runKey cell
+// BackendCompare paired it with: what the report renders as pairs.
+type dppKey runKey
 
 // BackendPair couples the two formulations' runs of one algorithm at
 // one size.
@@ -51,36 +39,36 @@ func (p BackendPair) ClassChanged() bool {
 	return p.Trad.Class != p.DPP.Class
 }
 
-// BackendCompare executes the backend-capable algorithms at one size
-// under both formulations (cached per backend like every sweep cell)
-// and returns one pair per algorithm. An algorithm with a failed cell is
-// skipped; the error return is non-nil only when nothing ran.
+// BackendCompare pairs the run of each backend-capable algorithm at one
+// size (executed, or fetched from the cell store like every sweep cell)
+// with that run's DPP price, and returns one pair per algorithm. Nothing
+// executes for the DPP half. An algorithm with a failed cell is skipped;
+// the error return is non-nil only when nothing ran.
 func (c *Config) BackendCompare(size int) ([]BackendPair, error) {
-	c.Defaults()
-	trad, dpp := c.BackendFilters(viz.Traditional), c.BackendFilters(viz.DPP)
-	return partial(len(trad), func(i int) (BackendPair, error) {
-		p := BackendPair{Name: trad[i].Name()}
-		var err error
-		if p.Trad, err = c.Run(trad[i], size); err == nil {
-			p.DPP, err = c.Run(dpp[i], size)
+	var fs []viz.Filter
+	for _, f := range c.Filters() {
+		if slices.Contains(backendNames, f.Name()) {
+			fs = append(fs, f)
 		}
-		return p, err
+	}
+	return partial(len(fs), func(i int) (BackendPair, error) {
+		tr, err := c.Run(fs[i], size)
+		if err != nil {
+			return BackendPair{}, err
+		}
+		c.run.cells[dppKey{tr.Name, size}] = tr.DPP
+		return BackendPair{Name: tr.Name, Trad: tr, DPP: tr.DPP}, nil
 	})
 }
 
-// cachedBackendPairs collects every (trad, dpp) run pair already in the
-// cell store, ordered by name then size — what the report renders
-// without re-executing anything.
+// cachedBackendPairs collects every pair BackendCompare made, ordered by
+// name then size — what the report renders without re-executing
+// anything.
 func (c *Config) cachedBackendPairs() []BackendPair {
 	var out []BackendPair
 	for key, v := range c.run.cells {
-		k, ok := key.(runKey)
-		if !ok || k.backend != viz.DPP {
-			continue
-		}
-		k.backend = viz.Traditional
-		if tr, ok := c.run.cells[k]; ok {
-			out = append(out, BackendPair{Name: k.name, Trad: tr.(*AlgoRun), DPP: v.(*AlgoRun)})
+		if k, ok := key.(dppKey); ok {
+			out = append(out, BackendPair{Name: k.name, Trad: c.run.cells[runKey(k)].(*AlgoRun), DPP: v.(*AlgoRun)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

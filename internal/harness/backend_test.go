@@ -7,9 +7,9 @@ import (
 	"repro/internal/viz"
 )
 
-// The run cache must key backend-capable cells per formulation: the same
-// (algorithm, size) executed under both backends yields two distinct
-// cached runs, and re-running either backend hits its cache.
+// Each backend pair holds two distinct runs, the executed traditional
+// cell and its DPP price, recorded under their own backends, and a
+// repeat BackendCompare hands back both from the cache.
 func TestBackendRunsCachedPerFormulation(t *testing.T) {
 	c := tinyConfig()
 	pairs, err := c.BackendCompare(8)
@@ -64,5 +64,43 @@ func TestReportHasBackendSection(t *testing.T) {
 	}
 	if !strings.Contains(rep, "keeps the class") && !strings.Contains(rep, "CHANGES the class") {
 		t.Error("report missing the per-algorithm class verdict")
+	}
+}
+
+// The DPP half of a pair is a price, not a cell: once RunAll has run a
+// size, BackendCompare executes nothing more (Config.Inject, consulted
+// before every execution attempt, is never asked) and pairs the cached
+// traditional runs with their DPP prices, the same pointers every call.
+func TestBackendCompareExecutesNothingAfterRunAll(t *testing.T) {
+	c := tinyConfig()
+	if _, err := c.RunAll(8); err != nil {
+		t.Fatal(err)
+	}
+	var asked []string
+	c.Inject = func(name string, size, attempt int) error {
+		asked = append(asked, name)
+		return nil
+	}
+	pairs, err := c.BackendCompare(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.BackendCompare(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 0 {
+		t.Errorf("BackendCompare executed %v after RunAll", asked)
+	}
+	if len(pairs) != 2 || len(again) != 2 {
+		t.Fatalf("got %d and %d pairs, want 2 (contour, threshold)", len(pairs), len(again))
+	}
+	for i, p := range pairs {
+		if p.DPP == nil || p.DPP != p.Trad.DPP || p.DPP.WallSec != 0 {
+			t.Errorf("%s: the DPP run is not the traditional run's WallSec-0 price", p.Name)
+		}
+		if again[i].Trad != p.Trad || again[i].DPP != p.DPP {
+			t.Errorf("%s: a repeat BackendCompare returned other runs", p.Name)
+		}
 	}
 }

@@ -79,8 +79,8 @@ func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
 			outcome += fmt.Sprintf(" [%d spans dropped]", d)
 		}
 		// The denominator is the study matrix, one cell per (algorithm,
-		// size); cells beyond it (the rank sweep, the DPP comparison, a
-		// governor sweep) keep the counter monotone instead of overflowing.
+		// size); cells beyond it (the rank sweep, a governor sweep) keep
+		// the counter monotone instead of overflowing.
 		total := max(len(c.Filters())*len(c.Sizes), c.run.cellsDone)
 		fmt.Fprintf(c.Heartbeat, "cell %d/%d (%s) %s\n", c.run.cellsDone, total, id.label, outcome)
 	}

@@ -54,11 +54,6 @@ type Config struct {
 	// Ranks are the fabric sizes the distributed-advection scaling
 	// sweep (AdvectScaling) runs, ascending. Default {1, 2, 4, 8}.
 	Ranks []int
-	// Backend selects the formulation the backend-capable geometry
-	// kernels (contour, threshold) are priced under: viz.Traditional
-	// (default) or viz.DPP. Runs are cached per backend, so one config
-	// can sweep both (see BackendCompare).
-	Backend viz.Backend
 
 	// Workload knobs (paper values by default).
 	Images        int // ray tracing / volume rendering image count (50)
@@ -251,10 +246,10 @@ func (c *Config) BuildDataset(size int, base func(size int) (*mesh.UniformGrid, 
 func (c *Config) Filters() []viz.Filter {
 	c.Defaults()
 	return []viz.Filter{
-		contour.New(contour.Options{Field: "energy", NumIsovalues: c.Isovalues, Backend: c.Backend}),
+		contour.New(contour.Options{Field: "energy", NumIsovalues: c.Isovalues}),
 		clip.New(clip.Options{Field: "energy"}),
 		isovolume.New(isovolume.Options{Field: "energy"}),
-		threshold.New(threshold.Options{Field: "energy", Backend: c.Backend}),
+		threshold.New(threshold.Options{Field: "energy"}),
 		slice.New(slice.Options{Field: "energy"}),
 		raytrace.New(raytrace.Options{Field: "energy", Images: c.Images, Width: c.ImageSize, Height: c.ImageSize}),
 		advect.New(advect.Options{Vector: "velocity", NumParticles: c.Particles, NumSteps: c.ParticleSteps}),
@@ -299,7 +294,7 @@ type AlgoRun struct {
 	Name string
 	Size int
 	// Backend is the kernel formulation the run was priced under:
-	// viz.Traditional for every filter without a backend choice.
+	// viz.Traditional for every executed cell, viz.DPP for its DPP price.
 	Backend  viz.Backend
 	Elements int64
 	Profile  ops.Profile
@@ -312,15 +307,16 @@ type AlgoRun struct {
 	Stages []telemetry.StageStat
 	// Priced holds every modeled number, ByCap in Config.Caps' order.
 	Priced
+	// DPP is the same execution priced under the data-parallel-primitive
+	// formulation (viz.Result.DPP): Backend viz.DPP and WallSec 0, since
+	// nothing ran for it. It is nil for filters that have none.
+	DPP *AlgoRun
 }
 
-// runKey identifies an (algorithm, size) cell. Backend-capable filters
-// are keyed per formulation, so one config can hold both a traditional
-// and a DPP run of the same cell.
+// runKey identifies an (algorithm, size) cell.
 type runKey struct {
-	name    string
-	size    int
-	backend viz.Backend
+	name string
+	size int
 }
 
 // Run executes one algorithm at one size (cached) and models it under
@@ -329,7 +325,7 @@ type runKey struct {
 func (c *Config) Run(f viz.Filter, size int) (*AlgoRun, error) {
 	c.Defaults()
 	return runCell(c, cellID{
-		key:  runKey{f.Name(), size, filterBackend(f)},
+		key:  runKey{f.Name(), size},
 		name: f.Name(),
 		size: size,
 		// Shared-memory cells run on one fabric rank.
@@ -366,11 +362,20 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 	run := &AlgoRun{
 		Name:     f.Name(),
 		Size:     size,
-		Backend:  filterBackend(f),
 		Elements: res.Elements,
 		Profile:  res.Profile,
 		WallSec:  wallSec,
 		Priced:   price(c.Spec, c.Caps, res.Profile),
+	}
+	if res.DPP != (ops.Profile{}) {
+		run.DPP = &AlgoRun{
+			Name:     run.Name,
+			Size:     size,
+			Backend:  viz.DPP,
+			Elements: res.Elements,
+			Profile:  res.DPP,
+			Priced:   price(c.Spec, c.Caps, res.DPP),
+		}
 	}
 	if c.Tracer != nil {
 		var cell []telemetry.Span

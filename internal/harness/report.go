@@ -5,8 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/viz"
 )
 
 // WriteReport assembles a self-contained markdown report of one full
@@ -153,11 +151,7 @@ func (c *Config) writeCellCost(b *strings.Builder) {
 		b.WriteString("| cell | wall (s) | % of sweep |\n|---|---|---|\n")
 	}
 	for _, r := range cells {
-		name := r.Name
-		if r.Backend == viz.DPP {
-			name += " (dpp)"
-		}
-		fmt.Fprintf(b, "| %s %d^3 | %.3f | %.1f%% |", name, r.Size, r.WallSec, 100*r.WallSec/total)
+		fmt.Fprintf(b, "| %s %d^3 | %.3f | %.1f%% |", r.Name, r.Size, r.WallSec, 100*r.WallSec/total)
 		if withStages {
 			var parts []string
 			for i, st := range r.Stages {

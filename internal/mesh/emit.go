@@ -36,10 +36,10 @@ type Emission struct {
 	Total Sizes
 }
 
-// chunk is one chunk's offsets and the count its fill reported.
+// chunk is one chunk's offsets and the two counts its fill reported.
 type chunk struct {
 	at      Sizes
-	counted uint64
+	counted [2]uint64
 }
 
 // Count runs count over the chunks [lo, hi) of a loop of n items, lo a
@@ -56,23 +56,24 @@ func Count(pool *par.Pool, n, grain int, count func(lo, hi, worker int) Sizes) E
 
 // Fill runs fill over the counted chunks, handing each its offsets. fill
 // returns the offsets one past what it wrote, which must be where the
-// next chunk starts (a fill that strays from its count panics), and a
-// count for the caller's cost function; Fill returns their sum.
-func (e *Emission) Fill(fill func(lo, hi, worker int, at Sizes) (Sizes, uint64)) uint64 {
+// next chunk starts (a fill that strays from its count panics), and two
+// counts for the caller's cost functions (a caller that needs one passes
+// 0 for the other); Fill returns their sums.
+func (e *Emission) Fill(fill func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64)) (a, b uint64) {
 	cs, grain := e.chunks, e.grain
 	e.pool.For(e.n, grain, func(lo, hi, worker int) {
 		c := lo / grain
-		end, n := fill(lo, hi, worker, cs[c].at)
+		end, n, m := fill(lo, hi, worker, cs[c].at)
 		if end != cs[c+1].at {
 			panic(fmt.Sprintf("mesh: chunk [%d, %d) filled up to %+v, counted %+v", lo, hi, end, cs[c+1].at))
 		}
-		cs[c].counted = n
+		cs[c].counted = [2]uint64{n, m}
 	})
-	var total uint64
 	for _, c := range cs {
-		total += c.counted
+		a += c.counted[0]
+		b += c.counted[1]
 	}
-	return total
+	return a, b
 }
 
 // GrowTris makes room at the end of out for the emission, its cells

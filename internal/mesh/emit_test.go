@@ -54,13 +54,14 @@ func emitTris(pool *par.Pool, seed int64, n, grain int, out *TriMesh) uint64 {
 		return Sizes{Points: 3 * tris, Cells: tris}
 	})
 	em.GrowTris(out)
-	return em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64) {
+	items, _ := em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64, uint64) {
 		p, t := at.Points, at.Cells
 		for i := lo; i < hi; i++ {
 			p, t = emitItemTris(seed, i, out, p, t)
 		}
-		return Sizes{Points: p, Cells: t}, uint64(hi - lo)
+		return Sizes{Points: p, Cells: t}, uint64(hi - lo), 0
 	})
+	return items
 }
 
 // Random per-item emission under any grain and worker count lands exactly
@@ -187,7 +188,7 @@ func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 				return at
 			})
 			got := em.Cells()
-			em.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64) {
+			em.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64) {
 				win := &wins[worker]
 				win.Reset(g, lo, hi)
 				w := CellWriter{Mesh: got, Next: at}
@@ -206,7 +207,7 @@ func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 						}
 					}
 				}
-				return w.Next, 0
+				return w.Next, 0, 0
 			})
 			pool.Close()
 			if err := got.Validate(); err != nil {
@@ -236,11 +237,11 @@ func TestEmitFillMustMatchCount(t *testing.T) {
 			t.Fatalf("panic %v, want a *par.WorkerPanic", r)
 		}
 	}()
-	em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64) {
+	em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64, uint64) {
 		if lo == 50 {
 			at.Points--
 		}
-		return Sizes{Points: at.Points + hi - lo}, 0
+		return Sizes{Points: at.Points + hi - lo}, 0, 0
 	})
 }
 

@@ -16,6 +16,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 )
 
@@ -55,7 +56,8 @@ func NewCache() *Cache {
 // before this call: a request that neither built nor waited is a warm
 // hit. Exactly one build runs per key no matter how many goroutines race
 // on it; build errors propagate to every waiter of that flight and evict
-// the entry so a later request can retry.
+// the entry so a later request can retry. A build that panics fails its
+// flight the same way, with the panic as the error.
 func (c *Cache) GetOrBuild(key string, build func() (any, error)) (val any, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -76,7 +78,16 @@ func (c *Cache) GetOrBuild(key string, build func() (any, error)) (val any, hit 
 	c.misses++
 	c.mu.Unlock()
 
-	e.val, e.err = build()
+	func() {
+		// A panic left to unwind would leave e.ready open: every later
+		// request for key would block on it for good.
+		defer func() {
+			if r := recover(); r != nil {
+				e.val, e.err = nil, fmt.Errorf("serve: build of %q panicked: %v", key, r)
+			}
+		}()
+		e.val, e.err = build()
+	}()
 	if e.err != nil {
 		// Evict before publishing so no requester after this point joins
 		// a failed flight; the waiters already parked get the error.

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCacheSingleFlight races many goroutines on one key and requires
@@ -60,6 +62,40 @@ func TestCacheErrorEvicts(t *testing.T) {
 	v, hit, err := c.GetOrBuild("k", func() (any, error) { return "ok", nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("retry after failure: v=%v hit=%v err=%v", v, hit, err)
+	}
+}
+
+// A build that panics fails its flight like one that errs: the builder
+// and a waiter parked on the same flight both get an error naming the
+// panic, the entry is evicted, and the next call builds afresh.
+func TestCachePanicFailsTheFlight(t *testing.T) {
+	c := NewCache()
+	building := make(chan struct{})
+	waited := make(chan error, 1)
+	go func() {
+		<-building
+		_, _, err := c.GetOrBuild("k", func() (any, error) {
+			t.Error("a waiter ran a second build")
+			return nil, nil
+		})
+		waited <- err
+	}()
+	_, _, err := c.GetOrBuild("k", func() (any, error) {
+		close(building)
+		for c.Stats().Waits == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		panic("boom")
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("builder got %v, want the panic as an error", err)
+	}
+	if err := <-waited; err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("waiter got %v, want the panic as an error", err)
+	}
+	v, hit, err := c.GetOrBuild("k", func() (any, error) { return "ok", nil })
+	if err != nil || hit || v != "ok" {
+		t.Fatalf("call after the panic: v=%v hit=%v err=%v, want a fresh build", v, hit, err)
 	}
 }
 

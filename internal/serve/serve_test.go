@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/mesh"
 	"repro/internal/render"
 	"repro/internal/viz"
 )
@@ -563,4 +564,36 @@ func TestSweepGradientDoesNotRaceRender(t *testing.T) {
 // it on every -race run at the commit that had the bug.
 func TestResampleDoesNotRaceRender(t *testing.T) {
 	raceColdRenders(t, 40, "/render?size=24")
+}
+
+// A /sweep whose build panics answers 500 and gives its admission grant
+// back, so the budget does not drain into 429s; a retry builds again
+// instead of parking on the failed flight. The grid's fields are shorter
+// than its cells, so the kernel indexes past them in a pool worker and
+// par re-raises the panic on the request's goroutine.
+func TestSweepPanickingBuildReleasesItsGrant(t *testing.T) {
+	bad, err := mesh.NewCubeGrid(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.AddCellField("energy")
+	bad.AddPointField("energy")
+	bad.Dims = [3]int{9, 9, 9}
+	cfg := testConfig()
+	cfg.Preload(8, bad)
+	s := testServer(t, Options{Config: cfg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i := 0; i < 2; i++ {
+		resp, body := get(t, ts, "/sweep?alg=Threshold&size=8")
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
+			t.Fatalf("request %d: status %d: %s, want a 500 naming the panic", i, resp.StatusCode, body)
+		}
+		if w := s.Admission().Stats().CurrentWatts; w != 0 {
+			t.Fatalf("request %d: %.1f W still admitted after the failed build", i, w)
+		}
+	}
+	if st := s.Cache().Stats(); st.Misses != 3 {
+		t.Errorf("cache stats %+v: want 3 builds (the data set, then the sweep cell twice)", st)
+	}
 }

@@ -1,16 +1,14 @@
 package viz
 
-import "fmt"
-
-// Backend selects which of two formulations of a geometry kernel the
-// study prices: the traditional fused loop or the data-parallel-primitive
+// Backend names one of two formulations of a geometry kernel the study
+// prices: the traditional fused loop or the data-parallel-primitive
 // (count/flag → scan → emit) formulation VTK-m uses. Bethel et al.
 // (arXiv 2010.02361) compare exactly these two formulations of the
 // kernels this repository reproduces; pricing both through the power
 // sweep asks whether the formulation changes an algorithm's
-// power-opportunity vs power-sensitive class. The kernel runs the same
-// way under either: the backend picks the cost function that turns its
-// counts into the launch's profile.
+// power-opportunity vs power-sensitive class. The kernel runs once
+// either way: contour and threshold price the counts of that one run
+// under both cost functions, as Result.Profile and Result.DPP.
 type Backend int
 
 const (
@@ -24,27 +22,10 @@ const (
 	DPP
 )
 
-// String returns the backend's flag spelling ("trad" or "dpp").
+// String returns the backend's short spelling ("trad" or "dpp").
 func (b Backend) String() string {
 	if b == DPP {
 		return "dpp"
 	}
 	return "trad"
-}
-
-// ParseBackend parses the -backend flag values "trad" and "dpp".
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "trad", "traditional":
-		return Traditional, nil
-	case "dpp":
-		return DPP, nil
-	}
-	return Traditional, fmt.Errorf("unknown backend %q (want trad or dpp)", s)
-}
-
-// BackendProvider is implemented by filters priced under both formulations.
-// The harness uses it to key cached runs and report rows per backend.
-type BackendProvider interface {
-	Backend() Backend
 }

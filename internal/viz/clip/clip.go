@@ -96,7 +96,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	pre := em.Cells()
 
-	straddlers := em.Fill(func(lo, hi, worker int, at mesh.Sizes) (mesh.Sizes, uint64) {
+	straddlers, _ := em.Fill(func(lo, hi, worker int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
 		win := &wins[worker]
 		win.Reset(g, lo, hi)
 		w := mesh.CellWriter{Mesh: pre, Next: at}
@@ -127,7 +127,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 			}
 		}
-		return w.Next, straddle
+		return w.Next, straddle, 0
 	})
 
 	out := mesh.WeldPointsPool(pre, 1e-9, ex.Pool)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
+	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/viz"
 )
@@ -28,10 +29,10 @@ type Options struct {
 	// NumIsovalues is used when Isovalues is empty. Default 10 (the
 	// paper's configuration).
 	NumIsovalues int
-	// Backend selects the cost function that prices each launch: the
-	// traditional formulation's (default) or the data-parallel-primitive
-	// count → scan → emit formulation's. The kernel and its output are
-	// the same under both.
+	// Backend, when viz.DPP, makes Result.Profile the run's DPP profile
+	// (Result.DPP) instead of its traditional one; it changes nothing
+	// else. Every run is priced under both formulations: this option
+	// only serves callers that want the DPP price in Profile.
 	Backend viz.Backend
 }
 
@@ -51,9 +52,6 @@ func New(opts Options) *Filter {
 
 // Name implements viz.Filter.
 func (f *Filter) Name() string { return "Contour" }
-
-// Backend implements viz.BackendProvider.
-func (f *Filter) Backend() viz.Backend { return f.opts.Backend }
 
 // SpreadIsovalues returns n isovalues uniformly spaced across the open
 // interior of [lo, hi].
@@ -79,13 +77,18 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	// Every isovalue of the cycle classifies against one row index.
 	rows := indexRows(g, field, ex.Pool)
 	out := &mesh.TriMesh{}
+	var dpp ops.Profile
 	for _, iso := range isos {
-		ContourField(g, field, field, rows, iso, f.opts.Backend, ex, out)
+		ContourField(g, field, field, rows, iso, &dpp, ex, out)
 	}
 	res := &viz.Result{
 		Profile:  ex.Drain(),
+		DPP:      dpp,
 		Elements: int64(g.NumCells()),
 		Tris:     out,
+	}
+	if f.opts.Backend == viz.DPP {
+		res.Profile = dpp
 	}
 	return res, nil
 }
@@ -101,10 +104,12 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 // alone (crossing) and sizes each chunk, and the fill writes every chunk
 // at its scanned offsets, visiting only the cells the count found crossed.
 // The count pass is this host's sizing, not the paper's kernel, so it
-// is not charged. The backend picks the price of the launch (cost.go):
-// the traditional formulation visits the crossed cells, the DPP one the
-// emitting cells its per-cell count and scan single out.
-func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, backend viz.Backend, ex *viz.Exec, out *mesh.TriMesh) {
+// is not charged. The one fill counts both the cells each formulation
+// visits, and the launch is priced both ways (cost.go): ex is charged
+// the traditional formulation's price, over the crossed cells, and dpp,
+// when non-nil, gains the DPP one's, over the emitting cells its
+// per-cell count and scan single out.
+func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, dpp *ops.Profile, ex *viz.Exec, out *mesh.TriMesh) {
 	nCells := g.NumCells()
 	cross := make([]uint8, nCells)
 	em := mesh.Count(ex.Pool, nCells, par.GrainFor(nCells, ex.Pool.Workers()), func(lo, hi, _ int) mesh.Sizes {
@@ -113,18 +118,14 @@ func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso fl
 	})
 	em.GrowTris(out)
 
-	visited := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64) {
-		end, crossed, emitting := fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-		if backend == viz.DPP {
-			return end, emitting
-		}
-		return end, crossed
+	crossed, emitting := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
+		return fillTris(g, field, carry, iso, cross, lo, hi, out, at)
 	})
-	cost := tradCost
-	if backend == viz.DPP {
-		cost = dppCost
+	tris := uint64(em.Total.Cells)
+	ex.Charge(tradCost(uint64(nCells), crossed, tris, uint64(len(field))))
+	if dpp != nil {
+		dpp.Add(dppCost(uint64(nCells), emitting, tris, uint64(len(field))))
 	}
-	ex.Charge(cost(uint64(nCells), visited, uint64(em.Total.Cells), uint64(len(field))))
 }
 
 // triCounts is cellTriCount by corner mask: entry m is the triangle count

@@ -216,3 +216,62 @@ func TestContourSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state contour cycle allocates %.0f objects/op, want <= 120", allocs)
 	}
 }
+
+// latticeGrid has the integer point field i+j+k, so an integer isovalue
+// lands exactly on grid points: a cell whose lowest corner equals it
+// holds the isovalue (it is crossed) but emits no triangle.
+func latticeGrid(t testing.TB, n int) *mesh.UniformGrid {
+	t.Helper()
+	g, err := mesh.NewCubeGrid(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := g.AddPointField("s")
+	for id := range f {
+		i, j, k := g.PointIJK(id)
+		f[id] = float64(i + j + k)
+	}
+	return g
+}
+
+// One run carries both prices: at every worker count, Result.DPP of a
+// traditional run is the Profile of a run with Backend viz.DPP, and the
+// two runs emit the same surface. On the lattice the crossed and the
+// emitting cell counts differ, so a formulation priced from the other's
+// count shows.
+func TestContourOneRunPricedBothWays(t *testing.T) {
+	g := latticeGrid(t, 12)
+	opts := Options{Field: "s", Isovalues: []float64{6, 17}}
+	dppOpts := opts
+	dppOpts.Backend = viz.DPP
+	var first *viz.Result
+	for _, nw := range []int{1, 2, 4} {
+		pool := par.NewPool(nw)
+		trad, err := New(opts).Run(g, viz.NewExec(pool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dpp, err := New(dppOpts).Run(g, viz.NewExec(pool))
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trad.DPP != dpp.Profile {
+			t.Errorf("nw=%d: Result.DPP\n got %+v\nwant %+v", nw, trad.DPP, dpp.Profile)
+		}
+		if triDigest(trad.Tris) != triDigest(dpp.Tris) || len(trad.Tris.Tris) == 0 {
+			t.Errorf("nw=%d: the two runs emit different surfaces (%d vs %d triangles)", nw, len(trad.Tris.Tris), len(dpp.Tris.Tris))
+		}
+		// fillCost charges 72 flops per visited cell: the traditional
+		// price visits the crossed cells, the DPP one the emitting cells.
+		if trad.Profile.Flops <= trad.DPP.Flops {
+			t.Errorf("nw=%d: crossed and emitting counts coincide (flops %d vs %d); the lattice should separate them",
+				nw, trad.Profile.Flops, trad.DPP.Flops)
+		}
+		if first == nil {
+			first = trad
+		} else if trad.Profile != first.Profile || trad.DPP != first.DPP {
+			t.Errorf("nw=%d: prices differ from the 1-worker run", nw)
+		}
+	}
+}

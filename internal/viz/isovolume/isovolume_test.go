@@ -237,3 +237,33 @@ func TestIsovolumeMatchesParentRecording(t *testing.T) {
 		}
 	}
 }
+
+// Widening the range never lowers the kept volume: on a curved field,
+// each range of a nested sequence keeps at least the volume of the one
+// inside it, at 1 and 4 workers. The volumes are sums of tet volumes, so
+// they are compared to 1e-12 of the unit cube's.
+func TestIsovolumeMonotoneInRange(t *testing.T) {
+	const tol = 1e-12
+	g := radialGrid(t, 12)
+	// Nested around 0.3; the field spans [0, 0.97].
+	ranges := [][2]float64{{0.29, 0.31}, {0.25, 0.35}, {0.2, 0.45}, {0.1, 0.6}, {0.01, 0.97}}
+	for _, nw := range []int{1, 4} {
+		pool := par.NewPool(nw)
+		prev := 0.0
+		for _, r := range ranges {
+			res, err := New(Options{Field: "energy", Lo: r[0], Hi: r[1]}).Run(g, viz.NewExec(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := meshVolume(res.Cells)
+			if v < prev-tol {
+				t.Errorf("nw=%d: [%g, %g] keeps volume %.15g, below the %.15g of the range inside it", nw, r[0], r[1], v, prev)
+			}
+			prev = v
+		}
+		pool.Close()
+		if prev <= 0 || prev > 1+tol {
+			t.Errorf("nw=%d: the widest range keeps volume %g, want within (0, 1]", nw, prev)
+		}
+	}
+}

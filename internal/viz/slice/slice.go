@@ -93,7 +93,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		})
 		ex.Charge(distanceCost(uint64(nPts)))
 		// Contour the distance field at zero, carrying the data field.
-		contour.ContourField(g, dist, carry, contour.CellRows(g, pointRows), 0, viz.Traditional, ex, out)
+		contour.ContourField(g, dist, carry, contour.CellRows(g, pointRows), 0, nil, ex, out)
 	}
 
 	ex.Charge(workingSet(uint64(nPts), uint64(len(out.Points))))

@@ -22,10 +22,10 @@ type Options struct {
 	// Lo and Hi bound the kept range. If both are zero, the upper half
 	// of the field range is kept.
 	Lo, Hi float64
-	// Backend selects the cost function that prices the launch: the
-	// traditional per-chunk count → fill formulation's (default) or the
-	// data-parallel-primitive flag → compact → emit formulation's. The
-	// kernel and its output are the same under both.
+	// Backend, when viz.DPP, makes Result.Profile the run's DPP profile
+	// (Result.DPP) instead of its traditional one; it changes nothing
+	// else. Every run is priced under both formulations: this option
+	// only serves callers that want the DPP price in Profile.
 	Backend viz.Backend
 }
 
@@ -42,9 +42,6 @@ func New(opts Options) *Filter {
 
 // Name implements viz.Filter.
 func (f *Filter) Name() string { return "Threshold" }
-
-// Backend implements viz.BackendProvider.
-func (f *Filter) Backend() viz.Backend { return f.opts.Backend }
 
 // Run implements viz.Filter.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
@@ -85,20 +82,22 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	})
 	out := em.Cells()
 
-	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64) {
-		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at), 0
+	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
+		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at), 0, 0
 	})
-	cost := tradCost
-	if f.opts.Backend == viz.DPP {
-		cost = dppCost
-	}
-	ex.Charge(cost(uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)))
-
-	return &viz.Result{
+	// One launch, priced under both formulations from the same counts.
+	n, kept, pfLen, outPoints := uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)
+	ex.Charge(tradCost(n, kept, pfLen, outPoints))
+	res := &viz.Result{
 		Profile:  ex.Drain(),
+		DPP:      dppCost(n, kept, pfLen, outPoints),
 		Elements: int64(nCells),
 		Cells:    out,
-	}, nil
+	}
+	if f.opts.Backend == viz.DPP {
+		res.Profile = res.DPP
+	}
+	return res, nil
 }
 
 // fill writes the cells of [lo2, hi2) whose value lies in [lo, hi] into

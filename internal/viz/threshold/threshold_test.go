@@ -182,3 +182,35 @@ func TestThresholdExternalFacesRenderable(t *testing.T) {
 		t.Errorf("slab surface tris = %d, want 240", surf.NumTris())
 	}
 }
+
+// One run carries both prices: at every worker count, Result.DPP of a
+// traditional run is the Profile of a run with Backend viz.DPP, and the
+// two runs keep the same cells. The integer field and bounds put cells
+// exactly on both ends of the range.
+func TestThresholdOneRunPricedBothWays(t *testing.T) {
+	g := gradGrid(t, 12)
+	opts := Options{Field: "e", Lo: 3, Hi: 7}
+	dppOpts := opts
+	dppOpts.Backend = viz.DPP
+	for _, nw := range []int{1, 2, 4} {
+		pool := par.NewPool(nw)
+		trad, err := New(opts).Run(g, viz.NewExec(pool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dpp, err := New(dppOpts).Run(g, viz.NewExec(pool))
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trad.DPP != dpp.Profile {
+			t.Errorf("nw=%d: Result.DPP\n got %+v\nwant %+v", nw, trad.DPP, dpp.Profile)
+		}
+		if trad.DPP == trad.Profile {
+			t.Errorf("nw=%d: the two formulations priced the same", nw)
+		}
+		if cellsDigest(trad.Cells) != cellsDigest(dpp.Cells) || trad.Cells.NumCells() != 5*12*12 {
+			t.Errorf("nw=%d: the runs keep %d and %d cells, want %d each", nw, trad.Cells.NumCells(), dpp.Cells.NumCells(), 5*12*12)
+		}
+	}
+}

@@ -46,7 +46,10 @@ func (e *Exec) Drain() (p ops.Profile) {
 // number of input elements processed (for the Moreland–Oldfield rate
 // metric), and the produced data set.
 type Result struct {
-	Profile  ops.Profile
+	Profile ops.Profile
+	// DPP is the same run priced under the data-parallel-primitive
+	// formulation (see Backend); it is zero for filters that have none.
+	DPP      ops.Profile
 	Elements int64
 	// Exactly one of the following is set, depending on the filter.
 	Tris      *mesh.TriMesh
