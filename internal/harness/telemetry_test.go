@@ -156,3 +156,11 @@ func TestReportIncludesCellCost(t *testing.T) {
 		t.Error("cell cost table missing the Contour 8^3 row")
 	}
 }
+
+// traced attaches one fresh tracer to c and to c's pool, as the CLI's
+// -trace does.
+func traced(c *Config) {
+	tr := telemetry.New(c.Pool.Workers())
+	c.Pool.Instrument(tr)
+	c.Tracer = tr
+}
