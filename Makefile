@@ -39,7 +39,9 @@
 #                  scale (closed-loop vs static vs uniform sweep table)
 #   make profile - run the vizpower profile subcommand at demonstration
 #                  scale into out/profile (trace.json + summary.txt),
-#                  validating the exported JSON
+#                  validating the exported JSON; -ranks 1,2,4,8 adds the
+#                  distributed advection cell, so the trace carries a
+#                  track per rank next to the pipeline and worker tracks
 #   make serve   - run the rendering daemon at demonstration scale on
 #                  localhost:8080 with a 130 W budget
 #   make loc     - the three line counts ROADMAP.md quotes: non-test Go
@@ -53,7 +55,7 @@
 GO ?= go
 
 # Packages whose tests exercise multi-worker pools and shared buffers.
-RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/telemetry ./internal/serve ./internal/power ./internal/obs ./internal/render
+RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/serve ./internal/power ./internal/obs ./internal/render
 
 .PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve loc
 
@@ -98,11 +100,11 @@ bench-go:
 govern:
 	$(GO) run ./cmd/vizpower govern -quick -cycles 8
 
-# Run the telemetry subcommand at demonstration scale and confirm the
+# Run the profile subcommand at demonstration scale and confirm the
 # exported trace parses as Chrome trace-event JSON (the CLI re-validates
 # the written bytes and fails the command otherwise).
 profile:
-	$(GO) run ./cmd/vizpower profile -quick -cap 80 -cycles 3 -out out/profile
+	$(GO) run ./cmd/vizpower profile -quick -cap 80 -cycles 3 -ranks 1,2,4,8 -out out/profile
 
 # Run the daemon at demonstration scale (ctrl-C drains in-flight
 # requests and finalizes the cinema manifests before exiting).

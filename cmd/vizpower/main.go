@@ -40,7 +40,6 @@ import (
 	"repro/internal/rapl"
 	"repro/internal/render"
 	"repro/internal/serve"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/vtkio"
 )
@@ -215,16 +214,9 @@ func run(args []string) (retErr error) {
 	}
 	if opt.traceFile != "" {
 		// One tracer across the whole invocation: harness cell spans on
-		// the pipeline track, pool chunk spans on the worker tracks —
-		// plus request-lane tracks when the daemon is what's traced.
-		var tr *telemetry.Tracer
-		if cmd == "serve" {
-			tr = telemetry.NewServing(c.Pool.Workers(), serve.Lanes)
-		} else {
-			tr = telemetry.New(c.Pool.Workers())
-		}
-		c.Pool.Instrument(tr)
-		c.Tracer = tr
+		// the pipeline track, pool chunk spans on the worker tracks, rank
+		// and request-lane spans on theirs.
+		tr := attachTracer(c)
 		defer func() {
 			if err := writeTraceFile(opt.traceFile, tr); err != nil && retErr == nil {
 				retErr = err
@@ -723,12 +715,7 @@ func profileCmd(c *harness.Config, opt *options) error {
 	}
 	tr := c.Tracer // reuse the -trace tracer if one is already attached
 	if tr == nil {
-		// With -ranks the distributed advection pass below puts its
-		// advance/exchange spans on WorkerTrack(rank), so the tracer
-		// needs tracks for whichever of (workers, ranks) is larger.
-		tr = telemetry.New(max(c.Pool.Workers(), opt.distRanks))
-		c.Pool.Instrument(tr)
-		c.Tracer = tr
+		tr = attachTracer(c)
 	}
 	pipe.Tracer = tr
 	t0 := time.Now()
@@ -761,11 +748,15 @@ func profileCmd(c *harness.Config, opt *options) error {
 	// the meter timeline of the capped pipeline run — the distributed
 	// advection pass above (unmetered) shows up as extra self time, not
 	// extra joules.
-	joules := obs.Attribute(telemetry.Summarize(spans), samples)
+	var meteredJ float64
+	for _, s := range samples {
+		meteredJ += s.EnergyJ
+	}
+	joules := obs.Attribute(obs.Summarize(spans), meteredJ)
 	fmt.Printf("profiled %d in situ cycles (%d governed segments) under a %.0f W cap in %.3fs\n",
 		opt.cycles, len(results), capW, wall.Seconds())
 	if err := writeFile(filepath.Join(opt.out, "summary.txt"), func(w io.Writer) error {
-		if err := telemetry.WriteSummary(w, spans, 10, wall.Nanoseconds()); err != nil {
+		if err := obs.WriteSummary(w, spans, 10, wall.Nanoseconds()); err != nil {
 			return err
 		}
 		if len(joules) > 0 {
@@ -779,7 +770,7 @@ func profileCmd(c *harness.Config, opt *options) error {
 	}); err != nil {
 		return err
 	}
-	if err := telemetry.WriteSummary(os.Stdout, spans, 5, wall.Nanoseconds()); err != nil {
+	if err := obs.WriteSummary(os.Stdout, spans, 5, wall.Nanoseconds()); err != nil {
 		return err
 	}
 	if len(joules) > 0 {
@@ -789,15 +780,24 @@ func profileCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
+// attachTracer gives c and its pool one fresh tracer, the one every verb
+// traces into.
+func attachTracer(c *harness.Config) *obs.Tracer {
+	tr := obs.NewTracer()
+	c.Pool.Instrument(tr)
+	c.Tracer = tr
+	return tr
+}
+
 // writeTraceFile exports the tracer's spans as Chrome trace-event JSON
 // and validates the bytes before writing them, so a corrupt export fails
 // the command instead of failing later inside Perfetto.
-func writeTraceFile(path string, tr *telemetry.Tracer) error {
+func writeTraceFile(path string, tr *obs.Tracer) error {
 	var data bytes.Buffer
 	if err := tr.WriteChromeTrace(&data); err != nil {
 		return err
 	}
-	n, err := telemetry.ValidateChromeTrace(data.Bytes())
+	n, err := obs.ValidateChromeTrace(data.Bytes())
 	if err != nil {
 		return fmt.Errorf("trace export invalid: %w", err)
 	}

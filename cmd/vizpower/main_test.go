@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 func TestRunRejectsBadInput(t *testing.T) {
@@ -286,7 +286,7 @@ func TestRunProfileWritesValidTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := telemetry.ValidateChromeTrace(data)
+	n, err := obs.ValidateChromeTrace(data)
 	if err != nil {
 		t.Fatalf("profile wrote an invalid trace: %v", err)
 	}
@@ -319,7 +319,7 @@ func TestRunGlobalTraceFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := telemetry.ValidateChromeTrace(data); err != nil {
+	if _, err := obs.ValidateChromeTrace(data); err != nil {
 		t.Errorf("-trace wrote an invalid trace: %v", err)
 	}
 	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {

@@ -11,12 +11,12 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/perfctr"
 	"repro/internal/rapl"
 	"repro/internal/sim/clover"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 )
 
@@ -73,7 +73,7 @@ type Pipeline struct {
 	// named as the paper names the algorithm, and "analyze" around the
 	// processor-model evaluation. Attach the same tracer to Pool (via
 	// Instrument) and the loop-launch spans nest under the stages.
-	Tracer *telemetry.Tracer
+	Tracer *obs.Tracer
 	cycle  int
 }
 
@@ -129,12 +129,12 @@ func (p *Pipeline) Simulate() (PhaseResult, error) {
 	for i := 0; i < p.StepsPerCycle; i++ {
 		s := tr.Begin()
 		p.Sim.Step(p.Pool, &profile)
-		tr.End(telemetry.PipelineTrack, "sim.step", s)
+		tr.End(obs.Pipeline, "sim.step", s)
 	}
-	tr.End(telemetry.PipelineTrack, "simulate", simStart)
+	tr.End(obs.Pipeline, "simulate", simStart)
 	anStart := tr.Begin()
 	exec := cpu.Analyze(p.Spec, profile, 0)
-	tr.End(telemetry.PipelineTrack, "analyze", anStart)
+	tr.End(obs.Pipeline, "analyze", anStart)
 	return PhaseResult{Profile: profile, Exec: exec}, nil
 }
 
@@ -144,7 +144,7 @@ func (p *Pipeline) Visualize() (PhaseResult, error) {
 	tr := p.Tracer
 	expStart := tr.Begin()
 	g, err := p.Sim.Grid()
-	tr.End(telemetry.PipelineTrack, "export", expStart)
+	tr.End(obs.Pipeline, "export", expStart)
 	if err != nil {
 		return PhaseResult{}, err
 	}
@@ -153,7 +153,7 @@ func (p *Pipeline) Visualize() (PhaseResult, error) {
 	for _, f := range p.Filters {
 		fStart := tr.Begin()
 		res, err := f.Run(g, ex)
-		tr.End(telemetry.PipelineTrack, f.Name(), fStart)
+		tr.End(obs.Pipeline, f.Name(), fStart)
 		if err != nil {
 			return PhaseResult{}, fmt.Errorf("core: cycle %d: %w", p.cycle, err)
 		}
@@ -162,7 +162,7 @@ func (p *Pipeline) Visualize() (PhaseResult, error) {
 	}
 	anStart := tr.Begin()
 	exec := cpu.Analyze(p.Spec, profile, 0)
-	tr.End(telemetry.PipelineTrack, "analyze", anStart)
+	tr.End(obs.Pipeline, "analyze", anStart)
 	p.cycle++
 	return PhaseResult{Profile: profile, Exec: exec}, nil
 }

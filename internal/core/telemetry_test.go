@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"repro/internal/cpu"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
 	"repro/internal/viz/threshold"
@@ -18,7 +18,7 @@ import (
 // tracer on the Pipeline (stage spans) and the Pool (loop-launch and
 // worker spans), including a rendering filter so the trace covers the
 // render path.
-func tracedPipeline(t *testing.T) (*Pipeline, *telemetry.Tracer) {
+func tracedPipeline(t *testing.T) (*Pipeline, *obs.Tracer) {
 	t.Helper()
 	sim, err := clover.New(16, clover.Options{})
 	if err != nil {
@@ -31,7 +31,7 @@ func tracedPipeline(t *testing.T) (*Pipeline, *telemetry.Tracer) {
 	}
 	pool := par.NewPool(2)
 	t.Cleanup(pool.Close)
-	tr := telemetry.New(pool.Workers())
+	tr := obs.NewTracer()
 	pool.Instrument(tr)
 	p, err := NewPipeline(sim, filters, 4, pool, cpu.BroadwellEP())
 	if err != nil {
@@ -61,7 +61,7 @@ func TestPipelineSpanCoverage(t *testing.T) {
 	var sum, coveredEnd int64
 	stageNames := map[string]bool{}
 	for _, s := range tr.Spans() {
-		if s.Track != telemetry.PipelineTrack {
+		if s.Track != obs.Pipeline {
 			continue
 		}
 		if s.Start >= coveredEnd { // top-level: not inside the previous top span
@@ -97,7 +97,7 @@ func TestPipelineSpanNesting(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans := tr.Spans()
-	var simulate []telemetry.Span
+	var simulate []obs.Span
 	for _, s := range spans {
 		if s.Name == "simulate" {
 			simulate = append(simulate, s)
@@ -135,7 +135,7 @@ func TestPipelineSpanNesting(t *testing.T) {
 // TestPipelineUntracedUnchanged: a nil tracer must leave RunCycle
 // producing identical profiles (the disabled path changes nothing).
 func TestPipelineUntracedUnchanged(t *testing.T) {
-	mk := func(tr *telemetry.Tracer) *CycleResult {
+	mk := func(tr *obs.Tracer) *CycleResult {
 		sim, err := clover.New(12, clover.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestPipelineUntracedUnchanged(t *testing.T) {
 		return cr
 	}
 	plain := mk(nil)
-	traced := mk(telemetry.New(2))
+	traced := mk(obs.NewTracer())
 	if plain.SimProfile != traced.SimProfile {
 		t.Error("tracing changed the simulation profile")
 	}

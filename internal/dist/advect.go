@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/ops"
-	"repro/internal/telemetry"
 	"repro/internal/viz/advect"
 )
 
@@ -170,7 +170,7 @@ type advectShared struct {
 	seedTally advect.Tally
 	ghost     int
 	maxRounds int
-	tracer    *telemetry.Tracer
+	tracer    *obs.Tracer
 
 	stats   []AdvectRankStats
 	tallies []advect.Tally // each rank's, priced once the ranks are done
@@ -266,9 +266,6 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 		stats:   make([]AdvectRankStats, nRanks),
 		tallies: make([]advect.Tally, nRanks),
 	}
-	for r := 0; r < nRanks; r++ {
-		sh.tracer.SetTrackName(telemetry.WorkerTrack(r), fmt.Sprintf("rank %d", r))
-	}
 
 	if err := comm.Run(sh.rankBody); err != nil {
 		return nil, err
@@ -296,7 +293,7 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 func (sh *advectShared) rankBody(ep *Endpoint) error {
 	rank, size := ep.Rank(), ep.Size()
 	rank32 := int32(rank)
-	track := telemetry.WorkerTrack(rank)
+	track := sh.tracer.Rank(rank)
 	stats := &sh.stats[rank]
 	stats.Rank = rank
 

@@ -24,7 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // message is one typed payload on the fabric.
@@ -101,11 +101,10 @@ type Options struct {
 	// Fault injects deterministic faults for tests; nil is a clean fabric.
 	Fault *FaultPlan
 	// Tracer, when non-nil, records one span per rank operation —
-	// "dist.send", "dist.recv", "dist.gather" — on rank
-	// r's track (telemetry.WorkerTrack(r)), so a composite stalled on a
-	// slow or wedged peer is visible as a long span on the blocked rank.
-	// Create it with telemetry.New(rank count).
-	Tracer *telemetry.Tracer
+	// "dist.send", "dist.recv", "dist.gather" — on rank r's track
+	// (Tracer.Rank(r)), so a composite stalled on a slow or wedged peer
+	// is visible as a long span on the blocked rank.
+	Tracer *obs.Tracer
 }
 
 // Comm is an in-process fabric connecting Size ranks. Each (src, dst)
@@ -234,7 +233,7 @@ func (e *Endpoint) Send(dst, tag int, data []float64) error {
 	tr := e.comm.opts.Tracer
 	start := tr.Begin()
 	err := e.send(dst, tag, data)
-	tr.End(telemetry.WorkerTrack(e.rank), "dist.send", start)
+	tr.End(tr.Rank(e.rank), "dist.send", start)
 	return err
 }
 
@@ -277,7 +276,7 @@ func (e *Endpoint) Recv(src, tag int) ([]float64, error) {
 	tr := e.comm.opts.Tracer
 	start := tr.Begin()
 	data, err := e.recv(src, tag)
-	tr.End(telemetry.WorkerTrack(e.rank), "dist.recv", start)
+	tr.End(tr.Rank(e.rank), "dist.recv", start)
 	return data, err
 }
 
@@ -304,7 +303,7 @@ func (e *Endpoint) Gather(root, tag int, data []float64) ([][]float64, error) {
 	tr := e.comm.opts.Tracer
 	start := tr.Begin()
 	out, err := e.gather(root, tag, data)
-	tr.End(telemetry.WorkerTrack(e.rank), "dist.gather", start)
+	tr.End(tr.Rank(e.rank), "dist.gather", start)
 	return out, err
 }
 

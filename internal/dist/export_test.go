@@ -1,7 +1,5 @@
 package dist
 
-import "repro/internal/telemetry"
-
 // Exported only to this package's tests: nothing else calls these, so
 // they are declared here and not in the production tree. (The
 // distributed algorithms synchronize through their data exchanges and
@@ -13,7 +11,7 @@ func (e *Endpoint) Barrier(tag int) error {
 	tr := e.comm.opts.Tracer
 	start := tr.Begin()
 	err := e.barrier(tag)
-	tr.End(telemetry.WorkerTrack(e.rank), "dist.barrier", start)
+	tr.End(tr.Rank(e.rank), "dist.barrier", start)
 	return err
 }
 

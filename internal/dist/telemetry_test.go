@@ -3,7 +3,7 @@ package dist
 import (
 	"testing"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // TestRankOpSpans: on a traced fabric every Send/Recv/Barrier/Gather
@@ -11,10 +11,7 @@ import (
 // a peer shows up as a long span on the blocked rank.
 func TestRankOpSpans(t *testing.T) {
 	const n = 4
-	tr := telemetry.New(n)
-	for r := 0; r < n; r++ {
-		tr.SetTrackName(telemetry.WorkerTrack(r), "rank")
-	}
+	tr := obs.NewTracer()
 	comm, err := NewCommWith(n, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -31,13 +28,15 @@ func TestRankOpSpans(t *testing.T) {
 	}
 
 	perRank := make([]map[string]int, n)
+	rankOf := map[obs.Track]int{}
 	for r := range perRank {
 		perRank[r] = map[string]int{}
+		rankOf[tr.Rank(r)] = r
 	}
 	for _, s := range tr.Spans() {
-		r := int(s.Track) - 1 // WorkerTrack(r) == r+1
-		if r < 0 || r >= n {
-			t.Fatalf("span %q on unexpected track %d", s.Name, s.Track)
+		r, ok := rankOf[s.Track]
+		if !ok {
+			t.Fatalf("span %q on unexpected track %v", s.Name, s.Track)
 		}
 		perRank[r][s.Name]++
 	}
@@ -68,7 +67,7 @@ func TestRankOpSpans(t *testing.T) {
 // nested Send/Recv span lies inside the Gather span that issued it.
 func TestRankOpSpansNestInGather(t *testing.T) {
 	const n = 2
-	tr := telemetry.New(n)
+	tr := obs.NewTracer()
 	comm, err := NewCommWith(n, Options{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +79,8 @@ func TestRankOpSpansNestInGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < n; r++ {
-		track := int32(telemetry.WorkerTrack(r))
-		var gather *telemetry.Span
+		track := tr.Rank(r)
+		var gather *obs.Span
 		for _, s := range tr.Spans() {
 			if s.Track == track && s.Name == "dist.gather" {
 				g := s

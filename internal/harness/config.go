@@ -19,10 +19,10 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/viz/advect"
 	"repro/internal/viz/clip"
@@ -81,11 +81,11 @@ type Config struct {
 	Heartbeat io.Writer
 
 	// Tracer, if non-nil, records one span per executed sweep cell on
-	// the pipeline track and attributes each cell's stage timings into
+	// the pipeline track and keeps each cell's stage summary in
 	// AlgoRun.Stages (the report's cell-cost section). Attach the same
 	// tracer to Pool via Instrument to see loop launches nested inside
 	// the cell spans.
-	Tracer *telemetry.Tracer
+	Tracer *obs.Tracer
 
 	// Inject, when non-nil, is consulted before every execution attempt
 	// of a sweep cell, under the name its CellError would carry (the
@@ -302,9 +302,9 @@ type AlgoRun struct {
 	// execution (dataset excluded) — what the cell actually cost this
 	// machine, as opposed to the modeled TimeSec under a cap.
 	WallSec float64
-	// Stages, when Config.Tracer is set, attributes the cell's wall
-	// clock across pipeline-track stages (self time per stage name).
-	Stages []telemetry.StageStat
+	// Stages, when Config.Tracer is set, is the cell's stage summary:
+	// its pipeline-track spans' self time per stage name.
+	Stages []obs.StageStat
 	// Priced holds every modeled number, ByCap in Config.Caps' order.
 	Priced
 	// DPP is the same execution priced under the data-parallel-primitive
@@ -333,7 +333,7 @@ func (c *Config) Run(f viz.Filter, size int) (*AlgoRun, error) {
 	}, func() (*AlgoRun, error) {
 		dsStart := c.Tracer.Begin()
 		g, err := c.Dataset(size)
-		c.Tracer.End(telemetry.PipelineTrack, "dataset", dsStart)
+		c.Tracer.End(obs.Pipeline, "dataset", dsStart)
 		if err != nil {
 			return nil, err
 		}
@@ -349,12 +349,13 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 	size := g.CellDims()[0]
 	ex := viz.NewExec(c.Pool)
 	// The cell span plus the wall clock attribute what this cell cost
-	// the machine; the span window is summarized into Stages below.
+	// the machine; the spans since the mark are summarized into Stages.
 	cellName := fmt.Sprintf("%s/%d^3", f.Name(), size)
+	mark := c.Tracer.Mark()
 	t0 := time.Now()
 	cellStart := c.Tracer.Begin()
 	res, err := f.Run(g, ex)
-	c.Tracer.End(telemetry.PipelineTrack, cellName, cellStart)
+	c.Tracer.End(obs.Pipeline, cellName, cellStart)
 	wallSec := time.Since(t0).Seconds()
 	if err != nil {
 		return nil, err
@@ -366,6 +367,7 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 		Profile:  res.Profile,
 		WallSec:  wallSec,
 		Priced:   price(c.Spec, c.Caps, res.Profile),
+		Stages:   c.Tracer.Stages(mark, obs.Pipeline),
 	}
 	if res.DPP != (ops.Profile{}) {
 		run.DPP = &AlgoRun{
@@ -376,15 +378,6 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 			Profile:  res.DPP,
 			Priced:   price(c.Spec, c.Caps, res.DPP),
 		}
-	}
-	if c.Tracer != nil {
-		var cell []telemetry.Span
-		for _, s := range telemetry.Window(c.Tracer.Spans(), cellStart, c.Tracer.Now()) {
-			if s.Track == telemetry.PipelineTrack {
-				cell = append(cell, s)
-			}
-		}
-		run.Stages = telemetry.Summarize(cell)
 	}
 	c.log("run %s at %d^3: T(base)=%.3fs P(demand)=%.1fW IPC=%.2f",
 		run.Name, size, run.ByCap[0].TimeSec, run.Demand.PowerWatts, run.ByCap[0].IPC)

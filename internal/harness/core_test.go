@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // TestDeclarationCoreSharesNothing: BuildDataset and Execute read the
@@ -24,7 +24,7 @@ func TestDeclarationCoreSharesNothing(t *testing.T) {
 	}
 	var lines atomic.Int64
 	c := tinyConfig()
-	c.Tracer = telemetry.New(c.Pool.Workers())
+	c.Tracer = obs.NewTracer()
 	c.Progress = func(string) { lines.Add(1) }
 	c.Preload(8, pre)
 

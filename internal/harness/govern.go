@@ -11,7 +11,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/rapl"
 	"repro/internal/sim/clover"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/viz/volren"
 )
@@ -132,9 +131,9 @@ func (c *Config) governPipeline(size int) (*core.Pipeline, error) {
 	}
 	// The governed runs feed the energy attribution join, which needs
 	// pipeline stage spans; an untraced config gets a private tracer
-	// (pipeline track only — the shared pool stays uninstrumented).
+	// (the shared pool stays uninstrumented).
 	if pipe.Tracer = c.Tracer; pipe.Tracer == nil {
-		pipe.Tracer = telemetry.New(0)
+		pipe.Tracer = obs.NewTracer()
 	}
 	return pipe, nil
 }
@@ -177,17 +176,16 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 		if err != nil {
 			return nil, err
 		}
-		spans := pipe.Tracer.Spans()
 		for i, budget := range budgets {
 			row, err := c.governBudget(segs, budget)
 			if err != nil {
 				return nil, fmt.Errorf("at %.0f W: %w", budget, err)
 			}
 			res.Rows = append(res.Rows, row)
-			// The live run's per-stage energy join, exact per phase window.
-			att := row.Live.Attribute(spans)
+			// The live run's per-stage energy join, exact per phase.
+			att := row.Live.Attribute()
 			if i > 0 {
-				// Every budget governed the same recorded spans: count them once.
+				// Every budget governed the same recorded phases: count their spans once.
 				for j := range att {
 					att[j].Count, att[j].SelfSec = 0, 0
 				}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/telemetry"
 )
 
 func governConfig() *Config {
@@ -185,7 +184,7 @@ func TestGovernorCompareObservability(t *testing.T) {
 // and every budget governs that one recording.
 func TestGovernorCompareRecordsOnce(t *testing.T) {
 	c := governConfig()
-	c.Tracer = telemetry.New(0)
+	c.Tracer = obs.NewTracer()
 	const cycles = 2
 	res, err := c.GovernorCompare(16, []float64{55, 65, 75}, cycles)
 	if err != nil {

@@ -2,13 +2,16 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/telemetry"
 )
 
 // TestHeartbeatLines: a configured Heartbeat writer receives one
@@ -79,7 +82,7 @@ func TestHeartbeatFailedCell(t *testing.T) {
 func TestRunRecordsWallAndStages(t *testing.T) {
 	c := tinyConfig()
 	c.Pool = par.NewPool(2)
-	tr := telemetry.New(c.Pool.Workers())
+	tr := obs.NewTracer()
 	c.Pool.Instrument(tr)
 	c.Tracer = tr
 
@@ -160,7 +163,85 @@ func TestReportIncludesCellCost(t *testing.T) {
 // traced attaches one fresh tracer to c and to c's pool, as the CLI's
 // -trace does.
 func traced(c *Config) {
-	tr := telemetry.New(c.Pool.Workers())
+	tr := obs.NewTracer()
 	c.Pool.Instrument(tr)
 	c.Tracer = tr
+}
+
+// TestAdvectScalingTracesEveryRank: a traced rank sweep over 1, 2, 4
+// and 8 ranks on a 2-worker pool keeps every rank's spans, each rank on
+// a track of its own named for it, keeps pool chunks off the rank
+// tracks, and counts in Dropped every span it did not keep.
+func TestAdvectScalingTracesEveryRank(t *testing.T) {
+	c := tinyConfig()
+	c.Ranks = []int{1, 2, 4, 8}
+	traced(c)
+	runs, err := c.AdvectScaling(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != len(c.Ranks) {
+		t.Fatalf("got %d runs, want %d", len(runs), len(c.Ranks))
+	}
+	// Every rank of a run advances its particles once per round.
+	wantAdvance := 0
+	for _, run := range runs {
+		wantAdvance += run.Ranks * run.Rounds
+	}
+
+	// The exported trace names each thread: read the spans back by name.
+	var b bytes.Buffer
+	if err := c.Tracer.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph, Name string
+			TID      int
+			Args     struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	thread := map[int]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			thread[ev.TID] = ev.Args.Name
+		}
+	}
+	onThreads := map[string]map[string]bool{} // span name -> thread names
+	advance, chunksOnRanks := 0, 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		name := thread[ev.TID]
+		if onThreads[ev.Name] == nil {
+			onThreads[ev.Name] = map[string]bool{}
+		}
+		onThreads[ev.Name][name] = true
+		if ev.Name == "par.chunks" && strings.HasPrefix(name, "rank ") {
+			chunksOnRanks++
+		}
+		if ev.Name == "advect.advance" {
+			advance++
+		}
+	}
+	if chunksOnRanks > 0 {
+		t.Errorf("%d par.chunks spans sit on rank tracks", chunksOnRanks)
+	}
+	ranks := map[string]bool{}
+	for r := 0; r < 8; r++ {
+		ranks[fmt.Sprintf("rank %d", r)] = true
+	}
+	for _, op := range []string{"dist.send", "dist.recv", "advect.advance"} {
+		if !reflect.DeepEqual(onThreads[op], ranks) {
+			t.Errorf("%s spans sit on tracks %v, want rank 0 … rank 7", op, onThreads[op])
+		}
+	}
+	if lost := int64(wantAdvance - advance); lost != c.Tracer.Dropped() {
+		t.Errorf("the trace kept %d of %d advect.advance spans, but Dropped() = %d",
+			advance, wantAdvance, c.Tracer.Dropped())
+	}
 }

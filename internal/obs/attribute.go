@@ -5,9 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"repro/internal/perfctr"
-	"repro/internal/telemetry"
 )
 
 // StageJoules is one row of an energy attribution: a pipeline stage,
@@ -20,31 +17,27 @@ type StageJoules struct {
 	Share   float64 // Joules / total, in [0,1]
 }
 
-// Attribute joins a telemetry self-time summary with a power meter
-// sample timeline to answer "where did the joules go?". The meter
-// measures the whole package — it cannot see stages — so the join
-// distributes the measured total (Σ Sample.EnergyJ) across stages in
-// proportion to span self time. Self time partitions the traced wall
-// clock (each nanosecond belongs to exactly one stage, per
-// telemetry.Summarize), so proportional distribution is the unique
-// assignment consistent with a constant-power-within-stage model, and
-// the rows sum to the measured total by construction.
+// Attribute joins a self-time summary with the joules a power meter
+// measured over the same interval to answer "where did the joules go?".
+// The meter measures the whole package — it cannot see stages — so the
+// join distributes the measured total across stages in proportion to
+// span self time. Self time partitions the traced wall clock (each
+// nanosecond belongs to exactly one stage, per Summarize), so
+// proportional distribution is the unique assignment consistent with a
+// constant-power-within-stage model, and the rows sum to the measured
+// total by construction.
 //
-// Rows come back sorted by joules descending. Either input may be
-// empty: no samples → zero-joule rows (self time still reported); no
-// stages → a single "(untraced)" row carrying the whole total.
-func Attribute(stats []telemetry.StageStat, samples []perfctr.Sample) []StageJoules {
-	var totalJ float64
-	for _, s := range samples {
-		totalJ += s.EnergyJ
-	}
+// Rows come back sorted by joules descending. No joules gives zero-joule
+// rows (self time still reported); no stages gives a single
+// "(untraced)" row carrying the whole total.
+func Attribute(stats []StageStat, joules float64) []StageJoules {
 	if len(stats) == 0 {
-		if totalJ == 0 {
+		if joules == 0 {
 			return nil
 		}
-		return []StageJoules{{Stage: "(untraced)", Joules: totalJ, Share: 1}}
+		return []StageJoules{{Stage: "(untraced)", Joules: joules, Share: 1}}
 	}
-	rows := SplitJoules(stats, totalJ)
+	rows := SplitJoules(stats, joules)
 	sortStageJoules(rows)
 	return rows
 }
@@ -53,7 +46,7 @@ func Attribute(stats []telemetry.StageStat, samples []perfctr.Sample) []StageJou
 // row per stage, in stats order, charged joules × its share of the
 // stages' total self time. The rows sum to joules whenever any stage
 // has self time; with none, every row is charged zero.
-func SplitJoules(stats []telemetry.StageStat, joules float64) []StageJoules {
+func SplitJoules(stats []StageStat, joules float64) []StageJoules {
 	var totalSelf float64
 	for _, st := range stats {
 		totalSelf += st.SelfSec()

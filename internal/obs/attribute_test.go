@@ -4,20 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/perfctr"
-	"repro/internal/telemetry"
 )
 
 func TestAttributeDistributesTotal(t *testing.T) {
-	stats := []telemetry.StageStat{
+	stats := []StageStat{
 		{Name: "contour", Count: 4, SelfNs: 3_000_000_000},
 		{Name: "render", Count: 4, SelfNs: 1_000_000_000},
 	}
-	samples := []perfctr.Sample{
-		{EnergyJ: 60}, {EnergyJ: 40},
-	}
-	rows := Attribute(stats, samples)
+	rows := Attribute(stats, 100)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -38,15 +32,15 @@ func TestAttributeDistributesTotal(t *testing.T) {
 }
 
 func TestAttributeEdgeCases(t *testing.T) {
-	if rows := Attribute(nil, nil); rows != nil {
+	if rows := Attribute(nil, 0); rows != nil {
 		t.Fatalf("empty join = %v, want nil", rows)
 	}
-	rows := Attribute(nil, []perfctr.Sample{{EnergyJ: 10}})
+	rows := Attribute(nil, 10)
 	if len(rows) != 1 || rows[0].Stage != "(untraced)" || rows[0].Joules != 10 {
 		t.Fatalf("untraced row = %+v", rows)
 	}
-	// No samples: self time still reported, zero joules.
-	rows = Attribute([]telemetry.StageStat{{Name: "a", SelfNs: 1e9}}, nil)
+	// No joules: self time still reported, zero joules.
+	rows = Attribute([]StageStat{{Name: "a", SelfNs: 1e9}}, 0)
 	if len(rows) != 1 || rows[0].Joules != 0 || rows[0].SelfSec != 1 {
 		t.Fatalf("no-sample row = %+v", rows)
 	}
@@ -54,14 +48,14 @@ func TestAttributeEdgeCases(t *testing.T) {
 
 func TestMergeAttribution(t *testing.T) {
 	phase1 := Attribute(
-		[]telemetry.StageStat{{Name: "contour", Count: 1, SelfNs: 1e9}},
-		[]perfctr.Sample{{EnergyJ: 30}})
+		[]StageStat{{Name: "contour", Count: 1, SelfNs: 1e9}},
+		30)
 	phase2 := Attribute(
-		[]telemetry.StageStat{
+		[]StageStat{
 			{Name: "contour", Count: 1, SelfNs: 1e9},
 			{Name: "render", Count: 1, SelfNs: 1e9},
 		},
-		[]perfctr.Sample{{EnergyJ: 70}})
+		70)
 	merged := MergeAttribution(phase1, phase2)
 	if len(merged) != 2 {
 		t.Fatalf("merged rows = %d, want 2", len(merged))
@@ -79,11 +73,11 @@ func TestMergeAttribution(t *testing.T) {
 
 func TestWriteJoulesTable(t *testing.T) {
 	rows := Attribute(
-		[]telemetry.StageStat{
+		[]StageStat{
 			{Name: "volren", Count: 2, SelfNs: 2e9},
 			{Name: "simulate", Count: 2, SelfNs: 6e9},
 		},
-		[]perfctr.Sample{{EnergyJ: 80}})
+		80)
 	var sb strings.Builder
 	WriteJoulesTable(&sb, rows)
 	out := sb.String()

@@ -3,9 +3,6 @@ package obs
 import (
 	"io"
 	"testing"
-
-	"repro/internal/perfctr"
-	"repro/internal/telemetry"
 )
 
 // The record-path benchmarks pin the hot-path cost model the package
@@ -88,23 +85,19 @@ func BenchmarkObsScrape(b *testing.B) {
 }
 
 // BenchmarkObsAttribute measures the energy-attribution join at a
-// profile-sized input: ~16 stages over a 4096-sample meter timeline.
+// profile-sized input: ~16 stages over one measured total.
 func BenchmarkObsAttribute(b *testing.B) {
-	stats := make([]telemetry.StageStat, 16)
+	stats := make([]StageStat, 16)
 	for i := range stats {
-		stats[i] = telemetry.StageStat{
+		stats[i] = StageStat{
 			Name: "stage" + string(rune('a'+i)), Count: 100,
 			TotalNs: int64(1+i) * 1e7, SelfNs: int64(1+i) * 5e6,
 		}
 	}
-	samples := make([]perfctr.Sample, 4096)
-	for i := range samples {
-		samples[i] = perfctr.Sample{TimeSec: float64(i) * 0.1, EnergyJ: 6.5}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := Attribute(stats, samples)
+		rows := Attribute(stats, 4096*6.5)
 		if len(rows) != len(stats) {
 			b.Fatal("bad join")
 		}

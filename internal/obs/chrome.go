@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"bufio"
@@ -18,23 +18,13 @@ import (
 // The output is deterministic for a given span set: tracks ascending,
 // spans in the canonical Spans() order.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTrace(w, t.Spans(), t.trackNames())
+	return writeChromeTrace(w, t.Spans(), t.tracks())
 }
 
-func (t *Tracer) trackNames() map[int]string {
-	if t == nil {
-		return nil
-	}
-	names := make(map[int]string, len(t.tracks))
-	for i, tr := range t.tracks {
-		names[i] = tr.name
-	}
-	return names
-}
-
-// writeChromeTrace writes an explicit span set. names maps track index
-// to display name; missing entries fall back to "track N".
-func writeChromeTrace(w io.Writer, spans []Span, names map[int]string) error {
+// writeChromeTrace writes an explicit span set over tracks, which must
+// be sorted and hold every track a span is on. A track's thread id is
+// its position in tracks, which also pins the display order.
+func writeChromeTrace(w io.Writer, spans []Span, tracks []Track) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[\n")
 	first := true
@@ -47,31 +37,15 @@ func writeChromeTrace(w io.Writer, spans []Span, names map[int]string) error {
 	}
 	const pid = 1
 	emit(`{"ph":"M","pid":1,"name":"process_name","args":{"name":"vizpower"}}`)
-	// Thread metadata: one per track that appears (plus any named track),
-	// with sort_index pinning the pipeline track above the workers.
-	seen := map[int]bool{}
-	for _, s := range spans {
-		seen[int(s.Track)] = true
-	}
-	for tr := range names {
-		seen[tr] = true
-	}
-	tracks := make([]int, 0, len(seen))
-	for tr := range seen {
-		tracks = append(tracks, tr)
-	}
-	sortInts(tracks)
-	for _, tr := range tracks {
-		name := names[tr]
-		if name == "" {
-			name = fmt.Sprintf("track %d", tr)
-		}
-		nb, err := json.Marshal(name)
+	tid := make(map[Track]int, len(tracks))
+	for i, tr := range tracks {
+		tid[tr] = i
+		nb, err := json.Marshal(tr.String())
 		if err != nil {
 			return err
 		}
-		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`, pid, tr, nb))
-		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, pid, tr, tr))
+		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":%s}}`, pid, i, nb))
+		emit(fmt.Sprintf(`{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}`, pid, i, i))
 	}
 	for _, s := range spans {
 		nb, err := json.Marshal(s.Name)
@@ -79,7 +53,7 @@ func writeChromeTrace(w io.Writer, spans []Span, names map[int]string) error {
 			return err
 		}
 		emit(fmt.Sprintf(`{"ph":"X","pid":%d,"tid":%d,"name":%s,"ts":%s,"dur":%s}`,
-			pid, s.Track, nb, usec(s.Start), usec(s.Dur)))
+			pid, tid[s.Track], nb, usec(s.Start), usec(s.Dur)))
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
@@ -104,14 +78,6 @@ func usec(ns int64) string {
 	return s
 }
 
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // ValidateChromeTrace parses data as trace-event JSON and returns the
 // number of events, or an error describing why the file is not a valid
 // trace. The Makefile profile target and the profile subcommand use it
@@ -126,20 +92,20 @@ func ValidateChromeTrace(data []byte) (int, error) {
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return 0, fmt.Errorf("telemetry: invalid trace JSON: %w", err)
+		return 0, fmt.Errorf("obs: invalid trace JSON: %w", err)
 	}
 	if len(doc.TraceEvents) == 0 {
-		return 0, fmt.Errorf("telemetry: trace has no events")
+		return 0, fmt.Errorf("obs: trace has no events")
 	}
 	for i, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "X":
 			if ev.Dur < 0 || ev.TS < 0 {
-				return 0, fmt.Errorf("telemetry: event %d has negative ts/dur", i)
+				return 0, fmt.Errorf("obs: event %d has negative ts/dur", i)
 			}
 		case "M":
 		default:
-			return 0, fmt.Errorf("telemetry: event %d has unexpected phase %q", i, ev.Ph)
+			return 0, fmt.Errorf("obs: event %d has unexpected phase %q", i, ev.Ph)
 		}
 	}
 	return len(doc.TraceEvents), nil

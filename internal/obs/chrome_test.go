@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"encoding/json"
@@ -26,11 +26,11 @@ const chromeGolden = `{"traceEvents":[
 `
 
 func syntheticTracer() *Tracer {
-	tr := NewWithCapacity(2, 8)
-	tr.Record(PipelineTrack, "simulate", 0, 2500)
-	tr.Record(PipelineTrack, "Contour", 2500, 1500100)
-	tr.Record(WorkerTrack(0), "par.chunks", 3000, 1000)
-	tr.Record(WorkerTrack(1), "par.chunks", 3500, 999)
+	tr := NewTracerWithCapacity(8)
+	tr.Record(Pipeline, "simulate", 0, 2500)
+	tr.Record(Pipeline, "Contour", 2500, 1500100)
+	tr.Record(tr.Worker(0), "par.chunks", 3000, 1000)
+	tr.Record(tr.Worker(1), "par.chunks", 3500, 999)
 	return tr
 }
 

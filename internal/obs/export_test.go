@@ -32,3 +32,29 @@ func (f *FlightRecorder) Len() int {
 	}
 	return f.next
 }
+
+// Len returns the number of spans currently recorded across all tracks.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	var n int64
+	for _, b := range t.layout.Load().all {
+		n += b.published.Load()
+	}
+	return int(n)
+}
+
+// Reset discards all recorded spans and the dropped count (the epoch and
+// the tracks are kept, so offsets from before and after a Reset remain
+// comparable).
+func (t *Tracer) Reset() {
+	if t == nil {
+		return
+	}
+	t.lost.Store(0)
+	for _, b := range t.layout.Load().all {
+		b.published.Store(0)
+		b.cur.Store(0)
+	}
+}

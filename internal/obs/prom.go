@@ -191,7 +191,7 @@ func (f *famState) endSeries(famName string, lineNo int) error {
 //   - histogram buckets are cumulative (monotone non-decreasing), end
 //     at le="+Inf", and the +Inf bucket equals _count
 //
-// It is the exposition analogue of telemetry.ValidateChromeTrace.
+// It is the exposition analogue of ValidateChromeTrace.
 func ValidatePrometheus(data []byte) (int, error) {
 	samples := 0
 	var lastFam, curName string

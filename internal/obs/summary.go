@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"fmt"
@@ -35,23 +35,22 @@ func Summarize(spans []Span) []StageStat {
 	SortSpans(sorted)
 
 	self := make([]int64, len(sorted))
-	type open struct{ idx int }
-	var stack []open
-	prevTrack := int32(-1)
+	var stack []int // indices of the open spans
+	prevTrack := NoTrack
 	for i, s := range sorted {
 		if s.Track != prevTrack {
 			stack = stack[:0]
 			prevTrack = s.Track
 		}
 		// Pop spans that ended before this one starts.
-		for len(stack) > 0 && sorted[stack[len(stack)-1].idx].End() <= s.Start {
+		for len(stack) > 0 && sorted[stack[len(stack)-1]].End() <= s.Start {
 			stack = stack[:len(stack)-1]
 		}
 		self[i] = s.Dur
 		if len(stack) > 0 {
-			self[stack[len(stack)-1].idx] -= s.Dur
+			self[stack[len(stack)-1]] -= s.Dur
 		}
-		stack = append(stack, open{idx: i})
+		stack = append(stack, i)
 	}
 
 	byName := make(map[string]*StageStat)
@@ -80,18 +79,6 @@ func Summarize(spans []Span) []StageStat {
 		}
 		return out[i].Name < out[j].Name
 	})
-	return out
-}
-
-// Window returns the spans that start inside [lo, hi) — the per-cell
-// attribution slice the harness records for each sweep cell.
-func Window(spans []Span, lo, hi int64) []Span {
-	var out []Span
-	for _, s := range spans {
-		if s.Start >= lo && s.Start < hi {
-			out = append(out, s)
-		}
-	}
 	return out
 }
 
@@ -131,9 +118,9 @@ func WriteSummary(w io.Writer, spans []Span, topN int, wallNs int64) error {
 			topN = len(longest)
 		}
 		fmt.Fprintf(&b, "\ntop %d spans\n", topN)
-		fmt.Fprintf(&b, "%-28s %6s %12s %14s\n", "span", "track", "dur", "start")
+		fmt.Fprintf(&b, "%-28s %-16s %12s %14s\n", "span", "track", "dur", "start")
 		for _, s := range longest[:topN] {
-			fmt.Fprintf(&b, "%-28s %6d %12s %14s\n", s.Name, s.Track, fmtDur(s.Dur), fmtDur(s.Start))
+			fmt.Fprintf(&b, "%-28s %-16s %12s %14s\n", s.Name, s.Track, fmtDur(s.Dur), fmtDur(s.Start))
 		}
 	}
 	_, err := io.WriteString(w, b.String())

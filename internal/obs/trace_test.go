@@ -1,6 +1,7 @@
-package telemetry
+package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,16 +16,18 @@ func TestNilTracerIsDisabled(t *testing.T) {
 		t.Errorf("nil Now() = %d, want 0", got)
 	}
 	s := tr.Begin()
-	tr.End(PipelineTrack, "x", s)
-	tr.Record(0, "x", 0, 1)
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Tracks() != 0 {
+	tr.End(Pipeline, "x", s)
+	tr.Record(tr.Worker(0), "x", 0, 1)
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Rank(1) != NoTrack {
 		t.Error("nil tracer recorded something")
 	}
 	if spans := tr.Spans(); spans != nil {
 		t.Errorf("nil Spans() = %v, want nil", spans)
 	}
+	if st := tr.Stages(tr.Mark()); st != nil {
+		t.Errorf("nil Stages() = %v, want nil", st)
+	}
 	tr.Reset()
-	tr.SetTrackName(0, "x")
 }
 
 // TestSpanNestingInvariants records a begin/end pair nest and checks
@@ -32,14 +35,14 @@ func TestNilTracerIsDisabled(t *testing.T) {
 // (earlier start, longer duration) before its children, children are
 // contained in their parent, and siblings do not overlap.
 func TestSpanNestingInvariants(t *testing.T) {
-	tr := New(2)
+	tr := NewTracer()
 	outer := tr.Begin()
 	for i := 0; i < 3; i++ {
 		inner := tr.Begin()
 		time.Sleep(time.Millisecond)
-		tr.End(PipelineTrack, "child", inner)
+		tr.End(Pipeline, "child", inner)
 	}
-	tr.End(PipelineTrack, "parent", outer)
+	tr.End(Pipeline, "parent", outer)
 
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -74,7 +77,7 @@ func TestSpanNestingInvariants(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	const workers = 8
 	const perWorker = 500
-	tr := NewWithCapacity(workers, workers*perWorker+1)
+	tr := NewTracerWithCapacity(workers*perWorker + 1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -82,8 +85,8 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				s := tr.Begin()
-				tr.End(WorkerTrack(w), "own", s)
-				tr.Record(PipelineTrack, "shared", int64(i), 1)
+				tr.End(tr.Worker(w), "own", s)
+				tr.Record(Pipeline, "shared", int64(i), 1)
 			}
 		}(w)
 	}
@@ -107,9 +110,9 @@ func TestConcurrentRecording(t *testing.T) {
 // TestDroppedAccounting fills a tiny track and checks overflow is
 // counted, not blocking or corrupting.
 func TestDroppedAccounting(t *testing.T) {
-	tr := NewWithCapacity(0, 4)
+	tr := NewTracerWithCapacity(4)
 	for i := 0; i < 10; i++ {
-		tr.Record(PipelineTrack, "s", int64(i), 1)
+		tr.Record(Pipeline, "s", int64(i), 1)
 	}
 	if got := tr.Len(); got != 4 {
 		t.Errorf("Len = %d, want 4", got)
@@ -121,22 +124,54 @@ func TestDroppedAccounting(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Error("Reset did not clear the track")
 	}
-	tr.Record(PipelineTrack, "t", 0, 1)
+	tr.Record(Pipeline, "t", 0, 1)
 	if tr.Len() != 1 {
 		t.Error("track unusable after Reset")
 	}
 }
 
-// TestRecordBounds: spans on unknown tracks and negative durations must
-// not corrupt the buffers.
+// TestRecordBounds: spans on tracks the tracer does not have are counted
+// as dropped, and negative durations do not corrupt the buffers.
 func TestRecordBounds(t *testing.T) {
-	tr := New(1)
-	tr.Record(-1, "x", 0, 1)
+	tr := NewTracer()
+	tr.Record(NoTrack, "x", 0, 1)
 	tr.Record(99, "x", 0, 1)
-	tr.Record(PipelineTrack, "neg", 10, -5)
+	tr.Record(Pipeline, "neg", 10, -5)
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].Dur != 0 {
 		t.Errorf("spans = %v, want one zero-dur span", spans)
+	}
+	if got := tr.Dropped(); got != 2 {
+		t.Errorf("Dropped = %d, want the 2 spans on unknown tracks", got)
+	}
+}
+
+// TestNamedTracks: the tracer lays out the tracks callers name. The
+// same name is the same track, kinds never share a track, and tracks
+// order pipeline, workers, ranks, lanes whatever order they were asked
+// for in.
+func TestNamedTracks(t *testing.T) {
+	tr := NewTracer()
+	lane, rank, worker := tr.Lane(1), tr.Rank(1), tr.Worker(1)
+	if tr.Lane(1) != lane || tr.Rank(1) != rank || tr.Worker(1) != worker {
+		t.Error("asking for a track twice gave two tracks")
+	}
+	want := []Track{Pipeline, tr.Worker(0), worker, tr.Rank(0), rank, tr.Lane(0), lane}
+	if got := tr.tracks(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tracks = %v, want %v", got, want)
+	}
+	names := []string{"pipeline", "worker 0", "worker 1", "rank 0", "rank 1", "request lane 0", "request lane 1"}
+	for i, k := range want {
+		if k.String() != names[i] {
+			t.Errorf("track %d named %q, want %q", i, k, names[i])
+		}
+	}
+	tr.End(rank, "dist.send", tr.Begin())
+	if spans := tr.Spans(); len(spans) != 1 || spans[0].Track != rank {
+		t.Fatalf("spans = %+v, want one on %v", spans, rank)
+	}
+	if tr.Worker(-1) != NoTrack {
+		t.Error("a negative worker got a track")
 	}
 }
 
@@ -171,16 +206,31 @@ func TestSummarizeSelfTime(t *testing.T) {
 	}
 }
 
-// TestWindow slices spans by start offset for per-cell attribution.
-func TestWindow(t *testing.T) {
-	spans := []Span{
-		{Name: "a", Start: 5, Dur: 1},
-		{Name: "b", Start: 10, Dur: 1},
-		{Name: "c", Start: 20, Dur: 1},
+// TestStagesSinceMark: a mark's stage summary holds the spans that
+// started after it, on the tracks asked for, including tracks created
+// after the mark — not what came before, nor a parent opened earlier.
+func TestStagesSinceMark(t *testing.T) {
+	tr := NewTracer()
+	tr.Record(Pipeline, "before", 0, 1)
+	outer := tr.Begin()
+	m := tr.Mark()
+	cell := tr.Begin()
+	tr.End(Pipeline, "cell", cell)
+	tr.End(tr.Worker(0), "par.chunks", tr.Begin())
+	tr.End(Pipeline, "outer", outer)
+
+	counts := func(stats []StageStat) map[string]int64 {
+		out := map[string]int64{}
+		for _, st := range stats {
+			out[st.Name] = st.Count
+		}
+		return out
 	}
-	got := Window(spans, 10, 20)
-	if len(got) != 1 || got[0].Name != "b" {
-		t.Errorf("Window = %v, want [b]", got)
+	if got := counts(tr.Stages(m)); !reflect.DeepEqual(got, map[string]int64{"cell": 1, "par.chunks": 1}) {
+		t.Errorf("Stages(m) = %v, want cell and par.chunks", got)
+	}
+	if got := counts(tr.Stages(m, Pipeline)); !reflect.DeepEqual(got, map[string]int64{"cell": 1}) {
+		t.Errorf("Stages(m, Pipeline) = %v, want cell only", got)
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // Pool is a fixed set of persistent workers that execute parallel loops.
@@ -394,7 +394,7 @@ func (t *loopTask) run(w int) {
 			in.workers[w].stolen.Add(stolen)
 		}
 		if in.tracer != nil {
-			in.tracer.End(telemetry.WorkerTrack(w), "par.chunks", spanStart)
+			in.tracer.End(in.tracer.Worker(w), "par.chunks", spanStart)
 		}
 	}
 	if iters != 0 && t.remaining.Add(-iters) == 0 {
@@ -458,7 +458,7 @@ func (p *Pool) For(n, grain int, body func(lo, hi, worker int)) {
 	// The launch span lands on the pipeline track: For blocks its caller,
 	// so on the instrumented in situ path the span nests inside the
 	// enclosing stage span recorded by the same goroutine.
-	in.tracer.End(telemetry.PipelineTrack, "par.For", start)
+	in.tracer.End(obs.Pipeline, "par.For", start)
 }
 
 // forLoop is the loop engine behind For; in is non-nil only on
@@ -476,7 +476,7 @@ func (p *Pool) forLoop(n, grain int, body func(lo, hi, worker int), in *instrume
 		}
 		execSerial(0, n, body, in)
 		if in != nil {
-			in.tracer.End(telemetry.WorkerTrack(0), "par.chunks", start)
+			in.tracer.End(in.tracer.Worker(0), "par.chunks", start)
 		}
 		return
 	}
@@ -496,7 +496,7 @@ func (p *Pool) forLoop(n, grain int, body func(lo, hi, worker int), in *instrume
 			execSerial(lo, hi, body, in)
 		}
 		if in != nil {
-			in.tracer.End(telemetry.WorkerTrack(0), "par.chunks", start)
+			in.tracer.End(in.tracer.Worker(0), "par.chunks", start)
 		}
 		return
 	}

@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // LatencyBuckets is the number of fixed chunk-latency histogram buckets.
@@ -43,7 +43,7 @@ type workerCounters struct {
 // A nil *instrumentation is the uninstrumented fast path — For loads
 // the pointer once per dispatch and touches nothing else.
 type instrumentation struct {
-	tracer   *telemetry.Tracer
+	tracer   *obs.Tracer
 	workers  []workerCounters
 	launches atomic.Int64
 }
@@ -59,13 +59,12 @@ func (in *instrumentation) observe(w int, ns int64) {
 // steal, idle, and chunk-latency counters (exposed by Stats) and, when
 // tr is non-nil, spans on tr — one "par.For" span per loop launch on
 // the pipeline track and one "par.chunks" span per participant per loop
-// on that worker's track. tr should have at least Workers() worker
-// tracks (telemetry.New(p.Workers())).
+// on that worker's track (tr.Worker(w)).
 //
 // Instrument may be called at most once per pool, before profiled work
 // is dispatched; an uninstrumented pool pays only a single atomic
 // pointer load per For.
-func (p *Pool) Instrument(tr *telemetry.Tracer) {
+func (p *Pool) Instrument(tr *obs.Tracer) {
 	in := &instrumentation{tracer: tr, workers: make([]workerCounters, p.workers)}
 	p.instr.Store(in)
 	// Workers read the pointer from the shared state so a finalized Pool

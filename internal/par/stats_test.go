@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // TestPoolStatsCounters checks the counter bookkeeping: executed chunks
@@ -104,7 +104,7 @@ func TestUninstrumentedStatsZero(t *testing.T) {
 func TestInstrumentedSpans(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	tr := telemetry.New(p.Workers())
+	tr := obs.NewTracer()
 	p.Instrument(tr)
 	if p.Telemetry() != tr {
 		t.Fatal("Telemetry() did not return the attached tracer")
@@ -119,12 +119,12 @@ func TestInstrumentedSpans(t *testing.T) {
 		switch s.Name {
 		case "par.For":
 			forSpans++
-			if s.Track != telemetry.PipelineTrack {
-				t.Errorf("par.For span on track %d, want pipeline", s.Track)
+			if s.Track != obs.Pipeline {
+				t.Errorf("par.For span on track %v, want pipeline", s.Track)
 			}
 		case "par.chunks":
 			chunkSpans++
-			if s.Track == telemetry.PipelineTrack {
+			if s.Track == obs.Pipeline {
 				t.Error("par.chunks span on the pipeline track")
 			}
 		}
@@ -146,7 +146,7 @@ func TestInstrumentedSpans(t *testing.T) {
 func TestSerialPathSpans(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
-	tr := telemetry.New(p.Workers())
+	tr := obs.NewTracer()
 	p.Instrument(tr)
 	p.For(10, 4, func(lo, hi, worker int) {}) // one-worker chunked path
 	p.For(3, 8, func(lo, hi, worker int) {})  // single-chunk path
@@ -154,8 +154,8 @@ func TestSerialPathSpans(t *testing.T) {
 	for _, s := range tr.Spans() {
 		if s.Name == "par.chunks" {
 			chunkSpans++
-			if s.Track != int32(telemetry.WorkerTrack(0)) {
-				t.Errorf("serial chunk span on track %d, want worker 0", s.Track)
+			if s.Track != tr.Worker(0) {
+				t.Errorf("serial chunk span on track %v, want worker 0", s.Track)
 			}
 		}
 	}
@@ -169,7 +169,7 @@ func TestSerialPathSpans(t *testing.T) {
 func TestStatsConcurrent(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	p.Instrument(telemetry.New(p.Workers()))
+	p.Instrument(obs.NewTracer())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -208,7 +208,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 
 	enabled := NewPool(4)
 	defer enabled.Close()
-	enabled.Instrument(telemetry.New(enabled.Workers()))
+	enabled.Instrument(obs.NewTracer())
 	enabled.For(4096, 1024, body)
 	if got := testing.AllocsPerRun(100, func() { enabled.For(64, 1024, body) }); got != 0 {
 		t.Errorf("instrumented serial For: %.0f allocs/op, want 0", got)
@@ -240,7 +240,7 @@ func TestLatencyBucketMapping(t *testing.T) {
 func BenchmarkParForDispatchTelemetry(b *testing.B) {
 	p := NewPool(4)
 	defer benchClosePool(p)
-	p.Instrument(telemetry.NewWithCapacity(p.Workers(), 1<<10))
+	p.Instrument(obs.NewTracerWithCapacity(1 << 10))
 	const n = 4 * 1024
 	p.For(n, 1024, func(lo, hi, worker int) {})
 	b.ReportAllocs()
@@ -248,7 +248,7 @@ func BenchmarkParForDispatchTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%256 == 0 { // fresh span buffers, so they never saturate
 			b.StopTimer()
-			p.Instrument(telemetry.NewWithCapacity(p.Workers(), 1<<10))
+			p.Instrument(obs.NewTracerWithCapacity(1 << 10))
 			b.StartTimer()
 		}
 		p.For(n, 1024, func(lo, hi, worker int) {})

@@ -17,7 +17,9 @@ import (
 // replay of each, and RunFeedback(newRAPL(), segs, 65, 0, 0.01). Every
 // total, PhaseReport field, obs.Decision and perfctr.Sample is recorded as
 // float bits; segment replays carry zero live stats, so the runs are
-// deterministic and the comparison is exact.
+// deterministic and the comparison is exact. Each phase line ends in the
+// literal "0 0" that the phase's trace-window bounds read in every
+// segment replay before the phase carried its stage summary instead.
 
 func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
 
@@ -27,11 +29,11 @@ func dumpResult(b *strings.Builder, name string, r Result) {
 	fmt.Fprintf(b, "total %s %s %s %s %s %d %d %d\n", bits(r.TargetWatts), bits(r.TimeSec), bits(r.EnergyJ),
 		bits(r.AvgPowerWatts), bits(r.FinalCapWatts), r.Reprograms, r.SamplesDropped, r.DecisionsDropped)
 	for _, p := range r.Phases {
-		fmt.Fprintf(b, "phase %d %q %d %s %s %s %s %s %s %s %s %s %s %s %s %s %s %t %d %d %d\n",
+		fmt.Fprintf(b, "phase %d %q %d %s %s %s %s %s %s %s %s %s %s %s %s %s %s %t %d 0 0\n",
 			p.Cycle, p.Label, p.Class, bits(p.Score), bits(p.CapStartWatts), bits(p.CapEndWatts),
 			bits(p.TimeSec), bits(p.EnergyJ), bits(p.AvgPowerWatts), bits(p.EffFreqGHz), bits(p.IPC),
 			bits(p.LLCMissRate), bits(p.PoolIdleFrac), bits(p.StealFrac), bits(p.SelfTimeSec), bits(p.WallSec),
-			bits(p.DemandWatts), p.DemandIsFree, p.Ticks, p.TraceLo, p.TraceHi)
+			bits(p.DemandWatts), p.DemandIsFree, p.Ticks)
 	}
 	for _, d := range r.Decisions {
 		fmt.Fprintf(b, "decision %s %d %q %q %s %s %s %s %s %s %q\n", bits(d.TimeSec), d.Cycle, d.Phase, d.Class,

@@ -23,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfctr"
 	"repro/internal/rapl"
-	"repro/internal/telemetry"
 )
 
 // Options configures a Governor.
@@ -63,17 +62,16 @@ type Segment struct {
 }
 
 // Capture is the live half of a phase report: the pool counters and
-// trace window capturePhase snapshots around a real pipeline phase. No
+// stage summary capturePhase snapshots around a real pipeline phase. No
 // cap can change it — the package is modeled and the phase's Go work ran
 // before any policy saw it — so a governor shown a recorded phase with
 // its Capture sees exactly what it would have seen live.
 type Capture struct {
 	PoolIdleFrac, StealFrac, SelfTimeSec, WallSec float64
-	// TraceLo and TraceHi bound the tracer window captured around the
-	// live phase (tracer clock, see telemetry.Window); both zero when
-	// the phase ran untraced. Result.Attribute joins this window's span
-	// self time with the phase's EnergyJ.
-	TraceLo, TraceHi int64
+	// Stages is the stage summary of the spans the live phase recorded;
+	// nil when it ran untraced. Result.Attribute splits the phase's
+	// EnergyJ over its self time.
+	Stages []obs.StageStat
 }
 
 // PhaseReport is the governed outcome of one phase instance.
@@ -352,15 +350,11 @@ func (g *Governor) governPhase(seg Segment) error {
 }
 
 // capturePhase runs one pipeline phase and returns it as a segment: its
-// execution, plus the pool counters and trace window snapshotted around
+// execution, plus the pool counters and stage summary snapshotted around
 // it.
 func capturePhase(pipe *core.Pipeline, label string, run func() (core.PhaseResult, error)) (Segment, error) {
 	pre := pipe.Pool.Stats().Totals()
-	tr := pipe.Tracer
-	var lo int64
-	if tr != nil {
-		lo = tr.Now()
-	}
+	mark := pipe.Tracer.Mark()
 	t0 := time.Now()
 	res, err := run()
 	if err != nil {
@@ -376,12 +370,9 @@ func capturePhase(pipe *core.Pipeline, label string, run func() (core.PhaseResul
 	if dTasks := post.Tasks - pre.Tasks; dTasks > 0 {
 		c.StealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
 	}
-	if tr != nil {
-		c.TraceLo, c.TraceHi = lo, tr.Now()
-		spans := telemetry.Window(tr.Spans(), c.TraceLo, c.TraceHi)
-		for _, st := range telemetry.Summarize(spans) {
-			c.SelfTimeSec += st.SelfSec()
-		}
+	c.Stages = pipe.Tracer.Stages(mark)
+	for _, st := range c.Stages {
+		c.SelfTimeSec += st.SelfSec()
 	}
 	return seg, nil
 }

@@ -10,9 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
 	"repro/internal/viz/threshold"
@@ -101,7 +101,7 @@ func newGovernedPipeline(t *testing.T, workers int) *core.Pipeline {
 		threshold.New(threshold.Options{Field: "energy"}),
 	}
 	pool := par.NewPool(workers)
-	tr := telemetry.New(workers)
+	tr := obs.NewTracer()
 	pool.Instrument(tr)
 	pipe, err := core.NewPipeline(sim, filters, 5, pool, cpu.BroadwellEP())
 	if err != nil {
@@ -222,7 +222,7 @@ func TestGovernorSegmentsReplayMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(replay.Segments, live.Segments) {
 		t.Error("replay's segments differ from the live run's")
 	}
-	if live.Phases[0].WallSec <= 0 || live.Phases[0].TraceHi <= live.Phases[0].TraceLo {
+	if live.Phases[0].WallSec <= 0 || len(live.Phases[0].Stages) == 0 {
 		t.Errorf("live phase carries no capture: %+v", live.Phases[0].Capture)
 	}
 }

@@ -79,7 +79,7 @@ func TestGovernedAttributionSumsToTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Attribute(pipe.Tracer.Spans())
+	rows := res.Attribute()
 	if len(rows) < 2 {
 		t.Fatalf("attribution produced %d rows, want several stages: %+v", len(rows), rows)
 	}
@@ -99,11 +99,11 @@ func TestGovernedAttributionSumsToTotal(t *testing.T) {
 }
 
 // TestGovernorSegmentAttributionUntraced pins the fallback: synthetic
-// segments carry no trace windows, so all joules land in "(untraced)"
+// segments carry no stage summaries, so all joules land in "(untraced)"
 // instead of vanishing.
 func TestGovernorSegmentAttributionUntraced(t *testing.T) {
 	res := govern(t, mixedSegments(2), 65)
-	rows := res.Attribute(nil)
+	rows := res.Attribute()
 	if len(rows) != 1 || rows[0].Stage != "(untraced)" {
 		t.Fatalf("rows = %+v, want single (untraced)", rows)
 	}

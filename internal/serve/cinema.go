@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/cinema"
+	"repro/internal/obs"
 )
 
 // cinemaDB is one open cinema database plus its identity; the daemon
@@ -71,7 +72,7 @@ func (s *Server) parseCinema(r *http.Request) (rr *renderRequest, from, count in
 // interleave without colliding on frame names; PNG encoding rides the
 // database's async queue. The manifest lands at Finalize (daemon
 // shutdown) — the response lists the frame files the segment produced.
-func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track int) {
+func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track obs.Track) {
 	rr, from, count, err := s.parseCinema(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -108,10 +109,10 @@ func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track int)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		s.span(track, "serve.encode", encodeStart)
+		s.tr.End(track, "serve.encode", encodeStart)
 		resp.Frames = append(resp.Frames, cinema.FrameName(cycle, i))
 	}
-	s.span(track, "serve.render", renderStart)
+	s.tr.End(track, "serve.render", renderStart)
 	w.Header().Set("X-Energy-Joules", fmt.Sprintf("%.3f", segmentJ))
 	writeJSON(w, resp)
 }

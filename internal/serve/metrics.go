@@ -157,8 +157,8 @@ func (s *Server) initMetrics() {
 		return float64(n)
 	})
 
-	// Telemetry drops — satellite: lane overflow must be visible.
-	reg.GaugeFunc("vizpower_trace_spans_dropped", "Spans dropped by the tracer's bounded tracks.",
+	// Span loss, lane overflow included, must be visible.
+	reg.GaugeFunc("vizpower_trace_spans_dropped", "Spans the tracer did not keep: full tracks and requests that found every lane busy.",
 		func() float64 { return float64(s.tr.Dropped()) })
 
 	// Governor flight-recorder log (SetGovernorLog).

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/render"
-	"repro/internal/telemetry"
 	"repro/internal/viz"
 )
 
@@ -36,9 +35,9 @@ type Options struct {
 	// QueueDepth bounds the admission queue (default 64).
 	QueueDepth int
 	// Tracer, when non-nil, receives per-request spans
-	// (admit/wait/build|hit/render/encode) on the request lanes; build
-	// one with telemetry.NewServing(pool.Workers(), Lanes).
-	Tracer *telemetry.Tracer
+	// (admit/wait/build|hit/render/encode) on the request lanes
+	// (Tracer.Lane).
+	Tracer *obs.Tracer
 	// CinemaDir is where /cinema orbit databases accumulate. Default
 	// "out/serve-cinema".
 	CinemaDir string
@@ -61,7 +60,7 @@ type Server struct {
 	pool  *par.Pool
 	cache *Cache
 	adm   *Admission
-	tr    *telemetry.Tracer
+	tr    *obs.Tracer
 	t0    time.Time
 
 	lanes chan int
@@ -167,24 +166,18 @@ func (s *Server) Close() error {
 	return errors.Join(errs...)
 }
 
-// lane leases a request telemetry lane; done returns it. With no tracer
-// (or all lanes busy) the request records no spans — track -1 drops.
-func (s *Server) lane() (track int, done func()) {
+// lane leases a request telemetry lane; done returns it. A traced
+// request that finds every lane busy records on obs.NoTrack, so its
+// spans count as dropped.
+func (s *Server) lane() (track obs.Track, done func()) {
 	if s.tr == nil {
-		return -1, func() {}
+		return obs.NoTrack, func() {}
 	}
 	select {
 	case l := <-s.lanes:
-		return telemetry.LaneTrack(s.pool.Workers(), l), func() { s.lanes <- l }
+		return s.tr.Lane(l), func() { s.lanes <- l }
 	default:
-		return -1, func() {}
-	}
-}
-
-// span records [start, now) on a request lane; a -1 track drops it.
-func (s *Server) span(track int, name string, start int64) {
-	if track >= 0 {
-		s.tr.End(track, name, start)
+		return obs.NoTrack, func() {}
 	}
 }
 
@@ -192,7 +185,7 @@ func (s *Server) span(track int, name string, start int64) {
 // share: count the request, observe its wall time, lease a telemetry lane
 // and record the whole-request span on it. h gets the lane's track for
 // its stage spans.
-func (s *Server) metered(name string, h func(w http.ResponseWriter, r *http.Request, track int)) http.HandlerFunc {
+func (s *Server) metered(name string, h func(w http.ResponseWriter, r *http.Request, track obs.Track)) http.HandlerFunc {
 	requests := s.met.requests[name]
 	spanName := "serve./" + name
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -200,7 +193,7 @@ func (s *Server) metered(name string, h func(w http.ResponseWriter, r *http.Requ
 		defer s.met.observeRequest(name, time.Now())
 		track, done := s.lane()
 		defer done()
-		defer s.span(track, spanName, s.tr.Begin())
+		defer s.tr.End(track, spanName, s.tr.Begin())
 		h(w, r, track)
 	}
 }
@@ -426,7 +419,7 @@ func (s *Server) noteDemand(name string, size int, exec cpu.Execution) {
 // build it, recording the stage as a serve.hit or serve.build span. On
 // failure the response is already written, the grant released, and g is
 // nil; otherwise the caller releases g when the request is done.
-func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track int, name string, size int,
+func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track obs.Track, name string, size int,
 	key string, build func() (any, error)) (g *Grant, v any, hit bool) {
 	if g = s.admit(w, r, track, name, size); g == nil {
 		return nil, nil, false
@@ -437,7 +430,7 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track int, n
 	if hit {
 		stage = "serve.hit"
 	}
-	s.span(track, stage, buildStart)
+	s.tr.End(track, stage, buildStart)
 	if err != nil {
 		g.Release()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -449,13 +442,13 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track int, n
 // admit runs the admission policy for one request, recording the admit
 // and queue-wait spans. On overload it writes 429 + Retry-After and
 // returns nil.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, track int, name string, size int) *Grant {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, track obs.Track, name string, size int) *Grant {
 	class := s.classOf(name, size)
 	demand := s.demandWatts(name, size)
 	admitStart := s.tr.Begin()
 	g, wait, err := s.adm.Admit(r.Context(), class, demand)
-	s.span(track, "serve.admit", admitStart)
-	if wait > 0 && track >= 0 {
+	s.tr.End(track, "serve.admit", admitStart)
+	if wait > 0 {
 		end := s.tr.Now()
 		s.tr.Record(track, "serve.wait", end-int64(wait), int64(wait))
 	}
@@ -479,7 +472,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, track int, name s
 // handleRender serves GET /render: admit under the power budget, fetch
 // or build the derived structure, render one orbit frame, encode it as
 // PNG. Every stage lands as a span on the request's telemetry lane.
-func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track int) {
+func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track obs.Track) {
 	rr, err := s.parseRender(r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -493,7 +486,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track int)
 
 	renderStart := s.tr.Begin()
 	im, _, frameJ := s.renderFrame(v.(*frameEntry), rr, rr.frame)
-	s.span(track, "serve.render", renderStart)
+	s.tr.End(track, "serve.render", renderStart)
 
 	encodeStart := s.tr.Begin()
 	var buf bytes.Buffer
@@ -501,7 +494,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track int)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.span(track, "serve.encode", encodeStart)
+	s.tr.End(track, "serve.encode", encodeStart)
 	cacheState := "miss"
 	if hit {
 		cacheState = "hit"
@@ -539,7 +532,7 @@ type sweepCapRow struct {
 // any of the paper's algorithms at any size — and return its cap table.
 // The cell is built single-flight and cached, so a sweep served to
 // thousands of clients costs one instrumented execution.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track int) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track obs.Track) {
 	q := r.URL.Query()
 	name := q.Get("alg")
 	if name == "" {
