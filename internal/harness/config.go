@@ -174,10 +174,15 @@ func (c *Config) log(format string, args ...any) {
 // Preload installs an externally-built data set for the given size, so
 // callers (and the benchmarks) can reuse one grid across many fresh
 // configurations or bring their own data. The grid must be a unit-cube
-// grid with size cells per axis carrying the study fields.
-func (c *Config) Preload(size int, g *mesh.UniformGrid) {
+// grid with size cells per axis carrying the study fields; one with
+// other cell dimensions is an error and is not installed.
+func (c *Config) Preload(size int, g *mesh.UniformGrid) error {
+	if d := g.CellDims(); d != [3]int{size, size, size} {
+		return fmt.Errorf("harness: preload at %d^3: grid has %dx%dx%d cells", size, d[0], d[1], d[2])
+	}
 	c.Defaults()
 	c.run.datasets[size] = g
+	return nil
 }
 
 // Dataset returns (building and caching on first use) the CloverLeaf-like

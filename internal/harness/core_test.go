@@ -26,7 +26,9 @@ func TestDeclarationCoreSharesNothing(t *testing.T) {
 	c := tinyConfig()
 	c.Tracer = obs.NewTracer()
 	c.Progress = func(string) { lines.Add(1) }
-	c.Preload(8, pre)
+	if err := c.Preload(8, pre); err != nil {
+		t.Fatal(err)
+	}
 
 	// 8 is Preloaded, 16 a hydro run, 24 a resampling of 16.
 	sizes := []int{8, 16, 24}

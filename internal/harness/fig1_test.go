@@ -135,7 +135,9 @@ func TestRenderFig1ReadsGridOnly(t *testing.T) {
 		copy(g.AddPointVector("velocity"), hydro.PointVector("velocity"))
 		c := tinyConfig()
 		c.Pool = par.NewPool(workers)
-		c.Preload(16, g)
+		if err := c.Preload(16, g); err != nil {
+			t.Fatal(err)
+		}
 		requireFig1Recording(t, c, 16, 32, fig1Recording[0].sha256, fig1Recording[0].defaultLevel)
 		c.Pool.Close()
 	}

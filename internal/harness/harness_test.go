@@ -196,6 +196,28 @@ func TestRunCaching(t *testing.T) {
 	}
 }
 
+// TestPreloadRejectsWrongSize: a grid whose cells are not size^3 is not
+// filed under size, so a run at that size builds its own data set
+// instead of measuring the wrong grid under the wrong key.
+func TestPreloadRejectsWrongSize(t *testing.T) {
+	small, err := tinyConfig().Dataset(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tinyConfig()
+	if err := c.Preload(8, small); err == nil {
+		t.Error("Preload filed a 4^3 grid under 8^3")
+	}
+	f, _ := c.FilterByName("Threshold")
+	run, err := c.Run(f, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Size != 8 {
+		t.Errorf("Run(Threshold, 8) measured a %d^3 grid", run.Size)
+	}
+}
+
 func TestFiguresShape(t *testing.T) {
 	c := tinyConfig()
 	runs, err := c.Phase2()

@@ -393,7 +393,9 @@ func TestPreloadedGridServedWithoutHydro(t *testing.T) {
 		lines = append(lines, l)
 		mu.Unlock()
 	}
-	cfg.Preload(16, pre)
+	if err := cfg.Preload(16, pre); err != nil {
+		t.Fatal(err)
+	}
 	s := testServer(t, Options{Config: cfg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -580,7 +582,9 @@ func TestSweepPanickingBuildReleasesItsGrant(t *testing.T) {
 	bad.AddPointField("energy")
 	bad.Dims = [3]int{9, 9, 9}
 	cfg := testConfig()
-	cfg.Preload(8, bad)
+	if err := cfg.Preload(8, bad); err != nil {
+		t.Fatal(err)
+	}
 	s := testServer(t, Options{Config: cfg})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
