@@ -16,7 +16,9 @@
 #                  runs with ./internal/power in RACE_PKGS), and the one
 #                  PNG encoder with its shared buffer free list, which
 #                  the daemon's handlers and cinema's async encoders use
-#                  at once (./internal/render)
+#                  at once (./internal/render), and the tracer and metrics
+#                  plane, whose tracks are created and recorded on from
+#                  many goroutines at once (./internal/obs)
 #   make fuzz    - every Fuzz* target for 10 s each (plain `go test` only
 #                  replays the committed corpora under testdata/fuzz)
 #   make bench   - the repo's benchmark: bench/run.sh, every workload

@@ -15,16 +15,11 @@ import (
 // name the process and threads, and each span is one complete ("X")
 // event with microsecond timestamps carrying nanosecond fractions.
 //
-// The output is deterministic for a given span set: tracks ascending,
-// spans in the canonical Spans() order.
+// The output is deterministic for a given span set: a track's thread id
+// is its position in track order, which also pins the display order,
+// and spans come in the canonical Spans() order.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTrace(w, t.Spans(), t.tracks())
-}
-
-// writeChromeTrace writes an explicit span set over tracks, which must
-// be sorted and hold every track a span is on. A track's thread id is
-// its position in tracks, which also pins the display order.
-func writeChromeTrace(w io.Writer, spans []Span, tracks []Track) error {
+	spans, tracks := t.Spans(), t.tracks()
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"traceEvents\":[\n")
 	first := true

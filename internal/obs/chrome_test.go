@@ -26,7 +26,7 @@ const chromeGolden = `{"traceEvents":[
 `
 
 func syntheticTracer() *Tracer {
-	tr := NewTracerWithCapacity(8)
+	tr := newTracer(8)
 	tr.Record(Pipeline, "simulate", 0, 2500)
 	tr.Record(Pipeline, "Contour", 2500, 1500100)
 	tr.Record(tr.Worker(0), "par.chunks", 3000, 1000)

@@ -1,50 +1,46 @@
-// Package obs is the one observability layer of the reproduction. It
-// holds two planes:
+// Package obs is the one observability layer of the reproduction:
 //
-//   - Tracing: hierarchical wall-clock spans around every pipeline stage
-//     (simulation step, each visualization filter, render, composite,
-//     rank operation, request stage) and every parallel-loop launch, on
-//     tracks the Tracer lays out — the pipeline, pool worker i, rank r,
-//     request lane l. A sweep cell or a governed phase opens a Mark and
-//     keeps the stage summary (per-name self time) of the spans that
-//     started after it. Exporters write the spans as Chrome trace-event
-//     JSON (Perfetto, chrome://tracing) or a plain-text summary, and
-//     Attribute splits measured joules over a summary's self time.
-//
+//   - Tracing: wall-clock spans around every pipeline stage, rank
+//     operation, request stage and parallel-loop launch, on tracks the
+//     Tracer lays out (the pipeline, pool worker i, rank r, request lane
+//     l). A sweep cell or governed phase opens a Mark and keeps the stage
+//     summary (per-name self time) of the spans started after it.
+//     Exporters write Chrome trace-event JSON (Perfetto,
+//     chrome://tracing) and a text summary; Attribute splits measured
+//     joules over a summary's self time.
 //   - Metrics: a zero-dependency registry (atomic counters, gauges, and
 //     fixed-bucket histograms under a small static label set, plus
 //     cache-line-padded per-worker shards folded at scrape) with a
-//     deterministic Prometheus text-format encoder, and a bounded
-//     flight recorder for governor cap decisions.
+//     deterministic Prometheus text-format encoder, and a bounded flight
+//     recorder for governor cap decisions.
 //
 // The paper's whole argument rests on measuring where joules and
 // seconds go per phase; production in situ stacks make the matching
 // point about observability — it must be low-overhead and always on,
 // or nobody trusts the numbers taken with it enabled. Two properties
-// are therefore load-bearing in both planes:
+// are therefore load-bearing:
 //
-//   - The disabled path is free. A nil *Tracer is permanently disabled
-//     (Now returns 0, End returns at once); a nil *Registry returns nil
-//     handles, and every method on a nil handle (Counter.Add, Gauge.Set,
-//     Histogram.Observe, ...) is a no-op. Instrumented code carries one
-//     nil check and no allocation, so the uninstrumented dispatch path
-//     stays at the PR 1/PR 5 baseline (BENCH_HISTORY.json).
+//   - The disabled path is free. A nil *Tracer records nothing (Now
+//     returns 0, End returns at once); a nil *Registry returns nil
+//     handles, and every method on a nil handle is a no-op. Instrumented
+//     code carries one nil check and no allocation, so the
+//     uninstrumented dispatch path stays at the PR 1/PR 5 baseline
+//     (BENCH_HISTORY.json).
 //
 //   - Recording is lock-free and allocation-free. A span claims a slot
-//     in its track's preallocated buffer with one atomic add (a full
-//     buffer counts the span as dropped rather than blocking); a
-//     Counter.Add is one atomic add; a Histogram.Observe is a bounds
-//     scan plus two atomic adds and a CAS-accumulated float sum; a
-//     ShardedCounter.Add hits a cache-line-padded per-worker slot that
-//     is folded into one series only at scrape time. Creating a track
-//     and registering a series take a lock; the hot path never does.
+//     of its track's preallocated buffer with one atomic add (a full
+//     buffer counts it as dropped rather than blocking); a Counter.Add
+//     is one atomic add; a Histogram.Observe is a bounds scan plus two
+//     atomic adds and a CAS-accumulated float sum; a ShardedCounter.Add
+//     hits a padded per-worker slot folded only at scrape time. Creating
+//     a track and registering a series take a lock; the hot path never
+//     does.
 //
-// Span nesting is implicit: spans on one track that contain one another
-// in time render (and summarize) as parent/child, as the Chrome trace
-// viewer treats overlapping complete events on one thread. Scrapes are
-// consistent per series, not across series — the same contract as
-// par.Pool.Stats. obs imports nothing else of the repository, so every
-// layer, par included, can record into it.
+// Spans on one track that contain one another in time nest as
+// parent/child, as the Chrome trace viewer treats overlapping complete
+// events on one thread. Scrapes are consistent per series, not across
+// series — the same contract as par.Pool.Stats. obs imports nothing
+// else of the repository, so every layer, par included, records into it.
 package obs
 
 import (

@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -30,9 +31,8 @@ func (s StageStat) SelfSec() float64 { return float64(s.SelfNs) / 1e9 }
 // nearest enclosing span's self time. The result is sorted by self time
 // descending.
 func Summarize(spans []Span) []StageStat {
-	sorted := make([]Span, len(spans))
-	copy(sorted, spans)
-	SortSpans(sorted)
+	sorted := slices.Clone(spans)
+	sortSpans(sorted)
 
 	self := make([]int64, len(sorted))
 	var stack []int // indices of the open spans
@@ -54,30 +54,23 @@ func Summarize(spans []Span) []StageStat {
 	}
 
 	byName := make(map[string]*StageStat)
-	var order []string
 	for i, s := range sorted {
 		st := byName[s.Name]
 		if st == nil {
 			st = &StageStat{Name: s.Name}
 			byName[s.Name] = st
-			order = append(order, s.Name)
 		}
 		st.Count++
 		st.TotalNs += s.Dur
 		st.SelfNs += self[i]
-		if s.Dur > st.MaxNs {
-			st.MaxNs = s.Dur
-		}
+		st.MaxNs = max(st.MaxNs, s.Dur)
 	}
-	out := make([]StageStat, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byName[name])
+	out := make([]StageStat, 0, len(byName))
+	for _, st := range byName {
+		out = append(out, *st)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].SelfNs != out[j].SelfNs {
-			return out[i].SelfNs > out[j].SelfNs
-		}
-		return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b StageStat) int {
+		return cmp.Or(cmp.Compare(b.SelfNs, a.SelfNs), strings.Compare(a.Name, b.Name))
 	})
 	return out
 }
@@ -103,16 +96,9 @@ func WriteSummary(w io.Writer, spans []Span, topN int, wallNs int64) error {
 		b.WriteByte('\n')
 	}
 	if topN > 0 {
-		longest := make([]Span, len(spans))
-		copy(longest, spans)
-		sort.SliceStable(longest, func(i, j int) bool {
-			if longest[i].Dur != longest[j].Dur {
-				return longest[i].Dur > longest[j].Dur
-			}
-			if longest[i].Track != longest[j].Track {
-				return longest[i].Track < longest[j].Track
-			}
-			return longest[i].Start < longest[j].Start
+		longest := slices.Clone(spans)
+		slices.SortStableFunc(longest, func(a, b Span) int {
+			return cmp.Or(cmp.Compare(b.Dur, a.Dur), cmp.Compare(a.Track, b.Track), cmp.Compare(a.Start, b.Start))
 		})
 		if topN > len(longest) {
 			topN = len(longest)

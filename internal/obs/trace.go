@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,10 +65,10 @@ func (k Track) String() string {
 	return fmt.Sprintf("%s %d", kindNames[k.kind()], k.index())
 }
 
-// DefaultTrackCapacity is the per-track span buffer size of NewTracer.
-// At one launch span per pool dispatch and a handful of stage spans per
-// cycle, 1<<15 spans absorb thousands of in situ cycles before dropping.
-const DefaultTrackCapacity = 1 << 15
+// trackCapacity is the span buffer size of each track. At one launch
+// span per pool dispatch and a handful of stage spans per cycle, 1<<15
+// spans absorb thousands of in situ cycles before dropping.
+const trackCapacity = 1 << 15
 
 // buffer is one track's lock-free span store. Writers reserve a slot
 // with an atomic add; a reservation past capacity is counted as dropped.
@@ -111,12 +112,10 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer with the pipeline track; every other track
-// is created, with DefaultTrackCapacity span slots, when first asked for.
-func NewTracer() *Tracer { return NewTracerWithCapacity(DefaultTrackCapacity) }
+// is created when first asked for.
+func NewTracer() *Tracer { return newTracer(trackCapacity) }
 
-// NewTracerWithCapacity is NewTracer with an explicit per-track buffer
-// capacity.
-func NewTracerWithCapacity(capacity int) *Tracer {
+func newTracer(capacity int) *Tracer {
 	t := &Tracer{epoch: time.Now(), capacity: max(capacity, 1)}
 	t.layout.Store(&layout{})
 	t.track(0, 0)
@@ -221,7 +220,7 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // Spans returns a snapshot of every recorded span in the canonical
-// SortSpans order. The snapshot is a copy; recording may continue
+// sortSpans order. The snapshot is a copy; recording may continue
 // concurrently.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
@@ -231,7 +230,7 @@ func (t *Tracer) Spans() []Span {
 	for _, b := range t.layout.Load().all {
 		out = append(out, b.spans[:b.published.Load()]...)
 	}
-	SortSpans(out)
+	sortSpans(out)
 	return out
 }
 
@@ -297,21 +296,12 @@ func (t *Tracer) Stages(m Mark, tracks ...Track) []StageStat {
 	return Summarize(spans)
 }
 
-// SortSpans orders spans by (track, start, longer-first, name): on each
+// sortSpans orders spans by (track, start, longer-first, name): on each
 // track a parent precedes its children, the order the summarizer's
 // containment sweep and the exporters rely on.
-func SortSpans(spans []Span) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Dur != b.Dur {
-			return a.Dur > b.Dur
-		}
-		return a.Name < b.Name
+func sortSpans(spans []Span) {
+	slices.SortStableFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Track, b.Track), cmp.Compare(a.Start, b.Start),
+			cmp.Compare(b.Dur, a.Dur), strings.Compare(a.Name, b.Name))
 	})
 }

@@ -77,7 +77,7 @@ func TestSpanNestingInvariants(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	const workers = 8
 	const perWorker = 500
-	tr := NewTracerWithCapacity(workers*perWorker + 1)
+	tr := newTracer(workers*perWorker + 1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -110,7 +110,7 @@ func TestConcurrentRecording(t *testing.T) {
 // TestDroppedAccounting fills a tiny track and checks overflow is
 // counted, not blocking or corrupting.
 func TestDroppedAccounting(t *testing.T) {
-	tr := NewTracerWithCapacity(4)
+	tr := newTracer(4)
 	for i := 0; i < 10; i++ {
 		tr.Record(Pipeline, "s", int64(i), 1)
 	}

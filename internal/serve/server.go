@@ -166,13 +166,10 @@ func (s *Server) Close() error {
 	return errors.Join(errs...)
 }
 
-// lane leases a request telemetry lane; done returns it. A traced
-// request that finds every lane busy records on obs.NoTrack, so its
-// spans count as dropped.
+// lane leases a request telemetry lane; done returns it. A request that
+// finds every lane busy records on obs.NoTrack, so a tracer counts its
+// spans as dropped.
 func (s *Server) lane() (track obs.Track, done func()) {
-	if s.tr == nil {
-		return obs.NoTrack, func() {}
-	}
 	select {
 	case l := <-s.lanes:
 		return s.tr.Lane(l), func() { s.lanes <- l }
