@@ -31,8 +31,8 @@ import (
 	"repro/internal/cinema"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/msr"
 	"repro/internal/obs"
 	"repro/internal/perfctr"
@@ -40,6 +40,7 @@ import (
 	"repro/internal/rapl"
 	"repro/internal/render"
 	"repro/internal/serve"
+	"repro/internal/study"
 	"repro/internal/viz"
 	"repro/internal/vtkio"
 )
@@ -344,15 +345,15 @@ func printArtifact(a harness.Artifact, c *harness.Config, opt *options) error {
 		return err
 	}
 	if opt.csv {
-		fmt.Print(harness.SeriesCSV("cap_watts", series))
+		fmt.Print(study.SeriesCSV("cap_watts", series))
 	} else {
-		fmt.Print(harness.FormatSeries(a.Title, "cap (W)", series))
+		fmt.Print(study.FormatSeries(a.Title, "cap (W)", series))
 	}
 	return nil
 }
 
 func classifyCmd(c *harness.Config, opt *options) error {
-	var runs []*harness.AlgoRun
+	var runs []*study.Run
 	var err error
 	if opt.extended {
 		runs, err = c.RunAllExtended(c.PhaseSize)
@@ -362,7 +363,7 @@ func classifyCmd(c *harness.Config, opt *options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(harness.DemandTable(runs))
+	fmt.Print(study.DemandTable(runs))
 	return nil
 }
 
@@ -383,19 +384,19 @@ func verifyCmd(c *harness.Config, opt *options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(harness.FormatClaims(claims))
-	if !harness.ClaimsAllPass(claims) {
+	fmt.Print(study.FormatClaims(claims))
+	if !study.ClaimsAllPass(claims) {
 		return fmt.Errorf("reproduction claims failed")
 	}
 	return nil
 }
 
 func archCmd(c *harness.Config, opt *options) error {
-	rows, err := c.CompareArchitectures(opt.alg, harness.Architectures())
+	rows, err := c.CompareArchitectures(opt.alg, study.Architectures())
 	if err != nil {
 		return err
 	}
-	fmt.Print(harness.ArchTable(opt.alg, rows))
+	fmt.Print(study.ArchTable(opt.alg, rows))
 	return nil
 }
 
@@ -426,7 +427,7 @@ func serveCmd(c *harness.Config, opt *options) error {
 		// decisions marked with its target.
 		srv.SetGovernorLog(res.Decisions())
 		fmt.Fprintf(os.Stderr, "vizpower serve: admission calibrated from a governed %d^3 run:", size)
-		for _, class := range []core.Class{core.PowerOpportunity, core.PowerSensitive} {
+		for _, class := range []metrics.Class{metrics.PowerOpportunity, metrics.PowerSensitive} {
 			if w, ok := res.ClassDemand[class]; ok {
 				fmt.Fprintf(os.Stderr, " %s %.1f W", class, w)
 			}
@@ -512,7 +513,7 @@ func overprovisionCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	const nNodes = 8
-	nodes, err := cluster.BuildNodes(g, f, nNodes, c.Spec, 0.08,
+	nodes, err := cluster.BuildNodes(g, f, nNodes, study.Processor(), 0.08,
 		func() *viz.Exec { return viz.NewExec(c.Pool) })
 	if err != nil {
 		return err
@@ -551,7 +552,7 @@ func feedbackCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	popt := power.Options{TargetWatts: opt.capW}
-	g, err := power.NewIntegral(rapl.NewPackage(msr.NewFile(), c.Spec), popt)
+	g, err := power.NewIntegral(rapl.NewPackage(msr.NewFile(), study.Processor()), popt)
 	if err != nil {
 		return err
 	}
@@ -562,7 +563,7 @@ func feedbackCmd(c *harness.Config, opt *options) error {
 	if opt.csv {
 		return perfctr.WriteCSV(os.Stdout, res.Samples)
 	}
-	u, err := power.NewTable(rapl.NewPackage(msr.NewFile(), c.Spec), popt, nil)
+	u, err := power.NewTable(rapl.NewPackage(msr.NewFile(), study.Processor()), popt, nil)
 	if err != nil {
 		return err
 	}
@@ -654,11 +655,7 @@ func advectCmd(c *harness.Config, opt *options) error {
 // traceCmd runs the in situ pipeline under a cap and prints the sampled
 // power timeline.
 func traceCmd(c *harness.Config, opt *options) error {
-	pkg, capW, err := cappedPackage(c.Spec, opt.capW)
-	if err != nil {
-		return err
-	}
-	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
+	pipe, pkg, capW, err := cappedRig(c, opt.capW)
 	if err != nil {
 		return err
 	}
@@ -687,16 +684,22 @@ func traceCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-// cappedPackage programs a package to the -cap limit under the governor's
-// target rules (power.EnforceableTarget) and returns it with the cap it
-// is held to, so the printed cap is the one the rows ran under.
-func cappedPackage(spec cpu.Spec, w float64) (*rapl.Package, float64, error) {
-	w, err := power.EnforceableTarget(spec, w)
+// cappedRig builds the in situ rig trace and profile run — every filter
+// at half the phase size — and a package programmed to the -cap limit
+// under the governor's target rules (power.EnforceableTarget), returned
+// with the cap it is held to, so the printed cap is the one the rows ran
+// under.
+func cappedRig(c *harness.Config, w float64) (*core.Pipeline, *rapl.Package, float64, error) {
+	w, err := power.EnforceableTarget(study.Processor(), w)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	pkg := rapl.NewPackage(msr.NewFile(), spec)
-	return pkg, w, pkg.SetLimitWatts(w)
+	pkg := rapl.NewPackage(msr.NewFile(), study.Processor())
+	if err := pkg.SetLimitWatts(w); err != nil {
+		return nil, nil, 0, err
+	}
+	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
+	return pipe, pkg, w, err
 }
 
 // profileCmd is the telemetry entry point: run -cycles in situ cycles
@@ -705,11 +708,7 @@ func cappedPackage(spec cpu.Spec, w float64) (*rapl.Package, float64, error) {
 // then write a Perfetto-loadable trace.json and a plain-text stage
 // summary into -out.
 func profileCmd(c *harness.Config, opt *options) error {
-	pkg, capW, err := cappedPackage(c.Spec, opt.capW)
-	if err != nil {
-		return err
-	}
-	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
+	pipe, pkg, capW, err := cappedRig(c, opt.capW)
 	if err != nil {
 		return err
 	}
@@ -718,16 +717,25 @@ func profileCmd(c *harness.Config, opt *options) error {
 		tr = attachTracer(c)
 	}
 	pipe.Tracer = tr
+	// The meter covers the capped pipeline run only, so only its spans —
+	// those since the mark — share its joules.
+	mark := tr.Mark()
 	t0 := time.Now()
 	samples, results, err := pipe.Trace(pkg, opt.cycles, 0.1)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(t0)
+	var meteredJ float64
+	for _, s := range samples {
+		meteredJ += s.EnergyJ
+	}
+	joules := obs.Attribute(tr.Stages(mark), meteredJ)
 
 	// An explicit -ranks also profiles the harness's distributed
 	// advection cell on the rank fabric, so the trace carries per-rank
-	// advance/exchange spans next to the pipeline stages.
+	// advance/exchange spans next to the pipeline stages. It runs after
+	// the meter stopped: its spans add self time, not joules.
 	if r := opt.distRanks; r > 1 {
 		run, err := c.AdvectDist(c.PhaseSize, r)
 		if err != nil {
@@ -744,15 +752,6 @@ func profileCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	spans := tr.Spans()
-	// The energy attribution joins the trace's self-time partition with
-	// the meter timeline of the capped pipeline run — the distributed
-	// advection pass above (unmetered) shows up as extra self time, not
-	// extra joules.
-	var meteredJ float64
-	for _, s := range samples {
-		meteredJ += s.EnergyJ
-	}
-	joules := obs.Attribute(obs.Summarize(spans), meteredJ)
 	fmt.Printf("profiled %d in situ cycles (%d governed segments) under a %.0f W cap in %.3fs\n",
 		opt.cycles, len(results), capW, wall.Seconds())
 	if err := writeFile(filepath.Join(opt.out, "summary.txt"), func(w io.Writer) error {

@@ -305,6 +305,36 @@ func TestRunProfileWritesValidTrace(t *testing.T) {
 	}
 }
 
+// TestProfileJoulesCoverTheMeteredRun: -ranks runs the distributed
+// advection cell after the meter stopped, so its rank-track spans
+// (dist.send/recv/gather, advect.advance) appear in the stage summary
+// but share none of the metered joules.
+func TestProfileJoulesCoverTheMeteredRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"profile", "-quick", "-cap", "80", "-cycles", "2", "-ranks", "1,2", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := os.ReadFile(filepath.Join(dir, "summary.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages, joules, ok := strings.Cut(string(sum), "where the joules went")
+	if !ok {
+		t.Fatalf("summary.txt has no joules table:\n%s", sum)
+	}
+	if !strings.Contains(stages, "advect.advance") {
+		t.Errorf("the stage summary misses the unmetered rank spans:\n%s", stages)
+	}
+	for _, line := range strings.Split(joules, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && (strings.HasPrefix(f[0], "dist.") || f[0] == "advect.advance") {
+			t.Errorf("the joules table charges an unmetered stage: %q", line)
+		}
+	}
+}
+
 func TestRunGlobalTraceFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")

@@ -10,9 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/par"
 	"repro/internal/serve"
+	"repro/internal/study"
 )
 
 // wallSecLine is the one host-clock field of a /sweep body.
@@ -37,17 +37,17 @@ func TestPricedOutputsMatchRecording(t *testing.T) {
 	c.Defaults()
 	var b strings.Builder
 	for _, f := range c.Filters() {
-		rows, err := c.CompareArchitectures(f.Name(), harness.Architectures())
+		rows, err := c.CompareArchitectures(f.Name(), study.Architectures())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(harness.ArchTable(f.Name(), rows))
+		b.WriteString(study.ArchTable(f.Name(), rows))
 	}
 	claims, err := c.CheckClaims()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.WriteString(harness.FormatClaims(claims))
+	b.WriteString(study.FormatClaims(claims))
 	b.WriteString(captureStdout(t, func() error { return allocateCmd(c, opt) }))
 
 	srv := serve.New(serve.Options{Config: c, CinemaDir: t.TempDir()})

@@ -1,10 +1,9 @@
 // Package core is the top of the reproduction stack: the in situ
 // pipeline that tightly couples the CloverLeaf-like simulation with the
-// visualization filters (the Ascent role in the paper), the
-// power-opportunity / power-sensitive classification of Section VI-B,
-// and the runtime power allocator the paper motivates — a component that
-// splits a node power budget between a simulation and a visualization
-// running concurrently so that overall performance is maximized.
+// visualization filters (the Ascent role in the paper) and the runtime
+// power allocator the paper motivates — a component that splits a node
+// power budget between a simulation and a visualization running
+// concurrently so that overall performance is maximized.
 package core
 
 import (
@@ -19,44 +18,6 @@ import (
 	"repro/internal/sim/clover"
 	"repro/internal/viz"
 )
-
-// Class is the paper's two-way classification of visualization
-// algorithms under power caps.
-type Class int
-
-const (
-	// PowerOpportunity algorithms are data-bound: capping them deeply
-	// costs little time, so their power can be given away.
-	PowerOpportunity Class = iota
-	// PowerSensitive algorithms are compute-bound: their runtime
-	// degrades roughly with the cap.
-	PowerSensitive
-)
-
-// String returns the paper's name for the class.
-func (c Class) String() string {
-	if c == PowerSensitive {
-		return "power sensitive"
-	}
-	return "power opportunity"
-}
-
-// SensitiveCapWatts is the classification boundary: the paper's sensitive
-// algorithms (volume rendering, particle advection) first slow down 10%
-// at 70–80 W, while the opportunity class holds until Pratio >= 2
-// (<= 60 W).
-const SensitiveCapWatts = 70
-
-// Classify applies the Section VI-B rule to the first cap of a run's cap
-// sweep with a 10% slowdown (metrics.FirstSlowdownCap, 0 for none): an
-// algorithm that slows that much at SensitiveCapWatts or above is power
-// sensitive; otherwise it offers power opportunity.
-func Classify(firstSlowdownCap float64) Class {
-	if firstSlowdownCap >= SensitiveCapWatts {
-		return PowerSensitive
-	}
-	return PowerOpportunity
-}
 
 // Pipeline is a tightly-coupled in situ loop: the simulation and the
 // visualization alternate on the same resources (Section IV-A), with

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/metrics"
 	"repro/internal/msr"
 	"repro/internal/ops"
 	"repro/internal/par"
@@ -32,26 +31,6 @@ func memoryExec() cpu.Execution {
 	p.WorkingSetBytes = 140 << 20
 	p.Launches = 2
 	return cpu.Analyze(cpu.BroadwellEP(), p, 0)
-}
-
-func capSweep(e cpu.Execution) (cpu.CapResult, []cpu.CapResult) {
-	var byCap []cpu.CapResult
-	for w := 120.0; w >= 40; w -= 10 {
-		byCap = append(byCap, e.UnderCap(w))
-	}
-	return byCap[0], byCap
-}
-
-func TestClassify(t *testing.T) {
-	if got := Classify(metrics.FirstSlowdownCap(capSweep(computeExec()))); got != PowerSensitive {
-		t.Errorf("compute-bound classified as %v", got)
-	}
-	if got := Classify(metrics.FirstSlowdownCap(capSweep(memoryExec()))); got != PowerOpportunity {
-		t.Errorf("memory-bound classified as %v", got)
-	}
-	if PowerSensitive.String() != "power sensitive" || PowerOpportunity.String() != "power opportunity" {
-		t.Error("class names wrong")
-	}
 }
 
 func newPipeline(t *testing.T) *Pipeline {

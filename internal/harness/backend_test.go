@@ -1,15 +1,17 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/viz"
+	"repro/internal/ops"
+	"repro/internal/study"
 )
 
-// Each backend pair holds two distinct runs, the executed traditional
-// cell and its DPP price, recorded under their own backends, and a
-// repeat BackendCompare hands back both from the cache.
+// Each backend pair holds the executed traditional cell and its DPP
+// price: the run's own DPP profile, priced apart from its traditional
+// profile. A repeat BackendCompare hands back the same cached runs.
 func TestBackendRunsCachedPerFormulation(t *testing.T) {
 	c := tinyConfig()
 	pairs, err := c.BackendCompare(8)
@@ -20,14 +22,14 @@ func TestBackendRunsCachedPerFormulation(t *testing.T) {
 		t.Fatalf("got %d backend pairs, want 2 (contour, threshold)", len(pairs))
 	}
 	for _, p := range pairs {
-		if p.Trad == p.DPP {
-			t.Errorf("%s: traditional and DPP share one cached run", p.Name)
+		if p.Trad.DPP == (ops.Profile{}) || p.Trad.DPP == p.Trad.Profile {
+			t.Errorf("%s: the run carries no DPP profile of its own", p.Trad.Name)
 		}
-		if p.Trad.Backend != viz.Traditional || p.DPP.Backend != viz.DPP {
-			t.Errorf("%s: backends recorded as %v/%v", p.Name, p.Trad.Backend, p.DPP.Backend)
+		if p.DPP.Exec == p.Trad.Exec {
+			t.Errorf("%s: the DPP price is the traditional price", p.Trad.Name)
 		}
-		if p.Trad.Elements != p.DPP.Elements {
-			t.Errorf("%s: element counts differ: %d vs %d", p.Name, p.Trad.Elements, p.DPP.Elements)
+		if want := study.BackendPairs([]*study.Run{p.Trad}, c.Caps)[0].DPP; !reflect.DeepEqual(p.DPP, want) {
+			t.Errorf("%s: the DPP price is not the run's DPP profile priced under the caps", p.Trad.Name)
 		}
 	}
 	again, err := c.BackendCompare(8)
@@ -35,8 +37,8 @@ func TestBackendRunsCachedPerFormulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range pairs {
-		if again[i].Trad != pairs[i].Trad || again[i].DPP != pairs[i].DPP {
-			t.Errorf("%s: BackendCompare re-executed a cached cell", pairs[i].Name)
+		if again[i].Trad != pairs[i].Trad {
+			t.Errorf("%s: BackendCompare re-executed a cached cell", pairs[i].Trad.Name)
 		}
 	}
 }
@@ -70,7 +72,8 @@ func TestReportHasBackendSection(t *testing.T) {
 // The DPP half of a pair is a price, not a cell: once RunAll has run a
 // size, BackendCompare executes nothing more (Config.Inject, consulted
 // before every execution attempt, is never asked) and pairs the cached
-// traditional runs with their DPP prices, the same pointers every call.
+// traditional runs with their DPP prices, the same runs and prices every
+// call.
 func TestBackendCompareExecutesNothingAfterRunAll(t *testing.T) {
 	c := tinyConfig()
 	if _, err := c.RunAll(8); err != nil {
@@ -96,11 +99,8 @@ func TestBackendCompareExecutesNothingAfterRunAll(t *testing.T) {
 		t.Fatalf("got %d and %d pairs, want 2 (contour, threshold)", len(pairs), len(again))
 	}
 	for i, p := range pairs {
-		if p.DPP == nil || p.DPP != p.Trad.DPP || p.DPP.WallSec != 0 {
-			t.Errorf("%s: the DPP run is not the traditional run's WallSec-0 price", p.Name)
-		}
-		if again[i].Trad != p.Trad || again[i].DPP != p.DPP {
-			t.Errorf("%s: a repeat BackendCompare returned other runs", p.Name)
+		if again[i].Trad != p.Trad || !reflect.DeepEqual(again[i].DPP, p.DPP) {
+			t.Errorf("%s: a repeat BackendCompare returned other runs or prices", p.Trad.Name)
 		}
 	}
 }

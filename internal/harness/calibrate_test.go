@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/par"
+	"repro/internal/study"
 )
 
 // TestCalibrationReport128 prints the paper-scale Phase 1/2 artifacts at
@@ -24,16 +25,16 @@ func TestCalibrationReport128(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(Table1(run1, c.Caps))
+	fmt.Println(study.Table1(run1, c.Caps))
 	runs, err := c.Phase2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(Table2(runs, c.Caps))
-	fmt.Println(DemandTable(runs))
+	fmt.Println(study.Table2(runs, c.Caps))
+	fmt.Println(study.DemandTable(runs))
 	bySize, err := c.RunsBySize("Slice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Println(FormatSeries("Fig 4 — Slice IPC by size", "cap (W)", FigIPCBySize(bySize, c.SortedSizes(), c.Caps)))
+	fmt.Println(study.FormatSeries("Fig 4 — Slice IPC by size", "cap (W)", study.FigIPCBySize(bySize, c.SortedSizes(), c.Caps)))
 }

@@ -1,14 +1,15 @@
-// Package harness drives the paper's experimental campaign: the 288-test
-// matrix of 9 processor power caps × 8 visualization algorithms × 4 data
-// set sizes (Section IV), organized into the paper's three phases, and
-// the emitters that regenerate every table (I–III) and figure (2–6) of
-// the evaluation.
+// Package harness executes the paper's experimental campaign: the
+// 288-test matrix of 9 processor power caps × 8 visualization algorithms
+// × 4 data set sizes (Section IV), organized into the paper's three
+// phases, and the artifact table that regenerates every table (I–III)
+// and figure (2–6) of the evaluation.
 //
-// A key property of the simulated-hardware design: each (algorithm, size)
+// The harness measures; internal/study models. Each (algorithm, size)
 // pair executes once — the instrumented run yields a cap-independent
-// operation profile — and the nine power caps are then applied through
-// the processor model, exactly as real RAPL capping re-runs identical
-// work under different limits.
+// operation profile, a study.Cell — and Run prices it through
+// study.Price under the nine power caps once, when it stores the cell,
+// exactly as real RAPL capping re-runs identical work under different
+// limits.
 package harness
 
 import (
@@ -17,12 +18,11 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cpu"
 	"repro/internal/mesh"
 	"repro/internal/obs"
-	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
+	"repro/internal/study"
 	"repro/internal/viz"
 	"repro/internal/viz/advect"
 	"repro/internal/viz/clip"
@@ -39,8 +39,6 @@ import (
 // Config holds the study parameters. Zero-value fields take the paper's
 // defaults via Defaults; tests shrink the workload knobs.
 type Config struct {
-	// Spec is the modeled processor. Default: BroadwellEP.
-	Spec cpu.Spec
 	// Pool executes the instrumented kernels. Default: machine pool.
 	Pool *par.Pool
 	// Caps are the enforced power limits in watts, ordered as the paper
@@ -82,7 +80,7 @@ type Config struct {
 
 	// Tracer, if non-nil, records one span per executed sweep cell on
 	// the pipeline track and keeps each cell's stage summary in
-	// AlgoRun.Stages (the report's cell-cost section). Attach the same
+	// study.Cell.Stages (the report's cell-cost section). Attach the same
 	// tracer to Pool via Instrument to see loop launches nested inside
 	// the cell spans.
 	Tracer *obs.Tracer
@@ -118,9 +116,6 @@ type runState struct {
 // Defaults fills unset fields with the paper's configuration and returns
 // the config for chaining.
 func (c *Config) Defaults() *Config {
-	if c.Spec.Cores == 0 {
-		c.Spec = cpu.BroadwellEP()
-	}
 	if c.Pool == nil {
 		c.Pool = par.Default()
 	}
@@ -272,10 +267,6 @@ func (c *Config) ExtendedFilters() []viz.Filter {
 	)
 }
 
-// CellCenteredNames lists the algorithms the Fig. 3 rate metric applies
-// to (those that iterate over each cell of the input).
-var CellCenteredNames = []string{"Contour", "Isovolume", "Slice", "Spherical Clip", "Threshold"}
-
 // FilterByName returns the configured filter (including extensions) with
 // the given name.
 func (c *Config) FilterByName(name string) (viz.Filter, error) {
@@ -289,33 +280,8 @@ func (c *Config) FilterByName(name string) (viz.Filter, error) {
 
 // RunAllExtended executes the extended filter set at one size, partial
 // on failure.
-func (c *Config) RunAllExtended(size int) ([]*AlgoRun, error) {
+func (c *Config) RunAllExtended(size int) ([]*study.Run, error) {
 	return c.runSet(c.ExtendedFilters(), size)
-}
-
-// AlgoRun is the outcome of one (algorithm, size) execution: what was
-// measured, and that profile priced on Config.Spec under Config.Caps.
-type AlgoRun struct {
-	Name string
-	Size int
-	// Backend is the kernel formulation the run was priced under:
-	// viz.Traditional for every executed cell, viz.DPP for its DPP price.
-	Backend  viz.Backend
-	Elements int64
-	Profile  ops.Profile
-	// WallSec is the measured wall-clock time of the instrumented
-	// execution (dataset excluded) — what the cell actually cost this
-	// machine, as opposed to the modeled TimeSec under a cap.
-	WallSec float64
-	// Stages, when Config.Tracer is set, is the cell's stage summary:
-	// its pipeline-track spans' self time per stage name.
-	Stages []obs.StageStat
-	// Priced holds every modeled number, ByCap in Config.Caps' order.
-	Priced
-	// DPP is the same execution priced under the data-parallel-primitive
-	// formulation (viz.Result.DPP): Backend viz.DPP and WallSec 0, since
-	// nothing ran for it. It is nil for filters that have none.
-	DPP *AlgoRun
 }
 
 // runKey identifies an (algorithm, size) cell.
@@ -324,10 +290,11 @@ type runKey struct {
 	size int
 }
 
-// Run executes one algorithm at one size (cached) and models it under
-// every cap. Like every sweep cell it retries transient failures and is
-// recorded in Failures when it still fails (see runCell).
-func (c *Config) Run(f viz.Filter, size int) (*AlgoRun, error) {
+// Run executes one algorithm at one size (cached) and prices the
+// measured cell under every cap. Like every sweep cell it retries
+// transient failures and is recorded in Failures when it still fails
+// (see runCell).
+func (c *Config) Run(f viz.Filter, size int) (*study.Run, error) {
 	c.Defaults()
 	return runCell(c, cellID{
 		key:  runKey{f.Name(), size},
@@ -335,22 +302,29 @@ func (c *Config) Run(f viz.Filter, size int) (*AlgoRun, error) {
 		size: size,
 		// Shared-memory cells run on one fabric rank.
 		label: fmt.Sprintf("%s, %d^3, ranks=1, %d caps", f.Name(), size, len(c.Caps)),
-	}, func() (*AlgoRun, error) {
+	}, func() (*study.Run, error) {
 		dsStart := c.Tracer.Begin()
 		g, err := c.Dataset(size)
 		c.Tracer.End(obs.Pipeline, "dataset", dsStart)
 		if err != nil {
 			return nil, err
 		}
-		return c.Execute(f, g)
+		cell, err := c.Execute(f, g)
+		if err != nil {
+			return nil, err
+		}
+		run := study.Price(cell, c.Caps)
+		c.log("run %s at %d^3: T(base)=%.3fs P(demand)=%.1fW IPC=%.2f",
+			run.Name, size, run.ByCap[0].TimeSec, run.Demand.PowerWatts, run.ByCap[0].IPC)
+		return run, nil
 	})
 }
 
 // Execute is the declaration-only half of Run: one uncached, unretried
-// execution of f over the cube data set g, modeled under every cap. Like
-// BuildDataset it needs Defaults applied, writes nothing to c and is safe
-// from any number of goroutines.
-func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
+// execution of f over the cube data set g, returned as the measured
+// cell. Like BuildDataset it needs Defaults applied, writes nothing to c
+// and is safe from any number of goroutines.
+func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*study.Cell, error) {
 	size := g.CellDims()[0]
 	ex := viz.NewExec(c.Pool)
 	// The cell span plus the wall clock attribute what this cell cost
@@ -365,40 +339,23 @@ func (c *Config) Execute(f viz.Filter, g *mesh.UniformGrid) (*AlgoRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := &AlgoRun{
-		Name:     f.Name(),
-		Size:     size,
-		Elements: res.Elements,
-		Profile:  res.Profile,
-		WallSec:  wallSec,
-		Priced:   price(c.Spec, c.Caps, res.Profile),
-		Stages:   c.Tracer.Stages(mark, obs.Pipeline),
-	}
-	if res.DPP != (ops.Profile{}) {
-		run.DPP = &AlgoRun{
-			Name:     run.Name,
-			Size:     size,
-			Backend:  viz.DPP,
-			Elements: res.Elements,
-			Profile:  res.DPP,
-			Priced:   price(c.Spec, c.Caps, res.DPP),
-		}
-	}
-	c.log("run %s at %d^3: T(base)=%.3fs P(demand)=%.1fW IPC=%.2f",
-		run.Name, size, run.ByCap[0].TimeSec, run.Demand.PowerWatts, run.ByCap[0].IPC)
-	return run, nil
+	return &study.Cell{
+		Name: f.Name(), Size: size, Elements: res.Elements,
+		Profile: res.Profile, DPP: res.DPP,
+		WallSec: wallSec, Stages: c.Tracer.Stages(mark, obs.Pipeline),
+	}, nil
 }
 
 // RunAll executes all eight algorithms at one size. A cell that still
 // fails after its transient retries is recorded (see Failures) and
 // skipped; the error return is non-nil only when every cell failed.
-func (c *Config) RunAll(size int) ([]*AlgoRun, error) {
+func (c *Config) RunAll(size int) ([]*study.Run, error) {
 	return c.runSet(c.Filters(), size)
 }
 
 // runSet sweeps one filter list at one size, partial on failure.
-func (c *Config) runSet(filters []viz.Filter, size int) ([]*AlgoRun, error) {
-	return partial(len(filters), func(i int) (*AlgoRun, error) {
+func (c *Config) runSet(filters []viz.Filter, size int) ([]*study.Run, error) {
+	return partial(len(filters), func(i int) (*study.Run, error) {
 		r, err := c.Run(filters[i], size)
 		if err != nil {
 			c.log("skip %s at %d^3: %v", filters[i].Name(), size, err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/internal/study"
 )
 
 // TestDeclarationCoreSharesNothing: BuildDataset and Execute read the
@@ -38,7 +39,7 @@ func TestDeclarationCoreSharesNothing(t *testing.T) {
 		name string
 		size int
 	}
-	want := map[cell]*AlgoRun{}
+	want := map[cell]*study.Run{}
 	for _, size := range sizes {
 		for _, name := range names {
 			f, err := shell.FilterByName(name)
@@ -79,7 +80,7 @@ func TestDeclarationCoreSharesNothing(t *testing.T) {
 						return
 					}
 					if exp := want[cell{name, size}]; got.Size != size ||
-						!reflect.DeepEqual(got.Profile, exp.Profile) || !reflect.DeepEqual(got.ByCap, exp.ByCap) {
+						!reflect.DeepEqual(got.Profile, exp.Profile) || !reflect.DeepEqual(study.Price(got, c.Caps).ByCap, exp.ByCap) {
 						t.Errorf("%s at %d^3: Execute and Run disagree", name, size)
 					}
 				}

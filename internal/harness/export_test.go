@@ -1,5 +1,7 @@
 package harness
 
+import "repro/internal/study"
+
 // Exported only to this package's tests: nothing else calls these, so
 // they are declared here and not in the production tree.
 
@@ -13,11 +15,11 @@ func (c *Config) ClearFailures() { c.run.failures = nil }
 // Failures) and skipped, so one bad algorithm/cap/size cell yields a
 // partial matrix plus an error report; the error return is non-nil only
 // when nothing at all ran.
-func (c *Config) Phase3() (map[int][]*AlgoRun, error) {
+func (c *Config) Phase3() (map[int][]*study.Run, error) {
 	c.Defaults()
 	sizes := c.SortedSizes()
-	out := make(map[int][]*AlgoRun, len(sizes))
-	_, err := partial(len(sizes), func(i int) ([]*AlgoRun, error) {
+	out := make(map[int][]*study.Run, len(sizes))
+	_, err := partial(len(sizes), func(i int) ([]*study.Run, error) {
 		runs, err := c.RunAll(sizes[i])
 		if err == nil {
 			out[sizes[i]] = runs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/mesh"
@@ -96,20 +97,9 @@ func writePNG(path string, im *render.Image) error {
 	return out.Close()
 }
 
-func fileSlug(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch {
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+('a'-'A'))
-		case r == ' ':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
+// fileSlug is the file stem of a panel: the name lower-cased, spaces
+// as underscores.
+func fileSlug(name string) string { return strings.ReplaceAll(strings.ToLower(name), " ", "_") }
 
 // renderOne produces the Figure 1 image for one algorithm: surface
 // outputs are ray-traced, streamlines are rasterized, and the image

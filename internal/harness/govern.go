@@ -1,16 +1,19 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/msr"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rapl"
 	"repro/internal/sim/clover"
+	"repro/internal/study"
 	"repro/internal/viz"
 	"repro/internal/viz/volren"
 )
@@ -83,7 +86,7 @@ type GovernResult struct {
 	Rows   []GovernRow
 	// ClassDemand is the governor-measured time-weighted demand per
 	// phase class from the live runs — what serve admission consumes.
-	ClassDemand map[core.Class]float64
+	ClassDemand map[metrics.Class]float64
 	// Attribution is the merged "where the joules went" table across
 	// the sweep's live governed runs: each run's per-phase trace window
 	// joined with its measured energy (power.Result.Attribute), folded
@@ -115,7 +118,7 @@ func (c *Config) InSitu(size int, filters []viz.Filter) (*core.Pipeline, error) 
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPipeline(sim, filters, 10, c.Pool, c.Spec)
+	return core.NewPipeline(sim, filters, 10, c.Pool, study.Processor())
 }
 
 // governPipeline builds the in situ workload the governed runs use: the
@@ -167,7 +170,7 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 		size:  size,
 		label: fmt.Sprintf("Closed-loop governor, %d^3, %d budgets x %d cycles", size, len(budgets), cycles),
 	}, func() (*GovernResult, error) {
-		res := &GovernResult{Size: size, Cycles: cycles, ClassDemand: map[core.Class]float64{}}
+		res := &GovernResult{Size: size, Cycles: cycles, ClassDemand: map[metrics.Class]float64{}}
 		pipe, err := c.governPipeline(size)
 		if err != nil {
 			return nil, err
@@ -210,7 +213,7 @@ func (c *Config) GovernorCompare(size int, budgets []float64, cycles int) (*Gove
 // warmed equal-energy closed loop.
 func (c *Config) governBudget(segs []power.Segment, budget float64) (GovernRow, error) {
 	row := GovernRow{BudgetWatts: budget}
-	pkg := func() *rapl.Package { return rapl.NewPackage(msr.NewFile(), c.Spec) }
+	pkg := func() *rapl.Package { return rapl.NewPackage(msr.NewFile(), study.Processor()) }
 	opt := power.Options{TargetWatts: budget}
 	replay := func(g *power.Governor, err error) (power.Result, error) {
 		if err != nil {
@@ -246,8 +249,8 @@ func (c *Config) governBudget(segs []power.Segment, budget float64) (GovernRow, 
 	if row.StaticErr == nil && row.Static.AvgPowerWatts < eqTarget {
 		eqTarget = row.Static.AvgPowerWatts
 	}
-	if eqTarget < c.Spec.MinCapWatts {
-		eqTarget = c.Spec.MinCapWatts
+	if eqTarget < study.Processor().MinCapWatts {
+		eqTarget = study.Processor().MinCapWatts
 	}
 	g2, err := power.New(pkg(), power.Options{TargetWatts: eqTarget})
 	if err != nil {
@@ -264,15 +267,8 @@ func (c *Config) governBudget(segs []power.Segment, budget float64) (GovernRow, 
 // then cycles, then budget count.
 func (c *Config) cachedGoverns() []*GovernResult {
 	out := cached[*GovernResult](c)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Size != b.Size {
-			return a.Size < b.Size
-		}
-		if a.Cycles != b.Cycles {
-			return a.Cycles < b.Cycles
-		}
-		return len(a.Rows) < len(b.Rows)
+	slices.SortFunc(out, func(a, b *GovernResult) int {
+		return cmp.Or(cmp.Compare(a.Size, b.Size), cmp.Compare(a.Cycles, b.Cycles), cmp.Compare(len(a.Rows), len(b.Rows)))
 	})
 	return out
 }
@@ -305,11 +301,11 @@ func GovernTable(res *GovernResult) string {
 			r.BudgetWatts, r.EqSpeedupVsStatic(), r.GovSpeedupVsUniform())
 	}
 	if len(res.ClassDemand) > 0 {
-		var classes []core.Class
+		var classes []metrics.Class
 		for class := range res.ClassDemand {
 			classes = append(classes, class)
 		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+		slices.Sort(classes)
 		b.WriteString("governor-measured class demand:")
 		for _, class := range classes {
 			fmt.Fprintf(&b, " %s %.1f W", class, res.ClassDemand[class])

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -62,7 +62,7 @@ func TestGovernorCompare(t *testing.T) {
 	if len(res.ClassDemand) == 0 {
 		t.Error("no class demand measured")
 	}
-	if w, ok := res.ClassDemand[core.PowerSensitive]; ok && w <= 0 {
+	if w, ok := res.ClassDemand[metrics.PowerSensitive]; ok && w <= 0 {
 		t.Errorf("nonpositive sensitive demand %.1f", w)
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ops"
 	"repro/internal/par"
+	"repro/internal/study"
 )
 
 // tinyConfig returns a configuration small enough for unit tests while
@@ -133,7 +134,7 @@ func TestPhase1Structure(t *testing.T) {
 			t.Errorf("time decreased when cap dropped to %v", c.Caps[i])
 		}
 	}
-	tbl := Table1(run, c.Caps)
+	tbl := study.Table1(run, c.Caps)
 	if !strings.Contains(tbl, "Table I") || !strings.Contains(tbl, "Pratio") {
 		t.Errorf("Table1 malformed:\n%s", tbl)
 	}
@@ -162,7 +163,7 @@ func TestPhase2And3Structure(t *testing.T) {
 			t.Errorf("%s base time = %v", r.Name, r.ByCap[0].TimeSec)
 		}
 	}
-	tbl := Table2(runs, c.Caps)
+	tbl := study.Table2(runs, c.Caps)
 	if !strings.Contains(tbl, "Volume Rendering") || !strings.Contains(tbl, "Fratio") {
 		t.Errorf("Table2 missing rows:\n%s", tbl)
 	}
@@ -174,7 +175,7 @@ func TestPhase2And3Structure(t *testing.T) {
 	if len(all) != len(c.Sizes) {
 		t.Fatalf("Phase3 sizes = %d", len(all))
 	}
-	tbl3 := Table3(all[16], c.Caps)
+	tbl3 := study.Table3(all[16], c.Caps)
 	if !strings.Contains(tbl3, "Table III") {
 		t.Errorf("Table3 malformed:\n%s", tbl3)
 	}
@@ -224,10 +225,10 @@ func TestFiguresShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, fig := range map[string][]Series{
-		"2a": Fig2a(runs, c.Caps),
-		"2b": Fig2b(runs, c.Caps),
-		"2c": Fig2c(runs, c.Caps),
+	for name, fig := range map[string][]study.Series{
+		"2a": study.Fig2a(runs, c.Caps),
+		"2b": study.Fig2b(runs, c.Caps),
+		"2c": study.Fig2c(runs, c.Caps),
 	} {
 		if len(fig) != 8 {
 			t.Errorf("Fig%s series = %d, want 8", name, len(fig))
@@ -238,7 +239,7 @@ func TestFiguresShape(t *testing.T) {
 			}
 		}
 	}
-	f3 := Fig3(runs, c.Caps)
+	f3 := study.Fig3(runs, c.Caps)
 	if len(f3) != 5 {
 		t.Errorf("Fig3 series = %d, want 5 cell-centered algorithms", len(f3))
 	}
@@ -254,20 +255,20 @@ func TestFiguresShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f4 := FigIPCBySize(bySize, c.SortedSizes(), c.Caps)
+	f4 := study.FigIPCBySize(bySize, c.SortedSizes(), c.Caps)
 	if len(f4) != len(c.Sizes) {
 		t.Errorf("Fig4 series = %d, want %d", len(f4), len(c.Sizes))
 	}
 
-	txt := FormatSeries("Fig 2a", "cap", Fig2a(runs, c.Caps))
+	txt := study.FormatSeries("Fig 2a", "cap", study.Fig2a(runs, c.Caps))
 	if !strings.Contains(txt, "Contour") {
 		t.Errorf("FormatSeries missing labels:\n%s", txt)
 	}
-	csv := SeriesCSV("cap", f3)
+	csv := study.SeriesCSV("cap", f3)
 	if !strings.HasPrefix(csv, "cap,") || strings.Count(csv, "\n") != 1+len(c.Caps) {
 		t.Errorf("SeriesCSV malformed:\n%s", csv)
 	}
-	if FormatSeries("empty", "x", nil) == "" {
+	if study.FormatSeries("empty", "x", nil) == "" {
 		t.Error("FormatSeries(nil) empty")
 	}
 }
@@ -278,7 +279,7 @@ func TestDemandTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := DemandTable(runs)
+	tbl := study.DemandTable(runs)
 	if !strings.Contains(tbl, "Demand(W)") || !strings.Contains(tbl, "Contour") {
 		t.Errorf("DemandTable malformed:\n%s", tbl)
 	}
@@ -311,7 +312,7 @@ func TestPaperShapesAt64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]*AlgoRun)
+	byName := make(map[string]*study.Run)
 	for _, r := range runs {
 		byName[r.Name] = r
 	}
@@ -366,7 +367,7 @@ func TestWriteSVGFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := WriteSVGFigure(&buf, "Figure 2b", "IPC", Fig2b(runs, c.Caps)); err != nil {
+	if err := study.WriteSVGFigure(&buf, "Figure 2b", "IPC", study.Fig2b(runs, c.Caps)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

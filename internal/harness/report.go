@@ -1,17 +1,20 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
+
+	"repro/internal/study"
 )
 
 // WriteReport assembles a self-contained markdown report of one full
 // campaign: the configuration, the classification, all three tables, the
 // claim checks, and pointers to the figure artifacts. The `all` command
 // writes it as report.md next to the CSV/SVG/PNG outputs.
-func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Claim) error {
+func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*study.Run, claims []study.Claim) error {
 	c.Defaults()
 	var b strings.Builder
 	b.WriteString("# vizpower campaign report\n\n")
@@ -19,7 +22,7 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 	b.WriteString("Visualization Algorithms* (IPDPS 2019), on the simulated-Broadwell stack.\n\n")
 
 	b.WriteString("## Configuration\n\n")
-	fmt.Fprintf(&b, "- processor model: %s\n", c.Spec.Name)
+	fmt.Fprintf(&b, "- processor model: %s\n", study.Processor().Name)
 	fmt.Fprintf(&b, "- power caps: %.0f W down to %.0f W in %d steps\n",
 		c.Caps[0], c.Caps[len(c.Caps)-1], len(c.Caps))
 	fmt.Fprintf(&b, "- data-set sizes: %v (cells per axis), phase size %d\n", c.SortedSizes(), c.PhaseSize)
@@ -36,34 +39,34 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 	}
 
 	b.WriteString("## Classification (Section VI-B)\n\n```\n")
-	b.WriteString(DemandTable(runs2))
+	b.WriteString(study.DemandTable(runs2))
 	b.WriteString("```\n\n")
 
 	b.WriteString("## Claim checks\n\n```\n")
-	b.WriteString(FormatClaims(claims))
+	b.WriteString(study.FormatClaims(claims))
 	b.WriteString("```\n\n")
 
 	if len(runs2) > 0 {
 		b.WriteString("## Table I (Phase 1)\n\n```\n")
 		for _, r := range runs2 {
 			if r.Name == "Contour" {
-				b.WriteString(Table1(r, c.Caps))
+				b.WriteString(study.Table1(r, c.Caps))
 				break
 			}
 		}
 		b.WriteString("```\n\n")
 	}
 	b.WriteString("## Table II (Phase 2)\n\n```\n")
-	b.WriteString(Table2(runs2, c.Caps))
+	b.WriteString(study.Table2(runs2, c.Caps))
 	b.WriteString("```\n\n")
 	if len(runs3) > 0 {
 		b.WriteString("## Table III (Phase 3)\n\n```\n")
-		b.WriteString(Table3(runs3, c.Caps))
+		b.WriteString(study.Table3(runs3, c.Caps))
 		b.WriteString("```\n\n")
 	}
 
 	b.WriteString("## Energy to solution\n\n```\n")
-	b.WriteString(EnergyTable(runs2, c.Caps))
+	b.WriteString(study.EnergyTable(runs2, c.Caps))
 	b.WriteString("```\n\n")
 
 	b.WriteString("## Figures\n\n")
@@ -80,9 +83,9 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 	for _, r := range runs2 {
 		d, last := r.Demand, r.Ratios[len(r.Ratios)-1]
 		fmt.Fprintf(&b, "| %s | %.1f | %.2f | %.3f | %s | %.2fX | %.2fx |\n",
-			r.Name, d.PowerWatts, d.IPC, d.LLCMissRate, capLabel(r.SlowT, " W"), last.Tratio, last.Eratio)
+			r.Name, d.PowerWatts, d.IPC, d.LLCMissRate, study.CapLabel(r.SlowT, " W"), last.Tratio, last.Eratio)
 	}
-	c.writeBackends(&b)
+	c.writeBackends(&b, runs2)
 	c.writeCellCost(&b)
 	c.writeAdvectDist(&b)
 	c.writeGovern(&b)
@@ -92,11 +95,12 @@ func (c *Config) WriteReport(w io.Writer, runs2, runs3 []*AlgoRun, claims []Clai
 }
 
 // writeBackends appends the DPP-backend comparison section when the
-// campaign priced both formulations of the backend-capable kernels
-// (see BackendCompare): per-backend demand metrics and power class,
-// answering whether the DPP formulation changes the classification.
-func (c *Config) writeBackends(b *strings.Builder) {
-	pairs := c.cachedBackendPairs()
+// Phase 2 runs include the backend-capable kernels, whose cells carry
+// both formulations' profiles (see BackendCompare): per-backend demand
+// metrics and power class, answering whether the DPP formulation changes
+// the classification.
+func (c *Config) writeBackends(b *strings.Builder, runs2 []*study.Run) {
+	pairs := study.BackendPairs(runs2, c.Caps)
 	if len(pairs) == 0 {
 		return
 	}
@@ -106,7 +110,7 @@ func (c *Config) writeBackends(b *strings.Builder) {
 	b.WriteString("Bethel et al., arXiv 2010.02361). Each kernel runs once and its counts\n")
 	b.WriteString("are priced as either formulation's launches: the output is the same,\n")
 	b.WriteString("only the profile differs. Each formulation is classified independently:\n\n```\n")
-	b.WriteString(BackendTable(pairs))
+	b.WriteString(study.BackendTable(pairs))
 	b.WriteString("```\n")
 }
 
@@ -115,36 +119,21 @@ func (c *Config) writeBackends(b *strings.Builder) {
 // seconds (as opposed to the modeled time under a cap), with per-stage
 // self-time attribution when the campaign ran under a tracer.
 func (c *Config) writeCellCost(b *strings.Builder) {
-	var cells []*AlgoRun
-	var total float64
-	for _, r := range cached[*AlgoRun](c) {
-		if r.WallSec > 0 {
-			cells = append(cells, r)
-			total += r.WallSec
-		}
-	}
+	cells := cached[*study.Run](c)
 	if len(cells) == 0 {
 		return
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].WallSec != cells[j].WallSec {
-			return cells[i].WallSec > cells[j].WallSec
-		}
-		if cells[i].Name != cells[j].Name {
-			return cells[i].Name < cells[j].Name
-		}
-		return cells[i].Size < cells[j].Size
+	var total float64
+	for _, r := range cells {
+		total += r.WallSec
+	}
+	slices.SortFunc(cells, func(a, b *study.Run) int {
+		return cmp.Or(cmp.Compare(b.WallSec, a.WallSec), strings.Compare(a.Name, b.Name), cmp.Compare(a.Size, b.Size))
 	})
 	b.WriteString("\n## Measured cell cost\n\n")
 	fmt.Fprintf(b, "Wall-clock cost of the %d executed (algorithm, size) cells, %.2f s\n", len(cells), total)
 	b.WriteString("total, most expensive first. Each cell's instrumented run models every\ncap, so this is the real price of the sweep on this machine.\n\n")
-	withStages := false
-	for _, r := range cells {
-		if len(r.Stages) > 0 {
-			withStages = true
-			break
-		}
-	}
+	withStages := slices.ContainsFunc(cells, func(r *study.Run) bool { return len(r.Stages) > 0 })
 	if withStages {
 		b.WriteString("| cell | wall (s) | % of sweep | top stages (self time) |\n|---|---|---|---|\n")
 	} else {

@@ -76,7 +76,7 @@ func TestHeartbeatFailedCell(t *testing.T) {
 	}
 }
 
-// TestRunRecordsWallAndStages: with a Tracer configured, each AlgoRun
+// TestRunRecordsWallAndStages: with a Tracer configured, each run
 // carries its measured wall clock and a per-stage self-time breakdown
 // whose top entry is the cell span itself.
 func TestRunRecordsWallAndStages(t *testing.T) {

@@ -1,8 +1,10 @@
 // Package metrics implements the derived quantities of the paper's
 // Section V: the power/time/frequency ratios used throughout the result
 // tables (Pratio, Tratio, Fratio), the 10%-slowdown highlighting rule of
-// Tables I–III, and the Moreland–Oldfield rate (elements per second) used
-// instead of speedup to compare cell-centered algorithms (Fig. 3).
+// Tables I–III, the power-opportunity / power-sensitive classification of
+// Section VI-B that rule implies, and the Moreland–Oldfield rate (elements
+// per second) used instead of speedup to compare cell-centered algorithms
+// (Fig. 3).
 package metrics
 
 import (
@@ -76,6 +78,44 @@ func FirstSlowdownCap(base cpu.CapResult, byCap []cpu.CapResult) float64 {
 		caps[i] = r.CapWatts
 	}
 	return FirstCapOver(caps, base.CapWatts, func(i int) float64 { return Compute(base, byCap[i]).Tratio })
+}
+
+// Class is the paper's two-way classification of visualization
+// algorithms under power caps.
+type Class int
+
+const (
+	// PowerOpportunity algorithms are data-bound: capping them deeply
+	// costs little time, so their power can be given away.
+	PowerOpportunity Class = iota
+	// PowerSensitive algorithms are compute-bound: their runtime
+	// degrades roughly with the cap.
+	PowerSensitive
+)
+
+// String returns the paper's name for the class.
+func (c Class) String() string {
+	if c == PowerSensitive {
+		return "power sensitive"
+	}
+	return "power opportunity"
+}
+
+// SensitiveCapWatts is the classification boundary: the paper's sensitive
+// algorithms (volume rendering, particle advection) first slow down 10%
+// at 70–80 W, while the opportunity class holds until Pratio >= 2
+// (<= 60 W).
+const SensitiveCapWatts = 70
+
+// Classify applies the Section VI-B rule to the first cap of a run's cap
+// sweep with a 10% slowdown (FirstSlowdownCap, 0 for none): an algorithm
+// that slows that much at SensitiveCapWatts or above is power sensitive;
+// otherwise it offers power opportunity.
+func Classify(firstSlowdownCap float64) Class {
+	if firstSlowdownCap >= SensitiveCapWatts {
+		return PowerSensitive
+	}
+	return PowerOpportunity
 }
 
 // Rate is the Moreland–Oldfield throughput metric n / T(n,p): data-set

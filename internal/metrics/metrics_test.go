@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cpu"
+	"repro/internal/ops"
 )
 
 func res(cap, t, f float64) cpu.CapResult {
@@ -98,5 +99,37 @@ func TestSelfRatiosAreUnity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestClassify sweeps a compute-bound and a memory-bound profile over the
+// study's nine caps on the paper's processor: the first is power
+// sensitive, the second offers power opportunity.
+func TestClassify(t *testing.T) {
+	sweep := func(p ops.Profile) Class {
+		e := cpu.Analyze(cpu.BroadwellEP(), p, 0)
+		var byCap []cpu.CapResult
+		for w := 120.0; w >= 40; w -= 10 {
+			byCap = append(byCap, e.UnderCap(w))
+		}
+		return Classify(FirstSlowdownCap(byCap[0], byCap))
+	}
+	var compute, memory ops.Profile
+	compute.Flops = 8e9
+	compute.LoadBytes[ops.Resident] = 16e9
+	compute.WorkingSetBytes = 16 << 20
+	compute.Launches = 2
+	memory.Flops = 4e8
+	memory.LoadBytes[ops.Stream] = 24e9
+	memory.WorkingSetBytes = 140 << 20
+	memory.Launches = 2
+	if got := sweep(compute); got != PowerSensitive {
+		t.Errorf("compute-bound classified as %v", got)
+	}
+	if got := sweep(memory); got != PowerOpportunity {
+		t.Errorf("memory-bound classified as %v", got)
+	}
+	if PowerSensitive.String() != "power sensitive" || PowerOpportunity.String() != "power opportunity" {
+		t.Error("class names wrong")
 	}
 }

@@ -1,6 +1,9 @@
 package par
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // TestActiveLoops checks the dispatch-queue depth probe: zero when the
 // pool is idle, at least one from inside a running loop, and surfaced
@@ -14,13 +17,14 @@ func TestActiveLoops(t *testing.T) {
 	if n := p.Stats().ActiveLoops; n != 0 {
 		t.Fatalf("idle Stats().ActiveLoops = %d, want 0", n)
 	}
-	sawActive := false
+	// The chunks run on several workers at once.
+	var sawActive atomic.Bool
 	p.For(64, 0, func(lo, hi, worker int) {
 		if p.ActiveLoops() >= 1 {
-			sawActive = true
+			sawActive.Store(true)
 		}
 	})
-	if !sawActive {
+	if !sawActive.Load() {
 		t.Error("ActiveLoops never reached 1 during a running loop")
 	}
 	if n := p.ActiveLoops(); n != 0 {

@@ -1,8 +1,8 @@
 package power
 
 import (
-	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/perfctr"
 )
 
@@ -71,14 +71,14 @@ func classVote(s perfctr.Sample, spec cpu.Spec, capW, idleFrac float64) float64 
 
 	if !throttled {
 		switch {
-		case s.PowerW >= core.SensitiveCapWatts:
+		case s.PowerW >= metrics.SensitiveCapWatts:
 			v++
 		case s.PowerW <= demandOpportunityW:
 			v--
 		}
 	}
 
-	if throttled && capW >= core.SensitiveCapWatts {
+	if throttled && capW >= metrics.SensitiveCapWatts {
 		v++
 	}
 	if !throttled && capW <= demandOpportunityW {
@@ -109,7 +109,7 @@ type phaseState struct {
 	visits int
 
 	score float64
-	class core.Class
+	class metrics.Class
 
 	// durSec is the EWMA of the phase's governed duration.
 	durSec float64
@@ -134,9 +134,9 @@ func (st *phaseState) observe(s perfctr.Sample, spec cpu.Spec, capW, idleFrac fl
 	st.score = (1-classAlpha)*st.score + classAlpha*vote
 	switch {
 	case st.score >= classDeadband:
-		st.class = core.PowerSensitive
+		st.class = metrics.PowerSensitive
 	case st.score <= -classDeadband:
-		st.class = core.PowerOpportunity
+		st.class = metrics.PowerOpportunity
 	}
 
 	throttled := s.EffFreqGHz < spec.AllCoreTurboGHz-1e-3

@@ -3,8 +3,8 @@ package power
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -76,7 +76,7 @@ func (l *closedLoop) observe(t tick) (obs.Decision, bool) {
 func (l *closedLoop) endPhase(rep *PhaseReport, avgW float64) {
 	st := l.st
 	st.noteDuration(rep.TimeSec, rep.AvgPowerWatts)
-	if st.class == core.PowerSensitive {
+	if st.class == metrics.PowerSensitive {
 		// Trim on the job-average residual the bank could not remove —
 		// conditional integration keeps it frozen while the cap is not
 		// binding or is pinned at a rail.
@@ -148,7 +148,7 @@ func (l *closedLoop) state(label string) *phaseState {
 	}
 	st := &phaseState{
 		label: label,
-		class: core.PowerSensitive,
+		class: metrics.PowerSensitive,
 		kneeW: l.targetW,
 	}
 	l.states[label] = st
@@ -207,7 +207,7 @@ func (l *closedLoop) horizons() horizons {
 		}
 		sec := st.durSec * float64(st.visits) / float64(maxV)
 		h.cycleSec += sec
-		if st.class == core.PowerSensitive {
+		if st.class == metrics.PowerSensitive {
 			sensSec += sec
 			head := l.spec.TDPWatts - l.targetW
 			if d := st.measuredDemandW(); d > 0 {
@@ -246,7 +246,7 @@ func (l *closedLoop) horizons() horizons {
 // (deeper while in deficit, not at all once the bank is full).
 func (l *closedLoop) desiredCap(st *phaseState) float64 {
 	h := l.horizons()
-	if st.class == core.PowerSensitive {
+	if st.class == metrics.PowerSensitive {
 		return l.ctrl.sensitiveCap(h.ffW, maxf(h.cycleSec, l.intervalSec))
 	}
 	return l.ctrl.opportunityCap(st.kneeW, maxf(h.repaySec, l.intervalSec), h.hiJ)

@@ -32,7 +32,7 @@ func dumpResult(b *strings.Builder, name string, r Result) {
 		fmt.Fprintf(b, "phase %d %q %d %s %s %s %s %s %s %s %s %s %s %s %s %s %s %t %d 0 0\n",
 			p.Cycle, p.Label, p.Class, bits(p.Score), bits(p.CapStartWatts), bits(p.CapEndWatts),
 			bits(p.TimeSec), bits(p.EnergyJ), bits(p.AvgPowerWatts), bits(p.EffFreqGHz), bits(p.IPC),
-			bits(p.LLCMissRate), bits(p.PoolIdleFrac), bits(p.StealFrac), bits(p.SelfTimeSec), bits(p.WallSec),
+			bits(p.LLCMissRate), bits(p.PoolIdleFrac), bits(p.StealFrac), bits(p.SelfTimeSec()), bits(p.WallSec),
 			bits(p.DemandWatts), p.DemandIsFree, p.Ticks)
 	}
 	for _, d := range r.Decisions {

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/perfctr"
 	"repro/internal/rapl"
@@ -67,7 +68,7 @@ type Segment struct {
 // before any policy saw it — so a governor shown a recorded phase with
 // its Capture sees exactly what it would have seen live.
 type Capture struct {
-	PoolIdleFrac, StealFrac, SelfTimeSec, WallSec float64
+	PoolIdleFrac, StealFrac, WallSec float64
 	// Stages is the stage summary of the spans the live phase recorded;
 	// nil when it ran untraced. Result.Attribute splits the phase's
 	// EnergyJ over its self time.
@@ -82,7 +83,7 @@ type PhaseReport struct {
 	// come from the closed-loop law's per-label memory; the table and
 	// integral policies keep none and leave them zero.
 	Cycle int
-	Class core.Class
+	Class metrics.Class
 	Score float64
 	// CapStartWatts is the boundary decision, CapEndWatts the effective
 	// limit when the phase finished.
@@ -129,9 +130,9 @@ type Result struct {
 // ClassDemand returns the time-weighted measured demand per phase
 // class — the calibration the serve admission controller consumes in
 // place of spec-TDP guesses.
-func (r *Result) ClassDemand() map[core.Class]float64 {
+func (r *Result) ClassDemand() map[metrics.Class]float64 {
 	type acc struct{ wJ, t float64 }
-	sums := map[core.Class]acc{}
+	sums := map[metrics.Class]acc{}
 	for _, p := range r.Phases {
 		if p.DemandWatts <= 0 || p.TimeSec <= 0 {
 			continue
@@ -141,7 +142,7 @@ func (r *Result) ClassDemand() map[core.Class]float64 {
 		a.t += p.TimeSec
 		sums[p.Class] = a
 	}
-	out := make(map[core.Class]float64, len(sums))
+	out := make(map[metrics.Class]float64, len(sums))
 	for c, a := range sums {
 		out[c] = a.wJ / a.t
 	}
@@ -238,7 +239,7 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 	}
 	g.record(obs.Decision{
 		Phase:        "(startup)",
-		Class:        core.PowerSensitive.String(),
+		Class:        metrics.PowerSensitive.String(),
 		FeedforwardW: opt.TargetWatts,
 		OldWatts:     before,
 		NewWatts:     g.pkg.EffectiveCapWatts(),
@@ -371,9 +372,6 @@ func capturePhase(pipe *core.Pipeline, label string, run func() (core.PhaseResul
 		c.StealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
 	}
 	c.Stages = pipe.Tracer.Stages(mark)
-	for _, st := range c.Stages {
-		c.SelfTimeSec += st.SelfSec()
-	}
 	return seg, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
@@ -53,10 +54,10 @@ func TestGovernorClassifiesPhasesOnline(t *testing.T) {
 			lastCold = p
 		}
 	}
-	if lastHot.Class != core.PowerSensitive {
+	if lastHot.Class != metrics.PowerSensitive {
 		t.Errorf("hot phase classified %v (score %.2f)", lastHot.Class, lastHot.Score)
 	}
-	if lastCold.Class != core.PowerOpportunity {
+	if lastCold.Class != metrics.PowerOpportunity {
 		t.Errorf("cold phase classified %v (score %.2f)", lastCold.Class, lastCold.Score)
 	}
 }
@@ -72,11 +73,11 @@ func TestGovernorTracksTarget(t *testing.T) {
 func TestGovernorClassDemand(t *testing.T) {
 	res := govern(t, mixedSegments(6), 65)
 	demand := res.ClassDemand()
-	hotW, ok := demand[core.PowerSensitive]
+	hotW, ok := demand[metrics.PowerSensitive]
 	if !ok {
 		t.Fatal("no sensitive-class demand measured")
 	}
-	coldW, ok := demand[core.PowerOpportunity]
+	coldW, ok := demand[metrics.PowerOpportunity]
 	if !ok {
 		t.Fatal("no opportunity-class demand measured")
 	}
@@ -132,7 +133,7 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 		if p.TimeSec <= 0 || p.WallSec <= 0 {
 			t.Errorf("phase %d has no time: %+v", i, p)
 		}
-		if p.SelfTimeSec <= 0 {
+		if p.SelfTimeSec() <= 0 {
 			t.Errorf("phase %d captured no trace self time", i)
 		}
 	}

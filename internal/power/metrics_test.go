@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -41,7 +41,7 @@ func TestGovernorFlightRecorder(t *testing.T) {
 	}
 	// Decisions carry the classification once the phases are learned.
 	last := res.Decisions[len(res.Decisions)-1]
-	if last.Class != core.PowerSensitive.String() && last.Class != core.PowerOpportunity.String() {
+	if last.Class != metrics.PowerSensitive.String() && last.Class != metrics.PowerOpportunity.String() {
 		t.Errorf("decision class = %q", last.Class)
 	}
 	if res.DecisionsDropped != 0 {

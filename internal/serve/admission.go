@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // ErrOverload is the sentinel wrapped by OverloadError: the admission
@@ -138,9 +138,9 @@ func (a *Admission) integrateLocked() {
 // the cap floor. Charges are clamped to the budget so a request whose
 // demand exceeds the whole budget is admittable alone rather than
 // unserviceable.
-func (a *Admission) chargeFor(class core.Class, demandWatts float64) float64 {
+func (a *Admission) chargeFor(class metrics.Class, demandWatts float64) float64 {
 	charge := demandWatts
-	if class == core.PowerOpportunity && a.opts.FloorWatts > 0 && charge > a.opts.FloorWatts {
+	if class == metrics.PowerOpportunity && a.opts.FloorWatts > 0 && charge > a.opts.FloorWatts {
 		charge = a.opts.FloorWatts
 	}
 	if b := a.opts.BudgetWatts; b > 0 && charge > b {
@@ -177,7 +177,7 @@ func (a *Admission) grantWaitersLocked() {
 // budgeting is disabled), parks in the bounded FIFO when it does not
 // (queueWait reports how long), and fails with *OverloadError when the
 // queue is full or ctx.Err() when the caller gives up while parked.
-func (a *Admission) Admit(ctx context.Context, class core.Class, demandWatts float64) (g *Grant, queueWait time.Duration, err error) {
+func (a *Admission) Admit(ctx context.Context, class metrics.Class, demandWatts float64) (g *Grant, queueWait time.Duration, err error) {
 	if a.opts.BudgetWatts <= 0 {
 		a.mu.Lock()
 		a.admitted++
@@ -191,7 +191,7 @@ func (a *Admission) Admit(ctx context.Context, class core.Class, demandWatts flo
 	// work. Opportunity requests only reserve the floor — they are
 	// admitted whenever that fits, which is the paper's point: memory-
 	// bound work runs fine under the deep cap the leftover budget implies.
-	if fits && (len(a.waiters) == 0 || class == core.PowerOpportunity) {
+	if fits && (len(a.waiters) == 0 || class == metrics.PowerOpportunity) {
 		a.integrateLocked()
 		a.used += charge
 		if a.used > a.peakWatts {

@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
-func mustAdmit(t *testing.T, a *Admission, class core.Class, demand float64) *Grant {
+func mustAdmit(t *testing.T, a *Admission, class metrics.Class, demand float64) *Grant {
 	t.Helper()
 	g, _, err := a.Admit(context.Background(), class, demand)
 	if err != nil {
@@ -24,17 +24,17 @@ func mustAdmit(t *testing.T, a *Admission, class core.Class, demand float64) *Gr
 // clamp to the budget.
 func TestAdmissionCharges(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{BudgetWatts: 200, FloorWatts: 40})
-	if g := mustAdmit(t, a, core.PowerSensitive, 120); g.Watts() != 120 {
+	if g := mustAdmit(t, a, metrics.PowerSensitive, 120); g.Watts() != 120 {
 		t.Errorf("sensitive charge = %v, want 120", g.Watts())
 	}
-	if g := mustAdmit(t, a, core.PowerOpportunity, 120); g.Watts() != 40 {
+	if g := mustAdmit(t, a, metrics.PowerOpportunity, 120); g.Watts() != 40 {
 		t.Errorf("opportunity charge = %v, want floor 40", g.Watts())
 	}
-	if g := mustAdmit(t, a, core.PowerOpportunity, 25); g.Watts() != 25 {
+	if g := mustAdmit(t, a, metrics.PowerOpportunity, 25); g.Watts() != 25 {
 		t.Errorf("small opportunity charge = %v, want 25", g.Watts())
 	}
 	b := NewAdmission(AdmissionOptions{BudgetWatts: 100, FloorWatts: 40})
-	if g := mustAdmit(t, b, core.PowerSensitive, 500); g.Watts() != 100 {
+	if g := mustAdmit(t, b, metrics.PowerSensitive, 500); g.Watts() != 100 {
 		t.Errorf("over-budget sensitive charge = %v, want clamp to 100", g.Watts())
 	}
 }
@@ -43,7 +43,7 @@ func TestAdmissionCharges(t *testing.T) {
 func TestAdmissionDisabled(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{})
 	for i := 0; i < 100; i++ {
-		g, wait, err := a.Admit(context.Background(), core.PowerSensitive, 1e9)
+		g, wait, err := a.Admit(context.Background(), metrics.PowerSensitive, 1e9)
 		if err != nil || wait != 0 {
 			t.Fatalf("unbudgeted admit %d: wait=%v err=%v", i, wait, err)
 		}
@@ -55,7 +55,7 @@ func TestAdmissionDisabled(t *testing.T) {
 // are granted in arrival order as budget frees.
 func TestAdmissionQueueFIFO(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{BudgetWatts: 100, FloorWatts: 40, QueueDepth: 8})
-	g0 := mustAdmit(t, a, core.PowerSensitive, 100)
+	g0 := mustAdmit(t, a, metrics.PowerSensitive, 100)
 
 	order := make(chan int, 2)
 	var wg sync.WaitGroup
@@ -63,7 +63,7 @@ func TestAdmissionQueueFIFO(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g, wait, err := a.Admit(context.Background(), core.PowerSensitive, 100)
+			g, wait, err := a.Admit(context.Background(), metrics.PowerSensitive, 100)
 			if err != nil {
 				t.Errorf("parked %d: %v", i, err)
 				return
@@ -96,11 +96,11 @@ func TestAdmissionQueueFIFO(t *testing.T) {
 // gap without jumping the queue's budget.
 func TestAdmissionOpportunityHarvestsHeadroom(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{BudgetWatts: 100, FloorWatts: 30, QueueDepth: 8})
-	g0 := mustAdmit(t, a, core.PowerSensitive, 60)
+	g0 := mustAdmit(t, a, metrics.PowerSensitive, 60)
 
 	parked := make(chan *Grant, 1)
 	go func() {
-		g, _, err := a.Admit(context.Background(), core.PowerSensitive, 80)
+		g, _, err := a.Admit(context.Background(), metrics.PowerSensitive, 80)
 		if err != nil {
 			t.Error(err)
 		}
@@ -116,7 +116,7 @@ func TestAdmissionOpportunityHarvestsHeadroom(t *testing.T) {
 
 	// 60 W used, 80 W parked: an opportunity request (charged the 30 W
 	// floor) fits the 40 W gap and must not wait.
-	g1, wait, err := a.Admit(context.Background(), core.PowerOpportunity, 500)
+	g1, wait, err := a.Admit(context.Background(), metrics.PowerOpportunity, 500)
 	if err != nil || wait != 0 {
 		t.Fatalf("opportunity admit: wait=%v err=%v", wait, err)
 	}
@@ -132,10 +132,10 @@ func TestAdmissionOpportunityHarvestsHeadroom(t *testing.T) {
 // typed overload error.
 func TestAdmissionOverloadAndRetryAfter(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{BudgetWatts: 50, FloorWatts: 40, QueueDepth: 1})
-	g0 := mustAdmit(t, a, core.PowerSensitive, 50)
+	g0 := mustAdmit(t, a, metrics.PowerSensitive, 50)
 	defer g0.Release()
 	go func() {
-		g, _, err := a.Admit(context.Background(), core.PowerSensitive, 50)
+		g, _, err := a.Admit(context.Background(), metrics.PowerSensitive, 50)
 		if err == nil {
 			g.Release()
 		}
@@ -147,7 +147,7 @@ func TestAdmissionOverloadAndRetryAfter(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, _, err := a.Admit(context.Background(), core.PowerSensitive, 50)
+	_, _, err := a.Admit(context.Background(), metrics.PowerSensitive, 50)
 	var ov *OverloadError
 	if !errors.As(err, &ov) {
 		t.Fatalf("err = %v, want OverloadError", err)
@@ -167,12 +167,12 @@ func TestAdmissionOverloadAndRetryAfter(t *testing.T) {
 // queue forgets it (no leaked reservation, no stuck waiter).
 func TestAdmissionContextCancel(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{BudgetWatts: 50, QueueDepth: 4})
-	g0 := mustAdmit(t, a, core.PowerSensitive, 50)
+	g0 := mustAdmit(t, a, metrics.PowerSensitive, 50)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := a.Admit(ctx, core.PowerSensitive, 50)
+		_, _, err := a.Admit(ctx, metrics.PowerSensitive, 50)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -191,7 +191,7 @@ func TestAdmissionContextCancel(t *testing.T) {
 	}
 	// The budget must be whole again: a full-budget admit succeeds.
 	g0.Release()
-	g1, wait, err := a.Admit(context.Background(), core.PowerSensitive, 50)
+	g1, wait, err := a.Admit(context.Background(), metrics.PowerSensitive, 50)
 	if err != nil || wait != 0 {
 		t.Fatalf("post-cancel admit: wait=%v err=%v", wait, err)
 	}
@@ -204,7 +204,7 @@ func TestAdmissionAvgWattsBounded(t *testing.T) {
 	a := NewAdmission(AdmissionOptions{BudgetWatts: 100, FloorWatts: 40, QueueDepth: 8})
 	var grants []*Grant
 	for i := 0; i < 4; i++ {
-		grants = append(grants, mustAdmit(t, a, core.PowerSensitive, 25))
+		grants = append(grants, mustAdmit(t, a, metrics.PowerSensitive, 25))
 	}
 	time.Sleep(20 * time.Millisecond)
 	for _, g := range grants {
@@ -220,7 +220,7 @@ func TestAdmissionAvgWattsBounded(t *testing.T) {
 	if st.AvgWatts <= 0 {
 		t.Errorf("avg watts = %v, want > 0", st.AvgWatts)
 	}
-	if g := mustAdmit(t, a, core.PowerSensitive, 100); g != nil {
+	if g := mustAdmit(t, a, metrics.PowerSensitive, 100); g != nil {
 		g.Release()
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -76,7 +76,7 @@ func (s *Server) initMetrics() {
 		adm(func(a AdmissionStats) float64 { return float64(a.Queued) }))
 	reg.CounterFunc("vizpower_admission_rejected_total", "Admissions rejected on a full queue (each a 429).",
 		adm(func(a AdmissionStats) float64 { return float64(a.Rejected) }))
-	for _, class := range []core.Class{core.PowerOpportunity, core.PowerSensitive} {
+	for _, class := range []metrics.Class{metrics.PowerOpportunity, metrics.PowerSensitive} {
 		reg.GaugeFunc("vizpower_admission_class_demand_watts",
 			"Governor-measured demand charged to a never-run workload of the class (0 until SeedClassDemand).",
 			func() float64 {

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -227,7 +227,7 @@ func TestStatsIsTheRegistry(t *testing.T) {
 		t.Fatalf("render: status %d: %s", resp.StatusCode, body)
 	}
 	// Hold the whole budget and park one admission: the queue is full.
-	grant, _, err := s.Admission().Admit(context.Background(), core.PowerSensitive, 1e9)
+	grant, _, err := s.Admission().Admit(context.Background(), metrics.PowerSensitive, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestStatsIsTheRegistry(t *testing.T) {
 	parked := make(chan struct{})
 	go func() {
 		defer close(parked)
-		if g, _, err := s.Admission().Admit(ctx, core.PowerSensitive, 1e9); err == nil {
+		if g, _, err := s.Admission().Admit(ctx, metrics.PowerSensitive, 1e9); err == nil {
 			g.Release()
 		}
 	}()

@@ -15,9 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/render"
 	"repro/internal/viz"
 )
@@ -244,7 +244,7 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 
 	// Hold the whole budget (sensitive demand above budget clamps to it).
-	grant, _, err := s.Admission().Admit(context.Background(), core.PowerSensitive, 1e9)
+	grant, _, err := s.Admission().Admit(context.Background(), metrics.PowerSensitive, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,10 +469,10 @@ func TestSeedClassDemandLadder(t *testing.T) {
 		t.Fatalf("cold estimate %.1f W, want TDP %.1f W", got, s.spec.TDPWatts)
 	}
 	// Rung 2: a governor calibration upgrades the whole class.
-	s.SeedClassDemand(map[core.Class]float64{
-		core.PowerSensitive:   80,
-		core.PowerOpportunity: 58,
-		core.Class(99):        -5, // ignored
+	s.SeedClassDemand(map[metrics.Class]float64{
+		metrics.PowerSensitive:   80,
+		metrics.PowerOpportunity: 58,
+		metrics.Class(99):        -5, // ignored
 	})
 	if got := s.demandWatts("Volume Rendering", 16); got != 80 {
 		t.Errorf("sensitive-class estimate %.1f W, want the seeded 80 W", got)

@@ -11,13 +11,14 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/harness"
 	"repro/internal/mesh"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/render"
+	"repro/internal/study"
 	"repro/internal/viz"
 )
 
@@ -74,12 +75,12 @@ type Server struct {
 	// workload. classes likewise upgrades the static paper
 	// classification with the measured one once a sweep cell ran.
 	estimates sync.Map // string -> float64 (watts)
-	classes   sync.Map // string -> core.Class
+	classes   sync.Map // string -> metrics.Class
 	// classDemand holds the governor-measured time-weighted demand per
 	// power class (SeedClassDemand) — the middle rung of the admission
 	// estimate ladder between a per-workload measurement and the spec
 	// TDP guess.
-	classDemand sync.Map // core.Class -> float64 (watts)
+	classDemand sync.Map // metrics.Class -> float64 (watts)
 
 	// met is the daemon's metrics plane (GET /metrics); govDecisions is
 	// the seeded governor flight-recorder dump (GET /debug/governor).
@@ -103,12 +104,12 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:  opts,
-		spec:  opts.Config.Spec,
+		spec:  study.Processor(),
 		pool:  opts.Config.Pool,
 		cache: NewCache(),
 		adm: NewAdmission(AdmissionOptions{
 			BudgetWatts: opts.BudgetWatts,
-			FloorWatts:  opts.Config.Spec.MinCapWatts,
+			FloorWatts:  study.Processor().MinCapWatts,
 			QueueDepth:  opts.QueueDepth,
 		}),
 		tr:   opts.Tracer,
@@ -362,15 +363,15 @@ func estimateKey(name string, size int) string { return fmt.Sprintf("%s/%d", nam
 // classification when a sweep cell has run, otherwise the paper's
 // Table II result — volume rendering and particle advection are power
 // sensitive, everything else offers power opportunity.
-func (s *Server) classOf(name string, size int) core.Class {
+func (s *Server) classOf(name string, size int) metrics.Class {
 	if v, ok := s.classes.Load(estimateKey(name, size)); ok {
-		return v.(core.Class)
+		return v.(metrics.Class)
 	}
 	switch name {
 	case "Volume Rendering", "Particle Advection":
-		return core.PowerSensitive
+		return metrics.PowerSensitive
 	}
-	return core.PowerOpportunity
+	return metrics.PowerOpportunity
 }
 
 // demandWatts returns the admission charge estimate for an (algorithm,
@@ -394,7 +395,7 @@ func (s *Server) demandWatts(name string, size int) float64 {
 // admission charges for workloads that have never run converge from the
 // spec TDP to what the closed-loop run actually measured for their
 // class. Nonpositive entries are ignored.
-func (s *Server) SeedClassDemand(demand map[core.Class]float64) {
+func (s *Server) SeedClassDemand(demand map[metrics.Class]float64) {
 	for class, w := range demand {
 		if w > 0 {
 			s.classDemand.Store(class, w)
@@ -556,13 +557,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track obs.T
 		if err != nil {
 			return nil, err
 		}
-		return s.opts.Config.Execute(f, ds)
+		cell, err := s.opts.Config.Execute(f, ds)
+		if err != nil {
+			return nil, err
+		}
+		return study.Price(cell, s.opts.Config.Caps), nil
 	})
 	if g == nil {
 		return
 	}
 	defer g.Release()
-	run := v.(*harness.AlgoRun)
+	run := v.(*study.Run)
 	// Feed the measured demand and classification back into admission.
 	s.noteDemand(name, size, run.Exec)
 	s.classes.Store(estimateKey(name, size), run.Class)

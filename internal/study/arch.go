@@ -1,4 +1,4 @@
-package harness
+package study
 
 import (
 	"fmt"
@@ -25,29 +25,19 @@ type ArchRow struct {
 // caps are expressed as fractions of its TDP.
 var archFractions = []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.33}
 
-// CompareArchitectures prices one algorithm's instrumented profile once
-// per architecture, at caps relative to each TDP. The profile is obtained
-// from a run at the phase size on the study pool (the operation counts
-// are architecture-independent; the model is not).
-func (c *Config) CompareArchitectures(algName string, specs []cpu.Spec) ([]ArchRow, error) {
-	c.Defaults()
-	f, err := c.FilterByName(algName)
-	if err != nil {
-		return nil, err
-	}
-	run, err := c.Run(f, c.PhaseSize)
-	if err != nil {
-		return nil, err
-	}
+// PriceArchitectures prices one measured cell's profile on each spec, at
+// caps relative to its TDP: the operation counts are
+// architecture-independent, the model is not.
+func PriceArchitectures(c *Cell, specs []cpu.Spec) []ArchRow {
 	rows := make([]ArchRow, len(specs))
 	for i, spec := range specs {
 		caps := make([]float64, len(archFractions))
 		for j, frac := range archFractions {
 			caps[j] = frac * spec.TDPWatts
 		}
-		rows[i] = ArchRow{Spec: spec, Priced: price(spec, caps, run.Profile)}
+		rows[i] = ArchRow{Spec: spec, Priced: price(spec, caps, c.Profile)}
 	}
-	return rows, nil
+	return rows
 }
 
 // ArchTable renders the cross-architecture comparison. A fraction below

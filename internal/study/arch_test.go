@@ -1,14 +1,27 @@
-package harness
+package study_test
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/harness"
+	"repro/internal/par"
+	"repro/internal/study"
 )
 
+// tinyConfig is a study small enough for unit tests: the arch tests
+// price cells the harness measures at it.
+func tinyConfig() *harness.Config {
+	return (&harness.Config{
+		Pool: par.NewPool(2), Sizes: []int{8, 16}, PhaseSize: 16,
+		Images: 2, ImageSize: 16, Particles: 27, ParticleSteps: 60,
+		Isovalues: 3, SimTime: 0.02, MaxSimSize: 16,
+	}).Defaults()
+}
+
 func TestArchitecturesList(t *testing.T) {
-	specs := Architectures()
+	specs := study.Architectures()
 	if len(specs) != 3 {
 		t.Fatalf("architectures = %d, want 3", len(specs))
 	}
@@ -27,7 +40,7 @@ func TestArchitecturesList(t *testing.T) {
 
 func TestCompareArchitectures(t *testing.T) {
 	c := tinyConfig()
-	rows, err := c.CompareArchitectures("Contour", Architectures())
+	rows, err := c.CompareArchitectures("Contour", study.Architectures())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +48,7 @@ func TestCompareArchitectures(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, row := range rows {
-		if len(row.Ratios) != len(archFractions) {
+		if len(row.Ratios) != len(study.ArchFractions) {
 			t.Fatalf("%s: %d ratios", row.Spec.Name, len(row.Ratios))
 		}
 		// Tratio at full TDP is 1 and never improves as caps drop.
@@ -44,18 +57,18 @@ func TestCompareArchitectures(t *testing.T) {
 		}
 		for i := 1; i < len(row.Ratios); i++ {
 			if row.Ratios[i].Tratio < row.Ratios[i-1].Tratio-1e-9 {
-				t.Errorf("%s: Tratio not monotone at %v", row.Spec.Name, archFractions[i])
+				t.Errorf("%s: Tratio not monotone at %v", row.Spec.Name, study.ArchFractions[i])
 			}
 		}
 		if frac := row.Demand.PowerWatts / row.Spec.TDPWatts; frac <= 0 || frac > 1.2 {
 			t.Errorf("%s: demand fraction %v", row.Spec.Name, frac)
 		}
 	}
-	tbl := ArchTable("Contour", rows)
+	tbl := study.ArchTable("Contour", rows)
 	if !strings.Contains(tbl, "Broadwell") || !strings.Contains(tbl, "KNL") {
 		t.Errorf("table missing architectures:\n%s", tbl)
 	}
-	if _, err := c.CompareArchitectures("Nope", Architectures()); err == nil {
+	if _, err := c.CompareArchitectures("Nope", study.Architectures()); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -72,7 +85,7 @@ func TestArchExtensionShiftsClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	bdw, knl := rows[0], rows[1]
-	last := len(archFractions) - 1
+	last := len(study.ArchFractions) - 1
 	if knl.Ratios[last].Tratio < bdw.Ratios[last].Tratio-1e-9 {
 		t.Errorf("deep-cap slowdown on KNL (%v) should be at least Broadwell's (%v): bandwidth removes the memory bottleneck",
 			knl.Ratios[last].Tratio, bdw.Ratios[last].Tratio)
@@ -92,12 +105,12 @@ func TestArchTableDashesClampedCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(ArchTable("Particle Advection", rows)), "\n")[2:]
+	lines := strings.Split(strings.TrimSpace(study.ArchTable("Particle Advection", rows)), "\n")[2:]
 	for k, spec := range specs {
 		fields := strings.Fields(lines[k])
-		cells := fields[len(fields)-len(archFractions):]
-		enforced := func(i int) float64 { return max(archFractions[i]*spec.TDPWatts, spec.MinCapWatts) }
-		for i, frac := range archFractions {
+		cells := fields[len(fields)-len(study.ArchFractions):]
+		enforced := func(i int) float64 { return max(study.ArchFractions[i]*spec.TDPWatts, spec.MinCapWatts) }
+		for i, frac := range study.ArchFractions {
 			repeat := i > 0 && enforced(i) == enforced(i-1)
 			if repeat != (cells[i] == "—") {
 				t.Errorf("%s at %.0f%% of TDP (repeats the previous cap: %v): cell %q", spec.Name, frac*100, repeat, cells[i])

@@ -1,12 +1,13 @@
-package harness
+package study
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // Claim is one executable statement from the paper's findings (Section
-// VII), evaluated against a fresh run of the study.
+// VII), evaluated against the study's cells.
 type Claim struct {
 	ID        string
 	Statement string
@@ -17,23 +18,59 @@ type Claim struct {
 	Detail     string
 }
 
-// CheckClaims runs the study at the configured scale and evaluates the
-// paper's headline findings. It returns one result per claim; callers
-// treat any applicable failing claim as a reproduction regression.
-func (c *Config) CheckClaims() ([]Claim, error) {
-	c.Defaults()
-	runs, err := c.Phase2()
-	if err != nil {
-		return nil, err
+// The size claims need a real size span; the falling one needs a
+// largest size past the LLC-overflow point.
+func sizeSpanOK(sizes []int) bool { return len(sizes) >= 2 && sizes[len(sizes)-1] >= 4*sizes[0] }
+func overflowOK(sizes []int) bool { return len(sizes) >= 2 && sizes[len(sizes)-1] >= 192 }
+
+// sizeClaims are claims 7–9, the IPC-versus-size categories of Figs.
+// 4–6: each judges one algorithm's base-cap IPC at every size (ascending).
+var sizeClaims = []struct {
+	id, statement, alg, skip string
+	applicable               func(sizes []int) bool
+	judge                    func(ipc []float64, sizes []int) (bool, string)
+}{
+	{"size-rising", "Slice-class IPC rises with data-set size (Fig. 4)", "Slice", "size span too small", sizeSpanOK,
+		func(v []float64, sizes []int) (bool, string) {
+			n := len(v)
+			return v[n-1] > v[0], fmt.Sprintf("slice IPC %.2f at %d^3 -> %.2f at %d^3", v[0], sizes[0], v[n-1], sizes[n-1])
+		}},
+	{"size-falling", "Volume rendering IPC falls once the volume overflows the LLC (Fig. 5)", "Volume Rendering",
+		"largest size below the LLC-overflow point", overflowOK,
+		func(v []float64, _ []int) (bool, string) {
+			n := len(v)
+			return v[n-1] < v[n-2], fmt.Sprintf("volume rendering IPC %.3f -> %.3f at the overflow step", v[n-2], v[n-1])
+		}},
+	{"size-flat", "Particle advection IPC is size-invariant (Fig. 6)", "Particle Advection", "size span too small", sizeSpanOK,
+		func(v []float64, _ []int) (bool, string) {
+			lo, hi := slices.Min(v), slices.Max(v)
+			return (hi-lo)/hi < 0.05, fmt.Sprintf("particle advection IPC spread %.1f%%", 100*(hi-lo)/hi)
+		}},
+}
+
+// SizeClaimAlgorithms names the algorithms whose runs at every size
+// Claims reads, given the study's sizes ascending: those of the size
+// claims the sizes can test, in claim order.
+func SizeClaimAlgorithms(sizes []int) []string {
+	var names []string
+	for _, sc := range sizeClaims {
+		if sc.applicable(sizes) {
+			names = append(names, sc.alg)
+		}
 	}
-	// The claims compare algorithms against each other, so a partial
-	// Phase 2 (some cells failed and were skipped) cannot be judged.
-	if len(runs) != len(c.Filters()) {
-		return nil, fmt.Errorf("harness: claims need the full Phase 2 set, only %d of %d algorithms ran\n%s",
-			len(runs), len(c.Filters()), FailureReport(c.Failures()))
-	}
-	byName := make(map[string]*AlgoRun, len(runs))
-	for _, r := range runs {
+	return names
+}
+
+// Claims evaluates the paper's headline findings, one result per claim;
+// callers treat any applicable failing claim as a reproduction
+// regression. phase is the full Phase 2 set (every algorithm at the
+// phase size), bySize maps each algorithm SizeClaimAlgorithms names to
+// its runs by size, sizes are the study's sizes ascending, and
+// renderScale says the rendering workloads ran at a paper-like scale:
+// the class claims are inapplicable without it.
+func Claims(phase []*Run, bySize map[string]map[int]*Run, sizes []int, renderScale bool) []Claim {
+	byName := make(map[string]*Run, len(phase))
+	for _, r := range phase {
 		byName[r.Name] = r
 	}
 	demand := func(n string) float64 { return byName[n].Demand.PowerWatts }
@@ -43,12 +80,6 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 
 	sensitive := []string{"Volume Rendering", "Particle Advection"}
 	opportunity := []string{"Contour", "Spherical Clip", "Isovolume", "Threshold", "Slice", "Ray Tracing"}
-
-	// The class claims only hold when the rendering workloads run at a
-	// paper-like scale (the 50-image database); a -quick demonstration
-	// with tiny images makes volume rendering launch-overhead-bound and
-	// meaningless to classify.
-	renderScaleOK := c.Images*c.ImageSize*c.ImageSize >= 300_000 && c.PhaseSize >= 48
 
 	var claims []Claim
 	add := func(id, statement string, applicable, pass bool, detail string) {
@@ -80,7 +111,7 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 		}
 		add("class-demand",
 			"Volume rendering and particle advection demand more power than every opportunity algorithm",
-			renderScaleOK, pass, worst)
+			renderScale, pass, worst)
 	}
 	// Claim 3 — the class split by throttle point.
 	{
@@ -100,7 +131,7 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 		}
 		add("class-throttle",
 			"Power-sensitive algorithms slow >=10% by 70-80 W; opportunity algorithms hold to <=60 W",
-			renderScaleOK, pass, detail)
+			renderScale, pass, detail)
 	}
 	// Claim 4 — the IPC divide.
 	{
@@ -114,7 +145,7 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 		}
 		add("ipc-divide",
 			"Sensitive algorithms sit above IPC 1 and above every opportunity algorithm; threshold below 1",
-			renderScaleOK, pass,
+			renderScale, pass,
 			fmt.Sprintf("VR %.2f, PA %.2f, threshold %.2f", ipc("Volume Rendering"), ipc("Particle Advection"), ipc("Threshold")))
 	}
 	// Claim 5 — the miss-rate inversion.
@@ -128,14 +159,14 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 		pass = pass && miss("Isovolume") > miss("Volume Rendering")
 		add("miss-inversion",
 			"Volume rendering has the lowest LLC miss rate; the opportunity class the highest",
-			renderScaleOK, pass,
+			renderScale, pass,
 			fmt.Sprintf("VR %.3f vs isovolume %.3f", miss("Volume Rendering"), miss("Isovolume")))
 	}
 	// Claim 6 — the Section V-A tradeoff: Tratio never exceeds Pratio.
 	{
 		pass := true
 		detail := ""
-		for _, r := range runs {
+		for _, r := range phase {
 			for i, rt := range r.Ratios {
 				if rt.Tratio > rt.Pratio+1e-9 {
 					pass = false
@@ -147,64 +178,18 @@ func (c *Config) CheckClaims() ([]Claim, error) {
 			"For every algorithm and cap, the slowdown never exceeds the power reduction (Tratio <= Pratio)",
 			true, pass, detail)
 	}
-	// Claims 7-9 — the IPC-versus-size categories (need a real size span).
-	sizes := c.SortedSizes()
-	sizeSpanOK := len(sizes) >= 2 && sizes[len(sizes)-1] >= 4*sizes[0]
-	overflowOK := sizes[len(sizes)-1] >= 192
-	{
-		applicable := sizeSpanOK
-		pass, detail := false, "size span too small"
+	for _, sc := range sizeClaims {
+		applicable, pass, detail := sc.applicable(sizes), false, sc.skip
 		if applicable {
-			bySize, err := c.RunsBySize("Slice")
-			if err != nil {
-				return nil, err
+			ipc := make([]float64, len(sizes))
+			for i, size := range sizes {
+				ipc[i] = bySize[sc.alg][size].ByCap[0].IPC
 			}
-			lo := bySize[sizes[0]].ByCap[0].IPC
-			hi := bySize[sizes[len(sizes)-1]].ByCap[0].IPC
-			pass = hi > lo
-			detail = fmt.Sprintf("slice IPC %.2f at %d^3 -> %.2f at %d^3", lo, sizes[0], hi, sizes[len(sizes)-1])
+			pass, detail = sc.judge(ipc, sizes)
 		}
-		add("size-rising", "Slice-class IPC rises with data-set size (Fig. 4)", applicable, pass, detail)
+		add(sc.id, sc.statement, applicable, pass, detail)
 	}
-	{
-		applicable := overflowOK
-		pass, detail := false, "largest size below the LLC-overflow point"
-		if applicable {
-			bySize, err := c.RunsBySize("Volume Rendering")
-			if err != nil {
-				return nil, err
-			}
-			mid := bySize[sizes[len(sizes)-2]].ByCap[0].IPC
-			top := bySize[sizes[len(sizes)-1]].ByCap[0].IPC
-			pass = top < mid
-			detail = fmt.Sprintf("volume rendering IPC %.3f -> %.3f at the overflow step", mid, top)
-		}
-		add("size-falling", "Volume rendering IPC falls once the volume overflows the LLC (Fig. 5)", applicable, pass, detail)
-	}
-	{
-		applicable := sizeSpanOK
-		pass, detail := false, "size span too small"
-		if applicable {
-			bySize, err := c.RunsBySize("Particle Advection")
-			if err != nil {
-				return nil, err
-			}
-			lo, hi := 1e300, 0.0
-			for _, s := range sizes {
-				v := bySize[s].ByCap[0].IPC
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			pass = (hi-lo)/hi < 0.05
-			detail = fmt.Sprintf("particle advection IPC spread %.1f%%", 100*(hi-lo)/hi)
-		}
-		add("size-flat", "Particle advection IPC is size-invariant (Fig. 6)", applicable, pass, detail)
-	}
-	return claims, nil
+	return claims
 }
 
 // FormatClaims renders claim results, one line each.

@@ -1,17 +1,19 @@
-package harness
+package study_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/par"
+	"repro/internal/study"
 )
 
 func TestCheckClaimsAtMidScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claim check skipped in -short mode")
 	}
-	c := (&Config{
+	c := (&harness.Config{
 		Pool:          par.NewPool(2),
 		Sizes:         []int{16, 64},
 		PhaseSize:     64,
@@ -29,7 +31,7 @@ func TestCheckClaimsAtMidScale(t *testing.T) {
 	if len(claims) != 9 {
 		t.Fatalf("claims = %d, want 9", len(claims))
 	}
-	byID := map[string]Claim{}
+	byID := map[string]study.Claim{}
 	for _, cl := range claims {
 		byID[cl.ID] = cl
 	}
@@ -47,25 +49,25 @@ func TestCheckClaimsAtMidScale(t *testing.T) {
 	if byID["size-falling"].Applicable {
 		t.Error("size-falling should be inapplicable below the overflow size")
 	}
-	out := FormatClaims(claims)
+	out := study.FormatClaims(claims)
 	if !strings.Contains(out, "[PASS]") || !strings.Contains(out, "[SKIP]") {
 		t.Errorf("formatting missing statuses:\n%s", out)
 	}
-	if !ClaimsAllPass(claims) {
+	if !study.ClaimsAllPass(claims) {
 		t.Error("applicable claims should all pass")
 	}
 }
 
 func TestClaimsAllPassLogic(t *testing.T) {
-	claims := []Claim{
+	claims := []study.Claim{
 		{ID: "a", Applicable: true, Pass: true},
 		{ID: "b", Applicable: false, Pass: false}, // skipped: ignored
 	}
-	if !ClaimsAllPass(claims) {
+	if !study.ClaimsAllPass(claims) {
 		t.Error("skip counted as failure")
 	}
-	claims = append(claims, Claim{ID: "c", Applicable: true, Pass: false})
-	if ClaimsAllPass(claims) {
+	claims = append(claims, study.Claim{ID: "c", Applicable: true, Pass: false})
+	if study.ClaimsAllPass(claims) {
 		t.Error("failure not detected")
 	}
 }

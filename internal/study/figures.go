@@ -1,8 +1,9 @@
-package harness
+package study
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/metrics"
@@ -10,41 +11,38 @@ import (
 )
 
 // Series is one labeled curve of a figure: Y versus X.
-type Series struct {
-	Label string
-	X, Y  []float64
-}
+type Series = plot.Series
 
 // Fig2a returns effective frequency (GHz) versus power cap for every
 // algorithm — the paper's Figure 2a.
-func Fig2a(runs []*AlgoRun, caps []float64) []Series {
-	return capSeries(runs, caps, func(r *AlgoRun, i int) float64 { return r.ByCap[i].FreqGHz })
+func Fig2a(runs []*Run, caps []float64) []Series {
+	return capSeries(runs, caps, func(r *Run, i int) float64 { return r.ByCap[i].FreqGHz })
 }
 
 // Fig2b returns IPC versus power cap — Figure 2b.
-func Fig2b(runs []*AlgoRun, caps []float64) []Series {
-	return capSeries(runs, caps, func(r *AlgoRun, i int) float64 { return r.ByCap[i].IPC })
+func Fig2b(runs []*Run, caps []float64) []Series {
+	return capSeries(runs, caps, func(r *Run, i int) float64 { return r.ByCap[i].IPC })
 }
 
 // Fig2c returns last-level-cache miss rate versus power cap — Figure 2c.
-func Fig2c(runs []*AlgoRun, caps []float64) []Series {
-	return capSeries(runs, caps, func(r *AlgoRun, i int) float64 { return r.ByCap[i].LLCMissRate })
+func Fig2c(runs []*Run, caps []float64) []Series {
+	return capSeries(runs, caps, func(r *Run, i int) float64 { return r.ByCap[i].LLCMissRate })
 }
+
+// cellCentered lists the algorithms the Fig. 3 rate metric applies to
+// (those that iterate over each cell of the input).
+var cellCentered = []string{"Contour", "Isovolume", "Slice", "Spherical Clip", "Threshold"}
 
 // Fig3 returns elements processed per second (in millions) versus power
 // cap for the cell-centered algorithms — Figure 3.
-func Fig3(runs []*AlgoRun, caps []float64) []Series {
-	cellCentered := make(map[string]bool, len(CellCenteredNames))
-	for _, n := range CellCenteredNames {
-		cellCentered[n] = true
-	}
-	var subset []*AlgoRun
+func Fig3(runs []*Run, caps []float64) []Series {
+	var subset []*Run
 	for _, r := range runs {
-		if cellCentered[r.Name] {
+		if slices.Contains(cellCentered, r.Name) {
 			subset = append(subset, r)
 		}
 	}
-	return capSeries(subset, caps, func(r *AlgoRun, i int) float64 {
+	return capSeries(subset, caps, func(r *Run, i int) float64 {
 		return metrics.Rate(r.Elements, r.ByCap[i].TimeSec) / 1e6
 	})
 }
@@ -52,7 +50,7 @@ func Fig3(runs []*AlgoRun, caps []float64) []Series {
 // FigIPCBySize returns IPC versus power cap with one series per data-set
 // size for a single algorithm — the format of Figures 4 (slice), 5
 // (volume rendering), and 6 (particle advection).
-func FigIPCBySize(bySize map[int]*AlgoRun, sizes []int, caps []float64) []Series {
+func FigIPCBySize(bySize map[int]*Run, sizes []int, caps []float64) []Series {
 	var out []Series
 	for _, size := range sizes {
 		run, ok := bySize[size]
@@ -69,7 +67,7 @@ func FigIPCBySize(bySize map[int]*AlgoRun, sizes []int, caps []float64) []Series
 	return out
 }
 
-func capSeries(runs []*AlgoRun, caps []float64, y func(*AlgoRun, int) float64) []Series {
+func capSeries(runs []*Run, caps []float64, y func(*Run, int) float64) []Series {
 	var out []Series
 	for _, run := range runs {
 		s := Series{Label: run.Name}
@@ -109,15 +107,11 @@ func FormatSeries(title, xlabel string, series []Series) string {
 // WriteSVGFigure renders the series as an SVG line chart in the style of
 // the paper's figures (power cap on the x axis).
 func WriteSVGFigure(w io.Writer, title, ylabel string, series []Series) error {
-	ps := make([]plot.Series, len(series))
-	for i, s := range series {
-		ps[i] = plot.Series{Label: s.Label, X: s.X, Y: s.Y}
-	}
 	return plot.WriteSVG(w, plot.Options{
 		Title:  title,
 		XLabel: "Processor Power Cap (W)",
 		YLabel: ylabel,
-	}, ps)
+	}, series)
 }
 
 // SeriesCSV renders series as CSV with the shared X column first.

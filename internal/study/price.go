@@ -1,9 +1,8 @@
-package harness
+package study
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/ops"
@@ -28,13 +27,14 @@ type Priced struct {
 	// cap does.
 	SlowT, SlowF float64
 	// Class is the Section VI-B class SlowT implies.
-	Class core.Class
+	Class metrics.Class
 }
 
-// price is the one place a study cell's measured profile becomes modeled
-// numbers: the profile analyzed on spec and evaluated under each of caps,
-// caps[0] being the base. Execute prices every cell on the study's spec
-// and caps; CompareArchitectures prices one cell on each architecture.
+// price is the one place a measured profile becomes modeled numbers: the
+// profile analyzed on spec and evaluated under each of caps, caps[0]
+// being the base. Price prices every cell on the study's processor, a
+// backend pair prices its run's DPP profile, and PriceArchitectures
+// prices one cell on each architecture.
 func price(spec cpu.Spec, caps []float64, p ops.Profile) Priced {
 	exec := cpu.Analyze(spec, p, 0)
 	byCap := make([]cpu.CapResult, len(caps))
@@ -60,12 +60,12 @@ func fromSweep(byCap []cpu.CapResult) Priced {
 	}
 	pr.SlowT = metrics.FirstSlowdownCap(base, byCap)
 	pr.SlowF = metrics.FirstCapOver(caps, base.CapWatts, func(i int) float64 { return pr.Ratios[i].Fratio })
-	pr.Class = core.Classify(pr.SlowT)
+	pr.Class = metrics.Classify(pr.SlowT)
 	return pr
 }
 
-// capLabel formats a slowdown cap as "<watts><unit>", "none" for no cap.
-func capLabel(w float64, unit string) string {
+// CapLabel formats a slowdown cap as "<watts><unit>", "none" for no cap.
+func CapLabel(w float64, unit string) string {
 	if w > 0 {
 		return fmt.Sprintf("%.0f%s", w, unit)
 	}

@@ -1,4 +1,4 @@
-package harness
+package study
 
 import (
 	"fmt"
@@ -10,7 +10,7 @@ import (
 // execution time T, Tratio, the effective frequency F, and Fratio. Rows
 // where the 10% slowdown first appears are marked with '*' (the paper
 // prints them in red).
-func Table1(run *AlgoRun, caps []float64) string {
+func Table1(run *Run, caps []float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table I — %s, %d^3 data set\n", run.Name, run.Size)
 	fmt.Fprintf(&b, "%-6s %-7s %-10s %-7s %-8s %-7s\n", "P", "Pratio", "T", "Tratio", "F", "Fratio")
@@ -38,7 +38,7 @@ func Table1(run *AlgoRun, caps []float64) string {
 // SlowdownTable renders the paper's Table II/III format: for every
 // algorithm, a Tratio row and an Fratio row across all caps, with the
 // first >= 10% degradation marked '*'.
-func SlowdownTable(title string, runs []*AlgoRun, caps []float64) string {
+func SlowdownTable(title string, runs []*Run, caps []float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	// Header: P and Pratio rows.
@@ -76,21 +76,19 @@ func SlowdownTable(title string, runs []*AlgoRun, caps []float64) string {
 }
 
 // Table2 renders Table II (all algorithms at the phase size).
-func Table2(runs []*AlgoRun, caps []float64) string {
-	size := 0
-	if len(runs) > 0 {
-		size = runs[0].Size
-	}
-	return SlowdownTable(fmt.Sprintf("Table II — slowdown factors, %d^3 data set", size), runs, caps)
-}
+func Table2(runs []*Run, caps []float64) string { return numberedTable("II", runs, caps) }
 
 // Table3 renders Table III (all algorithms at the largest size).
-func Table3(runs []*AlgoRun, caps []float64) string {
+func Table3(runs []*Run, caps []float64) string { return numberedTable("III", runs, caps) }
+
+// numberedTable is SlowdownTable titled with the table's number and the
+// runs' data-set size.
+func numberedTable(number string, runs []*Run, caps []float64) string {
 	size := 0
 	if len(runs) > 0 {
 		size = runs[0].Size
 	}
-	return SlowdownTable(fmt.Sprintf("Table III — slowdown factors, %d^3 data set", size), runs, caps)
+	return SlowdownTable(fmt.Sprintf("Table %s — slowdown factors, %d^3 data set", number, size), runs, caps)
 }
 
 // EnergyTable quantifies the Section V-A tradeoff ("users can make a
@@ -99,7 +97,7 @@ func Table3(runs []*AlgoRun, caps []float64) string {
 // to the TDP run. For power-opportunity algorithms the ratio falls well
 // below 1 — capping is an energy win at almost no time cost — while for
 // power-sensitive algorithms the longer runtime eats the savings.
-func EnergyTable(runs []*AlgoRun, caps []float64) string {
+func EnergyTable(runs []*Run, caps []float64) string {
 	var b strings.Builder
 	b.WriteString("Energy to solution relative to the TDP run (E_cap / E_TDP)\n")
 	fmt.Fprintf(&b, "%-22s", "Algorithm")
@@ -120,14 +118,14 @@ func EnergyTable(runs []*AlgoRun, caps []float64) string {
 // DemandTable summarizes each algorithm's unconstrained power demand, IPC,
 // LLC miss rate, and classification — the quantitative basis of the
 // paper's Section VI-B discussion.
-func DemandTable(runs []*AlgoRun) string {
+func DemandTable(runs []*Run) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %10s %8s %10s %14s  %s\n",
 		"Algorithm", "Demand(W)", "IPC", "LLC miss", "1st 10% slow", "Class")
 	for _, run := range runs {
 		d := run.Demand
 		fmt.Fprintf(&b, "%-22s %10.1f %8.2f %10.3f %14s  %s\n",
-			run.Name, d.PowerWatts, d.IPC, d.LLCMissRate, capLabel(run.SlowT, "W"), run.Class)
+			run.Name, d.PowerWatts, d.IPC, d.LLCMissRate, CapLabel(run.SlowT, "W"), run.Class)
 	}
 	return b.String()
 }

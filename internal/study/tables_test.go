@@ -1,4 +1,4 @@
-package harness
+package study
 
 import (
 	"strings"
@@ -7,11 +7,11 @@ import (
 	"repro/internal/cpu"
 )
 
-// syntheticRun builds an AlgoRun with prescribed times/frequencies per cap
+// syntheticRun builds a Run with prescribed times/frequencies per cap
 // (caps[0] the base) so the table emitters' highlight rule can be checked
 // exactly.
-func syntheticRun(name string, caps, times, freqs []float64) *AlgoRun {
-	run := &AlgoRun{Name: name, Size: 128, Elements: 1 << 21}
+func syntheticRun(name string, caps, times, freqs []float64) *Run {
+	run := &Run{Cell: Cell{Name: name, Size: 128, Elements: 1 << 21}}
 	var byCap []cpu.CapResult
 	for i := range caps {
 		byCap = append(byCap, cpu.CapResult{
@@ -54,7 +54,7 @@ func TestSlowdownTableMarksHighestQualifyingCap(t *testing.T) {
 		[]float64{10, 10, 11.2, 12.5, 18}, // first >=10% at 80
 		[]float64{2.6, 2.6, 2.3, 2.0, 1.4},
 	)
-	tbl := SlowdownTable("T", []*AlgoRun{run}, caps)
+	tbl := SlowdownTable("T", []*Run{run}, caps)
 	// Exactly one Tratio marker, on the 80W column (1.12X*).
 	if strings.Count(tbl, "1.12X*") != 1 {
 		t.Errorf("marker missing or duplicated:\n%s", tbl)
@@ -70,7 +70,7 @@ func TestSlowdownTableNoMarkerWhenFlat(t *testing.T) {
 		[]float64{10, 10.1, 10.5}, // never reaches 1.10X
 		[]float64{2.6, 2.6, 2.5},
 	)
-	tbl := SlowdownTable("T", []*AlgoRun{run}, caps)
+	tbl := SlowdownTable("T", []*Run{run}, caps)
 	// The Tratio row carries no marker (frequency may still mark).
 	for _, line := range strings.Split(tbl, "\n") {
 		if strings.Contains(line, "Tratio") && strings.Contains(line, "*") {
@@ -112,7 +112,7 @@ func TestDemandTableClassBoundary(t *testing.T) {
 		[]float64{10, 10, 10, 10, 10.3, 11.2}, // first >=10% at 40 -> opportunity
 		[]float64{2.6, 2.6, 2.6, 2.6, 2.5, 2.1},
 	)
-	tbl := DemandTable([]*AlgoRun{sensitive, opportunity})
+	tbl := DemandTable([]*Run{sensitive, opportunity})
 	for _, line := range strings.Split(tbl, "\n") {
 		if strings.HasPrefix(line, "Hot") && !strings.Contains(line, "power sensitive") {
 			t.Errorf("Hot misclassified: %q", line)
@@ -129,7 +129,7 @@ func TestEnergyTable(t *testing.T) {
 		[]float64{10, 10, 11},
 		[]float64{2.6, 2.6, 2.0},
 	)
-	tbl := EnergyTable([]*AlgoRun{run}, caps)
+	tbl := EnergyTable([]*Run{run}, caps)
 	if !strings.Contains(tbl, "Energy to solution") || !strings.Contains(tbl, "Contour") {
 		t.Fatalf("malformed:\n%s", tbl)
 	}
