@@ -31,7 +31,7 @@
 #                  make bench-go BENCH=CellCold is the cold, one-shot cost
 #                  of clip, isovolume, contour and threshold at 64^3 and
 #                  128^3 and advection at 64^3 (fresh pool per iteration,
-#                  -benchmem, live-MB left behind; clip-128 ~0.4 GB/run);
+#                  -benchmem, live-MB left behind; clip-128 ~0.11 GB/run);
 #                  make bench-go BENCH=HydroDataset is what a data set
 #                  costs before any kernel: BuildDataset at 64^3 to
 #                  SimTime 0.05 and 0.12 (hydro run + Grid export),

@@ -90,8 +90,8 @@ func BenchmarkHydroDataset(b *testing.B) {
 // plus whatever the runs left behind. Every count → scan → fill emitter
 // and the step-budget trails have a row; the 128 arms are the paper-scale
 // witness on a box that cannot run the 256^3 study (clip-128 allocates
-// about 380 MB a run beside the ~120 MB data set). (The ledger stops at
-// 64^3, warm.)
+// about 113 MB a run beside the ~120 MB data set, 399 MB when it welded
+// by position). (The ledger stops at 64^3, warm.)
 func BenchmarkCellCold(b *testing.B) {
 	for _, alg := range []struct {
 		key, name string

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/par"
@@ -46,12 +47,25 @@ type chunk struct {
 // multiple of grain — the chunks Fill visits — and scans the chunk counts
 // into each chunk's offsets.
 func Count(pool *par.Pool, n, grain int, count func(lo, hi, worker int) Sizes) Emission {
+	e := counted(pool, n, grain, count)
+	e.scan()
+	return e
+}
+
+// counted is Count before the scan: chunk c's count is at chunks[c+1].
+func counted(pool *par.Pool, n, grain int, count func(lo, hi, worker int) Sizes) Emission {
 	cs := make([]chunk, (n+grain-1)/grain+1)
 	pool.For(n, grain, func(lo, hi, worker int) { cs[lo/grain+1].at = count(lo, hi, worker) })
+	return Emission{pool: pool, n: n, grain: grain, chunks: cs}
+}
+
+// scan turns the chunk counts into offsets and the total.
+func (e *Emission) scan() {
+	cs := e.chunks
 	for c := 1; c < len(cs); c++ {
 		cs[c].at = cs[c].at.add(cs[c-1].at)
 	}
-	return Emission{pool: pool, n: n, grain: grain, chunks: cs, Total: cs[len(cs)-1].at}
+	e.Total = cs[len(cs)-1].at
 }
 
 // Fill runs fill over the counted chunks, handing each its offsets. fill
@@ -141,9 +155,8 @@ func (w *CellWriter) AddHex(cell *CellWalk, carry []float64, win *PointWindow) {
 	w.AddCell(Hex, conn[:]...)
 }
 
-// PointWindow deduplicates the grid points of the cells a chunk passes
-// through whole (threshold's cells, the unclipped hexes of clip and
-// isovolume). The cells [lo, hi) touch only grid points CellPoints(lo)[0]
+// PointWindow deduplicates the grid points of the cells a chunk of
+// threshold passes through whole. The cells [lo, hi) touch only grid points CellPoints(lo)[0]
 // through CellPoints(hi-1)[6], so one int32 per point of that window —
 // the output index + 1, zero until the chunk first emits the point —
 // stands in for a map; points are numbered in first-touch order.
@@ -175,4 +188,341 @@ func (win *PointWindow) Mark(cell *CellWalk) (fresh int) {
 		}
 	}
 	return fresh
+}
+
+// A Key names a point an emitter writes, exactly: a grid point's id times
+// 256 plus a slot, the emitter's name for which of its points at that
+// grid point it is (the grid point itself, a cut on one of its lattice
+// edges, …). Clip and isovolume name every point they emit so; all the
+// writes of one key are one output point.
+type Key uint64
+
+// PointKey returns the key of slot at grid point pid.
+func PointKey(pid, slot int) Key { return Key(pid)<<8 | Key(slot) }
+
+// KeySlots are an emitter's slots: N of them per grid point (at most
+// 64), and Flat, with bit s set when slot s's points lie in the k-plane
+// of their grid point — the plane two k-layers of cells share, so that
+// the cells on both sides of it can emit them.
+type KeySlots struct {
+	N    int
+	Flat uint64
+}
+
+// KeyedEmission is a counted loop over a grid's cells whose points are
+// named by keys and written once each, in the order their keys are first
+// emitted: the output a position weld of the per-cell emission keeps,
+// without that emission. Its chunks are the k-layers of cells. A layer's
+// KeyWindow numbers its points by key in dense per-slot arrays over the
+// layer's two point planes. Two layers share only the plane between
+// them, and a key emitted on both sides of it is the lower layer's: the
+// count pass records, per plane, which flat keys each side emitted (a
+// bit per key), the seam's shared keys come off the upper layer's count
+// before the scan, and the upper layer's fill writes them as placeholders
+// that Fill resolves once the lower layer has numbered them.
+type KeyedEmission struct {
+	Emission
+	// Soup is the per-cell emission a position weld would take: every
+	// point of every cut cell, and the corners of whole hexahedra once
+	// per GrainFixed chunk. The cost models price it.
+	Soup    Sizes
+	slots   KeySlots
+	plane   int // points per k-plane
+	gfGrain int // par.GrainFixed of the cell count
+	wins    []KeyWindow
+	seams   []seam // seams[k] is point plane k, between layers k-1 and k
+}
+
+// seam is what the layers on both sides of a point plane emit in it.
+type seam struct {
+	below, above bitset // flat keys emitted by the layer below / above
+	rank         []int32
+	global       []int32 // output index of each of below's keys, by rank
+	// Corners of whole hexahedra of the GrainFixed chunk that spans the
+	// seam, on each side of it (Soup counts a corner once per chunk).
+	soupBelow, soupAbove bitset
+}
+
+// bitset is a set of small integers, allocated on the first set.
+type bitset []uint64
+
+func (b *bitset) set(i, n int) {
+	if *b == nil {
+		*b = make(bitset, (n+63)/64)
+	}
+	(*b)[i/64] |= 1 << (i % 64)
+}
+
+func (b bitset) has(i int) bool { return b != nil && b[i/64]>>(i%64)&1 != 0 }
+
+// common returns how many integers both sets hold.
+func (b bitset) common(o bitset) (n int) {
+	if b == nil || o == nil {
+		return 0
+	}
+	for i, w := range b {
+		n += bits.OnesCount64(w & o[i])
+	}
+	return n
+}
+
+// rankOf returns how many of below's keys precede bit i.
+func (s *seam) rankOf(i int) int32 {
+	return s.rank[i/64] + int32(bits.OnesCount64(s.below[i/64]&(1<<(i%64)-1)))
+}
+
+// CountKeyed runs walk in counting mode over every k-layer of g's cells
+// and sizes the emission. walk emits a layer's cells through the
+// KeyWindow, in cell order, and returns a count its caller sums from
+// Fill; Fill runs it again, writing, and it must emit the same.
+func CountKeyed(pool *par.Pool, g *UniformGrid, slots KeySlots, walk func(lo, hi int, kw *KeyWindow) uint64) *KeyedEmission {
+	cd := g.CellDims()
+	perLayer := cd[0] * cd[1]
+	e := &KeyedEmission{
+		slots: slots,
+		plane: g.Dims[0] * g.Dims[1],
+		wins:  make([]KeyWindow, pool.Workers()),
+		seams: make([]seam, cd[2]),
+	}
+	soup := make([]int, cd[2])
+	gf := par.GrainFixed(g.NumCells())
+	e.gfGrain = gf
+	e.Emission = counted(pool, g.NumCells(), perLayer, func(lo, hi, worker int) Sizes {
+		kw := e.window(worker, lo/perLayer, false)
+		kw.gf, kw.gfEnd = lo/gf, (lo/gf+1)*gf
+		kw.soupBelow, kw.soupAbove = -1, -1
+		if lo%gf != 0 {
+			kw.soupBelow = lo / gf
+		}
+		if hi%gf != 0 && hi < g.NumCells() {
+			kw.soupAbove = (hi - 1) / gf
+		}
+		walk(lo, hi, kw)
+		soup[lo/perLayer] = kw.soup
+		return Sizes{kw.unique, kw.cells, kw.conn}
+	})
+	pool.For(len(e.seams), 1, func(lo, hi, _ int) {
+		for k := lo; k < hi; k++ {
+			s := &e.seams[k]
+			e.chunks[k+1].at.Points -= s.below.common(s.above)
+			soup[k] -= s.soupBelow.common(s.soupAbove)
+			s.soupBelow, s.soupAbove, s.above = nil, nil, nil
+			if s.below != nil {
+				s.rank = make([]int32, len(s.below))
+				var n int32
+				for i, w := range s.below {
+					s.rank[i] = n
+					n += int32(bits.OnesCount64(w))
+				}
+				s.global = make([]int32, n)
+			}
+		}
+	})
+	e.scan()
+	e.Soup = e.Total
+	e.Soup.Points = 0
+	for _, n := range soup {
+		e.Soup.Points += n
+	}
+	return e
+}
+
+// Fill runs walk in writing mode over every layer, into a mesh sized for
+// the emission, and returns the mesh and the sum of walk's counts.
+func (e *KeyedEmission) Fill(walk func(lo, hi int, kw *KeyWindow) uint64) (*UnstructuredMesh, uint64) {
+	out := e.Cells()
+	n, _ := e.Emission.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64) {
+		kw := e.window(worker, lo/e.grain, true)
+		kw.w = CellWriter{Mesh: out, Next: at}
+		n := walk(lo, hi, kw)
+		return kw.w.Next, n, 0
+	})
+	// The points a layer shares with the one below are the lower layer's,
+	// numbered now.
+	e.pool.For(len(e.seams), 1, func(lo, hi, _ int) {
+		for k := lo; k < hi; k++ {
+			global := e.seams[k].global
+			if global == nil {
+				continue
+			}
+			conn := out.Conn[e.chunks[k].at.Conn:e.chunks[k+1].at.Conn]
+			for j, v := range conn {
+				if v < 0 {
+					conn[j] = global[-v-1]
+				}
+			}
+		}
+	})
+	return out, n
+}
+
+// KeyWindow numbers the points of one k-layer of cells by key, for
+// CountKeyed (counting) and KeyedEmission.Fill (writing). The layer's
+// cells touch only the grid points of its two point planes, so one int32
+// per slot and point of those planes — an output index + 1, a
+// placeholder for a point of the layer below, zero until the layer first
+// emits the key — stands in for a map.
+type KeyWindow struct {
+	e       *KeyedEmission
+	fill    bool
+	layer   int
+	base    int     // id of the layer's first grid point
+	ids     []int32 // slot s of grid point base+i at s*2*plane + i
+	touched []int32 // the ids set, to clear for the next layer
+	w       CellWriter
+
+	// Counting: the layer's distinct keys, cells and connectivity, its
+	// Soup points, each point's GrainFixed chunk + 1 when a whole hex of
+	// that chunk last wrote it, the current chunk and its end, and the
+	// chunks that span the layer's bottom and top planes (or -1).
+	unique, cells, conn, soup int
+	stamp                     []int32
+	gf, gfEnd                 int
+	soupBelow, soupAbove      int
+}
+
+// window readies worker's window for a layer.
+func (e *KeyedEmission) window(worker, layer int, fill bool) *KeyWindow {
+	kw := &e.wins[worker]
+	span := 2 * e.plane
+	if kw.ids == nil {
+		kw.ids = make([]int32, e.slots.N*span)
+		kw.stamp = make([]int32, span)
+	}
+	for _, i := range kw.touched {
+		kw.ids[i] = 0
+	}
+	if !fill {
+		clear(kw.stamp)
+	}
+	*kw = KeyWindow{e: e, fill: fill, layer: layer, base: layer * e.plane, ids: kw.ids, touched: kw.touched[:0], stamp: kw.stamp}
+	return kw
+}
+
+// Point emits the point named k, at p with scalar s, and returns the
+// index the cells that use it write (0 when counting).
+func (kw *KeyWindow) Point(k Key, p Vec3, s float64) int32 {
+	pid, slot := int(k>>8), int(k&0xFF)
+	i := slot*2*kw.e.plane + pid - kw.base
+	if !kw.fill {
+		kw.soup++
+		kw.mark(i, pid, slot)
+		return 0
+	}
+	if kw.ids[i] == 0 {
+		kw.first(i, pid, slot, p, s)
+	}
+	return ref(kw.ids[i])
+}
+
+// Hex emits the walk's current cell whole, as a hexahedron on its grid
+// points, each carrying its carry value.
+func (kw *KeyWindow) Hex(cell *CellWalk, carry []float64) {
+	if kw.fill {
+		var conn [8]int32
+		for c := range conn {
+			pid := cell.Point(c)
+			i := pid - kw.base
+			if kw.ids[i] == 0 {
+				kw.first(i, pid, 0, cell.Corner(c), carry[pid])
+			}
+			conn[c] = ref(kw.ids[i])
+		}
+		kw.w.AddCell(Hex, conn[:]...)
+		return
+	}
+	kw.cells++
+	kw.conn += 8
+	for cell.Cell >= kw.gfEnd {
+		kw.gf++
+		kw.gfEnd += kw.e.gfGrain
+	}
+	for c := 0; c < 8; c++ {
+		pid := cell.Point(c)
+		i := pid - kw.base
+		kw.mark(i, pid, 0)
+		if kw.stamp[i] != int32(kw.gf+1) {
+			kw.stamp[i] = int32(kw.gf + 1)
+			kw.soup++
+		}
+		if i < kw.e.plane && kw.gf == kw.soupBelow {
+			kw.e.seams[kw.layer].soupAbove.set(i, kw.e.plane)
+		} else if i >= kw.e.plane && kw.gf == kw.soupAbove {
+			kw.e.seams[kw.layer+1].soupBelow.set(i-kw.e.plane, kw.e.plane)
+		}
+	}
+}
+
+// Cell emits a cell of type t on points Point returned.
+func (kw *KeyWindow) Cell(t CellType, conn ...int32) {
+	if !kw.fill {
+		kw.cells++
+		kw.conn += len(conn)
+		return
+	}
+	kw.w.AddCell(t, conn...)
+}
+
+// ref is the connectivity entry of a window id: an output index, or a
+// placeholder (negative) for a point of the layer below.
+func ref(id int32) int32 {
+	if id > 0 {
+		return id - 1
+	}
+	return id
+}
+
+// mark counts the key at window index i the first time the layer emits
+// it, and records a flat one in its plane's seam.
+func (kw *KeyWindow) mark(i, pid, slot int) {
+	if kw.ids[i] != 0 {
+		return
+	}
+	kw.ids[i] = 1
+	kw.touched = append(kw.touched, int32(i))
+	kw.unique++
+	if s, bit, top := kw.seam(pid, slot); s != nil {
+		n := bits.OnesCount64(kw.e.slots.Flat) * kw.e.plane
+		if top {
+			s.below.set(bit, n)
+		} else {
+			s.above.set(bit, n)
+		}
+	}
+}
+
+// first gives the key at window index i, which the layer emits for the
+// first time, its id: the layer below's point when that layer emitted
+// the key too, a new point otherwise.
+func (kw *KeyWindow) first(i, pid, slot int, p Vec3, sc float64) {
+	kw.touched = append(kw.touched, int32(i))
+	s, bit, top := kw.seam(pid, slot)
+	if s != nil && !top && s.below.has(bit) {
+		kw.ids[i] = -(s.rankOf(bit) + 1)
+		return
+	}
+	id := kw.w.AddPoint(p, sc)
+	kw.ids[i] = id + 1
+	if s != nil && top {
+		s.global[s.rankOf(bit)] = id
+	}
+}
+
+// seam returns the seam a key lies in — nil unless its slot is flat and
+// its plane has a layer on the other side — its bit there, and whether
+// the plane is the layer's top one.
+func (kw *KeyWindow) seam(pid, slot int) (s *seam, bit int, top bool) {
+	flat := kw.e.slots.Flat
+	if flat>>slot&1 == 0 {
+		return nil, 0, false
+	}
+	i, k := pid-kw.base, kw.layer
+	if top = i >= kw.e.plane; top {
+		i -= kw.e.plane
+		k++
+	}
+	if k == 0 || k >= len(kw.e.seams) {
+		return nil, 0, false
+	}
+	return &kw.e.seams[k], bits.OnesCount64(flat&(1<<slot-1))*kw.e.plane + i, top
 }

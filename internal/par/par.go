@@ -116,11 +116,12 @@ const grainFixedChunks = 64
 
 // GrainFixed returns a chunk size that depends only on n, never on the
 // pool. Kernels whose emitted geometry depends on chunk boundaries
-// (chunk-scoped point dedup in threshold, clip, and isovolume) use it so
-// their output meshes and operation profiles are bit-identical across
-// worker counts — the property that lets the study compare a kernel's
-// profile across core-count configurations. For preserves the boundaries
-// on one-worker pools by iterating the same chunks serially.
+// (threshold's chunk-scoped point dedup, and the per-chunk soup clip and
+// isovolume price) use it so their output meshes and operation profiles
+// are bit-identical across worker counts — the property that lets the
+// study compare a kernel's profile across core-count configurations. For
+// preserves the boundaries on one-worker pools by iterating the same
+// chunks serially.
 func GrainFixed(n int) int {
 	if n <= 0 {
 		return 1

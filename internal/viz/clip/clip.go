@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/par"
 	"repro/internal/viz"
 )
 
@@ -66,43 +65,13 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		}
 	})
 
-	// Pass 2: classify and clip cells into one pre-weld mesh of exact
-	// size: a count pass sizes each fixed chunk (unique corners of the
-	// hexes kept whole, clipped pieces counted from the corner signs
-	// alone), the fill writes every chunk at its offsets. The chunks are
-	// GrainFixed because the hex corners are deduplicated per chunk.
+	// Pass 2: classify and clip cells, counted then filled by k-layer.
+	// Every output point is a grid point or a cut on a lattice edge, named
+	// by its key, so each is written once, where it is first emitted.
 	nCells := g.NumCells()
-	wins := make([]mesh.PointWindow, ex.Pool.Workers())
-	em := mesh.Count(ex.Pool, nCells, par.GrainFixed(nCells), func(lo, hi, worker int) mesh.Sizes {
-		win := &wins[worker]
-		win.Reset(g, lo, hi)
-		var at mesh.Sizes
-		cell := g.WalkCells(lo)
-		for ; cell.Cell < hi; cell.Next() {
-			switch above, below := cell.Masks(dist, 0, 0); {
-			case below == 0xFF:
-			case above == 0xFF:
-				at.Points += win.Mark(&cell)
-				at.Cells++
-				at.Conn += 8
-			default:
-				n := viz.ClipCount(above, 0xFF)
-				at.Points += 4 * n
-				at.Cells += n
-				at.Conn += 4 * n
-			}
-		}
-		return at
-	})
-	pre := em.Cells()
-
-	straddlers, _ := em.Fill(func(lo, hi, worker int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
-		win := &wins[worker]
-		win.Reset(g, lo, hi)
-		w := mesh.CellWriter{Mesh: pre, Next: at}
-		var ts [6]viz.Tet
-		scratch := make([]viz.Tet, 0, 16)
-		var straddle uint64
+	walk := func(lo, hi int, kw *mesh.KeyWindow) (straddle uint64) {
+		var ts [6]viz.ClipTet
+		pieces := make([]viz.ClipTet, 0, 16)
 		cell := g.WalkCells(lo)
 		for ; cell.Cell < hi; cell.Next() {
 			switch above, below := cell.Masks(dist, 0, 0); {
@@ -110,28 +79,24 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				// Entirely inside the sphere: culled.
 			case above == 0xFF:
 				// Entirely outside: pass the hex through.
-				w.AddHex(&cell, carry, win)
+				kw.Hex(&cell, carry)
 			default:
 				// Straddling: subdivide and keep the outside part.
 				straddle++
-				viz.CellTets(&cell, dist, carry, &ts)
+				viz.CellClipTets(&cell, dist, carry, &ts)
 				for i := range ts {
-					scratch = ts[i].ClipAbove(0, scratch[:0])
-					for _, piece := range scratch {
-						var conn [4]int32
-						for c := 0; c < 4; c++ {
-							conn[c] = w.AddPoint(piece.P[c], piece.S[c])
-						}
-						w.AddCell(mesh.Tet, conn[:]...)
+					pieces = ts[i].ClipAbove(0, pieces[:0])
+					for j := range pieces {
+						pieces[j].Emit(kw, &cell, nil, 0, 0)
 					}
 				}
 			}
 		}
-		return w.Next, straddle, 0
-	})
-
-	out := mesh.WeldPointsPool(pre, 1e-9, ex.Pool)
-	ex.Charge(cost(uint64(nPts), uint64(nCells), straddlers, em.Total, uint64(len(out.Points))))
+		return straddle
+	}
+	em := mesh.CountKeyed(ex.Pool, g, viz.ClipSlots, walk)
+	out, straddlers := em.Fill(walk)
+	ex.Charge(cost(uint64(nPts), uint64(nCells), straddlers, em.Soup, uint64(len(out.Points))))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),

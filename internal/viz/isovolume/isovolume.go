@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/par"
 	"repro/internal/viz"
 )
 
@@ -55,42 +54,14 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		return nil, fmt.Errorf("isovolume: empty range [%v, %v]", lo, hi)
 	}
 
-	// One pre-weld mesh of exact size, counted and filled per GrainFixed
-	// chunk as clip does (the hex corners are deduplicated per chunk); the
-	// count takes the pieces from the corner masks alone (viz.ClipCount).
+	// Counted then filled by k-layer, as clip does: every output point is
+	// a grid point or a cut on the lattice, named by its key and written
+	// once, where it is first emitted.
 	nCells := g.NumCells()
-	wins := make([]mesh.PointWindow, ex.Pool.Workers())
-	em := mesh.Count(ex.Pool, nCells, par.GrainFixed(nCells), func(lo2, hi2, worker int) mesh.Sizes {
-		win := &wins[worker]
-		win.Reset(g, lo2, hi2)
-		var at mesh.Sizes
-		cell := g.WalkCells(lo2)
-		for ; cell.Cell < hi2; cell.Next() {
-			switch ge, le := cell.Masks(field, lo, hi); {
-			case ge == 0 || le == 0:
-			case ge == 0xFF && le == 0xFF:
-				at.Points += win.Mark(&cell)
-				at.Cells++
-				at.Conn += 8
-			default:
-				n := viz.ClipCount(ge, le)
-				at.Points += 4 * n
-				at.Cells += n
-				at.Conn += 4 * n
-			}
-		}
-		return at
-	})
-	pre := em.Cells()
-
-	straddlers, _ := em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
-		win := &wins[worker]
-		win.Reset(g, lo2, hi2)
-		w := mesh.CellWriter{Mesh: pre, Next: at}
-		var ts [6]viz.Tet
-		above := make([]viz.Tet, 0, 16)
-		kept := make([]viz.Tet, 0, 16)
-		var straddle uint64
+	walk := func(lo2, hi2 int, kw *mesh.KeyWindow) (straddle uint64) {
+		var ts [6]viz.ClipTet
+		above := make([]viz.ClipTet, 0, 16)
+		kept := make([]viz.ClipTet, 0, 16)
 		cell := g.WalkCells(lo2)
 		for ; cell.Cell < hi2; cell.Next() {
 			switch ge, le := cell.Masks(field, lo, hi); {
@@ -98,32 +69,28 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				// Entirely outside the range: removed.
 			case ge == 0xFF && le == 0xFF:
 				// Entirely inside: pass the hex through.
-				w.AddHex(&cell, field, win)
+				kw.Hex(&cell, field)
 			default:
 				// Straddling: clip tets against both range bounds.
 				straddle++
-				viz.CellTets(&cell, field, field, &ts)
+				viz.CellClipTets(&cell, field, field, &ts)
 				for i := range ts {
 					above = ts[i].ClipAbove(lo, above[:0])
 					kept = kept[:0]
 					for _, a := range above {
 						kept = a.ClipBelow(hi, kept)
 					}
-					for _, piece := range kept {
-						var conn [4]int32
-						for c := 0; c < 4; c++ {
-							conn[c] = w.AddPoint(piece.P[c], piece.S[c])
-						}
-						w.AddCell(mesh.Tet, conn[:]...)
+					for j := range kept {
+						kept[j].Emit(kw, &cell, field, lo, hi)
 					}
 				}
 			}
 		}
-		return w.Next, straddle, 0
-	})
-
-	out := mesh.WeldPointsPool(pre, 1e-9, ex.Pool)
-	ex.Charge(cost(uint64(nCells), straddlers, em.Total, uint64(len(field)), uint64(len(out.Points))))
+		return straddle
+	}
+	em := mesh.CountKeyed(ex.Pool, g, viz.IsovolumeSlots, walk)
+	out, straddlers := em.Fill(walk)
+	ex.Charge(cost(uint64(nCells), straddlers, em.Soup, uint64(len(field)), uint64(len(out.Points))))
 
 	return &viz.Result{
 		Profile:  ex.Drain(),
