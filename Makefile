@@ -11,7 +11,9 @@
 #                  goroutines, the governor sweep (one recording that
 #                  every budget and policy governs), Figure 1 (eight
 #                  panels rendering at once on one pool from one shared,
-#                  read-only grid), and the golden "same numbers" tests
+#                  read-only grid), the data-set pin (child processes
+#                  building data sets at GOMAXPROCS 1, 2 and 4, under
+#                  -race too), and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
 #                  runs with ./internal/power in RACE_PKGS), and the one
 #                  PNG encoder with its shared buffer free list, which
@@ -35,7 +37,8 @@
 #                  make bench-go BENCH=HydroDataset is what a data set
 #                  costs before any kernel: BuildDataset at 64^3 to
 #                  SimTime 0.05 and 0.12 (hydro run + Grid export),
-#                  with the hydro's step count as `steps`;
+#                  with the hydro's step count as `steps`, and the
+#                  128^3 resample of a cached 64^3 run;
 #                  a package's own, e.g. make bench-go BENCH=Obs PKG=./internal/obs
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)
@@ -77,7 +80,7 @@ test: vet
 
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
-	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore|Fig1'
+	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore|Fig1|DatasetHashes'
 
 # One 10 s run per Fuzz* target (go test -fuzz takes one target and one
 # package at a time). A failing input lands in that package's

@@ -53,8 +53,11 @@ func benchGrid(b *testing.B, n int) *mesh.UniformGrid {
 // BenchmarkHydroDataset times what every data set costs before a kernel
 // sees it: BuildDataset at 64^3, the hydro run to SimTime and the export,
 // on the default pool, at the ledger's step-time horizon (t = 0.05) and the
-// study's (t = 0.12). steps is the number of hydro steps the run took.
-// (128^3 is no default arm: the study's data set takes seconds a run.)
+// study's (t = 0.12); steps is the number of hydro steps the run took. The
+// resample arm is the other way a data set is made: 128^3 resampled from
+// a cached 64^3 run (MaxSimSize 64), the paper-scale 256^3-from-128^3
+// resample at an eighth of its size.
+// (128^3 is no hydro arm: the study's data set takes seconds a run.)
 func BenchmarkHydroDataset(b *testing.B) {
 	for _, simTime := range []float64{0.05, 0.12} {
 		b.Run(fmt.Sprintf("64-t%g", simTime), func(b *testing.B) {
@@ -80,6 +83,21 @@ func BenchmarkHydroDataset(b *testing.B) {
 			b.ReportMetric(float64(steps), "steps")
 		})
 	}
+	b.Run("resample-128", func(b *testing.B) {
+		c := (&harness.Config{
+			Pool: par.Default(), Sizes: []int{128}, PhaseSize: 64,
+			MaxSimSize: 64, SimTime: 0.05,
+		}).Defaults()
+		if _, err := c.Dataset(64); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.BuildDataset(128, c.Dataset); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCellCold measures an emitting kernel the way the campaign

@@ -855,6 +855,7 @@ func allocateCmd(c *harness.Config, opt *options) error {
 
 // allCmd regenerates every artifact into the output directory.
 func allCmd(c *harness.Config, opt *options) error {
+	start := time.Now()
 	if err := os.MkdirAll(opt.out, 0o755); err != nil {
 		return err
 	}
@@ -921,6 +922,18 @@ func allCmd(c *harness.Config, opt *options) error {
 			return err
 		}
 	}
+	return writeCost(c.Heartbeat, start)
+}
+
+// writeCost ends a campaign with its cost: the wall time since start and
+// the process's peak resident set (getrusage; Linux reports Maxrss in
+// KiB).
+func writeCost(w io.Writer, start time.Time) error {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "all done in %.2fs, peak RSS %.1f MB\n", time.Since(start).Seconds(), float64(ru.Maxrss)/1024)
 	return nil
 }
 

@@ -214,14 +214,31 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 
 // TestAllWritesEveryDeclaredArtifact: `all` writes every file the
 // artifact table declares (the on-request ones under -govern), plus the
-// Figure 1 renderings and the report, and nothing fails at this scale.
+// Figure 1 renderings and the report, nothing fails at this scale, and
+// its last heartbeat line is the run's cost.
 func TestAllWritesEveryDeclaredArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"all", "-quick", "-govern", "-figres", "64", "-out", dir}); err != nil {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run([]string{"all", "-quick", "-govern", "-figres", "64", "-out", dir})
+	os.Stderr = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`\nall done in \d+\.\d\ds, peak RSS \d+\.\d MB\n$`).Match(logged) {
+		t.Errorf("stderr does not end with the cost line:\n%s", logged)
 	}
 	want := []string{"report.md"}
 	for _, a := range harness.Artifacts {

@@ -24,15 +24,15 @@ import (
 // only its own tests need it).
 var exportedWithoutCallers = map[string]string{
 	// Read by other packages' tests, so they cannot move into a _test.go file.
-	"mesh.UniformGrid.PointFieldNames": "how a test asserts a filter left its input grid's fields alone (gradient)",
-	"mesh.LineSet.AppendLine":          "line-set builder of the advection oracle (advect/reference_test.go) and the mesh tests",
-	"mesh.LineSet.Validate":            "structural check the advection tests run on every streamline set they assemble",
-	"mesh.TriMesh.Validate":            "structural check the contour and slice tests run on their surfaces",
-	"mesh.UnstructuredMesh.Validate":   "structural check the clip, isovolume and threshold tests run on their cells",
-	"render.Image.At":                  "bounds-checked pixel read the raytrace and volren tests inspect frames through",
-	"render.Image.MeanLuminance":       "\"something visible was rendered\" check of the render, raytrace and volren tests",
-	"render.TransferFunction.Eval":     "the transfer function by definition: the volren reference renderer and the LUT tests evaluate it",
-	"viz.Tet.Volume":                   "volume-conservation oracle of the clip and isovolume tests",
+	"mesh.UniformGrid.FieldNames":    "how a test asserts a data set holds the arrays it should, and a filter left them alone (harness, gradient)",
+	"mesh.LineSet.AppendLine":        "line-set builder of the advection oracle (advect/reference_test.go) and the mesh tests",
+	"mesh.LineSet.Validate":          "structural check the advection tests run on every streamline set they assemble",
+	"mesh.TriMesh.Validate":          "structural check the contour and slice tests run on their surfaces",
+	"mesh.UnstructuredMesh.Validate": "structural check the clip, isovolume and threshold tests run on their cells",
+	"render.Image.At":                "bounds-checked pixel read the raytrace and volren tests inspect frames through",
+	"render.Image.MeanLuminance":     "\"something visible was rendered\" check of the render, raytrace and volren tests",
+	"render.TransferFunction.Eval":   "the transfer function by definition: the volren reference renderer and the LUT tests evaluate it",
+	"viz.Tet.Volume":                 "volume-conservation oracle of the clip and isovolume tests",
 }
 
 // TestExportedSymbolsHaveProductionCallers is the tripwire that keeps

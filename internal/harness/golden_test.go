@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -157,24 +154,7 @@ func requireCells64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := measuredCells(c)
-	hash := func(kind, name string, v []float64) {
-		h := sha256.New()
-		for _, x := range v {
-			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
-		}
-		got += fmt.Sprintf("dataset 64 %-6s %-9s sha256 %x\n", kind, name, h.Sum(nil))
-	}
-	for _, name := range []string{"energy", "density", "pressure"} {
-		hash("cell", name, g.CellField(name))
-	}
-	hash("point", "energy", g.PointField("energy"))
-	vel := g.PointVector("velocity")
-	flat := make([]float64, 0, 3*len(vel))
-	for _, v := range vel {
-		flat = append(flat, v[:]...)
-	}
-	hash("point", "velocity", flat)
+	got := measuredCells(c) + datasetHashes(64, g)
 	want, err := os.ReadFile(filepath.Join("testdata", "cells64.txt"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,13 +106,9 @@ func TestDatasetCachingAndResampling(t *testing.T) {
 	if g32.NumCells() != 32*32*32 {
 		t.Errorf("resampled cells = %d", g32.NumCells())
 	}
-	for _, f := range []string{"energy", "density", "pressure"} {
-		if g32.CellField(f) == nil {
-			t.Errorf("resampled dataset missing %q", f)
-		}
-	}
-	if g32.PointVector("velocity") == nil {
-		t.Error("resampled dataset missing velocity")
+	want := []string{"cell energy", "point energy", "vector velocity"}
+	if names := g32.FieldNames(); !slices.Equal(names, want) {
+		t.Errorf("resampled data set holds %v, want %v", names, want)
 	}
 }
 

@@ -3,6 +3,9 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"repro/internal/par"
 )
 
 // UniformGrid is a uniform rectilinear (image-data) grid of hexahedral
@@ -258,12 +261,20 @@ func (g *UniformGrid) CellField(name string) []float64 { return g.cellFields[nam
 // PointVector returns the named point vector field, or nil if absent.
 func (g *UniformGrid) PointVector(name string) []Vec3 { return g.pointVectors[name] }
 
-// PointFieldNames returns the names of all point scalar fields.
-func (g *UniformGrid) PointFieldNames() []string {
-	names := make([]string, 0, len(g.pointFields))
-	for n := range g.pointFields {
-		names = append(names, n)
+// FieldNames lists every array g holds, one "cell name", "point name"
+// or "vector name" each, sorted.
+func (g *UniformGrid) FieldNames() []string {
+	var names []string
+	for n := range g.cellFields {
+		names = append(names, "cell "+n)
 	}
+	for n := range g.pointFields {
+		names = append(names, "point "+n)
+	}
+	for n := range g.pointVectors {
+		names = append(names, "vector "+n)
+	}
+	slices.Sort(names)
 	return names
 }
 
@@ -295,7 +306,8 @@ func (g *UniformGrid) EnsurePointField(name string) ([]float64, error) {
 // incident to each point (the standard VTK recenter operation; the paper's
 // contour/slice/isovolume consume point fields while CloverLeaf produces
 // cell-centered energy). The result is stored as a point field with the
-// same name and also returned.
+// same name and also returned. It runs on the default pool, and each
+// point's average is its own, so the result is the same on every pool.
 func (g *UniformGrid) CellToPoint(name string) ([]float64, error) {
 	cf := g.cellFields[name]
 	if cf == nil {
@@ -308,46 +320,31 @@ func (g *UniformGrid) CellToPoint(name string) ([]float64, error) {
 
 // recenter is CellToPoint's arithmetic without the store: it reads g's
 // geometry and cf and writes nothing but the slice it returns, so it is
-// safe on a grid other goroutines are reading.
+// safe on a grid other goroutines are reading. It fills one point plane
+// per iteration.
 func (g *UniformGrid) recenter(cf []float64) []float64 {
 	pf := make([]float64, g.NumPoints())
 	cd := g.CellDims()
-	for k := 0; k < g.Dims[2]; k++ {
-		k0, k1 := k-1, k
-		if k0 < 0 {
-			k0 = 0
-		}
-		if k1 > cd[2]-1 {
-			k1 = cd[2] - 1
-		}
-		for j := 0; j < g.Dims[1]; j++ {
-			j0, j1 := j-1, j
-			if j0 < 0 {
-				j0 = 0
-			}
-			if j1 > cd[1]-1 {
-				j1 = cd[1] - 1
-			}
-			for i := 0; i < g.Dims[0]; i++ {
-				i0, i1 := i-1, i
-				if i0 < 0 {
-					i0 = 0
-				}
-				if i1 > cd[0]-1 {
-					i1 = cd[0] - 1
-				}
-				sum, n := 0.0, 0
-				for kk := k0; kk <= k1; kk++ {
-					for jj := j0; jj <= j1; jj++ {
-						for ii := i0; ii <= i1; ii++ {
-							sum += cf[g.CellID(ii, jj, kk)]
-							n++
+	par.Default().For(g.Dims[2], 0, func(lo, hi, _ int) {
+		for k := lo; k < hi; k++ {
+			k0, k1 := max(k-1, 0), min(k, cd[2]-1)
+			for j := 0; j < g.Dims[1]; j++ {
+				j0, j1 := max(j-1, 0), min(j, cd[1]-1)
+				for i := 0; i < g.Dims[0]; i++ {
+					i0, i1 := max(i-1, 0), min(i, cd[0]-1)
+					sum, n := 0.0, 0
+					for kk := k0; kk <= k1; kk++ {
+						for jj := j0; jj <= j1; jj++ {
+							for ii := i0; ii <= i1; ii++ {
+								sum += cf[g.CellID(ii, jj, kk)]
+								n++
+							}
 						}
 					}
+					pf[g.PointID(i, j, k)] = sum / float64(n)
 				}
-				pf[g.PointID(i, j, k)] = sum / float64(n)
 			}
 		}
-	}
+	})
 	return pf
 }

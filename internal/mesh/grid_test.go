@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,9 +177,8 @@ func TestFieldManagement(t *testing.T) {
 	if err := g.SetCellField("bad", make([]float64, 3)); err == nil {
 		t.Error("SetCellField accepted wrong length")
 	}
-	names := g.PointFieldNames()
-	if len(names) != 1 || names[0] != "e" {
-		t.Errorf("PointFieldNames = %v", names)
+	if names := g.FieldNames(); !slices.Equal(names, []string{"cell rho", "point e", "vector vel"}) {
+		t.Errorf("FieldNames = %v", names)
 	}
 }
 

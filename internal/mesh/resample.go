@@ -1,6 +1,10 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/par"
+)
 
 // ResampleCube produces an n-cell cube grid whose fields are trilinear
 // resamplings of g's fields: every cell field (via its recentered point
@@ -8,7 +12,9 @@ import "fmt"
 // read. The study harness uses it to synthesize data-set sizes larger
 // than the largest hydro run that is practical here (a documented
 // substitution; the visualization workloads only care about field
-// smoothness and feature scale, which resampling preserves).
+// smoothness and feature scale, which resampling preserves). It runs on
+// the default pool, one output plane per iteration; a sample does not
+// depend on which worker takes it, so the grid is the same on every pool.
 func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	out, err := NewCubeGrid(n)
 	if err != nil {
@@ -17,28 +23,36 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 	if g.Bounds() != out.Bounds() {
 		return nil, fmt.Errorf("mesh: ResampleCube requires a unit-cube source, got bounds %+v", g.Bounds())
 	}
+	pool := par.Default()
 
-	// Resolve each source field into a sampler once. Destination points
-	// walk the grid in id order (x fastest), so the sampler's cached cell
-	// covers most probes; their coordinates are PointPosition's
-	// arithmetic, evaluated once per axis index instead of once per id.
-	var axes [3][]float64
-	for a := range axes {
-		axes[a] = make([]float64, out.Dims[a])
-		for i := range axes[a] {
-			axes[a][i] = out.Origin[a] + float64(i)*out.Spacing[a]
-		}
+	// The output is a cube, so one list holds its points' coordinate
+	// along every axis, PointPosition's along the diagonal, and another
+	// its cell centres', CellCenter's. Destinations are filled in id
+	// order (x fastest), so a sampler's cached cell covers most probes.
+	pts := make([]float64, n+1)
+	for i := range pts {
+		pts[i] = out.PointPosition(out.PointID(i, i, i))[0]
 	}
-	samplePts := func(s *ScalarSampler, dst []float64) {
-		id := 0
-		for _, z := range axes[2] {
-			for _, y := range axes[1] {
-				for _, x := range axes[0] {
-					dst[id], _ = s.At(x, y, z) // zero outside the grid
-					id++
+	ctrs := make([]float64, n)
+	for i := range ctrs {
+		ctrs[i] = out.CellCenter(out.CellID(i, i, i))[0]
+	}
+	// sample fills dst with proto's field on the lattice xs³, one z
+	// plane per iteration; each chunk of planes samples through a copy of
+	// proto, whose cell cache is its own.
+	sample := func(proto *ScalarSampler, dst []float64, xs []float64) {
+		pool.For(len(xs), 0, func(lo, hi, _ int) {
+			s := *proto
+			id := lo * len(xs) * len(xs)
+			for _, z := range xs[lo:hi] {
+				for _, y := range xs {
+					for _, x := range xs {
+						dst[id], _ = s.At(x, y, z) // zero outside the grid
+						id++
+					}
 				}
 			}
-		}
+		})
 	}
 	for name, src := range g.cellFields {
 		// A cell field is sampled through its point version; one that has
@@ -49,35 +63,31 @@ func ResampleCube(g *UniformGrid, n int) (*UniformGrid, error) {
 			pf = g.recenter(src)
 		}
 		s := ScalarSamplerFor(g, pf)
-		cf := out.AddCellField(name)
-		for c := range cf {
-			p := out.CellCenter(c)
-			cf[c], _ = s.At(p[0], p[1], p[2])
-		}
-		samplePts(s, out.AddPointField(name))
+		sample(s, out.AddCellField(name), ctrs)
+		sample(s, out.AddPointField(name), pts)
 	}
 	for name, src := range g.pointFields {
 		if out.pointFields[name] != nil {
 			continue // already produced alongside the cell field
 		}
-		samplePts(ScalarSamplerFor(g, src), out.AddPointField(name))
+		sample(ScalarSamplerFor(g, src), out.AddPointField(name), pts)
 	}
-	for name := range g.pointVectors {
-		s, err := NewVectorSampler(g, name)
-		if err != nil {
-			return nil, err
-		}
+	for name, src := range g.pointVectors {
+		proto := VectorSamplerFor(g, src)
 		dst := out.AddPointVector(name)
-		id := 0
-		for _, z := range axes[2] {
-			for _, y := range axes[1] {
-				for _, x := range axes[0] {
-					vx, vy, vz, _ := s.At(x, y, z)
-					dst[id] = Vec3{vx, vy, vz}
-					id++
+		pool.For(len(pts), 0, func(lo, hi, _ int) {
+			s := *proto
+			id := lo * len(pts) * len(pts)
+			for _, z := range pts[lo:hi] {
+				for _, y := range pts {
+					for _, x := range pts {
+						vx, vy, vz, _ := s.At(x, y, z)
+						dst[id] = Vec3{vx, vy, vz}
+						id++
+					}
 				}
 			}
-		}
+		})
 	}
 	return out, nil
 }

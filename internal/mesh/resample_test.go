@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -82,8 +83,8 @@ func TestResampleCubeLeavesSourceAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if names := g.PointFieldNames(); len(names) != 1 || names[0] != "p" {
-		t.Fatalf("source point fields after ResampleCube = %v, want [p]", names)
+	if names := g.FieldNames(); !slices.Equal(names, []string{"cell e", "point p"}) {
+		t.Fatalf("source fields after ResampleCube = %v, want [cell e, point p]", names)
 	}
 	if _, err := g.CellToPoint("e"); err != nil {
 		t.Fatal(err)

@@ -228,67 +228,100 @@ func (s *Sim) Step(pool *par.Pool, prof *ops.Profile) float64 {
 }
 
 // Grid exports the current state as a mesh.UniformGrid over the unit cube
-// with the fields the paper's filters consume:
+// holding exactly the arrays the study's filters read:
 //
-//	cell fields:  "energy" (specific internal), "density", "pressure"
-//	point fields: "energy" (recentered)
-//	point vector: "velocity"
+//	cell field:   "energy" (specific internal), threshold's
+//	point field:  "energy" (recentered), every other scalar filter's
+//	point vector: "velocity", particle advection's
+//
+// Its loops run on the default pool. No value depends on how they are
+// split, so the grid is bit-identical on every pool.
 func (s *Sim) Grid() (*mesh.UniformGrid, error) {
+	pool := par.Default()
 	g, err := mesh.NewCubeGrid(s.nx)
 	if err != nil {
 		return nil, err
 	}
 	energy := g.AddCellField("energy")
-	density := g.AddCellField("density")
-	pressure := g.AddCellField("pressure")
-	for c := 0; c < s.NumCells(); c++ {
-		r := s.rho[c]
-		inv := 1 / r
-		ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
-		eint := (s.etot[c] - ke) * inv
-		energy[c] = eint
-		density[c] = r
-		pressure[c] = (gamma - 1) * (s.etot[c] - ke)
-	}
+	pool.For(len(energy), 0, func(lo, hi, _ int) {
+		for c := lo; c < hi; c++ {
+			inv := 1 / s.rho[c]
+			ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
+			energy[c] = (s.etot[c] - ke) * inv
+		}
+	})
 	if _, err := g.CellToPoint("energy"); err != nil {
 		return nil, err
 	}
-	// Recenter velocity to the points by averaging incident cells. Point
-	// plane k reads cell planes k-1 and k, so each cell's velocity m/ρ is
-	// computed once, into the two-plane buffer cv, when plane k is.
+	// Recenter velocity to the points by averaging incident cells, one
+	// point plane per iteration, each worker through a velocityPlanes of
+	// its own.
 	vel := g.AddPointVector("velocity")
-	n := s.nx
-	plane := n * n
-	cv := make([]mesh.Vec3, 2*plane)
-	for k := 0; k <= n; k++ {
-		if k < n {
-			dst := cv[k%2*plane:][:plane]
-			for q := range dst {
-				c := k*plane + q
-				inv := 1 / s.rho[c]
-				dst[q] = mesh.Vec3{s.mx[c] * inv, s.my[c] * inv, s.mz[c] * inv}
-			}
+	bufs := make([]velocityPlanes, pool.Workers())
+	pool.For(s.nz+1, 0, func(lo, hi, w int) {
+		for k := lo; k < hi; k++ {
+			bufs[w].pointPlane(s, vel, k)
 		}
-		k0, k1 := max(k-1, 0), min(k, n-1)
-		for j := 0; j <= n; j++ {
-			j0, j1 := max(j-1, 0), min(j, n-1)
-			for i := 0; i <= n; i++ {
-				i0, i1 := max(i-1, 0), min(i, n-1)
-				var vx, vy, vz, cnt float64
-				for kk := k0; kk <= k1; kk++ {
-					for jj := j0; jj <= j1; jj++ {
-						for ii := i0; ii <= i1; ii++ {
-							v := &cv[kk%2*plane+jj*n+ii]
-							vx += v[0]
-							vy += v[1]
-							vz += v[2]
-							cnt++
-						}
+	})
+	return g, nil
+}
+
+// velocityPlanes is one worker's buffer of cell velocities m/ρ for Grid.
+// Point plane k reads cell planes k-1 and k; cell plane kk lives in half
+// kk%2 of cv, and k records which plane each half holds, so a worker
+// computes a cell's velocity once, and a plane twice only where two
+// workers' chunks meet.
+type velocityPlanes struct {
+	cv []mesh.Vec3
+	k  [2]int
+}
+
+// pointPlane writes point plane k of vel: each point's velocity is the
+// mean of its incident cells', summed in (k, j, i) order.
+func (b *velocityPlanes) pointPlane(s *Sim, vel []mesh.Vec3, k int) {
+	n := s.nx
+	if b.cv == nil {
+		b.cv = make([]mesh.Vec3, 2*n*n)
+		b.k = [2]int{-1, -1}
+	}
+	k0, k1 := max(k-1, 0), min(k, n-1)
+	b.load(s, k0)
+	b.load(s, k1)
+	cv := b.cv
+	id := k * (n + 1) * (n + 1)
+	for j := 0; j <= n; j++ {
+		j0, j1 := max(j-1, 0), min(j, n-1)
+		for i := 0; i <= n; i++ {
+			i0, i1 := max(i-1, 0), min(i, n-1)
+			var vx, vy, vz, cnt float64
+			for kk := k0; kk <= k1; kk++ {
+				for jj := j0; jj <= j1; jj++ {
+					for ii := i0; ii <= i1; ii++ {
+						v := &cv[(kk%2*n+jj)*n+ii]
+						vx += v[0]
+						vy += v[1]
+						vz += v[2]
+						cnt++
 					}
 				}
-				vel[g.PointID(i, j, k)] = mesh.Vec3{vx, vy, vz}.Scale(1 / cnt)
 			}
+			vel[id] = mesh.Vec3{vx, vy, vz}.Scale(1 / cnt)
+			id++
 		}
 	}
-	return g, nil
+}
+
+// load makes cell plane kk's velocities present in b.
+func (b *velocityPlanes) load(s *Sim, kk int) {
+	if b.k[kk%2] == kk {
+		return
+	}
+	plane := s.nx * s.ny
+	dst := b.cv[kk%2*plane:][:plane]
+	for q := range dst {
+		c := kk*plane + q
+		inv := 1 / s.rho[c]
+		dst[q] = mesh.Vec3{s.mx[c] * inv, s.my[c] * inv, s.mz[c] * inv}
+	}
+	b.k[kk%2] = kk
 }

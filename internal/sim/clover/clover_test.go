@@ -2,6 +2,7 @@ package clover
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mesh"
@@ -147,18 +148,13 @@ func TestGridExport(t *testing.T) {
 	if g.NumCells() != s.NumCells() {
 		t.Fatalf("grid cells = %d, want %d", g.NumCells(), s.NumCells())
 	}
-	for _, name := range []string{"energy", "density", "pressure"} {
-		if g.CellField(name) == nil {
-			t.Errorf("missing cell field %q", name)
-		}
-	}
-	if g.PointField("energy") == nil {
-		t.Error("missing recentered point field energy")
+	// Exactly the arrays the filters read: threshold's cell energy, the
+	// other scalar filters' point energy, advection's velocity.
+	want := []string{"cell energy", "point energy", "vector velocity"}
+	if names := g.FieldNames(); !slices.Equal(names, want) {
+		t.Fatalf("grid fields = %v, want %v", names, want)
 	}
 	vel := g.PointVector("velocity")
-	if vel == nil {
-		t.Fatal("missing velocity point vector")
-	}
 	// The shock gives some nonzero velocity somewhere.
 	moving := false
 	for _, v := range vel {
@@ -177,17 +173,48 @@ func TestGridExport(t *testing.T) {
 	}
 }
 
-func TestDensityFieldMatchesState(t *testing.T) {
+// TestExportedFieldsMatchState: the cell energy is each cell's specific
+// internal energy and the point velocity the mean of the incident cells'
+// m/ρ, bit for bit, by their definitions evaluated cell by cell and point
+// by point, on a state the shock has set moving.
+func TestExportedFieldsMatchState(t *testing.T) {
 	s := newSim(t, 6)
+	s.Run(5, par.NewPool(2), nil)
 	g, err := s.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := g.CellField("density")
-	for c := range d {
-		if d[c] != s.rho[c] {
-			t.Fatalf("cell %d density mismatch: %v vs %v", c, d[c], s.rho[c])
+	energy := g.CellField("energy")
+	for c := range energy {
+		inv := 1 / s.rho[c]
+		ke := 0.5 * (s.mx[c]*s.mx[c] + s.my[c]*s.my[c] + s.mz[c]*s.mz[c]) * inv
+		if want := (s.etot[c] - ke) * inv; energy[c] != want {
+			t.Fatalf("cell %d energy = %v, want %v", c, energy[c], want)
 		}
+	}
+	vel := g.PointVector("velocity")
+	moving := false
+	for p := range vel {
+		i, j, k := g.PointIJK(p)
+		var sum mesh.Vec3
+		cnt := 0.0
+		for kk := max(k-1, 0); kk <= min(k, s.nz-1); kk++ {
+			for jj := max(j-1, 0); jj <= min(j, s.ny-1); jj++ {
+				for ii := max(i-1, 0); ii <= min(i, s.nx-1); ii++ {
+					c := s.idx(ii, jj, kk)
+					inv := 1 / s.rho[c]
+					sum = sum.Add(mesh.Vec3{s.mx[c] * inv, s.my[c] * inv, s.mz[c] * inv})
+					cnt++
+				}
+			}
+		}
+		if want := sum.Scale(1 / cnt); vel[p] != want {
+			t.Fatalf("point %d velocity = %v, want %v", p, vel[p], want)
+		}
+		moving = moving || vel[p] != mesh.Vec3{}
+	}
+	if !moving {
+		t.Error("velocity identically zero: the check compared nothing but zeros")
 	}
 }
 
