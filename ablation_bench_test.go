@@ -38,11 +38,11 @@ func BenchmarkAblationGrain(b *testing.B) {
 				got := par.Reduce(pool, n, grain,
 					func() float64 { return 0 },
 					func(lo, hi int, acc float64) float64 {
-						for c := lo; c < hi; c++ {
-							pts := g.CellPoints(c)
-							vmin, vmax := f[pts[0]], f[pts[0]]
+						cell := g.WalkCells(lo)
+						for ; cell.Cell < hi; cell.Next() {
+							vmin, vmax := f[cell.Point(0)], f[cell.Point(0)]
 							for k := 1; k < 8; k++ {
-								v := f[pts[k]]
+								v := f[cell.Point(k)]
 								if v < vmin {
 									vmin = v
 								}

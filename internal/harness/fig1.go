@@ -122,13 +122,7 @@ func renderOne(g *mesh.UniformGrid, f viz.Filter, name string, cam render.Camera
 	case res.Tris != nil:
 		return raytrace.NewSceneWith(res.Tris, ex.Pool).RenderInto(nil, cam, imgSize, imgSize, ex), nil
 	case res.Cells != nil:
-		// Clip and isovolume write each point once; threshold's chunks
-		// each write their own corners, which the faces must share.
-		cells := res.Cells
-		if name == "Threshold" {
-			cells = mesh.WeldPointsPool(cells, 1e-9, ex.Pool)
-		}
-		surf := mesh.ExternalFaces(cells)
+		surf := mesh.ExternalFaces(res.Cells)
 		return raytrace.NewSceneWith(surf, ex.Pool).RenderInto(nil, cam, imgSize, imgSize, ex), nil
 	case res.Lines != nil:
 		im := render.NewImage(imgSize, imgSize)

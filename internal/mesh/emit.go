@@ -114,16 +114,16 @@ func (e *Emission) Cells() *UnstructuredMesh {
 	}
 }
 
-// CellWriter writes one chunk's cells into a sized mesh, from the chunk's
+// cellWriter writes one chunk's cells into a sized mesh, from the chunk's
 // offsets on: Next is where the next point, cell and connectivity entry
 // go.
-type CellWriter struct {
+type cellWriter struct {
 	Mesh *UnstructuredMesh
 	Next Sizes
 }
 
 // AddPoint writes a point with its scalar and returns its index.
-func (w *CellWriter) AddPoint(p Vec3, s float64) int32 {
+func (w *cellWriter) AddPoint(p Vec3, s float64) int32 {
 	i := w.Next.Points
 	w.Mesh.Points[i], w.Mesh.Scalars[i] = p, s
 	w.Next.Points++
@@ -131,7 +131,7 @@ func (w *CellWriter) AddPoint(p Vec3, s float64) int32 {
 }
 
 // AddCell writes a cell of type t; len(conn) must match the type.
-func (w *CellWriter) AddCell(t CellType, conn ...int32) {
+func (w *cellWriter) AddCell(t CellType, conn ...int32) {
 	w.Mesh.Types[w.Next.Cells] = t
 	copy(w.Mesh.Conn[w.Next.Conn:], conn)
 	w.Next.Cells++
@@ -139,62 +139,11 @@ func (w *CellWriter) AddCell(t CellType, conn ...int32) {
 	w.Mesh.Offsets[w.Next.Cells] = int32(w.Next.Conn)
 }
 
-// AddHex writes the walk's current cell whole, as a hexahedron whose
-// corners are deduplicated through win, a new corner carrying its carry
-// value.
-func (w *CellWriter) AddHex(cell *CellWalk, carry []float64, win *PointWindow) {
-	var conn [8]int32
-	for c := range conn {
-		pid := cell.Point(c)
-		id := &win.ids[pid-win.base]
-		if *id == 0 {
-			*id = w.AddPoint(cell.Corner(c), carry[pid]) + 1
-		}
-		conn[c] = *id - 1
-	}
-	w.AddCell(Hex, conn[:]...)
-}
-
-// PointWindow deduplicates the grid points of the cells a chunk of
-// threshold passes through whole. The cells [lo, hi) touch only grid points CellPoints(lo)[0]
-// through CellPoints(hi-1)[6], so one int32 per point of that window —
-// the output index + 1, zero until the chunk first emits the point —
-// stands in for a map; points are numbered in first-touch order.
-type PointWindow struct {
-	base int
-	ids  []int32
-}
-
-// Reset empties the window and fits it to the chunk [lo, hi) of g's
-// cells.
-func (win *PointWindow) Reset(g *UniformGrid, lo, hi int) {
-	win.base = g.CellPoints(lo)[0]
-	n := g.CellPoints(hi - 1)[6] - win.base + 1
-	if cap(win.ids) < n {
-		win.ids = make([]int32, n)
-		return
-	}
-	win.ids = win.ids[:n]
-	clear(win.ids)
-}
-
-// Mark marks the corners of the walk's current cell as emitted and
-// returns how many were new: the count pass's half of AddHex.
-func (win *PointWindow) Mark(cell *CellWalk) (fresh int) {
-	for c := 0; c < 8; c++ {
-		if id := &win.ids[cell.Point(c)-win.base]; *id == 0 {
-			*id = 1
-			fresh++
-		}
-	}
-	return fresh
-}
-
 // A Key names a point an emitter writes, exactly: a grid point's id times
 // 256 plus a slot, the emitter's name for which of its points at that
 // grid point it is (the grid point itself, a cut on one of its lattice
-// edges, …). Clip and isovolume name every point they emit so; all the
-// writes of one key are one output point.
+// edges, …). Threshold, clip and isovolume name every point they emit
+// so; all the writes of one key are one output point.
 type Key uint64
 
 // PointKey returns the key of slot at grid point pid.
@@ -203,7 +152,8 @@ func PointKey(pid, slot int) Key { return Key(pid)<<8 | Key(slot) }
 // KeySlots are an emitter's slots: N of them per grid point (at most
 // 64), and Flat, with bit s set when slot s's points lie in the k-plane
 // of their grid point — the plane two k-layers of cells share, so that
-// the cells on both sides of it can emit them.
+// the cells on both sides of it can emit them. Slot 0 is the grid point
+// itself, which KeyWindow.Hex emits, so bit 0 is set.
 type KeySlots struct {
 	N    int
 	Flat uint64
@@ -289,7 +239,6 @@ func CountKeyed(pool *par.Pool, g *UniformGrid, slots KeySlots, walk func(lo, hi
 	e.gfGrain = gf
 	e.Emission = counted(pool, g.NumCells(), perLayer, func(lo, hi, worker int) Sizes {
 		kw := e.window(worker, lo/perLayer, false)
-		kw.gf, kw.gfEnd = lo/gf, (lo/gf+1)*gf
 		kw.soupBelow, kw.soupAbove = -1, -1
 		if lo%gf != 0 {
 			kw.soupBelow = lo / gf
@@ -333,7 +282,7 @@ func (e *KeyedEmission) Fill(walk func(lo, hi int, kw *KeyWindow) uint64) (*Unst
 	out := e.Cells()
 	n, _ := e.Emission.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64) {
 		kw := e.window(worker, lo/e.grain, true)
-		kw.w = CellWriter{Mesh: out, Next: at}
+		kw.w = cellWriter{Mesh: out, Next: at}
 		n := walk(lo, hi, kw)
 		return kw.w.Next, n, 0
 	})
@@ -369,16 +318,23 @@ type KeyWindow struct {
 	base    int     // id of the layer's first grid point
 	ids     []int32 // slot s of grid point base+i at s*2*plane + i
 	touched []int32 // the ids set, to clear for the next layer
-	w       CellWriter
+	w       cellWriter
+	// The seams of the layer's bottom and top planes, nil where no layer
+	// lies beyond them.
+	below, above *seam
 
 	// Counting: the layer's distinct keys, cells and connectivity, its
-	// Soup points, each point's GrainFixed chunk + 1 when a whole hex of
-	// that chunk last wrote it, the current chunk and its end, and the
-	// chunks that span the layer's bottom and top planes (or -1).
+	// Soup points, the epoch — one per layer and GrainFixed chunk a
+	// worker counts — in which a whole hex last wrote each point, the
+	// current epoch and the end of its chunk, the chunks that span the
+	// layer's bottom and top planes (or -1), and whether the current
+	// chunk is either.
 	unique, cells, conn, soup int
 	stamp                     []int32
-	gf, gfEnd                 int
+	epoch                     int32
+	gfEnd                     int
 	soupBelow, soupAbove      int
+	spanBelow, spanAbove      bool
 }
 
 // window readies worker's window for a layer.
@@ -392,10 +348,13 @@ func (e *KeyedEmission) window(worker, layer int, fill bool) *KeyWindow {
 	for _, i := range kw.touched {
 		kw.ids[i] = 0
 	}
-	if !fill {
-		clear(kw.stamp)
+	*kw = KeyWindow{e: e, fill: fill, layer: layer, base: layer * e.plane, ids: kw.ids, touched: kw.touched[:0], stamp: kw.stamp, epoch: kw.epoch + 1}
+	if layer > 0 {
+		kw.below = &e.seams[layer]
 	}
-	*kw = KeyWindow{e: e, fill: fill, layer: layer, base: layer * e.plane, ids: kw.ids, touched: kw.touched[:0], stamp: kw.stamp}
+	if layer+1 < len(e.seams) {
+		kw.above = &e.seams[layer+1]
+	}
 	return kw
 }
 
@@ -406,11 +365,15 @@ func (kw *KeyWindow) Point(k Key, p Vec3, s float64) int32 {
 	i := slot*2*kw.e.plane + pid - kw.base
 	if !kw.fill {
 		kw.soup++
-		kw.mark(i, pid, slot)
+		if kw.ids[i] == 0 {
+			sm, bit, top := kw.seam(pid, slot)
+			kw.mark(i, sm, bit, top)
+		}
 		return 0
 	}
 	if kw.ids[i] == 0 {
-		kw.first(i, pid, slot, p, s)
+		sm, bit, top := kw.seam(pid, slot)
+		kw.first(i, sm, bit, top, p, s)
 	}
 	return ref(kw.ids[i])
 }
@@ -424,7 +387,8 @@ func (kw *KeyWindow) Hex(cell *CellWalk, carry []float64) {
 			pid := cell.Point(c)
 			i := pid - kw.base
 			if kw.ids[i] == 0 {
-				kw.first(i, pid, 0, cell.Corner(c), carry[pid])
+				s, bit, top := kw.hexSeam(c, i)
+				kw.first(i, s, bit, top, cell.Corner(c), carry[pid])
 			}
 			conn[c] = ref(kw.ids[i])
 		}
@@ -433,24 +397,46 @@ func (kw *KeyWindow) Hex(cell *CellWalk, carry []float64) {
 	}
 	kw.cells++
 	kw.conn += 8
-	for cell.Cell >= kw.gfEnd {
-		kw.gf++
-		kw.gfEnd += kw.e.gfGrain
+	if cell.Cell >= kw.gfEnd {
+		kw.chunk(cell.Cell)
 	}
+	// A corner stamped in this epoch is marked too.
 	for c := 0; c < 8; c++ {
-		pid := cell.Point(c)
-		i := pid - kw.base
-		kw.mark(i, pid, 0)
-		if kw.stamp[i] != int32(kw.gf+1) {
-			kw.stamp[i] = int32(kw.gf + 1)
-			kw.soup++
+		i := cell.Point(c) - kw.base
+		if kw.stamp[i] == kw.epoch {
+			continue
 		}
-		if i < kw.e.plane && kw.gf == kw.soupBelow {
-			kw.e.seams[kw.layer].soupAbove.set(i, kw.e.plane)
-		} else if i >= kw.e.plane && kw.gf == kw.soupAbove {
-			kw.e.seams[kw.layer+1].soupBelow.set(i-kw.e.plane, kw.e.plane)
+		kw.stamp[i] = kw.epoch
+		kw.soup++
+		s, bit, top := kw.hexSeam(c, i)
+		if kw.ids[i] == 0 {
+			kw.mark(i, s, bit, top)
+		}
+		switch {
+		case top && kw.spanAbove:
+			s.soupBelow.set(bit, kw.e.plane)
+		case !top && kw.spanBelow:
+			s.soupAbove.set(bit, kw.e.plane)
 		}
 	}
+}
+
+// hexSeam is seam for corner c of a hex, at window index i: the corner's
+// key, slot 0, lies in the layer's bottom plane for corners 0–3 and in
+// its top one for 4–7.
+func (kw *KeyWindow) hexSeam(c, i int) (s *seam, bit int, top bool) {
+	if c < 4 {
+		return kw.below, i, false
+	}
+	return kw.above, i - kw.e.plane, true
+}
+
+// chunk starts counting the whole hexes of cell's GrainFixed chunk.
+func (kw *KeyWindow) chunk(cell int) {
+	gf := cell / kw.e.gfGrain
+	kw.gfEnd = (gf + 1) * kw.e.gfGrain
+	kw.epoch++
+	kw.spanBelow, kw.spanAbove = gf == kw.soupBelow, gf == kw.soupAbove
 }
 
 // Cell emits a cell of type t on points Point returned.
@@ -472,16 +458,13 @@ func ref(id int32) int32 {
 	return id
 }
 
-// mark counts the key at window index i the first time the layer emits
-// it, and records a flat one in its plane's seam.
-func (kw *KeyWindow) mark(i, pid, slot int) {
-	if kw.ids[i] != 0 {
-		return
-	}
+// mark counts the key at window index i, which the layer emits for the
+// first time, and records it at bit in s, its seam (see seam).
+func (kw *KeyWindow) mark(i int, s *seam, bit int, top bool) {
 	kw.ids[i] = 1
 	kw.touched = append(kw.touched, int32(i))
 	kw.unique++
-	if s, bit, top := kw.seam(pid, slot); s != nil {
+	if s != nil {
 		n := bits.OnesCount64(kw.e.slots.Flat) * kw.e.plane
 		if top {
 			s.below.set(bit, n)
@@ -493,10 +476,9 @@ func (kw *KeyWindow) mark(i, pid, slot int) {
 
 // first gives the key at window index i, which the layer emits for the
 // first time, its id: the layer below's point when that layer emitted
-// the key too, a new point otherwise.
-func (kw *KeyWindow) first(i, pid, slot int, p Vec3, sc float64) {
+// the key too (bit in s, its seam: see seam), a new point otherwise.
+func (kw *KeyWindow) first(i int, s *seam, bit int, top bool, p Vec3, sc float64) {
 	kw.touched = append(kw.touched, int32(i))
-	s, bit, top := kw.seam(pid, slot)
 	if s != nil && !top && s.below.has(bit) {
 		kw.ids[i] = -(s.rankOf(bit) + 1)
 		return
@@ -516,13 +498,11 @@ func (kw *KeyWindow) seam(pid, slot int) (s *seam, bit int, top bool) {
 	if flat>>slot&1 == 0 {
 		return nil, 0, false
 	}
-	i, k := pid-kw.base, kw.layer
+	i := pid - kw.base
+	s = kw.below
 	if top = i >= kw.e.plane; top {
 		i -= kw.e.plane
-		k++
+		s = kw.above
 	}
-	if k == 0 || k >= len(kw.e.seams) {
-		return nil, 0, false
-	}
-	return &kw.e.seams[k], bits.OnesCount64(flat&(1<<slot-1))*kw.e.plane + i, top
+	return s, bits.OnesCount64(flat&(1<<slot-1))*kw.e.plane + i, top
 }

@@ -109,9 +109,9 @@ func TestEmitTrisAppendsToNonEmpty(t *testing.T) {
 	}
 }
 
-// cellAction is what a trial does with grid cell c: 0 skip, 1 pass the
-// hex through (corners deduplicated per chunk), 2–3 that many tets with
-// fresh points.
+// cellAction is what a trial does with grid cell c: 0 skip, 1 a hex on
+// the cell's corners as fresh points, 2–3 that many tets with fresh
+// points.
 func cellAction(seed int64, c int) int { return itemTris(seed, c) }
 
 // tetPoint is corner k of the j-th tet cell c emits.
@@ -119,42 +119,32 @@ func tetPoint(g *UniformGrid, c, j, k int) Vec3 {
 	return g.CellCenter(c).Add(Vec3{float64(j), float64(k), 0.5})
 }
 
-// serialCells is the serial emission, chunk by chunk, with the dedup the
-// PointWindow replaced: hex corners through a map scoped to the chunk.
-func serialCells(g *UniformGrid, carry []float64, seed int64, grain int) *UnstructuredMesh {
+// serialCells is the serial emission: every cell in order, appended.
+func serialCells(g *UniformGrid, carry []float64, seed int64) *UnstructuredMesh {
 	out := NewUnstructuredMesh()
-	for lo := 0; lo < g.NumCells(); lo += grain {
-		local := map[int]int32{}
-		for c := lo; c < min(lo+grain, g.NumCells()); c++ {
-			switch a := cellAction(seed, c); a {
-			case 1:
-				var conn [8]int32
-				for v, pid := range g.CellPoints(c) {
-					id, ok := local[pid]
-					if !ok {
-						id = out.AddPoint(g.PointPosition(pid), carry[pid])
-						local[pid] = id
-					}
-					conn[v] = id
+	for c := 0; c < g.NumCells(); c++ {
+		switch a := cellAction(seed, c); a {
+		case 1:
+			var conn [8]int32
+			for v, pid := range g.CellPoints(c) {
+				conn[v] = out.AddPoint(g.PointPosition(pid), carry[pid])
+			}
+			out.AddCell(Hex, conn[:]...)
+		case 2, 3:
+			for j := 0; j < a; j++ {
+				var conn [4]int32
+				for k := range conn {
+					conn[k] = out.AddPoint(tetPoint(g, c, j, k), float64(k))
 				}
-				out.AddCell(Hex, conn[:]...)
-			case 2, 3:
-				for j := 0; j < a; j++ {
-					var conn [4]int32
-					for k := range conn {
-						conn[k] = out.AddPoint(tetPoint(g, c, j, k), float64(k))
-					}
-					out.AddCell(Tet, conn[:]...)
-				}
+				out.AddCell(Tet, conn[:]...)
 			}
 		}
 	}
 	return out
 }
 
-// Random per-cell emission — culled cells, hexes through a PointWindow,
-// tets with fresh points — under any grain and worker count equals the
-// serial emission with a chunk-scoped map.
+// Random per-cell emission — culled cells, hexes and tets with fresh
+// points — under any grain and worker count equals the serial emission.
 func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 12; trial++ {
@@ -168,19 +158,14 @@ func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 		}
 		seed, n := rng.Int63(), g.NumCells()
 		grain := 1 + rng.Intn(n)
-		want := serialCells(g, carry, seed, grain)
+		want := serialCells(g, carry, seed)
 		for _, nw := range []int{1, 2, 4} {
 			pool := par.NewPool(nw)
-			wins := make([]PointWindow, nw)
-			em := Count(pool, n, grain, func(lo, hi, worker int) Sizes {
-				win := &wins[worker]
-				win.Reset(g, lo, hi)
-				var at Sizes
-				c := g.WalkCells(lo)
-				for ; c.Cell < hi; c.Next() {
-					switch a := cellAction(seed, c.Cell); a {
+			em := Count(pool, n, grain, func(lo, hi, _ int) (at Sizes) {
+				for c := lo; c < hi; c++ {
+					switch a := cellAction(seed, c); a {
 					case 1:
-						at = at.add(Sizes{Points: win.Mark(&c), Cells: 1, Conn: 8})
+						at = at.add(Sizes{Points: 8, Cells: 1, Conn: 8})
 					case 2, 3:
 						at = at.add(Sizes{Points: 4 * a, Cells: a, Conn: 4 * a})
 					}
@@ -188,20 +173,21 @@ func TestEmitCellsMatchesSerialEmission(t *testing.T) {
 				return at
 			})
 			got := em.Cells()
-			em.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64) {
-				win := &wins[worker]
-				win.Reset(g, lo, hi)
-				w := CellWriter{Mesh: got, Next: at}
-				c := g.WalkCells(lo)
-				for ; c.Cell < hi; c.Next() {
-					switch a := cellAction(seed, c.Cell); a {
+			em.Fill(func(lo, hi, _ int, at Sizes) (Sizes, uint64, uint64) {
+				w := cellWriter{Mesh: got, Next: at}
+				for c := lo; c < hi; c++ {
+					switch a := cellAction(seed, c); a {
 					case 1:
-						w.AddHex(&c, carry, win)
+						var conn [8]int32
+						for v, pid := range g.CellPoints(c) {
+							conn[v] = w.AddPoint(g.PointPosition(pid), carry[pid])
+						}
+						w.AddCell(Hex, conn[:]...)
 					case 2, 3:
 						for j := 0; j < a; j++ {
 							var conn [4]int32
 							for k := range conn {
-								conn[k] = w.AddPoint(tetPoint(g, c.Cell, j, k), float64(k))
+								conn[k] = w.AddPoint(tetPoint(g, c, j, k), float64(k))
 							}
 							w.AddCell(Tet, conn[:]...)
 						}

@@ -18,6 +18,17 @@ func (s *VectorSampler) Sample(p Vec3) (Vec3, bool) {
 // OwnsLayer reports whether global cell layer k belongs to this block.
 func (b *Block) OwnsLayer(k int) bool { return k >= b.K0 && k < b.K1 }
 
+// CellPoints returns the flat point ids of a cell's eight corners in VTK
+// hexahedron order: the k-plane quad (counter-clockwise) followed by the
+// k+1-plane quad.
+func (g *UniformGrid) CellPoints(cell int) (pts [8]int) {
+	w := g.WalkCells(cell)
+	for c := range pts {
+		pts[c] = w.Point(c)
+	}
+	return pts
+}
+
 // Valid reports whether the box has non-negative extent on every axis.
 func (b Bounds) Valid() bool {
 	return b.Lo[0] <= b.Hi[0] && b.Lo[1] <= b.Hi[1] && b.Lo[2] <= b.Hi[2]

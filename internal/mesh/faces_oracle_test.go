@@ -200,8 +200,8 @@ func requireFacesMatchOracle(t *testing.T, m *mesh.UnstructuredMesh) *mesh.TriMe
 }
 
 // TestExternalFacesMatchesOracle runs the three Figure 1 surface paths —
-// the welded Threshold, Spherical Clip and Isovolume outputs — at three
-// sizes.
+// the Threshold, Spherical Clip and Isovolume outputs, each of whose
+// points is already welded — at three sizes.
 func TestExternalFacesMatchesOracle(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
@@ -226,7 +226,10 @@ func TestExternalFacesMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s at %d^3: %v", f.Name(), n, err)
 			}
-			surf := requireFacesMatchOracle(t, mesh.WeldPointsPool(res.Cells, 1e-9, pool))
+			if welded := mesh.WeldPointsPool(res.Cells, 1e-9, pool); len(welded.Points) != len(res.Cells.Points) {
+				t.Fatalf("%s at %d^3: %d points weld into %d", f.Name(), n, len(res.Cells.Points), len(welded.Points))
+			}
+			surf := requireFacesMatchOracle(t, res.Cells)
 			if surf.NumTris() == 0 {
 				t.Errorf("%s at %d^3: empty surface", f.Name(), n)
 			}

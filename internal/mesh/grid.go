@@ -113,17 +113,6 @@ func (g *UniformGrid) PointPosition(id int) Vec3 {
 	}
 }
 
-// CellPoints returns the flat point ids of a cell's eight corners in VTK
-// hexahedron order: the k-plane quad (counter-clockwise) followed by the
-// k+1-plane quad.
-func (g *UniformGrid) CellPoints(cell int) (pts [8]int) {
-	w := g.WalkCells(cell)
-	for c := range pts {
-		pts[c] = w.Point(c)
-	}
-	return pts
-}
-
 // cornerIJK is each VTK hexahedron corner's offset from corner 0.
 var cornerIJK = [8][3]int{{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0}, {0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1}}
 

@@ -47,12 +47,11 @@ func shardSlot(h uint32, nShards, size uint64) (shard, slot uint64) {
 }
 
 // WeldPointsPool merges coincident points of an unstructured mesh (within
-// tol) and rewrites the connectivity, returning the welded mesh. Its
-// callers are Figure 1's threshold panels, whose chunks each write their
-// own corners, so that interior faces pair up in ExternalFaces, and the
-// benchmark's weld row; clip and isovolume name their points exactly and
-// need none (mesh.CountKeyed), and their tests keep it as the oracle. A
-// nil pool runs the same passes inline on the caller.
+// tol) and rewrites the connectivity, returning the welded mesh. No
+// filter needs it: threshold, clip and isovolume name their points
+// exactly (mesh.CountKeyed). Its callers are the benchmark's weld row and
+// the tests, which keep it as the oracle of that naming. A nil pool runs
+// the same passes inline on the caller.
 //
 // Every point is quantized and hashed once, then deduplicated in hash
 // shards scanned concurrently — each shard streams the hashes in index

@@ -115,13 +115,12 @@ func GrainFor(n, workers int) int {
 const grainFixedChunks = 64
 
 // GrainFixed returns a chunk size that depends only on n, never on the
-// pool. Kernels whose emitted geometry depends on chunk boundaries
-// (threshold's chunk-scoped point dedup, and the per-chunk soup clip and
-// isovolume price) use it so their output meshes and operation profiles
-// are bit-identical across worker counts — the property that lets the
-// study compare a kernel's profile across core-count configurations. For
-// preserves the boundaries on one-worker pools by iterating the same
-// chunks serially.
+// pool. Kernels whose output or price depends on chunk boundaries (the
+// per-chunk soup threshold, clip and isovolume price) use it so their
+// output meshes and operation profiles are bit-identical across worker
+// counts — the property that lets the study compare a kernel's profile
+// across core-count configurations. For preserves the boundaries on
+// one-worker pools by iterating the same chunks serially.
 func GrainFixed(n int) int {
 	if n <= 0 {
 		return 1
@@ -483,8 +482,8 @@ func (p *Pool) forLoop(n, grain int, body func(lo, hi, worker int), in *instrume
 	}
 	if p.workers == 1 {
 		// Serial pools execute the same chunk sequence a parallel pool
-		// would, so chunk-boundary-sensitive kernels (segment-scoped point
-		// dedup) produce identical output at every worker count.
+		// would, so chunk-boundary-sensitive kernels produce identical
+		// output at every worker count.
 		var start int64
 		if in != nil {
 			start = in.tracer.Begin()

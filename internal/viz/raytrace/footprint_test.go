@@ -11,15 +11,18 @@ import (
 	"repro/internal/viz/clip"
 )
 
-// clipSurface is Figure 1's clip surface at n³: the spherical clip of the
-// energy field, welded, its external faces.
+// clipSurface is Figure 1's clip surface at n³: the external faces of the
+// spherical clip of the energy field, whose points are already welded.
 func clipSurface(t *testing.T, n int, pool *par.Pool) *mesh.TriMesh {
 	t.Helper()
 	res, err := clip.New(clip.Options{Field: "energy"}).Run(energyGrid(t, n), viz.NewExec(pool))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mesh.ExternalFaces(mesh.WeldPointsPool(res.Cells, 1e-9, pool))
+	if welded := mesh.WeldPointsPool(res.Cells, 1e-9, pool); len(welded.Points) != len(res.Cells.Points) {
+		t.Fatalf("clip at %d^3: %d points weld into %d", n, len(res.Cells.Points), len(welded.Points))
+	}
+	return mesh.ExternalFaces(res.Cells)
 }
 
 // A build costs its output. The tree is allocated once at its final

@@ -13,11 +13,16 @@ import (
 )
 
 // waveGrid has a cell field whose upper half is a set of irregular blobs,
-// so chunks keep scattered cells that share corners: the point dedup and
-// the chunk boundaries both shape the output.
+// so layers keep scattered cells that share corners: the point dedup and
+// the layer seams both shape the output.
 func waveGrid(t testing.TB, n int) *mesh.UniformGrid {
+	return waveBox(t, [3]int{n, n, n}, 1/float64(n))
+}
+
+// waveBox is waveGrid's field on a box of dims cells of side h.
+func waveBox(t testing.TB, dims [3]int, h float64) *mesh.UniformGrid {
 	t.Helper()
-	g, err := mesh.NewCubeGrid(n)
+	g, err := mesh.NewUniformGrid([3]int{dims[0] + 1, dims[1] + 1, dims[2] + 1}, mesh.Vec3{}, mesh.Vec3{h, h, h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +94,22 @@ func assertRecordings(t *testing.T, backend viz.Backend, recs []recording) {
 	}
 }
 
-// The output and the operation profile of an irregular threshold,
-// recorded at the parent of the PR that sizes the emitters by count →
-// scan → fill (commit 69bcda9, identical at 1, 2 and 4 workers there).
+// The output and the operation profile of an irregular threshold. The
+// profiles were recorded at commit 69bcda9, before the emitters were
+// sized by count → scan → fill, identical at 1, 2 and 4 workers there.
+// The points, cells and digest are that commit's output welded by
+// position (WeldPointsPool at 1e-9), which threshold now writes itself.
 func TestThresholdMatchesParentRecording(t *testing.T) {
 	assertRecordings(t, viz.Traditional, []recording{
-		{n: 16, points: 6182, cells: 1992, digest: 0x6db1dc0d4a13ca8e, profile: ops.Profile{Flops: 0x1000, IntOps: 0x10900, Branches: 0x1000, LoadBytes: [4]uint64{0x18000, 0x7c800, 0x0, 0x0}, StoreBytes: [4]uint64{0x92100, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1, WorkingSetBytes: 0x4df78}},
-		{n: 32, points: 39042, cells: 16134, digest: 0x4b284fde216a5bd, profile: ops.Profile{Flops: 0x8000, IntOps: 0x860c0, Branches: 0x8000, LoadBytes: [4]uint64{0xc0000, 0x3f0600, 0x0, 0x0}, StoreBytes: [4]uint64{0x49e6c0, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1, WorkingSetBytes: 0x203758}},
+		{n: 16, points: 2973, cells: 1992, digest: 0x9fa9821408a478ec, profile: ops.Profile{Flops: 0x1000, IntOps: 0x10900, Branches: 0x1000, LoadBytes: [4]uint64{0x18000, 0x7c800, 0x0, 0x0}, StoreBytes: [4]uint64{0x92100, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1, WorkingSetBytes: 0x4df78}},
+		{n: 32, points: 19951, cells: 16134, digest: 0xb0d67fb72f25a49a, profile: ops.Profile{Flops: 0x8000, IntOps: 0x860c0, Branches: 0x8000, LoadBytes: [4]uint64{0xc0000, 0x3f0600, 0x0, 0x0}, StoreBytes: [4]uint64{0x49e6c0, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1, WorkingSetBytes: 0x203758}},
 	})
 }
 
-// The same threshold under the DPP formulation, recorded at the same
-// commit.
+// The same threshold under the DPP formulation, recorded the same way.
 func TestThresholdDPPMatchesParentRecording(t *testing.T) {
 	assertRecordings(t, viz.DPP, []recording{
-		{n: 16, points: 6182, cells: 1992, digest: 0x6db1dc0d4a13ca8e, profile: ops.Profile{Flops: 0x1000, IntOps: 0x21200, Branches: 0x1000, LoadBytes: [4]uint64{0x11f20, 0x7c800, 0x0, 0x0}, StoreBytes: [4]uint64{0x96020, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x4, WorkingSetBytes: 0x55f78}},
-		{n: 32, points: 39042, cells: 16134, digest: 0x4b284fde216a5bd, profile: ops.Profile{Flops: 0x8000, IntOps: 0x10c180, Branches: 0x8000, LoadBytes: [4]uint64{0x8fc18, 0x3f0600, 0x0, 0x0}, StoreBytes: [4]uint64{0x4be2d8, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x4, WorkingSetBytes: 0x243758}},
+		{n: 16, points: 2973, cells: 1992, digest: 0x9fa9821408a478ec, profile: ops.Profile{Flops: 0x1000, IntOps: 0x21200, Branches: 0x1000, LoadBytes: [4]uint64{0x11f20, 0x7c800, 0x0, 0x0}, StoreBytes: [4]uint64{0x96020, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x4, WorkingSetBytes: 0x55f78}},
+		{n: 32, points: 19951, cells: 16134, digest: 0xb0d67fb72f25a49a, profile: ops.Profile{Flops: 0x8000, IntOps: 0x10c180, Branches: 0x8000, LoadBytes: [4]uint64{0x8fc18, 0x3f0600, 0x0, 0x0}, StoreBytes: [4]uint64{0x4be2d8, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x4, WorkingSetBytes: 0x243758}},
 	})
 }

@@ -10,22 +10,6 @@ import (
 	"repro/internal/viz"
 )
 
-// waveBox is waveGrid's field on a box of dims cells, spacing 1/16.
-func waveBox(t testing.TB, dims [3]int) *mesh.UniformGrid {
-	t.Helper()
-	const h = 1.0 / 16
-	g, err := mesh.NewUniformGrid([3]int{dims[0] + 1, dims[1] + 1, dims[2] + 1}, mesh.Vec3{}, mesh.Vec3{h, h, h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cf := g.AddCellField("e")
-	for c := range cf {
-		p := g.CellCenter(c)
-		cf[c] = math.Sin(7*p[0]) * math.Cos(5*p[1]+2*p[2]) * (1 + p[2])
-	}
-	return g
-}
-
 // soupOracle is the per-cell emission threshold's output welds: every
 // kept cell, in cell order, a hexahedron on eight fresh points carrying
 // the recentered field. It returns the soup welded by position, the kept
@@ -45,15 +29,17 @@ func soupOracle(t testing.TB, g *mesh.UniformGrid, field string, lo, hi float64)
 	s := mesh.NewUnstructuredMesh()
 	grain := par.GrainFixed(g.NumCells())
 	seen := map[int]bool{}
-	for c := range cf {
-		if c%grain == 0 {
+	cell := g.WalkCells(0)
+	for ; cell.Cell < len(cf); cell.Next() {
+		if cell.Cell%grain == 0 {
 			clear(seen)
 		}
-		if v := cf[c]; !(v >= lo && v <= hi) {
+		if v := cf[cell.Cell]; !(v >= lo && v <= hi) {
 			continue
 		}
 		kept++
-		for _, pid := range g.CellPoints(c) {
+		for c := 0; c < 8; c++ {
+			pid := cell.Point(c)
 			s.Conn = append(s.Conn, int32(len(s.Points)))
 			s.Points = append(s.Points, g.PointPosition(pid))
 			s.Scalars = append(s.Scalars, pf[pid])
@@ -82,12 +68,16 @@ func sameMesh(got, want *mesh.UnstructuredMesh) string {
 }
 
 // Threshold prices the soup a per-cell emission writes — each kept
-// corner once per GrainFixed chunk — and its output is that soup welded.
+// corner once per GrainFixed chunk — and its output is that soup welded,
+// bit for bit.
 // The boxes' chunks straddle k-layer seams: {3,3,30} and 10³ have several
-// chunks per layer, 80³ a chunk larger than a layer.
+// chunks per layer, 80³ a chunk larger than a layer (not under -race).
 func TestThresholdPricesTheChunkSoup(t *testing.T) {
 	for _, dims := range [][3]int{{3, 3, 30}, {10, 10, 10}, {80, 80, 80}} {
-		g := waveBox(t, dims)
+		if raceDetector && dims[0] > 10 {
+			continue
+		}
+		g := waveBox(t, dims, 1.0/16)
 		want, kept, points := soupOracle(t, g, "e", 0, 0)
 		n, pfLen := uint64(g.NumCells()), uint64(g.NumPoints())
 		trad, dpp := tradCost(n, kept, pfLen, points), dppCost(n, kept, pfLen, points)
@@ -105,11 +95,89 @@ func TestThresholdPricesTheChunkSoup(t *testing.T) {
 				if res.Profile != wantProfile || res.DPP != dpp {
 					t.Errorf("%v, %d workers, %v: priced\n %+v\n %+v\nwant\n %+v\n %+v", dims, nw, backend, res.Profile, res.DPP, wantProfile, dpp)
 				}
-				if d := sameMesh(mesh.WeldPointsPool(res.Cells, 1e-9, nil), want); d != "" {
+				if d := sameMesh(res.Cells, want); d != "" {
 					t.Errorf("%v, %d workers, %v: %s", dims, nw, backend, d)
 				}
 			}
 			pool.Close()
+		}
+	}
+}
+
+// nonFiniteCells is an 8³ grid whose cell field is the cell's x index,
+// with every 13th cell +Inf or −Inf and every 17th NaN, or a constant
+// field.
+func nonFiniteCells(t *testing.T, constant bool) *mesh.UniformGrid {
+	g, err := mesh.NewCubeGrid(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := g.AddCellField("e")
+	for c := range cf {
+		i, _, _ := g.CellIJK(c)
+		switch {
+		case constant:
+			cf[c] = 0.5
+		case c%26 == 0:
+			cf[c] = math.Inf(1)
+		case c%13 == 0:
+			cf[c] = math.Inf(-1)
+		case c%17 == 0:
+			cf[c] = math.NaN()
+		default:
+			cf[c] = float64(i)
+		}
+	}
+	return g
+}
+
+// On NaN, ±Inf and constant fields, at the default range and the whole
+// line, threshold keeps every cell of a constant field and every cell
+// but the NaN ones of the whole line, and writes a valid mesh of finite
+// positions: the oracle's. An infinite field's default range has NaN
+// bounds, so it keeps nothing.
+func TestThresholdNonFiniteAndConstantFields(t *testing.T) {
+	for _, constant := range []bool{false, true} {
+		g := nonFiniteCells(t, constant)
+		cf := g.CellField("e")
+		nonNaN := 0
+		for _, v := range cf {
+			if !math.IsNaN(v) {
+				nonNaN++
+			}
+		}
+		for _, r := range [][2]float64{{0, 0}, {math.Inf(-1), math.Inf(1)}} {
+			want, _, _ := soupOracle(t, g, "e", r[0], r[1])
+			for _, nw := range []int{1, 3} {
+				pool := par.NewPool(nw)
+				res, err := New(Options{Field: "e", Lo: r[0], Hi: r[1]}).Run(g, viz.NewExec(pool))
+				pool.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := res.Cells
+				if err := m.Validate(); err != nil {
+					t.Fatalf("constant %v, range %v, %d workers: %v", constant, r, nw, err)
+				}
+				switch {
+				case constant && m.NumCells() != g.NumCells():
+					t.Errorf("range %v, %d workers: kept %d of %d cells of a constant field", r, nw, m.NumCells(), g.NumCells())
+				case r[0] != 0 && m.NumCells() != nonNaN:
+					t.Errorf("constant %v, range %v, %d workers: kept %d cells, %d are not NaN", constant, r, nw, m.NumCells(), nonNaN)
+				case !constant && r[0] == 0 && m.NumCells() != 0:
+					t.Errorf("range %v, %d workers: an infinite field's default range kept %d cells", r, nw, m.NumCells())
+				}
+				for i, p := range m.Points {
+					for _, v := range p {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("constant %v, range %v, %d workers: point %d is %v", constant, r, nw, i, p)
+						}
+					}
+				}
+				if d := sameMesh(m, want); d != "" {
+					t.Errorf("constant %v, range %v, %d workers: %s", constant, r, nw, d)
+				}
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/mesh"
-	"repro/internal/par"
 	"repro/internal/viz"
 )
 
@@ -61,32 +60,24 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		return nil, err
 	}
 
-	// The output, counted and filled per GrainFixed chunk: a chunk's
-	// corners are deduplicated within the chunk, so its boundaries are part
-	// of the output.
+	// The kept cells, counted then filled by k-layer. Every output point
+	// is a grid point, named by its key (one slot, the point itself, which
+	// lies in its k-plane), so each is written once, where it is first
+	// emitted.
 	nCells := g.NumCells()
-	wins := make([]mesh.PointWindow, ex.Pool.Workers())
-	em := mesh.Count(ex.Pool, nCells, par.GrainFixed(nCells), func(lo2, hi2, worker int) mesh.Sizes {
-		win := &wins[worker]
-		win.Reset(g, lo2, hi2)
-		var at mesh.Sizes
+	walk := func(lo2, hi2 int, kw *mesh.KeyWindow) uint64 {
 		cell := g.WalkCells(lo2)
 		for ; cell.Cell < hi2; cell.Next() {
 			if v := cf[cell.Cell]; v >= lo && v <= hi {
-				at.Points += win.Mark(&cell)
-				at.Cells++
+				kw.Hex(&cell, pf)
 			}
 		}
-		at.Conn = 8 * at.Cells
-		return at
-	})
-	out := em.Cells()
-
-	em.Fill(func(lo2, hi2, worker int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
-		return fill(g, cf, pf, lo, hi, lo2, hi2, &wins[worker], out, at), 0, 0
-	})
+		return 0
+	}
+	em := mesh.CountKeyed(ex.Pool, g, mesh.KeySlots{N: 1, Flat: 1}, walk)
+	out, _ := em.Fill(walk)
 	// One launch, priced under both formulations from the same counts.
-	n, kept, pfLen, outPoints := uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Total.Points)
+	n, kept, pfLen, outPoints := uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Soup.Points)
 	ex.Charge(tradCost(n, kept, pfLen, outPoints))
 	res := &viz.Result{
 		Profile:  ex.Drain(),
@@ -98,19 +89,4 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		res.Profile = res.DPP
 	}
 	return res, nil
-}
-
-// fill writes the cells of [lo2, hi2) whose value lies in [lo, hi] into
-// out from offsets at, as hexahedra with the chunk's corners deduplicated
-// through win, and returns the offsets past them.
-func fill(g *mesh.UniformGrid, cf, pf []float64, lo, hi float64, lo2, hi2 int, win *mesh.PointWindow, out *mesh.UnstructuredMesh, at mesh.Sizes) mesh.Sizes {
-	win.Reset(g, lo2, hi2)
-	w := mesh.CellWriter{Mesh: out, Next: at}
-	cell := g.WalkCells(lo2)
-	for ; cell.Cell < hi2; cell.Next() {
-		if v := cf[cell.Cell]; v >= lo && v <= hi {
-			w.AddHex(&cell, pf, win)
-		}
-	}
-	return w.Next
 }

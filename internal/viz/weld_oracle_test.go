@@ -10,10 +10,11 @@ import (
 	"repro/internal/viz"
 	"repro/internal/viz/clip"
 	"repro/internal/viz/isovolume"
+	"repro/internal/viz/threshold"
 )
 
-// The oracle for clip and isovolume's key weld is the pipeline they had
-// before it: every kept hex corner and every piece point written per
+// The oracle for the key weld of clip, isovolume and threshold is the
+// pipeline they had before it: every kept hex corner and every piece point written per
 // cell, in cell order, into one soup, then welded by position
 // (WeldPointsPool at 1e-9), which keeps each position's first
 // occurrence.
@@ -95,6 +96,25 @@ func oracleClip(g *mesh.UniformGrid, carry []float64, center mesh.Vec3, radius f
 		func(_, below uint8) bool { return below == 0xFF },
 		func(above, _ uint8) bool { return above == 0xFF }, 0, 0,
 		func(t viz.ClipTet) []viz.ClipTet { return t.ClipAbove(0, nil) })
+}
+
+// oracleThreshold is threshold.Filter.Run's output by the soup and weld:
+// every cell whose value in cells lies in [lo, hi], whole, its corners
+// carrying carry.
+func oracleThreshold(g *mesh.UniformGrid, cells, carry []float64, lo, hi float64) *mesh.UnstructuredMesh {
+	s := soup{m: mesh.NewUnstructuredMesh()}
+	cell := g.WalkCells(0)
+	for ; cell.Cell < g.NumCells(); cell.Next() {
+		if v := cells[cell.Cell]; v >= lo && v <= hi {
+			var p [8]mesh.Vec3
+			var sc [8]float64
+			for c := range p {
+				p[c], sc[c] = cell.Corner(c), carry[cell.Point(c)]
+			}
+			s.cell(mesh.Hex, p[:], sc[:])
+		}
+	}
+	return mesh.WeldPointsPool(s.m, 1e-9, nil)
 }
 
 // oracleIsovolume is isovolume.Filter.Run's output by the soup and weld,
@@ -336,7 +356,8 @@ func TestKeyWeldKeepsNearEndpointCrossingsApart(t *testing.T) {
 
 // The layers and seams follow the grid's own dimensions: boxes of
 // unequal sides, a single layer, and layers a few cells across, with an
-// offset origin and unequal spacing, equal the oracle too.
+// offset origin and unequal spacing, equal the oracle too, and so does
+// threshold of a cell field on them.
 func TestClipIsovolumeMatchOracleOnBoxes(t *testing.T) {
 	for _, dims := range [][3]int{{5, 3, 7}, {2, 9, 4}, {11, 2, 2}, {3, 3, 30}} {
 		g, err := mesh.NewUniformGrid(dims, mesh.Vec3{0.1, -0.2, 0.3}, mesh.Vec3{0.25, 0.125, 0.0625})
@@ -348,8 +369,18 @@ func TestClipIsovolumeMatchOracleOnBoxes(t *testing.T) {
 			i, j, k := g.PointIJK(id)
 			f[id] = float64((7*i + 3*j + 5*k) % 5)
 		}
+		cf := g.AddCellField("cells")
+		for c := range cf {
+			i, j, k := g.CellIJK(c)
+			cf[c] = float64((3*i + 5*j + 7*k) % 4)
+		}
 		clipWant, clipSoup := oracleClip(g, f, mesh.Vec3{}, 0)
 		isoWant, isoSoup := oracleIsovolume(g, f, 1.5, 3)
+		carry, err := g.EnsurePointField("cells")
+		if err != nil {
+			t.Fatal(err)
+		}
+		threshWant := oracleThreshold(g, cf, carry, 1, 2)
 		for _, nw := range []int{1, 3} {
 			pool := par.NewPool(nw)
 			for _, c := range []struct {
@@ -370,6 +401,14 @@ func TestClipIsovolumeMatchOracleOnBoxes(t *testing.T) {
 				if got := res.Profile.RandomAccesses; got != c.soup {
 					t.Errorf("%s, %v, %d workers: priced %d soup points, the soup has %d", c.f.Name(), dims, nw, got, c.soup)
 				}
+			}
+			// Threshold's soup price is pinned in its own package.
+			res, err := threshold.New(threshold.Options{Field: "cells", Lo: 1, Hi: 2}).Run(g, viz.NewExec(pool))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sameCells(res.Cells, threshWant); d != "" {
+				t.Errorf("Threshold, %v, %d workers: %s", dims, nw, d)
 			}
 			pool.Close()
 		}
