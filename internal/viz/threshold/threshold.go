@@ -76,12 +76,13 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	}
 	em := mesh.CountKeyed(ex.Pool, g, mesh.KeySlots{N: 1, Flat: 1}, walk)
 	out, _ := em.Fill(walk)
-	// One launch, priced under both formulations from the same counts.
-	n, kept, pfLen, outPoints := uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Soup.Points)
-	ex.Charge(tradCost(n, kept, pfLen, outPoints))
+	// One launch, priced under both formulations from the same counts, on
+	// the points a per-chunk emission writes (em.Soup).
+	n, kept, pfLen, soup := uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Soup.Points)
+	ex.Charge(tradCost(n, kept, pfLen, soup))
 	res := &viz.Result{
 		Profile:  ex.Drain(),
-		DPP:      dppCost(n, kept, pfLen, outPoints),
+		DPP:      dppCost(n, kept, pfLen, soup),
 		Elements: int64(nCells),
 		Cells:    out,
 	}
