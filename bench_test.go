@@ -119,6 +119,7 @@ func BenchmarkCellCold(b *testing.B) {
 		{"isovolume", "Isovolume", []int{64, 128}},
 		{"contour", "Contour", []int{64, 128}},
 		{"threshold", "Threshold", []int{64, 128}},
+		{"slice", "Slice", []int{64, 128}},
 		{"advect", "Particle Advection", []int{64}},
 	} {
 		for _, n := range alg.sizes {

@@ -13,11 +13,13 @@ import (
 // every stage name with its span count, sorted by name. Self time and
 // the joules split come from the wall clock, so they are not pinned. A
 // one-worker pool runs every loop as one serial chunk, so the par.chunks
-// count is one per par.For.
+// count is one per par.For. Contour's par.For count is its row index and
+// three loops per isovalue: the keyed emission's count, its fill and the
+// seam resolution of the points a layer shares with the one below.
 var (
 	executeStagesPin = []string{
 		"Contour/16^3 1",
-		"par.For 7",
+		"par.For 10",
 	}
 	governStagesPin = []string{
 		"Volume Rendering 2",

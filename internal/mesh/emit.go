@@ -9,16 +9,9 @@ import (
 )
 
 // This file is the one emission path of the geometry filters (contour,
-// slice, clip, isovolume, threshold): count → exclusive scan → fill, the
-// data-parallel-primitive formulation Bethel et al. (arXiv 2010.02361)
-// analyse. A count pass runs over the chunks of the filter's cell loop
-// and returns what each chunk will emit; an exclusive scan over the chunk
-// counts gives every chunk its offsets and the output its exact size,
-// allocated once; a fill pass writes every chunk straight to its offsets.
-// Chunks land in loop order whichever worker ran them, so the output is
-// the serial emission's at every worker count, and nothing but the output
-// outlives the call: no scratch mesh, no merge copy, nothing parked in the
-// pool.
+// slice, clip, isovolume, threshold): count → exclusive scan → fill over
+// the k-layers of a grid's cells (KeyedEmission), the data-parallel-
+// primitive formulation Bethel et al. (arXiv 2010.02361) analyse.
 
 // Sizes is an amount of emitted geometry, or an offset into it: points,
 // cells (triangles, in a TriMesh) and connectivity entries.
@@ -28,122 +21,11 @@ func (s Sizes) add(o Sizes) Sizes {
 	return Sizes{s.Points + o.Points, s.Cells + o.Cells, s.Conn + o.Conn}
 }
 
-// Emission is a counted loop: where each chunk's output starts.
-type Emission struct {
-	pool     *par.Pool
-	n, grain int
-	chunks   []chunk // chunk c fills [chunks[c].at, chunks[c+1].at)
-	// Total is what the whole loop emits.
-	Total Sizes
-}
-
-// chunk is one chunk's offsets and the two counts its fill reported.
-type chunk struct {
-	at      Sizes
-	counted [2]uint64
-}
-
-// Count runs count over the chunks [lo, hi) of a loop of n items, lo a
-// multiple of grain — the chunks Fill visits — and scans the chunk counts
-// into each chunk's offsets.
-func Count(pool *par.Pool, n, grain int, count func(lo, hi, worker int) Sizes) Emission {
-	e := counted(pool, n, grain, count)
-	e.scan()
-	return e
-}
-
-// counted is Count before the scan: chunk c's count is at chunks[c+1].
-func counted(pool *par.Pool, n, grain int, count func(lo, hi, worker int) Sizes) Emission {
-	cs := make([]chunk, (n+grain-1)/grain+1)
-	pool.For(n, grain, func(lo, hi, worker int) { cs[lo/grain+1].at = count(lo, hi, worker) })
-	return Emission{pool: pool, n: n, grain: grain, chunks: cs}
-}
-
-// scan turns the chunk counts into offsets and the total.
-func (e *Emission) scan() {
-	cs := e.chunks
-	for c := 1; c < len(cs); c++ {
-		cs[c].at = cs[c].at.add(cs[c-1].at)
-	}
-	e.Total = cs[len(cs)-1].at
-}
-
-// Fill runs fill over the counted chunks, handing each its offsets. fill
-// returns the offsets one past what it wrote, which must be where the
-// next chunk starts (a fill that strays from its count panics), and two
-// counts for the caller's cost functions (a caller that needs one passes
-// 0 for the other); Fill returns their sums.
-func (e *Emission) Fill(fill func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64)) (a, b uint64) {
-	cs, grain := e.chunks, e.grain
-	e.pool.For(e.n, grain, func(lo, hi, worker int) {
-		c := lo / grain
-		end, n, m := fill(lo, hi, worker, cs[c].at)
-		if end != cs[c+1].at {
-			panic(fmt.Sprintf("mesh: chunk [%d, %d) filled up to %+v, counted %+v", lo, hi, end, cs[c+1].at))
-		}
-		cs[c].counted = [2]uint64{n, m}
-	})
-	for _, c := range cs {
-		a += c.counted[0]
-		b += c.counted[1]
-	}
-	return a, b
-}
-
-// GrowTris makes room at the end of out for the emission, its cells
-// counted as triangles, and moves the chunk offsets past what out already
-// holds.
-func (e *Emission) GrowTris(out *TriMesh) {
-	base := Sizes{Points: len(out.Points), Cells: len(out.Tris)}
-	out.Points = slices.Grow(out.Points, e.Total.Points)[:base.Points+e.Total.Points]
-	out.Scalars = slices.Grow(out.Scalars, e.Total.Points)[:base.Points+e.Total.Points]
-	out.Tris = slices.Grow(out.Tris, e.Total.Cells)[:base.Cells+e.Total.Cells]
-	for c := range e.chunks {
-		e.chunks[c].at = e.chunks[c].at.add(base)
-	}
-}
-
-// Cells returns an UnstructuredMesh sized exactly for the emission.
-func (e *Emission) Cells() *UnstructuredMesh {
-	return &UnstructuredMesh{
-		Points:  make([]Vec3, e.Total.Points),
-		Scalars: make([]float64, e.Total.Points),
-		Types:   make([]CellType, e.Total.Cells),
-		Offsets: make([]int32, e.Total.Cells+1),
-		Conn:    make([]int32, e.Total.Conn),
-	}
-}
-
-// cellWriter writes one chunk's cells into a sized mesh, from the chunk's
-// offsets on: Next is where the next point, cell and connectivity entry
-// go.
-type cellWriter struct {
-	Mesh *UnstructuredMesh
-	Next Sizes
-}
-
-// AddPoint writes a point with its scalar and returns its index.
-func (w *cellWriter) AddPoint(p Vec3, s float64) int32 {
-	i := w.Next.Points
-	w.Mesh.Points[i], w.Mesh.Scalars[i] = p, s
-	w.Next.Points++
-	return int32(i)
-}
-
-// AddCell writes a cell of type t; len(conn) must match the type.
-func (w *cellWriter) AddCell(t CellType, conn ...int32) {
-	w.Mesh.Types[w.Next.Cells] = t
-	copy(w.Mesh.Conn[w.Next.Conn:], conn)
-	w.Next.Cells++
-	w.Next.Conn += len(conn)
-	w.Mesh.Offsets[w.Next.Cells] = int32(w.Next.Conn)
-}
-
 // A Key names a point an emitter writes, exactly: a grid point's id times
 // 256 plus a slot, the emitter's name for which of its points at that
 // grid point it is (the grid point itself, a cut on one of its lattice
-// edges, …). Threshold, clip and isovolume name every point they emit
-// so; all the writes of one key are one output point.
+// edges, …). Every filter names every point it emits so; all the writes
+// of one key are one output point.
 type Key uint64
 
 // PointKey returns the key of slot at grid point pid.
@@ -159,57 +41,81 @@ type KeySlots struct {
 	Flat uint64
 }
 
+// A Walk emits the cells [lo, hi) of one k-layer through kw, in cell
+// order, and returns two counts for its caller's cost functions (a
+// caller that needs one returns 0 for the other). Count runs it
+// counting and Fill or FillTris writing; it must emit the same both
+// times.
+type Walk func(lo, hi int, kw *KeyWindow) (uint64, uint64)
+
 // KeyedEmission is a counted loop over a grid's cells whose points are
 // named by keys and written once each, in the order their keys are first
 // emitted: the output a position weld of the per-cell emission keeps,
-// without that emission. Its chunks are the k-layers of cells. A layer's
-// KeyWindow numbers its points by key in dense per-slot arrays over the
-// layer's two point planes. Two layers share only the plane between
-// them, and a key emitted on both sides of it is the lower layer's: the
-// count pass records, per plane, which flat keys each side emitted (a
-// bit per key), the seam's shared keys come off the upper layer's count
-// before the scan, and the upper layer's fill writes them as placeholders
-// that Fill resolves once the lower layer has numbered them.
+// without that emission. The count runs the filter's walk over every
+// k-layer of cells and counts its distinct points, cells and
+// connectivity; the scan gives every layer its offsets and the output
+// its exact size, allocated once (a new UnstructuredMesh, or triangle
+// rows appended to a TriMesh); the fill runs the walk again and writes
+// every layer at its offsets, so the output is the same at every worker
+// count. A layer's KeyWindow numbers its points by key in dense per-slot
+// arrays over its two point planes. A key emitted on both sides of the
+// plane two layers share is the lower layer's: the count records, per
+// plane, which flat keys each side emitted (a bit per key), the shared
+// ones come off the upper layer's count, and the upper layer's fill
+// writes them as placeholders resolved once the lower layer has numbered
+// them. The zero value is ready; an emission reuses the windows and seam
+// buffers of the one before it on the same value.
 type KeyedEmission struct {
-	Emission
+	// Total is what the whole loop emits.
+	Total Sizes
 	// Soup is the per-cell emission a position weld would take: every
 	// point of every cut cell, and the corners of whole hexahedra once
 	// per GrainFixed chunk. The cost models price it.
-	Soup    Sizes
-	slots   KeySlots
-	plane   int // points per k-plane
-	gfGrain int // par.GrainFixed of the cell count
-	wins    []KeyWindow
-	seams   []seam // seams[k] is point plane k, between layers k-1 and k
+	Soup Sizes
+
+	pool         *par.Pool
+	n, perLayer  int
+	slots        KeySlots
+	plane        int // points per k-plane
+	gfGrain      int // par.GrainFixed of the cell count
+	chunks       []chunk
+	wins         []KeyWindow
+	visits       [][]int32 // per worker, the cells its count noted, layer after layer
+	w            rowWriter // the output the fill writes, at its start
+	seams        []seam    // seams[k] is point plane k, between layers k-1 and k
+	bits         []uint64  // the seams' bitsets, end to end
+	rank, global []int32   // the seams' rank, and the output index of each seam key
+}
+
+// chunk is one layer's offsets (layer c fills [chunks[c].at,
+// chunks[c+1].at)). From chunks[c+1] on, it also holds layer c's Soup
+// points, the two counts its fill reported, and where its noted cells
+// (KeyWindow.Visit) lie: visits[worker][from:to].
+type chunk struct {
+	at               Sizes
+	counted          [2]uint64
+	soup             int
+	worker, from, to int
 }
 
 // seam is what the layers on both sides of a point plane emit in it.
 type seam struct {
-	below, above bitset // flat keys emitted by the layer below / above
-	rank         []int32
-	global       []int32 // output index of each of below's keys, by rank
+	below, above bitset  // flat keys emitted by the layer below / above
+	rank         []int32 // below's keys before each word of below, then all of them
+	at           int     // where global holds below's keys' output indices, by rank
 	// Corners of whole hexahedra of the GrainFixed chunk that spans the
 	// seam, on each side of it (Soup counts a corner once per chunk).
 	soupBelow, soupAbove bitset
 }
 
-// bitset is a set of small integers, allocated on the first set.
+// bitset is a set of small integers.
 type bitset []uint64
 
-func (b *bitset) set(i, n int) {
-	if *b == nil {
-		*b = make(bitset, (n+63)/64)
-	}
-	(*b)[i/64] |= 1 << (i % 64)
-}
-
-func (b bitset) has(i int) bool { return b != nil && b[i/64]>>(i%64)&1 != 0 }
+func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
+func (b bitset) has(i int) bool { return b[i/64]>>(i%64)&1 != 0 }
 
 // common returns how many integers both sets hold.
 func (b bitset) common(o bitset) (n int) {
-	if b == nil || o == nil {
-		return 0
-	}
 	for i, w := range b {
 		n += bits.OnesCount64(w & o[i])
 	}
@@ -221,96 +127,199 @@ func (s *seam) rankOf(i int) int32 {
 	return s.rank[i/64] + int32(bits.OnesCount64(s.below[i/64]&(1<<(i%64)-1)))
 }
 
-// CountKeyed runs walk in counting mode over every k-layer of g's cells
-// and sizes the emission. walk emits a layer's cells through the
-// KeyWindow, in cell order, and returns a count its caller sums from
-// Fill; Fill runs it again, writing, and it must emit the same.
-func CountKeyed(pool *par.Pool, g *UniformGrid, slots KeySlots, walk func(lo, hi int, kw *KeyWindow) uint64) *KeyedEmission {
-	cd := g.CellDims()
-	perLayer := cd[0] * cd[1]
-	e := &KeyedEmission{
-		slots: slots,
-		plane: g.Dims[0] * g.Dims[1],
-		wins:  make([]KeyWindow, pool.Workers()),
-		seams: make([]seam, cd[2]),
+// zeroed returns s resized to n zero elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	soup := make([]int, cd[2])
-	gf := par.GrainFixed(g.NumCells())
-	e.gfGrain = gf
-	e.Emission = counted(pool, g.NumCells(), perLayer, func(lo, hi, worker int) Sizes {
-		kw := e.window(worker, lo/perLayer, false)
-		kw.soupBelow, kw.soupAbove = -1, -1
-		if lo%gf != 0 {
-			kw.soupBelow = lo / gf
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Count runs walk in counting mode over every k-layer of g's cells and
+// sizes the emission; Fill or FillTris writes it.
+func (e *KeyedEmission) Count(pool *par.Pool, g *UniformGrid, slots KeySlots, walk Walk) {
+	cd := g.CellDims()
+	layers, plane := cd[2], g.Dims[0]*g.Dims[1]
+	e.pool, e.n, e.perLayer, e.slots, e.plane = pool, g.NumCells(), cd[0]*cd[1], slots, plane
+	e.gfGrain = par.GrainFixed(e.n)
+	e.chunks = zeroed(e.chunks, layers+1)
+	if len(e.wins) < pool.Workers() {
+		e.wins, e.visits = make([]KeyWindow, pool.Workers()), make([][]int32, pool.Workers())
+	}
+	for i, v := range e.visits {
+		e.visits[i] = slices.Grow(v[:0], e.perLayer)
+	}
+	// Each seam's bitsets: below and above over its flat keys, soupBelow
+	// and soupAbove over its grid points.
+	fw, pw := (bits.OnesCount64(slots.Flat)*plane+63)/64, (plane+63)/64
+	e.seams = zeroed(e.seams, layers)
+	e.bits = zeroed(e.bits, layers*2*(fw+pw))
+	e.rank = zeroed(e.rank, layers*(fw+1))
+	for k := range e.seams {
+		b := e.bits[k*2*(fw+pw):]
+		e.seams[k] = seam{
+			below: b[:fw:fw], above: b[fw : 2*fw : 2*fw],
+			soupBelow: b[2*fw : 2*fw+pw : 2*fw+pw], soupAbove: b[2*fw+pw : 2*(fw+pw) : 2*(fw+pw)],
+			rank: e.rank[k*(fw+1) : (k+1)*(fw+1)],
 		}
-		if hi%gf != 0 && hi < g.NumCells() {
-			kw.soupAbove = (hi - 1) / gf
+	}
+
+	pool.For(e.n, e.perLayer, func(lo, hi, worker int) {
+		kw := e.window(worker, lo/e.perLayer, false)
+		from := len(e.visits[worker])
+		kw.soupBelow, kw.soupAbove = -1, -1
+		if lo%e.gfGrain != 0 {
+			kw.soupBelow = lo / e.gfGrain
+		}
+		if hi%e.gfGrain != 0 && hi < e.n {
+			kw.soupAbove = (hi - 1) / e.gfGrain
 		}
 		walk(lo, hi, kw)
-		soup[lo/perLayer] = kw.soup
-		return Sizes{kw.unique, kw.cells, kw.conn}
+		e.chunks[lo/e.perLayer+1] = chunk{at: Sizes{kw.unique, kw.cells, kw.conn}, soup: kw.soup, worker: worker, from: from, to: len(e.visits[worker])}
 	})
-	pool.For(len(e.seams), 1, func(lo, hi, _ int) {
-		for k := lo; k < hi; k++ {
-			s := &e.seams[k]
-			e.chunks[k+1].at.Points -= s.below.common(s.above)
-			soup[k] -= s.soupBelow.common(s.soupAbove)
-			s.soupBelow, s.soupAbove, s.above = nil, nil, nil
-			if s.below != nil {
-				s.rank = make([]int32, len(s.below))
-				var n int32
-				for i, w := range s.below {
-					s.rank[i] = n
-					n += int32(bits.OnesCount64(w))
-				}
-				s.global = make([]int32, n)
-			}
+	// The keys a seam's two layers share are the lower layer's: they come
+	// off the upper layer's count, and below's keys are ranked for the
+	// fill to find their output indices by. The pass reads a bit per flat
+	// key of each plane, 64 to a word: too short to hand to the pool.
+	nGlobal := 0
+	for k := range e.seams {
+		s, c := &e.seams[k], &e.chunks[k+1]
+		c.at.Points -= s.below.common(s.above)
+		c.soup -= s.soupBelow.common(s.soupAbove)
+		for i, w := range s.below {
+			s.rank[i+1] = s.rank[i] + int32(bits.OnesCount64(w))
 		}
-	})
-	e.scan()
-	e.Soup = e.Total
-	e.Soup.Points = 0
-	for _, n := range soup {
-		e.Soup.Points += n
+		s.at, nGlobal = nGlobal, nGlobal+int(s.rank[fw])
 	}
-	return e
+	e.global = zeroed(e.global, nGlobal)
+
+	// The scan: layer counts become offsets.
+	e.Soup = Sizes{}
+	for c := 1; c < len(e.chunks); c++ {
+		e.chunks[c].at = e.chunks[c].at.add(e.chunks[c-1].at)
+		e.Soup.Points += e.chunks[c].soup
+	}
+	e.Total = e.chunks[len(e.chunks)-1].at
+	e.Soup.Cells, e.Soup.Conn = e.Total.Cells, e.Total.Conn
 }
 
 // Fill runs walk in writing mode over every layer, into a mesh sized for
-// the emission, and returns the mesh and the sum of walk's counts.
-func (e *KeyedEmission) Fill(walk func(lo, hi int, kw *KeyWindow) uint64) (*UnstructuredMesh, uint64) {
-	out := e.Cells()
-	n, _ := e.Emission.Fill(func(lo, hi, worker int, at Sizes) (Sizes, uint64, uint64) {
-		kw := e.window(worker, lo/e.grain, true)
-		kw.w = cellWriter{Mesh: out, Next: at}
-		n := walk(lo, hi, kw)
-		return kw.w.Next, n, 0
+// the emission, and returns the mesh and the sums of walk's two counts.
+func (e *KeyedEmission) Fill(walk Walk) (*UnstructuredMesh, uint64, uint64) {
+	t := e.Total
+	w := rowWriter{points: make([]Vec3, t.Points), scalars: make([]float64, t.Points), types: make([]CellType, t.Cells), offsets: make([]int32, t.Cells+1), conn: make([]int32, t.Conn)}
+	a, b := e.fill(w, walk)
+	return &UnstructuredMesh{Points: w.points, Scalars: w.scalars, Types: w.types, Offsets: w.offsets, Conn: w.conn}, a, b
+}
+
+// FillTris runs walk in writing mode over every layer, appending the
+// emission to out as triangles (the walk emits them with KeyWindow.Tri),
+// and returns the sums of walk's two counts.
+func (e *KeyedEmission) FillTris(walk Walk, out *TriMesh) (uint64, uint64) {
+	base := Sizes{Points: len(out.Points), Cells: len(out.Tris), Conn: 3 * len(out.Tris)}
+	out.Points = slices.Grow(out.Points, e.Total.Points)[:base.Points+e.Total.Points]
+	out.Scalars = slices.Grow(out.Scalars, e.Total.Points)[:base.Points+e.Total.Points]
+	out.Tris = slices.Grow(out.Tris, e.Total.Cells)[:base.Cells+e.Total.Cells]
+	return e.fill(rowWriter{points: out.Points, scalars: out.Scalars, tris: out.Tris, next: base}, walk)
+}
+
+// fill runs walk in writing mode over every layer through w, which is
+// positioned at the emission's start, and resolves the placeholders.
+func (e *KeyedEmission) fill(w rowWriter, walk Walk) (a, b uint64) {
+	cs, base := e.chunks, w.next
+	e.w = w
+	e.pool.For(e.n, e.perLayer, func(lo, hi, worker int) {
+		c := lo / e.perLayer
+		kw := e.window(worker, c, true)
+		kw.w = e.w
+		kw.w.next = cs[c].at.add(base)
+		n, m := walk(lo, hi, kw)
+		if end := cs[c+1].at.add(base); kw.w.next != end {
+			panic(fmt.Sprintf("mesh: chunk [%d, %d) filled up to %+v, counted %+v", lo, hi, kw.w.next, end))
+		}
+		cs[c].counted = [2]uint64{n, m}
 	})
 	// The points a layer shares with the one below are the lower layer's,
 	// numbered now.
 	e.pool.For(len(e.seams), 1, func(lo, hi, _ int) {
 		for k := lo; k < hi; k++ {
-			global := e.seams[k].global
-			if global == nil {
-				continue
-			}
-			conn := out.Conn[e.chunks[k].at.Conn:e.chunks[k+1].at.Conn]
-			for j, v := range conn {
-				if v < 0 {
-					conn[j] = global[-v-1]
-				}
+			if s := &e.seams[k]; s.rank[len(s.rank)-1] > 0 {
+				e.w.resolve(cs[k].at.add(base), cs[k+1].at.add(base), e.global[s.at:])
 			}
 		}
 	})
-	return out, n
+	for _, c := range cs {
+		a += c.counted[0]
+		b += c.counted[1]
+	}
+	return a, b
+}
+
+// rowWriter writes one layer's points and cells into the output from the
+// layer's offsets on: next is where the next point, cell and
+// connectivity entry go. Cells go into types, offsets and conn, an
+// UnstructuredMesh's, or are triangle rows of tris, a TriMesh's.
+type rowWriter struct {
+	points        []Vec3
+	scalars       []float64
+	types         []CellType
+	offsets, conn []int32
+	tris          [][3]int32
+	next          Sizes
+}
+
+// addPoint writes a point with its scalar and returns its index.
+func (w *rowWriter) addPoint(p Vec3, s float64) int32 {
+	i := w.next.Points
+	w.points[i], w.scalars[i] = p, s
+	w.next.Points++
+	return int32(i)
+}
+
+// addCell writes a cell of type t; len(conn) must match the type.
+func (w *rowWriter) addCell(t CellType, conn []int32) {
+	w.types[w.next.Cells] = t
+	copy(w.conn[w.next.Conn:], conn)
+	w.next.Cells++
+	w.next.Conn += len(conn)
+	w.offsets[w.next.Cells] = int32(w.next.Conn)
+}
+
+// addTri writes a triangle row.
+func (w *rowWriter) addTri(a, b, c int32) {
+	w.tris[w.next.Cells] = [3]int32{a, b, c}
+	w.next.Cells++
+	w.next.Conn += 3
+}
+
+// resolve replaces the placeholders written between from and to by the
+// output indices in global.
+func (w *rowWriter) resolve(from, to Sizes, global []int32) {
+	patch := func(conn []int32) {
+		for j, v := range conn {
+			if v < 0 {
+				conn[j] = global[-v-1]
+			}
+		}
+	}
+	if w.tris == nil {
+		patch(w.conn[from.Conn:to.Conn])
+		return
+	}
+	for i := from.Cells; i < to.Cells; i++ {
+		patch(w.tris[i][:])
+	}
 }
 
 // KeyWindow numbers the points of one k-layer of cells by key, for
-// CountKeyed (counting) and KeyedEmission.Fill (writing). The layer's
-// cells touch only the grid points of its two point planes, so one int32
-// per slot and point of those planes — an output index + 1, a
-// placeholder for a point of the layer below, zero until the layer first
-// emits the key — stands in for a map.
+// KeyedEmission.Count (counting) and Fill (writing). The layer's cells
+// touch only the grid points of its two point planes, so one int32 per
+// slot and point of those planes — an output index + 1, a placeholder
+// for a point of the layer below, zero until the layer first emits the
+// key — stands in for a map.
 type KeyWindow struct {
 	e       *KeyedEmission
 	fill    bool
@@ -318,7 +327,8 @@ type KeyWindow struct {
 	base    int     // id of the layer's first grid point
 	ids     []int32 // slot s of grid point base+i at s*2*plane + i
 	touched []int32 // the ids set, to clear for the next layer
-	w       cellWriter
+	worker  int
+	w       rowWriter
 	// The seams of the layer's bottom and top planes, nil where no layer
 	// lies beyond them.
 	below, above *seam
@@ -340,15 +350,13 @@ type KeyWindow struct {
 // window readies worker's window for a layer.
 func (e *KeyedEmission) window(worker, layer int, fill bool) *KeyWindow {
 	kw := &e.wins[worker]
-	span := 2 * e.plane
-	if kw.ids == nil {
-		kw.ids = make([]int32, e.slots.N*span)
-		kw.stamp = make([]int32, span)
-	}
 	for _, i := range kw.touched {
 		kw.ids[i] = 0
 	}
-	*kw = KeyWindow{e: e, fill: fill, layer: layer, base: layer * e.plane, ids: kw.ids, touched: kw.touched[:0], stamp: kw.stamp, epoch: kw.epoch + 1}
+	if n := e.slots.N * 2 * e.plane; len(kw.ids) < n {
+		kw.ids, kw.touched = make([]int32, n), make([]int32, 0, 2*e.plane)
+	}
+	*kw = KeyWindow{e: e, fill: fill, layer: layer, base: layer * e.plane, ids: kw.ids, touched: kw.touched[:0], worker: worker, stamp: kw.stamp, epoch: kw.epoch + 1}
 	if layer > 0 {
 		kw.below = &e.seams[layer]
 	}
@@ -357,6 +365,23 @@ func (e *KeyedEmission) window(worker, layer int, fill bool) *KeyWindow {
 	}
 	return kw
 }
+
+// Visit notes, while counting, the walk's current cell c as one the
+// fill is to visit: a walk whose count classifies many cells and emits
+// from few need not classify them again.
+func (kw *KeyWindow) Visit(c int) { kw.e.visits[kw.worker] = append(kw.e.visits[kw.worker], int32(c)) }
+
+// Visited returns, while writing, the cells the count noted for the
+// layer, in the order it noted them.
+func (kw *KeyWindow) Visited() []int32 {
+	c := &kw.e.chunks[kw.layer+1]
+	return kw.e.visits[c.worker][c.from:c.to]
+}
+
+// Writing reports whether the window writes (Fill, FillTris) rather than
+// counts (Count): a walk may skip computing what only a written point
+// needs, its position and scalar.
+func (kw *KeyWindow) Writing() bool { return kw.fill }
 
 // Point emits the point named k, at p with scalar s, and returns the
 // index the cells that use it write (0 when counting).
@@ -385,14 +410,9 @@ func (kw *KeyWindow) Hex(cell *CellWalk, carry []float64) {
 		var conn [8]int32
 		for c := range conn {
 			pid := cell.Point(c)
-			i := pid - kw.base
-			if kw.ids[i] == 0 {
-				s, bit, top := kw.hexSeam(c, i)
-				kw.first(i, s, bit, top, cell.Corner(c), carry[pid])
-			}
-			conn[c] = ref(kw.ids[i])
+			conn[c] = kw.Point(PointKey(pid, 0), cell.Corner(c), carry[pid])
 		}
-		kw.w.AddCell(Hex, conn[:]...)
+		kw.w.addCell(Hex, conn[:])
 		return
 	}
 	kw.cells++
@@ -414,16 +434,15 @@ func (kw *KeyWindow) Hex(cell *CellWalk, carry []float64) {
 		}
 		switch {
 		case top && kw.spanAbove:
-			s.soupBelow.set(bit, kw.e.plane)
+			s.soupBelow.set(bit)
 		case !top && kw.spanBelow:
-			s.soupAbove.set(bit, kw.e.plane)
+			s.soupAbove.set(bit)
 		}
 	}
 }
 
-// hexSeam is seam for corner c of a hex, at window index i: the corner's
-// key, slot 0, lies in the layer's bottom plane for corners 0–3 and in
-// its top one for 4–7.
+// hexSeam is seam for corner c of a hex, at window index i: its key,
+// slot 0, lies in the bottom plane for corners 0–3, the top for 4–7.
 func (kw *KeyWindow) hexSeam(c, i int) (s *seam, bit int, top bool) {
 	if c < 4 {
 		return kw.below, i, false
@@ -433,6 +452,9 @@ func (kw *KeyWindow) hexSeam(c, i int) (s *seam, bit int, top bool) {
 
 // chunk starts counting the whole hexes of cell's GrainFixed chunk.
 func (kw *KeyWindow) chunk(cell int) {
+	if len(kw.stamp) < 2*kw.e.plane {
+		kw.stamp = make([]int32, 2*kw.e.plane)
+	}
 	gf := cell / kw.e.gfGrain
 	kw.gfEnd = (gf + 1) * kw.e.gfGrain
 	kw.epoch++
@@ -446,7 +468,18 @@ func (kw *KeyWindow) Cell(t CellType, conn ...int32) {
 		kw.conn += len(conn)
 		return
 	}
-	kw.w.AddCell(t, conn...)
+	kw.w.addCell(t, conn)
+}
+
+// Tri emits a triangle on points Point returned, a row of the TriMesh
+// FillTris appends to.
+func (kw *KeyWindow) Tri(a, b, c int32) {
+	if !kw.fill {
+		kw.cells++
+		kw.conn += 3
+		return
+	}
+	kw.w.addTri(a, b, c)
 }
 
 // ref is the connectivity entry of a window id: an output index, or a
@@ -465,11 +498,10 @@ func (kw *KeyWindow) mark(i int, s *seam, bit int, top bool) {
 	kw.touched = append(kw.touched, int32(i))
 	kw.unique++
 	if s != nil {
-		n := bits.OnesCount64(kw.e.slots.Flat) * kw.e.plane
 		if top {
-			s.below.set(bit, n)
+			s.below.set(bit)
 		} else {
-			s.above.set(bit, n)
+			s.above.set(bit)
 		}
 	}
 }
@@ -483,10 +515,10 @@ func (kw *KeyWindow) first(i int, s *seam, bit int, top bool, p Vec3, sc float64
 		kw.ids[i] = -(s.rankOf(bit) + 1)
 		return
 	}
-	id := kw.w.AddPoint(p, sc)
+	id := kw.w.addPoint(p, sc)
 	kw.ids[i] = id + 1
 	if s != nil && top {
-		s.global[s.rankOf(bit)] = id
+		kw.e.global[s.at+int(s.rankOf(bit))] = id
 	}
 }
 

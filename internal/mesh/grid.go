@@ -267,11 +267,15 @@ func (g *UniformGrid) FieldNames() []string {
 	return names
 }
 
-// FieldRange returns the min and max of a scalar slice. It returns
-// (+Inf, -Inf) for an empty slice.
+// FieldRange returns the min and max of the finite values of a scalar
+// slice: NaN and ±Inf do not count. It returns the empty range (+Inf,
+// -Inf), lo > hi, for a slice without finite values.
 func FieldRange(f []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range f {
+		if v-v != 0 {
+			continue // ±Inf or NaN
+		}
 		if v < lo {
 			lo = v
 		}

@@ -187,9 +187,15 @@ func TestFieldRange(t *testing.T) {
 	if lo != -1 || hi != 7 {
 		t.Errorf("FieldRange = (%v, %v)", lo, hi)
 	}
-	lo, hi = FieldRange(nil)
-	if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
-		t.Errorf("FieldRange(nil) = (%v, %v)", lo, hi)
+	lo, hi = FieldRange([]float64{math.Inf(1), 3, math.NaN(), -1, math.Inf(-1), 7})
+	if lo != -1 || hi != 7 {
+		t.Errorf("FieldRange over ±Inf and NaN = (%v, %v), want the finite values' (-1, 7)", lo, hi)
+	}
+	for _, f := range [][]float64{nil, {math.NaN(), math.Inf(1), math.Inf(-1)}} {
+		lo, hi = FieldRange(f)
+		if !math.IsInf(lo, 1) || !math.IsInf(hi, -1) {
+			t.Errorf("FieldRange(%v) = (%v, %v), want the empty (+Inf, -Inf)", f, lo, hi)
+		}
 	}
 }
 

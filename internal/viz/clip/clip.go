@@ -69,7 +69,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	// Every output point is a grid point or a cut on a lattice edge, named
 	// by its key, so each is written once, where it is first emitted.
 	nCells := g.NumCells()
-	walk := func(lo, hi int, kw *mesh.KeyWindow) (straddle uint64) {
+	walk := func(lo, hi int, kw *mesh.KeyWindow) (straddle, _ uint64) {
 		var ts [6]viz.ClipTet
 		pieces := make([]viz.ClipTet, 0, 16)
 		cell := g.WalkCells(lo)
@@ -92,10 +92,11 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 			}
 		}
-		return straddle
+		return straddle, 0
 	}
-	em := mesh.CountKeyed(ex.Pool, g, viz.ClipSlots, walk)
-	out, straddlers := em.Fill(walk)
+	var em mesh.KeyedEmission
+	em.Count(ex.Pool, g, viz.ClipSlots, walk)
+	out, straddlers, _ := em.Fill(walk)
 	ex.Charge(cost(uint64(nPts), uint64(nCells), straddlers, em.Soup, uint64(len(out.Points))))
 
 	return &viz.Result{

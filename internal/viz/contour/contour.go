@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/mesh"
 	"repro/internal/ops"
-	"repro/internal/par"
 	"repro/internal/viz"
 )
 
@@ -54,8 +53,12 @@ func New(opts Options) *Filter {
 func (f *Filter) Name() string { return "Contour" }
 
 // SpreadIsovalues returns n isovalues uniformly spaced across the open
-// interior of [lo, hi].
+// interior of [lo, hi], and none for an empty range (lo > hi: a field
+// without finite values, mesh.FieldRange).
 func SpreadIsovalues(lo, hi float64, n int) []float64 {
+	if lo > hi {
+		return nil
+	}
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		out[i] = lo + (hi-lo)*float64(i+1)/float64(n+1)
@@ -74,12 +77,14 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		lo, hi := mesh.FieldRange(field)
 		isos = SpreadIsovalues(lo, hi, f.opts.NumIsovalues)
 	}
-	// Every isovalue of the cycle classifies against one row index.
+	// Every isovalue of the cycle classifies against one row index and
+	// reuses one emission's buffers.
 	rows := indexRows(g, field, ex.Pool)
 	out := &mesh.TriMesh{}
+	var em mesh.KeyedEmission
 	var dpp ops.Profile
 	for _, iso := range isos {
-		ContourField(g, field, field, rows, iso, &dpp, ex, out)
+		ContourField(g, field, field, rows, iso, &em, &dpp, ex, out)
 	}
 	res := &viz.Result{
 		Profile:  ex.Drain(),
@@ -93,128 +98,47 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	return res, nil
 }
 
-// ContourField extracts the iso-surface of a point-field slice and appends
-// the triangles to out. carry supplies the scalar carried onto the surface
-// for coloring (pass field itself to color by the contoured value); rows
-// is field's row index. This entry point is shared with the slice filter,
-// which contours a signed distance field while carrying the data field.
-//
-// The surface is written once, at its exact size: a count pass classifies
-// the cells of every row whose range holds iso from their corner scalars
-// alone (crossing) and sizes each chunk, and the fill writes every chunk
-// at its scanned offsets, visiting only the cells the count found crossed.
-// The count pass is this host's sizing, not the paper's kernel, so it
-// is not charged. The one fill counts both the cells each formulation
-// visits, and the launch is priced both ways (cost.go): ex is charged
-// the traditional formulation's price, over the crossed cells, and dpp,
-// when non-nil, gains the DPP one's, over the emitting cells its
-// per-cell count and scan single out.
-func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, dpp *ops.Profile, ex *viz.Exec, out *mesh.TriMesh) {
-	nCells := g.NumCells()
-	cross := make([]uint8, nCells)
-	em := mesh.Count(ex.Pool, nCells, par.GrainFor(nCells, ex.Pool.Workers()), func(lo, hi, _ int) mesh.Sizes {
-		tris := crossing(g, field, rows, iso, lo, hi, cross)
-		return mesh.Sizes{Points: 3 * tris, Cells: tris}
-	})
-	em.GrowTris(out)
-
-	crossed, emitting := em.Fill(func(lo, hi, _ int, at mesh.Sizes) (mesh.Sizes, uint64, uint64) {
-		return fillTris(g, field, carry, iso, cross, lo, hi, out, at)
-	})
-	tris := uint64(em.Total.Cells)
-	ex.Charge(tradCost(uint64(nCells), crossed, tris, uint64(len(field))))
-	if dpp != nil {
-		dpp.Add(dppCost(uint64(nCells), emitting, tris, uint64(len(field))))
-	}
-}
-
-// triCounts is cellTriCount by corner mask: entry m is the triangle count
-// of a cell whose corners at or above the isovalue are the bits of m
-// (mesh.CellWalk.Masks). crossing looks it up.
-var triCounts = func() (t [256]uint8) {
-	for m := range t {
-		var dv [8]float64
-		for c := range dv {
-			dv[c] = float64(m >> c & 1)
-		}
-		t[m] = uint8(cellTriCount(&dv, 1))
-	}
-	return t
-}()
-
-// cellTriCount classifies one cell from its eight corner scalars alone:
-// the number of marching-tetrahedra triangles across the six-tet
-// decomposition. It mirrors Tet.Contour's corner test (D >= iso counts
-// as inside) without touching positions — the count pass needs no
-// geometry.
-func cellTriCount(dv *[8]float64, iso float64) int32 {
-	var tris int32
-	for _, tet := range viz.HexTets {
-		ni := 0
-		for _, c := range tet {
-			if dv[c] >= iso {
-				ni++
-			}
-		}
-		switch ni {
-		case 1, 3:
-			tris++
-		case 2:
-			tris += 2
-		}
-	}
-	return tris
-}
-
-// crossing classifies the cells [lo, hi) against iso from their corner
-// values and returns their triangle count. It records each cell's class
-// in cross: 0 where iso lies outside the corner range (the quick
-// rejection), 1 + the cell's triangle count where it lies inside. Cells
-// of rows whose range does not hold iso keep their 0 unvisited.
-func crossing(g *mesh.UniformGrid, field []float64, rows Rows, iso float64, lo, hi int, cross []uint8) (tris int) {
+// ContourField appends the iso-surface of a point-field slice to out as
+// indexed triangles and returns the soup point count a per-cell emission
+// would write (three a triangle). carry is the scalar carried onto the
+// surface (slice, which shares this entry point, contours a distance
+// field carrying the data field); rows is field's row index; em is the
+// emission whose buffers the launch reuses. The count classifies the
+// cells of the rows whose range holds iso and notes the crossed ones for
+// the fill; it is this host's sizing, not the paper's kernel, and is not
+// charged. ex is charged the traditional price, over the crossed cells,
+// and dpp, when non-nil, gains the DPP one, over the emitting cells.
+func ContourField(g *mesh.UniformGrid, field, carry []float64, rows Rows, iso float64, em *mesh.KeyedEmission, dpp *ops.Profile, ex *viz.Exec, out *mesh.TriMesh) int {
 	nx := g.Dims[0] - 1
-	for r := lo / nx; r*nx < hi; r++ {
-		if !rows[r].holds(iso) {
-			continue
+	walk := func(lo, hi int, kw *mesh.KeyWindow) (crossed, emitting uint64) {
+		var cc viz.CellContour
+		if kw.Writing() {
+			for _, c := range kw.Visited() {
+				cell := g.WalkCells(int(c))
+				emitting += uint64(min(cc.Emit(kw, &cell, field, carry, iso), 1))
+			}
+			return uint64(len(kw.Visited())), emitting
 		}
-		cell := g.WalkCells(max(lo, r*nx))
-		for end := min(hi, (r+1)*nx); cell.Cell < end; cell.Next() {
-			if above, below := cell.Masks(field, iso, iso); above != 0 && below != 0 {
-				n := triCounts[above]
-				cross[cell.Cell] = 1 + n
-				tris += int(n)
+		for r := lo / nx; r*nx < hi; r++ {
+			if !rows[r].holds(iso) {
+				continue
+			}
+			cell := g.WalkCells(r * nx)
+			for end := (r + 1) * nx; cell.Cell < end; cell.Next() {
+				if above, below := cell.Masks(field, iso, iso); above != 0 && below != 0 {
+					kw.Visit(cell.Cell)
+					cc.Emit(kw, &cell, field, carry, iso)
+				}
 			}
 		}
+		return 0, 0
 	}
-	return tris
-}
-
-// fillTris writes the triangles of the cells [lo, hi) that cross marks
-// into out from offsets at (three fresh points per triangle, in cell
-// order) and returns the offsets past them, the cells whose corner range
-// holds iso and, of those, the cells that emit a triangle.
-func fillTris(g *mesh.UniformGrid, field, carry []float64, iso float64, cross []uint8, lo, hi int, out *mesh.TriMesh, at mesh.Sizes) (end mesh.Sizes, crossed, emitting uint64) {
-	var ts [6]viz.Tet
-	p, t := at.Points, at.Cells
-	for c := lo; c < hi; c++ {
-		if cross[c] == 0 {
-			continue
-		}
-		crossed++
-		if cross[c] > 1 {
-			emitting++
-		}
-		cell := g.WalkCells(c)
-		viz.CellTets(&cell, field, carry, &ts)
-		for i := range ts {
-			ts[i].Contour(iso, func(p0, p1, p2 mesh.Vec3, s0, s1, s2 float64) {
-				out.Points[p], out.Points[p+1], out.Points[p+2] = p0, p1, p2
-				out.Scalars[p], out.Scalars[p+1], out.Scalars[p+2] = s0, s1, s2
-				out.Tris[t] = [3]int32{int32(p), int32(p + 1), int32(p + 2)}
-				p += 3
-				t++
-			})
-		}
+	em.Count(ex.Pool, g, viz.ClipSlots, walk)
+	crossed, emitting := em.FillTris(walk, out)
+	nCells, tris := uint64(g.NumCells()), uint64(em.Total.Cells)
+	ex.Charge(tradCost(nCells, crossed, tris, uint64(len(field))))
+	if dpp != nil {
+		dpp.Add(dppCost(nCells, emitting, tris, uint64(len(field))))
 	}
-	return mesh.Sizes{Points: p, Cells: t}, crossed, emitting
+	return em.Soup.Points
 }

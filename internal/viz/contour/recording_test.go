@@ -72,17 +72,20 @@ func assertRecordings(t *testing.T, backend viz.Backend, recs []recording) {
 // The output and the operation profile of the ten default spheres,
 // recorded at the parent of the PR that sizes the emitters by count →
 // scan → fill (commit 69bcda9, identical at 1, 2 and 4 workers there).
+// The points and digest are that output with each isovalue's surface
+// welded by position on its own (WeldPointsPool at 1e-9), which contour
+// now writes itself.
 func TestContourMatchesParentRecording(t *testing.T) {
 	assertRecordings(t, viz.Traditional, []recording{
-		{n: 16, points: 87552, tris: 29184, digest: 0xa58f81e92c651c42, profile: ops.Profile{Flops: 0x1b8b00, IntOps: 0xc1980, Branches: 0x3b700, LoadBytes: [4]uint64{0x0, 0x36b800, 0x0, 0x0}, StoreBytes: [4]uint64{0x2ac000, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0xa, WorkingSetBytes: 0xa1788}},
-		{n: 32, points: 347544, tris: 115848, digest: 0xd7c1e6f16f58b67a, profile: ops.Profile{Flops: 0x95b358, IntOps: 0x4e4f80, Branches: 0x165300, LoadBytes: [4]uint64{0x0, 0x17a9800, 0x0, 0x0}, StoreBytes: [4]uint64{0xa9b300, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0xa, WorkingSetBytes: 0x2a1c08}},
+		{n: 16, points: 15416, tris: 29184, digest: 0xdb3a5566f3ba63fb, profile: ops.Profile{Flops: 0x1b8b00, IntOps: 0xc1980, Branches: 0x3b700, LoadBytes: [4]uint64{0x0, 0x36b800, 0x0, 0x0}, StoreBytes: [4]uint64{0x2ac000, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0xa, WorkingSetBytes: 0xa1788}},
+		{n: 32, points: 59504, tris: 115848, digest: 0x5e7d0028e4aacc95, profile: ops.Profile{Flops: 0x95b358, IntOps: 0x4e4f80, Branches: 0x165300, LoadBytes: [4]uint64{0x0, 0x17a9800, 0x0, 0x0}, StoreBytes: [4]uint64{0xa9b300, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0xa, WorkingSetBytes: 0x2a1c08}},
 	})
 }
 
 // The same spheres under the DPP formulation, recorded at the same commit.
 func TestContourDPPMatchesParentRecording(t *testing.T) {
 	assertRecordings(t, viz.DPP, []recording{
-		{n: 16, points: 87552, tris: 29184, digest: 0xa58f81e92c651c42, profile: ops.Profile{Flops: 0x1b8b00, IntOps: 0x143980, Branches: 0x10d700, LoadBytes: [4]uint64{0x50000, 0x3ba000, 0x0, 0x0}, StoreBytes: [4]uint64{0x2fc000, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1e, WorkingSetBytes: 0xa5788}},
-		{n: 32, points: 347544, tris: 115848, digest: 0xd7c1e6f16f58b67a, profile: ops.Profile{Flops: 0x95b358, IntOps: 0x8f4f80, Branches: 0x7f5300, LoadBytes: [4]uint64{0x280000, 0x18e2000, 0x0, 0x0}, StoreBytes: [4]uint64{0xd1b300, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1e, WorkingSetBytes: 0x2c1c08}},
+		{n: 16, points: 15416, tris: 29184, digest: 0xdb3a5566f3ba63fb, profile: ops.Profile{Flops: 0x1b8b00, IntOps: 0x143980, Branches: 0x10d700, LoadBytes: [4]uint64{0x50000, 0x3ba000, 0x0, 0x0}, StoreBytes: [4]uint64{0x2fc000, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1e, WorkingSetBytes: 0xa5788}},
+		{n: 32, points: 59504, tris: 115848, digest: 0x5e7d0028e4aacc95, profile: ops.Profile{Flops: 0x95b358, IntOps: 0x8f4f80, Branches: 0x7f5300, LoadBytes: [4]uint64{0x280000, 0x18e2000, 0x0, 0x0}, StoreBytes: [4]uint64{0xd1b300, 0x0, 0x0, 0x0}, RandomAccesses: 0x0, Launches: 0x1e, WorkingSetBytes: 0x2c1c08}},
 	})
 }

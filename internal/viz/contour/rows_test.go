@@ -6,27 +6,26 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/ops"
 	"repro/internal/par"
+	"repro/internal/viz"
 )
 
-// crossingAll is crossing without the row index: every cell of [lo, hi)
-// is classified.
-func crossingAll(g *mesh.UniformGrid, field []float64, iso float64, lo, hi int, cross []uint8) (tris int) {
-	cell := g.WalkCells(lo)
-	for ; cell.Cell < hi; cell.Next() {
-		if above, below := cell.Masks(field, iso, iso); above != 0 && below != 0 {
-			n := triCounts[above]
-			cross[cell.Cell] = 1 + n
-			tris += int(n)
-		}
+// everyRow is a row index whose rows hold every isovalue but NaN: the
+// contour passes classify every cell.
+func everyRow(g *mesh.UniformGrid) Rows {
+	rows := make(Rows, (g.Dims[1]-1)*(g.Dims[2]-1))
+	for r := range rows {
+		rows[r] = RowRange{Min: math.Inf(-1), Max: math.Inf(1)}
 	}
-	return tris
+	return rows
 }
 
 // Property: skipping the rows whose range does not hold iso changes no
-// cell's class. The fields mix a handful of repeated values (so isovalues
-// land exactly on corners), NaN, ±Inf and constant rows; the isovalues
-// include those same values; the cell ranges cut rows anywhere.
+// cell's class: the surface and both prices (the crossed and the
+// emitting cells) are the unpruned run's. The fields mix a handful of
+// repeated values (so isovalues land exactly on corners), NaN, ±Inf and
+// constant rows; the isovalues include those same values.
 func TestRowIndexPrunesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	inf := math.Inf(1)
@@ -61,21 +60,18 @@ func TestRowIndexPrunesExactly(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			isos = append(isos, field[rng.Intn(len(field))])
 		}
-		n := g.NumCells()
 		for _, iso := range isos {
-			want := make([]uint8, n)
-			got := make([]uint8, n)
-			for lo := 0; lo < n; {
-				hi := min(n, lo+1+rng.Intn(2*dims[0]))
-				if a, b := crossing(g, field, rows, iso, lo, hi, got), crossingAll(g, field, iso, lo, hi, want); a != b {
-					t.Fatalf("trial %d iso %v cells [%d, %d): %d triangles pruned, %d unpruned", trial, iso, lo, hi, a, b)
-				}
-				lo = hi
+			var prices [2][2]ops.Profile // traditional, DPP
+			var surfaces [2]mesh.TriMesh
+			var em mesh.KeyedEmission
+			for i, r := range []Rows{rows, everyRow(g)} {
+				ex := viz.NewExec(pool)
+				ContourField(g, field, field, r, iso, &em, &prices[i][1], ex, &surfaces[i])
+				prices[i][0] = ex.Drain()
 			}
-			for c := range want {
-				if got[c] != want[c] {
-					t.Fatalf("trial %d dims %v iso %v: cell %d classed %d pruned, %d unpruned", trial, dims, iso, c, got[c], want[c])
-				}
+			if prices[0] != prices[1] || triDigest(&surfaces[0]) != triDigest(&surfaces[1]) {
+				t.Fatalf("trial %d dims %v iso %v: pruned run priced %+v and wrote %d triangles; unpruned %+v and %d",
+					trial, dims, iso, prices[0], len(surfaces[0].Tris), prices[1], len(surfaces[1].Tris))
 			}
 		}
 	}

@@ -46,6 +46,9 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		return nil, fmt.Errorf("histogram: grid has no cell field %q", f.opts.Field)
 	}
 	lo, hi := mesh.FieldRange(cf)
+	if lo > hi {
+		lo, hi = 0, 0 // no finite values: +Inf counts in the last bin, the rest in the first
+	}
 	width := (hi - lo) / float64(f.opts.Bins)
 	if width <= 0 {
 		width = 1
@@ -57,12 +60,14 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		func() []int64 { return make([]int64, bins) },
 		func(lo2, hi2 int, acc []int64) []int64 {
 			for c := lo2; c < hi2; c++ {
-				b := int((cf[c] - lo) * inv)
-				if b < 0 {
-					b = 0
-				}
-				if b >= bins {
+				// Clamped before the conversion, which is undefined for
+				// ±Inf and NaN; those go to the end bins, NaN to the first.
+				b := 0
+				switch x := (cf[c] - lo) * inv; {
+				case x >= float64(bins):
 					b = bins - 1
+				case x > 0:
+					b = int(x)
 				}
 				acc[b]++
 			}

@@ -58,7 +58,7 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	// a grid point or a cut on the lattice, named by its key and written
 	// once, where it is first emitted.
 	nCells := g.NumCells()
-	walk := func(lo2, hi2 int, kw *mesh.KeyWindow) (straddle uint64) {
+	walk := func(lo2, hi2 int, kw *mesh.KeyWindow) (straddle, _ uint64) {
 		var ts [6]viz.ClipTet
 		above := make([]viz.ClipTet, 0, 16)
 		kept := make([]viz.ClipTet, 0, 16)
@@ -86,10 +86,11 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 				}
 			}
 		}
-		return straddle
+		return straddle, 0
 	}
-	em := mesh.CountKeyed(ex.Pool, g, viz.IsovolumeSlots, walk)
-	out, straddlers := em.Fill(walk)
+	var em mesh.KeyedEmission
+	em.Count(ex.Pool, g, viz.IsovolumeSlots, walk)
+	out, straddlers, _ := em.Fill(walk)
 	ex.Charge(cost(uint64(nCells), straddlers, em.Soup, uint64(len(field)), uint64(len(out.Points))))
 
 	return &viz.Result{

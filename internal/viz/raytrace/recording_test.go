@@ -104,15 +104,19 @@ func orbitFrameStats(b *BVH, m *mesh.TriMesh) TraverseStats {
 
 // The trees of the binned-SAH build, recorded at the parent of the PR
 // whose splits hand each child its bounds (commit e9f9758). The serial
-// top of the tree depends on the worker count, so each is recorded.
+// top of the tree depends on the worker count, so each is recorded. The
+// contour rows' digests were taken again when contour came to share its
+// points: 2,724 of the 87,552 triangle corners of contour-16 moved by an
+// ulp onto the point their key names, and the node counts and traversal
+// work stayed as recorded.
 func TestBVHMatchesParentRecording(t *testing.T) {
 	recs := []bvhRecording{
-		{mesh: "contour-16", workers: 1, nodes: 18669, topology: 0xc7cebb3ed948498d, order: 0x928c6d9784d565b1, bounds: 0xdfddbeda3f7f3736, stats: TraverseStats{NodesVisited: 34310, TriTests: 6215}},
-		{mesh: "contour-16", workers: 2, nodes: 18669, topology: 0x3cb755eb1015660d, order: 0x928c6d9784d565b1, bounds: 0xdb6a080104959276, stats: TraverseStats{NodesVisited: 34310, TriTests: 6215}},
-		{mesh: "contour-16", workers: 4, nodes: 18669, topology: 0xb7f225988f2818c9, order: 0x928c6d9784d565b1, bounds: 0x34a7a5cfe9115eda, stats: TraverseStats{NodesVisited: 34310, TriTests: 6215}},
-		{mesh: "contour-32", workers: 1, nodes: 75483, topology: 0xabcc1419ece3962b, order: 0x342572b8c4d412ed, bounds: 0x4c8d47d3d65f36ee, stats: TraverseStats{NodesVisited: 40480, TriTests: 5746}},
-		{mesh: "contour-32", workers: 2, nodes: 75483, topology: 0x4a0a4eff9515a08f, order: 0x342572b8c4d412ed, bounds: 0xcbd099a6b8d19506, stats: TraverseStats{NodesVisited: 40480, TriTests: 5746}},
-		{mesh: "contour-32", workers: 4, nodes: 75483, topology: 0x3fd38e202382d403, order: 0x342572b8c4d412ed, bounds: 0x68800ab23dca012e, stats: TraverseStats{NodesVisited: 40480, TriTests: 5746}},
+		{mesh: "contour-16", workers: 1, nodes: 18669, topology: 0xd64d4200715d6c74, order: 0x947d1de6c7dc8699, bounds: 0x8dbe532c26e34b41, stats: TraverseStats{NodesVisited: 34310, TriTests: 6215}},
+		{mesh: "contour-16", workers: 2, nodes: 18669, topology: 0x7c6373dd1e4e9488, order: 0x947d1de6c7dc8699, bounds: 0x9683e62ca9a27e09, stats: TraverseStats{NodesVisited: 34310, TriTests: 6215}},
+		{mesh: "contour-16", workers: 4, nodes: 18669, topology: 0x407bada8910408c0, order: 0x947d1de6c7dc8699, bounds: 0xbc41d7805227879d, stats: TraverseStats{NodesVisited: 34310, TriTests: 6215}},
+		{mesh: "contour-32", workers: 1, nodes: 75483, topology: 0x58c5ea2dd3f9ce78, order: 0x9a43eb12dd144045, bounds: 0xc6ebb63782035285, stats: TraverseStats{NodesVisited: 40480, TriTests: 5746}},
+		{mesh: "contour-32", workers: 2, nodes: 75483, topology: 0xeb89e9f14825f288, order: 0x9a43eb12dd144045, bounds: 0xd069b8cd4141af29, stats: TraverseStats{NodesVisited: 40480, TriTests: 5746}},
+		{mesh: "contour-32", workers: 4, nodes: 75483, topology: 0xeab4ee45cf57d408, order: 0x9a43eb12dd144045, bounds: 0x1ef9dda1892af2a9, stats: TraverseStats{NodesVisited: 40480, TriTests: 5746}},
 		{mesh: "faces-32", workers: 1, nodes: 6287, topology: 0x6f6049f3baa2a8d0, order: 0x7ceb9f672bc670d, bounds: 0xfbb3a11ba8625e37, stats: TraverseStats{NodesVisited: 22500, TriTests: 3080}},
 		{mesh: "faces-32", workers: 2, nodes: 6287, topology: 0x6cee2bd8b040bf90, order: 0x7ceb9f672bc670d, bounds: 0xad2a955a3bdad47b, stats: TraverseStats{NodesVisited: 22500, TriTests: 3080}},
 		{mesh: "faces-32", workers: 4, nodes: 6287, topology: 0x6cee2bd8b040bf90, order: 0x7ceb9f672bc670d, bounds: 0xad2a955a3bdad47b, stats: TraverseStats{NodesVisited: 22500, TriTests: 3080}},

@@ -13,7 +13,8 @@ func distanceCost(nPts uint64) (p ops.Profile) {
 }
 
 // workingSet is the whole run's footprint: the distance and carry
-// fields over nPts points and the cut surface of surfPoints points.
+// fields over nPts points and the cut surface as a per-cell emission
+// writes it, surfPoints points (three a triangle).
 func workingSet(nPts, surfPoints uint64) (p ops.Profile) {
 	p.WorkingSetBytes = nPts*16 + surfPoints*32
 	return

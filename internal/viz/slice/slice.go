@@ -71,6 +71,8 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	dist := make([]float64, nPts)
 	pointRows := make([]contour.RowRange, nPts/nx)
 	out := &mesh.TriMesh{}
+	var em mesh.KeyedEmission
+	soup := 0
 	for _, pl := range planes {
 		n := pl.Normal.Normalize()
 		if n == (mesh.Vec3{}) {
@@ -93,10 +95,10 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		})
 		ex.Charge(distanceCost(uint64(nPts)))
 		// Contour the distance field at zero, carrying the data field.
-		contour.ContourField(g, dist, carry, contour.CellRows(g, pointRows), 0, nil, ex, out)
+		soup += contour.ContourField(g, dist, carry, contour.CellRows(g, pointRows), 0, &em, nil, ex, out)
 	}
 
-	ex.Charge(workingSet(uint64(nPts), uint64(len(out.Points))))
+	ex.Charge(workingSet(uint64(nPts), uint64(soup)))
 	return &viz.Result{
 		Profile:  ex.Drain(),
 		Elements: int64(g.NumCells()),

@@ -37,12 +37,11 @@ func (t Tet) Volume() float64 {
 	return math.Abs(a.Dot(b.Cross(c))) / 6
 }
 
-// edgeLerp returns the point, carried scalar, and parameter u where the D
-// field crosses iso on the edge from corner i to corner j. An infinite
-// endpoint value puts the crossing at the other endpoint, the limit of u
-// as that value grows (Inf/Inf would be NaN); two infinite ones put it
-// at the midpoint, as a flat or NaN edge does.
-func (t Tet) edgeLerp(i, j int, iso float64) (mesh.Vec3, float64, float64) {
+// edgeU returns the parameter u, from corner i to corner j, at which D
+// crosses iso on an edge without an infinite end (see finiteEnd): 0.5,
+// the midpoint, on a flat or NaN edge or one whose ends are both
+// infinite.
+func (t *Tet) edgeU(i, j int, iso float64) float64 {
 	d0, d1 := t.D[i], t.D[j]
 	den := d1 - d0
 	u := 0.5
@@ -57,67 +56,30 @@ func (t Tet) edgeLerp(i, j int, iso float64) (mesh.Vec3, float64, float64) {
 	}
 	if u != u {
 		u = 0.5
-		if !math.IsInf(d1, 0) {
-			u = 1
-		}
 	}
-	p := t.P[i].Lerp(t.P[j], u)
-	s := t.S[i] + u*(t.S[j]-t.S[i])
-	return p, s, u
+	return u
 }
 
-// TriEmit receives one contour triangle: positions and carried scalars.
-type TriEmit func(p0, p1, p2 mesh.Vec3, s0, s1, s2 float64)
-
-// Contour emits the iso-surface triangles of D = iso inside the
-// tetrahedron (marching tetrahedra: 0, 1, or 2 triangles). Corners with
-// D >= iso count as "inside". Triangle winding is not normalized; the
-// consumers here shade double-sided.
-func (t Tet) Contour(iso float64, emit TriEmit) int {
-	var inside, outside [4]int
-	ni, no := 0, 0
-	for c := 0; c < 4; c++ {
-		if t.D[c] >= iso {
-			inside[ni] = c
-			ni++
-		} else {
-			outside[no] = c
-			no++
-		}
+// finiteEnd returns the finite end of the edge from corner i to corner j
+// when the other end's D is infinite: the crossing lies there, the limit
+// of u as that value grows (the lerp would compute Inf/Inf, NaN).
+func (t *Tet) finiteEnd(i, j int) (int, bool) {
+	if d := t.D[i] - t.D[j]; d-d == 0 {
+		return 0, false // both ends finite, the common case
 	}
-	switch ni {
-	case 0, 4:
-		return 0
-	case 1, 3:
-		// One corner separated from the other three: one triangle on the
-		// three edges incident to the lone corner.
-		lone := inside[0]
-		others := outside
-		if ni == 3 {
-			lone = outside[0]
-			others = inside
-		}
-		p0, s0, _ := t.edgeLerp(lone, others[0], iso)
-		p1, s1, _ := t.edgeLerp(lone, others[1], iso)
-		p2, s2, _ := t.edgeLerp(lone, others[2], iso)
-		emit(p0, p1, p2, s0, s1, s2)
-		return 1
-	default: // 2–2 split: a quad, two triangles.
-		a, b := inside[0], inside[1]
-		c, d := outside[0], outside[1]
-		pac, sac, _ := t.edgeLerp(a, c, iso)
-		pad, sad, _ := t.edgeLerp(a, d, iso)
-		pbd, sbd, _ := t.edgeLerp(b, d, iso)
-		pbc, sbc, _ := t.edgeLerp(b, c, iso)
-		emit(pac, pad, pbd, sac, sad, sbd)
-		emit(pac, pbd, pbc, sac, sbd, sbc)
-		return 2
+	finite := func(d float64) bool { return !math.IsInf(d, 0) && d == d }
+	switch {
+	case math.IsInf(t.D[j], 0) && finite(t.D[i]):
+		return i, true
+	case math.IsInf(t.D[i], 0) && finite(t.D[j]):
+		return j, true
 	}
+	return 0, false
 }
 
 // ClipTet is a Tet whose corners also say which point of the output they
-// are (V), so that clip and isovolume number their output points by
-// identity instead of by position. Contour's tetrahedra do not carry it.
+// are (V), so that the filters number their output points by identity
+// instead of by position.
 type ClipTet struct {
 	Tet
 	V [4]Vertex
@@ -147,21 +109,20 @@ func wedgeToTets(out []ClipTet, p [6]mesh.Vec3, d, s [6]float64, v [6]Vertex) []
 // point, below the 1e-9 a position weld merges within.
 const snapU = 0x1p-40
 
-// cut is edgeLerp that also names the crossing and gives its D: the
-// endpoint it lands on (u within snapU of 0 or 1), or else the cut of the
-// two endpoints at level (cutLo or cutHi), at D = iso. Which endpoint a
-// crossing snaps to does not depend on the direction the edge is walked
-// in. An infinite endpoint puts the crossing on the other end, and the
-// point is that corner, its value included: a later cut from it is the
-// corner's own, not one from a point at iso.
+// cut returns the point, D, carried scalar and name of the crossing of
+// iso on the edge from corner i to corner j: the endpoint it lands on (u
+// within snapU of 0 or 1), or else the cut of the two endpoints at level
+// (cutLo or cutHi), at D = iso. Which endpoint a crossing snaps to does
+// not depend on the direction the edge is walked in. An infinite
+// endpoint puts the crossing on the other end, and the point is that
+// corner, its values included: a later cut from it is the corner's own,
+// not one from a point at iso, and its scalar is not 0·Inf.
 func (t *ClipTet) cut(i, j int, iso float64, level Vertex) (mesh.Vec3, float64, float64, Vertex) {
-	switch {
-	case math.IsInf(t.D[j], 0) && !math.IsInf(t.D[i], 0) && t.D[i] == t.D[i]:
-		return t.P[i], t.D[i], t.S[i], t.V[i]
-	case math.IsInf(t.D[i], 0) && !math.IsInf(t.D[j], 0) && t.D[j] == t.D[j]:
-		return t.P[j], t.D[j], t.S[j], t.V[j]
+	if k, ok := t.finiteEnd(i, j); ok {
+		return t.P[k], t.D[k], t.S[k], t.V[k]
 	}
-	p, s, u := t.edgeLerp(i, j, iso)
+	u := t.edgeU(i, j, iso)
+	p, s := t.P[i].Lerp(t.P[j], u), t.S[i]+u*(t.S[j]-t.S[i])
 	switch {
 	case u <= snapU:
 		return p, iso, s, t.V[i]
@@ -253,36 +214,30 @@ func (t ClipTet) ClipBelow(iso float64, out []ClipTet) []ClipTet {
 	return out
 }
 
-// CellTets fills ts with the 6-tet decomposition of the walk's current
-// cell, with D taken from field (a point field) and S from carry (may
-// equal field).
-func CellTets(cell *mesh.CellWalk, field, carry []float64, ts *[6]Tet) {
+// CellClipTets fills ts with the 6-tet decomposition of the walk's
+// current cell, with D taken from field (a point field) and S from carry
+// (may equal field); each tetrahedron's corners also name the cell
+// corners they are. A nil carry leaves positions and scalars as they
+// were: a count names crossings without them.
+func CellClipTets(cell *mesh.CellWalk, field, carry []float64, ts *[6]ClipTet) {
 	var pos [8]mesh.Vec3
 	var dv, sv [8]float64
 	for c := 0; c < 8; c++ {
 		pid := cell.Point(c)
-		pos[c] = cell.Corner(c)
 		dv[c] = field[pid]
-		sv[c] = carry[pid]
-	}
-	for i, tet := range HexTets {
-		for k, corner := range tet {
-			ts[i].P[k] = pos[corner]
-			ts[i].D[k] = dv[corner]
-			ts[i].S[k] = sv[corner]
+		if carry != nil {
+			pos[c] = cell.Corner(c)
+			sv[c] = carry[pid]
 		}
 	}
-}
-
-// CellClipTets is CellTets for clipping: each tetrahedron's corners also
-// name the cell corners they are.
-func CellClipTets(cell *mesh.CellWalk, field, carry []float64, ts *[6]ClipTet) {
-	var plain [6]Tet
-	CellTets(cell, field, carry, &plain)
 	for i, tet := range HexTets {
-		ts[i].Tet = plain[i]
 		for k, corner := range tet {
+			ts[i].D[k] = dv[corner]
 			ts[i].V[k] = Vertex(corner)
+			if carry != nil {
+				ts[i].P[k] = pos[corner]
+				ts[i].S[k] = sv[corner]
+			}
 		}
 	}
 }
@@ -491,4 +446,76 @@ func (t *ClipTet) Emit(kw *mesh.KeyWindow, cell *mesh.CellWalk, field []float64,
 		conn[c] = kw.Point(t.V[c].Key(cell, field, lo, hi), t.P[c], t.S[c])
 	}
 	kw.Cell(mesh.Tet, conn[:]...)
+}
+
+// CellContour emits the iso-surface of cells' six tetrahedra (marching
+// tetrahedra: 0, 1, or 2 triangles each) through a mesh.KeyWindow, each
+// crossing named as clip names its first-level cuts (cut) and cut once
+// per cell and direction. The zero value is ready; one serves a walk.
+type CellContour struct {
+	ts    [6]ClipTet
+	known uint64 // bit 8a+b: the crossing from corner a to corner b is cut
+	key   [64]mesh.Key
+	p     [64]mesh.Vec3
+	s     [64]float64
+}
+
+// Emit writes the triangles of the walk's current cell, D taken from
+// field and S from carry, and returns how many. Corners with D >= iso
+// count as inside. A count (kw not Writing) reads no positions or
+// scalars. Triangle winding is not normalized; the consumers here shade
+// double-sided.
+func (cc *CellContour) Emit(kw *mesh.KeyWindow, cell *mesh.CellWalk, field, carry []float64, iso float64) (tris int) {
+	if !kw.Writing() {
+		carry = nil
+	}
+	CellClipTets(cell, field, carry, &cc.ts)
+	cc.known = 0
+	for i := range cc.ts {
+		tris += cc.tet(kw, cell, &cc.ts[i], iso)
+	}
+	return tris
+}
+
+// tet emits the triangles of one of the cell's tetrahedra.
+func (cc *CellContour) tet(kw *mesh.KeyWindow, cell *mesh.CellWalk, t *ClipTet, iso float64) int {
+	var in, out [4]int
+	ni, no := 0, 0
+	for c := 0; c < 4; c++ {
+		if t.D[c] >= iso {
+			in[ni], ni = c, ni+1
+		} else {
+			out[no], no = c, no+1
+		}
+	}
+	// point emits the crossing from corner i to corner j.
+	point := func(i, j int) int32 {
+		e := int(t.V[i])*8 + int(t.V[j])
+		if cc.known>>e&1 == 0 {
+			cc.known |= 1 << e
+			var v Vertex
+			cc.p[e], _, cc.s[e], v = t.cut(i, j, iso, cutLo)
+			cc.key[e] = v.Key(cell, nil, 0, 0)
+		}
+		return kw.Point(cc.key[e], cc.p[e], cc.s[e])
+	}
+	switch ni {
+	case 0, 4:
+		return 0
+	case 1, 3:
+		// One corner separated from the other three: one triangle on the
+		// three edges incident to the lone corner.
+		lone, others := in[0], out
+		if ni == 3 {
+			lone, others = out[0], in
+		}
+		kw.Tri(point(lone, others[0]), point(lone, others[1]), point(lone, others[2]))
+		return 1
+	}
+	// A 2–2 split: a quad, two triangles, each on three points as the
+	// soup counts them.
+	a, b, c, d := in[0], in[1], out[0], out[1]
+	kw.Tri(point(a, c), point(a, d), point(b, d))
+	kw.Tri(point(a, c), point(b, d), point(b, c))
+	return 2
 }

@@ -134,16 +134,22 @@ func nonFiniteCells(t *testing.T, constant bool) *mesh.UniformGrid {
 // On NaN, ±Inf and constant fields, at the default range and the whole
 // line, threshold keeps every cell of a constant field and every cell
 // but the NaN ones of the whole line, and writes a valid mesh of finite
-// positions: the oracle's. An infinite field's default range has NaN
-// bounds, so it keeps nothing.
+// positions: the oracle's. An infinite field's default range is the
+// upper half of its finite values' range (mesh.FieldRange skips ±Inf and
+// NaN).
 func TestThresholdNonFiniteAndConstantFields(t *testing.T) {
 	for _, constant := range []bool{false, true} {
 		g := nonFiniteCells(t, constant)
 		cf := g.CellField("e")
-		nonNaN := 0
-		for _, v := range cf {
+		// The default keeps the upper half of the finite values' range,
+		// [3.5, 7] of the x indices: the finite cells at x >= 4.
+		nonNaN, upper := 0, 0
+		for c, v := range cf {
 			if !math.IsNaN(v) {
 				nonNaN++
+			}
+			if i, _, _ := g.CellIJK(c); v == float64(i) && i >= 4 {
+				upper++
 			}
 		}
 		for _, r := range [][2]float64{{0, 0}, {math.Inf(-1), math.Inf(1)}} {
@@ -164,8 +170,8 @@ func TestThresholdNonFiniteAndConstantFields(t *testing.T) {
 					t.Errorf("range %v, %d workers: kept %d of %d cells of a constant field", r, nw, m.NumCells(), g.NumCells())
 				case r[0] != 0 && m.NumCells() != nonNaN:
 					t.Errorf("constant %v, range %v, %d workers: kept %d cells, %d are not NaN", constant, r, nw, m.NumCells(), nonNaN)
-				case !constant && r[0] == 0 && m.NumCells() != 0:
-					t.Errorf("range %v, %d workers: an infinite field's default range kept %d cells", r, nw, m.NumCells())
+				case !constant && r[0] == 0 && m.NumCells() != upper:
+					t.Errorf("range %v, %d workers: an infinite field's default range kept %d cells, want the %d finite ones in its upper half", r, nw, m.NumCells(), upper)
 				}
 				for i, p := range m.Points {
 					for _, v := range p {

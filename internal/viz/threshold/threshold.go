@@ -65,17 +65,18 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	// lies in its k-plane), so each is written once, where it is first
 	// emitted.
 	nCells := g.NumCells()
-	walk := func(lo2, hi2 int, kw *mesh.KeyWindow) uint64 {
+	walk := func(lo2, hi2 int, kw *mesh.KeyWindow) (uint64, uint64) {
 		cell := g.WalkCells(lo2)
 		for ; cell.Cell < hi2; cell.Next() {
 			if v := cf[cell.Cell]; v >= lo && v <= hi {
 				kw.Hex(&cell, pf)
 			}
 		}
-		return 0
+		return 0, 0
 	}
-	em := mesh.CountKeyed(ex.Pool, g, mesh.KeySlots{N: 1, Flat: 1}, walk)
-	out, _ := em.Fill(walk)
+	var em mesh.KeyedEmission
+	em.Count(ex.Pool, g, mesh.KeySlots{N: 1, Flat: 1}, walk)
+	out, _, _ := em.Fill(walk)
 	// One launch, priced under both formulations from the same counts, on
 	// the points a per-chunk emission writes (em.Soup).
 	n, kept, pfLen, soup := uint64(nCells), uint64(em.Total.Cells), uint64(len(pf)), uint64(em.Soup.Points)

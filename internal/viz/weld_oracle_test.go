@@ -9,7 +9,9 @@ import (
 	"repro/internal/par"
 	"repro/internal/viz"
 	"repro/internal/viz/clip"
+	"repro/internal/viz/contour"
 	"repro/internal/viz/isovolume"
+	"repro/internal/viz/slice"
 	"repro/internal/viz/threshold"
 )
 
@@ -290,38 +292,77 @@ func nonFiniteGrid(t *testing.T, constant bool) *mesh.UniformGrid {
 
 // A crossing on an edge with an infinite end lies at the finite end (the
 // limit of u), so no position is NaN: before, edgeLerp computed Inf/Inf.
-// Clip carries the values as scalars only; isovolume cuts them. The
-// output is still the oracle's.
+// Clip and slice carry the values as scalars only; isovolume cuts them,
+// and contour carries them, so its crossing at a finite end carries that
+// end's value, not 0·Inf. The output is still the oracle's.
 func TestClipIsovolumeWriteFinitePositions(t *testing.T) {
 	for _, constant := range []bool{false, true} {
 		g := nonFiniteGrid(t, constant)
 		field := g.PointField("energy")
+		// The finite values' range, which contour's default isovalues
+		// spread over.
+		lo, hi := 0.0, 1.0
+		if constant {
+			lo, hi = 0.5, 0.5
+		}
+		isos := [][]float64{{0.3, 0.5, 0.7}, contour.SpreadIsovalues(lo, hi, 10)}
+		planes := slice.DefaultPlanes(g.Bounds())
+		dists := make([][]float64, len(planes))
+		for i, pl := range planes {
+			n := pl.Normal.Normalize()
+			dists[i] = make([]float64, g.NumPoints())
+			for id := range dists[i] {
+				dists[i][id] = g.PointPosition(id).Sub(pl.Point).Dot(n)
+			}
+		}
+		repeat := func(n int) [][]float64 {
+			fields := make([][]float64, n)
+			for i := range fields {
+				fields[i] = field
+			}
+			return fields
+		}
 		pool := par.NewPool(2)
 		for _, c := range []struct {
-			f    viz.Filter
-			want *mesh.UnstructuredMesh
+			f        viz.Filter
+			want     *mesh.UnstructuredMesh
+			wantTris *mesh.TriMesh
 		}{
-			{isovolume.New(isovolume.Options{Lo: 0.3, Hi: 0.7}), first(oracleIsovolume(g, field, 0.3, 0.7))},
-			{isovolume.New(isovolume.Options{Lo: 0.5, Hi: 0.5}), first(oracleIsovolume(g, field, 0.5, 0.5))},
-			{clip.New(clip.Options{}), first(oracleClip(g, field, mesh.Vec3{}, 0))},
+			{isovolume.New(isovolume.Options{Lo: 0.3, Hi: 0.7}), first(oracleIsovolume(g, field, 0.3, 0.7)), nil},
+			{isovolume.New(isovolume.Options{Lo: 0.5, Hi: 0.5}), first(oracleIsovolume(g, field, 0.5, 0.5)), nil},
+			{clip.New(clip.Options{}), first(oracleClip(g, field, mesh.Vec3{}, 0)), nil},
+			{contour.New(contour.Options{Isovalues: isos[0]}), nil, launches(g, repeat(3), field, isos[0])},
+			{contour.New(contour.Options{}), nil, launches(g, repeat(len(isos[1])), field, isos[1])},
+			{slice.New(slice.Options{}), nil, launches(g, dists, field, make([]float64, len(planes)))},
 		} {
 			res, err := c.f.Run(g, viz.NewExec(pool))
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := res.Cells
-			if err := m.Validate(); err != nil {
-				t.Fatalf("%s, constant %v: %v", c.f.Name(), constant, err)
+			var points []mesh.Vec3
+			if c.wantTris != nil {
+				if err := res.Tris.Validate(); err != nil {
+					t.Fatalf("%s, constant %v: %v", c.f.Name(), constant, err)
+				}
+				if d := sameTris(res.Tris, c.wantTris); d != "" {
+					t.Errorf("%s, constant %v: %s", c.f.Name(), constant, d)
+				}
+				points = res.Tris.Points
+			} else {
+				if err := res.Cells.Validate(); err != nil {
+					t.Fatalf("%s, constant %v: %v", c.f.Name(), constant, err)
+				}
+				if d := sameCells(res.Cells, c.want); d != "" {
+					t.Errorf("%s, constant %v: %s", c.f.Name(), constant, d)
+				}
+				points = res.Cells.Points
 			}
-			for i, p := range m.Points {
+			for i, p := range points {
 				for _, v := range p {
 					if math.IsNaN(v) || math.IsInf(v, 0) {
 						t.Fatalf("%s, constant %v: point %d is %v", c.f.Name(), constant, i, p)
 					}
 				}
-			}
-			if d := sameCells(m, c.want); d != "" {
-				t.Errorf("%s, constant %v: %s", c.f.Name(), constant, d)
 			}
 		}
 		pool.Close()
