@@ -143,8 +143,7 @@ func zeroed[T any](s []T, n int) []T {
 func (e *KeyedEmission) Count(pool *par.Pool, g *UniformGrid, slots KeySlots, walk Walk) {
 	cd := g.CellDims()
 	layers, plane := cd[2], g.Dims[0]*g.Dims[1]
-	e.pool, e.n, e.perLayer, e.slots, e.plane = pool, g.NumCells(), cd[0]*cd[1], slots, plane
-	e.gfGrain = par.GrainFixed(e.n)
+	e.pool, e.n, e.perLayer, e.slots, e.plane, e.gfGrain = pool, g.NumCells(), cd[0]*cd[1], slots, plane, par.GrainFixed(g.NumCells())
 	e.chunks = zeroed(e.chunks, layers+1)
 	if len(e.wins) < pool.Workers() {
 		e.wins, e.visits = make([]KeyWindow, pool.Workers()), make([][]int32, pool.Workers())
@@ -410,7 +409,12 @@ func (kw *KeyWindow) Hex(cell *CellWalk, carry []float64) {
 		var conn [8]int32
 		for c := range conn {
 			pid := cell.Point(c)
-			conn[c] = kw.Point(PointKey(pid, 0), cell.Corner(c), carry[pid])
+			i := pid - kw.base
+			if kw.ids[i] == 0 {
+				s, bit, top := kw.hexSeam(c, i)
+				kw.first(i, s, bit, top, cell.Corner(c), carry[pid])
+			}
+			conn[c] = ref(kw.ids[i])
 		}
 		kw.w.addCell(Hex, conn[:])
 		return

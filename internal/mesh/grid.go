@@ -273,13 +273,10 @@ func (g *UniformGrid) FieldNames() []string {
 func FieldRange(f []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range f {
-		if v-v != 0 {
-			continue // ±Inf or NaN
-		}
-		if v < lo {
+		if v < lo && v > math.Inf(-1) {
 			lo = v
 		}
-		if v > hi {
+		if v > hi && v < math.Inf(1) {
 			hi = v
 		}
 	}
