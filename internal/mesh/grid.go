@@ -273,10 +273,10 @@ func (g *UniformGrid) FieldNames() []string {
 func FieldRange(f []float64) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, v := range f {
-		if v < lo && v > math.Inf(-1) {
+		if v < lo && v >= -math.MaxFloat64 {
 			lo = v
 		}
-		if v > hi && v < math.Inf(1) {
+		if v > hi && v <= math.MaxFloat64 {
 			hi = v
 		}
 	}
