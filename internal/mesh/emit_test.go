@@ -317,11 +317,10 @@ func TestEmitAllocatesPerCallNotPerChunk(t *testing.T) {
 		})
 	}
 	coarse, fine, reused := allocs([3]int{65, 65, 5}, false), allocs([3]int{17, 17, 65}, false), allocs([3]int{17, 17, 65}, true)
-	// 34 objects here at 4 layers (the emission, its buffers, the
-	// growth of its windows' key lists, the output, the loop bodies), 26
-	// at 64 and 8 reused; -race adds a few.
-	if fine > coarse || coarse > 40 || reused >= fine {
-		t.Errorf("emission allocates %.0f objects at 4 layers, %.0f at 64 and %.0f reusing its buffers: want at most 40, no more for more layers, and fewer reused",
+	// 18 objects here at 4 and at 64 layers (the emission, its buffers,
+	// the output, the loop bodies) and 6 reused; -race adds a few.
+	if fine > coarse || coarse > 24 || reused >= fine {
+		t.Errorf("emission allocates %.0f objects at 4 layers, %.0f at 64 and %.0f reusing its buffers: want at most 24, no more for more layers, and fewer reused",
 			coarse, fine, reused)
 	}
 }
