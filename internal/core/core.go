@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/obs"
@@ -202,7 +203,7 @@ func AllocateBudget(sim, vis cpu.Execution, budget float64) (Allocation, error) 
 		// the objective flat wherever neither side is throttled.
 		better := best.TimeSec < 0 || t < best.TimeSec*(1-1e-12)-1e-15
 		tied := best.TimeSec >= 0 && !better && t <= best.TimeSec*(1+1e-12)+1e-15
-		if better || (tied && abs(w-half) < abs(best.SimWatts-half)) {
+		if better || (tied && math.Abs(w-half) < math.Abs(best.SimWatts-half)) {
 			best.TimeSec = t
 			best.SimWatts = w
 			best.VizWatts = budget - w
@@ -217,11 +218,4 @@ func AllocateBudget(sim, vis cpu.Execution, budget float64) (Allocation, error) 
 		best.Speedup = tn / best.TimeSec
 	}
 	return best, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

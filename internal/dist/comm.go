@@ -159,7 +159,7 @@ func NewCommWith(n int, opts Options) (*Comm, error) {
 func (c *Comm) abort(rank int, err error) {
 	c.abortOnce.Do(func() {
 		c.abortErr = &AbortError{Rank: rank, Err: err}
-		fabricAborts.Inc(rank)
+		fabricAborts.Add(1)
 		close(c.done)
 	})
 }
@@ -257,13 +257,13 @@ func (e *Endpoint) send(dst, tag int, data []float64) error {
 	}
 	select {
 	case c.chans[e.rank][dst] <- message{tag: tag, data: cp}:
-		fabricSends.Inc(e.rank)
-		fabricBytes.Add(e.rank, int64(8*len(cp)))
+		fabricSends.Add(1)
+		fabricBytes.Add(int64(8 * len(cp)))
 		return nil
 	case <-c.done:
 		return c.abortErr
 	case <-timeout:
-		fabricStalls.Inc(e.rank)
+		fabricStalls.Add(1)
 		return fmt.Errorf("dist: rank %d send to %d (tag %d) blocked > %v on a full buffer: %w",
 			e.rank, dst, tag, c.opts.SendTimeout, ErrStalled)
 	}
@@ -287,7 +287,7 @@ func (e *Endpoint) recv(src, tag int) ([]float64, error) {
 		if m.tag != tag {
 			return nil, fmt.Errorf("dist: rank %d expected tag %d from %d, got %d", e.rank, tag, src, m.tag)
 		}
-		fabricRecvs.Inc(e.rank)
+		fabricRecvs.Add(1)
 		return m.data, nil
 	case <-c.done:
 		return nil, c.abortErr

@@ -1,27 +1,15 @@
 package dist
 
-import "repro/internal/obs"
+import "sync/atomic"
 
-// fabricShards bounds the padded shard count for the package-level
-// fabric counters. Rank indices wrap, so any fabric size works; 32
-// covers every rank count the experiments use without sharing lines.
-const fabricShards = 32
+// Process-lifetime fabric counters. They accumulate across every Comm in
+// the process — the view a /metrics scrape wants — and FabricTotals
+// reads them. Ranks add to them concurrently, but each add comes right
+// after a channel send or receive, a few per rank per round, so one
+// atomic per counter is enough.
+var fabricSends, fabricRecvs, fabricBytes, fabricAborts, fabricStalls, fabricRetries atomic.Int64
 
-// Package-level fabric counters, sharded by rank so concurrent ranks
-// never contend on a cache line. They accumulate across every Comm in
-// the process — the process-lifetime view a /metrics scrape wants —
-// and are folded only by FabricTotals.
-var (
-	fabricSends   = obs.NewShardedCounter(fabricShards)
-	fabricRecvs   = obs.NewShardedCounter(fabricShards)
-	fabricBytes   = obs.NewShardedCounter(fabricShards)
-	fabricAborts  = obs.NewShardedCounter(fabricShards)
-	fabricStalls  = obs.NewShardedCounter(fabricShards)
-	fabricRetries = obs.NewShardedCounter(fabricShards)
-)
-
-// FabricStats is a folded snapshot of the process-lifetime fabric
-// counters.
+// FabricStats is a snapshot of the process-lifetime fabric counters.
 type FabricStats struct {
 	// Sends and Recvs count completed message deliveries (faults and
 	// aborted operations excluded).
@@ -39,19 +27,19 @@ type FabricStats struct {
 	Retries int64
 }
 
-// FabricTotals folds the per-rank shards into one snapshot.
+// FabricTotals reads the counters into one snapshot.
 func FabricTotals() FabricStats {
 	return FabricStats{
-		Sends:   fabricSends.Value(),
-		Recvs:   fabricRecvs.Value(),
-		Bytes:   fabricBytes.Value(),
-		Aborts:  fabricAborts.Value(),
-		Stalls:  fabricStalls.Value(),
-		Retries: fabricRetries.Value(),
+		Sends:   fabricSends.Load(),
+		Recvs:   fabricRecvs.Load(),
+		Bytes:   fabricBytes.Load(),
+		Aborts:  fabricAborts.Load(),
+		Stalls:  fabricStalls.Load(),
+		Retries: fabricRetries.Load(),
 	}
 }
 
 // NoteRetry records one transient-fault retry. The fabric cannot see
 // retries itself — the harness owns the retry loop — so the caller
-// reports them here; rank attributes the retry's shard.
-func NoteRetry(rank int) { fabricRetries.Inc(rank) }
+// reports them here.
+func NoteRetry() { fabricRetries.Add(1) }

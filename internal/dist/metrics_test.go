@@ -57,7 +57,7 @@ func TestFabricAbortAndRetryCounters(t *testing.T) {
 		_, err := ep.Recv(1, 0) // unblocked by the abort
 		return err
 	})
-	NoteRetry(0)
+	NoteRetry()
 	after := FabricTotals()
 	if got := after.Aborts - before.Aborts; got != 1 {
 		t.Errorf("aborts delta = %d, want 1", got)

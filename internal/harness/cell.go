@@ -57,7 +57,7 @@ func runCell[T any](c *Config, id cellID, build func() (T, error)) (T, error) {
 		if err == nil || attempts > maxRetries || !dist.IsTransient(err) {
 			break
 		}
-		dist.NoteRetry(0)
+		dist.NoteRetry()
 		c.log("retry %s at %d^3 after transient failure (attempt %d): %v", id.name, id.size, attempts, err)
 		time.Sleep(retryBackoff << (attempts - 1))
 	}

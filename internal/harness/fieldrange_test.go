@@ -16,24 +16,12 @@ import (
 	"repro/internal/viz/volren"
 )
 
-// rangeGrid is an 8³ grid whose "energy" point and cell fields are the x
-// coordinate and the cell's x index, with every 13th value +Inf or −Inf;
-// or, when finite is false, values that are all +Inf, −Inf or NaN.
-func rangeGrid(t *testing.T, finite bool) *mesh.UniformGrid {
+// rangeGrid is an 8³ grid whose "energy" point and cell fields are
+// value(id, x), x the point's x coordinate or the cell's x index.
+func rangeGrid(t *testing.T, value func(id int, x float64) float64) *mesh.UniformGrid {
 	g, err := mesh.NewCubeGrid(8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	value := func(id int, x float64) float64 {
-		switch {
-		case !finite:
-			return []float64{math.Inf(1), math.Inf(-1), math.NaN()}[id%3]
-		case id%26 == 0:
-			return math.Inf(1)
-		case id%13 == 0:
-			return math.Inf(-1)
-		}
-		return x
 	}
 	pf, cf := g.AddPointField("energy"), g.AddCellField("energy")
 	for id := range pf {
@@ -45,6 +33,33 @@ func rangeGrid(t *testing.T, finite bool) *mesh.UniformGrid {
 	}
 	return g
 }
+
+// The fields rangeGrid builds: x with every 13th value +Inf or −Inf;
+// x with every 13th value +Inf and the next −Inf, so the two meet on an
+// edge along x; and only +Inf, −Inf and NaN.
+var (
+	infiniteValues = func(id int, x float64) float64 {
+		switch {
+		case id%26 == 0:
+			return math.Inf(1)
+		case id%13 == 0:
+			return math.Inf(-1)
+		}
+		return x
+	}
+	opposedValues = func(id int, x float64) float64 {
+		switch id % 13 {
+		case 0:
+			return math.Inf(1)
+		case 1:
+			return math.Inf(-1)
+		}
+		return x
+	}
+	nonFiniteValues = func(id int, _ float64) float64 {
+		return []float64{math.Inf(1), math.Inf(-1), math.NaN()}[id%3]
+	}
+)
 
 // finiteRange is the least and greatest finite value of f, worked out
 // apart from mesh.FieldRange, and whether there are any.
@@ -133,9 +148,9 @@ var fieldRangeCallers = []struct {
 			t.Errorf("%d triangles over %d launches, want a surface from ten isovalues", res.Tris.NumTris(), res.Profile.Launches)
 		}
 		// A crossing into an infinite corner carries the finite end's
-		// value; only one between −Inf and +Inf carries NaN.
+		// value, and one between −Inf and +Inf its isovalue.
 		for i, p := range res.Tris.Points {
-			if s := res.Tris.Scalars[i]; math.IsNaN(p[0]+p[1]+p[2]) || math.IsInf(s, 0) {
+			if s := res.Tris.Scalars[i]; math.IsNaN(p[0]+p[1]+p[2]) || math.IsInf(s, 0) || math.IsNaN(s) {
 				t.Fatalf("point %d at %v carries %v", i, p, s)
 			}
 		}
@@ -147,6 +162,12 @@ var fieldRangeCallers = []struct {
 		}
 		if _, _, any := finiteRange(g.PointField("energy")); any != (res.Cells.NumCells() > 0) {
 			t.Errorf("finite values %v, kept %d cells", any, res.Cells.NumCells())
+		}
+		// As contour's, a cut between −Inf and +Inf carries its level.
+		for i, s := range res.Cells.Scalars {
+			if math.IsNaN(s) {
+				t.Fatalf("point %d at %v carries NaN", i, res.Cells.Points[i])
+			}
 		}
 	}},
 	{"threshold range", func(t *testing.T, g *mesh.UniformGrid, ex *viz.Exec) {
@@ -220,19 +241,23 @@ var fieldRangeCallers = []struct {
 // On a field holding ±Inf, every caller of mesh.FieldRange takes its
 // default from the finite values.
 func TestFieldRangeCallersOnInfiniteFields(t *testing.T) {
-	g := rangeGrid(t, true)
-	pool := par.NewPool(2)
-	defer pool.Close()
-	for _, c := range fieldRangeCallers {
-		t.Run(c.name, func(t *testing.T) { c.check(t, g, viz.NewExec(pool)) })
-	}
+	testFieldRangeCallers(t, rangeGrid(t, infiniteValues))
+}
+
+// On a field whose +Inf and −Inf values meet on an edge, and no NaN, a
+// contour or isovolume cut between them carries its level, not NaN.
+func TestFieldRangeCallersOnOpposedInfinities(t *testing.T) {
+	testFieldRangeCallers(t, rangeGrid(t, opposedValues))
 }
 
 // On a field holding only ±Inf and NaN, FieldRange's range is empty and
 // every caller handles it: no isovalues, nothing kept, mid-range colours,
 // every cell binned.
 func TestFieldRangeCallersOnNonFiniteFields(t *testing.T) {
-	g := rangeGrid(t, false)
+	testFieldRangeCallers(t, rangeGrid(t, nonFiniteValues))
+}
+
+func testFieldRangeCallers(t *testing.T, g *mesh.UniformGrid) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	for _, c := range fieldRangeCallers {

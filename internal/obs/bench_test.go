@@ -26,18 +26,6 @@ func BenchmarkObsNilCounterInc(b *testing.B) {
 	}
 }
 
-func BenchmarkObsShardedInc(b *testing.B) {
-	c := NewShardedCounter(32)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		shard := 0
-		for pb.Next() {
-			c.Inc(shard)
-			shard++
-		}
-	})
-}
-
 func BenchmarkObsHistogramObserve(b *testing.B) {
 	h := NewRegistry().Histogram("bench_seconds", "bench",
 		[]float64{0.001, 0.01, 0.1, 1, 10})

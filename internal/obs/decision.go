@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 )
 
 // Decision is one governor cap decision: when it happened (virtual
@@ -29,83 +28,8 @@ type Decision struct {
 	Reason       string  `json:"reason"` // "boundary", "retune", "init", ...
 }
 
-// DefaultFlightRecorderSize bounds the decision ring. A governed sweep
-// makes a few decisions per phase; 512 holds hundreds of cycles while
-// keeping the recorder's footprint fixed.
-const DefaultFlightRecorderSize = 512
-
-// FlightRecorder is a bounded ring of governor cap decisions. When
-// full, the oldest decisions are overwritten and counted as dropped —
-// the recorder never grows and never blocks the control loop. A nil
-// *FlightRecorder is valid and discards everything, mirroring the
-// nil-Registry convention.
-//
-// Decisions are rare (phase boundaries and hysteresis-gated retunes,
-// not per-tick), so a mutex is the right tool here; the lock-free
-// machinery in this package is reserved for per-task hot paths.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []Decision
-	next    int
-	wrapped bool
-	dropped int64
-}
-
-// NewFlightRecorder returns a recorder holding the last size decisions
-// (DefaultFlightRecorderSize if size <= 0).
-func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = DefaultFlightRecorderSize
-	}
-	return &FlightRecorder{ring: make([]Decision, size)}
-}
-
-// Record appends one decision, overwriting the oldest when full.
-func (f *FlightRecorder) Record(d Decision) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	if f.wrapped {
-		f.dropped++
-	}
-	f.ring[f.next] = d
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrapped = true
-	}
-	f.mu.Unlock()
-}
-
-// Decisions returns the recorded decisions oldest-first.
-func (f *FlightRecorder) Decisions() []Decision {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.wrapped {
-		return append([]Decision(nil), f.ring[:f.next]...)
-	}
-	out := make([]Decision, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	out = append(out, f.ring[:f.next]...)
-	return out
-}
-
-// Dropped returns how many decisions were overwritten.
-func (f *FlightRecorder) Dropped() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
-
-// WriteDecisionTable renders the flight-recorder dump: one line per
-// decision, oldest first.
+// WriteDecisionTable renders a governed run's decision log: one line
+// per decision, oldest first.
 func WriteDecisionTable(w io.Writer, decisions []Decision, dropped int64) {
 	fmt.Fprintf(w, "%8s %5s %-12s %-11s %7s %8s %7s  %-17s %s\n",
 		"t(s)", "cycle", "phase", "class", "ff(W)", "bank(J)", "trim(W)", "cap(W)", "reason")

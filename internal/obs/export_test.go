@@ -20,19 +20,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Len returns the number of retained decisions.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.wrapped {
-		return len(f.ring)
-	}
-	return f.next
-}
-
 // Len returns the number of spans currently recorded across all tracks.
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -10,9 +10,9 @@
 //     joules over a summary's self time.
 //   - Metrics: a zero-dependency registry (atomic counters, gauges, and
 //     fixed-bucket histograms under a small static label set, plus
-//     cache-line-padded per-worker shards folded at scrape) with a
-//     deterministic Prometheus text-format encoder, and a bounded flight
-//     recorder for governor cap decisions.
+//     func-backed series that read a subsystem's own counters at scrape)
+//     with a deterministic Prometheus text-format encoder, and the
+//     governor's cap Decision with its table renderer.
 //
 // The paper's whole argument rests on measuring where joules and
 // seconds go per phase; production in situ stacks make the matching
@@ -31,10 +31,8 @@
 //     of its track's preallocated buffer with one atomic add (a full
 //     buffer counts it as dropped rather than blocking); a Counter.Add
 //     is one atomic add; a Histogram.Observe is a bounds scan plus two
-//     atomic adds and a CAS-accumulated float sum; a ShardedCounter.Add
-//     hits a padded per-worker slot folded only at scrape time. Creating
-//     a track and registering a series take a lock; the hot path never
-//     does.
+//     atomic adds and a CAS-accumulated float sum. Creating a track and
+//     registering a series take a lock; the hot path never does.
 //
 // Spans on one track that contain one another in time nest as
 // parent/child, as the Chrome trace viewer treats overlapping complete
@@ -198,9 +196,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape
-// time — the adapter for subsystems that already keep their own padded
-// per-worker counters (par.PoolStats, dist.FabricTotals, CacheStats):
-// the existing shards are the hot path, the fold happens here.
+// time — the adapter for subsystems that already keep their own
+// counters (par.PoolStats, dist.FabricTotals, CacheStats): theirs are
+// the hot path, the read happens here.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -238,7 +236,7 @@ func checkBounds(name string, bounds []float64) {
 }
 
 // padCounter is an atomic counter padded to a cache line so neighboring
-// histogram buckets / shards never false-share under concurrent adds.
+// histogram buckets never false-share under concurrent adds.
 type padCounter struct {
 	v atomic.Int64
 	_ [56]byte
@@ -350,47 +348,6 @@ func (h *Histogram) snapshot() []int64 {
 		out[i] = h.buckets[i].v.Load()
 	}
 	return out
-}
-
-// ShardedCounter spreads increments over padded shards; Value folds
-// them. Shard indices out of range wrap, so a worker index is always a
-// valid shard.
-type ShardedCounter struct{ shards []padCounter }
-
-// NewShardedCounter builds a sharded counter without registering it —
-// for package-level counters (the dist fabric) that outlive any one
-// registry and are exported later through CounterFunc.
-func NewShardedCounter(shards int) *ShardedCounter {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ShardedCounter{shards: make([]padCounter, shards)}
-}
-
-// Add increments shard's slot by n.
-func (s *ShardedCounter) Add(shard int, n int64) {
-	if s == nil || n < 0 {
-		return
-	}
-	if shard < 0 {
-		shard = 0
-	}
-	s.shards[shard%len(s.shards)].v.Add(n)
-}
-
-// Inc increments shard's slot by one.
-func (s *ShardedCounter) Inc(shard int) { s.Add(shard, 1) }
-
-// Value folds every shard into the series total.
-func (s *ShardedCounter) Value() int64 {
-	if s == nil {
-		return 0
-	}
-	var n int64
-	for i := range s.shards {
-		n += s.shards[i].v.Load()
-	}
-	return n
 }
 
 // validName reports whether s is a legal Prometheus metric/label name:

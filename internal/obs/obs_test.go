@@ -2,7 +2,7 @@ package obs
 
 import (
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -50,34 +50,12 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// sharded registers a sharded counter the way its one user (the dist
-// fabric) does: built free, folded into a series by a CounterFunc.
-func sharded(r *Registry, name string, shards int) *ShardedCounter {
-	sc := NewShardedCounter(shards)
-	r.CounterFunc(name, "sharded", func() float64 { return float64(sc.Value()) })
-	return sc
-}
-
-func TestShardedCounterFolds(t *testing.T) {
-	sc := NewShardedCounter(4)
-	var wg sync.WaitGroup
-	for shard := 0; shard < 8; shard++ { // indices beyond shard count wrap
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				sc.Inc(shard)
-			}
-		}(shard)
-	}
-	wg.Wait()
-	if got := sc.Value(); got != 8000 {
-		t.Fatalf("folded value = %d, want 8000", got)
-	}
-	sc.Add(-3, 5) // negative shard clamps, still lands
-	if got := sc.Value(); got != 8005 {
-		t.Fatalf("folded value = %d, want 8005", got)
-	}
+// counterFunc registers a plain atomic counter the way the dist fabric
+// exports its own: built free, read into a series by a CounterFunc.
+func counterFunc(r *Registry, name string) *atomic.Int64 {
+	var n atomic.Int64
+	r.CounterFunc(name, "func-backed", func() float64 { return float64(n.Load()) })
+	return &n
 }
 
 // TestNilRegistryAndHandles exercises the disabled path: a nil registry
@@ -88,7 +66,6 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	g := r.Gauge("b", "x")
 	fc := r.FloatCounter("c_total", "x")
 	h := r.Histogram("d", "x", []float64{1})
-	var sc *ShardedCounter
 	r.CounterFunc("f_total", "x", func() float64 { return 1 })
 	r.GaugeFunc("g", "x", func() float64 { return 1 })
 	r.HistogramFunc("h", "x", []float64{1}, func() ([]int64, float64) { return nil, 0 })
@@ -98,8 +75,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	g.Set(1)
 	fc.Add(1)
 	h.Observe(1)
-	sc.Inc(0)
-	if c.Value() != 0 || g.Value() != 0 || fc.Value() != 0 || h.Count() != 0 || sc.Value() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || fc.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 	var sb strings.Builder
@@ -119,7 +95,6 @@ func TestHotPathAllocs(t *testing.T) {
 	fc := r.FloatCounter("b_total", "x")
 	g := r.Gauge("c", "x")
 	h := r.Histogram("d", "x", []float64{0.001, 0.01, 0.1, 1, 10})
-	sc := sharded(r, "e_total", 8)
 
 	cases := []struct {
 		name string
@@ -129,7 +104,6 @@ func TestHotPathAllocs(t *testing.T) {
 		{"FloatCounter.Add", func() { fc.Add(0.5) }},
 		{"Gauge.Set", func() { g.Set(3) }},
 		{"Histogram.Observe", func() { h.Observe(0.05) }},
-		{"ShardedCounter.Add", func() { sc.Add(3, 1) }},
 		{"nil Counter.Add", func() { (*Counter)(nil).Add(1) }},
 		{"nil Histogram.Observe", func() { (*Histogram)(nil).Observe(1) }},
 	}

@@ -21,7 +21,7 @@ func buildRegistry() *Registry {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	sharded(r, "msgs_total", 4).Add(2, 9)
+	counterFunc(r, "msgs_total").Add(9)
 	r.GaugeFunc("live_gauge", "func-backed", func() float64 { return 3.25 })
 	r.CounterFunc("live_total", "func-backed", func() float64 { return 11 })
 	r.HistogramFunc("live_hist", "func-backed buckets", []float64{1, 2},
@@ -135,13 +135,13 @@ func TestConcurrentScrape(t *testing.T) {
 	fc := r.FloatCounter("joules_total", "joules")
 	g := r.Gauge("watts", "watts")
 	h := r.Histogram("lat", "lat", []float64{0.001, 0.1, 1})
-	sc := sharded(r, "sharded_total", 4)
+	fn := counterFunc(r, "func_total")
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for range 4 {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -153,9 +153,9 @@ func TestConcurrentScrape(t *testing.T) {
 				fc.Add(0.25)
 				g.Set(float64(i))
 				h.Observe(float64(i%100) / 50)
-				sc.Inc(w)
+				fn.Add(1)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < 50; i++ {
 		out := scrape(t, r)

@@ -97,7 +97,7 @@ func classVote(s perfctr.Sample, spec cpu.Spec, capW, idleFrac float64) float64 
 	}
 
 	const normBy = 3.0 // max attainable |v|
-	return clamp(v/normBy, -1, 1)
+	return min(max(v/normBy, -1), 1)
 }
 
 // phaseState is the governor's per-phase-label memory: the smoothed
@@ -146,7 +146,7 @@ func (st *phaseState) observe(s perfctr.Sample, spec cpu.Spec, capW, idleFrac fl
 		}
 		// The cap is binding: the free level is above it.
 		if capW+2 > st.kneeW {
-			st.kneeW = minf(capW+2, spec.TDPWatts)
+			st.kneeW = min(capW+2, spec.TDPWatts)
 		}
 	} else {
 		if s.PowerW > st.demandW {
@@ -155,7 +155,7 @@ func (st *phaseState) observe(s perfctr.Sample, spec cpu.Spec, capW, idleFrac fl
 		// Running free, the sampled power is the demand itself — a cap
 		// just above it still does not bind, so the knee jumps straight
 		// there instead of walking down a watt per tick.
-		if cand := maxf(s.PowerW+1, spec.MinCapWatts); cand < st.kneeW {
+		if cand := max(s.PowerW+1, spec.MinCapWatts); cand < st.kneeW {
 			st.kneeW = cand
 		}
 	}
@@ -181,28 +181,4 @@ func (st *phaseState) measuredDemandW() float64 {
 		return st.demandW
 	}
 	return st.throttledW
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -92,7 +92,7 @@ func (l *closedLoop) endPhase(rep *PhaseReport, avgW float64) {
 }
 
 // verdict is the cap the law wants for the running phase together with
-// the control-law terms that produced it, for the flight record.
+// the control-law terms that produced it, for the decision log.
 func (l *closedLoop) verdict(want float64) obs.Decision {
 	return obs.Decision{
 		Cycle:        l.st.visits + 1,
@@ -131,7 +131,7 @@ func (g *Governor) Warm(prior *Result) {
 			// The unthrottled peak is the demand itself; a cap one watt
 			// above it is known not to bind.
 			st.demandW = p.DemandWatts
-			st.kneeW = clamp(p.DemandWatts+1, l.spec.MinCapWatts, l.targetW)
+			st.kneeW = min(max(p.DemandWatts+1, l.spec.MinCapWatts), l.targetW)
 		} else if p.DemandWatts > st.throttledW {
 			st.throttledW = p.DemandWatts
 		}
@@ -223,7 +223,7 @@ func (l *closedLoop) horizons() horizons {
 	}
 	if complete && sensSec > 0 {
 		budgetJ += l.targetW * h.cycleSec
-		h.ffW = clamp(budgetJ/sensSec, l.spec.MinCapWatts, l.spec.TDPWatts)
+		h.ffW = min(max(budgetJ/sensSec, l.spec.MinCapWatts), l.spec.TDPWatts)
 	}
 	// Before any duration estimate exists, one-second horizons keep the
 	// clamps meaningful from the first tick.
@@ -247,7 +247,7 @@ func (l *closedLoop) horizons() horizons {
 func (l *closedLoop) desiredCap(st *phaseState) float64 {
 	h := l.horizons()
 	if st.class == metrics.PowerSensitive {
-		return l.ctrl.sensitiveCap(h.ffW, maxf(h.cycleSec, l.intervalSec))
+		return l.ctrl.sensitiveCap(h.ffW, max(h.cycleSec, l.intervalSec))
 	}
-	return l.ctrl.opportunityCap(st.kneeW, maxf(h.repaySec, l.intervalSec), h.hiJ)
+	return l.ctrl.opportunityCap(st.kneeW, max(h.repaySec, l.intervalSec), h.hiJ)
 }

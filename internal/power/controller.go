@@ -45,7 +45,7 @@ func (c *controller) credit(dt, powerW float64) {
 // the integral from ballooning during long one-class stretches and then
 // ringing at the next transition.
 func (c *controller) clampBank(hiJ, loJ float64) {
-	c.bankJ = clamp(c.bankJ, loJ, hiJ)
+	c.bankJ = min(max(c.bankJ, loJ), hiJ)
 }
 
 // bankFullFrac reports how close the bank is to its spend clamp.
@@ -61,7 +61,7 @@ func (c *controller) bankFullFrac(hiJ float64) float64 {
 // estimated remaining horizonSec, plus the integral trim.
 func (c *controller) sensitiveCap(ffW, horizonSec float64) float64 {
 	w := ffW + c.bankJ/horizonSec + c.trimW
-	return clamp(w, c.spec.MinCapWatts, c.spec.TDPWatts)
+	return min(max(w, c.spec.MinCapWatts), c.spec.TDPWatts)
 }
 
 // donateFadeFrac is the bank fill fraction above which donation starts
@@ -76,14 +76,14 @@ const donateFadeFrac = 0.7
 // rather than a hard cutoff so the cap cannot flap between the knee and
 // the target while the bank hovers near full.
 func (c *controller) opportunityCap(kneeW, repaySec, hiJ float64) float64 {
-	w := minf(c.targetW, kneeW)
+	w := min(c.targetW, kneeW)
 	if c.bankJ < 0 {
 		w += c.bankJ / repaySec
 	} else if full := c.bankFullFrac(hiJ); full > donateFadeFrac {
-		ramp := minf((full-donateFadeFrac)/(1-donateFadeFrac), 1)
+		ramp := min((full-donateFadeFrac)/(1-donateFadeFrac), 1)
 		w += (c.targetW - w) * ramp
 	}
-	return clamp(w, c.spec.MinCapWatts, c.targetW)
+	return min(max(w, c.spec.MinCapWatts), c.targetW)
 }
 
 // trimUpdate integrates the average-power error into the trim at a
@@ -101,5 +101,5 @@ func (c *controller) trimUpdate(avgW float64, throttled, atTDP, atFloor bool) {
 	if (atTDP && err > 0) || (atFloor && err < 0) {
 		return
 	}
-	c.trimW = clamp(c.trimW+c.gain*err, -trimClampW, trimClampW)
+	c.trimW = min(max(c.trimW+c.gain*err, -trimClampW), trimClampW)
 }

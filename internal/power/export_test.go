@@ -1,7 +1,9 @@
 package power
 
-// Exported only to this package's tests: nothing else reads it, so it is
-// declared here and not in the production tree.
+import "repro/internal/obs"
+
+// Exported only to this package's tests: nothing else reads these, so
+// they are declared here and not in the production tree.
 
 // SelfTimeSec is the phase's traced self time: the sum of Stages' self
 // time, in their order (0 when the phase ran untraced).
@@ -11,4 +13,14 @@ func (c Capture) SelfTimeSec() float64 {
 		s += st.SelfSec()
 	}
 	return s
+}
+
+// keepDecisions shrinks g's decision log to n entries, keeping the
+// newest of those it holds: a short run can then overflow it.
+func (g *Governor) keepDecisions(n int) {
+	held := g.decisions.items()
+	g.decisions = ring[obs.Decision]{cap: n}
+	for _, d := range held {
+		g.decisions.push(d)
+	}
 }

@@ -57,7 +57,7 @@ func dumpSamples(b *strings.Builder, samples []perfctr.Sample) {
 // target over segs, never above target nor below the floor.
 func equalEnergyTarget(segs []Segment, target float64) float64 {
 	tS, eS := closedForm(segs, func(string) float64 { return target })
-	return clamp(eS/tS, segs[0].Exec.Spec.MinCapWatts, target)
+	return min(max(eS/tS, segs[0].Exec.Spec.MinCapWatts), target)
 }
 
 func engineDump(t *testing.T) string {

@@ -34,10 +34,6 @@ type Options struct {
 	// IntervalSec is the intra-phase control tick (default
 	// perfctr.DefaultInterval, the study's 100 ms).
 	IntervalSec float64
-	// DecisionLog bounds the flight recorder's cap-decision ring
-	// (default obs.DefaultFlightRecorderSize); oldest decisions are
-	// overwritten and counted, never the run blocked.
-	DecisionLog int
 }
 
 const (
@@ -112,12 +108,12 @@ type Result struct {
 	FinalCapWatts float64
 	// Reprograms counts RAPL limit writes that changed the register.
 	Reprograms int
-	// Samples is the retained measurement timeline (newest DefaultMaxSamples);
+	// Samples is the retained measurement timeline (the newest maxSamples);
 	// SamplesDropped counts evicted older samples.
 	Samples        []perfctr.Sample
 	SamplesDropped int
-	// Decisions is the flight recorder's dump, oldest first;
-	// DecisionsDropped counts decisions its bounded ring overwrote.
+	// Decisions is the cap-decision log, oldest first (the newest
+	// maxDecisions); DecisionsDropped counts evicted older decisions.
 	Decisions        []obs.Decision
 	DecisionsDropped int64
 	Phases           []PhaseReport
@@ -165,8 +161,10 @@ type Governor struct {
 	nowSec float64
 	spentJ float64
 
-	ring   *sampleRing
-	flight *obs.FlightRecorder
+	// The two logs a run returns: the meter's samples and the cap
+	// decisions.
+	samples   ring[perfctr.Sample]
+	decisions ring[obs.Decision]
 
 	reprograms int
 	phases     []PhaseReport
@@ -225,13 +223,13 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 		return nil, err
 	}
 	g := &Governor{
-		pkg:    pkg,
-		spec:   spec,
-		opt:    opt,
-		law:    law(spec, opt),
-		mon:    mon,
-		ring:   newSampleRing(DefaultMaxSamples),
-		flight: obs.NewFlightRecorder(opt.DecisionLog),
+		pkg:       pkg,
+		spec:      spec,
+		opt:       opt,
+		law:       law(spec, opt),
+		mon:       mon,
+		samples:   ring[perfctr.Sample]{cap: maxSamples},
+		decisions: ring[obs.Decision]{cap: maxDecisions},
 	}
 	before := g.pkg.EffectiveCapWatts()
 	if err := g.pkg.SetLimitWatts(opt.TargetWatts); err != nil {
@@ -248,15 +246,15 @@ func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) pol
 	return g, nil
 }
 
-// record logs one cap decision to the flight recorder, stamped with the
-// run's virtual clock and target.
+// record logs one cap decision, stamped with the run's virtual clock and
+// target.
 func (g *Governor) record(d obs.Decision) {
 	d.TimeSec, d.TargetWatts = g.nowSec, g.opt.TargetWatts
-	g.flight.Record(d)
+	g.decisions.push(d)
 }
 
-// decide programs the cap a policy asked for (d.NewWatts) and
-// flight-records the transition with the control-law terms d carries.
+// decide programs the cap a policy asked for (d.NewWatts) and logs the
+// transition with the control-law terms d carries.
 func (g *Governor) decide(d obs.Decision, label, reason string) error {
 	d.OldWatts = g.pkg.EffectiveCapWatts()
 	if err := g.program(d.NewWatts); err != nil {
@@ -270,7 +268,7 @@ func (g *Governor) decide(d obs.Decision, label, reason string) error {
 // program writes the limit register, counting only writes that changed
 // the quantized value.
 func (g *Governor) program(w float64) error {
-	w = clamp(w, g.spec.MinCapWatts, g.spec.TDPWatts)
+	w = min(max(w, g.spec.MinCapWatts), g.spec.TDPWatts)
 	before := g.pkg.LimitWatts()
 	if err := g.pkg.SetLimitWatts(w); err != nil {
 		return err
@@ -317,7 +315,7 @@ func (g *Governor) governPhase(seg Segment) error {
 		if err != nil {
 			return fmt.Errorf("power: %s: %w", label, err)
 		}
-		g.ring.push(s)
+		g.samples.push(s)
 		progress += frac
 		rep.TimeSec += dt
 		rep.EnergyJ += r.PowerWatts * dt
@@ -366,7 +364,7 @@ func capturePhase(pipe *core.Pipeline, label string, run func() (core.PhaseResul
 	post := pipe.Pool.Stats().Totals()
 	if n := pipe.Pool.Workers(); n > 0 && c.WallSec > 0 {
 		idle := float64(post.IdleNs-pre.IdleNs) / 1e9
-		c.PoolIdleFrac = clamp(idle/(c.WallSec*float64(n)), 0, 1)
+		c.PoolIdleFrac = min(max(idle/(c.WallSec*float64(n)), 0), 1)
 	}
 	if dTasks := post.Tasks - pre.Tasks; dTasks > 0 {
 		c.StealFrac = float64(post.Stolen-pre.Stolen) / float64(dTasks)
@@ -447,10 +445,10 @@ func (g *Governor) finish() Result {
 		AvgPowerWatts:    g.avgWatts(),
 		FinalCapWatts:    g.pkg.EffectiveCapWatts(),
 		Reprograms:       g.reprograms,
-		Samples:          g.ring.samples(),
-		SamplesDropped:   g.ring.dropped(),
-		Decisions:        g.flight.Decisions(),
-		DecisionsDropped: g.flight.Dropped(),
+		Samples:          g.samples.items(),
+		SamplesDropped:   g.samples.dropped(),
+		Decisions:        g.decisions.items(),
+		DecisionsDropped: int64(g.decisions.dropped()),
 		Phases:           g.phases,
 		Segments:         g.segments,
 	}

@@ -50,10 +50,11 @@ func TestGovernorFlightRecorder(t *testing.T) {
 }
 
 func TestGovernorDecisionRingBounded(t *testing.T) {
-	g, err := New(newRAPL(), Options{TargetWatts: 65, IntervalSec: 0.01, DecisionLog: 8})
+	g, err := New(newRAPL(), Options{TargetWatts: 65, IntervalSec: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.keepDecisions(8)
 	res, err := g.RunSegments(mixedSegments(8))
 	if err != nil {
 		t.Fatal(err)

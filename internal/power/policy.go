@@ -85,7 +85,7 @@ func (p *integral) observe(t tick) (obs.Decision, bool) {
 		// A cap pinned at a rail stops accumulating error it cannot act on.
 		return obs.Decision{}, false
 	}
-	p.capW = clamp(p.capW+trimGainWPerW*errW, p.spec.MinCapWatts, p.spec.TDPWatts)
+	p.capW = min(max(p.capW+trimGainWPerW*errW, p.spec.MinCapWatts), p.spec.TDPWatts)
 	return obs.Decision{NewWatts: p.capW}, true
 }
 

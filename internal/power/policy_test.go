@@ -9,7 +9,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/msr"
 	"repro/internal/ops"
-	"repro/internal/perfctr"
 	"repro/internal/rapl"
 )
 
@@ -180,7 +179,7 @@ func TestGovernorEnergyAccounting(t *testing.T) {
 
 func TestGovernorSampleBound(t *testing.T) {
 	// A long run must not grow the retained timeline without bound: the
-	// ring keeps the newest DefaultMaxSamples in order and counts the
+	// ring keeps the newest maxSamples in order and counts the
 	// evictions.
 	t.Run("default", func(t *testing.T) {
 		opt := Options{TargetWatts: 65, IntervalSec: 0.0001}
@@ -188,8 +187,8 @@ func TestGovernorSampleBound(t *testing.T) {
 			if res.SamplesDropped <= 0 {
 				t.Fatalf("long run evicted nothing (%d samples retained)", len(res.Samples))
 			}
-			if len(res.Samples) != DefaultMaxSamples {
-				t.Fatalf("dropped %d yet retained %d, capacity is %d", res.SamplesDropped, len(res.Samples), DefaultMaxSamples)
+			if len(res.Samples) != maxSamples {
+				t.Fatalf("dropped %d yet retained %d, capacity is %d", res.SamplesDropped, len(res.Samples), maxSamples)
 			}
 			for i := 1; i < len(res.Samples); i++ {
 				if res.Samples[i].TimeSec <= res.Samples[i-1].TimeSec {
@@ -281,22 +280,6 @@ func TestTablePoliciesMatchClosedForm(t *testing.T) {
 					t.Errorf("a table policy reprogrammed %d times over %d phases", res.Reprograms, len(segs))
 				}
 			})
-		}
-	}
-}
-
-func TestSampleRing(t *testing.T) {
-	r := newSampleRing(4)
-	for i := 0; i < 10; i++ {
-		r.push(perfctr.Sample{TimeSec: float64(i)})
-	}
-	got := r.samples()
-	if len(got) != 4 || r.dropped() != 6 {
-		t.Fatalf("len %d dropped %d, want 4 and 6", len(got), r.dropped())
-	}
-	for i, s := range got {
-		if s.TimeSec != float64(6+i) {
-			t.Errorf("slot %d holds t=%.0f, want %.0f", i, s.TimeSec, float64(6+i))
 		}
 	}
 }

@@ -124,7 +124,7 @@ func (s *Server) initMetrics() {
 			return lat[:], 0
 		})
 
-	// Rank fabric — process-lifetime padded counters, folded at scrape.
+	// Rank fabric — process-lifetime counters, read at scrape.
 	fab := func(f func(dist.FabricStats) float64) func() float64 {
 		return func() float64 { return f(dist.FabricTotals()) }
 	}
@@ -161,7 +161,7 @@ func (s *Server) initMetrics() {
 	reg.GaugeFunc("vizpower_trace_spans_dropped", "Spans the tracer did not keep: full tracks and requests that found every lane busy.",
 		func() float64 { return float64(s.tr.Dropped()) })
 
-	// Governor flight-recorder log (SetGovernorLog).
+	// Governor decision log (SetGovernorLog).
 	reg.GaugeFunc("vizpower_governor_log_decisions", "Cap decisions retained in the seeded governor log.",
 		func() float64 {
 			s.govMu.Lock()
@@ -181,7 +181,7 @@ func (m *serverMetrics) observeRequest(handler string, start time.Time) {
 	m.latency[handler].Observe(time.Since(start).Seconds())
 }
 
-// SetGovernorLog installs a governed run's flight-recorder dump for
+// SetGovernorLog installs a governed run's decision log for
 // GET /debug/governor (typically power.Result.Decisions from the
 // -govern calibration).
 func (s *Server) SetGovernorLog(decisions []obs.Decision, dropped int64) {
@@ -216,8 +216,8 @@ type governorDebugResponse struct {
 	Dropped   int64          `json:"dropped"`
 }
 
-// handleDebugGovernor serves GET /debug/governor: the seeded flight
-// recorder as JSON (empty until SetGovernorLog, e.g. serve -govern).
+// handleDebugGovernor serves GET /debug/governor: the seeded decision
+// log as JSON (empty until SetGovernorLog, e.g. serve -govern).
 func (s *Server) handleDebugGovernor(w http.ResponseWriter, _ *http.Request) {
 	s.govMu.Lock()
 	// Copied under the lock, and non-nil so an empty log encodes as [].

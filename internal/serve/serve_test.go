@@ -447,6 +447,7 @@ func TestBadRequests(t *testing.T) {
 	defer ts.Close()
 	for _, path := range []string{
 		"/render?alg=nosuch",
+		"/render?alg=ray%20trac%C4%B0ng", // only ASCII letters are lowered
 		"/render?size=100000",
 		"/render?frame=-1",
 		"/render?transparent=2",

@@ -83,7 +83,7 @@ type Server struct {
 	classDemand sync.Map // metrics.Class -> float64 (watts)
 
 	// met is the daemon's metrics plane (GET /metrics); govDecisions is
-	// the seeded governor flight-recorder dump (GET /debug/governor).
+	// the seeded governor decision log (GET /debug/governor).
 	met          *serverMetrics
 	govMu        sync.Mutex
 	govDecisions []obs.Decision
@@ -131,7 +131,7 @@ func New(opts Options) *Server {
 //	GET /sweep          — one (algorithm, size) sweep cell under every cap (JSON)
 //	GET /stats          — the registry as JSON: request total and every non-bucket sample
 //	GET /metrics        — the registry in Prometheus text format
-//	GET /debug/governor — the seeded governor flight-recorder dump (JSON)
+//	GET /debug/governor — the seeded governor decision log (JSON)
 //	GET /healthz        — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -263,6 +263,9 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 	return rr, nil
 }
 
+// normalize lowers ASCII letters and nothing else. strings.ToLower would
+// also lower U+0130 (İ) to i and U+212A (the Kelvin sign) to k, so that
+// "ray tracİng" named an algorithm.
 func normalize(s string) string {
 	b := []byte(s)
 	for i, c := range b {

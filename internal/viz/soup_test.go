@@ -1,6 +1,10 @@
 package viz
 
-import "repro/internal/mesh"
+import (
+	"math"
+
+	"repro/internal/mesh"
+)
 
 // The per-cell soup emission contour had before its crossings were
 // named: the oracle of the contour and slice pin (contour_oracle_test.go)
@@ -19,7 +23,8 @@ func CellTets(cell *mesh.CellWalk, field, carry []float64, ts *[6]Tet) {
 
 // edgeLerp returns the point, carried scalar, and parameter u where the D
 // field crosses iso on the edge from corner i to corner j (edgeU); at the
-// finite end of an infinite edge they are that corner's own.
+// finite end of an infinite edge they are that corner's own, and carried
+// ends at opposite infinities give opposedCarry's scalar.
 func (t *Tet) edgeLerp(i, j int, iso float64) (mesh.Vec3, float64, float64) {
 	if k, ok := t.finiteEnd(i, j); ok {
 		u := 0.0
@@ -29,7 +34,11 @@ func (t *Tet) edgeLerp(i, j int, iso float64) (mesh.Vec3, float64, float64) {
 		return t.P[k], t.S[k], u
 	}
 	u := t.edgeU(i, j, iso)
-	return t.P[i].Lerp(t.P[j], u), t.S[i] + u*(t.S[j]-t.S[i]), u
+	s := t.S[i] + u*(t.S[j]-t.S[i])
+	if s != s && math.IsInf(t.S[i], 0) && t.S[j] == -t.S[i] {
+		s = t.opposedCarry(i, j, u, iso)
+	}
+	return t.P[i].Lerp(t.P[j], u), s, u
 }
 
 // TriEmit receives one contour triangle: positions and carried scalars.

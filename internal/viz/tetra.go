@@ -77,6 +77,24 @@ func (t *Tet) finiteEnd(i, j int) (int, bool) {
 	return 0, false
 }
 
+// opposedCarry is the scalar a crossing at u on the edge from corner i to
+// corner j carries when the carried ends are opposite infinities, where
+// the lerp would give Inf − Inf, NaN. When the carried field is the cut
+// field (contour, isovolume; negated, as ClipBelow cuts it) the crossing
+// carries the level it cuts at; otherwise (clip, slice) the value of the
+// end nearer the crossing, j's at the midpoint.
+func (t *Tet) opposedCarry(i, j int, u, iso float64) float64 {
+	switch {
+	case t.S[i] == t.D[i] && t.S[j] == t.D[j]:
+		return iso
+	case t.S[i] == -t.D[i] && t.S[j] == -t.D[j]:
+		return -iso
+	case u < 0.5:
+		return t.S[i]
+	}
+	return t.S[j]
+}
+
 // ClipTet is a Tet whose corners also say which point of the output they
 // are (V), so that the filters number their output points by identity
 // instead of by position.
@@ -116,13 +134,17 @@ const snapU = 0x1p-40
 // not depend on the direction the edge is walked in. An infinite
 // endpoint puts the crossing on the other end, and the point is that
 // corner, its values included: a later cut from it is the corner's own,
-// not one from a point at iso, and its scalar is not 0·Inf.
+// not one from a point at iso, and its scalar is not 0·Inf. Carried ends
+// at opposite infinities give the scalar opposedCarry says.
 func (t *ClipTet) cut(i, j int, iso float64, level Vertex) (mesh.Vec3, float64, float64, Vertex) {
 	if k, ok := t.finiteEnd(i, j); ok {
 		return t.P[k], t.D[k], t.S[k], t.V[k]
 	}
 	u := t.edgeU(i, j, iso)
 	p, s := t.P[i].Lerp(t.P[j], u), t.S[i]+u*(t.S[j]-t.S[i])
+	if s != s && math.IsInf(t.S[i], 0) && t.S[j] == -t.S[i] {
+		s = t.opposedCarry(i, j, u, iso)
+	}
 	switch {
 	case u <= snapU:
 		return p, iso, s, t.V[i]

@@ -262,3 +262,29 @@ func TestContourTriangleCountProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A crossing between carried ends at opposite infinities carries the
+// level it cuts at when the carried field is the cut field, and the
+// value of the end nearer the crossing when it is not: never the lerp's
+// Inf − Inf. A NaN end keeps the lerp's NaN.
+func TestCutBetweenOpposedInfinities(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name      string
+		d, s      [2]float64 // corners 0 and 1, the edge cut
+		iso, want float64
+	}{
+		{"contour: the cut field", [2]float64{-inf, inf}, [2]float64{-inf, inf}, 0.3, 0.3},
+		{"isovolume: the cut field negated", [2]float64{inf, -inf}, [2]float64{-inf, inf}, -0.7, 0.7},
+		{"clip: corner 0 nearer", [2]float64{-1, 3}, [2]float64{inf, -inf}, 0, inf},
+		{"clip: corner 1 nearer", [2]float64{-3, 1}, [2]float64{inf, -inf}, 0, -inf},
+		{"a NaN end", [2]float64{-1, 3}, [2]float64{nan, -inf}, 0, nan},
+	} {
+		ct := ClipTet{Tet: unitTet()}
+		ct.D[0], ct.D[1], ct.S[0], ct.S[1] = tc.d[0], tc.d[1], tc.s[0], tc.s[1]
+		_, _, s, _ := ct.cut(0, 1, tc.iso, cutLo)
+		if s != tc.want && !(math.IsNaN(s) && math.IsNaN(tc.want)) {
+			t.Errorf("%s: the crossing carries %v, want %v", tc.name, s, tc.want)
+		}
+	}
+}

@@ -132,9 +132,9 @@ func TestMacroGridRangesCoverSamples(t *testing.T) {
 		if !ok {
 			continue
 		}
-		ci := minInt(int(p[0]/g.Spacing[0]), cd[0]-1)
-		cj := minInt(int(p[1]/g.Spacing[1]), cd[1]-1)
-		ck := minInt(int(p[2]/g.Spacing[2]), cd[2]-1)
+		ci := min(int(p[0]/g.Spacing[0]), cd[0]-1)
+		cj := min(int(p[1]/g.Spacing[1]), cd[1]-1)
+		ck := min(int(p[2]/g.Spacing[2]), cd[2]-1)
 		bid := ((ck/8)*m.dims[1]+cj/8)*m.dims[0] + ci/8
 		lo, hi := m.Range(bid)
 		if v < lo-1e-12 || v > hi+1e-12 {

@@ -67,9 +67,9 @@ func BuildMacroGrid(g *mesh.UniformGrid, field []float64, brick int, ex *viz.Exe
 			// shared faces belong to both neighboring bricks. That overlap
 			// is what makes the range bound valid for samples landing
 			// exactly on a brick face.
-			i0, i1 := bi*brick, minInt((bi+1)*brick, cd[0])
-			j0, j1 := bj*brick, minInt((bj+1)*brick, cd[1])
-			k0, k1 := bk*brick, minInt((bk+1)*brick, cd[2])
+			i0, i1 := bi*brick, min((bi+1)*brick, cd[0])
+			j0, j1 := bj*brick, min((bj+1)*brick, cd[1])
+			k0, k1 := bk*brick, min((bk+1)*brick, cd[2])
 			mn, mx := math.Inf(1), math.Inf(-1)
 			for k := k0; k <= k1; k++ {
 				for j := j0; j <= j1; j++ {
@@ -103,11 +103,4 @@ func (m *MacroGrid) OpacityBound(tf render.TransferFunction) []float64 {
 		amax[i] = tf.MaxOpacity(m.mn[i], m.mx[i])
 	}
 	return amax
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -294,7 +294,8 @@ func nonFiniteGrid(t *testing.T, constant bool) *mesh.UniformGrid {
 // limit of u), so no position is NaN: before, edgeLerp computed Inf/Inf.
 // Clip and slice carry the values as scalars only; isovolume cuts them,
 // and contour carries them, so its crossing at a finite end carries that
-// end's value, not 0·Inf. The output is still the oracle's.
+// end's value, not 0·Inf, and one between −Inf and +Inf its isovalue,
+// not NaN. The output is still the oracle's.
 func TestClipIsovolumeWriteFinitePositions(t *testing.T) {
 	for _, constant := range []bool{false, true} {
 		g := nonFiniteGrid(t, constant)
