@@ -7,17 +7,17 @@ import (
 	"repro/internal/perfctr"
 )
 
-// TestRing pins both of a Governor's logs: a ring retains the newest cap
-// entries oldest first and counts the ones it evicted.
+// TestRing pins the Governor's decision log: a ring retains the newest
+// cap entries oldest first and counts the ones it evicted.
 func TestRing(t *testing.T) {
-	t.Run("decisions", func(t *testing.T) {
-		testRing(t, func(i int) obs.Decision { return obs.Decision{Cycle: i} },
-			func(d obs.Decision) int { return d.Cycle })
-	})
-	t.Run("samples", func(t *testing.T) {
-		testRing(t, func(i int) perfctr.Sample { return perfctr.Sample{TimeSec: float64(i)} },
-			func(s perfctr.Sample) int { return int(s.TimeSec) })
-	})
+	testRing(t, func(i int) obs.Decision { return obs.Decision{Cycle: i} },
+		func(d obs.Decision) int { return d.Cycle })
+}
+
+// TestSampleRing pins the same for the Governor's sample log.
+func TestSampleRing(t *testing.T) {
+	testRing(t, func(i int) perfctr.Sample { return perfctr.Sample{TimeSec: float64(i)} },
+		func(s perfctr.Sample) int { return int(s.TimeSec) })
 }
 
 // testRing pushes entries 0, 1, … made by mk into a 4-entry ring and
