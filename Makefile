@@ -49,6 +49,11 @@
 #                  track per rank next to the pipeline and worker tracks
 #   make serve   - run the rendering daemon at demonstration scale on
 #                  localhost:8080 with a 130 W budget
+#   make pair REF=<rev> W=<workload> N=<pairs> - N alternated paired runs
+#                  of one bench/run.sh workload (15 s each, seed i for pair
+#                  i) at the commit REF and on the working tree: per
+#                  end-to-end metric both medians, REF's interquartile
+#                  range and the working tree's wins (scripts/pair.sh)
 #   make loc     - the three line counts ROADMAP.md quotes: non-test Go
 #                  under internal/ + cmd/, non-test Go in the whole repo,
 #                  and test Go
@@ -62,7 +67,7 @@ GO ?= go
 # Packages whose tests exercise multi-worker pools and shared buffers.
 RACE_PKGS = ./internal/par ./internal/mesh ./internal/dpp ./internal/sim/... ./internal/viz/... ./internal/cinema ./internal/dist ./internal/serve ./internal/power ./internal/obs ./internal/render
 
-.PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve loc
+.PHONY: check fmt vet build test race fuzz bench bench-go govern profile serve pair loc
 
 check: fmt vet build test race
 
@@ -115,6 +120,9 @@ profile:
 # requests and finalizes the cinema manifests before exiting).
 serve:
 	$(GO) run ./cmd/vizpower serve -quick -addr localhost:8080 -budget 130 -out out
+
+pair:
+	bash scripts/pair.sh '$(REF)' '$(W)' '$(N)'
 
 # Go sources under the given roots (build trees excluded), then the
 # three counts.

@@ -269,12 +269,12 @@ var verbs = func() []verb {
 		}},
 		{"trace", "in situ power timeline under a cap (simulate+visualize)", traceCmd, func(fs *flag.FlagSet, o *options) {
 			fs.Float64Var(&o.capW, "cap", 65, "power cap in watts")
-			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles")
+			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles (at least 1)")
 			fs.BoolVar(&o.csv, "csv", false, "print the samples as CSV")
 		}},
 		{"profile", "execution telemetry: in situ cycles under a cap as a Perfetto-loadable trace.json plus a stage summary", profileCmd, func(fs *flag.FlagSet, o *options) {
 			fs.Float64Var(&o.capW, "cap", 65, "power cap in watts")
-			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles")
+			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles (at least 1)")
 			fs.StringVar(&o.out, "out", "out", "output directory")
 		}},
 		{"allocate", "split a node power budget between simulation and visualization", allocateCmd, func(fs *flag.FlagSet, o *options) {
@@ -282,7 +282,7 @@ var verbs = func() []verb {
 		}},
 		{"feedback", "single-loop feedback capping toward an average-power target", feedbackCmd, func(fs *flag.FlagSet, o *options) {
 			fs.Float64Var(&o.capW, "cap", 65, "average-power target in watts")
-			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles")
+			fs.IntVar(&o.cycles, "cycles", 3, "in situ cycles (at least 1)")
 			fs.BoolVar(&o.csv, "csv", false, "print the samples as CSV")
 		}},
 		{"overprovision", "uniform vs. balanced per-node caps on an overprovisioned cluster", overprovisionCmd, func(fs *flag.FlagSet, o *options) {
@@ -408,7 +408,6 @@ func serveCmd(c *harness.Config, opt *options) error {
 		BudgetWatts: opt.budget,
 		QueueDepth:  opt.queueDepth,
 		CinemaDir:   filepath.Join(opt.out, "serve-cinema"),
-		Tracer:      c.Tracer,
 	})
 	if opt.govern {
 		// Calibrate admission from a short governed run: per-class
@@ -652,90 +651,73 @@ func advectCmd(c *harness.Config, opt *options) error {
 	return nil
 }
 
-// traceCmd runs the in situ pipeline under a cap and prints the sampled
-// power timeline.
+// traceCmd governs the in situ rig under the one -cap limit and prints
+// its phases and sampled power timeline.
 func traceCmd(c *harness.Config, opt *options) error {
-	pipe, pkg, capW, err := cappedRig(c, opt.capW)
-	if err != nil {
-		return err
-	}
-	samples, results, err := pipe.Trace(pkg, opt.cycles, 0.1)
+	res, err := cappedRun(c, opt)
 	if err != nil {
 		return err
 	}
 	if opt.csv {
-		return perfctr.WriteCSV(os.Stdout, samples)
+		return perfctr.WriteCSV(os.Stdout, res.Samples)
 	}
 	fmt.Printf("in situ trace: %d cycles under a %.0f W cap (%d segments, %d samples)\n",
-		opt.cycles, capW, len(results), len(samples))
-	for i, r := range results {
-		phase := "simulate "
-		if i%2 == 1 {
-			phase = "visualize"
-		}
-		fmt.Printf("  segment %2d %s  T=%8.3fs  f=%.2fGHz  P=%6.2fW  E=%8.1fJ\n",
-			i, phase, r.TimeSec, r.FreqGHz, r.PowerWatts, r.EnergyJ)
+		opt.cycles, res.TargetWatts, len(res.Phases), len(res.Samples))
+	for i, p := range res.Phases {
+		fmt.Printf("  segment %2d %-9s  T=%8.3fs  f=%.2fGHz  P=%6.2fW  E=%8.1fJ\n",
+			i, p.Label, p.TimeSec, p.EffFreqGHz, p.AvgPowerWatts, p.EnergyJ)
 	}
 	fmt.Printf("%-10s %-10s %-10s %-10s %-10s\n", "t(s)", "P(W)", "f(GHz)", "IPC", "LLCmiss")
-	for _, s := range samples {
+	for _, s := range res.Samples {
 		fmt.Printf("%-10.2f %-10.2f %-10.2f %-10.2f %-10.3f\n",
 			s.TimeSec, s.PowerW, s.EffFreqGHz, s.IPC, s.LLCMissRate)
+	}
+	if res.SamplesDropped > 0 {
+		fmt.Printf("(%d older samples dropped)\n", res.SamplesDropped)
 	}
 	return nil
 }
 
-// cappedRig builds the in situ rig trace and profile run — every filter
-// at half the phase size — and a package programmed to the -cap limit
-// under the governor's target rules (power.EnforceableTarget), returned
-// with the cap it is held to, so the printed cap is the one the rows ran
-// under.
-func cappedRig(c *harness.Config, w float64) (*core.Pipeline, *rapl.Package, float64, error) {
-	w, err := power.EnforceableTarget(study.Processor(), w)
+// cappedRun governs -cycles cycles of the in situ rig trace and profile
+// meter — every filter at half the phase size — under the one -cap limit:
+// the engine's uniform-cap policy, whose target rules name the cap floor
+// and clamp to TDP. The run's TargetWatts is the cap its phases ran under.
+func cappedRun(c *harness.Config, opt *options) (power.Result, error) {
+	g, err := power.NewTable(rapl.NewPackage(msr.NewFile(), study.Processor()), power.Options{TargetWatts: opt.capW}, nil)
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	pkg := rapl.NewPackage(msr.NewFile(), study.Processor())
-	if err := pkg.SetLimitWatts(w); err != nil {
-		return nil, nil, 0, err
+		return power.Result{}, err
 	}
 	pipe, err := c.InSitu(c.PhaseSize/2, c.Filters())
-	return pipe, pkg, w, err
+	if err != nil {
+		return power.Result{}, err
+	}
+	pipe.Tracer = c.Tracer
+	return g.Run(pipe, opt.cycles)
 }
 
-// profileCmd is the telemetry entry point: run -cycles in situ cycles
-// under the -cap RAPL limit with the tracer attached to both the
-// pipeline (stage spans) and the worker pool (launch and chunk spans),
-// then write a Perfetto-loadable trace.json and a plain-text stage
-// summary into -out.
+// profileCmd is the telemetry entry point: govern -cycles in situ cycles
+// under the -cap limit with the tracer attached to both the pipeline
+// (stage spans) and the worker pool (launch and chunk spans), then write
+// a Perfetto-loadable trace.json and a plain-text stage summary into
+// -out. The joules table is the run's per-phase join: each phase's
+// metered joules split over that phase's span self time.
 func profileCmd(c *harness.Config, opt *options) error {
-	pipe, pkg, capW, err := cappedRig(c, opt.capW)
-	if err != nil {
-		return err
-	}
 	tr := c.Tracer // reuse the -trace tracer if one is already attached
 	if tr == nil {
 		tr = attachTracer(c)
 	}
-	pipe.Tracer = tr
-	// The meter covers the capped pipeline run only, so only its spans —
-	// those since the mark — share its joules.
-	mark := tr.Mark()
 	t0 := time.Now()
-	samples, results, err := pipe.Trace(pkg, opt.cycles, 0.1)
+	res, err := cappedRun(c, opt)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(t0)
-	var meteredJ float64
-	for _, s := range samples {
-		meteredJ += s.EnergyJ
-	}
-	joules := obs.Attribute(tr.Stages(mark), meteredJ)
+	joules := res.Attribute()
 
 	// An explicit -ranks also profiles the harness's distributed
 	// advection cell on the rank fabric, so the trace carries per-rank
 	// advance/exchange spans next to the pipeline stages. It runs after
-	// the meter stopped: its spans add self time, not joules.
+	// the metered phases: its spans add self time, not joules.
 	if r := opt.distRanks; r > 1 {
 		run, err := c.AdvectDist(c.PhaseSize, r)
 		if err != nil {
@@ -753,13 +735,13 @@ func profileCmd(c *harness.Config, opt *options) error {
 	}
 	spans := tr.Spans()
 	fmt.Printf("profiled %d in situ cycles (%d governed segments) under a %.0f W cap in %.3fs\n",
-		opt.cycles, len(results), capW, wall.Seconds())
+		opt.cycles, len(res.Phases), res.TargetWatts, wall.Seconds())
 	if err := writeFile(filepath.Join(opt.out, "summary.txt"), func(w io.Writer) error {
 		if err := obs.WriteSummary(w, spans, 10, wall.Nanoseconds()); err != nil {
 			return err
 		}
 		if len(joules) > 0 {
-			fmt.Fprintf(w, "\nwhere the joules went (%.0f W cap, %d meter samples):\n", capW, len(samples))
+			fmt.Fprintf(w, "\nwhere the joules went (%.0f W cap, %.2f J metered):\n", res.TargetWatts, res.EnergyJ)
 			obs.WriteJoulesTable(w, joules)
 		}
 		// Footer: span loss must be visible in the artifact, not only on
@@ -832,7 +814,7 @@ func allocateCmd(c *harness.Config, opt *options) error {
 	if err != nil {
 		return err
 	}
-	cr, err := pipe.RunCycle()
+	segs, err := power.Record(pipe, 1)
 	if err != nil {
 		return err
 	}
@@ -843,7 +825,7 @@ func allocateCmd(c *harness.Config, opt *options) error {
 		return err
 	}
 	for _, r := range runs {
-		a, err := core.AllocateBudget(cr.SimExec, r.Exec, opt.budget)
+		a, err := core.AllocateBudget(segs[0].Exec, r.Exec, opt.budget)
 		if err != nil {
 			return err
 		}

@@ -507,3 +507,27 @@ func TestGovernHonoursCycles(t *testing.T) {
 		t.Errorf("govern -cycles 1: error %v, want one naming the floor of 2", err)
 	}
 }
+
+// TestCycleVerbsNeedOneCycle: trace, profile and feedback run at least
+// one in situ cycle, so -cycles below 1 is an error naming the floor
+// (feedback used to run one cycle and trace to print an empty run).
+func TestCycleVerbsNeedOneCycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	for _, verb := range []string{"trace", "profile", "feedback"} {
+		for _, n := range []string{"0", "-4"} {
+			args := []string{verb, "-quick", "-cycles", n}
+			if verb == "profile" {
+				args = append(args, "-out", t.TempDir())
+			}
+			out, err := runCaptured(t, args...)
+			if err == nil || !strings.Contains(err.Error(), "at least 1") {
+				t.Errorf("%s -cycles %s: error %v, want one naming the floor of 1", verb, n, err)
+			}
+			if strings.Contains(out, "segment") {
+				t.Errorf("%s -cycles %s printed a run:\n%s", verb, n, out)
+			}
+		}
+	}
+}

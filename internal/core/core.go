@@ -14,8 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ops"
 	"repro/internal/par"
-	"repro/internal/perfctr"
-	"repro/internal/rapl"
 	"repro/internal/sim/clover"
 	"repro/internal/viz"
 )
@@ -58,16 +56,6 @@ func NewPipeline(sim *clover.Sim, filters []viz.Filter, steps int, pool *par.Poo
 		spec = cpu.BroadwellEP()
 	}
 	return &Pipeline{Sim: sim, Filters: filters, StepsPerCycle: steps, Pool: pool, Spec: spec}, nil
-}
-
-// CycleResult summarizes one simulate→visualize cycle: the instrumented
-// profiles and their processor-model analyses for each phase.
-type CycleResult struct {
-	Cycle      int
-	SimProfile ops.Profile
-	VizProfile ops.Profile
-	SimExec    cpu.Execution
-	VizExec    cpu.Execution
 }
 
 // PhaseResult is one instrumented phase of an in situ cycle: the drained
@@ -127,42 +115,6 @@ func (p *Pipeline) Visualize() (PhaseResult, error) {
 	tr.End(obs.Pipeline, "analyze", anStart)
 	p.cycle++
 	return PhaseResult{Profile: profile, Exec: exec}, nil
-}
-
-// RunCycle advances the simulation StepsPerCycle steps, exports the grid,
-// and runs every filter on it.
-func (p *Pipeline) RunCycle() (*CycleResult, error) {
-	sim, err := p.Simulate()
-	if err != nil {
-		return nil, err
-	}
-	vis, err := p.Visualize()
-	if err != nil {
-		return nil, err
-	}
-	return &CycleResult{
-		Cycle:      p.cycle,
-		SimProfile: sim.Profile,
-		VizProfile: vis.Profile,
-		SimExec:    sim.Exec,
-		VizExec:    vis.Exec,
-	}, nil
-}
-
-// Trace runs cycles of the pipeline under the RAPL limit programmed on
-// pkg and returns the sampled power/counter timeline (alternating
-// simulation and visualization segments) plus the per-segment governed
-// results, even-indexed segments being simulation phases.
-func (p *Pipeline) Trace(pkg *rapl.Package, cycles int, interval float64) ([]perfctr.Sample, []cpu.CapResult, error) {
-	var segs []cpu.Execution
-	for i := 0; i < cycles; i++ {
-		cr, err := p.RunCycle()
-		if err != nil {
-			return nil, nil, err
-		}
-		segs = append(segs, cr.SimExec, cr.VizExec)
-	}
-	return perfctr.Trace(pkg, segs, interval)
 }
 
 // Allocation is the outcome of splitting a node power budget between a

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/msr"
 	"repro/internal/ops"
 	"repro/internal/par"
-	"repro/internal/rapl"
 	"repro/internal/sim/clover"
 	"repro/internal/viz"
 	"repro/internal/viz/contour"
@@ -68,27 +66,34 @@ func TestNewPipelineValidation(t *testing.T) {
 	}
 }
 
-func TestRunCycleProducesBothProfiles(t *testing.T) {
-	p := newPipeline(t)
-	cr, err := p.RunCycle()
+// cycle runs one simulate→visualize cycle of p.
+func cycle(t *testing.T, p *Pipeline) (sim, vis PhaseResult) {
+	t.Helper()
+	sim, err := p.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Cycle != 1 {
-		t.Errorf("cycle = %d", cr.Cycle)
+	if vis, err = p.Visualize(); err != nil {
+		t.Fatal(err)
 	}
-	if cr.SimProfile == (ops.Profile{}) || cr.VizProfile == (ops.Profile{}) {
+	return sim, vis
+}
+
+func TestCycleProducesBothProfiles(t *testing.T) {
+	p := newPipeline(t)
+	sim, vis := cycle(t, p)
+	if p.cycle != 1 {
+		t.Errorf("cycle = %d", p.cycle)
+	}
+	if sim.Profile == (ops.Profile{}) || vis.Profile == (ops.Profile{}) {
 		t.Error("profiles empty")
 	}
-	if cr.SimExec.Instructions == 0 || cr.VizExec.Instructions == 0 {
+	if sim.Exec.Instructions == 0 || vis.Exec.Instructions == 0 {
 		t.Error("executions empty")
 	}
-	cr2, err := p.RunCycle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr2.Cycle != 2 {
-		t.Errorf("second cycle = %d", cr2.Cycle)
+	cycle(t, p)
+	if p.cycle != 2 {
+		t.Errorf("second cycle = %d", p.cycle)
 	}
 	// Two cycles of 5 steps: the clock of a reference run of 10 steps.
 	ref, err := clover.New(12, clover.Options{})
@@ -101,35 +106,6 @@ func TestRunCycleProducesBothProfiles(t *testing.T) {
 	}
 	if p.Sim.Time() != ref.Time() {
 		t.Errorf("sim time = %v, want %v (10 steps)", p.Sim.Time(), ref.Time())
-	}
-}
-
-func TestPipelineTraceAlternatesSegments(t *testing.T) {
-	p := newPipeline(t)
-	pkg := rapl.NewPackage(msr.NewFile(), p.Spec)
-	if err := pkg.SetLimitWatts(80); err != nil {
-		t.Fatal(err)
-	}
-	samples, results, err := p.Trace(pkg, 2, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("segments = %d, want 4 (2 cycles x sim+viz)", len(results))
-	}
-	if len(samples) == 0 {
-		t.Error("no samples")
-	}
-	// Total sampled energy ~= sum of segment energies.
-	var sampled, governed float64
-	for _, s := range samples {
-		sampled += s.EnergyJ
-	}
-	for _, r := range results {
-		governed += r.EnergyJ
-	}
-	if math.Abs(sampled-governed) > 0.02*governed+0.01 {
-		t.Errorf("sampled energy %v vs governed %v", sampled, governed)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/obs"
+	"repro/internal/ops"
 	"repro/internal/par"
 	"repro/internal/sim/clover"
 	"repro/internal/viz"
@@ -50,9 +51,7 @@ func TestPipelineSpanCoverage(t *testing.T) {
 	const cycles = 3
 	t0 := time.Now()
 	for i := 0; i < cycles; i++ {
-		if _, err := p.RunCycle(); err != nil {
-			t.Fatal(err)
-		}
+		cycle(t, p)
 	}
 	wall := time.Since(t0).Nanoseconds()
 
@@ -93,9 +92,7 @@ func TestPipelineSpanCoverage(t *testing.T) {
 // structure Perfetto renders as a flame graph.
 func TestPipelineSpanNesting(t *testing.T) {
 	p, tr := tracedPipeline(t)
-	if _, err := p.RunCycle(); err != nil {
-		t.Fatal(err)
-	}
+	cycle(t, p)
 	spans := tr.Spans()
 	var simulate []obs.Span
 	for _, s := range spans {
@@ -132,10 +129,10 @@ func TestPipelineSpanNesting(t *testing.T) {
 	}
 }
 
-// TestPipelineUntracedUnchanged: a nil tracer must leave RunCycle
+// TestPipelineUntracedUnchanged: a nil tracer must leave a cycle
 // producing identical profiles (the disabled path changes nothing).
 func TestPipelineUntracedUnchanged(t *testing.T) {
-	mk := func(tr *obs.Tracer) *CycleResult {
+	mk := func(tr *obs.Tracer) (ops.Profile, ops.Profile) {
 		sim, err := clover.New(12, clover.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -148,18 +145,15 @@ func TestPipelineUntracedUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Tracer = tr
-		cr, err := p.RunCycle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cr
+		s, v := cycle(t, p)
+		return s.Profile, v.Profile
 	}
-	plain := mk(nil)
-	traced := mk(obs.NewTracer())
-	if plain.SimProfile != traced.SimProfile {
+	plainSim, plainViz := mk(nil)
+	tracedSim, tracedViz := mk(obs.NewTracer())
+	if plainSim != tracedSim {
 		t.Error("tracing changed the simulation profile")
 	}
-	if plain.VizProfile != traced.VizProfile {
+	if plainViz != tracedViz {
 		t.Error("tracing changed the visualization profile")
 	}
 }

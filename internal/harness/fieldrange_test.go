@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/mesh"
 	"repro/internal/par"
 	"repro/internal/render"
 	"repro/internal/viz"
+	"repro/internal/viz/advect"
 	"repro/internal/viz/contour"
 	"repro/internal/viz/histogram"
 	"repro/internal/viz/isovolume"
@@ -59,13 +61,39 @@ var (
 	nonFiniteValues = func(id int, _ float64) float64 {
 		return []float64{math.Inf(1), math.Inf(-1), math.NaN()}[id%3]
 	}
+	constantValues = func(int, float64) float64 { return 0.5 }
 )
+
+// finite reports whether every v is neither infinite nor NaN.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// finiteFrame renders one frame of the image workload name over g and
+// checks every channel of every pixel is finite.
+func finiteFrame(t *testing.T, g *mesh.UniformGrid, name string, ex *viz.Exec) {
+	frame, err := Frames(g, name, 0, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, _ := render.OrbitView(g.Bounds(), 0, 10)
+	for i, c := range frame(nil, cam, 24, 24, ex).Pix {
+		if !finite(c[:]...) {
+			t.Fatalf("%s: pixel %d is %v", name, i, c)
+		}
+	}
+}
 
 // finiteRange is the least and greatest finite value of f, worked out
 // apart from mesh.FieldRange, and whether there are any.
 func finiteRange(f []float64) (lo, hi float64, any bool) {
 	for _, v := range f {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
+		if !finite(v) {
 			continue
 		}
 		if !any || v < lo {
@@ -109,13 +137,13 @@ func streamlinePanel(t *testing.T, g *mesh.UniformGrid, s []float64, ex *viz.Exe
 
 // normalizes checks a normalizer built from a field's range: the finite
 // values' extremes, ±Inf at the ends; the middle for every value of a
-// field without finite values.
+// field without two distinct finite values.
 func normalizes(t *testing.T, who string, n render.Normalizer, f []float64) {
 	lo, hi, any := finiteRange(f)
-	if !any {
+	if !any || lo == hi {
 		for _, v := range []float64{math.Inf(-1), 0, math.Inf(1), math.NaN()} {
 			if got := n.Norm(v); got != 0.5 {
-				t.Errorf("%s: a field without finite values normalizes %v to %v, want 0.5", who, v, got)
+				t.Errorf("%s: a field without a finite spread normalizes %v to %v, want 0.5", who, v, got)
 			}
 		}
 		return
@@ -138,9 +166,16 @@ var fieldRangeCallers = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, any := finiteRange(g.PointField("energy")); !any {
+		lo, hi, any := finiteRange(g.PointField("energy"))
+		if !any {
 			if res.Tris.NumTris() != 0 || res.Profile.Launches != 0 {
 				t.Errorf("no finite values: %d triangles over %d launches, want no isovalue", res.Tris.NumTris(), res.Profile.Launches)
+			}
+			return
+		}
+		if lo == hi {
+			if res.Tris.NumTris() != 0 {
+				t.Errorf("a constant field gave %d triangles, want no crossing", res.Tris.NumTris())
 			}
 			return
 		}
@@ -218,6 +253,44 @@ var fieldRangeCallers = []struct {
 			t.Errorf("bins %v: want %d cells, the %d at +Inf in the last bin and the %d at -Inf in the first", res.Histogram, g.NumCells(), pos, neg)
 		}
 	}},
+	{"volume rendering frame", func(t *testing.T, g *mesh.UniformGrid, ex *viz.Exec) {
+		finiteFrame(t, g, "Volume Rendering", ex)
+	}},
+	{"ray tracing frame", func(t *testing.T, g *mesh.UniformGrid, ex *viz.Exec) {
+		finiteFrame(t, g, "Ray Tracing", ex)
+	}},
+	{"particle advection", func(t *testing.T, g *mesh.UniformGrid, ex *viz.Exec) {
+		// The velocity is (e, 1/2, 1/4) of the field's energy e: a sample
+		// at an infinite corner with weight 0 is Inf·0 = NaN, and a NaN
+		// position must leave the domain rather than index a cell.
+		vg, err := mesh.NewCubeGrid(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vel := vg.AddPointVector("velocity")
+		for id, e := range g.PointField("energy") {
+			vel[id] = mesh.Vec3{e, 0.5, 0.25}
+		}
+		for _, adaptive := range []bool{false, true} {
+			f := advect.New(advect.Options{NumParticles: 64, NumSteps: 100, Adaptive: adaptive})
+			res, err := f.Run(vg, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range res.Lines.Points {
+				if !finite(p[0], p[1], p[2], res.Lines.Scalars[i]) {
+					t.Fatalf("adaptive %v: point %d at %v has speed %v", adaptive, i, p, res.Lines.Scalars[i])
+				}
+			}
+			d, err := dist.Advect(vg, f, 2, dist.AdvectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !linesBitEqual(res.Lines, d.Lines) {
+				t.Errorf("adaptive %v: 2 ranks gave %d points, one rank %d, or different bits", adaptive, len(d.Lines.Points), len(res.Lines.Points))
+			}
+		}
+	}},
 	{"fig1 streamline colours", func(t *testing.T, g *mesh.UniformGrid, ex *viz.Exec) {
 		// Infinite scalars colour as the ends of the finite range; a
 		// field without finite values colours as a constant one.
@@ -255,6 +328,12 @@ func TestFieldRangeCallersOnOpposedInfinities(t *testing.T) {
 // every cell binned.
 func TestFieldRangeCallersOnNonFiniteFields(t *testing.T) {
 	testFieldRangeCallers(t, rangeGrid(t, nonFiniteValues))
+}
+
+// On a constant field every caller still works: contour and isovolume
+// cut nothing, threshold keeps every cell, colours are mid-range.
+func TestFieldRangeCallersOnConstantFields(t *testing.T) {
+	testFieldRangeCallers(t, rangeGrid(t, constantValues))
 }
 
 func testFieldRangeCallers(t *testing.T, g *mesh.UniformGrid) {

@@ -233,9 +233,13 @@ func TestInDomainMatchesSampling(t *testing.T) {
 	s, _ := NewVectorSampler(g, "velocity")
 	probes := append(lcgProbes(2000),
 		Vec3{0, 0, 0}, Vec3{1, 1, 1}, Vec3{0.5, 0.5, 1}, Vec3{1, 0.5, 0.5},
-		Vec3{-1e-300, 0.5, 0.5}, Vec3{0.5, 0.5, math.Nextafter(1, 2)})
+		Vec3{-1e-300, 0.5, 0.5}, Vec3{0.5, 0.5, math.Nextafter(1, 2)},
+		Vec3{math.NaN(), 0.5, 0.5}, Vec3{0.5, math.NaN(), 0.5}, Vec3{0.5, 0.5, math.NaN()})
 	for _, p := range probes {
 		in := g.InDomain(p)
+		if in && math.IsNaN(p[0]+p[1]+p[2]) {
+			t.Fatalf("probe %v: a NaN position is in the domain", p)
+		}
 		_, byName := g.SampleVector("velocity", p)
 		_, fast := s.Sample(p)
 		if in != byName || in != fast {

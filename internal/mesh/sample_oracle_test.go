@@ -16,8 +16,8 @@ func (g *UniformGrid) locate(p Vec3) (ci, cj, ck int, u, v, w float64, ok bool) 
 	fx := (p[0] - g.Origin[0]) / g.Spacing[0]
 	fy := (p[1] - g.Origin[1]) / g.Spacing[1]
 	fz := (p[2] - g.Origin[2]) / g.Spacing[2]
-	if fx < 0 || fy < 0 || fz < 0 ||
-		fx > float64(cd[0]) || fy > float64(cd[1]) || fz > float64(cd[2]) {
+	if !(fx >= 0 && fy >= 0 && fz >= 0 &&
+		fx <= float64(cd[0]) && fy <= float64(cd[1]) && fz <= float64(cd[2])) {
 		return 0, 0, 0, 0, 0, 0, false
 	}
 	ci, cj, ck = int(fx), int(fy), int(fz)

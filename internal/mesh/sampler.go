@@ -72,7 +72,8 @@ func newSamplerGeomFrom(origin, spacing Vec3, cd [3]int) samplerGeom {
 
 // index converts a world position to continuous cell coordinates and
 // applies the domain bounds test — the one world→index transform every
-// sampling path shares.
+// sampling path shares. The test is written as "inside" so that a NaN
+// coordinate, for which every comparison is false, is outside.
 func (sg *samplerGeom) index(x, y, z float64) (fx, fy, fz float64, ok bool) {
 	if sg.exact {
 		fx = (x - sg.org[0]) * sg.inv[0]
@@ -83,8 +84,8 @@ func (sg *samplerGeom) index(x, y, z float64) (fx, fy, fz float64, ok bool) {
 		fy = (y - sg.org[1]) / sg.sp[1]
 		fz = (z - sg.org[2]) / sg.sp[2]
 	}
-	if fx < 0 || fy < 0 || fz < 0 ||
-		fx > sg.cdf[0] || fy > sg.cdf[1] || fz > sg.cdf[2] {
+	if !(fx >= 0 && fy >= 0 && fz >= 0 &&
+		fx <= sg.cdf[0] && fy <= sg.cdf[1] && fz <= sg.cdf[2]) {
 		return 0, 0, 0, false
 	}
 	return fx, fy, fz, true

@@ -17,35 +17,15 @@ type StageJoules struct {
 	Share   float64 // Joules / total, in [0,1]
 }
 
-// Attribute joins a self-time summary with the joules a power meter
+// SplitJoules joins a self-time summary with the joules a power meter
 // measured over the same interval to answer "where did the joules go?".
 // The meter measures the whole package — it cannot see stages — so the
-// join distributes the measured total across stages in proportion to
-// span self time. Self time partitions the traced wall clock (each
-// nanosecond belongs to exactly one stage, per Summarize), so
-// proportional distribution is the unique assignment consistent with a
-// constant-power-within-stage model, and the rows sum to the measured
-// total by construction.
-//
-// Rows come back sorted by joules descending. No joules gives zero-joule
-// rows (self time still reported); no stages gives a single
-// "(untraced)" row carrying the whole total.
-func Attribute(stats []StageStat, joules float64) []StageJoules {
-	if len(stats) == 0 {
-		if joules == 0 {
-			return nil
-		}
-		return []StageJoules{{Stage: "(untraced)", Joules: joules, Share: 1}}
-	}
-	rows := SplitJoules(stats, joules)
-	sortStageJoules(rows)
-	return rows
-}
-
-// SplitJoules is the proportional split behind every attribution: one
-// row per stage, in stats order, charged joules × its share of the
-// stages' total self time. The rows sum to joules whenever any stage
-// has self time; with none, every row is charged zero.
+// split charges each stage, in stats order, joules × its share of the
+// stages' total self time. Self time partitions the traced wall clock
+// (each nanosecond belongs to exactly one stage, per Summarize), so this
+// is the unique assignment consistent with a constant-power-within-stage
+// model. The rows sum to joules whenever any stage has self time; with
+// none, every row is charged zero (self time still reported).
 func SplitJoules(stats []StageStat, joules float64) []StageJoules {
 	var totalSelf float64
 	for _, st := range stats {
@@ -66,9 +46,9 @@ func SplitJoules(stats []StageStat, joules float64) []StageJoules {
 }
 
 // MergeAttribution folds additional rows (e.g. one governed phase's
-// attribution) into acc by stage name, keeping the result sorted by
-// joules descending. Used by the governor to build a whole-run table
-// from per-phase joins, each of which is exact for its phase.
+// split) into acc by stage name, keeping the result sorted by joules
+// descending. Used by the governor to build a whole-run table from
+// per-phase splits, each of which is exact for its phase.
 func MergeAttribution(acc, more []StageJoules) []StageJoules {
 	byStage := make(map[string]int, len(acc))
 	for i, r := range acc {
@@ -106,7 +86,7 @@ func sortStageJoules(rows []StageJoules) {
 }
 
 // TotalJoules sums the attributed joules (the measured total, by the
-// Attribute invariant).
+// SplitJoules invariant).
 func TotalJoules(rows []StageJoules) float64 {
 	var t float64
 	for _, r := range rows {

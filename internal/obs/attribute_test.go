@@ -11,7 +11,7 @@ func TestAttributeDistributesTotal(t *testing.T) {
 		{Name: "contour", Count: 4, SelfNs: 3_000_000_000},
 		{Name: "render", Count: 4, SelfNs: 1_000_000_000},
 	}
-	rows := Attribute(stats, 100)
+	rows := SplitJoules(stats, 100)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
@@ -32,25 +32,28 @@ func TestAttributeDistributesTotal(t *testing.T) {
 }
 
 func TestAttributeEdgeCases(t *testing.T) {
-	if rows := Attribute(nil, 0); rows != nil {
-		t.Fatalf("empty join = %v, want nil", rows)
+	// No stages: nothing to charge. A governed run's phase without a
+	// summary lands in power.Result.Attribute's "(untraced)" row instead.
+	if rows := SplitJoules(nil, 10); len(rows) != 0 {
+		t.Fatalf("empty split = %v, want no rows", rows)
 	}
-	rows := Attribute(nil, 10)
-	if len(rows) != 1 || rows[0].Stage != "(untraced)" || rows[0].Joules != 10 {
-		t.Fatalf("untraced row = %+v", rows)
+	// No self time: every row charged zero.
+	rows := SplitJoules([]StageStat{{Name: "a", Count: 1}}, 10)
+	if len(rows) != 1 || rows[0].Joules != 0 || rows[0].Share != 0 {
+		t.Fatalf("no-self-time row = %+v", rows)
 	}
 	// No joules: self time still reported, zero joules.
-	rows = Attribute([]StageStat{{Name: "a", SelfNs: 1e9}}, 0)
+	rows = SplitJoules([]StageStat{{Name: "a", SelfNs: 1e9}}, 0)
 	if len(rows) != 1 || rows[0].Joules != 0 || rows[0].SelfSec != 1 {
 		t.Fatalf("no-sample row = %+v", rows)
 	}
 }
 
 func TestMergeAttribution(t *testing.T) {
-	phase1 := Attribute(
+	phase1 := SplitJoules(
 		[]StageStat{{Name: "contour", Count: 1, SelfNs: 1e9}},
 		30)
-	phase2 := Attribute(
+	phase2 := SplitJoules(
 		[]StageStat{
 			{Name: "contour", Count: 1, SelfNs: 1e9},
 			{Name: "render", Count: 1, SelfNs: 1e9},
@@ -72,12 +75,12 @@ func TestMergeAttribution(t *testing.T) {
 }
 
 func TestWriteJoulesTable(t *testing.T) {
-	rows := Attribute(
+	rows := MergeAttribution(nil, SplitJoules(
 		[]StageStat{
 			{Name: "volren", Count: 2, SelfNs: 2e9},
 			{Name: "simulate", Count: 2, SelfNs: 6e9},
 		},
-		80)
+		80))
 	var sb strings.Builder
 	WriteJoulesTable(&sb, rows)
 	out := sb.String()

@@ -72,8 +72,9 @@ func BenchmarkObsScrape(b *testing.B) {
 	}
 }
 
-// BenchmarkObsAttribute measures the energy-attribution join at a
-// profile-sized input: ~16 stages over one measured total.
+// BenchmarkObsAttribute measures one phase's energy-attribution join at
+// a profile-sized input: ~16 stages split over one measured total and
+// merged into a sorted table.
 func BenchmarkObsAttribute(b *testing.B) {
 	stats := make([]StageStat, 16)
 	for i := range stats {
@@ -85,7 +86,7 @@ func BenchmarkObsAttribute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := Attribute(stats, 4096*6.5)
+		rows := MergeAttribution(nil, SplitJoules(stats, 4096*6.5))
 		if len(rows) != len(stats) {
 			b.Fatal("bad join")
 		}

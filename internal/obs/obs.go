@@ -6,8 +6,9 @@
 //     l). A sweep cell or governed phase opens a Mark and keeps the stage
 //     summary (per-name self time) of the spans started after it.
 //     Exporters write Chrome trace-event JSON (Perfetto,
-//     chrome://tracing) and a text summary; Attribute splits measured
-//     joules over a summary's self time.
+//     chrome://tracing) and a text summary; SplitJoules splits measured
+//     joules over a summary's self time, and MergeAttribution adds the
+//     per-phase splits of a governed run into one table.
 //   - Metrics: a zero-dependency registry (atomic counters, gauges, and
 //     fixed-bucket histograms under a small static label set, plus
 //     func-backed series that read a subsystem's own counters at scrape)

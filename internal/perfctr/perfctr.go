@@ -231,7 +231,10 @@ const DefaultInterval = 0.1
 // results. This reproduces the paper's measurement loop: the RAPL energy
 // counter and performance counters advance continuously (including across
 // the simulation/visualization alternation of an in situ pipeline) while
-// the sampler differences them.
+// the sampler differences them. The CLI's in situ runs are metered by
+// power's governor instead, whose samples restart at each phase boundary;
+// Trace is what the benchmark's perfctr.trace_ms row and the sampling-
+// interval ablation time.
 func Trace(pkg *rapl.Package, segs []cpu.Execution, interval float64) ([]Sample, []cpu.CapResult, error) {
 	if interval <= 0 {
 		interval = DefaultInterval

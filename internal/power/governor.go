@@ -11,7 +11,10 @@
 // The package is one engine and four policies: the Governor in this file
 // is everything a governed run is apart from the control law, and a
 // policy (policy.go, closedloop.go) only answers "what cap now?" from
-// what the engine has already measured.
+// what the engine has already measured. Every capped in situ run is a
+// governed run: a run under one fixed cap is the uniform policy
+// (NewTable with a nil table), metered, sampled and attributed per phase
+// like any other.
 package power
 
 import (
@@ -196,25 +199,16 @@ func NewTable(pkg *rapl.Package, opt Options, caps map[string]float64) (*Governo
 	})
 }
 
-// EnforceableTarget applies the target rules to w watts on spec: below the
-// cap floor is an error naming the floor, above TDP is clamped to TDP. It
-// returns the watts a package can be held to.
-func EnforceableTarget(spec cpu.Spec, w float64) (float64, error) {
-	if w < spec.MinCapWatts {
-		return 0, fmt.Errorf("power: target %.0f W below the %.0f W cap floor", w, spec.MinCapWatts)
-	}
-	return min(w, spec.TDPWatts), nil
-}
-
-// newGovernor checks the target (EnforceableTarget), assembles the engine
+// newGovernor applies the target rules (below the cap floor is an error
+// naming the floor, above TDP is clamped to TDP), assembles the engine
 // around the policy law builds from the checked options, and programs the
 // opening limit.
 func newGovernor(pkg *rapl.Package, opt Options, law func(cpu.Spec, Options) policy) (*Governor, error) {
 	spec := pkg.Spec()
-	var err error
-	if opt.TargetWatts, err = EnforceableTarget(spec, opt.TargetWatts); err != nil {
-		return nil, err
+	if opt.TargetWatts < spec.MinCapWatts {
+		return nil, fmt.Errorf("power: target %.0f W below the %.0f W cap floor", opt.TargetWatts, spec.MinCapWatts)
 	}
+	opt.TargetWatts = min(opt.TargetWatts, spec.TDPWatts)
 	if opt.IntervalSec <= 0 {
 		opt.IntervalSec = perfctr.DefaultInterval
 	}
@@ -373,10 +367,11 @@ func capturePhase(pipe *core.Pipeline, label string, run func() (core.PhaseResul
 	return seg, nil
 }
 
-// Record runs cycles simulate→visualize cycles of a real pipeline (at
-// least one) and returns them as segments: each phase's Go work executes
-// for real, producing its operation profile, pool counters and trace
-// spans, and capturePhase snapshots what a governor may see of it. No
+// Record runs cycles simulate→visualize cycles of a real pipeline (fewer
+// than one is an error) and returns them as segments: each phase's Go
+// work executes for real, producing its operation profile, pool counters
+// and trace spans, and capturePhase snapshots what a governor may see of
+// it. No
 // cap is in force while it runs — the package is modeled, so no cap
 // could change the work — which is why one recording can be governed
 // under any number of policies and targets. On a pipeline error it
@@ -385,8 +380,8 @@ func Record(pipe *core.Pipeline, cycles int) ([]Segment, error) {
 	if pipe == nil {
 		return nil, fmt.Errorf("power: nil pipeline")
 	}
-	if cycles <= 0 {
-		cycles = 1
+	if cycles < 1 {
+		return nil, fmt.Errorf("power: %d cycles, need at least 1", cycles)
 	}
 	segs := make([]Segment, 0, 2*cycles)
 	for i := 0; i < cycles; i++ {

@@ -137,8 +137,16 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 			t.Errorf("phase %d captured no trace self time", i)
 		}
 	}
-	if next, err := pipe.RunCycle(); err != nil || next.Cycle != 3 {
-		t.Errorf("the cycle after the governed two is %+v (%v), want cycle 3", next, err)
+	// The governed two cycles of 5 steps advanced the hydro 10 steps.
+	ref, err := clover.New(12, clover.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		ref.Step(par.NewPool(1), nil)
+	}
+	if pipe.Sim.Time() != ref.Time() {
+		t.Errorf("sim time after the governed run = %v, want %v (10 steps)", pipe.Sim.Time(), ref.Time())
 	}
 	spec := cpu.BroadwellEP()
 	if res.FinalCapWatts < spec.MinCapWatts || res.FinalCapWatts > spec.TDPWatts {
@@ -146,6 +154,46 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 	}
 	if res.AvgPowerWatts > 65*(1+0.02) {
 		t.Errorf("governed pipeline averaged %.2f W over a 65 W target", res.AvgPowerWatts)
+	}
+}
+
+// TestUniformCapAlternatesSegments: a nil-table run of a real pipeline
+// is the one fixed cap trace and profile meter under — every phase
+// starts and ends at the target, the phases alternate simulate and
+// visualize, and the timeline restarts at each phase boundary, so every
+// sample belongs to one phase and the samples carry the run's joules.
+func TestUniformCapAlternatesSegments(t *testing.T) {
+	pipe := newGovernedPipeline(t, 2)
+	g, err := NewTable(newRAPL(), Options{TargetWatts: 80, IntervalSec: 0.001}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := g.Run(pipe, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Phases) != 4 {
+		t.Fatalf("phases = %d, want 4 (2 cycles x sim+viz)", len(res.Phases))
+	}
+	ticks := 0
+	for i, p := range res.Phases {
+		if want := []string{"simulate", "visualize"}[i%2]; p.Label != want {
+			t.Errorf("phase %d labeled %q, want %q", i, p.Label, want)
+		}
+		if p.CapStartWatts != 80 || p.CapEndWatts != 80 {
+			t.Errorf("phase %d ran under %.1f → %.1f W, want the one 80 W cap", i, p.CapStartWatts, p.CapEndWatts)
+		}
+		ticks += p.Ticks
+	}
+	if len(res.Samples) != ticks || res.SamplesDropped != 0 {
+		t.Errorf("%d samples (%d dropped) over %d phase ticks", len(res.Samples), res.SamplesDropped, ticks)
+	}
+	var sampled float64
+	for _, s := range res.Samples {
+		sampled += s.EnergyJ
+	}
+	if math.Abs(sampled-res.EnergyJ) > 0.02*res.EnergyJ+0.01 {
+		t.Errorf("sampled energy %v vs governed %v", sampled, res.EnergyJ)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestGovernedAttributionSumsToTotal(t *testing.T) {
 		t.Fatalf("attribution produced %d rows, want several stages: %+v", len(rows), rows)
 	}
 	got := obs.TotalJoules(rows)
-	if math.Abs(got-res.EnergyJ) > 0.01*res.EnergyJ {
+	if math.Abs(got-res.EnergyJ) > 1e-9*res.EnergyJ {
 		t.Errorf("attributed %.2f J, measured %.2f J (off by %.2f%%)",
 			got, res.EnergyJ, 100*math.Abs(got-res.EnergyJ)/res.EnergyJ)
 	}

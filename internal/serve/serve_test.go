@@ -18,6 +18,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/viz"
 )
@@ -437,6 +438,30 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if b := st.Series["vizpower_admission_budget_watts"]; b != 120 {
 		t.Errorf("budget = %v, want 120", b)
+	}
+}
+
+// TestRequestSpansOnConfigTracer: the daemon records its per-request
+// spans into the tracer of the Config it serves from, on a request lane.
+func TestRequestSpansOnConfigTracer(t *testing.T) {
+	cfg := testConfig()
+	cfg.Tracer = obs.NewTracer()
+	s := testServer(t, Options{Config: cfg})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if resp, body := get(t, ts, "/render?alg=raytrace"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("render: status %d: %s", resp.StatusCode, body)
+	}
+	lanes := map[obs.Track]bool{}
+	for l := 0; l < Lanes; l++ {
+		lanes[cfg.Tracer.Lane(l)] = true
+	}
+	var rendered bool
+	for _, sp := range cfg.Tracer.Spans() {
+		rendered = rendered || (sp.Name == "serve.render" && lanes[sp.Track])
+	}
+	if !rendered {
+		t.Error("no serve.render span on a request lane of the Config's tracer")
 	}
 }
 

@@ -26,19 +26,17 @@ import (
 type Options struct {
 	// Config is the study declaration the daemon serves from: its
 	// Preloaded data sets, workload defaults (image size, orbit length),
-	// processor spec, and worker pool. The daemon only reads it, through
-	// the declaration-only entry points (BuildDataset, Execute), and owns
+	// processor spec, worker pool, and tracer, which receives per-request
+	// spans (admit/wait/build|hit/render/encode) on the request lanes
+	// (Tracer.Lane). The daemon only reads it, through the
+	// declaration-only entry points (BuildDataset, Execute), and owns
 	// everything it builds in its own cache. nil gets a Defaults() Config.
 	Config *harness.Config
 	// BudgetWatts is the node power budget the admission queue enforces.
 	// <= 0 disables admission control.
 	BudgetWatts float64
-	// QueueDepth bounds the admission queue (default 64).
+	// QueueDepth bounds the admission queue (default 64, NewAdmission's).
 	QueueDepth int
-	// Tracer, when non-nil, receives per-request spans
-	// (admit/wait/build|hit/render/encode) on the request lanes
-	// (Tracer.Lane).
-	Tracer *obs.Tracer
 	// CinemaDir is where /cinema orbit databases accumulate. Default
 	// "out/serve-cinema".
 	CinemaDir string
@@ -96,9 +94,6 @@ func New(opts Options) *Server {
 		opts.Config = &harness.Config{}
 	}
 	opts.Config.Defaults()
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
-	}
 	if opts.CinemaDir == "" {
 		opts.CinemaDir = "out/serve-cinema"
 	}
@@ -112,7 +107,7 @@ func New(opts Options) *Server {
 			FloorWatts:  study.Processor().MinCapWatts,
 			QueueDepth:  opts.QueueDepth,
 		}),
-		tr:   opts.Tracer,
+		tr:   opts.Config.Tracer,
 		t0:   time.Now(),
 		cine: make(map[string]*cinemaDB),
 	}
