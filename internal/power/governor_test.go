@@ -142,8 +142,10 @@ func TestGovernorRunRealPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	refPool := par.NewPool(1)
+	defer refPool.Close()
 	for i := 0; i < 10; i++ {
-		ref.Step(par.NewPool(1), nil)
+		ref.Step(refPool, nil)
 	}
 	if pipe.Sim.Time() != ref.Time() {
 		t.Errorf("sim time after the governed run = %v, want %v (10 steps)", pipe.Sim.Time(), ref.Time())
