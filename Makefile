@@ -13,7 +13,8 @@
 #                  panels rendering at once on one pool from one shared,
 #                  read-only grid), the data-set pin (child processes
 #                  building data sets at GOMAXPROCS 1, 2 and 4, under
-#                  -race too), and the golden "same numbers" tests
+#                  -race too), the image filters' orbit pin (frames
+#                  at 1, 2 and 4 workers), and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
 #                  runs with ./internal/power in RACE_PKGS), and the one
 #                  PNG encoder with its shared buffer free list, which
@@ -85,7 +86,7 @@ test: vet
 
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
-	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore|Fig1|DatasetHashes'
+	$(GO) test -race -count=1 -timeout 120s ./internal/harness -run 'Failure|Retry|Retries|Partial|Advect|Govern|Golden|DeclarationCore|Fig1|DatasetHashes|OrbitFilter'
 
 # One 10 s run per Fuzz* target (go test -fuzz takes one target and one
 # package at a time). A failing input lands in that package's
