@@ -15,7 +15,9 @@ import (
 // one-worker pool runs every loop as one serial chunk, so the par.chunks
 // count is one per par.For. Contour's par.For count is its row index and
 // three loops per isovalue: the keyed emission's count, its fill and the
-// seam resolution of the points a layer shares with the one below.
+// seam resolution of the points a layer shares with the one below. Each
+// of the governor sweep's two Volume Rendering cycles runs its orbit as one
+// ForEach of frame tasks, each frame's pixel For nested in its task.
 var (
 	executeStagesPin = []string{
 		"Contour/16^3 1",
@@ -25,8 +27,8 @@ var (
 		"Volume Rendering 2",
 		"analyze 4",
 		"export 2",
-		"par.For 122",
-		"par.chunks 122",
+		"par.For 124",
+		"par.chunks 124",
 		"sim.step 20",
 		"simulate 2",
 	}

@@ -308,7 +308,7 @@ func (s *Server) dataset(size int) (*mesh.UniformGrid, error) {
 // harness.Frames built, and the bounds its orbit circles.
 type frameEntry struct {
 	bounds mesh.Bounds
-	frame  harness.FrameFunc
+	frame  viz.FrameFunc
 }
 
 // structureKey is the cache key for a request's derived structure:

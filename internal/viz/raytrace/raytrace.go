@@ -87,8 +87,8 @@ var Background = render.Color{0.08, 0.08, 0.10, 1}
 
 // RenderInto traces one image from cam into a caller-provided framebuffer
 // (reset here), allocating one only when im is nil or the wrong size, and
-// charges the frame to ex. The orbit loop reuses one image
-// across all 50 frames.
+// charges the frame to ex. The orbit reuses one image per worker across
+// its 50 frames (viz.RenderOrbit).
 func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	if im == nil || im.W != w || im.H != h {
 		im = render.NewImage(w, h)
@@ -136,17 +136,13 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 }
 
 // Run implements viz.Filter: gather + build once, then trace the orbit
-// image database.
+// image database, its frames as pool tasks.
 func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 	scene, err := GatherScene(g, f.opts.Field, ex)
 	if err != nil {
 		return nil, err
 	}
-	var im *render.Image
-	for i := 0; i < f.opts.Images; i++ {
-		cam, _ := render.OrbitView(g.Bounds(), i, f.opts.Images)
-		im = scene.RenderInto(im, cam, f.opts.Width, f.opts.Height, ex)
-	}
+	viz.RenderOrbit(ex, g.Bounds(), f.opts.Images, f.opts.Width, f.opts.Height, scene.RenderInto)
 	return &viz.Result{
 		Profile:  ex.Drain(),
 		Elements: int64(g.NumCells()),

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/ops"
 	"repro/internal/par"
+	"repro/internal/render"
 )
 
 // Exec carries the execution context a filter runs in: the worker pool and
@@ -66,4 +67,30 @@ type Filter interface {
 	Name() string
 	// Run executes the filter over the grid.
 	Run(g *mesh.UniformGrid, ex *Exec) (*Result, error)
+}
+
+// FrameFunc renders one view of a prepared image workload into im
+// (allocating when im is nil or the wrong size), recording the work into
+// ex. It is safe to call from several goroutines at once, each with its
+// own im and ex: the structure behind it is immutable once prepared.
+type FrameFunc func(im *render.Image, cam render.Camera, w, h int, ex *Exec) *render.Image
+
+// RenderOrbit renders the images-long orbit database around b at w×h
+// through frame, one pool task per frame. Each participating worker
+// reuses one framebuffer for the frames it renders, and each frame
+// charges an Exec of its own; those are drained into ex in frame order
+// once the orbit is done, so ex is charged as a serial orbit charges it.
+// A frame's pixel loop is a For nested in its task, so a worker left
+// without a frame steals rows of the frames still rendering.
+func RenderOrbit(ex *Exec, b mesh.Bounds, images, w, h int, frame FrameFunc) {
+	frames := make([]Exec, images)
+	ims := make([]*render.Image, ex.Pool.Workers())
+	ex.Pool.ForEach(images, func(i, worker int) {
+		cam, _ := render.OrbitView(b, i, images)
+		frames[i].Pool = ex.Pool
+		ims[worker] = frame(ims[worker], cam, w, h, &frames[i])
+	})
+	for i := range frames {
+		ex.Charge(frames[i].Drain())
+	}
 }

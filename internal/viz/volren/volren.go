@@ -89,13 +89,10 @@ func (f *Filter) Run(g *mesh.UniformGrid, ex *viz.Exec) (*viz.Result, error) {
 		return nil, fmt.Errorf("volren: %w", err)
 	}
 	// The acceleration state (macrocell grid + LUT) is built once and
-	// amortized over the whole 50-image orbit, which reuses one framebuffer.
-	r := NewRenderer(g, field, TransferFor(field), ex)
-	var im *render.Image
-	for i := 0; i < f.opts.Images; i++ {
-		cam, _ := render.OrbitView(g.Bounds(), i, f.opts.Images)
-		im = r.RenderImageInto(im, cam, f.opts.Width, f.opts.Height, ex)
-	}
+	// amortized over the whole 50-image orbit; Prepare makes it read-only
+	// before the frames render concurrently.
+	r := NewRenderer(g, field, TransferFor(field), ex).Prepare()
+	viz.RenderOrbit(ex, g.Bounds(), f.opts.Images, f.opts.Width, f.opts.Height, r.RenderImageInto)
 	ex.Charge(workingSet(uint64(len(field))))
 	return &viz.Result{
 		Profile:  ex.Drain(),
