@@ -201,10 +201,13 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	// Ghost halo sized so every integration-stage probe of a particle
 	// standing in an owned layer resolves locally: probes reach at most
 	// max|v_z|·h past the position (step coefficients sum to one), with
-	// the adaptive controller's hMax as the worst-case step.
+	// the adaptive controller's hMax as the worst-case step. An infinite
+	// or NaN v_z sends its probe out of the domain, not into a halo, so
+	// only finite values size it; and no halo needs more than the grid's
+	// cell layers, which also keeps a huge v_z from overflowing the int.
 	vzMax := 0.0
 	for _, v := range field {
-		if a := math.Abs(v[2]); a > vzMax {
+		if a := math.Abs(v[2]); a > vzMax && !math.IsInf(a, 1) {
 			vzMax = a
 		}
 	}
@@ -212,7 +215,10 @@ func Advect(g *mesh.UniformGrid, f *advect.Filter, nRanks int, opts AdvectOption
 	if fo.Adaptive {
 		_, hEff = advect.AdaptiveStepBounds(fo.StepLength)
 	}
-	ghost := int(vzMax*hEff/g.Spacing[2]) + 2
+	ghost := cd[2]
+	if reach := vzMax * hEff / g.Spacing[2]; reach < float64(cd[2]-2) {
+		ghost = int(reach) + 2
+	}
 
 	blocks, err := mesh.BlockDecompose(g, nRanks, ghost)
 	if err != nil {

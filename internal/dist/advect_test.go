@@ -291,6 +291,27 @@ func TestAdvectValidation(t *testing.T) {
 	}
 }
 
+// A finite but huge |v_z| asks for more halo than the grid has layers:
+// the halo is every layer, not an overflowed int, and the run still
+// matches the single-rank filter.
+func TestAdvectHaloHugeVelocity(t *testing.T) {
+	g := helixGrid(t, 8)
+	g.PointVector("velocity")[g.NumPoints()/2][2] = 1e300
+	f := helixFilter(false)
+	want, err := f.Run(g, viz.NewExec(par.NewPool(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Advect(g, f, 2, AdvectOptions{Deadline: testDeadline(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ghost != 8 {
+		t.Errorf("ghost halo %d layers, want the grid's 8", res.Ghost)
+	}
+	assertLinesEqual(t, want.Lines, res.Lines, "huge v_z")
+}
+
 // TestAdvectDecodersRejectMalformed: the two decoders of messages that
 // crossed the fabric — the root's decodeTrails and a rank's migration
 // ingest — answer every malformed message with an error naming the

@@ -260,16 +260,18 @@ var fieldRangeCallers = []struct {
 		finiteFrame(t, g, "Ray Tracing", ex)
 	}},
 	{"particle advection", func(t *testing.T, g *mesh.UniformGrid, ex *viz.Exec) {
-		// The velocity is (e, 1/2, 1/4) of the field's energy e: a sample
+		// The velocity is (e, 1/2, e/4) of the field's energy e: a sample
 		// at an infinite corner with weight 0 is Inf·0 = NaN, and a NaN
-		// position must leave the domain rather than index a cell.
+		// position must leave the domain rather than index a cell. The
+		// ghost halo dist.Advect cuts is sized by the largest finite
+		// |v_z| and never wider than the grid's cell layers.
 		vg, err := mesh.NewCubeGrid(8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		vel := vg.AddPointVector("velocity")
 		for id, e := range g.PointField("energy") {
-			vel[id] = mesh.Vec3{e, 0.5, 0.25}
+			vel[id] = mesh.Vec3{e, 0.5, e / 4}
 		}
 		for _, adaptive := range []bool{false, true} {
 			f := advect.New(advect.Options{NumParticles: 64, NumSteps: 100, Adaptive: adaptive})
@@ -288,6 +290,9 @@ var fieldRangeCallers = []struct {
 			}
 			if !linesBitEqual(res.Lines, d.Lines) {
 				t.Errorf("adaptive %v: 2 ranks gave %d points, one rank %d, or different bits", adaptive, len(d.Lines.Points), len(res.Lines.Points))
+			}
+			if layers := vg.CellDims()[2]; d.Ghost < 2 || d.Ghost > layers {
+				t.Errorf("adaptive %v: ghost halo %d layers, want 2 to %d", adaptive, d.Ghost, layers)
 			}
 		}
 	}},
