@@ -69,8 +69,12 @@ func canonicalFace(n int, a, b, c, d int32) faceKey {
 
 // ExternalFaces extracts the boundary surface of an unstructured mesh: all
 // faces that belong to exactly one cell, triangulated (quads split along
-// the 0-2 diagonal), in cell order. The output references a compacted copy
-// of the points actually used by the surface, carrying their scalars.
+// the 0-2 diagonal), in cell order. A quad that two triangles of other
+// cells tile, split along either diagonal, is shared with them: all three
+// are interior (a hex beside the tetrahedra of a clipped neighbour). Quads
+// claim their tiles in cell order, each triangle once. The output
+// references a compacted copy of the points actually used by the surface,
+// carrying their scalars.
 //
 // This is the "gather triangles and find external faces" stage the paper
 // identifies as the data-intensive part of its ray-tracing workload.
@@ -113,21 +117,25 @@ func ExternalFaces(m *UnstructuredMesh) *TriMesh {
 	external := make([]bool, len(member))
 	nTris := 0
 	var keys []faceKey
+	var shared []bool
 	lo := int32(0)
 	for p := range m.Points {
 		hi := group[p]
-		keys = keys[:0]
+		keys, shared = keys[:0], shared[:0]
 		for _, mb := range member[lo:hi] {
 			t, conn := m.Cell(int(mb >> 3))
 			f := cellFaces(t)[mb&7]
 			keys = append(keys, canonicalFace(f.n, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], conn[f.v[3]]))
+			shared = append(shared, false)
 		}
-	next:
 		for i, key := range keys {
-			for j, other := range keys {
-				if j != i && other == key {
-					continue next
+			for j := i + 1; j < len(keys); j++ {
+				if keys[j] == key {
+					shared[i], shared[j] = true, true
 				}
+			}
+			if shared[i] {
+				continue
 			}
 			mb := member[lo+int32(i)]
 			c := mb >> 3
@@ -136,8 +144,45 @@ func ExternalFaces(m *UnstructuredMesh) *TriMesh {
 		}
 		lo = hi
 	}
+	// Pass 4: in cell order, an external quad and the two external
+	// triangles tiling it along one of its diagonals cancel. A triangle
+	// is looked up among the faces filed under its smallest point.
+	findTri := func(a, b, c int32) int32 {
+		key := canonicalFace(3, a, b, c, 0)
+		lo := int32(0)
+		if key[0] > 0 {
+			lo = group[key[0]-1]
+		}
+		for _, mb := range member[lo:group[key[0]]] {
+			t, conn := m.Cell(int(mb >> 3))
+			f := cellFaces(t)[mb&7]
+			id := faceStart[mb>>3] + int32(mb&7)
+			if f.n == 3 && external[id] && canonicalFace(3, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], 0) == key {
+				return id
+			}
+		}
+		return -1
+	}
+	for c := 0; c < nCells; c++ {
+		t, conn := m.Cell(c)
+		for k, f := range cellFaces(t) {
+			if f.n != 4 || !external[faceStart[c]+int32(k)] {
+				continue
+			}
+			v := [4]int32{conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], conn[f.v[3]]}
+			for d := 0; d < 2; d++ {
+				t1 := findTri(v[d], v[d+1], v[d+2])
+				t2 := findTri(v[d], v[d+2], v[(d+3)%4])
+				if t1 >= 0 && t2 >= 0 && t1 != t2 {
+					external[faceStart[c]+int32(k)], external[t1], external[t2] = false, false, false
+					nTris -= 4
+					break
+				}
+			}
+		}
+	}
 
-	// Pass 4 walks the cells again, so the output order is theirs; a point
+	// Pass 5 walks the cells again, so the output order is theirs; a point
 	// is numbered on first use and copied once all are known.
 	out := &TriMesh{}
 	if nTris == 0 {

@@ -14,9 +14,12 @@ import (
 	"repro/internal/viz/threshold"
 )
 
-// The map-based ExternalFaces that faces.go replaced, kept verbatim as the
-// output oracle: only the names changed, the mesh package qualified, and
-// the face types copied so the oracle shares nothing with its subject.
+// The map-based ExternalFaces that faces.go replaced, kept as the output
+// oracle: the names changed, the mesh package qualified, the face types
+// copied so the oracle shares nothing with its subject, and one rule
+// added since: a quad occurring once that two triangles occurring once
+// tile along one of its diagonals is interior, and so are they (quads in
+// cell order, the 0-2 diagonal first, each triangle claimed once).
 
 // faceDef lists the corner indices (into a cell's connectivity) of one face.
 // Quads have n=4, triangles n=3.
@@ -104,6 +107,8 @@ func externalFacesRef(m *mesh.UnstructuredMesh) *mesh.TriMesh {
 		}
 	}
 
+	tiled := quadTiles(m, func(k faceKey) bool { return count[k] == 1 })
+
 	out := &mesh.TriMesh{}
 	remap := make(map[int32]int32)
 	mapPt := func(id int32) int32 {
@@ -126,7 +131,7 @@ func externalFacesRef(m *mesh.UnstructuredMesh) *mesh.TriMesh {
 				v[i] = conn[f.v[i]]
 			}
 			key := canonicalFaceRef(f.n, v[0], v[1], v[2], v[3])
-			if count[key] != 1 || emitted[key] {
+			if count[key] != 1 || emitted[key] || tiled[key] {
 				continue
 			}
 			emitted[key] = true
@@ -141,10 +146,44 @@ func externalFacesRef(m *mesh.UnstructuredMesh) *mesh.TriMesh {
 	return out
 }
 
+// quadTiles walks the quad faces in cell order and returns the keys of
+// every quad that two triangles tile along one of its diagonals (0-2
+// first), with those triangles' keys: once reports the faces that may
+// take part, and a triangle tiles at most one quad.
+func quadTiles(m *mesh.UnstructuredMesh, once func(faceKey) bool) map[faceKey]bool {
+	tiled := map[faceKey]bool{}
+	for c := 0; c < m.NumCells(); c++ {
+		t, conn := m.Cell(c)
+		for _, f := range cellFacesRef(t) {
+			if f.n != 4 {
+				continue
+			}
+			var v [4]int32
+			for i := range v {
+				v[i] = conn[f.v[i]]
+			}
+			quad := canonicalFaceRef(4, v[0], v[1], v[2], v[3])
+			if !once(quad) {
+				continue
+			}
+			for d := 0; d < 2; d++ {
+				t1 := canonicalFaceRef(3, v[d], v[d+1], v[d+2], 0)
+				t2 := canonicalFaceRef(3, v[d], v[d+2], v[(d+3)%4], 0)
+				if t1 != t2 && once(t1) && once(t2) && !tiled[t1] && !tiled[t2] {
+					tiled[quad], tiled[t1], tiled[t2] = true, true, true
+					break
+				}
+			}
+		}
+	}
+	return tiled
+}
+
 // requireFacesMatchOracle compares ExternalFaces with the oracle on m and
 // checks, without either, that the surface is exactly the faces occurring
-// once in m: every emitted triangle lies in such a face, and the triangle
-// count is theirs (one per triangle, two per quad).
+// once in m but the quads that such triangles tile and those triangles:
+// every emitted triangle lies in such a face, and the triangle count is
+// theirs (one per triangle, two per quad).
 func requireFacesMatchOracle(t *testing.T, m *mesh.UnstructuredMesh) *mesh.TriMesh {
 	t.Helper()
 	got := mesh.ExternalFaces(m)
@@ -160,10 +199,11 @@ func requireFacesMatchOracle(t *testing.T, m *mesh.UnstructuredMesh) *mesh.TriMe
 			count[canonicalFaceRef(f.n, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], conn[f.v[3]])]++
 		}
 	}
+	tiled := quadTiles(m, func(k faceKey) bool { return count[k] == 1 })
 	onSurface := map[faceKey]bool{} // every triangle drawn from a face seen once
 	wantTris := 0
 	for key, n := range count {
-		if n != 1 {
+		if n != 1 || tiled[key] {
 			continue
 		}
 		if key[3] < 0 {
@@ -260,6 +300,36 @@ func TestExternalFacesMixedCells(t *testing.T) {
 	// 24 faces, 5 shared pairs: 6 quads and 8 triangles remain.
 	if surf.NumTris() != 20 {
 		t.Errorf("%d triangles, want 20", surf.NumTris())
+	}
+	if err := surf.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestExternalFacesQuadTiledByTriangles puts two tets on each of a hex's
+// top and bottom quads, split along the 0-2 diagonal above and the 1-3
+// diagonal below: each quad and the two triangles tiling it are
+// interior, as is the face the two tets share.
+func TestExternalFacesQuadTiledByTriangles(t *testing.T) {
+	m := mesh.NewUnstructuredMesh()
+	for i, p := range []mesh.Vec3{
+		{0, 0, 0}, {1, 0, 0}, {1, 1, 0}, {0, 1, 0}, {0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1},
+		{0.5, 0.5, 2}, {0.5, 0.5, -1},
+	} {
+		m.AddPoint(p, float64(i))
+	}
+	m.AddCell(mesh.Hex, 0, 1, 2, 3, 4, 5, 6, 7)
+	m.AddCell(mesh.Tet, 4, 5, 6, 8) // the top quad 4-5-6-7 split along 4-6
+	m.AddCell(mesh.Tet, 4, 6, 7, 8)
+	m.AddCell(mesh.Tet, 0, 1, 3, 9) // the bottom quad 0-3-2-1 split along 1-3
+	m.AddCell(mesh.Tet, 1, 2, 3, 9)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	surf := requireFacesMatchOracle(t, m)
+	// The hex's four sides, two triangles each, and two outer faces per tet.
+	if surf.NumTris() != 16 {
+		t.Errorf("%d triangles, want 16", surf.NumTris())
 	}
 	if err := surf.Validate(); err != nil {
 		t.Error(err)
