@@ -32,9 +32,11 @@
 #                  `go test -bench`: the few root arms no ledger row can
 #                  hold, e.g. make bench-go BENCH=Ablation;
 #                  make bench-go BENCH=CellCold is the cold, one-shot cost
-#                  of clip, isovolume, contour and threshold at 64^3 and
-#                  128^3 and advection at 64^3 (fresh pool per iteration,
-#                  -benchmem, live-MB left behind; clip-128 ~0.11 GB/run);
+#                  of clip, isovolume, contour, threshold and slice at 64^3
+#                  and 128^3, and of advection and the two image filters
+#                  (volren-64, raytrace-64: 50 images at 128x128) at 64^3
+#                  (fresh pool per iteration, -benchmem, live-MB left
+#                  behind; clip-128 ~0.11 GB/run);
 #                  make bench-go BENCH=HydroDataset is what a data set
 #                  costs before any kernel: BuildDataset at 64^3 to
 #                  SimTime 0.05 and 0.12 (hydro run + Grid export),

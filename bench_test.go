@@ -105,8 +105,9 @@ func BenchmarkHydroDataset(b *testing.B) {
 // fresh pool, runs the filter and closes the pool, so everything the run
 // allocates is inside the timing and -benchmem counts it. live-MB is the
 // heap still reachable after the loop and a collection — the data set
-// plus whatever the runs left behind. Every count → scan → fill emitter
-// and the step-budget trails have a row; the 128 arms are the paper-scale
+// plus whatever the runs left behind. Every count → scan → fill emitter,
+// the step-budget trails and the two image filters (the paper's orbit of
+// 50 images at 128x128) have a row; the 128 arms are the paper-scale
 // witness on a box that cannot run the 256^3 study (clip-128 allocates
 // about 113 MB a run beside the ~120 MB data set, 399 MB when it welded
 // by position). (The ledger stops at 64^3, warm.)
@@ -121,6 +122,8 @@ func BenchmarkCellCold(b *testing.B) {
 		{"threshold", "Threshold", []int{64, 128}},
 		{"slice", "Slice", []int{64, 128}},
 		{"advect", "Particle Advection", []int{64}},
+		{"volren", "Volume Rendering", []int{64}},
+		{"raytrace", "Ray Tracing", []int{64}},
 	} {
 		for _, n := range alg.sizes {
 			b.Run(fmt.Sprintf("%s-%d", alg.key, n), func(b *testing.B) {
