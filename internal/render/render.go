@@ -42,7 +42,7 @@ func NewImage(w, h int) *Image {
 }
 
 // Reset restores the image to its freshly-allocated state — transparent
-// black with an infinite depth buffer — so render loops can reuse one
+// black with an infinite depth buffer — so render loops can reuse a
 // framebuffer across the 50-image orbit instead of allocating per frame.
 func (im *Image) Reset() {
 	clear(im.Pix)
