@@ -72,8 +72,10 @@ func canonicalFace(n int, a, b, c, d int32) faceKey {
 // the 0-2 diagonal), in cell order. A quad that two triangles of other
 // cells tile, split along either diagonal, is shared with them: all three
 // are interior (a hex beside the tetrahedra of a clipped neighbour). Quads
-// claim their tiles in cell order, each triangle once. The output
-// references a compacted copy of the points actually used by the surface,
+// claim their tiles in cell order, each triangle once. So are two
+// triangle pairs that tile one lattice quad along its two diagonals (the
+// tetrahedra of two clipped neighbours), claimed after the quads. The
+// output references a compacted copy of the points actually used by the surface,
 // carrying their scalars.
 //
 // This is the "gather triangles and find external faces" stage the paper
@@ -181,8 +183,54 @@ func ExternalFaces(m *UnstructuredMesh) *TriMesh {
 			}
 		}
 	}
+	// Pass 5: two external triangles tiling a lattice quad along one
+	// diagonal and two tiling it along the other are the four faces of a
+	// flat tetrahedron on the quad's corners. Three of them hold its
+	// smallest point p, so they are filed under p; the fourth is looked
+	// up. Points p ascending, each group in cell order, each triangle once.
+	var tris []int32 // the group's external triangles, as face ids
+	var tkeys []faceKey
+	lo = 0
+	for p := range m.Points {
+		hi := group[p]
+		tris, tkeys = tris[:0], tkeys[:0]
+		for _, mb := range member[lo:hi] {
+			id := faceStart[mb>>3] + int32(mb&7)
+			if !external[id] {
+				continue
+			}
+			t, conn := m.Cell(int(mb >> 3))
+			if f := cellFaces(t)[mb&7]; f.n == 3 {
+				tris = append(tris, id)
+				tkeys = append(tkeys, canonicalFace(3, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], 0))
+			}
+		}
+		lo = hi
+		for i := range tris {
+			for j := i + 1; j < len(tris) && external[tris[i]]; j++ {
+				// tris[i] = {p, x, y} and tris[j] = {p, x, z} need {p, y, z}.
+				x, y, z, ok := sharedEdge(tkeys[i], tkeys[j])
+				if !ok || !external[tris[j]] {
+					continue
+				}
+				third := canonicalFace(3, int32(p), y, z, 0)
+				for k := j + 1; k < len(tris); k++ {
+					if tkeys[k] != third {
+						continue
+					}
+					if external[tris[k]] && onAxisPlane(m.Points, int32(p), x, y, z) {
+						if t4 := findTri(x, y, z); t4 >= 0 {
+							external[tris[i]], external[tris[j]], external[tris[k]], external[t4] = false, false, false, false
+							nTris -= 4
+						}
+					}
+					break
+				}
+			}
+		}
+	}
 
-	// Pass 5 walks the cells again, so the output order is theirs; a point
+	// Pass 6 walks the cells again, so the output order is theirs; a point
 	// is numbered on first use and copied once all are known.
 	out := &TriMesh{}
 	if nTris == 0 {
@@ -221,6 +269,36 @@ func ExternalFaces(m *UnstructuredMesh) *TriMesh {
 		}
 	}
 	return out
+}
+
+// sharedEdge reports whether two triangles filed under one point, a =
+// {p, x, y} and b = {p, x, z}, share exactly the edge p-x, and returns
+// x, y and z.
+func sharedEdge(a, b faceKey) (x, y, z int32, ok bool) {
+	switch {
+	case a[1] == b[1]:
+		x, y, z = a[1], a[2], b[2]
+	case a[1] == b[2]:
+		x, y, z = a[1], a[2], b[1]
+	case a[2] == b[1]:
+		x, y, z = a[2], a[1], b[2]
+	case a[2] == b[2]:
+		x, y, z = a[2], a[1], b[1]
+	default:
+		return 0, 0, 0, false
+	}
+	return x, y, z, y != z
+}
+
+// onAxisPlane reports whether four points share one coordinate exactly,
+// as the corners of a lattice quad do.
+func onAxisPlane(pts []Vec3, a, b, c, d int32) bool {
+	for ax := 0; ax < 3; ax++ {
+		if v := pts[a][ax]; pts[b][ax] == v && pts[c][ax] == v && pts[d][ax] == v {
+			return true
+		}
+	}
+	return false
 }
 
 // faceMin returns the smallest point id of face f of a cell with

@@ -19,7 +19,9 @@ import (
 // copied so the oracle shares nothing with its subject, and one rule
 // added since: a quad occurring once that two triangles occurring once
 // tile along one of its diagonals is interior, and so are they (quads in
-// cell order, the 0-2 diagonal first, each triangle claimed once).
+// cell order, the 0-2 diagonal first, each triangle claimed once), and so
+// are two pairs of such triangles that tile one lattice quad along its
+// two diagonals.
 
 // faceDef lists the corner indices (into a cell's connectivity) of one face.
 // Quads have n=4, triangles n=3.
@@ -148,8 +150,10 @@ func externalFacesRef(m *mesh.UnstructuredMesh) *mesh.TriMesh {
 
 // quadTiles walks the quad faces in cell order and returns the keys of
 // every quad that two triangles tile along one of its diagonals (0-2
-// first), with those triangles' keys: once reports the faces that may
-// take part, and a triangle tiles at most one quad.
+// first), with those triangles' keys; then the keys of every two
+// triangle pairs that tile one lattice quad along its two diagonals:
+// once reports the faces that may take part, and a triangle tiles at
+// most one quad.
 func quadTiles(m *mesh.UnstructuredMesh, once func(faceKey) bool) map[faceKey]bool {
 	tiled := map[faceKey]bool{}
 	for c := 0; c < m.NumCells(); c++ {
@@ -176,7 +180,68 @@ func quadTiles(m *mesh.UnstructuredMesh, once func(faceKey) bool) map[faceKey]bo
 			}
 		}
 	}
+	// The four triangles on four coplanar points are the faces of a flat
+	// tetrahedron. Three hold its smallest point: take the triangles by
+	// smallest point, ascending, each point's in cell order, and try
+	// every three of them on four points in all.
+	byMin := map[int32][]faceKey{}
+	for c := 0; c < m.NumCells(); c++ {
+		t, conn := m.Cell(c)
+		for _, f := range cellFacesRef(t) {
+			if key := canonicalFaceRef(f.n, conn[f.v[0]], conn[f.v[1]], conn[f.v[2]], conn[f.v[3]]); f.n == 3 && once(key) && !tiled[key] {
+				byMin[key[0]] = append(byMin[key[0]], key)
+			}
+		}
+	}
+	var mins []int32
+	for p := range byMin {
+		mins = append(mins, p)
+	}
+	sort.Slice(mins, func(i, j int) bool { return mins[i] < mins[j] })
+	for _, p := range mins {
+		ts := byMin[p]
+		for i := range ts {
+			for j := i + 1; j < len(ts); j++ {
+				for k := j + 1; k < len(ts); k++ {
+					pts := map[int32]bool{}
+					for _, key := range []faceKey{ts[i], ts[j], ts[k]} {
+						for _, v := range key[:3] {
+							pts[v] = true
+						}
+					}
+					if len(pts) != 4 || tiled[ts[i]] || tiled[ts[j]] || tiled[ts[k]] {
+						continue
+					}
+					var rest []int32
+					for v := range pts {
+						if v != p {
+							rest = append(rest, v)
+						}
+					}
+					fourth := canonicalFaceRef(3, rest[0], rest[1], rest[2], 0)
+					if once(fourth) && !tiled[fourth] && coplanarOnAxis(m, p, rest) {
+						tiled[ts[i]], tiled[ts[j]], tiled[ts[k]], tiled[fourth] = true, true, true, true
+					}
+				}
+			}
+		}
+	}
 	return tiled
+}
+
+// coplanarOnAxis reports whether p and rest lie in one plane x, y or z =
+// const: the lattice quads the tetrahedra of a clipped hex share.
+func coplanarOnAxis(m *mesh.UnstructuredMesh, p int32, rest []int32) bool {
+	for ax := 0; ax < 3; ax++ {
+		same := true
+		for _, v := range rest {
+			same = same && m.Points[v][ax] == m.Points[p][ax]
+		}
+		if same {
+			return true
+		}
+	}
+	return false
 }
 
 // requireFacesMatchOracle compares ExternalFaces with the oracle on m and
@@ -330,6 +395,35 @@ func TestExternalFacesQuadTiledByTriangles(t *testing.T) {
 	// The hex's four sides, two triangles each, and two outer faces per tet.
 	if surf.NumTris() != 16 {
 		t.Errorf("%d triangles, want 16", surf.NumTris())
+	}
+	if err := surf.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestExternalFacesTrianglePairsTileOneQuad puts two tets above a quad,
+// split along its 0-2 diagonal, and two below it, split along 1-3: the
+// four triangles on the quad are interior, as is the face each pair
+// shares. A single tet's four faces are not on one plane and stay
+// (TestExternalFacesSingleTet).
+func TestExternalFacesTrianglePairsTileOneQuad(t *testing.T) {
+	m := mesh.NewUnstructuredMesh()
+	for i, p := range []mesh.Vec3{
+		{0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {0, 1, 1}, {0.5, 0.5, 2}, {0.5, 0.5, 0},
+	} {
+		m.AddPoint(p, float64(i))
+	}
+	m.AddCell(mesh.Tet, 0, 1, 2, 4) // above, along 0-2
+	m.AddCell(mesh.Tet, 0, 2, 3, 4)
+	m.AddCell(mesh.Tet, 0, 1, 3, 5) // below, along 1-3
+	m.AddCell(mesh.Tet, 1, 2, 3, 5)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	surf := requireFacesMatchOracle(t, m)
+	// 16 faces; the two shared faces and the four on the quad go.
+	if surf.NumTris() != 8 {
+		t.Errorf("%d triangles, want 8", surf.NumTris())
 	}
 	if err := surf.Validate(); err != nil {
 		t.Error(err)
