@@ -1,6 +1,7 @@
 package render
 
 import (
+	"image"
 	"math"
 
 	"repro/internal/mesh"
@@ -82,4 +83,47 @@ func (f *Frame) Project(p mesh.Vec3) (sx, sy, depth float64, ok bool) {
 	sx = (x + 1) * f.halfW
 	sy = (1 - y) * f.halfH
 	return sx, sy, z, true
+}
+
+// Footprint returns the pixels of the image whose rays can meet b: the
+// bounding rectangle of b's eight corners as Project places them, padded
+// by one pixel and clipped to the image. Every ray of a pixel outside it
+// fails mesh.RaySlab against b over [0, +Inf), so a renderer may leave
+// those pixels at their miss value without tracing them.
+//
+// When every corner is in front of the eye plane, so is the whole box,
+// and its projection is the convex hull of the corners' projections. A
+// ray meeting the box meets it at a point that projects to the ray's own
+// pixel center, so that center lies in the hull; the pad covers the
+// rounding of Ray, Project and RaySlab, which is far below a pixel. When
+// a corner is not in front of the eye plane — as happens whenever the eye
+// is inside b — or b is not finite, the footprint is the whole image.
+func (f *Frame) Footprint(b *mesh.Bounds) image.Rectangle {
+	whole := image.Rect(0, 0, f.W, f.H)
+	x0, y0 := math.Inf(1), math.Inf(1)
+	x1, y1 := math.Inf(-1), math.Inf(-1)
+	for c := 0; c < 8; c++ {
+		p := b.Lo
+		for ax := 0; ax < 3; ax++ {
+			if c&(1<<ax) != 0 {
+				p[ax] = b.Hi[ax]
+			}
+			if math.IsInf(p[ax], 0) || math.IsNaN(p[ax]) {
+				return whole
+			}
+		}
+		sx, sy, _, ok := f.Project(p)
+		if !ok {
+			return whole
+		}
+		x0, x1 = min(x0, sx), max(x1, sx)
+		y0, y1 = min(y0, sy), max(y1, sy)
+	}
+	lo := func(v float64, n int) int { return int(math.Max(0, math.Min(float64(n), math.Floor(v)-1))) }
+	hi := func(v float64, n int) int { return int(math.Max(0, math.Min(float64(n), math.Floor(v)+2))) }
+	r := image.Rectangle{Min: image.Pt(lo(x0, f.W), lo(y0, f.H)), Max: image.Pt(hi(x1, f.W), hi(y1, f.H))}
+	if r.Empty() {
+		return image.Rectangle{}
+	}
+	return r
 }

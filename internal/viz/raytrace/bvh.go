@@ -366,6 +366,15 @@ func (bd *bvhBuilder) even(lo, hi int, axis uint8) (int, uint8, extent, extent) 
 // NumNodes returns the node count (for size accounting).
 func (b *BVH) NumNodes() int { return len(b.nodes) }
 
+// Root returns the root node's box, the bounds of every triangle; ok is
+// false for the empty hierarchy (nil), which no ray enters.
+func (b *BVH) Root() (box mesh.Bounds, ok bool) {
+	if b == nil || len(b.nodes) == 0 {
+		return mesh.Bounds{}, false
+	}
+	return b.nodes[0].bounds, true
+}
+
 // TraverseStats counts the work rays performed, feeding the frame's
 // price (frameCost).
 type TraverseStats struct {

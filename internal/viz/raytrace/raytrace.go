@@ -9,6 +9,7 @@ package raytrace
 
 import (
 	"fmt"
+	"image"
 	"math"
 	"sync/atomic"
 
@@ -86,8 +87,8 @@ func GatherScene(g *mesh.UniformGrid, field string, ex *viz.Exec) (*Scene, error
 var Background = render.Color{0.08, 0.08, 0.10, 1}
 
 // RenderInto traces one image from cam into a caller-provided framebuffer
-// (reset here), allocating one only when im is nil or the wrong size, and
-// charges the frame to ex. The orbit reuses one image per worker across
+// (reset here, to Background with infinite depth), allocating one only
+// when im is nil or the wrong size, and charges the frame to ex. The orbit reuses one image per worker across
 // its 50 frames (viz.RenderOrbit).
 func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	if im == nil || im.W != w || im.H != h {
@@ -95,21 +96,31 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 	} else {
 		im.Reset()
 	}
+	im.Fill(Background)
 	light := cam.Eye.Sub(cam.Look).Normalize()
 	// One camera frame for the whole image; per-pixel ray setup is then
 	// a handful of multiply-adds.
 	fr := cam.Frame(w, h)
-
+	// Only the pixels of the root box's footprint are traced. Each ray
+	// outside it would have visited the root and missed it: that visit
+	// is still charged, so the frame is priced as if traced whole.
+	var fp image.Rectangle
 	var nodes, tests, hits atomic.Uint64
-	ex.Pool.For(w*h, 0, func(lo, hi, _ int) {
+	if root, ok := s.BVH.Root(); ok {
+		fp = fr.Footprint(&root)
+		nodes.Store(uint64(w*h - fp.Dx()*fp.Dy()))
+	}
+	fw := fp.Dx()
+
+	ex.Pool.For(fw*fp.Dy(), 0, func(lo, hi, _ int) {
 		var stats TraverseStats
 		var lit uint64
-		for pix := lo; pix < hi; pix++ {
-			px, py := pix%w, pix/w
+		for k := lo; k < hi; k++ {
+			px, py := fp.Min.X+k%fw, fp.Min.Y+k/fw
+			pix := py*w + px
 			dx, dy, dz := fr.Ray(px, py)
 			hit, ok := s.BVH.Intersect(s.Tris, fr.Eye, mesh.Vec3{dx, dy, dz}, &stats)
 			if !ok {
-				im.Pix[pix] = Background
 				continue
 			}
 			lit++

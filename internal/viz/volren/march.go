@@ -106,11 +106,16 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 	transparent, oscale := tf.Transparent, tf.OpacityScale
 	first, last := nodes[0], nodes[len(nodes)-1]
 
+	// Rays outside the footprint miss b and keep Reset's zero.
+	fp := fr.Footprint(&b)
+	fw := fp.Dx()
+
 	var nSamples, nSkipped, nBricks, nSkippedBricks atomic.Uint64
-	ex.Pool.For(w*h, 0, func(lo, hi, _ int) {
+	ex.Pool.For(fw*fp.Dy(), 0, func(lo, hi, _ int) {
 		var samples, skipped, bricks, skippedBricks uint64
-		for pix := lo; pix < hi; pix++ {
-			px, py := pix%w, pix/w
+		for k := lo; k < hi; k++ {
+			px, py := fp.Min.X+k%fw, fp.Min.Y+k/fw
+			pix := py*w + px
 			dx, dy, dz := fr.Ray(px, py)
 			t0, t1, ok := mesh.RaySlab(eyeX, eyeY, eyeZ, mesh.SafeRecip(dx), mesh.SafeRecip(dy), mesh.SafeRecip(dz), &b, 0, math.Inf(1))
 			if !ok {
