@@ -91,3 +91,10 @@ func (l *TFLUT) Eval(v float64) (Color, float64) {
 	}
 	return l.Map.Eval(t), alpha
 }
+
+// Len returns the number of values held.
+func (l *FreeList[T]) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
+}

@@ -102,7 +102,9 @@ func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track obs.
 	renderStart := s.tr.Begin()
 	var segmentJ float64
 	for i := from; i < from+count; i++ {
-		im, az, frameJ := s.renderFrame(e, rr, i)
+		// Each frame gets its own image: the database encodes it later,
+		// on its queue.
+		im, az, frameJ := s.renderFrame(e, rr, i, nil)
 		segmentJ += frameJ
 		encodeStart := s.tr.Begin()
 		if err := cdb.db.AddAt(cycle, i, az, im); err != nil {

@@ -86,6 +86,21 @@ type Server struct {
 	govMu        sync.Mutex
 	govDecisions []obs.Decision
 	govDropped   int64
+
+	// frames holds /render's per-request buffers between requests.
+	frames render.FreeList[*servedFrame]
+}
+
+// framesKept bounds the /render buffers kept between requests: enough for
+// the requests that overlap in practice (a viewer or two scrubbing an
+// orbit), at about 0.7 MB each for a 128² frame.
+const framesKept = 2
+
+// servedFrame is one /render request's scratch: the framebuffer the frame
+// renders into and the buffer its PNG is encoded into.
+type servedFrame struct {
+	im  *render.Image
+	png bytes.Buffer
 }
 
 // New builds a Server over opts.
@@ -107,9 +122,10 @@ func New(opts Options) *Server {
 			FloorWatts:  study.Processor().MinCapWatts,
 			QueueDepth:  opts.QueueDepth,
 		}),
-		tr:   opts.Config.Tracer,
-		t0:   time.Now(),
-		cine: make(map[string]*cinemaDB),
+		tr:     opts.Config.Tracer,
+		t0:     time.Now(),
+		cine:   make(map[string]*cinemaDB),
+		frames: render.FreeList[*servedFrame]{Keep: framesKept},
 	}
 	s.lanes = make(chan int, Lanes)
 	for l := 0; l < Lanes; l++ {
@@ -337,14 +353,15 @@ func (s *Server) buildFrames(rr *renderRequest) func() (any, error) {
 	}
 }
 
-// renderFrame renders orbit frame i of rr through a cached entry and
-// settles its accounts: the run's modeled demand feeds back into the
-// admission estimate, and its modeled energy at TDP is added to the
-// daemon's counters and returned beside the image and the orbit azimuth.
-func (s *Server) renderFrame(e *frameEntry, rr *renderRequest, i int) (im *render.Image, azimuthRad, joules float64) {
+// renderFrame renders orbit frame i of rr through a cached entry, into im
+// when it has the frame's size (nil allocates), and settles its accounts:
+// the run's modeled demand feeds back into the admission estimate, and
+// its modeled energy at TDP is added to the daemon's counters and
+// returned beside the image and the orbit azimuth.
+func (s *Server) renderFrame(e *frameEntry, rr *renderRequest, i int, im *render.Image) (_ *render.Image, azimuthRad, joules float64) {
 	cam, az := render.OrbitView(e.bounds, i, rr.images)
 	ex := viz.NewExec(s.pool)
-	im = e.frame(nil, cam, rr.w, rr.h, ex)
+	im = e.frame(im, cam, rr.w, rr.h, ex)
 	exec := cpu.Analyze(s.spec, ex.Drain(), 0)
 	s.noteDemand(rr.name, rr.size, exec)
 	joules = exec.UnderCap(s.spec.TDPWatts).EnergyJ
@@ -480,13 +497,19 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track obs.
 	}
 	defer g.Release()
 
+	sf := s.frames.Get()
+	if sf == nil {
+		sf = &servedFrame{}
+	}
 	renderStart := s.tr.Begin()
-	im, _, frameJ := s.renderFrame(v.(*frameEntry), rr, rr.frame)
+	var frameJ float64
+	sf.im, _, frameJ = s.renderFrame(v.(*frameEntry), rr, rr.frame, sf.im)
 	s.tr.End(track, "serve.render", renderStart)
 
 	encodeStart := s.tr.Begin()
-	var buf bytes.Buffer
-	if err := im.WritePNG(&buf); err != nil {
+	buf := &sf.png
+	buf.Reset()
+	if err := sf.im.WritePNG(buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -500,6 +523,11 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track obs.
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	_, _ = w.Write(buf.Bytes())
+	// Write has copied the body out. A frame larger than the daemon's
+	// default is not kept, so idle buffers stay small.
+	if cfg := s.opts.Config; sf.im.W*sf.im.H <= cfg.ImageSize*cfg.ImageSize {
+		s.frames.Put(sf)
+	}
 }
 
 // sweepResponse is the JSON body of /sweep: one (algorithm, size) cell

@@ -101,14 +101,15 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 	// One camera frame for the whole image; per-pixel ray setup is then
 	// a handful of multiply-adds.
 	fr := cam.Frame(w, h)
+	// The frame's counts, one allocation for the loop body to capture.
+	var n struct{ nodes, tests, hits atomic.Uint64 }
 	// Only the pixels of the root box's footprint are traced. Each ray
 	// outside it would have visited the root and missed it: that visit
 	// is still charged, so the frame is priced as if traced whole.
 	var fp image.Rectangle
-	var nodes, tests, hits atomic.Uint64
 	if root, ok := s.BVH.Root(); ok {
 		fp = fr.Footprint(&root)
-		nodes.Store(uint64(w*h - fp.Dx()*fp.Dy()))
+		n.nodes.Store(uint64(w*h - fp.Dx()*fp.Dy()))
 	}
 	fw := fp.Dx()
 
@@ -138,11 +139,11 @@ func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *vi
 			c[3] = 1
 			im.Pix[pix] = c
 		}
-		nodes.Add(uint64(stats.NodesVisited))
-		tests.Add(uint64(stats.TriTests))
-		hits.Add(lit)
+		n.nodes.Add(uint64(stats.NodesVisited))
+		n.tests.Add(uint64(stats.TriTests))
+		n.hits.Add(lit)
 	})
-	ex.Charge(frameCost(uint64(w*h), nodes.Load(), tests.Load(), hits.Load()))
+	ex.Charge(frameCost(uint64(w*h), n.nodes.Load(), n.tests.Load(), n.hits.Load()))
 	return im
 }
 

@@ -110,7 +110,8 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 	fp := fr.Footprint(&b)
 	fw := fp.Dx()
 
-	var nSamples, nSkipped, nBricks, nSkippedBricks atomic.Uint64
+	// The frame's counts, one allocation for the loop body to capture.
+	var n struct{ samples, skipped, bricks, skippedBricks atomic.Uint64 }
 	ex.Pool.For(fw*fp.Dy(), 0, func(lo, hi, _ int) {
 		var samples, skipped, bricks, skippedBricks uint64
 		for k := lo; k < hi; k++ {
@@ -295,12 +296,12 @@ func (r *Renderer) RenderSegmentsInto(im *render.Image, cam render.Camera, w, h 
 			}
 			im.Pix[pix] = render.Color{cr, cg, cb, alpha}
 		}
-		nSamples.Add(samples)
-		nSkipped.Add(skipped)
-		nBricks.Add(bricks)
-		nSkippedBricks.Add(skippedBricks)
+		n.samples.Add(samples)
+		n.skipped.Add(skipped)
+		n.bricks.Add(bricks)
+		n.skippedBricks.Add(skippedBricks)
 	})
-	ex.Charge(frameCost(uint64(w*h), nSamples.Load(), nSkipped.Load(), nBricks.Load(), nSkippedBricks.Load()))
+	ex.Charge(frameCost(uint64(w*h), n.samples.Load(), n.skipped.Load(), n.bricks.Load(), n.skippedBricks.Load()))
 	return im
 }
 
