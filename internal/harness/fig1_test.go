@@ -49,26 +49,26 @@ func TestRenderFig1WritesAllEightImages(t *testing.T) {
 
 // The SHA-256 of each Figure 1 PNG, in Fig1Names order, from tinyConfig's
 // data set at two sizes and resolutions. sha256 is the file as written,
-// recorded when PNGs moved to the png.BestSpeed encoder (parent commit
-// a4f35f1). defaultLevel is the file png.Encode writes at the default
-// compression level for the same pixels, recorded at the parent of the
-// change that renders the panels concurrently (commit 687df6f): each
-// panel decodes and re-encodes to it, so the re-recording changed the
-// encoding and no pixel.
+// recorded when WritePNG became a direct Up-filtered BestSpeed writer (no
+// pixel moved, as defaultLevel shows). defaultLevel is the file png.Encode
+// writes at the default compression level for the same pixels, recorded
+// at the parent of the change that renders the panels concurrently
+// (commit 687df6f): each panel decodes and re-encodes to it, so the
+// re-recordings changed the encoding and no pixel.
 var fig1Recording = []struct {
 	size, res    int
 	sha256       [8]string
 	defaultLevel [8]string
 }{
 	{16, 32, [8]string{
-		"2640711eb3572ed550eb8aa62bdea7e157905671961c6ac314ebb9b5f98719ba",
-		"c44dc4a55771164450bcb06befd73ce51d7223204fb3b9a6b6f92152c53a8a21",
-		"9c5704c9ca8b15c01a3fe0c668ee08550ec344fcb860e4979fa80c4209d6dfdc",
-		"8f95856cc0168df5e789a73798fe8b683a5f5343f956bbe07767d75c5a06ed27",
-		"2e480736166f43edc733cde450af1ed1beee31ed6688395ba2bc28d8f7dbd66b",
-		"9d32e460bce14cff110f1dbfa9179b20d6768dedd490eae6e4f52acb9bccedf7",
-		"1e1409ce6e2dbeca18e1a65eb592bafbd2a2964535a3d9f2466ffdb686594ffa",
-		"6f014e729f1f1f492835cfae3d62b559dc09f4bbb28577e610066f8698153603",
+		"8ffd818c5d6060fa46bdcf6e39f36a2e9c626cd1e2a36091bf71331b2c0fd8ab",
+		"f1cd48c3ef43b381ccc207004e3ba3ac89a497d2ef2ef699919166f4afec1e54",
+		"6493e3b93951f3c596d1a26ed074162024935f208a8b25eb04cec35b6da0f3d4",
+		"44a1437cdac360a6db4fd1ca6454007ac2e95d4f51ed19a91bb2a113b9930bea",
+		"bf99e1890e490d1e28f7d15ae9e129f22a56568942d58b9b865cec50224fac68",
+		"e36cfb1b93776ab54b964cf149d747499ec78e0e18356553bae63a3836198e9c",
+		"723d449822e6e01da973c1f4a4919382f8863bc8bbbd6e0a419750ac75bf77b1",
+		"1f34852454f082f0bd84f5fea8f236c2e561c513058cf1111bec88275c3e6eb2",
 	}, [8]string{
 		"ebcd1af25f673e4d4910e7c346b06797fcf8ed5aa2e48cc5186cfc592a62231c",
 		"009da19ab2e44c4efa5fbb69d1c18a04a8f3e889e82ba9c28c2b8cfafc5488a0",
@@ -80,14 +80,14 @@ var fig1Recording = []struct {
 		"b7fb4119280e59b885454d6c298c9c107bebefc60723a942728f0ede77711c41",
 	}},
 	{32, 128, [8]string{
-		"4c76d7dd3878491d46283e13534e96e69712892934b9e3caff9ef249c4b2c739",
-		"e6077759360706922c71f60058fca0eafe928f568154d04902bf0c7c4090bc46",
-		"9b656ea68490ceb7a765dc043188340493922f5d9c3fdfdd5a50949d0ecdb6d1",
-		"56ce3f62c12be27563eefc04fd0781aa1a22e7f7a878a4d454c2769229088625",
-		"7dfb116c5b4c5da6b270834078ad75b5253c4e13f8b7c027cc71f07e0d001d72",
-		"c74cf1c82f36c0c23e76ed02176830d97f0feb6f87ef93e21eb5f70c003eb075",
-		"0efa0d5bd517b7ee19ddd51da82f9d4238151b360dee33f0d2602ea21b2d9dc9",
-		"75b92311ffb12a94154ab5b34aa8b0f19d3fbb78e17406a4fd36c1fefae040dc",
+		"2eb965cd9d47ec458ad636140d4f9c818f0ac803e6e68c155c7a5dba1cefdbcf",
+		"2bafd7257d10c0898c7848ef38d6c8bb5c13f0cff7235b20c3e30f3b8bca2e00",
+		"fb46e0eeeab4e5264eca265afdf5b6c3e344b4b67c9044463ff79cf6286807ec",
+		"55781a637fca8dbb6835652770914b66bbfbbc73a10271e6d46f788aa530c1d9",
+		"344688f11fabbcc48de93dc0ab568ac85664484e5cc13a4ea8307df554790993",
+		"c00873dea90618d286f21b11848b19129a8fce8fadac77a021da6f756f5a43f4",
+		"1b6f69161a63cb9575a7851e998de54bf97e8b0b505a7c163243abb0e56e729a",
+		"801a89a1ec4317a441140189ebda0c7eec37d7bb08c2e3cdb911cd0ab2b58278",
 	}, [8]string{
 		"29e13642818583ea247b2f05415586ff3dc4bb807d653167c9aee50f20a784a9",
 		"712e660adb31c20b6a514934146a19a34f14157b6980fe9dcfa0f2d71907148e",

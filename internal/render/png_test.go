@@ -7,6 +7,7 @@ import (
 	"image/color"
 	"image/png"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -110,9 +111,10 @@ func TestWritePNGColorType(t *testing.T) {
 	}
 }
 
-// The shared encoder and its buffer free list serve the daemon's handlers
-// and cinema's async encoders at once: concurrent encodes of different
-// images each write exactly the file a serial encode writes.
+// The writer's state free list serves the daemon's handlers and cinema's
+// async encoders at once: concurrent encodes of different images each
+// write exactly the file a serial encode writes, and the list stays
+// within its bound.
 func TestWritePNGConcurrentMatchesSerial(t *testing.T) {
 	var ims []*Image
 	for _, im := range testImages() {
@@ -154,8 +156,25 @@ func TestWritePNGConcurrentMatchesSerial(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if n := len(pngEncoder.BufferPool.(*pngBuffers).free); n > pngBuffersKept {
-		t.Errorf("free list holds %d buffers, bound is %d", n, pngBuffersKept)
+	if n := pngStates.Len(); n > pngStates.Keep {
+		t.Errorf("free list holds %d writer states, bound is %d", n, pngStates.Keep)
+	}
+	// A kept state does not hold on to a large image's file: noise does
+	// not compress, so this one is over 1.7 MB.
+	big := NewImage(768, 768)
+	rng := rand.New(rand.NewSource(1))
+	for p := range big.Pix {
+		big.Pix[p] = Color{rng.Float64(), rng.Float64(), rng.Float64(), 1}
+	}
+	if file := encodePNG(t, big); len(file) <= pngKeptBytes {
+		t.Fatalf("the large image's file is %d bytes, not over %d", len(file), pngKeptBytes)
+	}
+	for n := pngStates.Len(); n > 0; n-- {
+		st := pngStates.Get()
+		if st.out.Cap() > pngKeptBytes {
+			t.Errorf("a kept writer state holds a %d-byte buffer, bound is %d", st.out.Cap(), pngKeptBytes)
+		}
+		defer pngStates.Put(st)
 	}
 }
 

@@ -7,11 +7,7 @@
 package render
 
 import (
-	"image"
-	"image/png"
-	"io"
 	"math"
-	"sync"
 
 	"repro/internal/mesh"
 )
@@ -91,63 +87,6 @@ func to8(v float64) uint8 {
 		return 255
 	}
 	return uint8(v*255 + 0.5)
-}
-
-// WritePNG encodes the image as PNG: each channel quantized by to8 and
-// stored as is (straight alpha), so decoding the file gives back to8 of
-// every channel — and an opaque image, which every rendered frame is, is
-// written as 8-bit RGB. The encoder is the package's one pngEncoder.
-func (im *Image) WritePNG(w io.Writer) error {
-	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	pix := out.Pix
-	for i, c := range im.Pix {
-		p := pix[4*i : 4*i+4 : 4*i+4]
-		p[0], p[1], p[2], p[3] = to8(c[0]), to8(c[1]), to8(c[2]), to8(c[3])
-	}
-	return pngEncoder.Encode(w, out)
-}
-
-// pngEncoder encodes every PNG the program writes — served frames, cinema
-// databases, Figure 1 — at png.BestSpeed: the fastest deflate level, still
-// lossless, for rendered frames 4–17 % larger than the default level's.
-// Its EncoderBuffers (deflate state and row scratch, ~1.2 MB each at this
-// level and nearly all of an encode's allocation) are reused through
-// pngBuffers instead of built per frame.
-var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed, BufferPool: &pngBuffers{}}
-
-// pngBuffersKept bounds the free list: enough for the encodes that
-// overlap in practice (concurrent /render handlers, cinema's async
-// encoders), small enough that idle buffers hold ~2.5 MB.
-const pngBuffersKept = 2
-
-// pngBuffers is a png.EncoderBufferPool: a mutex-guarded free list of at
-// most pngBuffersKept buffers, safe for concurrent encodes. A Get on an
-// empty list returns nil, which tells the encoder to build a fresh
-// buffer; a Put on a full list drops the buffer for the collector.
-type pngBuffers struct {
-	mu   sync.Mutex
-	free []*png.EncoderBuffer
-}
-
-func (p *pngBuffers) Get() *png.EncoderBuffer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	b := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	return b
-}
-
-func (p *pngBuffers) Put(b *png.EncoderBuffer) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) < pngBuffersKept {
-		p.free = append(p.free, b)
-	}
 }
 
 // MeanLuminance returns the average luminance of the image — used by the

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -625,5 +626,46 @@ func TestSweepPanickingBuildReleasesItsGrant(t *testing.T) {
 	}
 	if st := s.Cache().Stats(); st.Misses != 3 {
 		t.Errorf("cache stats %+v: want 3 builds (the data set, then the sweep cell twice)", st)
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps one header map
+// across requests and drops the body.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// A warm /render of the default frame allocates its request's small
+// change: the framebuffer and the PNG buffer come back from the daemon's
+// free list, and the PNG writer's compressor from the writer's. Before
+// both, a 128² frame cost 48–54 allocations and 724–733 KB, nearly all
+// of it a fresh 655 KB framebuffer.
+func TestWarmRenderAllocs(t *testing.T) {
+	maxAllocs, maxBytes := 45.0, float64(16<<10)
+	if raceDetector {
+		maxAllocs = 55 // the detector's own bookkeeping: 47–49 here
+	}
+	s := testServer(t, Options{Config: &harness.Config{
+		Sizes: []int{32}, PhaseSize: 32, MaxSimSize: 32, SimTime: 0.05,
+		Images: 50, ImageSize: 128, Particles: 64, ParticleSteps: 100,
+	}})
+	h := s.Handler()
+	for _, alg := range []string{"volren", "raytrace"} {
+		req := httptest.NewRequest(http.MethodGet, "/render?alg="+alg+"&frame=7", nil)
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req) // the build
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { h.ServeHTTP(w, req) })
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun warms up with one extra call.
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+		t.Logf("%s: %.0f allocations, %.0f bytes per warm /render", alg, allocs, perRun)
+		if allocs > maxAllocs || perRun > maxBytes {
+			t.Errorf("%s: a warm /render makes %.0f allocations of %.0f bytes, bound %.0f and %.0f", alg, allocs, perRun, maxAllocs, maxBytes)
+		}
 	}
 }
