@@ -121,9 +121,5 @@ func (f *Frame) Footprint(b *mesh.Bounds) image.Rectangle {
 	}
 	lo := func(v float64, n int) int { return int(math.Max(0, math.Min(float64(n), math.Floor(v)-1))) }
 	hi := func(v float64, n int) int { return int(math.Max(0, math.Min(float64(n), math.Floor(v)+2))) }
-	r := image.Rectangle{Min: image.Pt(lo(x0, f.W), lo(y0, f.H)), Max: image.Pt(hi(x1, f.W), hi(y1, f.H))}
-	if r.Empty() {
-		return image.Rectangle{}
-	}
-	return r
+	return image.Rectangle{Min: image.Pt(lo(x0, f.W), lo(y0, f.H)), Max: image.Pt(hi(x1, f.W), hi(y1, f.H))}
 }

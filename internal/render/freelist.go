@@ -2,12 +2,18 @@ package render
 
 import "sync"
 
-// FreeList is a mutex-guarded stack of at most Keep values for reuse,
+// freeListKeep bounds a FreeList: enough for the uses that overlap in
+// practice — two /render handlers of a viewer or two scrubbing an orbit,
+// cinema's two async encoders — small enough that what idles there stays
+// near a megabyte per list.
+const freeListKeep = 2
+
+// FreeList is a mutex-guarded stack of at most two values kept for reuse,
 // safe for concurrent use: the PNG writer's compressor state and the
-// daemon's framebuffers. Get on an empty list returns the zero value;
-// Put on a full list drops the value for the collector.
+// daemon's framebuffers. The zero value is an empty list. Get on an
+// empty list returns the zero value; Put on a full list drops the value
+// for the collector.
 type FreeList[T any] struct {
-	Keep int
 	mu   sync.Mutex
 	free []T
 }
@@ -25,11 +31,11 @@ func (l *FreeList[T]) Get() T {
 	return v
 }
 
-// Put keeps v for a later Get unless the list already holds Keep values.
+// Put keeps v for a later Get unless the list is full.
 func (l *FreeList[T]) Put(v T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.free) < l.Keep {
+	if len(l.free) < freeListKeep {
 		l.free = append(l.free, v)
 	}
 }

@@ -121,11 +121,8 @@ type pngState struct {
 	prev []byte
 }
 
-// pngStates bounds the writer state kept between encodes: enough for the
-// encodes that overlap in practice (concurrent /render handlers, cinema's
-// async encoders), small enough that idle state stays near 2.5 MB for
-// served frames.
-var pngStates = FreeList[*pngState]{Keep: 2}
+// pngStates holds the writer state between encodes.
+var pngStates FreeList[*pngState]
 
 // pngKeptBytes bounds the file buffer a kept state holds on to: a served
 // frame's file is a few kilobytes, and the buffer of a much larger image

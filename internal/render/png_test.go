@@ -156,8 +156,8 @@ func TestWritePNGConcurrentMatchesSerial(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if n := pngStates.Len(); n > pngStates.Keep {
-		t.Errorf("free list holds %d writer states, bound is %d", n, pngStates.Keep)
+	if n := pngStates.Len(); n > freeListKeep {
+		t.Errorf("free list holds %d writer states, bound is %d", n, freeListKeep)
 	}
 	// A kept state does not hold on to a large image's file: noise does
 	// not compress, so this one is over 1.7 MB.

@@ -87,14 +87,10 @@ type Server struct {
 	govDecisions []obs.Decision
 	govDropped   int64
 
-	// frames holds /render's per-request buffers between requests.
+	// frames holds /render's per-request buffers between requests, about
+	// 0.7 MB each for a 128² frame.
 	frames render.FreeList[*servedFrame]
 }
-
-// framesKept bounds the /render buffers kept between requests: enough for
-// the requests that overlap in practice (a viewer or two scrubbing an
-// orbit), at about 0.7 MB each for a 128² frame.
-const framesKept = 2
 
 // servedFrame is one /render request's scratch: the framebuffer the frame
 // renders into and the buffer its PNG is encoded into.
@@ -122,10 +118,9 @@ func New(opts Options) *Server {
 			FloorWatts:  study.Processor().MinCapWatts,
 			QueueDepth:  opts.QueueDepth,
 		}),
-		tr:     opts.Config.Tracer,
-		t0:     time.Now(),
-		cine:   make(map[string]*cinemaDB),
-		frames: render.FreeList[*servedFrame]{Keep: framesKept},
+		tr:   opts.Config.Tracer,
+		t0:   time.Now(),
+		cine: make(map[string]*cinemaDB),
 	}
 	s.lanes = make(chan int, Lanes)
 	for l := 0; l < Lanes; l++ {

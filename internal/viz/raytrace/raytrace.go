@@ -88,8 +88,9 @@ var Background = render.Color{0.08, 0.08, 0.10, 1}
 
 // RenderInto traces one image from cam into a caller-provided framebuffer
 // (reset here, to Background with infinite depth), allocating one only
-// when im is nil or the wrong size, and charges the frame to ex. The orbit reuses one image per worker across
-// its 50 frames (viz.RenderOrbit).
+// when im is nil or the wrong size, and charges the frame to ex. The
+// orbit reuses one image per worker across its 50 frames
+// (viz.RenderOrbit).
 func (s *Scene) RenderInto(im *render.Image, cam render.Camera, w, h int, ex *viz.Exec) *render.Image {
 	if im == nil || im.W != w || im.H != h {
 		im = render.NewImage(w, h)
