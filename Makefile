@@ -16,10 +16,10 @@
 #                  -race too), the image filters' orbit pin (frames
 #                  at 1, 2 and 4 workers), and the golden "same numbers" tests
 #                  (harness TestGoldenArtifacts; power's TestGoldenEngine
-#                  runs with ./internal/power in RACE_PKGS), and the one
-#                  PNG encoder with its shared buffer free list, which
-#                  the daemon's handlers and cinema's async encoders use
-#                  at once (./internal/render), and the tracer and metrics
+#                  runs with ./internal/power in RACE_PKGS), and the PNG
+#                  writer with its state free list, which the daemon's
+#                  handlers and cinema's async encoders use at once
+#                  (./internal/render), and the tracer and metrics
 #                  plane, whose tracks are created and recorded on from
 #                  many goroutines at once (./internal/obs)
 #   make fuzz    - every Fuzz* target for 10 s each (plain `go test` only
@@ -42,6 +42,10 @@
 #                  SimTime 0.05 and 0.12 (hydro run + Grid export),
 #                  with the hydro's step count as `steps`, and the
 #                  128^3 resample of a cached 64^3 run;
+#                  make bench-go BENCH=ServeFrame is one warm /render
+#                  round trip (volren-64, raytrace-64: the next of 50
+#                  orbit frames of the 64^3 data set at 128x128 through
+#                  serve.New and a loopback httptest server, -benchmem);
 #                  a package's own, e.g. make bench-go BENCH=Obs PKG=./internal/obs
 #   make govern  - run the vizpower govern subcommand at demonstration
 #                  scale (closed-loop vs static vs uniform sweep table)
@@ -56,7 +60,10 @@
 #                  of one bench/run.sh workload (15 s each, seed i for pair
 #                  i) at the commit REF and on the working tree: per
 #                  end-to-end metric both medians, REF's interquartile
-#                  range and the working tree's wins (scripts/pair.sh)
+#                  range, the working tree's wins and a verdict: better,
+#                  worse (at least ceil(0.8 N) pairs one way and the
+#                  median beyond REF's interquartile range that way) or
+#                  unresolved (scripts/pair.sh)
 #   make loc     - the three line counts ROADMAP.md quotes: non-test Go
 #                  under internal/ + cmd/, non-test Go in the whole repo,
 #                  and test Go

@@ -9,6 +9,9 @@ package repro_test
 
 import (
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strconv"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/par"
+	"repro/internal/serve"
 	"repro/internal/viz"
 )
 
@@ -149,5 +153,51 @@ func BenchmarkCellCold(b *testing.B) {
 				b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MB")
 			})
 		}
+	}
+}
+
+// BenchmarkServeFrame is one warm /render round trip, the request the
+// serve-warm workload's viewers repeat: a loopback HTTP GET through
+// serve.New's handler for the next of the 50 orbit frames of the 64^3
+// data set at 128x128, with the derived structure already cached, read
+// to the end of the PNG. Admission, the frame render, the PNG encode and
+// HTTP are all inside the timing; the ledger's render.png_encode_us
+// encodes a synthetic gradient instead of a rendered frame.
+func BenchmarkServeFrame(b *testing.B) {
+	for _, alg := range []string{"volren", "raytrace"} {
+		b.Run(alg+"-64", func(b *testing.B) {
+			cfg := &harness.Config{
+				Pool: par.Default(), Sizes: []int{64}, PhaseSize: 64,
+				MaxSimSize: 64, SimTime: 0.05, Images: 50, ImageSize: 128,
+			}
+			if err := cfg.Preload(64, benchGrid(b, 64)); err != nil {
+				b.Fatal(err)
+			}
+			s := serve.New(serve.Options{Config: cfg, BudgetWatts: 130, CinemaDir: b.TempDir()})
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				if err := s.Close(); err != nil {
+					b.Error(err)
+				}
+			}()
+			get := func(frame int) {
+				resp, err := ts.Client().Get(fmt.Sprintf("%s/render?alg=%s&frame=%d", ts.URL, alg, frame))
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("frame %d: status %d, %v", frame, resp.StatusCode, err)
+				}
+			}
+			get(0) // builds the renderer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get(i % 50)
+			}
+		})
 	}
 }

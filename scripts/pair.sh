@@ -10,10 +10,13 @@
 # side, REF first on odd i and the working tree first on even i, so a drift
 # of the host over the session falls on both sides alike. For each
 # end-to-end metric BENCHMARK.json declares it prints REF's and the working
-# tree's medians, REF's interquartile range and the working tree's wins out
-# of N (a win is a strictly better value in the declared direction), then
-# each side's failed operations. Each run's result line is kept under
-# out/pair/.
+# tree's medians, REF's interquartile range, the working tree's wins out
+# of N (a win is a strictly better value in the declared direction) and a
+# verdict: better when the working tree wins at least ceil(0.8 N) pairs
+# and its median lies beyond REF's interquartile range in the declared
+# direction, worse when it loses that many and its median lies beyond the
+# range the other way, unresolved otherwise. Then each side's failed
+# operations. Each run's result line is kept under out/pair/.
 set -euo pipefail
 if [ $# -ne 3 ] || ! [[ $3 =~ ^[1-9][0-9]*$ ]]; then
 	echo "usage: $0 REF WORKLOAD N   (N >= 1 pairs)" >&2
@@ -62,7 +65,7 @@ metrics=$(awk '/"end_to_end"/ {on = 1} /"per_layer"/ {on = 0}
 	on && /"better"/ {gsub(/.*"better": *"|".*/, ""); print name, $0}' BENCHMARK.json)
 
 echo "$workload: $n pairs, $(git rev-parse --short "$rev") (ref) vs the working tree (change)"
-printf '%-14s %12s %12s %12s %8s\n' metric "ref median" "change med" "ref IQR" wins
+printf '%-14s %12s %12s %12s %8s  %s\n' metric "ref median" "change med" "ref IQR" wins verdict
 while read -r name better; do
 	for ((i = 1; i <= n; i++)); do
 		echo "$(value "$out/ref.$i.json" "$name") $(value "$out/change.$i.json" "$name")"
@@ -76,10 +79,21 @@ while read -r name better; do
 			for (i = 2; i <= k; i++)
 				for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
 		}
-		{ r[NR] = $1; c[NR] = $2; if (better == "lower" ? $2 < $1 : $2 > $1) wins++ }
+		{
+			r[NR] = $1; c[NR] = $2
+			if ($2 < $1) lower++
+			if ($2 > $1) higher++
+		}
 		END {
 			sort(r, NR); sort(c, NR)
-			printf "%-14s %12.4g %12.4g %12.4g %5d/%d\n", name, q(r, NR, 0.5), q(c, NR, 0.5), q(r, NR, 0.75) - q(r, NR, 0.25), wins, NR
+			med = q(c, NR, 0.5); lo = q(r, NR, 0.25); hi = q(r, NR, 0.75)
+			wins = better == "lower" ? lower : higher
+			losses = better == "lower" ? higher : lower
+			need = int((8 * NR + 9) / 10) # ceil(0.8 N)
+			verdict = "unresolved"
+			if (wins >= need && (better == "lower" ? med < lo : med > hi)) verdict = "better"
+			if (losses >= need && (better == "lower" ? med > hi : med < lo)) verdict = "worse"
+			printf "%-14s %12.4g %12.4g %12.4g %5d/%d  %s\n", name, q(r, NR, 0.5), med, hi - lo, wins, NR, verdict
 		}'
 done <<<"$metrics"
 for side in ref change; do
