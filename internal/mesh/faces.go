@@ -75,8 +75,8 @@ func canonicalFace(n int, a, b, c, d int32) faceKey {
 // claim their tiles in cell order, each triangle once. So are two
 // triangle pairs that tile one lattice quad along its two diagonals (the
 // tetrahedra of two clipped neighbours), claimed after the quads. The
-// output references a compacted copy of the points actually used by the surface,
-// carrying their scalars.
+// output references a compacted copy of the points actually used by the
+// surface, carrying their scalars.
 //
 // This is the "gather triangles and find external faces" stage the paper
 // identifies as the data-intensive part of its ray-tracing workload.

@@ -3,9 +3,9 @@ package render
 import "sync"
 
 // freeListKeep bounds a FreeList: enough for the uses that overlap in
-// practice — two /render handlers of a viewer or two scrubbing an orbit,
-// cinema's two async encoders — small enough that what idles there stays
-// near a megabyte per list.
+// practice — the /render handlers of a viewer or two scrubbing an orbit,
+// cinema's two async encoders — and little to hold idle: two BestSpeed
+// compressors are 2.4 MB, two 128² framebuffers 1.3 MB.
 const freeListKeep = 2
 
 // FreeList is a mutex-guarded stack of at most two values kept for reuse,

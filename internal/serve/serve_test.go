@@ -645,7 +645,7 @@ func (d *discardWriter) WriteHeader(int)             {}
 func TestWarmRenderAllocs(t *testing.T) {
 	maxAllocs, maxBytes := 45.0, float64(16<<10)
 	if raceDetector {
-		maxAllocs = 55 // the detector's own bookkeeping: 47–49 here
+		maxAllocs = 55 // the detector adds its own: 47–49 measured under -race
 	}
 	s := testServer(t, Options{Config: &harness.Config{
 		Sizes: []int{32}, PhaseSize: 32, MaxSimSize: 32, SimTime: 0.05,
