@@ -16,11 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/harness"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/render"
+	"repro/internal/study"
 	"repro/internal/viz"
 )
 
@@ -529,6 +531,82 @@ func TestSeedClassDemandLadder(t *testing.T) {
 		if line := fmt.Sprintf("%s %g\n", key, want); !strings.Contains(string(text), line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
+	}
+}
+
+// TestAdmissionLadderOverHTTP walks the admission estimate ladder as a
+// client sees it, in the X-Serve-Class and X-Serve-Charge-Watts headers
+// of a daemon whose budget is above TDP, so that no charge is clamped to
+// the budget.
+func TestAdmissionLadderOverHTTP(t *testing.T) {
+	spec := study.Processor()
+	cfg := testConfig()
+	s := testServer(t, Options{Config: cfg, BudgetWatts: 2 * spec.TDPWatts})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	admitted := func(path string) (class, charge string) {
+		t.Helper()
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return resp.Header.Get("X-Serve-Class"), resp.Header.Get("X-Serve-Charge-Watts")
+	}
+	watts := func(w float64) string { return fmt.Sprintf("%.1f", w) }
+	check := func(path, wantClass, wantCharge string) {
+		t.Helper()
+		if class, charge := admitted(path); class != wantClass || charge != wantCharge {
+			t.Errorf("%s: admitted as %q charging %s W, want %q charging %s W", path, class, charge, wantClass, wantCharge)
+		}
+	}
+
+	// Nothing known: a never-run workload of the paper's power-sensitive
+	// class reserves the whole socket.
+	check("/render?alg=volren&size=16&frame=3", "power sensitive", watts(spec.TDPWatts))
+
+	// A seeded calibration prices every never-run workload of a class.
+	// The opportunity seed is below the cap floor, so it is charged as is.
+	s.SeedClassDemand(map[metrics.Class]float64{metrics.PowerSensitive: 80, metrics.PowerOpportunity: 30})
+	check("/render?alg=volren&size=8", "power sensitive", watts(80))
+	check("/render?alg=raytrace&size=16", "power opportunity", watts(30))
+
+	// A workload that ran charges its own measured demand: the modeled
+	// demand of the frame it rendered last.
+	g, err := cfg.BuildDataset(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := harness.Frames(g, "Volume Rendering", 0, viz.NewExec(cfg.Pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, _ := render.OrbitView(g.Bounds(), 3, cfg.Images)
+	ex := viz.NewExec(cfg.Pool)
+	frame(nil, cam, cfg.ImageSize, cfg.ImageSize, ex)
+	measured := watts(cpu.Analyze(spec, ex.Drain(), 0).Demand().PowerWatts)
+	if measured == watts(80) || measured == watts(spec.TDPWatts) {
+		t.Fatalf("frame 3 demands %s W: the measured rung cannot be told from the others", measured)
+	}
+	check("/render?alg=volren&size=16&frame=3", "power sensitive", measured)
+
+	// A sweep cell's class and demand become the workload's: the next
+	// /render is admitted under the sweep's class, and an opportunity
+	// request reserves at most the cap floor.
+	for _, alg := range []string{"volren", "raytrace"} {
+		resp, body := get(t, ts, "/sweep?alg="+alg+"&size=16")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep %s: status %d: %s", alg, resp.StatusCode, body)
+		}
+		var sw sweepResponse
+		if err := json.Unmarshal(body, &sw); err != nil {
+			t.Fatal(err)
+		}
+		want := sw.DemandWatts
+		if sw.Class == metrics.PowerOpportunity.String() {
+			want = min(want, spec.MinCapWatts)
+		}
+		t.Logf("%s 16³: swept as %s demanding %.1f W", alg, sw.Class, sw.DemandWatts)
+		check("/render?alg="+alg+"&size=16", sw.Class, watts(want))
 	}
 }
 
