@@ -263,12 +263,10 @@ func (e Execution) UnderCap(capWatts float64) CapResult {
 	if capWatts < s.MinCapWatts {
 		capWatts = s.MinCapWatts
 	}
-	ladder := s.FreqLadder()
-	f := ladder[0]
-	for i := len(ladder) - 1; i >= 0; i-- {
-		if e.PowerAt(ladder[i]) <= capWatts {
-			f = ladder[i]
-			break
+	f := s.MinGHz
+	for g := s.MinGHz; g <= s.AllCoreTurboGHz+1e-9; g += s.StepGHz {
+		if e.PowerAt(g) <= capWatts {
+			f = g
 		}
 	}
 	return e.at(capWatts, f)

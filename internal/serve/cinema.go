@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/cinema"
 	"repro/internal/obs"
@@ -79,7 +80,7 @@ func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track obs.
 		return
 	}
 
-	g, v, _ := s.admitBuild(w, r, track, rr.name, rr.size, rr.structureKey(), s.buildFrames(rr))
+	g, v, _ := s.admitBuild(w, r, track, rr.workload, rr.structureKey(), s.buildFrames(rr))
 	if g == nil {
 		return
 	}
@@ -115,6 +116,6 @@ func (s *Server) handleCinema(w http.ResponseWriter, r *http.Request, track obs.
 		resp.Frames = append(resp.Frames, cinema.FrameName(cycle, i))
 	}
 	s.tr.End(track, "serve.render", renderStart)
-	w.Header().Set("X-Energy-Joules", fmt.Sprintf("%.3f", segmentJ))
+	w.Header().Set("X-Energy-Joules", strconv.FormatFloat(segmentJ, 'f', 3, 64))
 	writeJSON(w, resp)
 }

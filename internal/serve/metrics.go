@@ -80,9 +80,9 @@ func (s *Server) initMetrics() {
 		reg.GaugeFunc("vizpower_admission_class_demand_watts",
 			"Governor-measured demand charged to a never-run workload of the class (0 until SeedClassDemand).",
 			func() float64 {
-				v, _ := s.classDemand.Load(class)
-				w, _ := v.(float64)
-				return w
+				s.wlMu.Lock()
+				defer s.wlMu.Unlock()
+				return s.classDemand[class]
 			}, obs.L("class", class.String()))
 	}
 

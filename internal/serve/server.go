@@ -67,18 +67,12 @@ type Server struct {
 	cineMu sync.Mutex
 	cine   map[string]*cinemaDB
 
-	// estimates holds the measured demand power per (alg, size), fed
-	// back from completed requests so admission charges converge from
-	// the static class default to the modeled demand of the actual
-	// workload. classes likewise upgrades the static paper
-	// classification with the measured one once a sweep cell ran.
-	estimates sync.Map // string -> float64 (watts)
-	classes   sync.Map // string -> metrics.Class
-	// classDemand holds the governor-measured time-weighted demand per
-	// power class (SeedClassDemand) — the middle rung of the admission
-	// estimate ladder between a per-workload measurement and the spec
-	// TDP guess.
-	classDemand sync.Map // metrics.Class -> float64 (watts)
+	// wlMu guards what admission knows (estimate): what each workload's
+	// requests measured, and per class the governor-measured demand
+	// (SeedClassDemand; 0 until seeded).
+	wlMu        sync.Mutex
+	workloads   map[workload]measured
+	classDemand [2]float64 // watts, by metrics.Class
 
 	// met is the daemon's metrics plane (GET /metrics); govDecisions is
 	// the seeded governor decision log (GET /debug/governor).
@@ -118,9 +112,10 @@ func New(opts Options) *Server {
 			FloorWatts:  study.Processor().MinCapWatts,
 			QueueDepth:  opts.QueueDepth,
 		}),
-		tr:   opts.Config.Tracer,
-		t0:   time.Now(),
-		cine: make(map[string]*cinemaDB),
+		tr:        opts.Config.Tracer,
+		t0:        time.Now(),
+		cine:      make(map[string]*cinemaDB),
+		workloads: make(map[workload]measured),
 	}
 	s.lanes = make(chan int, Lanes)
 	for l := 0; l < Lanes; l++ {
@@ -173,15 +168,15 @@ func (s *Server) Close() error {
 	return errors.Join(errs...)
 }
 
-// lane leases a request telemetry lane; done returns it. A request that
-// finds every lane busy records on obs.NoTrack, so a tracer counts its
-// spans as dropped.
-func (s *Server) lane() (track obs.Track, done func()) {
+// lane leases request telemetry lane l, which the caller puts back on
+// s.lanes. A request that finds every lane busy gets l = -1 and records
+// on obs.NoTrack, so a tracer counts its spans as dropped.
+func (s *Server) lane() (track obs.Track, l int) {
 	select {
 	case l := <-s.lanes:
-		return s.tr.Lane(l), func() { s.lanes <- l }
+		return s.tr.Lane(l), l
 	default:
-		return obs.NoTrack, func() {}
+		return obs.NoTrack, -1
 	}
 }
 
@@ -195,19 +190,36 @@ func (s *Server) metered(name string, h func(w http.ResponseWriter, r *http.Requ
 	return func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		defer s.met.observeRequest(name, time.Now())
-		track, done := s.lane()
-		defer done()
+		track, l := s.lane()
+		if l >= 0 {
+			defer func() { s.lanes <- l }()
+		}
 		defer s.tr.End(track, spanName, s.tr.Begin())
 		h(w, r, track)
 	}
 }
 
+// workload is an (algorithm, size) the daemon admits: the paper's name
+// for the algorithm and the data set's edge length.
+type workload struct {
+	name string
+	size int
+}
+
+// measured is what completed requests measured of one workload: its
+// sweep cell's class (when hasClass) and the modeled demand of its last
+// request that executed anything (0 before one did).
+type measured struct {
+	class       metrics.Class
+	hasClass    bool
+	demandWatts float64
+}
+
 // renderRequest is the parsed, validated form of /render and /cinema
 // query parameters.
 type renderRequest struct {
-	alg         string // canonical: "volren" | "raytrace"
-	name        string // paper name for the algorithm
-	size        int
+	alg string // canonical: "volren" | "raytrace"
+	workload
 	frame       int
 	images      int
 	w, h        int
@@ -226,12 +238,11 @@ func (s *Server) parseRender(r *http.Request) (*renderRequest, error) {
 	q := r.URL.Query()
 	cfg := s.opts.Config
 	rr := &renderRequest{
-		alg:    "volren",
-		name:   "Volume Rendering",
-		size:   cfg.PhaseSize,
-		images: cfg.Images,
-		w:      cfg.ImageSize,
-		h:      cfg.ImageSize,
+		alg:      "volren",
+		workload: workload{"Volume Rendering", cfg.PhaseSize},
+		images:   cfg.Images,
+		w:        cfg.ImageSize,
+		h:        cfg.ImageSize,
 	}
 	if v := q.Get("alg"); v != "" {
 		names, ok := algNames[normalize(v)]
@@ -358,68 +369,68 @@ func (s *Server) renderFrame(e *frameEntry, rr *renderRequest, i int, im *render
 	ex := viz.NewExec(s.pool)
 	im = e.frame(im, cam, rr.w, rr.h, ex)
 	exec := cpu.Analyze(s.spec, ex.Drain(), 0)
-	s.noteDemand(rr.name, rr.size, exec)
+	s.note(rr.workload, exec, nil)
 	joules = exec.UnderCap(s.spec.TDPWatts).EnergyJ
 	s.met.energyJ.Add(joules)
 	s.met.frames.Inc()
 	return im, az, joules
 }
 
-// estimateKey identifies an (algorithm, size) workload for the demand
-// feedback maps.
-func estimateKey(name string, size int) string { return fmt.Sprintf("%s/%d", name, size) }
-
-// classOf returns the admission class for an algorithm: the measured
-// classification when a sweep cell has run, otherwise the paper's
-// Table II result — volume rendering and particle advection are power
-// sensitive, everything else offers power opportunity.
-func (s *Server) classOf(name string, size int) metrics.Class {
-	if v, ok := s.classes.Load(estimateKey(name, size)); ok {
-		return v.(metrics.Class)
+// estimate returns w's admission class and charge estimate, best
+// knowledge first. The class is the one w's sweep cell measured, else
+// the paper's Table II result (volume rendering and particle advection
+// are power sensitive, the rest offer power opportunity). The demand is
+// w's last measured demand, else its class's seeded demand, else the
+// spec TDP: the first request of a workload reserves a full socket.
+func (s *Server) estimate(w workload) (class metrics.Class, demandWatts float64) {
+	s.wlMu.Lock()
+	defer s.wlMu.Unlock()
+	m := s.workloads[w]
+	class = metrics.PowerOpportunity
+	switch {
+	case m.hasClass:
+		class = m.class
+	case w.name == "Volume Rendering", w.name == "Particle Advection":
+		class = metrics.PowerSensitive
 	}
-	switch name {
-	case "Volume Rendering", "Particle Advection":
-		return metrics.PowerSensitive
+	switch {
+	case m.demandWatts > 0:
+		return class, m.demandWatts
+	case s.classDemand[class] > 0:
+		return class, s.classDemand[class]
 	}
-	return metrics.PowerOpportunity
-}
-
-// demandWatts returns the admission charge estimate for an (algorithm,
-// size), best knowledge first: the measured modeled demand once any
-// request of that workload completed; else the governor-measured demand
-// of the workload's power class when a closed-loop calibration was
-// seeded (SeedClassDemand); else the spec TDP (conservative — the first
-// request of a workload reserves a full socket).
-func (s *Server) demandWatts(name string, size int) float64 {
-	if v, ok := s.estimates.Load(estimateKey(name, size)); ok {
-		return v.(float64)
-	}
-	if v, ok := s.classDemand.Load(s.classOf(name, size)); ok {
-		return v.(float64)
-	}
-	return s.spec.TDPWatts
+	return class, s.spec.TDPWatts
 }
 
 // SeedClassDemand installs governor-measured per-class demand estimates
 // (power.Result.ClassDemand or harness.GovernResult.ClassDemand):
 // admission charges for workloads that have never run converge from the
 // spec TDP to what the closed-loop run actually measured for their
-// class. Nonpositive entries are ignored.
+// class. Nonpositive entries and unknown classes are ignored.
 func (s *Server) SeedClassDemand(demand map[metrics.Class]float64) {
+	s.wlMu.Lock()
+	defer s.wlMu.Unlock()
 	for class, w := range demand {
-		if w > 0 {
-			s.classDemand.Store(class, w)
+		if w > 0 && uint(class) < uint(len(s.classDemand)) {
+			s.classDemand[class] = w
 		}
 	}
 }
 
-// noteDemand feeds a completed request's modeled demand power back into
-// the admission estimate.
-func (s *Server) noteDemand(name string, size int, exec cpu.Execution) {
-	if exec.Instructions == 0 {
-		return
+// note feeds what a completed request of w measured back into its
+// admission estimate: the modeled demand of exec, when it executed
+// anything, and the class of sweep, w's sweep cell (nil for a frame).
+func (s *Server) note(w workload, exec cpu.Execution, sweep *study.Run) {
+	s.wlMu.Lock()
+	defer s.wlMu.Unlock()
+	m := s.workloads[w]
+	if exec.Instructions != 0 {
+		m.demandWatts = exec.Demand().PowerWatts
 	}
-	s.estimates.Store(estimateKey(name, size), exec.Demand().PowerWatts)
+	if sweep != nil {
+		m.class, m.hasClass = sweep.Class, true
+	}
+	s.workloads[w] = m
 }
 
 // admitBuild is the front half every metered request shares: admit it
@@ -427,9 +438,9 @@ func (s *Server) noteDemand(name string, size int, exec cpu.Execution) {
 // build it, recording the stage as a serve.hit or serve.build span. On
 // failure the response is already written, the grant released, and g is
 // nil; otherwise the caller releases g when the request is done.
-func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track obs.Track, name string, size int,
+func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track obs.Track, wl workload,
 	key string, build func() (any, error)) (g *Grant, v any, hit bool) {
-	if g = s.admit(w, r, track, name, size); g == nil {
+	if g = s.admit(w, r, track, wl); g == nil {
 		return nil, nil, false
 	}
 	buildStart := s.tr.Begin()
@@ -450,9 +461,8 @@ func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track obs.Tr
 // admit runs the admission policy for one request, recording the admit
 // and queue-wait spans. On overload it writes 429 + Retry-After and
 // returns nil.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, track obs.Track, name string, size int) *Grant {
-	class := s.classOf(name, size)
-	demand := s.demandWatts(name, size)
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, track obs.Track, wl workload) *Grant {
+	class, demand := s.estimate(wl)
 	admitStart := s.tr.Begin()
 	g, wait, err := s.adm.Admit(r.Context(), class, demand)
 	s.tr.End(track, "serve.admit", admitStart)
@@ -472,8 +482,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, track obs.Track, 
 		return nil
 	}
 	w.Header().Set("X-Serve-Class", class.String())
-	w.Header().Set("X-Serve-Charge-Watts", fmt.Sprintf("%.1f", g.Watts()))
-	w.Header().Set("X-Serve-Queue-Wait-Ms", fmt.Sprintf("%.1f", wait.Seconds()*1e3))
+	w.Header().Set("X-Serve-Charge-Watts", strconv.FormatFloat(g.Watts(), 'f', 1, 64))
+	w.Header().Set("X-Serve-Queue-Wait-Ms", strconv.FormatFloat(wait.Seconds()*1e3, 'f', 1, 64))
 	return g
 }
 
@@ -486,7 +496,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track obs.
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	g, v, hit := s.admitBuild(w, r, track, rr.name, rr.size, rr.structureKey(), s.buildFrames(rr))
+	g, v, hit := s.admitBuild(w, r, track, rr.workload, rr.structureKey(), s.buildFrames(rr))
 	if g == nil {
 		return
 	}
@@ -513,7 +523,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request, track obs.
 	if hit {
 		cacheState = "hit"
 	}
-	w.Header().Set("X-Energy-Joules", fmt.Sprintf("%.3f", frameJ))
+	w.Header().Set("X-Energy-Joules", strconv.FormatFloat(frameJ, 'f', 3, 64))
 	w.Header().Set("X-Serve-Cache", cacheState)
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
@@ -571,7 +581,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track obs.T
 		return
 	}
 
-	g, v, _ := s.admitBuild(w, r, track, name, size, fmt.Sprintf("sweep/%s/%d", name, size), func() (any, error) {
+	wl := workload{name, size}
+	g, v, _ := s.admitBuild(w, r, track, wl, fmt.Sprintf("sweep/%s/%d", name, size), func() (any, error) {
 		// The dataset comes through the single-flight cache, so a
 		// concurrent /render of the same size shares the build.
 		ds, err := s.dataset(size)
@@ -589,9 +600,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request, track obs.T
 	}
 	defer g.Release()
 	run := v.(*study.Run)
-	// Feed the measured demand and classification back into admission.
-	s.noteDemand(name, size, run.Exec)
-	s.classes.Store(estimateKey(name, size), run.Class)
+	s.note(wl, run.Exec, run)
 
 	resp := sweepResponse{
 		Name:        run.Name,
