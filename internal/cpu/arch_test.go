@@ -80,6 +80,30 @@ func TestGovernorHonorsFloorOnAllArchitectures(t *testing.T) {
 	}
 }
 
+// TestUnderCapPicksHighestFittingRung holds UnderCap's ascending walk to
+// the descending search over FreqLadder it replaced: the same rung, bit
+// for bit, at every cap from below the floor to above TDP.
+func TestUnderCapPicksHighestFittingRung(t *testing.T) {
+	for _, s := range archSpecs() {
+		for name, p := range map[string]ops.Profile{"compute": computeBound(), "memory": memoryBound()} {
+			e := Analyze(s, p, 0)
+			ladder := s.FreqLadder()
+			for c := s.MinCapWatts - 5; c <= s.TDPWatts+20; c += 0.25 {
+				want := ladder[0]
+				for i := len(ladder) - 1; i >= 0; i-- {
+					if e.PowerAt(ladder[i]) <= math.Max(c, s.MinCapWatts) {
+						want = ladder[i]
+						break
+					}
+				}
+				if got := e.UnderCap(c).FreqGHz; got != want {
+					t.Fatalf("%s/%s at %.2f W: UnderCap picks %v GHz, the descending search %v", s.Name, name, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHighBandwidthArchFlattensLessForMemoryBound(t *testing.T) {
 	// On the KNL-like spec, the memory-bound profile's stall time shrinks
 	// (7x the bandwidth), so its runtime becomes more frequency-sensitive

@@ -735,7 +735,7 @@ func (d *discardWriter) WriteHeader(int)             {}
 func TestWarmRenderAllocs(t *testing.T) {
 	maxAllocs, maxBytes := 30.0, float64(16<<10)
 	if raceDetector {
-		maxAllocs = 40 // the detector adds its own: 31/30 measured under -race
+		maxAllocs = 40 // the detector adds its own: 31–32/30 measured under -race
 	}
 	s := testServer(t, Options{Config: &harness.Config{
 		Sizes: []int{32}, PhaseSize: 32, MaxSimSize: 32, SimTime: 0.05,

@@ -168,31 +168,23 @@ func (s *Server) Close() error {
 	return errors.Join(errs...)
 }
 
-// lane leases request telemetry lane l, which the caller puts back on
-// s.lanes. A request that finds every lane busy gets l = -1 and records
-// on obs.NoTrack, so a tracer counts its spans as dropped.
-func (s *Server) lane() (track obs.Track, l int) {
-	select {
-	case l := <-s.lanes:
-		return s.tr.Lane(l), l
-	default:
-		return obs.NoTrack, -1
-	}
-}
-
 // metered wraps one of the metered handlers in the request prologue they
 // share: count the request, observe its wall time, lease a telemetry lane
 // and record the whole-request span on it. h gets the lane's track for
-// its stage spans.
+// its stage spans. A request that finds every lane busy records on
+// obs.NoTrack, so a tracer counts its spans as dropped.
 func (s *Server) metered(name string, h func(w http.ResponseWriter, r *http.Request, track obs.Track)) http.HandlerFunc {
 	requests := s.met.requests[name]
 	spanName := "serve./" + name
 	return func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		defer s.met.observeRequest(name, time.Now())
-		track, l := s.lane()
-		if l >= 0 {
+		track := obs.NoTrack
+		select {
+		case l := <-s.lanes:
+			track = s.tr.Lane(l)
 			defer func() { s.lanes <- l }()
+		default:
 		}
 		defer s.tr.End(track, spanName, s.tr.Begin())
 		h(w, r, track)
@@ -434,34 +426,14 @@ func (s *Server) note(w workload, exec cpu.Execution, sweep *study.Run) {
 }
 
 // admitBuild is the front half every metered request shares: admit it
-// under the power budget, then fetch key from the structure cache or
-// build it, recording the stage as a serve.hit or serve.build span. On
-// failure the response is already written, the grant released, and g is
-// nil; otherwise the caller releases g when the request is done.
+// under the power budget, recording the admit and queue-wait spans, then
+// fetch key from the structure cache or build it, recording the stage as
+// a serve.hit or serve.build span. On overload it writes 429 +
+// Retry-After. On failure the response is already written, the grant
+// released, and g is nil; otherwise the caller releases g when the
+// request is done.
 func (s *Server) admitBuild(w http.ResponseWriter, r *http.Request, track obs.Track, wl workload,
 	key string, build func() (any, error)) (g *Grant, v any, hit bool) {
-	if g = s.admit(w, r, track, wl); g == nil {
-		return nil, nil, false
-	}
-	buildStart := s.tr.Begin()
-	v, hit, err := s.cache.GetOrBuild(key, build)
-	stage := "serve.build"
-	if hit {
-		stage = "serve.hit"
-	}
-	s.tr.End(track, stage, buildStart)
-	if err != nil {
-		g.Release()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return nil, nil, false
-	}
-	return g, v, hit
-}
-
-// admit runs the admission policy for one request, recording the admit
-// and queue-wait spans. On overload it writes 429 + Retry-After and
-// returns nil.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, track obs.Track, wl workload) *Grant {
 	class, demand := s.estimate(wl)
 	admitStart := s.tr.Begin()
 	g, wait, err := s.adm.Admit(r.Context(), class, demand)
@@ -475,16 +447,29 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, track obs.Track, 
 		if errors.As(err, &ov) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ov.RetryAfter.Seconds()))))
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return nil
+			return nil, nil, false
 		}
 		// Client went away while parked.
 		http.Error(w, err.Error(), 499)
-		return nil
+		return nil, nil, false
 	}
 	w.Header().Set("X-Serve-Class", class.String())
 	w.Header().Set("X-Serve-Charge-Watts", strconv.FormatFloat(g.Watts(), 'f', 1, 64))
 	w.Header().Set("X-Serve-Queue-Wait-Ms", strconv.FormatFloat(wait.Seconds()*1e3, 'f', 1, 64))
-	return g
+
+	buildStart := s.tr.Begin()
+	v, hit, err = s.cache.GetOrBuild(key, build)
+	stage := "serve.build"
+	if hit {
+		stage = "serve.hit"
+	}
+	s.tr.End(track, stage, buildStart)
+	if err != nil {
+		g.Release()
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return nil, nil, false
+	}
+	return g, v, hit
 }
 
 // handleRender serves GET /render: admit under the power budget, fetch
